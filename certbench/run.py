@@ -82,6 +82,8 @@ class Session:
         self.config.write_text(json.dumps(cfg, indent=1), encoding="utf-8")
         self.deadline = deadline
         self.env = dict(os.environ, **THREAD_PINS)
+        # the warm-up writes bytecode, which an installed package also has
+        self.env.pop("PYTHONDONTWRITEBYTECODE", None)
 
     def rep(self, mode: str) -> dict:
         shutil.rmtree(self.output_dir, ignore_errors=True)
