@@ -1,6 +1,6 @@
 """Check the tracer's counts against the reference counts at canonical size.
 
-    python3 certbench/reference.py [--workload NAME ...]
+    python3 certbench/reference.py
 
 Runs one traced repetition of each workload at seed 0 and the canonical
 horizon T = 1 (the timed runs use a shorter T), and compares the `run`
@@ -11,12 +11,11 @@ check. Takes under a minute for all three workloads on a 2-core machine.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
 from run import Session, judge
-from workloads import CANONICAL_T, WORKLOADS
+from workloads import CANONICAL_T
 
 # `run` verb, seed 0, T = 1: function calls, plus the extra counters
 REFERENCE = {
@@ -46,12 +45,9 @@ REFERENCE = {
 }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    args = ap.parse_args(argv)
+def main() -> int:
     bad = 0
-    for name in args.workload or list(REFERENCE):
+    for name in REFERENCE:
         session = Session(name, 0, time.time() + 600.0, T=CANONICAL_T)
         try:
             rec = session.rep("traced")

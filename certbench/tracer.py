@@ -27,7 +27,7 @@ import numpy as np
 MODULES = ("_kernels", "_optim", "potentials", "energy", "scheme",
            "diagnostics", "cli")
 
-# functions whose inclusive time is reported (as a share of the verb's time)
+# functions whose inclusive time is reported, in seconds
 TIMED = {
     "_kernels": ("ac_energy", "ac_grad"),
     "_optim": ("golden_min_batched", "scan_min", "max_scalar"),
@@ -63,11 +63,11 @@ UNTIMED = {("_kernels", "double_well")}
 # metrics that cannot be nonzero for a verb: `check` never solves, builds a
 # report or writes outputs, and `run` never reads a trajectory back
 _NOT_IN = {
-    "run": {"cli.read_trajectory_csv.share"},
-    "check": {"scheme.solve.calls", "scheme.solve.share",
-              "diagnostics.build_report.share",
-              "diagnostics.refinement_study.share",
-              "cli.write_trajectory_csv.share", "cli.output_bytes"},
+    "run": {"cli.read_trajectory_csv.s"},
+    "check": {"scheme.solve.calls", "scheme.solve.s",
+              "diagnostics.build_report.s",
+              "diagnostics.refinement_study.s",
+              "cli.write_trajectory_csv.s", "cli.output_bytes"},
 }
 
 
@@ -78,8 +78,8 @@ def layer_metric_units(verb: str) -> List[Tuple[str, str]]:
         for fn in COUNTED.get(mod, ()):
             out.append((f"{mod}.{fn}.calls", "count"))
         for fn in TIMED.get(mod, ()):
-            out.append((f"{mod}.{fn}.share", "frac"))
-        out.append((f"{mod}.self_share", "frac"))
+            out.append((f"{mod}.{fn}.s", "s"))
+        out.append((f"{mod}.self_s", "s"))
     out += [("_kernels.double_well.points", "count"),
             ("energy.argmin_set.repeat_frac", "frac"),
             ("scheme._prox_grad.iters", "count"),
@@ -207,8 +207,7 @@ class Tracer:
         }
 
 
-def layer_metrics(verb: str, snap: Dict, verb_seconds: float,
-                  output_bytes: int) -> Dict[str, float]:
+def layer_metrics(verb: str, snap: Dict, output_bytes: int) -> Dict[str, float]:
     """The per-layer metrics of one verb from its snapshot."""
     fns, extra = snap["functions"], snap["extra"]
     vals = {}
@@ -216,9 +215,8 @@ def layer_metrics(verb: str, snap: Dict, verb_seconds: float,
         for fn in COUNTED.get(mod, ()):
             vals[f"{mod}.{fn}.calls"] = fns[f"{mod}.{fn}"]["calls"]
         for fn in TIMED.get(mod, ()):
-            vals[f"{mod}.{fn}.share"] = (fns[f"{mod}.{fn}"]["seconds"]
-                                         / verb_seconds)
-        vals[f"{mod}.self_share"] = snap["self_seconds"][mod] / verb_seconds
+            vals[f"{mod}.{fn}.s"] = fns[f"{mod}.{fn}"]["seconds"]
+        vals[f"{mod}.self_s"] = snap["self_seconds"][mod]
     argmin = fns["energy.argmin_set"]["calls"]
     steps = fns["scheme.incremental_step"]["calls"]
     vals["_kernels.double_well.points"] = extra["double_well_points"]

@@ -8,9 +8,10 @@ config seed alone leaves these trajectories bit-identical. The config's own
 the amount of work.
 
 `horizon` is the T the timed runs use. The canonical horizon is T = 1; the
-timed runs shorten it so that one repetition takes a few seconds on a
-2-core machine, and scale the report windows with it. Everything else
-(model, tau, checks) is the canonical setting.
+timed runs shorten it (4 to 16 steps) so that one repetition takes about
+two seconds on a 2-core machine and a 40-second run gets 14 to 24 of them,
+and scale the report windows with it. Everything else (model, tau, checks)
+is the canonical setting.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ CANONICAL_T = 1.0
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     horizon: float
     make: Callable[[float, Optional[random.Random]], Dict]
 
@@ -72,19 +72,9 @@ def _ac_pnorm(T, rng):
 
 
 WORKLOADS = {w.name: w for w in (
-    Workload("pf-certify",
-             "marginal eta-minimization and certification (P_n, De Giorgi "
-             "interpolants) with step_inequality on; no prox-grad or grid "
-             "kernels",
-             0.0625, _pf_certify),
-    Workload("ac-ladder",
-             "multistart prox-grad solve on a 3-rung tau ladder with "
-             "refinement_study; certification nearly free",
-             0.25, _ac_ladder),
-    Workload("ac-pnorm",
-             "numeric Fenchel conjugate of a p = 1.5 weighted-sum "
-             "dissipation dominates both the solve and check",
-             0.125, _ac_pnorm),
+    Workload("pf-certify", 0.03125, _pf_certify),
+    Workload("ac-ladder", 0.125, _ac_ladder),
+    Workload("ac-pnorm", 0.0625, _ac_pnorm),
 )}
 
 
