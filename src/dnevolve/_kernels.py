@@ -3,7 +3,7 @@
 The backend is chosen once at import time from the env flag
 DNEVOLVE_BACKEND (values: "numba", "numpy"; default "numba" when numba
 imports, "numpy" otherwise). Both implementations compute identical
-formulas; benchmarks/bench_kernels.py times them against each other.
+formulas.
 
 Kernels here are the inner-loop costs of the solver: the Allen-Cahn grid
 energy and gradient (called once per objective/gradient evaluation of the

@@ -35,13 +35,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics, models, potentials
+from .energy import energy_value
 from .errors import (ConditioningError, ConfigError, DnevolveError,
                      DomainError, RangeError, SolveAbortedError)
 from .potentials import as_state
-from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid, solve)
+from .scheme import (WITNESS_TOL, DiscreteTrajectory, SolveOptions, TimeGrid,
+                     solve)
 
 GAP_TOL = 1e-8
-WITNESS_TOL = 1e-12
+STORED_TOL = 1e-12   # relative tolerance on stored t_n and energy_n cells
 CHAIN_FRACTION = 0.99
 IDENTITY_SLACK = 1e-8
 
@@ -106,8 +108,9 @@ def _validate_dissipation(d: Dict) -> potentials.DissipationPotential:
         p = _num(d.get("p", 2.0), "dissipation.p")
         if not c > 0:
             raise ConfigError("dissipation.c", "must be > 0")
-        if not p >= 1:
-            raise ConfigError("dissipation.p", "must be >= 1")
+        # p = 1 alone has no superlinear growth (see potentials.PNorm)
+        if not p > 1:
+            raise ConfigError("dissipation.p", "must be > 1")
         return potentials.PNorm(c, p)
     _reject_unknown(d, ("kind", "rho", "eps"), "dissipation")
     rho = _num(d.get("rho", 1.0), "dissipation.rho")
@@ -170,9 +173,10 @@ class RunPlan:
         if name not in models.MODEL_NAMES:
             raise ConfigError("model.name",
                               f"unknown model; known: {list(models.MODEL_NAMES)}")
-        params = dict(mdl.get("params") or {})
-        if not isinstance(mdl.get("params", {}), dict):
+        params = mdl.get("params", {})
+        if not isinstance(params, dict):
             raise ConfigError("model.params", "expected an object")
+        params = dict(params)
 
         mode = cfg.get("subdiff_mode")
         allowed = _SUBDIFF_ALLOWED[name]
@@ -311,10 +315,19 @@ def write_trajectory_csv(path: str, traj: DiscreteTrajectory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_trajectory_csv(path: str, plan: RunPlan,
-                        tau: float) -> DiscreteTrajectory:
+def _rel_err(stored: float, want: float) -> float:
+    return abs(stored - want) / (1.0 + abs(want))
+
+
+def read_trajectory_csv(path: str, plan: RunPlan, tau: float
+                        ) -> Tuple[DiscreteTrajectory, List[Dict]]:
     """Rebuild a trajectory for `check`: states/multipliers from the CSV,
-    witnesses and energies recomputed against the configured model."""
+    witnesses and energies recomputed against the configured model.
+
+    Also returns the checks of the stored columns against the grid and the
+    recomputation: stored_nodes counts rows whose n or t_n disagrees,
+    stored_energy is the worst relative error of the energy_n column.
+    """
     model = plan.spec.energy
     d = model.dim
     with open(path, "r", encoding="utf-8") as fh:
@@ -333,60 +346,83 @@ def read_trajectory_csv(path: str, plan: RunPlan,
     U = np.zeros((grid.N + 1, d))
     xi = np.zeros((grid.N + 1, d))
     gaps = np.zeros(grid.N + 1)
-    energies = np.zeros(grid.N + 1)
+    stored = np.zeros(grid.N + 1)
+    bad_nodes = 0
     for k, ln in enumerate(lines[1:]):
         parts = ln.split(",")
         try:
+            n_cell, t_cell = float(parts[0]), float(parts[1])
             U[k] = [float(x) for x in parts[2:2 + d]]
             xi[k] = [float(x) for x in parts[2 + d:2 + 2 * d]]
             gaps[k] = float(parts[2 + 2 * d])
-            energies[k] = float(parts[3 + 2 * d])
+            stored[k] = float(parts[3 + 2 * d])
         except ValueError as err:
             raise ConfigError("output_dir",
                               f"trajectory.csv row {k + 1} is not numeric: "
                               f"{err}")
+        if n_cell != k or not _rel_err(t_cell, grid.t(k)) <= STORED_TOL:
+            bad_nodes += 1
+    energies = np.zeros(grid.N + 1)
     witnesses = np.zeros(grid.N + 1)
-    decrements = np.zeros(grid.N + 1)
-    from .energy import energy_value
     psi = plan.psi
     try:
+        energies[0] = energy_value(model, 0.0, U[0])
         for n in range(1, grid.N + 1):
             p = psi.at_state(U[n - 1]) if psi.state_dependent else psi
             v = (U[n] - U[n - 1]) / grid.tau
-            obj = grid.tau * p.value(v) + energy_value(model, grid.t(n), U[n])
+            energies[n] = energy_value(model, grid.t(n), U[n])
+            obj = grid.tau * p.value(v) + energies[n]
             witnesses[n] = obj - energy_value(model, grid.t(n), U[n - 1])
-            decrements[n] = -witnesses[n]
     except DomainError as err:
         raise ConfigError("output_dir",
                           f"stored trajectory leaves the model domain: {err}")
-    return DiscreteTrajectory(
+    energy_err = float(max(_rel_err(a, b) for a, b in zip(stored, energies)))
+    checks = [
+        {"name": "stored_nodes", "passed": bad_nodes == 0,
+         "value": float(bad_nodes), "threshold": 0.0},
+        {"name": "stored_energy", "passed": energy_err <= STORED_TOL,
+         "value": energy_err, "threshold": STORED_TOL},
+    ]
+    traj = DiscreteTrajectory(
         model=model, psi=psi, grid=grid, opts=plan.opts, U=U, xi=xi,
-        gaps=gaps, energies=energies, objective_decrements=decrements,
+        gaps=gaps, energies=energies, objective_decrements=-witnesses,
         witnesses=witnesses,
         inner_status=[{"method": "loaded"}] * (grid.N + 1))
+    return traj, checks
 
 
 # ---------------------------------------------------------------------------
 # checks
 
 
-def run_checks(traj: DiscreteTrajectory, diag: Dict) -> List[Dict]:
-    """Every enabled check as {name, passed, value, threshold}."""
+def run_checks(traj: DiscreteTrajectory, diag: Dict,
+               terms: Optional[diagnostics.StepTerms] = None,
+               ineq: Optional[diagnostics.StepInequalityResult] = None
+               ) -> List[Dict]:
+    """Every enabled check as {name, passed, value, threshold}.
+
+    `terms` and `ineq` are the trajectory's certificate pass and
+    step_inequality result when the caller already has them; otherwise
+    each is computed here once, and only if an enabled check needs it.
+    """
     out = []
     tau = traj.grid.tau
     horizon = traj.grid.t(traj.N)
     c_chain = diagnostics.chain_rule_constant(traj)
+    if terms is None and (diag["fenchel_young"] or diag["chain_rule"]
+                          or diag["energy_identity"]):
+        terms = diagnostics._per_step_terms(traj)
 
     if diag["minimality"]:
         worst = float(np.max(traj.witnesses)) if traj.N else 0.0
         out.append({"name": "minimality", "passed": worst <= WITNESS_TOL,
                     "value": worst, "threshold": WITNESS_TOL})
     if diag["fenchel_young"]:
-        worst = float(np.max(diagnostics.fenchel_young_profile(traj)))
+        worst = float(np.max(terms.gap))
         out.append({"name": "fenchel_young", "passed": worst <= GAP_TOL,
                     "value": worst, "threshold": GAP_TOL})
     if diag["chain_rule"]:
-        defects = diagnostics.chain_rule_defects(traj)[1:]
+        defects = diagnostics.chain_rule_defects(traj, terms)[1:]
         frac = float(np.mean(defects >= -c_chain * tau)) if len(defects) else 1.0
         out.append({"name": "chain_rule", "passed": frac >= CHAIN_FRACTION,
                     "value": frac, "threshold": CHAIN_FRACTION})
@@ -394,17 +430,17 @@ def run_checks(traj: DiscreteTrajectory, diag: Dict) -> List[Dict]:
         # lower gate only: the defect is upper-estimate slack and may be
         # positive; it must not undershoot the chain-rule allowance
         floor = -c_chain * tau * horizon - IDENTITY_SLACK
-        defect = diagnostics.energy_identity_defect(traj)
+        defect = diagnostics.energy_identity_defect(traj, terms=terms)
         out.append({"name": "energy_identity", "passed": defect >= floor,
                     "value": defect, "threshold": floor})
         for (s, t) in diag["windows"]:
             wfloor = -c_chain * tau * (t - s) - IDENTITY_SLACK
-            wdef = diagnostics.energy_identity_defect(traj, s, t)
+            wdef = diagnostics.energy_identity_defect(traj, s, t, terms)
             out.append({"name": f"energy_identity[{s},{t}]",
                         "passed": wdef >= wfloor,
                         "value": wdef, "threshold": wfloor})
     if diag["step_inequality"]:
-        res = diagnostics.step_inequality(traj)
+        res = ineq if ineq is not None else diagnostics.step_inequality(traj)
         out.append({"name": "step_inequality",
                     "passed": res.worst <= res.eps_quad,
                     "value": res.worst, "threshold": res.eps_quad})
@@ -447,37 +483,41 @@ def cmd_run(config_path: str) -> int:
         raise ConfigError("output_dir", f"cannot create: {err}") from err
 
     table = None
+    tau = plan.ladder[-1]
     if plan.is_ladder:
+        # the study solves every rung; its finest is the run's trajectory
         table = diagnostics.refinement_study(
             plan.spec.energy, plan.psi, plan.u0, plan.T, plan.ladder,
             plan.opts)
+        _write_refinement_csv(
+            os.path.join(plan.output_dir, "refinement.csv"), table)
         bad = [r for r in table.rows if r.status != "ok"]
         if bad:
             print(f"solver failure on ladder row tau={bad[0].tau}: "
                   f"{bad[0].status}", file=sys.stderr)
-            _write_refinement_csv(
-                os.path.join(plan.output_dir, "refinement.csv"), table)
             return 3
-        _write_refinement_csv(
-            os.path.join(plan.output_dir, "refinement.csv"), table)
-
-    tau = plan.ladder[-1]
-    grid = TimeGrid(T=plan.T, tau=tau)
-    try:
-        traj = solve(plan.spec.energy, plan.psi, plan.u0, grid, plan.opts)
-    except SolveAbortedError as err:
-        print(f"solver failure at step {err.step_index}: {err}",
-              file=sys.stderr)
-        return 3
+        traj = table.finest
+    else:
+        grid = TimeGrid(T=plan.T, tau=tau)
+        try:
+            traj = solve(plan.spec.energy, plan.psi, plan.u0, grid, plan.opts)
+        except SolveAbortedError as err:
+            print(f"solver failure at step {err.step_index}: {err}",
+                  file=sys.stderr)
+            return 3
 
     write_trajectory_csv(os.path.join(plan.output_dir, "trajectory.csv"),
                          traj)
     snapped = _windows_for_report(plan, traj)
-    checks = run_checks(traj, dict(plan.diag, windows=snapped))
-    report = diagnostics.build_report(
-        traj, windows=snapped,
-        include_step_inequality=plan.diag["step_inequality"],
-        refinement=table)
+    # certify once: one certificate pass and at most one step_inequality,
+    # shared by the checks and the report
+    terms = diagnostics._per_step_terms(traj)
+    ineq = (diagnostics.step_inequality(traj)
+            if plan.diag["step_inequality"] else None)
+    checks = run_checks(traj, dict(plan.diag, windows=snapped), terms, ineq)
+    report = diagnostics.build_report(traj, windows=snapped,
+                                      refinement=table, terms=terms,
+                                      ineq=ineq)
     payload = report.to_dict()
     payload["checks"] = checks
     payload["model"] = plan.spec.name
@@ -521,10 +561,10 @@ def cmd_check(config_path: str) -> int:
     if not os.path.exists(csv_path):
         raise ConfigError("output_dir", f"no trajectory.csv in "
                                         f"{plan.output_dir}")
-    traj = read_trajectory_csv(csv_path, plan, plan.ladder[-1])
+    traj, stored = read_trajectory_csv(csv_path, plan, plan.ladder[-1])
     snapped = _windows_for_report(plan, traj)
     try:
-        checks = run_checks(traj, dict(plan.diag, windows=snapped))
+        checks = stored + run_checks(traj, dict(plan.diag, windows=snapped))
     except ConditioningError as err:
         # a stored multiplier matching no minimizer is a failed
         # certification of the loaded data, not a crash

@@ -15,6 +15,18 @@ means the estimate holds with slack and the identity itself fails by that
 amount. All integrals are the scheme's native left-Riemann sums; with that
 quadrature the defect is exactly -sum_n tau (chain_defect_n + gap_n), which
 the test suite uses as a cross-check.
+
+Certify once. The per-step integrands psi_n, conj_n, P_n and gap_n come
+from one pass over the trajectory (_per_step_terms), returned as a frozen
+StepTerms bundle. fenchel_young_profile, chain_rule_defects,
+dissipation_integrals and energy_identity_defect accept it as `terms` and
+build it themselves only when called without one; the CLI builds it, and
+at most one step_inequality result, once per trajectory and hands both to
+its checks and its report. Window sums stay slice sums over the bundle,
+so every value is bitwise the one a standalone call returns. The repeated
+eta-argmin queries of P_n, multiplier selection and the interpolant
+samples are answered by the argmin memo of each marginal model (see
+energy.argmin_set).
 """
 
 from __future__ import annotations
@@ -46,30 +58,49 @@ def resolve_eps_quad(traj: DiscreteTrajectory) -> float:
     return 1e-6 * (1.0 + float(traj.energies[0]))
 
 
-def _per_step_terms(traj: DiscreteTrajectory):
-    """tau-free per-step integrand values (psi_n, conj_n, P_n), index 0 = 0."""
+@dataclass(frozen=True)
+class StepTerms:
+    """tau-free per-step certificate integrands of one trajectory, entry 0 = 0:
+    psi[n] = Psi(v_n), conj[n] = Psi*(-xi_n), P[n] = P(t_n, U_n, xi_n) and
+    the Fenchel-Young gap[n] = psi[n] + conj[n] - <-xi_n, v_n>, with Psi the
+    frozen potential of step n. The arrays are read-only."""
+
+    psi: np.ndarray
+    conj: np.ndarray
+    P: np.ndarray
+    gap: np.ndarray
+
+
+def _per_step_terms(traj: DiscreteTrajectory) -> StepTerms:
+    """The one certificate pass: every per-step integrand, in one loop."""
     N = traj.N
     psis = np.zeros(N + 1)
     conjs = np.zeros(N + 1)
     Ps = np.zeros(N + 1)
+    gaps = np.zeros(N + 1)
     for n in range(1, N + 1):
         p = traj.psi_at(n)
         v = traj.rate(n)
-        psis[n] = p.value(v)
-        conjs[n] = potentials.conjugate(p, None, -traj.xi[n])
+        xi = -traj.xi[n]
+        psi = p.value(v)
+        conj = potentials.conjugate(p, None, xi)
+        # the operands and order of potentials.fenchel_young_gap
+        gaps[n] = psi + conj - float(np.dot(xi, v))
+        psis[n] = psi
+        conjs[n] = conj
         Ps[n] = generalized_time_derivative(traj.model, traj.grid.t(n),
                                             traj.U[n], traj.xi[n])
-    return psis, conjs, Ps
+    for arr in (psis, conjs, Ps, gaps):
+        arr.flags.writeable = False
+    return StepTerms(psi=psis, conj=conjs, P=Ps, gap=gaps)
 
 
-def fenchel_young_profile(traj: DiscreteTrajectory) -> np.ndarray:
+def fenchel_young_profile(traj: DiscreteTrajectory,
+                          terms: Optional[StepTerms] = None) -> np.ndarray:
     """Recomputed gap_n per step (entry 0 is 0), independent of stored gaps."""
-    N = traj.N
-    gaps = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        gaps[n] = potentials.fenchel_young_gap(
-            traj.psi_at(n), None, traj.rate(n), -traj.xi[n])
-    return gaps
+    if terms is None:
+        terms = _per_step_terms(traj)
+    return terms.gap.copy()
 
 
 def chain_rule_constant(traj: DiscreteTrajectory) -> float:
@@ -82,7 +113,8 @@ def chain_rule_constant(traj: DiscreteTrajectory) -> float:
     return 10.0 * (1.0 + traj.model.constants.C1 * sup_e)
 
 
-def chain_rule_defects(traj: DiscreteTrajectory) -> np.ndarray:
+def chain_rule_defects(traj: DiscreteTrajectory,
+                       terms: Optional[StepTerms] = None) -> np.ndarray:
     """defect_n = [E_n - E_{n-1}]/tau - <xi_n, v_n> - P_n (entry 0 is 0).
 
     Predicted >= -O(tau) along solutions; the pass threshold is
@@ -90,46 +122,52 @@ def chain_rule_defects(traj: DiscreteTrajectory) -> np.ndarray:
     """
     N = traj.N
     tau = traj.grid.tau
-    _, _, Ps = _per_step_terms(traj)
+    if terms is None:
+        terms = _per_step_terms(traj)
     out = np.zeros(N + 1)
     for n in range(1, N + 1):
         de = (traj.energies[n] - traj.energies[n - 1]) / tau
-        out[n] = de - float(np.dot(traj.xi[n], traj.rate(n))) - Ps[n]
+        out[n] = de - float(np.dot(traj.xi[n], traj.rate(n))) - terms.P[n]
     return out
 
 
-def dissipation_integrals(traj: DiscreteTrajectory, s: float = 0.0,
-                          t: Optional[float] = None) -> Dict[str, float]:
-    """Left-Riemann integrals of Psi(v), Psi*(-xi) and P over node window."""
-    grid = traj.grid
+def _window(grid: TimeGrid, s: float, t: Optional[float]) -> Tuple[int, int]:
     t = grid.t(grid.N) if t is None else t
     i, j = _node_index(grid, s), _node_index(grid, t)
     if i > j:
         raise RangeError(f"window [{s}, {t}] is reversed")
-    psis, conjs, Ps = _per_step_terms(traj)
-    tau = grid.tau
+    return i, j
+
+
+def dissipation_integrals(traj: DiscreteTrajectory, s: float = 0.0,
+                          t: Optional[float] = None,
+                          terms: Optional[StepTerms] = None) -> Dict[str, float]:
+    """Left-Riemann integrals of Psi(v), Psi*(-xi) and P over node window."""
+    i, j = _window(traj.grid, s, t)
+    if terms is None:
+        terms = _per_step_terms(traj)
+    tau = traj.grid.tau
     sl = slice(i + 1, j + 1)
     return {
-        "dissipation_integral": float(tau * np.sum(psis[sl])),
-        "conjugate_dissipation_integral": float(tau * np.sum(conjs[sl])),
-        "P_integral": float(tau * np.sum(Ps[sl])),
+        "dissipation_integral": float(tau * np.sum(terms.psi[sl])),
+        "conjugate_dissipation_integral": float(tau * np.sum(terms.conj[sl])),
+        "P_integral": float(tau * np.sum(terms.P[sl])),
     }
 
 
 def energy_identity_defect(traj: DiscreteTrajectory, s: float = 0.0,
-                           t: Optional[float] = None) -> float:
+                           t: Optional[float] = None,
+                           terms: Optional[StepTerms] = None) -> float:
     """Signed identity defect over the node window [s, t]; positive means
     the upper energy estimate holds with that much slack."""
-    grid = traj.grid
-    t = grid.t(grid.N) if t is None else t
-    i, j = _node_index(grid, s), _node_index(grid, t)
-    if i > j:
-        raise RangeError(f"window [{s}, {t}] is reversed")
-    psis, conjs, Ps = _per_step_terms(traj)
-    tau = grid.tau
+    i, j = _window(traj.grid, s, t)
+    if terms is None:
+        terms = _per_step_terms(traj)
+    tau = traj.grid.tau
     sl = slice(i + 1, j + 1)
     return float(traj.energies[i] - traj.energies[j]
-                 + tau * np.sum(Ps[sl]) - tau * np.sum(psis[sl] + conjs[sl]))
+                 + tau * np.sum(terms.P[sl])
+                 - tau * np.sum(terms.psi[sl] + terms.conj[sl]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +261,7 @@ def window_upper_estimate_defect(traj: DiscreteTrajectory, s: float, t: float,
     the per-step budget scales with the number of steps)."""
     if result is None:
         result = step_inequality(traj)
-    i, j = _node_index(traj.grid, s), _node_index(traj.grid, t)
-    if i > j:
-        raise RangeError(f"window [{s}, {t}] is reversed")
+    i, j = _window(traj.grid, s, t)
     defect = float(np.sum(result.end_defects[i + 1:j + 1]))
     return defect, result.eps_quad * max(j - i, 1)
 
@@ -254,6 +290,8 @@ class RefinementRow:
 @dataclass
 class RefinementTable:
     rows: List[RefinementRow]
+    # the finest rung's trajectory, None when its solve failed
+    finest: Optional[DiscreteTrajectory] = None
 
     def to_dicts(self) -> List[Dict]:
         return [r.to_dict() for r in self.rows]
@@ -265,6 +303,8 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
     surrogates: sup-distance of consecutive linear interpolants on a
     1024-point time grid, identity defects, dissipation-integral
     differences. A failed solve annotates its row and the study continues.
+    The table keeps the finest rung's trajectory, so callers that need it
+    do not solve it again.
     """
     ladder = [float(t) for t in tau_ladder]
     if not ladder:
@@ -290,8 +330,9 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
             trajs.append(None)
             rows.append(row)
             continue
-        row.energy_identity_defect = energy_identity_defect(traj)
-        ints = dissipation_integrals(traj)
+        terms = _per_step_terms(traj)
+        row.energy_identity_defect = energy_identity_defect(traj, terms=terms)
+        ints = dissipation_integrals(traj, terms=terms)
         row.dissipation_integral = ints["dissipation_integral"]
         row.conjugate_dissipation_integral = ints["conjugate_dissipation_integral"]
         row.P_integral = ints["P_integral"]
@@ -308,7 +349,7 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
         rows[i].sup_interpolant_distance = dist
         rows[i].dissipation_integral_diff = abs(
             rows[i].dissipation_integral - rows[i + 1].dissipation_integral)
-    return RefinementTable(rows=rows)
+    return RefinementTable(rows=rows, finest=trajs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +372,20 @@ class DiagnosticsReport:
 def build_report(traj: DiscreteTrajectory,
                  windows: Sequence[Tuple[float, float]] = (),
                  include_step_inequality: bool = False,
-                 refinement: Optional[RefinementTable] = None
+                 refinement: Optional[RefinementTable] = None,
+                 terms: Optional[StepTerms] = None,
+                 ineq: Optional[StepInequalityResult] = None
                  ) -> DiagnosticsReport:
-    gaps = fenchel_young_profile(traj)
-    chains = chain_rule_defects(traj)
-    ineq = step_inequality(traj) if include_step_inequality else None
+    """Per-step and global diagnostics. `terms` and `ineq` are this
+    trajectory's _per_step_terms and step_inequality results when the
+    caller has them; a given `ineq` is reported, and one is computed here
+    only when include_step_inequality asks for it and none is given."""
+    if terms is None:
+        terms = _per_step_terms(traj)
+    if ineq is None and include_step_inequality:
+        ineq = step_inequality(traj)
+    gaps = terms.gap
+    chains = chain_rule_defects(traj, terms)
     per_step = []
     for n in range(1, traj.N + 1):
         per_step.append({
@@ -346,12 +396,12 @@ def build_report(traj: DiscreteTrajectory,
             "chain_rule_defect": float(chains[n]),
         })
     overall = {
-        "energy_identity_defect": energy_identity_defect(traj),
+        "energy_identity_defect": energy_identity_defect(traj, terms=terms),
         "window_defects": [
             {"s": float(s), "t": float(t),
-             "defect": energy_identity_defect(traj, s, t)}
+             "defect": energy_identity_defect(traj, s, t, terms)}
             for (s, t) in windows],
-        **dissipation_integrals(traj),
+        **dissipation_integrals(traj, terms=terms),
         "chain_rule_constant": chain_rule_constant(traj),
         "eps_quad": resolve_eps_quad(traj),
     }

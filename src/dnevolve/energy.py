@@ -18,7 +18,7 @@ at least 1; the offset is stored and reported, never silently applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ DELTA_XI = 1e-8       # xi-to-eta matching tolerance; both sides come from
                       # the same analytic D_u I, so agreement is near machine
 ETA_CLUSTER = 1e-7    # dedup radius for minimizing eta
 XI_DEDUP = 1e-10
+ARGMIN_MEMO_SIZE = 1 << 14   # points kept per model by argmin_set
 
 
 @dataclass(frozen=True)
@@ -201,14 +202,28 @@ def energy_value(model: EnergyModel, t: float, u) -> float:
 def argmin_set(model: MarginalEnergy, t: float, u,
                delta_M: Optional[float] = None) -> List[float]:
     """All eta with inner(t, u, eta) within delta_M of the minimum,
-    deduplicated by clustering within 1e-7."""
+    deduplicated by clustering within 1e-7.
+
+    Memoized on the model per (t, u, delta_M): models are immutable and
+    their queries pure, and a certified run asks the same point from
+    multiplier selection, P_n and the interpolant samples. The memo holds
+    at most ARGMIN_MEMO_SIZE points and is emptied when full.
+    """
     u = as_state(u, model.dim)
     _check_domain(model, u)
-    etas, vals = _marginal_candidates(model, t, u)
-    m = float(np.min(vals))
-    slack = default_delta_M(m) if delta_M is None else float(delta_M)
-    keep = vals <= m + slack
-    return _cluster_scalars(etas[keep], vals[keep], ETA_CLUSTER)
+    memo = vars(model).setdefault("_argmin_memo", {})
+    key = (t, u.tobytes(), delta_M)
+    etas = memo.get(key)
+    if etas is None:
+        cands, vals = _marginal_candidates(model, t, u)
+        m = float(np.min(vals))
+        slack = default_delta_M(m) if delta_M is None else float(delta_M)
+        keep = vals <= m + slack
+        etas = tuple(_cluster_scalars(cands[keep], vals[keep], ETA_CLUSTER))
+        if len(memo) >= ARGMIN_MEMO_SIZE:
+            memo.clear()
+        memo[key] = etas
+    return list(etas)
 
 
 def marginal_subdifferential(model: MarginalEnergy, t: float, u,
@@ -306,11 +321,6 @@ def envelope_derivative_1d(model: EnergyModel, t: float, u) -> float:
         e = float(etas[int(np.argmin(vals))])
         return float(np.asarray(model.inner_du(t, u, e)).reshape(1)[0])
     return float(np.asarray(model.grad(t, u)).reshape(1)[0])
-
-
-def sup_energy(model: EnergyModel, u, times: Sequence[float]) -> float:
-    """max over the given times of E(t, u); the audits' stand-in for sup_t."""
-    return max(energy_value(model, t, u) for t in times)
 
 
 # ---------------------------------------------------------------------------

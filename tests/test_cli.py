@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dnevolve.scheme as scheme
-from dnevolve import cli
+from dnevolve import cli, diagnostics, energy
 from dnevolve.models import MODEL_NAMES
 
 BASE = {
@@ -77,6 +77,22 @@ def test_rejected_configs(tmp_path, capsys, overrides, drop, field):
     code, out, err = run_main(capsys, "run", path)
     assert code == 2
     assert f"config error at {field}:" in err
+
+
+def test_non_object_params_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, {
+        "model": {"name": "QuadraticBenchmark", "params": [1, 2]}})
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 2
+    assert "config error at model.params: expected an object" in err
+
+
+def test_pnorm_with_p_one_exits_2(tmp_path, capsys):
+    # p = 1 alone is not superlinear, so PNorm calls it inadmissible
+    path = write_cfg(tmp_path, {"dissipation": {"kind": "pnorm", "p": 1}})
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 2
+    assert "config error at dissipation.p: must be > 1" in err
 
 
 def test_conflicting_subdiff_mode(tmp_path, capsys):
@@ -196,9 +212,14 @@ def test_ladder_run_writes_refinement(tmp_path, capsys):
     assert ref[1].split(",")[2] == "ok"
     payload = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert len(payload["refinement"]) == 2
-    # trajectory comes from the finest ladder row
+    # trajectory comes from the finest ladder row, bit for bit
     rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 1 + 8 + 1
+    single = tmp_path / "single"
+    single.mkdir()
+    assert run_main(capsys, "run", write_cfg(single, {"tau": 0.0625}))[0] == 0
+    assert ((single / "out" / "trajectory.csv").read_text().splitlines()
+            == rows)
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -235,6 +256,38 @@ def test_check_round_trip(tmp_path, capsys):
     code, out, _ = run_main(capsys, "check", path)
     assert code == 0
     assert "check fenchel_young: PASS" in out
+    assert "check stored_nodes: PASS" in out
+    assert "check stored_energy: PASS" in out
+
+
+def test_check_recomputes_stored_energy(tmp_path, capsys):
+    # a lowered final energy keeps the chain-rule fraction and the identity
+    # gate passing, so only the recomputed energy column can catch it
+    path = write_cfg(tmp_path, {
+        "model": {"name": "PhaseField1D", "params": {}}, "u0": 0.55,
+        "T": 1.0, "tau": 2.0 ** -7})
+    assert run_main(capsys, "run", path)[0] == 0
+    csv_path = tmp_path / "out" / "trajectory.csv"
+    lines = csv_path.read_text().splitlines()
+    last = lines[-1].split(",")
+    _rewrite_cell(csv_path, len(lines) - 1, len(last) - 1,
+                  repr(float(last[-1]) - 0.5))
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 1
+    assert "check stored_energy: FAIL" in out
+    assert "check chain_rule: PASS" in out
+    assert "failing checks: stored_energy" in err
+
+
+@pytest.mark.parametrize("col,value", [(0, "3"), (1, "0.3")])
+def test_check_validates_node_columns(tmp_path, capsys, col, value):
+    path = write_cfg(tmp_path)
+    assert run_main(capsys, "run", path)[0] == 0
+    _rewrite_cell(tmp_path / "out" / "trajectory.csv", 2, col, value)
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 1
+    assert "check stored_nodes: FAIL (value=1," in out
+    assert "failing checks: stored_nodes" in err
 
 
 def test_check_requires_existing_trajectory(tmp_path, capsys):
@@ -337,3 +390,87 @@ def test_trajectory_csv_parses_cleanly_with_numpy(tmp_path, capsys):
     assert data.shape == (5,)
     assert set(data.dtype.names) == {"n", "t_n", "U_0", "xi_0", "gap_n",
                                      "energy_n"}
+
+
+# ---------------------------------------------------------------------------
+# certify once: one certificate pass per trajectory, shared by its consumers
+
+
+PF_CERTIFY = {
+    "model": {"name": "PhaseField1D", "params": {}}, "u0": 0.55,
+    "T": 2.0 ** -5, "tau": 2.0 ** -7,
+    "diagnostics": {"step_inequality": True,
+                    "windows": [[0.0, 2.0 ** -6], [2.0 ** -6, 2.0 ** -5]]},
+}
+
+
+def _count_calls(monkeypatch, counts, module, name, on_call=None):
+    orig = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        if on_call is not None:
+            on_call(*args, **kwargs)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_run_certifies_once(tmp_path, capsys, monkeypatch):
+    counts, points = {}, set()
+
+    def record(model, t, u, delta_M=None):
+        points.add((float(t), np.asarray(u, dtype=float).tobytes()))
+
+    _count_calls(monkeypatch, counts, diagnostics, "_per_step_terms")
+    _count_calls(monkeypatch, counts, diagnostics, "step_inequality")
+    _count_calls(monkeypatch, counts, energy, "argmin_set", record)
+    _count_calls(monkeypatch, counts, energy, "_marginal_candidates")
+    code, out, err = run_main(capsys, "run", write_cfg(tmp_path, PF_CERTIFY))
+    assert code == 0, err
+    assert "check energy_identity[0.015625,0.03125]: PASS" in out
+    assert counts["_per_step_terms"] == 1
+    assert counts["step_inequality"] == 1
+    assert counts["argmin_set"] > len(points)
+    assert counts["_marginal_candidates"] == len(points)
+
+
+def test_ladder_run_solves_each_rung_once(tmp_path, capsys, monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, counts, diagnostics, "solve")
+    _count_calls(monkeypatch, counts, cli, "solve")
+    path = write_cfg(tmp_path, {"tau_ladder": [0.125, 0.0625, 0.03125]},
+                     drop=("tau",))
+    assert run_main(capsys, "run", path)[0] == 0
+    assert counts == {"solve": 3}
+
+
+def test_run_report_equals_standalone_diagnostics(tmp_path, capsys):
+    path = write_cfg(tmp_path, PF_CERTIFY)
+    assert run_main(capsys, "run", path)[0] == 0
+    payload = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+
+    # a fresh plan, so a fresh model with an empty argmin memo
+    plan = cli.load_plan(path)
+    traj = scheme.solve(plan.spec.energy, plan.psi, plan.u0,
+                        scheme.TimeGrid(T=plan.T, tau=plan.ladder[-1]),
+                        plan.opts)
+    gaps = diagnostics.fenchel_young_profile(traj)
+    chains = diagnostics.chain_rule_defects(traj)
+    ineq = diagnostics.step_inequality(traj)
+    for row in payload["per_step"]:
+        n = row["n"]
+        assert row["fenchel_young_gap"] == gaps[n]
+        assert row["chain_rule_defect"] == chains[n]
+        assert row["step_inequality_defect"] == ineq.max_defects[n]
+    overall = payload["global"]
+    assert (overall["energy_identity_defect"]
+            == diagnostics.energy_identity_defect(traj))
+    assert len(overall["window_defects"]) == 2
+    for w in overall["window_defects"]:
+        assert w["defect"] == diagnostics.energy_identity_defect(
+            traj, w["s"], w["t"])
+    for key, val in diagnostics.dissipation_integrals(traj).items():
+        assert overall[key] == val
+    assert overall["chain_rule_constant"] == \
+        diagnostics.chain_rule_constant(traj)
+    assert overall["eps_quad"] == diagnostics.resolve_eps_quad(traj)

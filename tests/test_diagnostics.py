@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import dnevolve.scheme as scheme
-from dnevolve.diagnostics import (build_report, chain_rule_constant,
+from dnevolve import potentials
+from dnevolve.diagnostics import (_per_step_terms, build_report,
+                                  chain_rule_constant,
                                   chain_rule_defects, dissipation_integrals,
                                   energy_identity_defect,
                                   fenchel_young_profile, refinement_study,
@@ -100,6 +102,32 @@ def test_dissipation_integrals_frozen_values(abs_traj):
 def test_profile_matches_stored_gaps(quad_traj, abs_traj):
     for traj in (quad_traj, abs_traj):
         assert np.array_equal(fenchel_young_profile(traj), traj.gaps)
+
+
+def test_step_terms_gap_is_bitwise_fenchel_young_gap():
+    # p = 1.5 plus a 1-homogeneous part: the numeric conjugate route
+    spec = build("AllenCahn1D", {"N": 4, "p": 1.5})
+    u0 = 0.1 * np.sin(np.pi * (np.arange(4) + 0.5) / 4)
+    traj = solve(spec.energy, spec.dissipation, u0,
+                 TimeGrid(T=2.0 ** -4, tau=2.0 ** -6))
+    terms = _per_step_terms(traj)
+    for n in range(1, traj.N + 1):
+        assert terms.gap[n] == potentials.fenchel_young_gap(
+            traj.psi_at(n), None, traj.rate(n), -traj.xi[n])
+    with pytest.raises(ValueError):
+        terms.P[1] = 0.0  # the bundle is read-only
+
+
+def test_shared_terms_give_standalone_values(abs_traj):
+    terms = _per_step_terms(abs_traj)
+    assert np.array_equal(fenchel_young_profile(abs_traj, terms),
+                          fenchel_young_profile(abs_traj))
+    assert np.array_equal(chain_rule_defects(abs_traj, terms),
+                          chain_rule_defects(abs_traj))
+    assert (energy_identity_defect(abs_traj, 0.0, 0.5, terms)
+            == energy_identity_defect(abs_traj, 0.0, 0.5))
+    assert (dissipation_integrals(abs_traj, terms=terms)
+            == dissipation_integrals(abs_traj))
 
 
 def test_profile_detects_corrupted_multiplier(quad_traj):
@@ -199,6 +227,10 @@ def test_refinement_study_rows():
     assert abs(rows[0].energy_identity_defect) <= 1e-12
     d = table.to_dicts()
     assert d[0]["tau"] == 2.0 ** -3 and "P_integral" in d[0]
+    # the finest rung's trajectory comes back with the table
+    assert table.finest.grid.tau == 2.0 ** -5
+    assert (energy_identity_defect(table.finest)
+            == rows[-1].energy_identity_defect)
 
 
 def test_refinement_study_validation():
@@ -225,6 +257,7 @@ def test_refinement_study_annotates_failures(monkeypatch):
     assert all(r.status.startswith("solve failed") for r in table.rows)
     assert all(r.energy_identity_defect is None for r in table.rows)
     assert table.rows[0].sup_interpolant_distance is None
+    assert table.finest is None
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,30 @@ def test_phase_field_argmin_pinned(phase_field):
         [0.85], abs=1e-7)
 
 
+def test_argmin_memo_answers_repeats(monkeypatch):
+    model = build("PhaseField1D", {}).energy
+    calls = []
+    orig = energy_mod._marginal_candidates
+
+    def counting(*args):
+        calls.append(args[1])
+        return orig(*args)
+    monkeypatch.setattr(energy_mod, "_marginal_candidates", counting)
+    first = argmin_set(model, 0.3, [0.55])
+    first.append(99.0)  # a caller's list is its own
+    again = argmin_set(model, 0.3, np.array([0.55]))
+    assert again == first[:-1]
+    assert again is not argmin_set(model, 0.3, [0.55])
+    assert len(calls) == 1
+    # time and slack are part of the key
+    argmin_set(model, 0.4, [0.55])
+    argmin_set(model, 0.3, [0.55], delta_M=1e-3)
+    assert len(calls) == 3
+    # the domain check still runs on every call
+    with pytest.raises(DomainError):
+        argmin_set(model, 0.3, [5.0])
+
+
 def test_argmin_matches_brute_force_along_loading(phase_field):
     for t in (0.0, 0.7, 1.4):
         for u in (-1.1, 0.0, 0.3, 2.0):
