@@ -1,10 +1,17 @@
 """Small deterministic 1D optimization helpers.
 
 Everything here is derivative-free and reproducible: bracket expansion by
-doubling, bounded Brent refinement (scipy), a vectorized golden-section
-minimizer for batches of independent 1D problems, and a guarded stationarity
-polish built on brentq. These are the only optimization primitives the rest
-of the package uses for scalar problems.
+doubling, bounded Brent minimization, a vectorized golden-section minimizer
+for batches of independent 1D problems, and a guarded stationarity polish
+built on Brent's root finder. These are the only optimization primitives the
+rest of the package uses for scalar problems.
+
+The two Brent methods (Brent, Algorithms for Minimization without
+Derivatives, 1973, ch. 4 and 5) are ports of SciPy's bounded
+minimize_scalar and brentq. They make the same float operations in the
+same order, so they return the same bits; tests/test_optim.py cross-checks
+them against SciPy when it is installed. Carrying them here keeps SciPy's
+optimize package, and the subpackages it loads, out of every import.
 """
 
 from __future__ import annotations
@@ -12,12 +19,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .errors import MaximizationFailureError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_SQRT_EPS = math.sqrt(2.2e-16)
 
 
 def bracket_max(g, x0: float = 0.0, step: float = 1e-2, grow: float = 2.0,
@@ -48,12 +55,92 @@ def bracket_max(g, x0: float = 0.0, step: float = 1e-2, grow: float = 2.0,
     )
 
 
+def _direction(v):
+    """np.sign(v) + (v == 0): +1 or -1, +1 at zero; NaN stays NaN."""
+    if v < 0.0:
+        return -1.0
+    if v >= 0.0:
+        return 1.0
+    return v
+
+
+def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
+    """Minimize func on [x1, x2] by Brent's bounded method (golden section
+    plus parabolic steps); returns the best abscissa found.
+
+    Raises ValueError on non-finite bounds or x1 > x2. Stops after maxiter
+    evaluations of func.
+    """
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if x1 > x2:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    a, b = x1, x2
+    fulc = a + _INVPHI2 * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
+                    and p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _direction(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _INVPHI2 * e
+        x = xf + _direction(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf
+
+
 def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
     """Maximize g on [a, b] with bounded Brent; returns (x, g(x))."""
-    res = optimize.minimize_scalar(lambda x: -g(x), bounds=(a, b),
-                                   method="bounded",
-                                   options={"xatol": xtol, "maxiter": 500})
-    x = float(res.x)
+    x = float(_bounded_brent(lambda x: -g(x), a, b, xtol, 500))
     candidates = [(a, g(a)), (b, g(b)), (x, g(x))]
     x, gx = max(candidates, key=lambda p: p[1])
     return x, gx
@@ -131,14 +218,81 @@ def scan_min(f, lo: float, hi: float, n_points: int, xtol: float = 1e-13,
     return x_best, f_best, basins
 
 
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
+            rtol: float, maxiter: int):
+    """Brent's root finder on [xa, xb], given fa = f(xa) and fb = f(xb).
+
+    Returns the root, or None where it finds none: f(xa) and f(xb) have
+    the same sign bit, f returns NaN, or maxiter iterations do not
+    converge. Exceptions raised by f propagate.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(fa), float(fb)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # the sign bits, not fa * fb, which can underflow to 0
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        return None
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # IEEE gives +-inf or NaN here, and either one bisects
+                stry = math.nan
+            bound = abs(spre)
+            if not bound < 3.0 * abs(sbis) - delta:
+                bound = 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < bound:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            return None
+    return None
+
+
 def polish_root(dphi, x: float, radius: float):
     """Refine a stationary point: if dphi changes sign across
-    [x - radius, x + radius], return the brentq root, else x unchanged.
+    [x - radius, x + radius], return the Brent root there, else x unchanged.
 
     Used to sharpen scan/Brent minimizers to machine precision when the
-    objective derivative is available and smooth near x (kinked minima keep
-    the incoming x: brentq still locates the kink since the sign change
-    persists, which is exactly the stationarity condition we want).
+    objective derivative is available and smooth near x. At a kinked
+    minimum the sign change persists, so the root finder locates the kink,
+    which is exactly the stationarity condition wanted. Any failure (dphi
+    raising or returning NaN, no sign change, no convergence in 200
+    iterations) keeps x.
     """
     a, b = x - radius, x + radius
     try:
@@ -147,13 +301,9 @@ def polish_root(dphi, x: float, radius: float):
         return x
     if not (np.isfinite(fa) and np.isfinite(fb)) or fa == fb:
         return x
-    if fa * fb > 0.0:
-        return x
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
     try:
-        return float(optimize.brentq(dphi, a, b, xtol=1e-15, rtol=1e-15, maxiter=200))
+        root = _brentq(dphi, a, b, fa, fb, xtol=1e-15, rtol=1e-15,
+                       maxiter=200)
     except Exception:
         return x
+    return x if root is None else root

@@ -43,7 +43,7 @@ from .scheme import (WITNESS_TOL, DiscreteTrajectory, SolveOptions, TimeGrid,
                      solve)
 
 GAP_TOL = 1e-8
-STORED_TOL = 1e-12   # relative tolerance on stored t_n and energy_n cells
+STORED_TOL = 1e-12   # relative tolerance on stored t_n, gap_n, energy_n cells
 CHAIN_FRACTION = 0.99
 IDENTITY_SLACK = 1e-8
 
@@ -315,8 +315,9 @@ def write_trajectory_csv(path: str, traj: DiscreteTrajectory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _rel_err(stored: float, want: float) -> float:
-    return abs(stored - want) / (1.0 + abs(want))
+def _rel_err(stored, want):
+    """|stored - want| / (1 + |want|), elementwise; NaN stays NaN."""
+    return np.abs(stored - want) / (1.0 + np.abs(want))
 
 
 def read_trajectory_csv(path: str, plan: RunPlan, tau: float
@@ -376,7 +377,7 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     except DomainError as err:
         raise ConfigError("output_dir",
                           f"stored trajectory leaves the model domain: {err}")
-    energy_err = float(max(_rel_err(a, b) for a, b in zip(stored, energies)))
+    energy_err = float(np.max(_rel_err(stored, energies)))
     checks = [
         {"name": "stored_nodes", "passed": bad_nodes == 0,
          "value": float(bad_nodes), "threshold": 0.0},
@@ -385,8 +386,7 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     ]
     traj = DiscreteTrajectory(
         model=model, psi=psi, grid=grid, opts=plan.opts, U=U, xi=xi,
-        gaps=gaps, energies=energies, objective_decrements=-witnesses,
-        witnesses=witnesses,
+        gaps=gaps, energies=energies, witnesses=witnesses,
         inner_status=[{"method": "loaded"}] * (grid.N + 1))
     return traj, checks
 
@@ -395,20 +395,31 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
 # checks
 
 
+def _stored_gap_check(traj: DiscreteTrajectory,
+                     terms: diagnostics.StepTerms) -> Dict:
+    """The stored gap_n column (traj.gaps of a loaded trajectory) against
+    the recomputed gaps: worst relative error against STORED_TOL."""
+    err = float(np.max(_rel_err(traj.gaps, terms.gap)))
+    return {"name": "stored_gap", "passed": err <= STORED_TOL,
+            "value": err, "threshold": STORED_TOL}
+
+
 def run_checks(traj: DiscreteTrajectory, diag: Dict,
                terms: Optional[diagnostics.StepTerms] = None,
-               ineq: Optional[diagnostics.StepInequalityResult] = None
-               ) -> List[Dict]:
+               ineq: Optional[diagnostics.StepInequalityResult] = None,
+               c_chain: Optional[float] = None) -> List[Dict]:
     """Every enabled check as {name, passed, value, threshold}.
 
-    `terms` and `ineq` are the trajectory's certificate pass and
-    step_inequality result when the caller already has them; otherwise
-    each is computed here once, and only if an enabled check needs it.
+    `terms`, `ineq` and `c_chain` are the trajectory's certificate pass,
+    step_inequality result and chain_rule_constant when the caller already
+    has them; otherwise each is computed here once, and only if an enabled
+    check needs it.
     """
     out = []
     tau = traj.grid.tau
     horizon = traj.grid.t(traj.N)
-    c_chain = diagnostics.chain_rule_constant(traj)
+    if c_chain is None and (diag["chain_rule"] or diag["energy_identity"]):
+        c_chain = diagnostics.chain_rule_constant(traj)
     if terms is None and (diag["fenchel_young"] or diag["chain_rule"]
                           or diag["energy_identity"]):
         terms = diagnostics._per_step_terms(traj)
@@ -509,15 +520,17 @@ def cmd_run(config_path: str) -> int:
     write_trajectory_csv(os.path.join(plan.output_dir, "trajectory.csv"),
                          traj)
     snapped = _windows_for_report(plan, traj)
-    # certify once: one certificate pass and at most one step_inequality,
-    # shared by the checks and the report
+    # certify once: one certificate pass, at most one step_inequality and
+    # one chain-rule constant, shared by the checks and the report
     terms = diagnostics._per_step_terms(traj)
     ineq = (diagnostics.step_inequality(traj)
             if plan.diag["step_inequality"] else None)
-    checks = run_checks(traj, dict(plan.diag, windows=snapped), terms, ineq)
+    c_chain = diagnostics.chain_rule_constant(traj)
+    checks = run_checks(traj, dict(plan.diag, windows=snapped), terms, ineq,
+                        c_chain)
     report = diagnostics.build_report(traj, windows=snapped,
                                       refinement=table, terms=terms,
-                                      ineq=ineq)
+                                      ineq=ineq, c_chain=c_chain)
     payload = report.to_dict()
     payload["checks"] = checks
     payload["model"] = plan.spec.name
@@ -564,7 +577,10 @@ def cmd_check(config_path: str) -> int:
     traj, stored = read_trajectory_csv(csv_path, plan, plan.ladder[-1])
     snapped = _windows_for_report(plan, traj)
     try:
-        checks = stored + run_checks(traj, dict(plan.diag, windows=snapped))
+        terms = diagnostics._per_step_terms(traj)
+        checks = (stored
+                  + run_checks(traj, dict(plan.diag, windows=snapped), terms)
+                  + [_stored_gap_check(traj, terms)])
     except ConditioningError as err:
         # a stored multiplier matching no minimizer is a failed
         # certification of the loaded data, not a crash

@@ -374,12 +374,15 @@ def build_report(traj: DiscreteTrajectory,
                  include_step_inequality: bool = False,
                  refinement: Optional[RefinementTable] = None,
                  terms: Optional[StepTerms] = None,
-                 ineq: Optional[StepInequalityResult] = None
-                 ) -> DiagnosticsReport:
-    """Per-step and global diagnostics. `terms` and `ineq` are this
-    trajectory's _per_step_terms and step_inequality results when the
-    caller has them; a given `ineq` is reported, and one is computed here
-    only when include_step_inequality asks for it and none is given."""
+                 ineq: Optional[StepInequalityResult] = None,
+                 c_chain: Optional[float] = None) -> DiagnosticsReport:
+    """Per-step and global diagnostics. `terms`, `ineq` and `c_chain` are
+    this trajectory's _per_step_terms, step_inequality and
+    chain_rule_constant results when the caller has them; a given `ineq`
+    is reported, and one is computed here only when
+    include_step_inequality asks for it and none is given."""
+    if c_chain is None:
+        c_chain = chain_rule_constant(traj)
     if terms is None:
         terms = _per_step_terms(traj)
     if ineq is None and include_step_inequality:
@@ -402,7 +405,7 @@ def build_report(traj: DiscreteTrajectory,
              "defect": energy_identity_defect(traj, s, t, terms)}
             for (s, t) in windows],
         **dissipation_integrals(traj, terms=terms),
-        "chain_rule_constant": chain_rule_constant(traj),
+        "chain_rule_constant": c_chain,
         "eps_quad": resolve_eps_quad(traj),
     }
     return DiagnosticsReport(

@@ -28,6 +28,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+# numpy loads numpy.random lazily, on first use; every n-D step draws its
+# multistart points from it, so load it with the package instead
+import numpy.random  # noqa: F401
 
 from . import _optim, potentials
 from .energy import (EnergyModel, energy_value, envelope_derivative_1d)
@@ -91,7 +94,6 @@ class DiscreteTrajectory:
     xi: np.ndarray                # (N+1, d), xi[0] = 0 by convention
     gaps: np.ndarray              # (N+1,), gaps[0] = 0
     energies: np.ndarray          # (N+1,), E(t_n, U_n)
-    objective_decrements: np.ndarray  # (N+1,), E(t_n,U_{n-1}) - (tau Psi + E)
     witnesses: np.ndarray         # (N+1,), minimality witness (<= 1e-12)
     inner_status: List[Dict] = field(default_factory=list)
 
@@ -205,6 +207,7 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
     it = 0
     while it < max_iters:
         it += 1
+        decreased = False
         while True:
             step = 1.0 / L
             z = x - step * grad
@@ -214,14 +217,19 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
             if nrm2 == 0.0:
                 break
             g_new = g_val(x_new)
-            if g_new <= gx + float(np.dot(grad, dx)) + 0.5 * L * nrm2 \
-                    + 1e-15 * (1.0 + abs(gx)):
+            decreased = g_new <= gx + float(np.dot(grad, dx)) \
+                + 0.5 * L * nrm2 + 1e-15 * (1.0 + abs(gx))
+            if decreased:
                 break
             L *= 2.0
             if L > 1e18:
                 break
         if nrm2 == 0.0:
             residual = 0.0
+            break
+        if not decreased:
+            # backtracking gave up: x_new failed sufficient decrease, so
+            # keep x and the residual of its last accepted step
             break
         residual = L * math.sqrt(nrm2)
         x, gx = x_new, g_new
@@ -352,7 +360,6 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
     xi = np.zeros((N + 1, d))
     gaps = np.zeros(N + 1)
     energies = np.zeros(N + 1)
-    decrements = np.zeros(N + 1)
     witnesses = np.zeros(N + 1)
     status: List[Dict] = [{"method": "initial"}]
     U[0] = u0
@@ -363,7 +370,6 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
             model=model, psi=psi, grid=grid, opts=opts,
             U=U[:n + 1].copy(), xi=xi[:n + 1].copy(), gaps=gaps[:n + 1].copy(),
             energies=energies[:n + 1].copy(),
-            objective_decrements=decrements[:n + 1].copy(),
             witnesses=witnesses[:n + 1].copy(), inner_status=status[:n + 1])
 
     for n in range(1, N + 1):
@@ -384,7 +390,6 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
         gaps[n] = gap
         energies[n] = energy_value(model, t_n, Un)
         witnesses[n] = obj - e_prev_now
-        decrements[n] = -witnesses[n]
         status.append(st)
         if witnesses[n] > WITNESS_TOL:
             raise SolveAbortedError(
@@ -392,8 +397,7 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
                 f"{WITNESS_TOL}", partial=partial(n), step_index=n)
     return DiscreteTrajectory(
         model=model, psi=psi, grid=grid, opts=opts, U=U, xi=xi, gaps=gaps,
-        energies=energies, objective_decrements=decrements,
-        witnesses=witnesses, inner_status=status)
+        energies=energies, witnesses=witnesses, inner_status=status)
 
 
 # ---------------------------------------------------------------------------

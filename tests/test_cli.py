@@ -3,6 +3,8 @@ byte-stable reruns. Every test drives cli.main the way a shell would."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +248,25 @@ def test_output_root_env_prefixes_relative_dirs(tmp_path, capsys,
     assert (tmp_path / "root" / "nested" / "run1" / "trajectory.csv").exists()
 
 
+def test_run_and_check_import_no_scipy(tmp_path):
+    # a fresh interpreter, since this one may have loaded scipy for tests
+    path = write_cfg(tmp_path, {"dissipation": {"kind": "pnorm", "p": 1.5}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "\n".join([
+        "import sys",
+        "import dnevolve",
+        "from dnevolve import cli",
+        f"assert cli.main(['run', {path!r}]) == 0",
+        f"assert cli.main(['check', {path!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # check verb
 
@@ -258,6 +279,23 @@ def test_check_round_trip(tmp_path, capsys):
     assert "check fenchel_young: PASS" in out
     assert "check stored_nodes: PASS" in out
     assert "check stored_energy: PASS" in out
+    assert "check stored_gap: PASS" in out
+
+
+@pytest.mark.parametrize("col,value,name", [
+    (4, "5.0", "stored_gap"), (4, "nan", "stored_gap"),
+    (5, "nan", "stored_energy")])
+def test_check_compares_stored_columns(tmp_path, capsys, col, value, name):
+    # columns n, t_n, U_0, xi_0, gap_n, energy_n; no check reads the stored
+    # gaps and energies, so only the comparison with the recomputation can
+    # catch a corrupted cell
+    path = write_cfg(tmp_path)
+    assert run_main(capsys, "run", path)[0] == 0
+    _rewrite_cell(tmp_path / "out" / "trajectory.csv", 2, col, value)
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 1
+    assert f"check {name}: FAIL" in out
+    assert f"failing checks: {name}\n" in err
 
 
 def test_check_recomputes_stored_energy(tmp_path, capsys):
@@ -423,6 +461,7 @@ def test_run_certifies_once(tmp_path, capsys, monkeypatch):
 
     _count_calls(monkeypatch, counts, diagnostics, "_per_step_terms")
     _count_calls(monkeypatch, counts, diagnostics, "step_inequality")
+    _count_calls(monkeypatch, counts, diagnostics, "chain_rule_constant")
     _count_calls(monkeypatch, counts, energy, "argmin_set", record)
     _count_calls(monkeypatch, counts, energy, "_marginal_candidates")
     code, out, err = run_main(capsys, "run", write_cfg(tmp_path, PF_CERTIFY))
@@ -430,6 +469,8 @@ def test_run_certifies_once(tmp_path, capsys, monkeypatch):
     assert "check energy_identity[0.015625,0.03125]: PASS" in out
     assert counts["_per_step_terms"] == 1
     assert counts["step_inequality"] == 1
+    # PhaseField1D declares no c_chain: each call makes N + 1 energy calls
+    assert counts["chain_rule_constant"] == 1
     assert counts["argmin_set"] > len(points)
     assert counts["_marginal_candidates"] == len(points)
 
