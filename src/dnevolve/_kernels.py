@@ -1,129 +1,59 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
-The backend is chosen once at import time from the env flag
-DNEVOLVE_BACKEND (values: "numba", "numpy"; default "numba" when numba
-imports, "numpy" otherwise). Both implementations compute identical
-formulas.
-
-Kernels here are the inner-loop costs of the solver: the Allen-Cahn grid
-energy and gradient (called once per objective/gradient evaluation of the
-proximal-gradient inner solver) and the two double-well nonlinearities.
+These are the inner-loop costs of the solver: the Allen-Cahn grid energy
+and gradient (called once per objective/gradient evaluation of the
+proximal-gradient inner solver) and the piecewise-quadratic double well of
+PhaseField1D. numpy is the only backend, so one config writes the same
+bytes wherever it runs; BACKEND names it for benchmark records.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_requested = os.environ.get("DNEVOLVE_BACKEND", "numba").strip().lower()
-
-HAS_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
 # quartic well W(s) = (s^2-1)^2/4 and W'(s) = s(s^2-1): the Allen-Cahn
 # on-site nonlinearity
 
 
-def _quartic_well_np(u):
+def _quartic_well(u):
     s = u * u - 1.0
     return 0.25 * s * s
 
 
-def _quartic_well_prime_np(u):
+def _quartic_well_prime(u):
     return u * (u * u - 1.0)
 
 
-def _ac_energy_np(u: np.ndarray, dx: float, q: float, load: np.ndarray) -> float:
-    # forward differences with ghost zeros at both ends (Dirichlet)
+def _forward_diff(u: np.ndarray, dx: float) -> np.ndarray:
+    """D+ u with ghost zeros at both ends (Dirichlet): N + 1 differences."""
     g = np.empty(u.shape[0] + 1)
     g[0] = u[0] / dx
     g[1:-1] = (u[1:] - u[:-1]) / dx
     g[-1] = -u[-1] / dx
+    return g
+
+
+def ac_energy(u: np.ndarray, dx: float, q: float, load: np.ndarray) -> float:
+    g = _forward_diff(u, dx)
     grad_term = np.sum(np.abs(g) ** q) * dx / q
-    well_term = np.sum(_quartic_well_np(u)) * dx
+    well_term = np.sum(_quartic_well(u)) * dx
     load_term = np.dot(load, u) * dx
     return float(grad_term + well_term - load_term)
 
 
-def _ac_grad_np(u: np.ndarray, dx: float, q: float, load: np.ndarray) -> np.ndarray:
-    g = np.empty(u.shape[0] + 1)
-    g[0] = u[0] / dx
-    g[1:-1] = (u[1:] - u[:-1]) / dx
-    g[-1] = -u[-1] / dx
+def ac_grad(u: np.ndarray, dx: float, q: float, load: np.ndarray) -> np.ndarray:
+    g = _forward_diff(u, dx)
     if q == 2.0:
         beta = g
     else:
         # sign(g) |g|^(q-1): the well-defined form of |g|^(q-2) g at g = 0
         beta = np.sign(g) * np.abs(g) ** (q - 1.0)
     out = beta[:-1] - beta[1:]
-    out += (_quartic_well_prime_np(u) - load) * dx
+    out += (_quartic_well_prime(u) - load) * dx
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, fastmath=False)
-    def _ac_energy_nb(u, dx, q, load):  # pragma: no cover - jitted
-        n = u.shape[0]
-        grad_term = 0.0
-        prev = 0.0
-        for i in range(n + 1):
-            cur = u[i] if i < n else 0.0
-            gi = (cur - prev) / dx
-            grad_term += abs(gi) ** q
-            prev = cur
-        grad_term *= dx / q
-        well = 0.0
-        work = 0.0
-        for i in range(n):
-            s = u[i] * u[i] - 1.0
-            well += 0.25 * s * s
-            work += load[i] * u[i]
-        return grad_term + (well - work) * dx
-
-    @njit(cache=True, fastmath=False)
-    def _ac_grad_nb(u, dx, q, load):  # pragma: no cover - jitted
-        n = u.shape[0]
-        out = np.empty(n)
-        prev = 0.0
-        beta_prev = 0.0
-        for i in range(n + 1):
-            cur = u[i] if i < n else 0.0
-            gi = (cur - prev) / dx
-            if q == 2.0:
-                beta = gi
-            elif gi >= 0.0:
-                beta = gi ** (q - 1.0)
-            else:
-                beta = -((-gi) ** (q - 1.0))
-            if i > 0:
-                out[i - 1] = beta_prev - beta
-            beta_prev = beta
-            prev = cur
-        for i in range(n):
-            out[i] += (u[i] * (u[i] * u[i] - 1.0) - load[i]) * dx
-        return out
-
-    ac_energy = _ac_energy_nb
-    ac_grad = _ac_grad_nb
-else:
-    ac_energy = _ac_energy_np
-    ac_grad = _ac_grad_np
-
-# numpy reference implementations stay importable under both backends so the
-# benchmark (and tests) can compare them directly
-ac_energy_numpy = _ac_energy_np
-ac_grad_numpy = _ac_grad_np
 
 
 def double_well(eta):
@@ -141,16 +71,5 @@ def double_well(eta):
         e < -0.5,
         (e + 1.0) ** 2,
         np.where(e > 0.5, (e - 1.0) ** 2, 0.5 - e * e),
-    )
-    return out if out.ndim else float(out)
-
-
-def double_well_prime(eta):
-    """Branch derivative of double_well: 2(eta+1) / -2 eta / 2(eta-1)."""
-    e = np.asarray(eta, dtype=float)
-    out = np.where(
-        e < -0.5,
-        2.0 * (e + 1.0),
-        np.where(e > 0.5, 2.0 * (e - 1.0), -2.0 * e),
     )
     return out if out.ndim else float(out)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,6 +45,7 @@ GAP_TOL = 1e-8
 STORED_TOL = 1e-12   # relative tolerance on stored t_n, gap_n, energy_n cells
 CHAIN_FRACTION = 0.99
 IDENTITY_SLACK = 1e-8
+MAX_STEPS = 2 ** 20  # longest time grid a config may ask for
 
 _DISSIPATION_KINDS = ("quadratic", "pnorm", "one_hom_plus_quad")
 _SUBDIFF_ALLOWED = {
@@ -77,9 +77,18 @@ def _want(cfg: Dict, field: str, path: str, required=True):
 def _num(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(x).__name__}")
-    if not math.isfinite(float(x)):
+    v = models._finite(x)
+    if v is None:
         raise ConfigError(path, "must be finite")
-    return float(x)
+    return v
+
+
+def _check_steps(T: float, tau: float, path: str):
+    # T / tau > MAX_STEPS iff the grid's ceil(T / tau) steps exceed it; the
+    # quotient may overflow to inf, which ceil could not take
+    if T / tau > MAX_STEPS:
+        raise ConfigError(path, f"T / tau = {T / tau:.6g} exceeds the "
+                                f"{MAX_STEPS} steps a grid may have")
 
 
 def _reject_unknown(cfg: Dict, allowed: Sequence[str], path: str):
@@ -212,14 +221,12 @@ class RunPlan:
                     else self.spec.dissipation)
 
         u0 = _want(cfg, "u0", "u0")
-        if isinstance(u0, (int, float)) and not isinstance(u0, bool):
-            u0 = [float(u0)] * (self.spec.dim if self.spec.dim > 1 else 1)
-        if not (isinstance(u0, list)
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in u0)):
-            raise ConfigError("u0", "expected a number or list of numbers")
+        if isinstance(u0, list):
+            u0 = [_num(x, f"u0[{i}]") for i, x in enumerate(u0)]
+        else:
+            u0 = [_num(u0, "u0")] * self.spec.dim
         try:
-            self.u0 = as_state([float(x) for x in u0], self.spec.dim)
+            self.u0 = as_state(u0, self.spec.dim)
         except DnevolveError as err:
             raise ConfigError("u0", str(err)) from err
         box = self.spec.energy.domain_box
@@ -242,6 +249,7 @@ class RunPlan:
             if not tau < tau_o:
                 raise ConfigError("tau", f"must be below tau_o={tau_o} "
                                          f"of {name}")
+            _check_steps(self.T, tau, "tau")
             self.ladder = [tau]
         else:
             lad = cfg["tau_ladder"]
@@ -252,6 +260,7 @@ class RunPlan:
                 if not 0 < x <= self.T:
                     raise ConfigError(f"tau_ladder[{i}]",
                                       f"must satisfy 0 < tau <= T={self.T}")
+                _check_steps(self.T, x, f"tau_ladder[{i}]")
             if not vals[0] < tau_o:
                 raise ConfigError("tau_ladder[0]",
                                   f"must be below tau_o={tau_o} of {name}")
@@ -369,7 +378,7 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     try:
         energies[0] = energy_value(model, 0.0, U[0])
         for n in range(1, grid.N + 1):
-            p = psi.at_state(U[n - 1]) if psi.state_dependent else psi
+            p = psi.at_state(U[n - 1])
             v = (U[n] - U[n - 1]) / grid.tau
             energies[n] = energy_value(model, grid.t(n), U[n])
             obj = grid.tau * p.value(v) + energies[n]

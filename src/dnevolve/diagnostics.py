@@ -40,7 +40,7 @@ import numpy as np
 from . import potentials
 from .energy import energy_value, generalized_time_derivative
 from .errors import RangeError
-from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
+from .scheme import (QUAD_M, DiscreteTrajectory, SolveOptions, TimeGrid,
                      de_giorgi_interpolant, interpolants, slope_multiplier,
                      solve)
 
@@ -203,7 +203,7 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None,
     conjugate-minimal multiplier.
     """
     opts = opts or traj.opts
-    m = int(m if m is not None else opts.quad_m)
+    m = QUAD_M if m is None else int(m)
     if m < 1:
         raise RangeError(f"quadrature sample count must be >= 1; got {m}")
     model, grid = traj.model, traj.grid
@@ -371,22 +371,19 @@ class DiagnosticsReport:
 
 def build_report(traj: DiscreteTrajectory,
                  windows: Sequence[Tuple[float, float]] = (),
-                 include_step_inequality: bool = False,
                  refinement: Optional[RefinementTable] = None,
                  terms: Optional[StepTerms] = None,
                  ineq: Optional[StepInequalityResult] = None,
                  c_chain: Optional[float] = None) -> DiagnosticsReport:
-    """Per-step and global diagnostics. `terms`, `ineq` and `c_chain` are
-    this trajectory's _per_step_terms, step_inequality and
-    chain_rule_constant results when the caller has them; a given `ineq`
-    is reported, and one is computed here only when
-    include_step_inequality asks for it and none is given."""
+    """Per-step and global diagnostics. `terms` and `c_chain` are this
+    trajectory's _per_step_terms and chain_rule_constant results when the
+    caller has them, else computed here. Per-step step-inequality defects
+    are reported from `ineq`, a step_inequality result, when one is given,
+    and are None otherwise."""
     if c_chain is None:
         c_chain = chain_rule_constant(traj)
     if terms is None:
         terms = _per_step_terms(traj)
-    if ineq is None and include_step_inequality:
-        ineq = step_inequality(traj)
     gaps = terms.gap
     chains = chain_rule_defects(traj, terms)
     per_step = []

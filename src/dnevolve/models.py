@@ -19,7 +19,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import _kernels, _optim
-from ._kernels import double_well, double_well_prime  # re-export  # noqa: F401
+from ._kernels import double_well  # re-export  # noqa: F401
 from .energy import (EnergyConstants, EnergyModel, MarginalEnergy,
                      clarke_subdifferential_1d, marginal_subdifferential)
 from .errors import ConfigError, RangeError
@@ -35,7 +35,6 @@ class ModelSpec:
     dissipation: DissipationPotential
     exact_solution: Optional[Callable] = None  # (t, u0) -> StateVector
     parameters: Dict = field(default_factory=dict)
-    c_chain: Optional[float] = None  # chain-rule defect scale; None = default rule
 
     def describe(self) -> str:
         return describe(self.name)
@@ -186,7 +185,7 @@ class _AllenCahnEnergy(EnergyModel):
     """Grid Allen-Cahn energy on N midpoint cells of [0, 1], zero Dirichlet
     walls: E = sum (1/q)|D+ u|^q dx + sum (W4(u_i) - l_i(t) u_i) dx with the
     quartic well W4(s) = (s^2 - 1)^2 / 4 and load l_i(t) = amp sin(t) sin(pi x_i).
-    Values and gradients go through the backend kernels.
+    Values and gradients go through _kernels.ac_energy and ac_grad.
     """
 
     def __init__(self, N: int, q: float, amp: float, offset: float,
@@ -231,12 +230,23 @@ class _StateWeightedQuadEnergy(_QuadraticEnergy):
 # builders
 
 
+def _finite(x) -> Optional[float]:
+    """x as a float when it is a finite JSON number, else None."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        v = float(x)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return v if math.isfinite(v) else None
+
+
 def _num(params, key, default, lo=None, hi=None, lo_strict=False,
          hi_strict=False, name=""):
-    v = params.pop(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"params.{key}", f"expected a number, got {v!r}")
-    v = float(v)
+    raw = params.pop(key, default)
+    v = _finite(raw)
+    if v is None:
+        raise ConfigError(f"params.{key}", f"expected a finite number, got {raw!r}")
     if lo is not None and (v <= lo if lo_strict else v < lo):
         raise RangeError(f"{name} requires {key} {'>' if lo_strict else '>='} {lo}; got {v}")
     if hi is not None and (v >= hi if hi_strict else v > hi):
@@ -250,13 +260,25 @@ def _reject_unknown(params, name):
         raise ConfigError(f"params.{key}", f"unknown parameter for {name}")
 
 
-def _build_quadratic(params):
+def _dim_and_target(params, name):
+    """dim, an integer in [1, 16], and the target point a: one number for
+    every coordinate, or a list of dim numbers."""
     dim = params.pop("dim", 1)
     if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 16:
-        raise RangeError(f"QuadraticBenchmark requires integer dim in [1, 16]; got {dim!r}")
-    a_raw = params.pop("a", 1.0)
-    a = (np.full(dim, float(a_raw)) if isinstance(a_raw, (int, float))
-         else as_state(a_raw, dim))
+        raise RangeError(f"{name} requires integer dim in [1, 16]; got {dim!r}")
+    a = params.pop("a", 1.0)
+    cells = a if isinstance(a, list) else [a] * dim
+    if len(cells) != dim:
+        raise ConfigError("params.a", f"expected a number or a list of {dim} "
+                                      f"numbers, got {len(cells)} entries")
+    for x in cells:
+        if _finite(x) is None:
+            raise ConfigError("params.a", f"expected finite numbers, got {x!r}")
+    return dim, np.array(cells, dtype=float)
+
+
+def _build_quadratic(params):
+    dim, a = _dim_and_target(params, "QuadraticBenchmark")
     offset = _num(params, "offset", 1.0, lo=0.0, lo_strict=True,
                   name="QuadraticBenchmark")
     _reject_unknown(params, "QuadraticBenchmark")
@@ -355,17 +377,11 @@ def _build_allen_cahn(params):
         psi = WeightedSum((PNorm(rho * dx, 1.0), PNorm(dx, p)))
     return ModelSpec("AllenCahn1D", N, energy, psi,
                      parameters={"N": N, "q": q, "p": p, "rho": rho,
-                                 "load_amp": amp, "offset": offset},
-                     c_chain=energy.c_chain)
+                                 "load_amp": amp, "offset": offset})
 
 
 def _build_state_weighted(params):
-    dim = params.pop("dim", 1)
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 16:
-        raise RangeError(f"StateWeightedToy requires integer dim in [1, 16]; got {dim!r}")
-    a_raw = params.pop("a", 1.0)
-    a = (np.full(dim, float(a_raw)) if isinstance(a_raw, (int, float))
-         else as_state(a_raw, dim))
+    dim, a = _dim_and_target(params, "StateWeightedToy")
     offset = _num(params, "offset", 1.0, lo=0.0, lo_strict=True,
                   name="StateWeightedToy")
     scale = _num(params, "omega_scale", 0.5, lo=0.0, hi=0.95,

@@ -45,6 +45,10 @@ TRIAGE_ITERS = 60
 TRIAGE_TOL_SCALE = 1e-3
 MAX_REFINE_ITERS = 20000
 WITNESS_TOL = 1e-12
+# eps_inner = EPS_INNER_SCALE * (1 + |E(t_n, U_{n-1})|) is both the
+# prox-residual target and the gap certification scale
+EPS_INNER_SCALE = 1e-10
+QUAD_M = 8               # left-Riemann sub-samples per step (step_inequality)
 
 
 @dataclass(frozen=True)
@@ -73,15 +77,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """eps_inner = eps_inner_scale * (1 + |E(t_n, U_{n-1})|) is both the
-    prox-residual target and the gap certification scale. eps_quad is the
-    interval-inequality budget; None resolves to 1e-6 * (1 + E(0, u0)).
-    quad_m is the left-Riemann sub-sample count per step."""
+    """The per-run settings of a config: seed drives the multistart points
+    of the n-D inner solver, and eps_quad is the interval-inequality budget
+    (None resolves to 1e-6 * (1 + E(0, u0))). The inner tolerance and the
+    quadrature sample count are the constants EPS_INNER_SCALE and QUAD_M."""
 
     seed: int = 0
-    eps_inner_scale: float = 1e-10
     eps_quad: Optional[float] = None
-    quad_m: int = 8
 
 
 @dataclass
@@ -107,10 +109,6 @@ class DiscreteTrajectory:
     def psi_at(self, n: int) -> potentials.DissipationPotential:
         """The frozen potential Psi_{U_{n-1}} governing step n."""
         return self.psi.at_state(self.U[n - 1])
-
-
-def _frozen(psi, u_prev):
-    return psi.at_state(u_prev) if psi.state_dependent else psi
 
 
 def _step_seed(opts: SolveOptions, t_n: float, tau: float):
@@ -244,7 +242,7 @@ def _solve_nd(model, p, u_prev, t_n, tau, opts):
     runs to a coarse tolerance, the best is refined to eps_inner."""
     d = u_prev.shape[0]
     e_prev = energy_value(model, t_n, u_prev)
-    eps_inner = opts.eps_inner_scale * (1.0 + abs(e_prev))
+    eps_inner = EPS_INNER_SCALE * (1.0 + abs(e_prev))
     R = _coercivity_radius(p, tau, e_prev - model.constants.C0)
     blo, bhi = model.domain_box
     lo = np.maximum(u_prev - R, blo)
@@ -324,7 +322,7 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
             f"step tau={tau} outside (0, tau_o={model.constants.tau_o}) "
             f"of {model.name}")
     u_prev = as_state(u_prev, model.dim)
-    p = _frozen(psi, u_prev)
+    p = psi.at_state(u_prev)
     if model.dim == 1:
         U, status = _solve_1d(model, p, u_prev, t_n, tau, opts)
     else:
@@ -381,7 +379,7 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
             raise SolveAbortedError(
                 f"step {n} (t={t_n}) failed: {err}",
                 partial=partial(n - 1), step_index=n) from err
-        p = _frozen(psi, U[n - 1])
+        p = psi.at_state(U[n - 1])
         v = (Un - U[n - 1]) / grid.tau
         obj = grid.tau * p.value(v) + energy_value(model, t_n, Un)
         e_prev_now = energy_value(model, t_n, U[n - 1])
@@ -417,7 +415,7 @@ def slope_multiplier(model: EnergyModel, psi, t: float, u) -> np.ndarray:
     """The r -> 0 limit multiplier of the variational interpolant: the
     subdifferential candidate minimizing the conjugate Psi_u*(-xi)."""
     u = as_state(u, model.dim)
-    p = _frozen(psi, u)
+    p = psi.at_state(u)
     cands = model.subdiff(t, u, None)
     if not cands:
         raise SubdifferentialUnavailableError(

@@ -97,6 +97,35 @@ def test_pnorm_with_p_one_exits_2(tmp_path, capsys):
     assert "config error at dissipation.p: must be > 1" in err
 
 
+@pytest.mark.parametrize("overrides,drop,field", [
+    # json.load accepts NaN; it must not reach as_state's ValueError
+    ({"u0": float("nan")}, (), "u0"),
+    ({"u0": [float("inf")]}, (), "u0[0]"),
+    # a non-numeric or non-finite target point
+    ({"model": {"name": "QuadraticBenchmark",
+                "params": {"dim": 2, "a": [1, "x"]}}}, (), "model.params.a"),
+    ({"model": {"name": "QuadraticBenchmark",
+                "params": {"a": float("nan")}}}, (), "model.params.a"),
+    ({"model": {"name": "StateWeightedToy",
+                "params": {"a": [1.0, 2.0]}}}, (), "model.params.a"),
+    # grids longer than MAX_STEPS, rejected before anything is allocated
+    ({"T": 1e300, "tau": 0.25}, (), "tau"),
+    ({"T": 1e300, "tau": 1e-300}, (), "tau"),
+    ({"T": 1e300, "tau_ladder": [0.25, 0.125]}, ("tau",), "tau_ladder[0]"),
+])
+def test_malformed_values_exit_2(tmp_path, capsys, overrides, drop, field):
+    path = write_cfg(tmp_path, overrides, drop)
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 2
+    assert f"config error at {field}:" in err
+
+
+def test_step_cap_admits_the_longest_grid():
+    cli._check_steps(1.0, 2.0 ** -20, "tau")
+    with pytest.raises(cli.ConfigError):
+        cli._check_steps(1.0, 2.0 ** -20 * (1.0 - 2.0 ** -52), "tau")
+
+
 def test_conflicting_subdiff_mode(tmp_path, capsys):
     path = write_cfg(tmp_path, {
         "model": {"name": "AbsoluteMarginal",

@@ -286,7 +286,7 @@ def test_build_report_with_inequality_and_refinement():
     spec = build("QuadraticBenchmark", {})
     table = refinement_study(spec.energy, spec.dissipation, [0.0], 0.25,
                              [2.0 ** -3, 2.0 ** -4])
-    rep = build_report(traj, include_step_inequality=True, refinement=table)
+    rep = build_report(traj, refinement=table, ineq=step_inequality(traj))
     d = rep.to_dict()
     assert "refinement" in d
     assert len(d["refinement"]) == 2
