@@ -148,8 +148,9 @@ def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
 
 def min_scalar(f, a: float, b: float, xtol: float = 1e-12):
     """Minimize f on [a, b] with bounded Brent; returns (x, f(x))."""
-    x, gx = max_scalar(lambda s: -f(s), a, b, xtol=xtol)
-    return x, -gx
+    x = float(_bounded_brent(f, a, b, xtol, 500))
+    candidates = [(a, f(a)), (b, f(b)), (x, f(x))]
+    return min(candidates, key=lambda p: p[1])
 
 
 def golden_min_batched(f, lo: np.ndarray, hi: np.ndarray, iters: int = 90):

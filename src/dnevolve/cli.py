@@ -39,7 +39,7 @@ from .errors import (ConditioningError, ConfigError, DnevolveError,
                      DomainError, RangeError, SolveAbortedError)
 from .potentials import as_state
 from .scheme import (WITNESS_TOL, DiscreteTrajectory, SolveOptions, TimeGrid,
-                     solve)
+                     minimality_witness, solve)
 
 GAP_TOL = 1e-8
 STORED_TOL = 1e-12   # relative tolerance on stored t_n, gap_n, energy_n cells
@@ -378,11 +378,9 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     try:
         energies[0] = energy_value(model, 0.0, U[0])
         for n in range(1, grid.N + 1):
-            p = psi.at_state(U[n - 1])
-            v = (U[n] - U[n - 1]) / grid.tau
-            energies[n] = energy_value(model, grid.t(n), U[n])
-            obj = grid.tau * p.value(v) + energies[n]
-            witnesses[n] = obj - energy_value(model, grid.t(n), U[n - 1])
+            energies[n], witnesses[n] = minimality_witness(
+                model, psi.at_state(U[n - 1]), grid.t(n), grid.tau,
+                U[n - 1], U[n])
     except DomainError as err:
         raise ConfigError("output_dir",
                           f"stored trajectory leaves the model domain: {err}")
@@ -404,45 +402,35 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
 # checks
 
 
-def _stored_gap_check(traj: DiscreteTrajectory,
-                     terms: diagnostics.StepTerms) -> Dict:
+def _stored_gap_check(traj: DiscreteTrajectory) -> Dict:
     """The stored gap_n column (traj.gaps of a loaded trajectory) against
     the recomputed gaps: worst relative error against STORED_TOL."""
-    err = float(np.max(_rel_err(traj.gaps, terms.gap)))
+    gap = diagnostics.fenchel_young_profile(traj)
+    err = float(np.max(_rel_err(traj.gaps, gap)))
     return {"name": "stored_gap", "passed": err <= STORED_TOL,
             "value": err, "threshold": STORED_TOL}
 
 
-def run_checks(traj: DiscreteTrajectory, diag: Dict,
-               terms: Optional[diagnostics.StepTerms] = None,
-               ineq: Optional[diagnostics.StepInequalityResult] = None,
-               c_chain: Optional[float] = None) -> List[Dict]:
-    """Every enabled check as {name, passed, value, threshold}.
-
-    `terms`, `ineq` and `c_chain` are the trajectory's certificate pass,
-    step_inequality result and chain_rule_constant when the caller already
-    has them; otherwise each is computed here once, and only if an enabled
-    check needs it.
-    """
+def run_checks(traj: DiscreteTrajectory, diag: Dict) -> List[Dict]:
+    """Every enabled check as {name, passed, value, threshold}. Each
+    certificate value is computed only if an enabled check needs it, and
+    at most once per trajectory (diagnostics._certified)."""
     out = []
     tau = traj.grid.tau
     horizon = traj.grid.t(traj.N)
-    if c_chain is None and (diag["chain_rule"] or diag["energy_identity"]):
-        c_chain = diagnostics.chain_rule_constant(traj)
-    if terms is None and (diag["fenchel_young"] or diag["chain_rule"]
-                          or diag["energy_identity"]):
-        terms = diagnostics._per_step_terms(traj)
+    if diag["chain_rule"] or diag["energy_identity"]:
+        c_chain = diagnostics._certified(traj, "chain_rule_constant")
 
     if diag["minimality"]:
         worst = float(np.max(traj.witnesses)) if traj.N else 0.0
         out.append({"name": "minimality", "passed": worst <= WITNESS_TOL,
                     "value": worst, "threshold": WITNESS_TOL})
     if diag["fenchel_young"]:
-        worst = float(np.max(terms.gap))
+        worst = float(np.max(diagnostics.fenchel_young_profile(traj)))
         out.append({"name": "fenchel_young", "passed": worst <= GAP_TOL,
                     "value": worst, "threshold": GAP_TOL})
     if diag["chain_rule"]:
-        defects = diagnostics.chain_rule_defects(traj, terms)[1:]
+        defects = diagnostics.chain_rule_defects(traj)[1:]
         frac = float(np.mean(defects >= -c_chain * tau)) if len(defects) else 1.0
         out.append({"name": "chain_rule", "passed": frac >= CHAIN_FRACTION,
                     "value": frac, "threshold": CHAIN_FRACTION})
@@ -450,17 +438,17 @@ def run_checks(traj: DiscreteTrajectory, diag: Dict,
         # lower gate only: the defect is upper-estimate slack and may be
         # positive; it must not undershoot the chain-rule allowance
         floor = -c_chain * tau * horizon - IDENTITY_SLACK
-        defect = diagnostics.energy_identity_defect(traj, terms=terms)
+        defect = diagnostics.energy_identity_defect(traj)
         out.append({"name": "energy_identity", "passed": defect >= floor,
                     "value": defect, "threshold": floor})
         for (s, t) in diag["windows"]:
             wfloor = -c_chain * tau * (t - s) - IDENTITY_SLACK
-            wdef = diagnostics.energy_identity_defect(traj, s, t, terms)
+            wdef = diagnostics.energy_identity_defect(traj, s, t)
             out.append({"name": f"energy_identity[{s},{t}]",
                         "passed": wdef >= wfloor,
                         "value": wdef, "threshold": wfloor})
     if diag["step_inequality"]:
-        res = ineq if ineq is not None else diagnostics.step_inequality(traj)
+        res = diagnostics._certified(traj, "step_inequality")
         out.append({"name": "step_inequality",
                     "passed": res.worst <= res.eps_quad,
                     "value": res.worst, "threshold": res.eps_quad})
@@ -483,15 +471,17 @@ def _print_checks(checks: List[Dict]) -> List[str]:
 
 
 def _windows_for_report(plan: RunPlan, traj: DiscreteTrajectory):
-    """Snap requested windows onto nodes; drop those that don't land."""
+    """The requested windows whose ends are grid nodes within 1e-9 tau
+    (diagnostics._node_index), moved onto those nodes; the others are
+    dropped."""
+    grid = traj.grid
     snapped = []
     for (s, t) in plan.diag["windows"]:
-        tau = traj.grid.tau
-        i, j = round(s / tau), round(t / tau)
-        if (0 <= i <= j <= traj.N
-                and abs(s - i * tau) <= 1e-9 * tau
-                and abs(t - j * tau) <= 1e-9 * tau):
-            snapped.append((i * tau, j * tau))
+        try:
+            i, j = diagnostics._window(grid, s, t)
+        except RangeError:
+            continue
+        snapped.append((grid.t(i), grid.t(j)))
     return snapped
 
 
@@ -529,17 +519,11 @@ def cmd_run(config_path: str) -> int:
     write_trajectory_csv(os.path.join(plan.output_dir, "trajectory.csv"),
                          traj)
     snapped = _windows_for_report(plan, traj)
-    # certify once: one certificate pass, at most one step_inequality and
-    # one chain-rule constant, shared by the checks and the report
-    terms = diagnostics._per_step_terms(traj)
-    ineq = (diagnostics.step_inequality(traj)
+    checks = run_checks(traj, dict(plan.diag, windows=snapped))
+    ineq = (diagnostics._certified(traj, "step_inequality")
             if plan.diag["step_inequality"] else None)
-    c_chain = diagnostics.chain_rule_constant(traj)
-    checks = run_checks(traj, dict(plan.diag, windows=snapped), terms, ineq,
-                        c_chain)
     report = diagnostics.build_report(traj, windows=snapped,
-                                      refinement=table, terms=terms,
-                                      ineq=ineq, c_chain=c_chain)
+                                      refinement=table, ineq=ineq)
     payload = report.to_dict()
     payload["checks"] = checks
     payload["model"] = plan.spec.name
@@ -586,10 +570,9 @@ def cmd_check(config_path: str) -> int:
     traj, stored = read_trajectory_csv(csv_path, plan, plan.ladder[-1])
     snapped = _windows_for_report(plan, traj)
     try:
-        terms = diagnostics._per_step_terms(traj)
         checks = (stored
-                  + run_checks(traj, dict(plan.diag, windows=snapped), terms)
-                  + [_stored_gap_check(traj, terms)])
+                  + run_checks(traj, dict(plan.diag, windows=snapped))
+                  + [_stored_gap_check(traj)])
     except ConditioningError as err:
         # a stored multiplier matching no minimizer is a failed
         # certification of the loaded data, not a crash

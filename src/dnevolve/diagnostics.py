@@ -18,20 +18,20 @@ the test suite uses as a cross-check.
 
 Certify once. The per-step integrands psi_n, conj_n, P_n and gap_n come
 from one pass over the trajectory (_per_step_terms), returned as a frozen
-StepTerms bundle. fenchel_young_profile, chain_rule_defects,
-dissipation_integrals and energy_identity_defect accept it as `terms` and
-build it themselves only when called without one; the CLI builds it, and
-at most one step_inequality result, once per trajectory and hands both to
-its checks and its report. Window sums stay slice sums over the bundle,
-so every value is bitwise the one a standalone call returns. The repeated
-eta-argmin queries of P_n, multiplier selection and the interpolant
-samples are answered by the argmin memo of each marginal model (see
-energy.argmin_set).
+StepTerms bundle. A trajectory's arrays are read-only, so its certificate
+never goes stale: _certified keeps that bundle, chain_rule_constant and the
+default step_inequality result in the trajectory's own memo, and every
+consumer (profiles, defects, integrals, the report, the CLI checks and the
+refinement study) reads them from there, so each is computed at most once
+per trajectory whoever asks first. A trajectory made by
+dataclasses.replace starts with an empty memo. Window sums stay slice sums
+over the bundle. The repeated eta-argmin queries of P_n, multiplier
+selection and the interpolant samples are answered by the argmin memo of
+each marginal model (see energy.argmin_set).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -95,12 +95,20 @@ def _per_step_terms(traj: DiscreteTrajectory) -> StepTerms:
     return StepTerms(psi=psis, conj=conjs, P=Ps, gap=gaps)
 
 
-def fenchel_young_profile(traj: DiscreteTrajectory,
-                          terms: Optional[StepTerms] = None) -> np.ndarray:
+def _certified(traj: DiscreteTrajectory, name: str):
+    """name(traj), for name one of _per_step_terms, chain_rule_constant and
+    step_inequality (default arguments), computed at most once per
+    trajectory and kept in the trajectory's memo. The function is looked up
+    by name at call time, so a rebinding of the module attribute is seen."""
+    memo = vars(traj).setdefault("_certificate_memo", {})
+    if name not in memo:
+        memo[name] = globals()[name](traj)
+    return memo[name]
+
+
+def fenchel_young_profile(traj: DiscreteTrajectory) -> np.ndarray:
     """Recomputed gap_n per step (entry 0 is 0), independent of stored gaps."""
-    if terms is None:
-        terms = _per_step_terms(traj)
-    return terms.gap.copy()
+    return _certified(traj, "_per_step_terms").gap.copy()
 
 
 def chain_rule_constant(traj: DiscreteTrajectory) -> float:
@@ -113,8 +121,7 @@ def chain_rule_constant(traj: DiscreteTrajectory) -> float:
     return 10.0 * (1.0 + traj.model.constants.C1 * sup_e)
 
 
-def chain_rule_defects(traj: DiscreteTrajectory,
-                       terms: Optional[StepTerms] = None) -> np.ndarray:
+def chain_rule_defects(traj: DiscreteTrajectory) -> np.ndarray:
     """defect_n = [E_n - E_{n-1}]/tau - <xi_n, v_n> - P_n (entry 0 is 0).
 
     Predicted >= -O(tau) along solutions; the pass threshold is
@@ -122,8 +129,7 @@ def chain_rule_defects(traj: DiscreteTrajectory,
     """
     N = traj.N
     tau = traj.grid.tau
-    if terms is None:
-        terms = _per_step_terms(traj)
+    terms = _certified(traj, "_per_step_terms")
     out = np.zeros(N + 1)
     for n in range(1, N + 1):
         de = (traj.energies[n] - traj.energies[n - 1]) / tau
@@ -140,12 +146,10 @@ def _window(grid: TimeGrid, s: float, t: Optional[float]) -> Tuple[int, int]:
 
 
 def dissipation_integrals(traj: DiscreteTrajectory, s: float = 0.0,
-                          t: Optional[float] = None,
-                          terms: Optional[StepTerms] = None) -> Dict[str, float]:
+                          t: Optional[float] = None) -> Dict[str, float]:
     """Left-Riemann integrals of Psi(v), Psi*(-xi) and P over node window."""
     i, j = _window(traj.grid, s, t)
-    if terms is None:
-        terms = _per_step_terms(traj)
+    terms = _certified(traj, "_per_step_terms")
     tau = traj.grid.tau
     sl = slice(i + 1, j + 1)
     return {
@@ -156,13 +160,11 @@ def dissipation_integrals(traj: DiscreteTrajectory, s: float = 0.0,
 
 
 def energy_identity_defect(traj: DiscreteTrajectory, s: float = 0.0,
-                           t: Optional[float] = None,
-                           terms: Optional[StepTerms] = None) -> float:
+                           t: Optional[float] = None) -> float:
     """Signed identity defect over the node window [s, t]; positive means
     the upper energy estimate holds with that much slack."""
     i, j = _window(traj.grid, s, t)
-    if terms is None:
-        terms = _per_step_terms(traj)
+    terms = _certified(traj, "_per_step_terms")
     tau = traj.grid.tau
     sl = slice(i + 1, j + 1)
     return float(traj.energies[i] - traj.energies[j]
@@ -260,7 +262,7 @@ def window_upper_estimate_defect(traj: DiscreteTrajectory, s: float, t: float,
     Riemann quadrature bias accumulates linearly in the window length, so
     the per-step budget scales with the number of steps)."""
     if result is None:
-        result = step_inequality(traj)
+        result = _certified(traj, "step_inequality")
     i, j = _window(traj.grid, s, t)
     defect = float(np.sum(result.end_defects[i + 1:j + 1]))
     return defect, result.eps_quad * max(j - i, 1)
@@ -303,8 +305,8 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
     surrogates: sup-distance of consecutive linear interpolants on a
     1024-point time grid, identity defects, dissipation-integral
     differences. A failed solve annotates its row and the study continues.
-    The table keeps the finest rung's trajectory, so callers that need it
-    do not solve it again.
+    The table keeps the finest rung's trajectory, with its certificate
+    memo, so callers that need it neither solve nor certify it again.
     """
     ladder = [float(t) for t in tau_ladder]
     if not ladder:
@@ -330,9 +332,8 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
             trajs.append(None)
             rows.append(row)
             continue
-        terms = _per_step_terms(traj)
-        row.energy_identity_defect = energy_identity_defect(traj, terms=terms)
-        ints = dissipation_integrals(traj, terms=terms)
+        row.energy_identity_defect = energy_identity_defect(traj)
+        ints = dissipation_integrals(traj)
         row.dissipation_integral = ints["dissipation_integral"]
         row.conjugate_dissipation_integral = ints["conjugate_dissipation_integral"]
         row.P_integral = ints["P_integral"]
@@ -372,20 +373,13 @@ class DiagnosticsReport:
 def build_report(traj: DiscreteTrajectory,
                  windows: Sequence[Tuple[float, float]] = (),
                  refinement: Optional[RefinementTable] = None,
-                 terms: Optional[StepTerms] = None,
-                 ineq: Optional[StepInequalityResult] = None,
-                 c_chain: Optional[float] = None) -> DiagnosticsReport:
-    """Per-step and global diagnostics. `terms` and `c_chain` are this
-    trajectory's _per_step_terms and chain_rule_constant results when the
-    caller has them, else computed here. Per-step step-inequality defects
+                 ineq: Optional[StepInequalityResult] = None
+                 ) -> DiagnosticsReport:
+    """Per-step and global diagnostics. Per-step step-inequality defects
     are reported from `ineq`, a step_inequality result, when one is given,
     and are None otherwise."""
-    if c_chain is None:
-        c_chain = chain_rule_constant(traj)
-    if terms is None:
-        terms = _per_step_terms(traj)
-    gaps = terms.gap
-    chains = chain_rule_defects(traj, terms)
+    gaps = _certified(traj, "_per_step_terms").gap
+    chains = chain_rule_defects(traj)
     per_step = []
     for n in range(1, traj.N + 1):
         per_step.append({
@@ -396,13 +390,13 @@ def build_report(traj: DiscreteTrajectory,
             "chain_rule_defect": float(chains[n]),
         })
     overall = {
-        "energy_identity_defect": energy_identity_defect(traj, terms=terms),
+        "energy_identity_defect": energy_identity_defect(traj),
         "window_defects": [
             {"s": float(s), "t": float(t),
-             "defect": energy_identity_defect(traj, s, t, terms)}
+             "defect": energy_identity_defect(traj, s, t)}
             for (s, t) in windows],
-        **dissipation_integrals(traj, terms=terms),
-        "chain_rule_constant": c_chain,
+        **dissipation_integrals(traj),
+        "chain_rule_constant": _certified(traj, "chain_rule_constant"),
         "eps_quad": resolve_eps_quad(traj),
     }
     return DiagnosticsReport(

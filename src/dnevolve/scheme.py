@@ -24,7 +24,7 @@ shrunken step r = t - t_{n-1} and energy frozen at time t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -88,6 +88,11 @@ class SolveOptions:
 
 @dataclass
 class DiscreteTrajectory:
+    """One solved (or loaded) trajectory. Its arrays are read-only, so
+    values derived from them, such as the certificate memo of
+    diagnostics._certified, stay valid; dataclasses.replace gives a new
+    trajectory with no memo."""
+
     model: EnergyModel
     psi: potentials.DissipationPotential
     grid: TimeGrid
@@ -98,6 +103,11 @@ class DiscreteTrajectory:
     energies: np.ndarray          # (N+1,), E(t_n, U_n)
     witnesses: np.ndarray         # (N+1,), minimality witness (<= 1e-12)
     inner_status: List[Dict] = field(default_factory=list)
+
+    def __post_init__(self):
+        for arr in (self.U, self.xi, self.gaps, self.energies,
+                    self.witnesses):
+            arr.flags.writeable = False
 
     @property
     def N(self) -> int:
@@ -309,6 +319,18 @@ def _select_multiplier(model, p, v, t_n, U, tol):
     return best_xi, float(best_gap)
 
 
+def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
+                       u_prev, U) -> Tuple[float, float]:
+    """(E(t_n, U), witness) for the step from u_prev to U under the frozen
+    potential p, with witness = tau p((U - u_prev) / tau) + E(t_n, U)
+    - E(t_n, u_prev): the objective of U minus that of the competitor
+    u_prev, so a minimizer has witness <= 0."""
+    v = (U - u_prev) / tau
+    e = energy_value(model, t_n, U)
+    obj = tau * p.value(v) + e
+    return e, obj - energy_value(model, t_n, u_prev)
+
+
 def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
                      opts: Optional[SolveOptions] = None):
     """One incremental minimization step; returns (U_n, xi_n, gap, status).
@@ -330,13 +352,11 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
 
     # the previous state is always an admissible competitor; taking it when
     # it is no worse keeps the minimality witness nonpositive by construction
-    v = (U - u_prev) / tau
-    obj = tau * p.value(v) + energy_value(model, t_n, U)
-    e_prev = energy_value(model, t_n, u_prev)
-    if obj > e_prev:
+    _, witness = minimality_witness(model, p, t_n, tau, u_prev, U)
+    if witness > 0.0:
         U = u_prev.copy()
-        v = np.zeros_like(u_prev)
         status = dict(status, fell_back_to_prev=True)
+    v = (U - u_prev) / tau
 
     xi, gap = _select_multiplier(model, p, v, t_n, U, tol=None)
     return U, xi, gap, status
@@ -379,15 +399,11 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
             raise SolveAbortedError(
                 f"step {n} (t={t_n}) failed: {err}",
                 partial=partial(n - 1), step_index=n) from err
-        p = psi.at_state(U[n - 1])
-        v = (Un - U[n - 1]) / grid.tau
-        obj = grid.tau * p.value(v) + energy_value(model, t_n, Un)
-        e_prev_now = energy_value(model, t_n, U[n - 1])
+        energies[n], witnesses[n] = minimality_witness(
+            model, psi.at_state(U[n - 1]), t_n, grid.tau, U[n - 1], Un)
         U[n] = Un
         xi[n] = xin
         gaps[n] = gap
-        energies[n] = energy_value(model, t_n, Un)
-        witnesses[n] = obj - e_prev_now
         status.append(st)
         if witnesses[n] > WITNESS_TOL:
             raise SolveAbortedError(

@@ -514,6 +514,32 @@ def test_ladder_run_solves_each_rung_once(tmp_path, capsys, monkeypatch):
     assert counts == {"solve": 3}
 
 
+def test_ladder_run_certifies_each_rung_once(tmp_path, capsys, monkeypatch):
+    # the run's checks and report reuse the finest rung's study pass
+    counts = {}
+    _count_calls(monkeypatch, counts, diagnostics, "_per_step_terms")
+    path = write_cfg(tmp_path, {"tau_ladder": [0.125, 0.0625, 0.03125],
+                                "diagnostics": {"windows": [[0.0, 0.25]]}},
+                     drop=("tau",))
+    assert run_main(capsys, "run", path)[0] == 0
+    assert counts == {"_per_step_terms": 3}
+
+
+def test_check_recomputes_the_solved_witnesses_bitwise(tmp_path, capsys):
+    path = write_cfg(tmp_path, {
+        "model": {"name": "AllenCahn1D", "params": {"N": 4, "p": 1.5}},
+        "u0": [0.05, 0.1, 0.1, 0.05], "T": 2.0 ** -4, "tau": 2.0 ** -6})
+    assert run_main(capsys, "run", path)[0] == 0
+    plan = cli.load_plan(path)
+    traj = scheme.solve(plan.spec.energy, plan.psi, plan.u0,
+                        scheme.TimeGrid(T=plan.T, tau=plan.ladder[-1]),
+                        plan.opts)
+    loaded, _ = cli.read_trajectory_csv(
+        str(tmp_path / "out" / "trajectory.csv"), plan, plan.ladder[-1])
+    assert loaded.witnesses.tobytes() == traj.witnesses.tobytes()
+    assert loaded.energies.tobytes() == traj.energies.tobytes()
+
+
 def test_run_report_equals_standalone_diagnostics(tmp_path, capsys):
     path = write_cfg(tmp_path, PF_CERTIFY)
     assert run_main(capsys, "run", path)[0] == 0

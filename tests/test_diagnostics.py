@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dnevolve.diagnostics as diagnostics
 import dnevolve.scheme as scheme
 from dnevolve import potentials
 from dnevolve.diagnostics import (_per_step_terms, build_report,
@@ -118,25 +119,44 @@ def test_step_terms_gap_is_bitwise_fenchel_young_gap():
         terms.P[1] = 0.0  # the bundle is read-only
 
 
-def test_shared_terms_give_standalone_values(abs_traj):
-    terms = _per_step_terms(abs_traj)
-    assert np.array_equal(fenchel_young_profile(abs_traj, terms),
-                          fenchel_young_profile(abs_traj))
-    assert np.array_equal(chain_rule_defects(abs_traj, terms),
-                          chain_rule_defects(abs_traj))
-    assert (energy_identity_defect(abs_traj, 0.0, 0.5, terms)
-            == energy_identity_defect(abs_traj, 0.0, 0.5))
-    assert (dissipation_integrals(abs_traj, terms=terms)
-            == dissipation_integrals(abs_traj))
+def _certificate_values(traj):
+    return (fenchel_young_profile(traj).tobytes(),
+            chain_rule_defects(traj).tobytes(),
+            energy_identity_defect(traj, 0.0, 0.5).hex(),
+            repr(build_report(traj, windows=[(0.0, 0.5)]).to_dict()))
+
+
+def test_certificate_is_computed_once_per_trajectory(monkeypatch):
+    traj = make_traj("AbsoluteMarginal", {}, [0.0])
+    counts = {}
+    for name in ("_per_step_terms", "chain_rule_constant"):
+        def counted(t, name=name, orig=getattr(diagnostics, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return orig(t)
+        monkeypatch.setattr(diagnostics, name, counted)
+    first = _certificate_values(traj)
+    fenchel_young_profile(traj)[1] = 99.0  # a copy, not the memo
+    assert _certificate_values(traj) == first
+    assert counts == {"_per_step_terms": 1, "chain_rule_constant": 1}
+
+
+def test_trajectory_arrays_are_read_only(quad_traj):
+    for name in ("U", "xi", "gaps", "energies", "witnesses"):
+        with pytest.raises(ValueError):
+            getattr(quad_traj, name)[1] = 0.0
 
 
 def test_profile_detects_corrupted_multiplier(quad_traj):
+    # certify the trajectory first: a replaced one must not reuse its memo
+    assert np.array_equal(fenchel_young_profile(quad_traj), quad_traj.gaps)
     xi = quad_traj.xi.copy()
     xi[3] += 1.0
     bad = dataclasses.replace(quad_traj, xi=xi)
     prof = fenchel_young_profile(bad)
     assert prof[3] > 1e-3
     assert prof[2] == quad_traj.gaps[2]
+    assert chain_rule_defects(bad)[3] != chain_rule_defects(quad_traj)[3]
+    assert fenchel_young_profile(quad_traj)[3] == quad_traj.gaps[3]
 
 
 def test_quadratic_chain_defects_are_small_and_one_sided():

@@ -98,6 +98,27 @@ def test_max_scalar_matches_scipy_bitwise(name):
     assert (bits(x), bits(gx)) == (bits(x_ref), bits(gx_ref))
 
 
+def composed_min_scalar(f, a, b, xtol=1e-12):
+    """min_scalar as it was built on max_scalar, negating twice."""
+    x, gx = _optim.max_scalar(lambda s: -f(s), a, b, xtol=xtol)
+    return x, -gx
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("name", sorted(MIN_CASES))
+def test_min_scalar_matches_composition_bitwise(name, sign):
+    f0, a, b = MIN_CASES[name]
+
+    def f(x):
+        return sign * f0(x)
+
+    ours_log, ref_log = [], []
+    x, fx = _optim.min_scalar(recording(f, ours_log), a, b)
+    x_ref, fx_ref = composed_min_scalar(recording(f, ref_log), a, b)
+    assert ours_log == ref_log
+    assert (bits(x), bits(fx)) == (bits(x_ref), bits(fx_ref))
+
+
 def test_bounded_brent_random_cubics_match_scipy():
     rng = np.random.default_rng(20261018)
     for _ in range(200):

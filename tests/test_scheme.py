@@ -113,6 +113,32 @@ def test_step_beats_dense_grid_oracle():
 # solve-level invariants
 
 
+@pytest.mark.parametrize("name,params,u0", [
+    ("PhaseField1D", {}, [0.55]),
+    ("AllenCahn1D", {"N": 4, "p": 1.5}, [0.05, 0.1, 0.1, 0.05]),
+])
+def test_solve_makes_five_energy_calls_per_step(monkeypatch, name,
+                                                 params, u0):
+    # per step: E(t_n, U_{n-1}) in the inner solver, then E(t_n, U) and
+    # E(t_n, U_{n-1}) in the witness of incremental_step and of solve
+    spec = build(name, params)
+    calls = []
+    orig = scheme.energy_value
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    monkeypatch.setattr(scheme, "energy_value", counted)
+    grid = TimeGrid(T=2.0 ** -4, tau=2.0 ** -6)
+    traj = solve(spec.energy, spec.dissipation, u0, grid)
+    assert len(calls) == 5 * grid.N + 1
+    for n in range(1, grid.N + 1):
+        e, w = scheme.minimality_witness(
+            spec.energy, traj.psi_at(n), grid.t(n), grid.tau,
+            traj.U[n - 1], traj.U[n])
+        assert (e, w) == (traj.energies[n], traj.witnesses[n])
+
+
 def test_solve_records_certificates():
     spec = build("PhaseField1D", {})
     grid = TimeGrid(T=0.5, tau=2.0 ** -5)
