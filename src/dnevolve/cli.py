@@ -472,14 +472,15 @@ def _print_checks(checks: List[Dict]) -> List[str]:
 
 def _windows_for_report(plan: RunPlan, traj: DiscreteTrajectory):
     """The requested windows whose ends are grid nodes within 1e-9 tau
-    (diagnostics._node_index), moved onto those nodes; the others are
-    dropped."""
+    (diagnostics._node_index), moved onto those nodes; each other window is
+    dropped with one stderr line naming it."""
     grid = traj.grid
     snapped = []
     for (s, t) in plan.diag["windows"]:
         try:
             i, j = diagnostics._window(grid, s, t)
-        except RangeError:
+        except RangeError as err:
+            print(f"window [{s}, {t}] dropped: {err}", file=sys.stderr)
             continue
         snapped.append((grid.t(i), grid.t(j)))
     return snapped

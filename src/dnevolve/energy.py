@@ -55,6 +55,9 @@ class EnergyModel:
     domain_box: Optional[Tuple[np.ndarray, np.ndarray]] = None
     is_marginal: bool = False
     c_chain: Optional[float] = None  # chain-rule defect scale; None = default
+    # lambda_E: a lower bound on the Hessian of E(t, .) for every t, so E is
+    # lambda_E-convex; None makes no claim. audit_assumptions tests it.
+    semiconvexity: Optional[float] = None
 
     def value(self, t: float, u: np.ndarray) -> float:
         raise NotImplementedError
@@ -387,7 +390,10 @@ def audit_assumptions(model: EnergyModel,
     (|E(t,u) - E(s,u)| <= C1 E(t,u) |t-s|), exponential_bound
     (E(t,u) <= exp(C1 |t-s|) E(s,u)), power_bound (|P| <= C2 sup_t E(t,u)
     for every subgradient candidate), coercivity_witness (a bounded domain
-    box is declared and every probed sublevel member lies inside it).
+    box is declared and every probed sublevel member lies inside it), and,
+    for models that declare lambda_E = semiconvexity, a semiconvexity row
+    (the midpoint inequality E(t, m) <= E(t, u)/2 + E(t, w)/2
+    - lambda_E/8 ||u - w||^2 on every probe segment at every probe time).
     """
     if probe_plan is None:
         probe_plan = default_probe_plan(model)
@@ -474,4 +480,44 @@ def audit_assumptions(model: EnergyModel,
             f"box widths {np.round(hi - lo, 6).tolist()}, "
             f"all probed sublevel members inside: {inside}"))
 
+    lam = model.semiconvexity
+    if lam is not None:
+        rows.append(_semiconvexity_row(model, lam, times, triples, slack))
+
     return AssumptionReport(rows=tuple(rows))
+
+
+SEMICONVEXITY_H = 0.05   # half-length of the centred sin(pi x) segment
+
+
+def _semiconvexity_row(model: EnergyModel, lam: float, times, triples,
+                       slack: float) -> AssumptionCheck:
+    """Midpoint test of the declared lambda_E on the segments between
+    consecutive probe states, plus a short segment +-h sin(pi x) (cell
+    midpoints x) around the box centre: along random directions a stiff
+    gradient term hides a concave on-site well."""
+    states = list({u.tobytes(): u for (_, _, u) in triples}.values())
+    segments = list(zip(states, states[1:]))
+    if model.domain_box is not None:
+        lo, hi = model.domain_box
+        centre = 0.5 * (lo + hi)
+    else:
+        centre = np.zeros(model.dim)
+    bump = SEMICONVEXITY_H * np.sin(np.pi * (np.arange(model.dim) + 0.5)
+                                    / model.dim)
+    segments.append((centre - bump, centre + bump))
+
+    ok, worst = True, -np.inf
+    for t in times:
+        for (u, w) in segments:
+            eu, ew = energy_value(model, t, u), energy_value(model, t, w)
+            em = energy_value(model, t, 0.5 * (u + w))
+            d = u - w
+            chord = 0.5 * (eu + ew) - lam / 8.0 * float(np.dot(d, d))
+            margin = em - chord
+            worst = max(worst, margin)
+            if margin > slack * (1.0 + abs(chord)):
+                ok = False
+    return AssumptionCheck(
+        "semiconvexity", ok,
+        f"lambda_E = {lam:.6g}: worst E(m) - chord = {worst:.3e}")

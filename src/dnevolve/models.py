@@ -47,6 +47,8 @@ class ModelSpec:
 class _QuadraticEnergy(EnergyModel):
     """E(t, u) = 1/2 ||u - a||^2 + offset; time-independent, P = 0."""
 
+    semiconvexity = 1.0
+
     def __init__(self, a: np.ndarray, offset: float):
         self.name = "QuadraticBenchmark"
         self.dim = a.shape[0]
@@ -196,6 +198,8 @@ class _AllenCahnEnergy(EnergyModel):
         self.amp = amp
         self.offset = offset
         self.dx = 1.0 / N
+        # W4'' = 3 s^2 - 1 >= -1 and |D+ u|^q is convex
+        self.semiconvexity = -self.dx
         x = (np.arange(N) + 0.5) * self.dx
         self.profile = np.sin(np.pi * x)
         C0 = offset + well_drop  # well_drop = min_s (W4(s) - amp |s|) <= 0

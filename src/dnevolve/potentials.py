@@ -86,6 +86,12 @@ class DissipationPotential:
         """Derivative of smooth_scalar."""
         raise NotImplementedError
 
+    def modulus(self, r: float) -> float:
+        """Lower bound on the strong-convexity modulus of Psi on the rates
+        with |v_i| <= r (r > 0); 0.0 makes no claim. The scheme's n-D
+        inner solver uses it to prove a step problem strongly convex."""
+        return 0.0
+
     def label(self) -> str:
         return type(self).__name__
 
@@ -124,6 +130,9 @@ class Quadratic(DissipationPotential):
 
     def smooth_scalar_grad(self, s):
         return self.c * np.asarray(s, dtype=float)
+
+    def modulus(self, r):
+        return self.c
 
     def label(self):
         return f"Quadratic(c={self.c})"
@@ -177,6 +186,13 @@ class PNorm(DissipationPotential):
             return np.zeros_like(s)
         return self.c * np.sign(s) * np.abs(s) ** (self.p - 1.0)
 
+    def modulus(self, r):
+        # the scalar's second derivative c (p-1) |s|^(p-2) is smallest at
+        # |s| = r for p <= 2 and vanishes at s = 0 for p > 2
+        if 1.0 < self.p <= 2.0:
+            return self.c * (self.p - 1.0) * r ** (self.p - 2.0)
+        return 0.0
+
     def label(self):
         return f"PNorm(c={self.c}, p={self.p})"
 
@@ -217,6 +233,9 @@ class OneHomPlusQuad(DissipationPotential):
     def smooth_scalar_grad(self, s):
         return self.eps * np.asarray(s, dtype=float)
 
+    def modulus(self, r):
+        return self.eps
+
     def label(self):
         return f"OneHomPlusQuad(rho={self.rho}, eps={self.eps})"
 
@@ -255,6 +274,9 @@ class WeightedSum(DissipationPotential):
 
     def smooth_scalar_grad(self, s):
         return sum(p.smooth_scalar_grad(s) for p in self.parts)
+
+    def modulus(self, r):
+        return sum(p.modulus(r) for p in self.parts)
 
     def label(self):
         return "WeightedSum(" + ", ".join(p.label() for p in self.parts) + ")"
@@ -306,6 +328,9 @@ class Scaled(DissipationPotential):
 
     def smooth_scalar_grad(self, s):
         return self.w * self.base.smooth_scalar_grad(s)
+
+    def modulus(self, r):
+        return self.w * self.base.modulus(r)
 
     def label(self):
         return f"{self.w} * {self.base.label()}"

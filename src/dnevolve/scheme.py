@@ -11,11 +11,17 @@ so that -xi_n lies in dPsi(v_n) up to the inner tolerance.
 Inner minimization: in dimension 1, a 513-point scan of the coercivity box
 (bounded via the superlinearity of Psi and the energy lower bound C0) with
 bounded-Brent refinement of every local basin and a final stationarity
-polish; in higher dimension, deterministic multi-start proximal gradient
-with backtracking, the 1-homogeneous part of Psi handled by its exact
-proximal map (soft-thresholding around the previous state). Global
-optimality is certified only by the multi-start budget; the solver records
-its budget in inner_status.
+polish; in higher dimension, proximal gradient with backtracking (a step
+must pass sufficient decrease and a curvature test on the gradient
+difference), the 1-homogeneous part of Psi handled by its exact proximal
+map (soft-thresholding around the previous state). Global optimality is
+certified by strong convexity where it can be proven: when
+mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the coercivity box of
+radius R, with lambda_E the energy's declared (and audited) semiconvexity,
+the step problem has one minimizer and every stationary point is it, so
+one start from U_{n-1} suffices. Otherwise it is certified only by a
+deterministic multi-start budget. The solver records mu and its start
+count in inner_status.
 
 The De Giorgi variational interpolant reuses the same step solver with a
 shrunken step r = t - t_{n-1} and energy frozen at time t.
@@ -215,7 +221,7 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
     it = 0
     while it < max_iters:
         it += 1
-        decreased = False
+        accepted = False
         while True:
             step = 1.0 / L
             z = x - step * grad
@@ -225,31 +231,37 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
             if nrm2 == 0.0:
                 break
             g_new = g_val(x_new)
-            decreased = g_new <= gx + float(np.dot(grad, dx)) \
-                + 0.5 * L * nrm2 + 1e-15 * (1.0 + abs(gx))
-            if decreased:
-                break
+            if g_new <= gx + float(np.dot(grad, dx)) \
+                    + 0.5 * L * nrm2 + 1e-15 * (1.0 + abs(gx)):
+                # near the optimum the decrease falls below float resolution
+                # and the value test passes on roundoff alone; the gradient
+                # difference does not (Becker, Candes and Grant 2011, sec. 5)
+                grad_new = g_grad(x_new)
+                accepted = float(np.dot(grad_new - grad, dx)) <= L * nrm2
+                if accepted:
+                    break
             L *= 2.0
             if L > 1e18:
                 break
         if nrm2 == 0.0:
             residual = 0.0
             break
-        if not decreased:
-            # backtracking gave up: x_new failed sufficient decrease, so
-            # keep x and the residual of its last accepted step
+        if not accepted:
+            # backtracking gave up: no x_new passed both tests, so keep x
+            # and the residual of its last accepted step
             break
         residual = L * math.sqrt(nrm2)
-        x, gx = x_new, g_new
-        grad = g_grad(x)
+        x, gx, grad = x_new, g_new, grad_new
         if residual <= tol:
             break
     return x, gx + h_val(x), residual, it, L
 
 
 def _solve_nd(model, p, u_prev, t_n, tau, opts):
-    """Deterministic multi-start proximal gradient with triage: every start
-    runs to a coarse tolerance, the best is refined to eps_inner."""
+    """Proximal gradient with triage: every start runs to a coarse
+    tolerance, the best is refined to eps_inner. A step problem proven
+    strongly convex on the box (mu > 0) has one start, u_prev; any other
+    gets the deterministic multi-start budget."""
     d = u_prev.shape[0]
     e_prev = energy_value(model, t_n, u_prev)
     eps_inner = EPS_INNER_SCALE * (1.0 + abs(e_prev))
@@ -261,16 +273,24 @@ def _solve_nd(model, p, u_prev, t_n, tau, opts):
     # threshold is step * rho regardless of tau
     rho_hat = p.one_hom
 
-    n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
-    rng = np.random.default_rng(_step_seed(opts, t_n, tau))
-    alt = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
-    starts = [u_prev.copy(),
-              u_prev + 0.25 * R * np.ones(d),
-              u_prev - 0.25 * R * np.ones(d),
-              u_prev + 0.25 * R * alt]
-    while len(starts) < n_starts:
-        starts.append(lo + rng.random(d) * (hi - lo))
-    starts = starts[:n_starts]
+    # mu bounds the Hessian of the step objective from below on the box,
+    # where every rate has |v_i| <= R / tau; for mu > 0 the objective is
+    # strongly convex, so its stationary point is the global minimizer
+    lam = model.semiconvexity
+    mu = None if lam is None else p.modulus(R / tau) / tau + lam
+    if mu is not None and mu > 0.0:
+        starts = [u_prev.copy()]
+    else:
+        n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
+        rng = np.random.default_rng(_step_seed(opts, t_n, tau))
+        alt = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+        starts = [u_prev.copy(),
+                  u_prev + 0.25 * R * np.ones(d),
+                  u_prev - 0.25 * R * np.ones(d),
+                  u_prev + 0.25 * R * alt]
+        while len(starts) < n_starts:
+            starts.append(lo + rng.random(d) * (hi - lo))
+        starts = starts[:n_starts]
 
     triage_tol = TRIAGE_TOL_SCALE * (1.0 + abs(e_prev))
     total_iters = 0
@@ -293,7 +313,7 @@ def _solve_nd(model, p, u_prev, t_n, tau, opts):
             f"inner solver stalled at prox-residual {res:.3e} "
             f"(target {eps_inner:.3e}) after {total_iters} iterations",
             best_state=x, best_gap=None, step_index=None)
-    status = {"method": "proxgrad", "starts": n_starts,
+    status = {"method": "proxgrad", "starts": len(starts), "mu": mu,
               "iterations": total_iters, "prox_residual": res}
     return x, status
 

@@ -2,7 +2,9 @@
 byte-stable reruns. Every test drives cli.main the way a shell would."""
 
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -205,14 +207,20 @@ def test_run_traveling_kink_columns(tmp_path, capsys):
 
 def test_run_with_windows_snaps_and_drops(tmp_path, capsys):
     path = write_cfg(tmp_path, {
+        "tau": 0.0625,
         "diagnostics": {"windows": [[0.0, 0.25], [0.1, 0.3], [0.0, 2.0]]}})
-    code, out, _ = run_main(capsys, "run", path)
+    code, out, err = run_main(capsys, "run", path)
     assert code == 0
     # only the node-aligned in-horizon window survives
     assert "energy_identity[0.0,0.25]: PASS" in out
     assert "[0.1" not in out and "2.0]" not in out
     payload = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
     assert len(payload["global"]["window_defects"]) == 1
+    # each dropped window gets one stderr line naming it
+    dropped = err.splitlines()
+    assert len(dropped) == 2
+    assert dropped[0].startswith("window [0.1, 0.3] dropped: ")
+    assert dropped[1].startswith("window [0.0, 2.0] dropped: ")
 
 
 def test_run_with_dissipation_override(tmp_path, capsys):
@@ -263,6 +271,20 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_main(capsys, "run", path)
     assert code == 3
     assert "solver failure" in err
+
+
+def test_p_one_and_a_half_noisy_start_solves(tmp_path, capsys):
+    # this config stalled with exit 3 at step 13 (prox residual 7.4e-7
+    # against 2.5e-10): the value test alone accepted steps whose decrease
+    # was below float resolution, so backtracking never raised L
+    rng = random.Random(1)
+    u0 = [0.1 * math.sin(math.pi * (i + 0.5) / 32)
+          + 0.01 * rng.uniform(-1.0, 1.0) for i in range(32)]
+    path = write_cfg(tmp_path, {
+        "model": {"name": "AllenCahn1D", "params": {"N": 32, "p": 1.5}},
+        "u0": u0, "T": 0.25, "tau": 2.0 ** -6})
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 0, err
 
 
 def test_output_root_env_prefixes_relative_dirs(tmp_path, capsys,

@@ -301,6 +301,38 @@ def test_audit_allen_cahn_small():
     assert rep.passed, rep.to_dict()
 
 
+@pytest.mark.parametrize("name,params", [
+    ("QuadraticBenchmark", {"dim": 3}), ("StateWeightedToy", {}),
+    ("AllenCahn1D", {}), ("AllenCahn1D", {"N": 8, "q": 4.0}),
+    ("AllenCahn1D", {"q": 4.0}),
+])
+def test_audit_passes_declared_semiconvexity(name, params):
+    model = build(name, params).energy
+    rep = audit_assumptions(model)
+    assert rep.row("semiconvexity").passed, rep.row("semiconvexity").detail
+    assert rep.passed, rep.to_dict()
+
+
+def test_audit_has_no_semiconvexity_row_without_a_claim():
+    for name in ("AbsoluteMarginal", "PhaseField1D"):
+        rep = audit_assumptions(build(name, {}).energy)
+        with pytest.raises(KeyError):
+            rep.row("semiconvexity")
+
+
+def test_audit_rejects_an_overclaimed_semiconvexity(monkeypatch):
+    # q = 4: the gradient term is quartic, so along h sin(pi x) around 0
+    # the concave well shows; at h = 0.05 the inequality admits at most
+    # lambda ~ -0.029, and random segments alone would pass lambda = 0
+    model = build("AllenCahn1D", {"q": 4.0}).energy
+    monkeypatch.setattr(model, "semiconvexity", 0.0)
+    assert not audit_assumptions(model).row("semiconvexity").passed
+    monkeypatch.setattr(model, "semiconvexity", -0.028)
+    assert not audit_assumptions(model).row("semiconvexity").passed
+    monkeypatch.setattr(model, "semiconvexity", -0.0295)
+    assert audit_assumptions(model).row("semiconvexity").passed
+
+
 class _NoFloor(energy_mod.EnergyModel):
     """E(t, u) = t u^2: vanishes at u = 0, so the positive floor fails."""
 

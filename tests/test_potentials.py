@@ -299,3 +299,34 @@ def test_scalar_derivative_matches_finite_differences():
             fd = (float(p.scalar(s + h)) - float(p.scalar(s - h))) / (2 * h)
             assert potentials.scalar_derivative(p, s) == pytest.approx(
                 fd, abs=1e-5)
+
+
+MODULI = [
+    (Quadratic(2.5), lambda r: 2.5),
+    (OneHomPlusQuad(0.3, 0.5), lambda r: 0.5),
+    (PNorm(1.0, 2.0), lambda r: 1.0),
+    (PNorm(2.0, 1.5), lambda r: r ** -0.5),
+    (PNorm(0.5, 3.0), lambda r: 0.0),
+    (PNorm(1.0, 1.0), lambda r: 0.0),
+    (WeightedSum((PNorm(1.0, 1.0), PNorm(2.0, 1.5), Quadratic(0.5))),
+     lambda r: r ** -0.5 + 0.5),
+    (Scaled(PNorm(2.0, 1.5), 1.7), lambda r: 1.7 * r ** -0.5),
+    (TwoSlope(), lambda r: 0.0),
+]
+
+
+@pytest.mark.parametrize("p,expect", MODULI,
+                         ids=[p.label() for p, _ in MODULI])
+def test_modulus_is_a_sound_strong_convexity_bound(p, expect):
+    # the declared value, and the midpoint inequality it promises on [-r, r]
+    def f(s):
+        return np.asarray(p.scalar(s), dtype=float)
+
+    for r in (0.5, 2.0, 10.0):
+        mu = p.modulus(r)
+        assert mu == pytest.approx(expect(r), rel=1e-15, abs=0.0)
+        a, b = np.meshgrid(r * np.linspace(-1.0, 1.0, 41),
+                           r * np.linspace(-1.0, 1.0, 41))
+        viol = f(0.5 * (a + b)) - 0.5 * (f(a) + f(b)) \
+            + mu / 8.0 * np.square(a - b)
+        assert np.max(viol) <= 1e-12 * (1.0 + np.max(f(a)))

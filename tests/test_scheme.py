@@ -1,6 +1,9 @@
 """Time stepping: frozen one-step values, a dense-grid minimization oracle,
 certificates, determinism, and the interpolant samplers."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -184,18 +187,22 @@ def test_state_weight_is_frozen_at_left_state():
     assert p1.value(np.array([0.4])) == pytest.approx(w * 0.08, rel=1e-12)
 
 
-def test_multistart_path_matches_closed_form():
-    # dim 2 quadratic: the step minimizer is (tau a + u_prev) / (1 + tau)
+def test_multistart_path_matches_closed_form(monkeypatch):
+    # dim 2 quadratic: the step minimizer is (tau a + u_prev) / (1 + tau);
+    # the declared lambda_E = 1 takes the one-start path, none the multistart
     spec = build("QuadraticBenchmark", {"dim": 2})
     tau = 0.25
     u_prev = np.array([0.0, 0.5])
-    U, xi, gap, status = incremental_step(spec.energy, spec.dissipation,
-                                          u_prev, tau, tau)
     expect = (tau * np.ones(2) + u_prev) / (1.0 + tau)
-    np.testing.assert_allclose(U, expect, atol=1e-8)
-    assert status["method"] == "proxgrad"
-    assert status["prox_residual"] <= 1e-10 * (1.0 + 1.125)
-    assert gap <= 1e-8
+    for lam, starts in ((1.0, 1), (None, scheme.MULTISTARTS)):
+        monkeypatch.setattr(spec.energy, "semiconvexity", lam)
+        U, xi, gap, status = incremental_step(spec.energy, spec.dissipation,
+                                              u_prev, tau, tau)
+        np.testing.assert_allclose(U, expect, atol=1e-8)
+        assert status["method"] == "proxgrad"
+        assert status["starts"] == starts
+        assert status["prox_residual"] <= 1e-10 * (1.0 + 1.125)
+        assert gap <= 1e-8
 
 
 class _UphillGradient:
@@ -218,6 +225,71 @@ def test_prox_grad_keeps_x_when_backtracking_gives_up():
     assert np.array_equal(x, x0)
     assert phi == 1.0
     assert (it, res) == (1, np.inf) and L > 1e18
+
+
+def _noisy_sine(N, seed=1):
+    rng = random.Random(seed)
+    return np.array([0.1 * math.sin(math.pi * (i + 0.5) / N)
+                     + 0.01 * rng.uniform(-1.0, 1.0) for i in range(N)])
+
+
+@pytest.mark.parametrize("params,tau", [
+    ({"N": 8}, 2.0 ** -5), ({"N": 8}, 2.0 ** -6),
+    ({"N": 32, "p": 1.5}, 2.0 ** -5), ({"N": 32, "p": 1.5}, 2.0 ** -6),
+])
+def test_convex_path_agrees_with_multistart(monkeypatch, params, tau):
+    # AllenCahn1D's step problem is strongly convex (lambda_E = -dx), so one
+    # start from u_prev must find the minimizer the multistart budget finds
+    spec = build("AllenCahn1D", params)
+    u0 = _noisy_sine(params["N"])
+    grid = TimeGrid(T=0.125, tau=tau)
+    one = solve(spec.energy, spec.dissipation, u0, grid)
+    monkeypatch.setattr(spec.energy, "semiconvexity", None)
+    multi = solve(spec.energy, spec.dissipation, u0, grid)
+    assert all(s["starts"] == 1 and s["mu"] > 0.0
+               for s in one.inner_status[1:])
+    assert all(s["starts"] > 1 and s["mu"] is None
+               for s in multi.inner_status[1:])
+    np.testing.assert_allclose(one.U, multi.U, rtol=0.0, atol=1e-9)
+    assert np.all(one.witnesses <= scheme.WITNESS_TOL)
+    assert np.all(multi.witnesses <= scheme.WITNESS_TOL)
+
+
+def test_seed_does_not_affect_convex_steps():
+    spec = build("AllenCahn1D", {"N": 8})
+    grid = TimeGrid(T=0.125, tau=2.0 ** -5)
+    u0 = _noisy_sine(8)
+    a = solve(spec.energy, spec.dissipation, u0, grid, SolveOptions(seed=0))
+    b = solve(spec.energy, spec.dissipation, u0, grid, SolveOptions(seed=7))
+    assert np.array_equal(a.U, b.U) and np.array_equal(a.xi, b.xi)
+
+
+def test_step_without_strong_convexity_keeps_multistart():
+    # p = 3: Psi has no positive modulus at v = 0, and mu = 0 - dx < 0
+    spec = build("AllenCahn1D", {"N": 8, "p": 3.0})
+    u_prev = 0.1 * np.sin(np.pi * (np.arange(8) + 0.5) / 8)
+    _, _, _, status = incremental_step(spec.energy, spec.dissipation,
+                                       u_prev, 2.0 ** -5, 2.0 ** -5)
+    assert status["mu"] == -1.0 / 8
+    assert status["starts"] == scheme.MULTISTARTS
+
+
+@pytest.mark.parametrize("N", [8, 32])
+def test_solve_makes_two_prox_grad_calls_per_step(monkeypatch, N):
+    # triage plus refine from the one start; the multistart budget made
+    # 9 calls per step for N <= 16 and 5 above
+    spec = build("AllenCahn1D", {"N": N})
+    calls = []
+    orig = scheme._prox_grad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(scheme, "_prox_grad", counted)
+    grid = TimeGrid(T=2.0 ** -4, tau=2.0 ** -6)
+    u0 = 0.1 * np.sin(np.pi * (np.arange(N) + 0.5) / N)
+    solve(spec.energy, spec.dissipation, u0, grid)
+    assert len(calls) == 2 * grid.N
 
 
 def test_allen_cahn_short_solve_certifies():
