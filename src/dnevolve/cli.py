@@ -342,11 +342,11 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     d = model.dim
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
     expected = 2 + 2 * d + 2
-    if len(header) != expected:
+    widths = sorted({ln.count(",") + 1 for ln in lines})
+    if widths != [expected]:
         raise ConfigError("output_dir",
-                          f"trajectory.csv has {len(header)} columns, "
+                          f"trajectory.csv has lines of {widths} cells, "
                           f"expected {expected} for dim {d}")
     grid = TimeGrid(T=plan.T, tau=tau)
     if len(lines) - 1 != grid.N + 1:
@@ -368,10 +368,14 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
             stored[k] = float(parts[3 + 2 * d])
         except ValueError as err:
             raise ConfigError("output_dir",
-                              f"trajectory.csv row {k + 1} is not numeric: "
-                              f"{err}")
+                              f"trajectory.csv row {k + 1}: {err}")
         if n_cell != k or not _rel_err(t_cell, grid.t(k)) <= STORED_TOL:
             bad_nodes += 1
+    # a non-finite gap_n or energy_n cell fails its stored_* check; states
+    # and multipliers must be finite to be checked at all
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(xi))):
+        raise ConfigError("output_dir", "trajectory.csv has a non-finite "
+                                        "state or multiplier cell")
     energies = np.zeros(grid.N + 1)
     witnesses = np.zeros(grid.N + 1)
     psi = plan.psi
@@ -379,8 +383,8 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
         energies[0] = energy_value(model, 0.0, U[0])
         for n in range(1, grid.N + 1):
             energies[n], witnesses[n] = minimality_witness(
-                model, psi.at_state(U[n - 1]), grid.t(n), grid.tau,
-                U[n - 1], U[n])
+                model, psi.at_state(U[n - 1]), grid.t(n), grid.tau, U[n - 1],
+                U[n], energy_value(model, grid.t(n), U[n - 1]))
     except DomainError as err:
         raise ConfigError("output_dir",
                           f"stored trajectory leaves the model domain: {err}")
@@ -510,12 +514,7 @@ def cmd_run(config_path: str) -> int:
         traj = table.finest
     else:
         grid = TimeGrid(T=plan.T, tau=tau)
-        try:
-            traj = solve(plan.spec.energy, plan.psi, plan.u0, grid, plan.opts)
-        except SolveAbortedError as err:
-            print(f"solver failure at step {err.step_index}: {err}",
-                  file=sys.stderr)
-            return 3
+        traj = solve(plan.spec.energy, plan.psi, plan.u0, grid, plan.opts)
 
     write_trajectory_csv(os.path.join(plan.output_dir, "trajectory.csv"),
                          traj)

@@ -6,7 +6,9 @@ Each step solves
 
 and extracts the multiplier xi_n from the model's subdifferential candidates
 by minimal Fenchel-Young gap against the rate v_n = (U_n - U_{n-1}) / tau,
-so that -xi_n lies in dPsi(v_n) up to the inner tolerance.
+so that -xi_n lies in dPsi(v_n) up to the inner tolerance. A step
+evaluates E(t_n, U_{n-1}) once, for the inner solver and the minimality
+witness, and hands the witness back to solve with E(t_n, U_n).
 
 Inner minimization: in dimension 1, a 513-point scan of the coercivity box
 (bounded via the superlinearity of Psi and the energy lower bound C0) with
@@ -143,10 +145,9 @@ def _coercivity_radius(p, tau: float, budget: float) -> float:
     return 1.0000001 * r
 
 
-def _solve_1d(model, p, u_prev, t_n, tau, opts):
+def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
     """Scan + refine + stationarity polish. Returns (U, status)."""
     x_prev = float(u_prev[0])
-    e_prev = energy_value(model, t_n, u_prev)
     R = _coercivity_radius(p, tau, e_prev - model.constants.C0)
     blo, bhi = model.domain_box
     lo = max(x_prev - R, float(blo[0]))
@@ -257,13 +258,12 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
     return x, gx + h_val(x), residual, it, L
 
 
-def _solve_nd(model, p, u_prev, t_n, tau, opts):
+def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts):
     """Proximal gradient with triage: every start runs to a coarse
     tolerance, the best is refined to eps_inner. A step problem proven
     strongly convex on the box (mu > 0) has one start, u_prev; any other
     gets the deterministic multi-start budget."""
     d = u_prev.shape[0]
-    e_prev = energy_value(model, t_n, u_prev)
     eps_inner = EPS_INNER_SCALE * (1.0 + abs(e_prev))
     R = _coercivity_radius(p, tau, e_prev - model.constants.C0)
     blo, bhi = model.domain_box
@@ -322,17 +322,22 @@ def _solve_nd(model, p, u_prev, t_n, tau, opts):
 # steps and solves
 
 
-def _select_multiplier(model, p, v, t_n, U, tol):
-    """Gap-minimal multiplier among the model's candidates at (t_n, U);
-    ties go to the lexicographically smallest xi."""
-    cands = model.subdiff(t_n, U, tol)
+def _candidates(model, t, u) -> List[np.ndarray]:
+    """The model's subdifferential candidates at (t, u), in lexicographic
+    order, so that ties between them go to the smallest."""
+    cands = model.subdiff(t, u, None)
     if not cands:
         raise SubdifferentialUnavailableError(
-            f"{model.name} returned no subgradient candidates at t={t_n}")
-    cands = sorted((np.asarray(c, dtype=float).reshape(U.shape[0])
-                    for c in cands), key=lambda c: tuple(c))
+            f"{model.name} returned no subgradient candidates at t={t}")
+    return sorted((np.asarray(c, dtype=float).reshape(model.dim)
+                   for c in cands), key=tuple)
+
+
+def _select_multiplier(model, p, v, t_n, U):
+    """Gap-minimal multiplier among the model's candidates at (t_n, U);
+    ties go to the lexicographically smallest xi."""
     best_xi, best_gap = None, np.inf
-    for c in cands:
+    for c in _candidates(model, t_n, U):
         gap = potentials.fenchel_young_gap(p, None, v, -c)
         if gap < best_gap:
             best_xi, best_gap = c, gap
@@ -340,20 +345,22 @@ def _select_multiplier(model, p, v, t_n, U, tol):
 
 
 def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
-                       u_prev, U) -> Tuple[float, float]:
+                       u_prev, U, e_prev: float) -> Tuple[float, float]:
     """(E(t_n, U), witness) for the step from u_prev to U under the frozen
-    potential p, with witness = tau p((U - u_prev) / tau) + E(t_n, U)
-    - E(t_n, u_prev): the objective of U minus that of the competitor
-    u_prev, so a minimizer has witness <= 0."""
+    potential p, given e_prev = E(t_n, u_prev), with witness =
+    tau p((U - u_prev) / tau) + E(t_n, U) - e_prev: the objective of U
+    minus that of the competitor u_prev, so a minimizer has witness <= 0."""
     v = (U - u_prev) / tau
     e = energy_value(model, t_n, U)
     obj = tau * p.value(v) + e
-    return e, obj - energy_value(model, t_n, u_prev)
+    return e, obj - e_prev
 
 
 def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
                      opts: Optional[SolveOptions] = None):
-    """One incremental minimization step; returns (U_n, xi_n, gap, status).
+    """One incremental minimization step; returns (U_n, xi_n, gap, status,
+    E(t_n, U_n), witness), with U_n = U_{n-1} and witness 0 when the inner
+    solver's result is worse than U_{n-1}.
 
     Also usable as the variational interpolant solve by passing the
     intermediate time as t_n and the shrunken step as tau.
@@ -365,21 +372,23 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
             f"of {model.name}")
     u_prev = as_state(u_prev, model.dim)
     p = psi.at_state(u_prev)
+    e_prev = energy_value(model, t_n, u_prev)
     if model.dim == 1:
-        U, status = _solve_1d(model, p, u_prev, t_n, tau, opts)
+        U, status = _solve_1d(model, p, u_prev, t_n, tau, e_prev)
     else:
-        U, status = _solve_nd(model, p, u_prev, t_n, tau, opts)
+        U, status = _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts)
 
     # the previous state is always an admissible competitor; taking it when
     # it is no worse keeps the minimality witness nonpositive by construction
-    _, witness = minimality_witness(model, p, t_n, tau, u_prev, U)
+    energy, witness = minimality_witness(model, p, t_n, tau, u_prev, U,
+                                         e_prev)
     if witness > 0.0:
-        U = u_prev.copy()
+        U, energy, witness = u_prev.copy(), e_prev, 0.0
         status = dict(status, fell_back_to_prev=True)
     v = (U - u_prev) / tau
 
-    xi, gap = _select_multiplier(model, p, v, t_n, U, tol=None)
-    return U, xi, gap, status
+    xi, gap = _select_multiplier(model, p, v, t_n, U)
+    return U, xi, gap, status, energy, witness
 
 
 def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
@@ -413,17 +422,13 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
     for n in range(1, N + 1):
         t_n = grid.t(n)
         try:
-            Un, xin, gap, st = incremental_step(model, psi, U[n - 1], t_n,
-                                                grid.tau, opts)
+            (U[n], xi[n], gaps[n], st, energies[n],
+             witnesses[n]) = incremental_step(model, psi, U[n - 1], t_n,
+                                              grid.tau, opts)
         except StepFailureError as err:
             raise SolveAbortedError(
                 f"step {n} (t={t_n}) failed: {err}",
                 partial=partial(n - 1), step_index=n) from err
-        energies[n], witnesses[n] = minimality_witness(
-            model, psi.at_state(U[n - 1]), t_n, grid.tau, U[n - 1], Un)
-        U[n] = Un
-        xi[n] = xin
-        gaps[n] = gap
         status.append(st)
         if witnesses[n] > WITNESS_TOL:
             raise SolveAbortedError(
@@ -452,12 +457,7 @@ def slope_multiplier(model: EnergyModel, psi, t: float, u) -> np.ndarray:
     subdifferential candidate minimizing the conjugate Psi_u*(-xi)."""
     u = as_state(u, model.dim)
     p = psi.at_state(u)
-    cands = model.subdiff(t, u, None)
-    if not cands:
-        raise SubdifferentialUnavailableError(
-            f"{model.name} returned no subgradient candidates at t={t}")
-    cands = sorted((np.asarray(c, dtype=float).reshape(model.dim)
-                    for c in cands), key=lambda c: tuple(c))
+    cands = _candidates(model, t, u)
     vals = [potentials.conjugate(p, None, -c) for c in cands]
     return cands[int(np.argmin(vals))]
 
@@ -471,8 +471,8 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t: float,
     n, r = _locate(traj.grid, t)
     if abs(r - traj.grid.tau) <= 1e-12 * traj.grid.tau:
         return traj.U[n].copy(), traj.xi[n].copy(), traj.grid.tau
-    U, xi, gap, _ = incremental_step(traj.model, traj.psi, traj.U[n - 1], t, r,
-                                     opts)
+    U, xi = incremental_step(traj.model, traj.psi, traj.U[n - 1], t, r,
+                             opts)[:2]
     return U, xi, r
 
 

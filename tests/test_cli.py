@@ -439,6 +439,32 @@ def test_check_rejects_non_numeric_cell(tmp_path, capsys):
     assert "config error at output_dir:" in err
 
 
+@pytest.mark.parametrize("row,edit", [
+    (2, lambda c: c[:2] + ["nan"] + c[3:]),     # U_0
+    (2, lambda c: c[:2] + ["inf"] + c[3:]),
+    (2, lambda c: c[:3] + ["nan"] + c[4:]),     # xi_0
+    (2, lambda c: c[:3] + ["-inf"] + c[4:]),
+    (2, lambda c: c[:-1]),                      # a short row
+    (2, lambda c: c + ["0.0"]),                 # an extra cell
+    (0, lambda c: c + ["extra"]),               # an extra header cell
+    (None, None),                               # an empty file
+], ids=["U-nan", "U-inf", "xi-nan", "xi-inf", "short-row", "extra-cell",
+        "extra-header", "empty"])
+def test_check_rejects_malformed_row(tmp_path, capsys, row, edit):
+    path = write_cfg(tmp_path)
+    assert run_main(capsys, "run", path)[0] == 0
+    csv_path = tmp_path / "out" / "trajectory.csv"
+    lines = csv_path.read_text().splitlines()
+    if row is None:
+        lines = []
+    else:
+        lines[row] = ",".join(edit(lines[row].split(",")))
+    csv_path.write_text("".join(ln + "\n" for ln in lines))
+    code, _, err = run_main(capsys, "check", path)
+    assert code == 2
+    assert "config error at output_dir:" in err
+
+
 def test_check_fails_on_foreign_multiplier(tmp_path, capsys):
     # a marginal model conditions P on the stored xi; a xi matching no
     # minimizer must read as a failed certification, not a traceback

@@ -1,6 +1,8 @@
-"""Property test of the config boundary: `dnevolve run` on one-field
-mutations of small valid configs returns a documented exit code (0 pass,
-1 check failure, 2 config error, 3 solver failure) and never raises."""
+"""Property tests of the input boundary: `dnevolve run` on one-field
+mutations of small valid configs, and `dnevolve check` on mutated
+trajectory.csv files of those configs, return a documented exit code
+(0 pass, 1 check failure, 2 config error, 3 solver failure) and never
+raise."""
 
 import contextlib
 import io
@@ -113,24 +115,29 @@ def _too_long(cfg):
     return False
 
 
+def _main(*argv):
+    """cli.main(argv) with its printed output captured; returns
+    (exit code, printed output)."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main(list(argv))
+    return code, sink.getvalue()
+
+
 def _run(cfg):
     """cli.main(["run", ...]) on cfg inside a temporary directory, with
     DNEVOLVE_OUTPUT_ROOT unset; returns (exit code, printed output)."""
     old_cwd, old_root = os.getcwd(), os.environ.pop("DNEVOLVE_OUTPUT_ROOT", None)
-    sink = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         try:
             os.chdir(tmp)
             with open("cfg.json", "w", encoding="utf-8") as fh:
                 json.dump(cfg, fh)
-            with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink):
-                code = cli.main(["run", "cfg.json"])
+            return _main("run", "cfg.json")
         finally:
             os.chdir(old_cwd)
             if old_root is not None:
                 os.environ["DNEVOLVE_OUTPUT_ROOT"] = old_root
-    return code, sink.getvalue()
 
 
 def test_fuzz_bases_pass():
@@ -153,3 +160,73 @@ def test_run_on_mutated_configs_returns_exit_code(data):
     assume(not _too_long(cfg))
     code, out = _run(cfg)
     assert code in (0, 1, 2, 3), out
+
+
+# ---------------------------------------------------------------------------
+# check on mutated trajectory.csv files
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """Every base run once: (config path, trajectory.csv path, its text)."""
+    out = []
+    for i, base in enumerate(BASES):
+        tmp = tmp_path_factory.mktemp(f"base{i}")
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(dict(base, output_dir=str(tmp / "out"))))
+        assert _main("run", str(path))[0] == 0
+        csv = tmp / "out" / "trajectory.csv"
+        out.append((str(path), csv, csv.read_text()))
+    return out
+
+
+_CSV_EDITS = ["cell", "drop_cell", "add_cell", "drop_row", "add_row",
+              "truncate", "shift"]
+
+
+def _mutate_csv(text, kind, data):
+    """text with one edit of the given kind; "shift" moves a data row's
+    gap_n or energy_n by +-0.5 and keeps the file well formed."""
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
+    lines = text.splitlines()
+    i = data.draw(st.integers(1 if kind == "shift" else 0, len(lines) - 1),
+                  label="row")
+    cells = lines[i].split(",")
+    if kind == "drop_row":
+        del lines[i]
+    elif kind == "add_row":
+        lines.insert(i, lines[data.draw(st.integers(0, len(lines) - 1),
+                                        label="copy")])
+    elif kind == "shift":
+        j = data.draw(st.sampled_from([-2, -1]), label="col")
+        cells[j] = repr(float(cells[j])
+                        + data.draw(st.sampled_from([-0.5, 0.5]), label="by"))
+    else:
+        j = data.draw(st.integers(0, len(cells) - 1), label="col")
+        if kind == "drop_cell":
+            del cells[j]
+        else:
+            cell = data.draw(st.sampled_from(
+                ["nan", "inf", "-inf", "NaN", "abc", "", "1e5x"]),
+                label="value")
+            if kind == "cell":
+                cells[j] = cell
+            else:
+                cells.insert(j, cell)
+    if kind in ("cell", "drop_cell", "add_cell", "shift"):
+        lines[i] = ",".join(cells)
+    return "".join(ln + "\n" for ln in lines)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_check_on_mutated_trajectories_returns_exit_code(solved, data):
+    path, csv, text = data.draw(st.sampled_from(solved), label="base")
+    kind = data.draw(st.sampled_from(_CSV_EDITS), label="edit")
+    csv.write_text(_mutate_csv(text, kind, data))
+    code, out = _main("check", path)
+    # a finite change to a stored gap or energy is caught by stored_gap or
+    # stored_energy
+    assert code in ((1,) if kind == "shift" else (0, 1, 2, 3)), out

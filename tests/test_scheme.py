@@ -70,8 +70,8 @@ def test_quadratic_first_step_closed_form():
     # min over U of tau/2 ((U - 0)/tau)^2 + 1/2 (U - 1)^2 is U = tau/(1+tau)
     spec = build("QuadraticBenchmark", {})
     tau = 0.25
-    U, xi, gap, status = incremental_step(spec.energy, spec.dissipation,
-                                          [0.0], tau, tau)
+    U, xi, gap, status, _, _ = incremental_step(
+        spec.energy, spec.dissipation, [0.0], tau, tau)
     assert U[0] == pytest.approx(0.2, abs=1e-10)
     assert xi[0] == pytest.approx(-0.8, abs=1e-9)
     assert gap <= 1e-12
@@ -81,8 +81,8 @@ def test_quadratic_first_step_closed_form():
 def test_absolute_marginal_first_step_exact_slope():
     spec = build("AbsoluteMarginal", {})
     tau = 0.25
-    U, xi, gap, _ = incremental_step(spec.energy, spec.dissipation,
-                                     [0.0], tau, tau)
+    U, xi, gap, _, _, _ = incremental_step(spec.energy, spec.dissipation,
+                                           [0.0], tau, tau)
     assert U[0] == pytest.approx(-0.5 * tau, abs=1e-10)
     assert xi[0] == 0.5
     assert gap <= 1e-12
@@ -90,8 +90,8 @@ def test_absolute_marginal_first_step_exact_slope():
 
 def test_stationary_start_stays_put_exactly():
     spec = build("QuadraticBenchmark", {})
-    U, xi, gap, _ = incremental_step(spec.energy, spec.dissipation,
-                                     [1.0], 0.25, 0.25)
+    U, xi, gap, _, _, _ = incremental_step(spec.energy, spec.dissipation,
+                                           [1.0], 0.25, 0.25)
     assert U[0] == 1.0
     assert xi[0] == 0.0
     assert gap == 0.0
@@ -104,7 +104,8 @@ def test_step_beats_dense_grid_oracle():
     for name, params, u_prev in cases:
         spec = build(name, params)
         p = spec.dissipation
-        U, _, _, _ = incremental_step(spec.energy, p, [u_prev], tau, tau)
+        U, _, _, _, _, _ = incremental_step(spec.energy, p, [u_prev], tau,
+                                            tau)
         v = (U[0] - u_prev) / tau
         got = tau * float(p.scalar(np.array([v]))[0]) \
             + spec.energy.value(tau, U)
@@ -120,10 +121,10 @@ def test_step_beats_dense_grid_oracle():
     ("PhaseField1D", {}, [0.55]),
     ("AllenCahn1D", {"N": 4, "p": 1.5}, [0.05, 0.1, 0.1, 0.05]),
 ])
-def test_solve_makes_five_energy_calls_per_step(monkeypatch, name,
-                                                 params, u0):
-    # per step: E(t_n, U_{n-1}) in the inner solver, then E(t_n, U) and
-    # E(t_n, U_{n-1}) in the witness of incremental_step and of solve
+def test_solve_makes_two_energy_calls_per_step(monkeypatch, name, params,
+                                               u0):
+    # per step: E(t_n, U_{n-1}) once for the inner solver and the witness,
+    # and E(t_n, U_n) in the witness; solve reuses the step's witness
     spec = build(name, params)
     calls = []
     orig = scheme.energy_value
@@ -134,12 +135,41 @@ def test_solve_makes_five_energy_calls_per_step(monkeypatch, name,
     monkeypatch.setattr(scheme, "energy_value", counted)
     grid = TimeGrid(T=2.0 ** -4, tau=2.0 ** -6)
     traj = solve(spec.energy, spec.dissipation, u0, grid)
-    assert len(calls) == 5 * grid.N + 1
+    assert len(calls) == 2 * grid.N + 1
     for n in range(1, grid.N + 1):
         e, w = scheme.minimality_witness(
             spec.energy, traj.psi_at(n), grid.t(n), grid.tau,
-            traj.U[n - 1], traj.U[n])
+            traj.U[n - 1], traj.U[n],
+            orig(spec.energy, grid.t(n), traj.U[n - 1]))
         assert (e, w) == (traj.energies[n], traj.witnesses[n])
+
+
+def test_fallback_keeps_the_previous_state_and_its_energy(monkeypatch):
+    # an inner solver whose result is worse than u_prev: every step falls
+    # back to u_prev, with E(t_n, u_prev) and the witness 0
+    spec = build("QuadraticBenchmark", {})
+    solve_1d = scheme._solve_1d
+
+    def shifted(model, p, u_prev, *args):
+        _, status = solve_1d(model, p, u_prev, *args)
+        return u_prev + 0.3, status
+    monkeypatch.setattr(scheme, "_solve_1d", shifted)
+    calls = []
+    orig = scheme.energy_value
+
+    def counted(*args):
+        calls.append(args[1])
+        return orig(*args)
+    monkeypatch.setattr(scheme, "energy_value", counted)
+    grid = TimeGrid(T=0.25, tau=2.0 ** -4)
+    traj = solve(spec.energy, spec.dissipation, [0.0], grid)
+    for n in range(1, grid.N + 1):
+        assert np.array_equal(traj.U[n], traj.U[n - 1])
+        assert traj.witnesses[n] == 0.0
+        assert traj.energies[n] == orig(spec.energy, grid.t(n),
+                                        traj.U[n - 1])
+        assert traj.inner_status[n]["fell_back_to_prev"]
+        assert calls.count(grid.t(n)) <= 3
 
 
 def test_solve_records_certificates():
@@ -196,8 +226,8 @@ def test_multistart_path_matches_closed_form(monkeypatch):
     expect = (tau * np.ones(2) + u_prev) / (1.0 + tau)
     for lam, starts in ((1.0, 1), (None, scheme.MULTISTARTS)):
         monkeypatch.setattr(spec.energy, "semiconvexity", lam)
-        U, xi, gap, status = incremental_step(spec.energy, spec.dissipation,
-                                              u_prev, tau, tau)
+        U, xi, gap, status, _, _ = incremental_step(
+            spec.energy, spec.dissipation, u_prev, tau, tau)
         np.testing.assert_allclose(U, expect, atol=1e-8)
         assert status["method"] == "proxgrad"
         assert status["starts"] == starts
@@ -268,8 +298,8 @@ def test_step_without_strong_convexity_keeps_multistart():
     # p = 3: Psi has no positive modulus at v = 0, and mu = 0 - dx < 0
     spec = build("AllenCahn1D", {"N": 8, "p": 3.0})
     u_prev = 0.1 * np.sin(np.pi * (np.arange(8) + 0.5) / 8)
-    _, _, _, status = incremental_step(spec.energy, spec.dissipation,
-                                       u_prev, 2.0 ** -5, 2.0 ** -5)
+    _, _, _, status, _, _ = incremental_step(
+        spec.energy, spec.dissipation, u_prev, 2.0 ** -5, 2.0 ** -5)
     assert status["mu"] == -1.0 / 8
     assert status["starts"] == scheme.MULTISTARTS
 
