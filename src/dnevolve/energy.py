@@ -25,7 +25,8 @@ import numpy as np
 from . import _optim
 from .errors import (ConditioningError, DimensionMismatchError, DomainError,
                      RefinementError, ResolutionError)
-from .potentials import as_state
+from .potentials import (AdmissibilityReport as AssumptionReport,
+                         AxiomCheck as AssumptionCheck, as_state)
 
 DELTA_XI = 1e-8       # xi-to-eta matching tolerance; both sides come from
                       # the same analytic D_u I, so agreement is near machine
@@ -328,31 +329,6 @@ def envelope_derivative_1d(model: EnergyModel, t: float, u) -> float:
 
 # ---------------------------------------------------------------------------
 # assumption audit
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    rows: Tuple[AssumptionCheck, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def row(self, name: str) -> AssumptionCheck:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def to_dict(self):
-        return {r.name: {"passed": r.passed, "detail": r.detail} for r in self.rows}
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,12 @@ a base potential by a positive weight omega(u). The queries this module owns:
 The pairing is the Euclidean dot product throughout; models that need mesh
 weights bake them into the potential and the energy.
 
-Conjugates use closed forms where a kind has one; otherwise a certified
-numeric supremum: per-coordinate 1D maximization for separable kinds, radial
-reduction for kinds that are functions of ||v||, both by bracket expansion
-plus bounded Brent refinement.
+Every kind the package builds has a closed-form conjugate. A sum of an l1
+part and one other separable part soft-thresholds xi into that part's
+conjugate. The certified numeric supremum (per-coordinate 1D maximization
+by bracket expansion plus bounded Brent refinement) is the reference the
+tests check the closed forms against, and the fallback for a separable sum
+with two or more non-l1 parts.
 """
 
 from __future__ import annotations
@@ -48,25 +50,23 @@ def as_state(x, dim: Optional[int] = None) -> np.ndarray:
 class DissipationPotential:
     """Base class: state-independent unless declared otherwise.
 
-    Subclasses fill in the scalar/radial structure the numeric machinery
-    needs. `scalar(s)` is the per-coordinate contribution of separable kinds
-    (Psi(v) = sum_i scalar(v_i)); `radial(r)` is the profile of kinds that
-    depend on v only through ||v||.
+    Separable kinds (Psi(v) = sum_i scalar(v_i)) fill in the decomposition
+    below, from which `scalar(s)`, the per-coordinate contribution, follows.
+    Kinds with `has_closed_conjugate` give Psi* by `closed_conjugate`.
     """
 
     state_dependent: bool = False
     separable: bool = False
-    is_radial: bool = False
     has_closed_conjugate: bool = False
 
     def value(self, v: np.ndarray) -> float:
         raise NotImplementedError
 
     def scalar(self, s):
-        raise NotImplementedError
-
-    def radial(self, r):
-        raise NotImplementedError
+        # no l1 part: skip three array operations on the 1-D scan's hot path
+        if not self.one_hom:
+            return self.smooth_scalar(s)
+        return self.one_hom * np.abs(s) + self.smooth_scalar(s)
 
     def closed_conjugate(self, xi: np.ndarray) -> float:
         raise NotImplementedError
@@ -106,7 +106,6 @@ class Quadratic(DissipationPotential):
 
     c: float = 1.0
     separable = True
-    is_radial = True
     has_closed_conjugate = True
 
     def __post_init__(self):
@@ -115,12 +114,6 @@ class Quadratic(DissipationPotential):
 
     def value(self, v):
         return 0.5 * self.c * float(np.dot(v, v))
-
-    def scalar(self, s):
-        return 0.5 * self.c * np.square(s)
-
-    def radial(self, r):
-        return 0.5 * self.c * np.square(r)
 
     def closed_conjugate(self, xi):
         return float(np.dot(xi, xi)) / (2.0 * self.c)
@@ -161,9 +154,6 @@ class PNorm(DissipationPotential):
 
     def value(self, v):
         return float(self.c / self.p * np.sum(np.abs(v) ** self.p))
-
-    def scalar(self, s):
-        return self.c / self.p * np.abs(s) ** self.p
 
     def closed_conjugate(self, xi):
         if self.p == 1.0:
@@ -215,10 +205,6 @@ class OneHomPlusQuad(DissipationPotential):
     def value(self, v):
         return float(self.rho * np.sum(np.abs(v)) + 0.5 * self.eps * np.dot(v, v))
 
-    def scalar(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.rho * np.abs(s) + 0.5 * self.eps * np.square(s)
-
     def closed_conjugate(self, xi):
         excess = np.maximum(np.abs(xi) - self.rho, 0.0)
         return float(np.sum(np.square(excess)) / (2.0 * self.eps))
@@ -242,9 +228,16 @@ class OneHomPlusQuad(DissipationPotential):
 
 @dataclass(frozen=True)
 class WeightedSum(DissipationPotential):
-    """Psi(v) = sum_k Psi_k(v) for separable members (weights folded into the
-    members). The conjugate has no closed form in general and is computed by
-    the certified per-coordinate supremum.
+    """Psi(v) = sum_k Psi_k(v) for separable even members (weights folded into
+    the members).
+
+    The l1 members (PNorm with p = 1) sum to rho ||v||_1. When exactly one
+    other member g remains and it has a closed conjugate, so does the sum:
+    Psi* is the infimal convolution of g* with the indicator of the box
+    ||eta||_inf <= rho (Rockafellar, Convex Analysis, Thm 16.4), and since g*
+    is separable, even and nondecreasing in each |xi_i|, the infimum over the
+    box sits at the soft-threshold, Psi*(xi) = g*(soft(xi, rho)). Any other
+    sum takes the certified per-coordinate supremum.
     """
 
     parts: tuple = ()
@@ -259,11 +252,27 @@ class WeightedSum(DissipationPotential):
     def separable(self):
         return True
 
+    def _split(self):
+        """(rho, others): the summed weight of the l1 members, the rest."""
+        rho, others = 0.0, []
+        for p in self.parts:
+            if isinstance(p, PNorm) and p.p == 1.0:
+                rho += p.c
+            else:
+                others.append(p)
+        return rho, others
+
+    @property
+    def has_closed_conjugate(self):
+        others = self._split()[1]
+        return len(others) == 1 and others[0].has_closed_conjugate
+
+    def closed_conjugate(self, xi):
+        rho, (g,) = self._split()
+        return g.closed_conjugate(_soft(xi, rho))
+
     def value(self, v):
         return float(sum(p.value(v) for p in self.parts))
-
-    def scalar(self, s):
-        return sum(p.scalar(s) for p in self.parts)
 
     @property
     def one_hom(self):
@@ -300,21 +309,11 @@ class Scaled(DissipationPotential):
         return self.base.separable
 
     @property
-    def is_radial(self):
-        return self.base.is_radial
-
-    @property
     def has_closed_conjugate(self):
         return self.base.has_closed_conjugate
 
     def value(self, v):
         return self.w * self.base.value(v)
-
-    def scalar(self, s):
-        return self.w * self.base.scalar(s)
-
-    def radial(self, r):
-        return self.w * self.base.radial(r)
 
     def closed_conjugate(self, xi):
         return self.w * self.base.closed_conjugate(np.asarray(xi) / self.w)
@@ -374,21 +373,27 @@ class TwoSlope(DissipationPotential):
     Designed inadmissible example: convex and nonnegative with Psi(0) = 0,
     but only linear growth, and the subdifferential on the unit sphere is the
     segment [1, 2] with unequal conjugate values (Psi*(1) = 0, Psi*(2) = 1),
-    so the equal-conjugate admissibility condition fails there.
+    so the equal-conjugate admissibility condition fails there. The
+    conjugate is (||xi|| - 1)_+ for ||xi|| <= 2 and infinite beyond.
     """
 
-    is_radial = True
+    has_closed_conjugate = True
 
     def value(self, v):
         r = float(np.linalg.norm(v))
         return max(r, 2.0 * r - 1.0)
 
-    def radial(self, r):
-        r = np.asarray(r, dtype=float)
+    def scalar(self, s):
+        r = np.abs(np.asarray(s, dtype=float))
         return np.maximum(r, 2.0 * r - 1.0)
 
-    def scalar(self, s):
-        return self.radial(np.abs(s))
+    def closed_conjugate(self, xi):
+        r = float(np.linalg.norm(xi))
+        if r > 2.0:
+            raise MaximizationFailureError(
+                f"||xi|| = {r:.3e} exceeds the largest slope 2; "
+                "the conjugate is infinite")
+        return max(r - 1.0, 0.0)
 
     def label(self):
         return "TwoSlope"
@@ -415,6 +420,11 @@ def eval(psi: DissipationPotential, u, v) -> float:
     return p.value(v)
 
 
+def _soft(z, thresh):
+    """Soft-threshold: the proximal map of thresh * ||.||_1."""
+    return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+
+
 def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:
     """sup_s sigma*s - scalar(s) by two-sided bracket expansion + Brent."""
     best = 0.0  # s = 0 is always feasible and gives 0
@@ -429,24 +439,13 @@ def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:
     return best
 
 
-def _radial_conjugate_numeric(p: DissipationPotential, rho: float) -> float:
-    """sup_{r>=0} rho*r - radial(r) for ||xi|| = rho."""
-    def g(r):
-        return rho * r - float(p.radial(r))
-
-    a, b = _optim.bracket_max(g, x0=0.0, step=max(1e-2, rho))
-    a = max(a, 0.0)
-    _, val = _optim.max_scalar(g, a, b, xtol=_CONJ_XTOL)
-    return max(val, 0.0)
-
-
 def conjugate(psi: DissipationPotential, u, xi) -> float:
     """Psi_u*(xi) = sup_v <xi,v> - Psi_u(v), always >= 0.
 
-    Closed form when available; else the certified numeric supremum
-    (per-coordinate for separable kinds, radial otherwise). Raises
-    MaximizationFailureError when the supremum fails to bracket (infinite
-    conjugate outside the effective domain).
+    Closed form when available; else the certified per-coordinate numeric
+    supremum for separable kinds. Raises MaximizationFailureError when the
+    supremum fails to bracket (infinite conjugate outside the effective
+    domain).
     """
     p = _resolve(psi, u)
     xi = as_state(xi)
@@ -454,8 +453,6 @@ def conjugate(psi: DissipationPotential, u, xi) -> float:
         return max(p.closed_conjugate(xi), 0.0)
     if p.separable:
         return max(sum(_scalar_conjugate_numeric(p, float(s)) for s in xi), 0.0)
-    if p.is_radial:
-        return _radial_conjugate_numeric(p, float(np.linalg.norm(xi)))
     raise MaximizationFailureError(
         f"no conjugate route for potential {p.label()}")
 

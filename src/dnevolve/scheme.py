@@ -44,7 +44,7 @@ from . import _optim, potentials
 from .energy import (EnergyModel, energy_value, envelope_derivative_1d)
 from .errors import (RangeError, SolveAbortedError, StepFailureError,
                      SubdifferentialUnavailableError)
-from .potentials import as_state
+from .potentials import _soft, as_state
 
 SCAN_POINTS = 513
 MULTISTARTS = 8          # for 2 <= d <= 16
@@ -191,10 +191,6 @@ def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
 
     status = {"method": "scan1d", "basins": len(basins), "polished": polished}
     return np.array([x_best]), status
-
-
-def _soft(z, thresh):
-    return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
 def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
@@ -430,10 +426,10 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
                 f"step {n} (t={t_n}) failed: {err}",
                 partial=partial(n - 1), step_index=n) from err
         status.append(st)
-        if witnesses[n] > WITNESS_TOL:
+        if not witnesses[n] <= WITNESS_TOL:
             raise SolveAbortedError(
-                f"step {n}: minimality witness {witnesses[n]:.3e} exceeds "
-                f"{WITNESS_TOL}", partial=partial(n), step_index=n)
+                f"step {n}: minimality witness {witnesses[n]:.3e} is not "
+                f"<= {WITNESS_TOL}", partial=partial(n), step_index=n)
     return DiscreteTrajectory(
         model=model, psi=psi, grid=grid, opts=opts, U=U, xi=xi, gaps=gaps,
         energies=energies, witnesses=witnesses, inner_status=status)

@@ -273,6 +273,20 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "solver failure" in err
 
 
+def test_nan_witness_exits_3(tmp_path, capsys, monkeypatch):
+    # NaN fails every comparison, so a `witness > WITNESS_TOL` abort let a
+    # NaN witness through to the outputs, where it showed only as exit 1
+    real = scheme.minimality_witness
+
+    def nan_witness(*args, **kwargs):
+        return real(*args, **kwargs)[0], float("nan")
+
+    monkeypatch.setattr(scheme, "minimality_witness", nan_witness)
+    code, _, err = run_main(capsys, "run", write_cfg(tmp_path))
+    assert code == 3
+    assert "minimality witness nan" in err
+
+
 def test_p_one_and_a_half_noisy_start_solves(tmp_path, capsys):
     # this config stalled with exit 3 at step 13 (prox residual 7.4e-7
     # against 2.5e-10): the value test alone accepted steps whose decrease

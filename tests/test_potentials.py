@@ -2,14 +2,16 @@
 
 The independent oracle here is a dense-grid supremum for conjugates,
 written before the closed forms were trusted; every closed-form conjugate
-must agree with it on its sampled range.
+must agree with it on its sampled range, and with the certified numeric
+route to 1e-12 relative.
 """
 
 import numpy as np
 import pytest
 
-from dnevolve import potentials
+from dnevolve import cli, potentials
 from dnevolve.errors import DimensionMismatchError, MaximizationFailureError
+from dnevolve.models import MODEL_NAMES, build
 from dnevolve.potentials import (OneHomPlusQuad, PNorm, Quadratic, Scaled,
                                  StateWeighted, TwoSlope, WeightedSum,
                                  check_admissible, conjugate,
@@ -37,6 +39,26 @@ def catalogue():
         WeightedSum((PNorm(0.5, 1.0), Quadratic(2.0))),
         Scaled(Quadratic(1.0), 1.7),
     ]
+
+
+def shipped():
+    """(label, state-resolved potential) for every dissipation models.build
+    or a config `dissipation` yields."""
+    specs = [build(name) for name in MODEL_NAMES if name != "AllenCahn1D"]
+    specs += [build("AllenCahn1D", {"N": 4, "p": p, "rho": rho})
+              for p in (1.5, 2.0, 3.0) for rho in (0.0, 1.0)]
+    out = [(f"{s.name}:{s.dissipation.label()}",
+            potentials._resolve(s.dissipation, np.full(s.dim, 0.3)))
+           for s in specs]
+    for d in ({"kind": "quadratic", "c": 0.7},
+              {"kind": "pnorm", "c": 0.7, "p": 1.5},
+              {"kind": "one_hom_plus_quad", "rho": 0.4, "eps": 0.7}):
+        p = cli._validate_dissipation(d)
+        out.append((f"config:{p.label()}", p))
+    return out
+
+
+SHIPPED = shipped()
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +140,48 @@ def test_conjugate_numeric_plateau_is_bracketed():
 def test_conjugate_numeric_unbounded_raises():
     with pytest.raises(MaximizationFailureError):
         conjugate(TwoSlope(), None, [2.5])
+
+
+# the catalogue and every shipped potential, by label, and for the numeric
+# cross-check three more sums
+BUILT = {p.label(): p for p in catalogue() + [p for _, p in SHIPPED]}
+CLOSED_VS_NUMERIC = {**BUILT, **{p.label(): p for p in (
+    WeightedSum((PNorm(0.3, 1.0), PNorm(0.2, 1.0), PNorm(0.5, 3.0))),
+    WeightedSum((PNorm(0.4, 1.0), OneHomPlusQuad(0.3, 0.5))),
+    Scaled(WeightedSum((PNorm(0.25, 1.0), PNorm(0.25, 1.5))), 1.7))}}
+
+
+@pytest.mark.parametrize("p", CLOSED_VS_NUMERIC.values(),
+                         ids=CLOSED_VS_NUMERIC.keys())
+def test_closed_conjugate_matches_numeric_reference(p):
+    # |xi_i| = rho, the l1 weight, puts the sup objective on a plateau
+    # around s = 0, the case the bracket expansion must handle
+    assert p.has_closed_conjugate and p.separable
+    rho = p.one_hom or 1.0
+    for xi in ([rho, -rho, 2.5], [-rho, 0.0, 0.6 * rho],
+               [-3.0, 1.1 * rho, -0.4], [rho, rho, -rho]):
+        xi = np.array(xi)
+        closed = conjugate(p, None, xi)
+        ref = sum(potentials._scalar_conjugate_numeric(p, float(s))
+                  for s in xi)
+        assert abs(closed - ref) <= 1e-12 * (1.0 + abs(closed)), (xi, closed,
+                                                                   ref)
+
+
+def test_weighted_sum_with_two_smooth_parts_takes_numeric_route():
+    p = WeightedSum((PNorm(0.5, 1.0), PNorm(1.0, 1.5), Quadratic(1.0)))
+    assert not p.has_closed_conjugate
+    assert conjugate(p, None, [0.5, -2.0]) > 0.0
+
+
+@pytest.mark.parametrize("label,p", SHIPPED, ids=[lab for lab, _ in SHIPPED])
+def test_shipped_potentials_have_closed_conjugates(label, p, monkeypatch):
+    def numeric(*args):
+        raise AssertionError(f"{label} took the numeric conjugate route")
+
+    monkeypatch.setattr(potentials, "_scalar_conjugate_numeric", numeric)
+    assert p.has_closed_conjugate
+    assert conjugate(p, None, np.linspace(-3.0, 3.0, 4)) > 0.0
 
 
 def test_biconjugation_on_samples():
@@ -290,6 +354,30 @@ def test_rate_bound_radius_inverts_budget():
         # tau Psi(R'/tau) > budget for any R' noticeably beyond R
         beyond = 1.01 * R + 1e-9
         assert tau * float(p.scalar(beyond / tau)) >= budget
+
+
+def per_class_scalar(p, s):
+    """The per-class scalar formulas the one base-class scalar replaced."""
+    if isinstance(p, Quadratic):
+        return 0.5 * p.c * np.square(s)
+    if isinstance(p, PNorm):
+        return p.c / p.p * np.abs(s) ** p.p
+    if isinstance(p, OneHomPlusQuad):
+        s = np.asarray(s, dtype=float)
+        return p.rho * np.abs(s) + 0.5 * p.eps * np.square(s)
+    if isinstance(p, WeightedSum):
+        return sum(per_class_scalar(q, s) for q in p.parts)
+    assert isinstance(p, Scaled)
+    return p.w * per_class_scalar(p.base, s)
+
+
+@pytest.mark.parametrize("p", BUILT.values(), ids=BUILT.keys())
+def test_scalar_is_bitwise_the_per_class_formula(p):
+    grid = np.concatenate(([0.0, 1e6, -1e6, 1e-300, -1e-12],
+                           np.linspace(-4.0, 4.0, 81)))
+    for s in [grid] + [float(s) for s in grid[:5]]:
+        assert (np.asarray(p.scalar(s)).tobytes()
+                == np.asarray(per_class_scalar(p, s)).tobytes())
 
 
 def test_scalar_derivative_matches_finite_differences():
