@@ -18,7 +18,7 @@ at least 1; the offset is stored and reported, never silently applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,13 +87,17 @@ class MarginalEnergy(EnergyModel):
 
     Subclasses provide inner (broadcasting over an eta array), the analytic
     partials inner_du and inner_dt, and exactly one of eta_values (finite
-    tuple) or eta_interval (compact [lo, hi], discretized by grid plus
-    golden-section refinement of every local basin).
+    tuple) or eta_interval (compact [lo, hi]). An interval model may also
+    provide eta_candidates(t, u), a finite superset of the minimizers of
+    eta -> inner(t, u, eta) inside the interval; its minimum is then exact
+    and checked against a fine grid. Interval models without it are
+    discretized by grid plus golden-section refinement of every local basin.
     """
 
     is_marginal = True
     eta_values: Optional[Tuple[float, ...]] = None
     eta_interval: Optional[Tuple[float, float]] = None
+    eta_candidates: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
     def inner(self, t: float, u: np.ndarray, eta):
         raise NotImplementedError
@@ -130,12 +134,15 @@ def _check_domain(model: EnergyModel, u: np.ndarray) -> None:
 
 
 def _marginal_candidates(model: MarginalEnergy, t: float, u: np.ndarray):
-    """All refined local minimizers of eta -> inner(t, u, eta).
+    """Candidate minimizers of eta -> inner(t, u, eta) and their values.
 
-    Returns (etas, vals) as float arrays. Interval models get a 129-point
-    grid with golden-section refinement of every local basin, then a finer
-    1025-point safety pass; a fine-grid value still beating the refined
-    minimum by more than the argmin slack means the refinement failed.
+    Returns (etas, vals) as float arrays. Finite models are evaluated on
+    eta_values. Interval models are evaluated on their eta_candidates when
+    they have the hook, and otherwise on a 129-point grid with golden-section
+    refinement of every local basin. Either way a finer 1025-point safety
+    pass follows: the grid route refines a basin it finds there, and a
+    fine-grid value still beating the candidate minimum by more than the
+    argmin slack means the candidates missed a minimizer.
     """
     if model.eta_values is not None:
         etas = np.asarray(model.eta_values, dtype=float)
@@ -156,22 +163,26 @@ def _marginal_candidates(model: MarginalEnergy, t: float, u: np.ndarray):
         return (np.concatenate([np.atleast_1d(xs), grid[idx]]),
                 np.concatenate([np.atleast_1d(fs), vals[idx]]))
 
-    grid = np.linspace(lo, hi, 129)
-    cand_x, cand_f = refine(grid, batched(grid))
-    best = float(np.min(cand_f))
-
     fine = np.linspace(lo, hi, 1025)
     fvals = batched(fine)
-    if float(np.min(fvals)) < best - default_delta_M(best):
-        extra_x, extra_f = refine(fine, fvals)  # coarse grid missed a basin
-        cand_x = np.concatenate([cand_x, extra_x])
-        cand_f = np.concatenate([cand_f, extra_f])
+    fine_min = float(np.min(fvals))
+    if model.eta_candidates is not None:
+        cand_x = np.asarray(model.eta_candidates(t, u), dtype=float)
+        cand_f = batched(cand_x)
+    else:
+        grid = np.linspace(lo, hi, 129)
+        cand_x, cand_f = refine(grid, batched(grid))
         best = float(np.min(cand_f))
-        if float(np.min(fvals)) < best - default_delta_M(best):
-            raise RefinementError(
-                f"interval minimization over eta failed to certify the "
-                f"minimum for {model.name} at t={t}: grid value "
-                f"{float(np.min(fvals))} beats refined value {best}")
+        if fine_min < best - default_delta_M(best):
+            extra_x, extra_f = refine(fine, fvals)  # coarse grid missed a basin
+            cand_x = np.concatenate([cand_x, extra_x])
+            cand_f = np.concatenate([cand_f, extra_f])
+    best = float(np.min(cand_f))
+    if fine_min < best - default_delta_M(best):
+        raise RefinementError(
+            f"interval minimization over eta failed to certify the "
+            f"minimum for {model.name} at t={t}: grid value "
+            f"{fine_min} beats candidate value {best}")
     return cand_x, cand_f
 
 

@@ -137,8 +137,9 @@ class _PhaseFieldEnergy(MarginalEnergy):
 
     The eta-minimization has the closed form m(u) = 1 - (|u| + 2)^2 / 6
     (minimizer eta = (u + 2 sign(u)) / 3, both signs tied at u = 0), which
-    value() uses directly; argmin queries go through the certified
-    grid-plus-golden route, and the two must agree within the argmin slack.
+    value() uses directly. Argmin queries evaluate inner exactly on
+    eta_candidates, which the fine-grid safety pass of the marginal layer
+    checks; the grid-plus-golden route stays the tests' reference.
     """
 
     def __init__(self, load_amp: float, offset: float):
@@ -160,6 +161,15 @@ class _PhaseFieldEnergy(MarginalEnergy):
         x = u[0]
         return (0.5 * x * x + 0.5 * eta * eta - x * eta + double_well(eta)
                 - self.load(t) * x + self.offset)
+
+    def eta_candidates(self, t, u):
+        # inner is 3/2 (eta - (u -+ 2)/3)^2 + const on the wells eta < -1/2
+        # and eta > 1/2, so each well contributes its clipped stationary
+        # point; the middle piece is concave and has its minimum at +-1/2
+        lo, hi = self.eta_interval
+        x = u[0]
+        return np.array([lo, min(max((x - 2.0) / 3.0, lo), -0.5), -0.5,
+                         0.5, min(max((x + 2.0) / 3.0, 0.5), hi), hi])
 
     def inner_du(self, t, u, eta):
         return np.array([u[0] - float(eta) - self.load(t)])

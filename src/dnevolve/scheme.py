@@ -430,6 +430,10 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
             raise SolveAbortedError(
                 f"step {n}: minimality witness {witnesses[n]:.3e} is not "
                 f"<= {WITNESS_TOL}", partial=partial(n), step_index=n)
+        if not math.isfinite(gaps[n]):
+            raise SolveAbortedError(
+                f"step {n}: Fenchel-Young gap {gaps[n]:.3e} of the selected "
+                f"multiplier is not finite", partial=partial(n), step_index=n)
     return DiscreteTrajectory(
         model=model, psi=psi, grid=grid, opts=opts, U=U, xi=xi, gaps=gaps,
         energies=energies, witnesses=witnesses, inner_status=status)

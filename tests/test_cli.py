@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dnevolve.scheme as scheme
-from dnevolve import cli, diagnostics, energy
+from dnevolve import _optim, cli, diagnostics, energy
 from dnevolve.models import MODEL_NAMES
 
 BASE = {
@@ -285,6 +285,28 @@ def test_nan_witness_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_main(capsys, "run", write_cfg(tmp_path))
     assert code == 3
     assert "minimality witness nan" in err
+
+
+@pytest.mark.parametrize("patch", ["nan_gap", "all_gaps_inf"])
+def test_non_finite_gap_exits_3(tmp_path, capsys, monkeypatch, patch):
+    # solve stored a non-finite gap (and, with every candidate's gap
+    # infinite, a NaN multiplier), so run exited 0 on outputs that its own
+    # check rejects
+    if patch == "nan_gap":
+        real = scheme._select_multiplier
+
+        def select(*args):
+            return real(*args)[0], float("nan")
+        monkeypatch.setattr(scheme, "_select_multiplier", select)
+        shown = "gap nan"
+    else:
+        monkeypatch.setattr(scheme.potentials, "fenchel_young_gap",
+                            lambda *args: math.inf)
+        shown = "gap inf"
+    code, _, err = run_main(capsys, "run", write_cfg(tmp_path))
+    assert code == 3
+    assert shown in err
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
 def test_p_one_and_a_half_noisy_start_solves(tmp_path, capsys):
@@ -564,6 +586,20 @@ def test_run_certifies_once(tmp_path, capsys, monkeypatch):
     assert counts["chain_rule_constant"] == 1
     assert counts["argmin_set"] > len(points)
     assert counts["_marginal_candidates"] == len(points)
+
+
+def test_phase_field_run_makes_no_golden_section_calls(tmp_path, capsys,
+                                                       monkeypatch):
+    # PhaseField1D's eta_candidates hook answers every argmin query, so the
+    # grid-plus-golden route never runs; the safety pass still does
+    counts = {}
+    _count_calls(monkeypatch, counts, _optim, "golden_min_batched")
+    _count_calls(monkeypatch, counts, energy, "_marginal_candidates")
+    code, out, err = run_main(capsys, "run", write_cfg(tmp_path, PF_CERTIFY))
+    assert code == 0, err
+    assert "check step_inequality: PASS" in out
+    assert counts.get("golden_min_batched", 0) == 0
+    assert counts["_marginal_candidates"] > 0
 
 
 def test_ladder_run_solves_each_rung_once(tmp_path, capsys, monkeypatch):

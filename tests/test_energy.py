@@ -13,12 +13,13 @@ import pytest
 
 import dnevolve as dn
 from dnevolve import energy as energy_mod
-from dnevolve.energy import (argmin_set, audit_assumptions,
-                             clarke_subdifferential_1d, default_probe_plan,
-                             energy_value, generalized_time_derivative,
+from dnevolve.energy import (ETA_CLUSTER, argmin_set, audit_assumptions,
+                             clarke_subdifferential_1d, default_delta_M,
+                             default_probe_plan, energy_value,
+                             generalized_time_derivative,
                              marginal_subdifferential)
 from dnevolve.errors import (ConditioningError, DimensionMismatchError,
-                             DomainError, RangeError)
+                             DomainError, RangeError, RefinementError)
 from dnevolve.models import build
 
 
@@ -96,14 +97,59 @@ def test_phase_field_closed_form_matches_oracle_on_grid(phase_field):
             m, abs=1e-9)
 
 
+# domain ends, the tie u = 0, the clip boundaries u = +-1/2, interior points
+PF_SWEEP_U = (-4.0, -1.7, -0.5, -0.4, 0.0, 0.2, 0.5, 1.3, 4.0)
+
+
+def _reference_phase_field():
+    """PhaseField1D without its eta_candidates hook, so that argmin queries
+    take the grid-plus-golden route."""
+    model = build("PhaseField1D", {"offset": 2.0}).energy
+    model.eta_candidates = None
+    return model
+
+
 def test_certified_route_agrees_with_closed_form(phase_field):
-    # value() short-circuits through the closed form; the grid+golden route
-    # that argmin queries use must land on the same minimum
-    for u in (-1.7, -0.4, 0.0, 0.2, 1.3):
-        etas, vals = energy_mod._marginal_candidates(
-            phase_field, 0.5, np.array([u]))
-        assert float(np.min(vals)) == pytest.approx(
-            energy_value(phase_field, 0.5, [u]), abs=1e-10)
+    # value() short-circuits through the closed form; the candidates that
+    # argmin queries evaluate must land on the same minimum, and so must
+    # the grid-plus-golden reference route
+    ref = _reference_phase_field()
+    for t in (0.0, 0.5, 1.0):
+        for u in PF_SWEEP_U:
+            x = np.array([u])
+            closed = energy_value(phase_field, t, x)
+            _, vals = energy_mod._marginal_candidates(phase_field, t, x)
+            assert float(np.min(vals)) == pytest.approx(closed, rel=0,
+                                                        abs=1e-12)
+            _, ref_vals = energy_mod._marginal_candidates(ref, t, x)
+            m_ref = float(np.min(ref_vals))
+            assert m_ref == pytest.approx(closed, rel=0, abs=1e-10)
+            assert abs(float(np.min(vals)) - m_ref) <= default_delta_M(m_ref)
+
+
+def test_eta_candidates_match_reference_route(phase_field):
+    ref = _reference_phase_field()
+    for t in (0.0, 0.5, 1.0):
+        for u in PF_SWEEP_U:
+            x = np.array([u])
+            got = argmin_set(phase_field, t, x)
+            want = argmin_set(ref, t, x)
+            assert len(got) == len(want) == (2 if u == 0.0 else 1)
+            assert got == pytest.approx(want, rel=0, abs=ETA_CLUSTER)
+            if u != 0.0:
+                xi = phase_field.inner_du(t, x, got[0])[0]
+                assert abs(xi - phase_field.derivative_1d(t, u)) <= 1e-15
+
+
+@pytest.mark.parametrize("u,dropped", [(-0.55, 1), (0.55, 4)])
+def test_eta_candidates_are_checked_not_trusted(u, dropped):
+    # a hook that loses the minimizing well's stationary point must be
+    # caught by the fine-grid safety pass, not believed
+    model = build("PhaseField1D", {}).energy
+    full = model.eta_candidates
+    model.eta_candidates = lambda t, x: np.delete(full(t, x), dropped)
+    with pytest.raises(RefinementError):
+        energy_mod._marginal_candidates(model, 0.3, np.array([u]))
 
 
 def test_domain_box_enforced(quad):
@@ -125,12 +171,10 @@ def test_abs_marginal_argmin_regions(abs_marginal):
 
 
 def test_phase_field_argmin_pinned(phase_field):
-    # golden-section localizes the minimizer of a quadratic basin only to
-    # sqrt(eps) in eta; the minimum value itself is machine-exact
     got = argmin_set(phase_field, 0.0, [0.0])
-    assert got == pytest.approx([-2.0 / 3.0, 2.0 / 3.0], abs=1e-7)
+    assert got == pytest.approx([-2.0 / 3.0, 2.0 / 3.0], rel=0, abs=1e-15)
     assert argmin_set(phase_field, 0.0, [0.55]) == pytest.approx(
-        [0.85], abs=1e-7)
+        [0.85], rel=0, abs=1e-15)
 
 
 def test_argmin_memo_answers_repeats(monkeypatch):
