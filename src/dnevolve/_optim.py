@@ -25,24 +25,25 @@ from .errors import MaximizationFailureError
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _SQRT_EPS = math.sqrt(2.2e-16)
+BRACKET_EXPANSIONS = 600   # doublings bracket_max makes at most
+BRACKET_CAP = 1e150        # |x| past which bracket_max gives up
 
 
-def bracket_max(g, x0: float = 0.0, step: float = 1e-2, grow: float = 2.0,
-                max_expand: int = 600, x_cap: float = 1e150):
-    """Expand [x0, x0 + step*grow^k] until the concave objective g stops
+def bracket_max(g, x0: float = 0.0, step: float = 1e-2):
+    """Expand [x0, x0 + step*2^k] until the concave objective g stops
     increasing; return a bracket (a, b) containing the maximizer.
 
     A plateau counts as bracketed (g constant beyond the sup is fine).
     Raises MaximizationFailureError with the last bracket if g keeps
-    strictly increasing past x_cap.
+    strictly increasing past BRACKET_CAP.
     """
     xs = [x0, x0 + step]
     gs = [g(xs[0]), g(xs[1])]
     if not np.isfinite(gs[1]) or gs[1] <= gs[0]:
         return (x0 - step, x0 + step)
-    for _ in range(max_expand):
-        nxt = x0 + (xs[-1] - x0) * grow
-        if abs(nxt) > x_cap:
+    for _ in range(BRACKET_EXPANSIONS):
+        nxt = x0 + (xs[-1] - x0) * 2.0
+        if abs(nxt) > BRACKET_CAP:
             break
         val = g(nxt)
         xs.append(nxt)

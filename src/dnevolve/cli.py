@@ -55,22 +55,19 @@ _SUBDIFF_ALLOWED = {
     "PhaseField1D": ("marginal",),
     "AbsoluteMarginal": ("marginal", "clarke"),
 }
-_CHECK_KEYS = ("fenchel_young", "minimality", "chain_rule", "energy_identity",
-               "step_inequality")
 _CHECK_DEFAULTS = {"fenchel_young": True, "minimality": True,
                    "chain_rule": True, "energy_identity": True,
                    "step_inequality": False}
+_CHECK_KEYS = tuple(_CHECK_DEFAULTS)
 
 
 # ---------------------------------------------------------------------------
 # config validation, every error carrying its field path
 
 
-def _want(cfg: Dict, field: str, path: str, required=True):
+def _want(cfg: Dict, field: str, path: str):
     if field not in cfg:
-        if required:
-            raise ConfigError(path, "missing required field")
-        return None
+        raise ConfigError(path, "missing required field")
     return cfg[field]
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import potentials
 from .energy import energy_value, generalized_time_derivative
-from .errors import RangeError
+from .errors import RangeError, SolveAbortedError, StepFailureError
 from .scheme import (QUAD_M, DiscreteTrajectory, SolveOptions, TimeGrid,
                      de_giorgi_interpolant, interpolants, slope_multiplier,
                      solve)
@@ -113,9 +113,8 @@ def fenchel_young_profile(traj: DiscreteTrajectory) -> np.ndarray:
 
 def chain_rule_constant(traj: DiscreteTrajectory) -> float:
     """Model-declared c_chain, else 10 (1 + C1 sup_n E(t_n, u0))."""
-    declared = getattr(traj.model, "c_chain", None)
-    if declared is not None:
-        return float(declared)
+    if traj.model.c_chain is not None:
+        return float(traj.model.c_chain)
     sup_e = max(energy_value(traj.model, traj.grid.t(n), traj.U[0])
                 for n in range(traj.N + 1))
     return 10.0 * (1.0 + traj.model.constants.C1 * sup_e)
@@ -192,8 +191,8 @@ class StepInequalityResult:
         return float(np.max(self.max_defects))
 
 
-def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None,
-                    opts: Optional[SolveOptions] = None) -> StepInequalityResult:
+def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
+                    ) -> StepInequalityResult:
     """Check, on every step, the interval estimate
 
         r Psi((U~(t) - U_{n-1}) / r) + Q_n(t) + E(t, U~(t))
@@ -202,9 +201,9 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None,
     at the m sample times t = t_{n-1} + k tau / m, k = 1..m, with Q_n, R_n
     the m-point left-Riemann sums of Psi*(-xi~) and P over the variational
     interpolant. The r = 0 sample uses the previous node state with the
-    conjugate-minimal multiplier.
+    conjugate-minimal multiplier. A stalled interpolant solve aborts with
+    SolveAbortedError naming the step and the sample time.
     """
-    opts = opts or traj.opts
     m = QUAD_M if m is None else int(m)
     if m < 1:
         raise RangeError(f"quadrature sample count must be >= 1; got {m}")
@@ -226,7 +225,12 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None,
         times = [t0]
         for j in range(1, m):
             tj = t0 + j * tau / m
-            Uj, xij, _ = de_giorgi_interpolant(traj, tj, opts)
+            try:
+                Uj, xij, _ = de_giorgi_interpolant(traj, tj)
+            except StepFailureError as err:
+                raise SolveAbortedError(
+                    f"interpolant solve at t={tj} failed: {err}",
+                    step_index=n) from err
             states.append(Uj)
             xis.append(xij)
             times.append(tj)
@@ -254,15 +258,14 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None,
                                 eps_quad=eps_quad, m=m)
 
 
-def window_upper_estimate_defect(traj: DiscreteTrajectory, s: float, t: float,
-                                 result: Optional[StepInequalityResult] = None
+def window_upper_estimate_defect(traj: DiscreteTrajectory, s: float, t: float
                                  ) -> Tuple[float, float]:
-    """Telescoped interval estimate over the node window [s, t]: returns
-    (defect, budget) where budget = eps_quad times the step count (left-
-    Riemann quadrature bias accumulates linearly in the window length, so
-    the per-step budget scales with the number of steps)."""
-    if result is None:
-        result = _certified(traj, "step_inequality")
+    """Telescoped interval estimate over the node window [s, t], from the
+    trajectory's certified step_inequality: returns (defect, budget) where
+    budget = eps_quad times the step count (left-Riemann quadrature bias
+    accumulates linearly in the window length, so the per-step budget
+    scales with the number of steps)."""
+    result = _certified(traj, "step_inequality")
     i, j = _window(traj.grid, s, t)
     defect = float(np.sum(result.end_defects[i + 1:j + 1]))
     return defect, result.eps_quad * max(j - i, 1)

@@ -1,6 +1,6 @@
 """Time-dependent energies, their subdifferential notions, and audits.
 
-An EnergyModel owns E(t, u), a finite list of subgradient candidates, and a
+An EnergyModel owns E(t, u), subgradient candidates subdiff(t, u) and a
 generalized time derivative P(t, u, xi). Marginal models realize E as
 
     E(t, u) = min_{eta} I(t, u, eta)
@@ -54,11 +54,14 @@ class EnergyModel:
     offset: float = 0.0
     constants: EnergyConstants = EnergyConstants(1.0, 1.0, 1.0, 0.5)
     domain_box: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    is_marginal: bool = False
     c_chain: Optional[float] = None  # chain-rule defect scale; None = default
     # lambda_E: a lower bound on the Hessian of E(t, .) for every t, so E is
     # lambda_E-convex; None makes no claim. audit_assumptions tests it.
     semiconvexity: Optional[float] = None
+    # optional d = 1 hooks: E(t, .) on an array of scalar states for the
+    # scan, and dE/du(t, x) off the kinks for the stationarity polish
+    value_batch_1d: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    derivative_1d: Optional[Callable[[float, float], float]] = None
 
     def value(self, t: float, u: np.ndarray) -> float:
         raise NotImplementedError
@@ -67,9 +70,10 @@ class EnergyModel:
         """Gradient of the smooth part in u; smooth models only."""
         raise NotImplementedError
 
-    def subdiff(self, t: float, u: np.ndarray, tol: float) -> List[np.ndarray]:
-        """Finite list of subgradient candidates at (t, u)."""
-        raise NotImplementedError
+    def subdiff(self, t: float, u: np.ndarray) -> List[np.ndarray]:
+        """Finite list of subgradient candidates at (t, u); a smooth model's
+        one candidate is its gradient."""
+        return [self.grad(t, u)]
 
     def time_deriv_P(self, t: float, u: np.ndarray, xi: np.ndarray) -> float:
         raise NotImplementedError
@@ -77,9 +81,6 @@ class EnergyModel:
     def kinks_1d(self, t: float) -> Tuple[float, ...]:
         """u-locations where E(t, .) is not differentiable (d = 1 models)."""
         return ()
-
-    def describe(self) -> str:
-        return self.name
 
 
 class MarginalEnergy(EnergyModel):
@@ -92,9 +93,10 @@ class MarginalEnergy(EnergyModel):
     eta -> inner(t, u, eta) inside the interval; its minimum is then exact
     and checked against a fine grid. Interval models without it are
     discretized by grid plus golden-section refinement of every local basin.
+    time_deriv_P is the sup of inner_dt over the minimizing eta whose D_u I
+    lies within DELTA_XI of xi; ConditioningError when none does.
     """
 
-    is_marginal = True
     eta_values: Optional[Tuple[float, ...]] = None
     eta_interval: Optional[Tuple[float, float]] = None
     eta_candidates: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
@@ -112,11 +114,21 @@ class MarginalEnergy(EnergyModel):
         _, vals = _marginal_candidates(self, t, u)
         return float(np.min(vals))
 
-    def subdiff(self, t, u, tol):
-        return marginal_subdifferential(self, t, u, tol)
+    def subdiff(self, t, u):
+        return marginal_subdifferential(self, t, u)
 
     def time_deriv_P(self, t, u, xi):
-        return generalized_time_derivative(self, t, u, xi)
+        etas = argmin_set(self, t, u)
+        dus = [np.asarray(self.inner_du(t, u, e), dtype=float).reshape(self.dim)
+               for e in etas]
+        matched = [e for e, du in zip(etas, dus)
+                   if np.linalg.norm(xi - du) <= DELTA_XI]
+        if not matched:
+            raise ConditioningError(
+                f"xi = {np.round(xi, 8).tolist()} matches no minimizer of "
+                f"{self.name} at (t={t}); candidates "
+                f"{[np.round(du, 8).tolist() for du in dus]}")
+        return max(float(self.inner_dt(t, u, e)) for e in matched)
 
 
 def default_delta_M(min_inner: float) -> float:
@@ -214,12 +226,11 @@ def energy_value(model: EnergyModel, t: float, u) -> float:
     return float(model.value(t, u))
 
 
-def argmin_set(model: MarginalEnergy, t: float, u,
-               delta_M: Optional[float] = None) -> List[float]:
-    """All eta with inner(t, u, eta) within delta_M of the minimum,
-    deduplicated by clustering within 1e-7.
+def argmin_set(model: MarginalEnergy, t: float, u) -> List[float]:
+    """All eta with inner(t, u, eta) within default_delta_M(min) of the
+    minimum min, deduplicated by clustering within 1e-7.
 
-    Memoized on the model per (t, u, delta_M): models are immutable and
+    Memoized on the model per (t, u): models are immutable and
     their queries pure, and a certified run asks the same point from
     multiplier selection, P_n and the interpolant samples. The memo holds
     at most ARGMIN_MEMO_SIZE points and is emptied when full.
@@ -227,13 +238,12 @@ def argmin_set(model: MarginalEnergy, t: float, u,
     u = as_state(u, model.dim)
     _check_domain(model, u)
     memo = vars(model).setdefault("_argmin_memo", {})
-    key = (t, u.tobytes(), delta_M)
+    key = (t, u.tobytes())
     etas = memo.get(key)
     if etas is None:
         cands, vals = _marginal_candidates(model, t, u)
         m = float(np.min(vals))
-        slack = default_delta_M(m) if delta_M is None else float(delta_M)
-        keep = vals <= m + slack
+        keep = vals <= m + default_delta_M(m)
         etas = tuple(_cluster_scalars(cands[keep], vals[keep], ETA_CLUSTER))
         if len(memo) >= ARGMIN_MEMO_SIZE:
             memo.clear()
@@ -241,11 +251,11 @@ def argmin_set(model: MarginalEnergy, t: float, u,
     return list(etas)
 
 
-def marginal_subdifferential(model: MarginalEnergy, t: float, u,
-                             delta_M: Optional[float] = None) -> List[np.ndarray]:
-    """{D_u I(t, u, eta) : eta minimizing}, deduplicated."""
+def marginal_subdifferential(model: MarginalEnergy, t: float, u
+                             ) -> List[np.ndarray]:
+    """{D_u I(t, u, eta) : eta in argmin_set}, deduplicated."""
     u = as_state(u, model.dim)
-    etas = argmin_set(model, t, u, delta_M)
+    etas = argmin_set(model, t, u)
     xis = [np.asarray(model.inner_du(t, u, e), dtype=float).reshape(model.dim)
            for e in etas]
     xis.sort(key=lambda x: tuple(x))
@@ -292,30 +302,12 @@ def clarke_subdifferential_1d(model: EnergyModel, t: float, u,
     return (min(d_left, d_right), max(d_left, d_right))
 
 
-def generalized_time_derivative(model: EnergyModel, t: float, u, xi,
-                                delta_M: Optional[float] = None) -> float:
-    """Conditioned P(t, u, xi).
-
-    Marginal models: sup of inner_dt over minimizing eta whose D_u I lies
-    within DELTA_XI of xi; an empty match means xi is stale or foreign.
-    Smooth models: the analytic time derivative (xi-independent).
-    """
-    u = as_state(u, model.dim)
-    xi = as_state(xi, model.dim)
-    if not model.is_marginal:
-        return float(model.time_deriv_P(t, u, xi))
-    etas = argmin_set(model, t, u, delta_M)
-    matched = [e for e in etas
-               if np.linalg.norm(xi - np.asarray(model.inner_du(t, u, e),
-                                                 dtype=float).reshape(model.dim))
-               <= DELTA_XI]
-    if not matched:
-        cands = [np.round(np.asarray(model.inner_du(t, u, e)), 8).tolist()
-                 for e in etas]
-        raise ConditioningError(
-            f"xi = {np.round(xi, 8).tolist()} matches no minimizer of "
-            f"{model.name} at (t={t}); candidates {cands}")
-    return max(float(model.inner_dt(t, u, e)) for e in matched)
+def generalized_time_derivative(model: EnergyModel, t: float, u, xi) -> float:
+    """Conditioned P(t, u, xi) = model.time_deriv_P on validated states:
+    the conditioned sup of MarginalEnergy, the analytic (xi-independent)
+    time derivative of a smooth model."""
+    return float(model.time_deriv_P(t, as_state(u, model.dim),
+                                    as_state(xi, model.dim)))
 
 
 def envelope_derivative_1d(model: EnergyModel, t: float, u) -> float:
@@ -328,10 +320,9 @@ def envelope_derivative_1d(model: EnergyModel, t: float, u) -> float:
     Meaningless exactly at a kink; callers guard with a sign check.
     """
     u = as_state(u, 1)
-    fast = getattr(model, "derivative_1d", None)
-    if fast is not None:
-        return float(fast(t, float(u[0])))
-    if model.is_marginal:
+    if model.derivative_1d is not None:
+        return float(model.derivative_1d(t, float(u[0])))
+    if isinstance(model, MarginalEnergy):
         etas, vals = _marginal_candidates(model, t, u)
         e = float(etas[int(np.argmin(vals))])
         return float(np.asarray(model.inner_du(t, u, e)).reshape(1)[0])
@@ -342,52 +333,43 @@ def envelope_derivative_1d(model: EnergyModel, t: float, u) -> float:
 # assumption audit
 
 
-@dataclass(frozen=True)
-class ProbePlan:
-    """(t, s, u) probe triples plus sublevel thresholds for the audit."""
-
-    triples: Tuple = ()
-    sublevel_thresholds: Tuple[float, ...] = (np.inf,)
-
-
-def default_probe_plan(model: EnergyModel, t_final: float = 1.0,
-                       n_states: int = 6, seed: int = 0) -> ProbePlan:
-    """Deterministic probe set: grid times crossed with states sampled in the
-    domain box (box center, a near-corner pair, and seeded interior draws)."""
-    times = np.linspace(0.0, t_final, 5)
+def default_probe_plan(model: EnergyModel) -> Tuple:
+    """Deterministic (t, s, u) probe triples: the times 0, 1/4, ..., 1
+    paired with each other, crossed with states in the domain box (its
+    centre, a near-corner pair, and six draws of a generator seeded 0)."""
+    times = np.linspace(0.0, 1.0, 5)
     if model.domain_box is not None:
         lo, hi = model.domain_box
     else:
         lo, hi = -2.0 * np.ones(model.dim), 2.0 * np.ones(model.dim)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     states = [0.5 * (lo + hi), lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo)]
-    for _ in range(n_states):
+    for _ in range(6):
         states.append(lo + rng.random(model.dim) * (hi - lo))
-    triples = tuple((float(t), float(s), u)
-                    for u in states
-                    for t in times for s in times if t != s)
-    return ProbePlan(triples=triples)
+    return tuple((float(t), float(s), u)
+                 for u in states
+                 for t in times for s in times if t != s)
 
 
-def audit_assumptions(model: EnergyModel,
-                      probe_plan: Optional[ProbePlan] = None) -> AssumptionReport:
-    """Check the standing assumptions on the probe plan; failures are rows.
+def audit_assumptions(model: EnergyModel) -> AssumptionReport:
+    """Check the standing assumptions on default_probe_plan(model);
+    failures are rows, not exceptions.
 
     Rows: positivity (E >= C0 > 0), time_lipschitz
     (|E(t,u) - E(s,u)| <= C1 E(t,u) |t-s|), exponential_bound
     (E(t,u) <= exp(C1 |t-s|) E(s,u)), power_bound (|P| <= C2 sup_t E(t,u)
-    for every subgradient candidate), coercivity_witness (a bounded domain
-    box is declared and every probed sublevel member lies inside it), and,
-    for models that declare lambda_E = semiconvexity, a semiconvexity row
-    (the midpoint inequality E(t, m) <= E(t, u)/2 + E(t, w)/2
-    - lambda_E/8 ||u - w||^2 on every probe segment at every probe time).
+    for every subgradient candidate subdiff(t, u), which fails when P is
+    undefined at a candidate), coercivity_witness (a bounded domain box is
+    declared and every probed state lies inside it), and, for models that
+    declare lambda_E = semiconvexity, a semiconvexity row (the midpoint
+    inequality E(t, m) <= E(t, u)/2 + E(t, w)/2 - lambda_E/8 ||u - w||^2
+    on every probe segment at every probe time).
     """
-    if probe_plan is None:
-        probe_plan = default_probe_plan(model)
     K = model.constants
     slack = 1e-9
 
-    triples = [(t, s, as_state(u, model.dim)) for (t, s, u) in probe_plan.triples]
+    triples = [(t, s, as_state(u, model.dim))
+               for (t, s, u) in default_probe_plan(model)]
     times = sorted({t for (t, s, _) in triples} | {s for (_, s, _) in triples})
     rows = []
 
@@ -433,13 +415,18 @@ def audit_assumptions(model: EnergyModel,
     worst_p = -np.inf
     for (t, s, k, u) in keyed:
         g_u = max(E(tt, k, u) for tt in times)
-        for xi in model.subdiff(t, u, 1e-9):
+        for xi in model.subdiff(t, u):
             xi = np.asarray(xi, dtype=float)
             if xi.shape != (model.dim,) or not np.all(np.isfinite(xi)):
                 p_ok = False
                 p_detail = f"malformed subgradient candidate {xi!r}"
                 break
-            p = model.time_deriv_P(t, u, xi)
+            try:
+                p = model.time_deriv_P(t, u, xi)
+            except ConditioningError:
+                p_ok = False
+                p_detail = f"P undefined at candidate {xi.tolist()} at t={t}"
+                break
             margin = abs(p) - K.C2 * g_u
             worst_p = max(worst_p, margin)
             if margin > slack * (1.0 + g_u):
@@ -457,11 +444,8 @@ def audit_assumptions(model: EnergyModel,
     else:
         lo, hi = model.domain_box
         bounded = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
-        inside = True
-        for L in probe_plan.sublevel_thresholds:
-            for (t, s, k, u) in keyed:
-                if E(t, k, u) <= L and (np.any(u < lo) or np.any(u > hi)):
-                    inside = False
+        inside = not any(np.any(u < lo) or np.any(u > hi)
+                         for (_, _, _, u) in keyed)
         rows.append(AssumptionCheck(
             "coercivity_witness", bounded and inside,
             f"box widths {np.round(hi - lo, 6).tolist()}, "

@@ -47,13 +47,7 @@ class SubdifferentialUnavailableError(DnevolveError):
 
 
 class StepFailureError(DnevolveError):
-    """Inner solver exhausted its restart budget; carries the best iterate."""
-
-    def __init__(self, message: str, best_state=None, best_gap=None, step_index=None):
-        self.best_state = best_state
-        self.best_gap = best_gap
-        self.step_index = step_index
-        super().__init__(message)
+    """Inner solver stalled above its residual target."""
 
 
 class SolveAbortedError(DnevolveError):

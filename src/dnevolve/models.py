@@ -67,9 +67,6 @@ class _QuadraticEnergy(EnergyModel):
     def grad(self, t, u):
         return u - self.a
 
-    def subdiff(self, t, u, tol):
-        return [self.grad(t, u)]
-
     def time_deriv_P(self, t, u, xi):
         return 0.0
 
@@ -119,9 +116,9 @@ class _AbsoluteMarginalEnergy(MarginalEnergy):
     def kinks_1d(self, t):
         return (self.beta * t,)
 
-    def subdiff(self, t, u, tol):
+    def subdiff(self, t, u):
         if self.subdiff_kind == "marginal":
-            return marginal_subdifferential(self, t, u, tol)
+            return marginal_subdifferential(self, t, u)
         lo, hi = clarke_subdifferential_1d(self, t, u)
         cands = [np.array([lo])]
         if hi > lo:
@@ -225,9 +222,6 @@ class _AllenCahnEnergy(EnergyModel):
 
     def grad(self, t, u):
         return _kernels.ac_grad(u, self.dx, self.q, self.load(t))
-
-    def subdiff(self, t, u, tol):
-        return [self.grad(t, u)]
 
     def time_deriv_P(self, t, u, xi):
         # d/dt of -<l(t), u> dx

@@ -33,6 +33,7 @@ from . import _optim
 from .errors import DimensionMismatchError, MaximizationFailureError
 
 _CONJ_XTOL = 1e-10
+LAMBDA_STEP = 1e-6   # difference step of _one_sided_lambda_derivatives
 
 
 def as_state(x, dim: Optional[int] = None) -> np.ndarray:
@@ -532,7 +533,7 @@ class AdmissibilityReport:
         return {r.name: {"passed": r.passed, "detail": r.detail} for r in self.rows}
 
 
-def _one_sided_lambda_derivatives(value, v, h: float = 1e-6):
+def _one_sided_lambda_derivatives(value, v):
     """Richardson-refined one-sided derivatives of lambda -> Psi(lambda v) at 1."""
     def dplus(step):
         return (value((1.0 + step) * v) - value(v)) / step
@@ -540,8 +541,8 @@ def _one_sided_lambda_derivatives(value, v, h: float = 1e-6):
     def dminus(step):
         return (value(v) - value((1.0 - step) * v)) / step
 
-    rp = 2.0 * dplus(h / 2) - dplus(h)
-    rm = 2.0 * dminus(h / 2) - dminus(h)
+    rp = 2.0 * dplus(LAMBDA_STEP / 2) - dplus(LAMBDA_STEP)
+    rm = 2.0 * dminus(LAMBDA_STEP / 2) - dminus(LAMBDA_STEP)
     return rp, rm
 
 
@@ -621,8 +622,8 @@ def check_admissible(psi: DissipationPotential, plan: Optional[SamplePlan] = Non
 # helpers for the scheme's inner solver
 
 
-def rate_bound_radius(p: DissipationPotential, tau: float, budget: float,
-                      s0: float = None) -> float:
+def rate_bound_radius(p: DissipationPotential, tau: float, budget: float
+                      ) -> float:
     """Smallest R (within a factor ~2) with tau * psi_scalar(R / tau) >= budget.
 
     Inverts the scalar growth of a resolved separable potential; this bounds
@@ -631,7 +632,7 @@ def rate_bound_radius(p: DissipationPotential, tau: float, budget: float,
     """
     if budget <= 0.0:
         return max(1e-12, 1e-9 * tau)
-    r = s0 if s0 is not None else max(tau, 1e-6)
+    r = max(tau, 1e-6)
     for _ in range(400):
         if tau * float(p.scalar(r / tau)) >= budget:
             return r

@@ -155,7 +155,7 @@ def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
     if not lo < hi:
         lo, hi = float(blo[0]), float(bhi[0])
 
-    batch = getattr(model, "value_batch_1d", None)
+    batch = model.value_batch_1d
 
     def phi_batch(us):
         us = np.asarray(us, dtype=float)
@@ -307,8 +307,7 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts):
     if res > eps_inner:
         raise StepFailureError(
             f"inner solver stalled at prox-residual {res:.3e} "
-            f"(target {eps_inner:.3e}) after {total_iters} iterations",
-            best_state=x, best_gap=None, step_index=None)
+            f"(target {eps_inner:.3e}) after {total_iters} iterations")
     status = {"method": "proxgrad", "starts": len(starts), "mu": mu,
               "iterations": total_iters, "prox_residual": res}
     return x, status
@@ -321,7 +320,7 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts):
 def _candidates(model, t, u) -> List[np.ndarray]:
     """The model's subdifferential candidates at (t, u), in lexicographic
     order, so that ties between them go to the smallest."""
-    cands = model.subdiff(t, u, None)
+    cands = model.subdiff(t, u)
     if not cands:
         raise SubdifferentialUnavailableError(
             f"{model.name} returned no subgradient candidates at t={t}")
@@ -462,17 +461,15 @@ def slope_multiplier(model: EnergyModel, psi, t: float, u) -> np.ndarray:
     return cands[int(np.argmin(vals))]
 
 
-def de_giorgi_interpolant(traj: DiscreteTrajectory, t: float,
-                          opts: Optional[SolveOptions] = None):
+def de_giorgi_interpolant(traj: DiscreteTrajectory, t: float):
     """Variational interpolant at t in (0, T]: minimizer of the shrunken-step
-    problem, its multiplier, and r = t - t_{n-1}. At nodes it returns the
-    stored step data exactly."""
-    opts = opts or traj.opts
+    problem under traj.opts, its multiplier, and r = t - t_{n-1}. At nodes
+    it returns the stored step data exactly."""
     n, r = _locate(traj.grid, t)
     if abs(r - traj.grid.tau) <= 1e-12 * traj.grid.tau:
         return traj.U[n].copy(), traj.xi[n].copy(), traj.grid.tau
     U, xi = incremental_step(traj.model, traj.psi, traj.U[n - 1], t, r,
-                             opts)[:2]
+                             traj.opts)[:2]
     return U, xi, r
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import dnevolve.scheme as scheme
 from dnevolve import _optim, cli, diagnostics, energy
+from dnevolve.errors import StepFailureError
 from dnevolve.models import MODEL_NAMES
 
 BASE = {
@@ -271,6 +272,26 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_main(capsys, "run", path)
     assert code == 3
     assert "solver failure" in err
+
+
+def test_interpolant_solve_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a stalled interpolant solve escaped main as a StepFailureError
+    # traceback, from run and from check; a real AllenCahn1D config hits
+    # it after seconds of solving, so a stand-in stalls the first one here
+    def stall(*args):
+        raise StepFailureError("inner solver stalled")
+
+    monkeypatch.setattr(diagnostics, "de_giorgi_interpolant", stall)
+    path = write_cfg(tmp_path, {"diagnostics": {"step_inequality": True}})
+    for verb in ("run", "check"):
+        code, _, err = run_main(capsys, verb, path)
+        assert code == 3, err
+        assert ("solver failure at step 1: interpolant solve at "
+                "t=0.015625 failed: inner solver stalled") in err
+
+
+def test_subdiff_modes_cover_the_model_registry():
+    assert set(cli._SUBDIFF_ALLOWED) == set(MODEL_NAMES)
 
 
 def test_nan_witness_exits_3(tmp_path, capsys, monkeypatch):
@@ -569,7 +590,7 @@ def _count_calls(monkeypatch, counts, module, name, on_call=None):
 def test_run_certifies_once(tmp_path, capsys, monkeypatch):
     counts, points = {}, set()
 
-    def record(model, t, u, delta_M=None):
+    def record(model, t, u):
         points.add((float(t), np.asarray(u, dtype=float).tobytes()))
 
     _count_calls(monkeypatch, counts, diagnostics, "_per_step_terms")

@@ -90,3 +90,84 @@ def test_dead_helpers_sees_every_form():
          "y = a._by_attribute()\n")
     assert dead_helpers({"a": a, "b": b}, {("a", "_hooked")}) == [
         ("a", "_K"), ("a", "_self_only")]
+
+
+# clarke_subdifferential_1d's ResolutionError tells users to shrink h
+ALLOWED_UNPASSED = {("energy", "clarke_subdifferential_1d", "h")}
+
+
+def _defaulted(fn):
+    """Names of fn's parameters that carry a default, in order, with
+    their positional index (None for keyword-only ones)."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    out = [(p.arg, i) for i, p in enumerate(pos)
+           if i >= len(pos) - len(a.defaults)]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(call, name, index):
+    """True when call passes the parameter by position, keyword, or
+    through a starred argument."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if index is not None and len(call.args) > index:
+        return True
+    return any(k.arg is None or k.arg == name for k in call.keywords)
+
+
+def unpassed_defaults(sources, callers):
+    """(module, function, parameter) of every defaulted parameter of a
+    module-level function in sources ({module: text}) that no call in
+    callers (a list of texts) passes. A call is matched by the called
+    name or attribute alone."""
+    calls = {}
+    for text in callers:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Call):
+                f = n.func
+                key = (f.id if isinstance(f, ast.Name)
+                       else f.attr if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(key, []).append(n)
+    out = []
+    for mod, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for name, index in _defaulted(stmt):
+                if not any(_passes(c, name, index)
+                           for c in calls.get(stmt.name, ())):
+                    out.append((mod, stmt.name, name))
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    callers = [p.read_text(encoding="utf-8")
+               for d in (SRC, ROOT / "tests", ROOT / "certbench")
+               for p in sorted(d.glob("*.py"))]
+    found = set(unpassed_defaults(sources, callers))
+    assert sorted(found - ALLOWED_UNPASSED) == []
+
+
+def test_unpassed_defaults_sees_every_form():
+    a = ("def f(x, y=1, *, z=2):\n"
+         "    pass\n"
+         "def g(x, y=1, z=2):\n"
+         "    pass\n"
+         "def h(x, y=1):\n"
+         "    pass\n"
+         "def k(x=0, y=1):\n"
+         "    pass\n"
+         "class C:\n"
+         "    def m(self, w=3):\n"
+         "        pass\n")
+    b = ("f(0, 1)\n"
+         "g(0, z=5)\n"
+         "mod.h(*args)\n"
+         "k(**kw)\n")
+    assert unpassed_defaults({"a": a}, [a, b]) == [
+        ("a", "f", "z"), ("a", "g", "y")]

@@ -210,10 +210,10 @@ def test_window_estimate_telescopes():
     traj = make_traj("QuadraticBenchmark", {}, [0.0], T=0.5, tau=2.0 ** -5,
                      eps_quad=1e-4)
     res = step_inequality(traj)
-    defect, budget = window_upper_estimate_defect(traj, 0.0, 0.5, res)
+    defect, budget = window_upper_estimate_defect(traj, 0.0, 0.5)
     assert defect == pytest.approx(float(np.sum(res.end_defects)), abs=1e-15)
     assert budget == res.eps_quad * traj.N
-    d2, b2 = window_upper_estimate_defect(traj, 0.25, 0.5, res)
+    d2, b2 = window_upper_estimate_defect(traj, 0.25, 0.5)
     i = traj.N // 2
     assert d2 == pytest.approx(float(np.sum(res.end_defects[i + 1:])),
                                abs=1e-15)

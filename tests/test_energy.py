@@ -192,10 +192,9 @@ def test_argmin_memo_answers_repeats(monkeypatch):
     assert again == first[:-1]
     assert again is not argmin_set(model, 0.3, [0.55])
     assert len(calls) == 1
-    # time and slack are part of the key
+    # time is part of the key
     argmin_set(model, 0.4, [0.55])
-    argmin_set(model, 0.3, [0.55], delta_M=1e-3)
-    assert len(calls) == 3
+    assert len(calls) == 2
     # the domain check still runs on every call
     with pytest.raises(DomainError):
         argmin_set(model, 0.3, [5.0])
@@ -377,6 +376,18 @@ def test_audit_rejects_an_overclaimed_semiconvexity(monkeypatch):
     assert audit_assumptions(model).row("semiconvexity").passed
 
 
+def test_audit_fails_power_bound_where_p_is_undefined():
+    # the box centre u = 0 is the kink at t = 0, where the Clarke interval
+    # adds the candidate 0; it matches no minimizer, so P is undefined
+    # there, and the audit raised ConditioningError instead of a row
+    clarke = build("AbsoluteMarginal", {"subdiff_kind": "clarke"}).energy
+    row = audit_assumptions(clarke).row("power_bound")
+    assert not row.passed
+    assert "candidate [0.0] at t=0.0" in row.detail
+    marginal = build("AbsoluteMarginal", {}).energy
+    assert audit_assumptions(marginal).row("power_bound").passed
+
+
 class _NoFloor(energy_mod.EnergyModel):
     """E(t, u) = t u^2: vanishes at u = 0, so the positive floor fails."""
 
@@ -390,9 +401,6 @@ class _NoFloor(energy_mod.EnergyModel):
 
     def grad(self, t, u):
         return np.array([2.0 * t * u[0]])
-
-    def subdiff(self, t, u, tol):
-        return [self.grad(t, u)]
 
     def time_deriv_P(self, t, u, xi):
         return float(u[0]) ** 2
@@ -409,8 +417,8 @@ def test_probe_plan_is_deterministic():
     model = build("QuadraticBenchmark", {}).energy
     a = default_probe_plan(model)
     b = default_probe_plan(model)
-    assert len(a.triples) == len(b.triples)
-    for (t1, s1, u1), (t2, s2, u2) in zip(a.triples, b.triples):
+    assert len(a) == len(b)
+    for (t1, s1, u1), (t2, s2, u2) in zip(a, b):
         assert t1 == t2 and s1 == s2 and np.array_equal(u1, u2)
 
 
