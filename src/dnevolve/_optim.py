@@ -3,8 +3,11 @@
 Everything here is derivative-free and reproducible: bracket expansion by
 doubling, bounded Brent minimization, a vectorized golden-section minimizer
 for batches of independent 1D problems, and a guarded stationarity polish
-built on Brent's root finder. These are the only optimization primitives the
-rest of the package uses for scalar problems.
+built on Brent's root finder. The package solves its scalar problems with
+scan_min and polish_root. bracket_max, max_scalar and golden_min_batched
+serve only the tests' reference routes (the numeric conjugate in
+potentials, the grid-and-golden eta search in tests/test_energy.py), and
+certbench/tracer.py hooks them by name.
 
 The two Brent methods (Brent, Algorithms for Minimization without
 Derivatives, 1973, ch. 4 and 5) are ports of SciPy's bounded
@@ -34,8 +37,8 @@ def bracket_max(g, x0: float = 0.0, step: float = 1e-2):
     increasing; return a bracket (a, b) containing the maximizer.
 
     A plateau counts as bracketed (g constant beyond the sup is fine).
-    Raises MaximizationFailureError with the last bracket if g keeps
-    strictly increasing past BRACKET_CAP.
+    Raises MaximizationFailureError if g keeps strictly increasing past
+    BRACKET_CAP.
     """
     xs = [x0, x0 + step]
     gs = [g(xs[0]), g(xs[1])]
@@ -51,9 +54,7 @@ def bracket_max(g, x0: float = 0.0, step: float = 1e-2):
         if not np.isfinite(val) or val <= gs[-2]:
             return (xs[-3], xs[-1])
     raise MaximizationFailureError(
-        "objective still increasing at |x| = %.3e; supremum looks infinite" % xs[-1],
-        last_bracket=(xs[-2], xs[-1]),
-    )
+        "objective still increasing at |x| = %.3e; supremum looks infinite" % xs[-1])
 
 
 def _direction(v):

@@ -194,14 +194,13 @@ class RunPlan:
                 raise ConfigError(
                     "subdiff_mode",
                     f"{name} supports only {list(allowed)}")
-        self.subdiff_mode = mode or allowed[0]
         if name == "AbsoluteMarginal":
             prior = params.get("subdiff_kind")
             if prior is not None and mode is not None and prior != mode:
                 raise ConfigError("subdiff_mode",
                                   f"conflicts with model.params.subdiff_kind="
                                   f"{prior}")
-            params["subdiff_kind"] = prior or self.subdiff_mode
+            params["subdiff_kind"] = prior or mode or allowed[0]
 
         try:
             self.spec = models.build(name, params)

@@ -1,7 +1,8 @@
 """Time-dependent energies, their subdifferential notions, and audits.
 
 An EnergyModel owns E(t, u), subgradient candidates subdiff(t, u) and a
-generalized time derivative P(t, u, xi). Marginal models realize E as
+generalized time derivative P(t, u, xi); a d = 1 model also gives the
+scan solver value_batch_1d and derivative_1d. Marginal models realize E as
 
     E(t, u) = min_{eta} I(t, u, eta)
 
@@ -18,11 +19,10 @@ at least 1; the offset is stored and reported, never silently applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import _optim
 from .errors import (ConditioningError, DimensionMismatchError, DomainError,
                      RefinementError, ResolutionError)
 from .potentials import (AdmissibilityReport as AssumptionReport,
@@ -58,13 +58,17 @@ class EnergyModel:
     # lambda_E: a lower bound on the Hessian of E(t, .) for every t, so E is
     # lambda_E-convex; None makes no claim. audit_assumptions tests it.
     semiconvexity: Optional[float] = None
-    # optional d = 1 hooks: E(t, .) on an array of scalar states for the
-    # scan, and dE/du(t, x) off the kinks for the stationarity polish
-    value_batch_1d: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    derivative_1d: Optional[Callable[[float, float], float]] = None
 
     def value(self, t: float, u: np.ndarray) -> float:
         raise NotImplementedError
+
+    def value_batch_1d(self, t: float, us: np.ndarray) -> np.ndarray:
+        """E(t, .) on an array of scalar states (d = 1), for the scan."""
+        raise NotImplementedError
+
+    def derivative_1d(self, t: float, u: float) -> float:
+        """dE/du(t, u) off the kinks (d = 1), for the stationarity polish."""
+        return float(self.grad(t, np.array([u]))[0])
 
     def grad(self, t: float, u: np.ndarray) -> np.ndarray:
         """Gradient of the smooth part in u; smooth models only."""
@@ -88,18 +92,19 @@ class MarginalEnergy(EnergyModel):
 
     Subclasses provide inner (broadcasting over an eta array), the analytic
     partials inner_du and inner_dt, and exactly one of eta_values (finite
-    tuple) or eta_interval (compact [lo, hi]). An interval model may also
-    provide eta_candidates(t, u), a finite superset of the minimizers of
+    tuple) or eta_interval (compact [lo, hi]). An interval model also
+    provides eta_candidates(t, u), a finite superset of the minimizers of
     eta -> inner(t, u, eta) inside the interval; its minimum is then exact
-    and checked against a fine grid. Interval models without it are
-    discretized by grid plus golden-section refinement of every local basin.
-    time_deriv_P is the sup of inner_dt over the minimizing eta whose D_u I
-    lies within DELTA_XI of xi; ConditioningError when none does.
+    and checked against a fine grid. time_deriv_P is the sup of inner_dt
+    over the minimizing eta whose D_u I lies within DELTA_XI of xi;
+    ConditioningError when none does.
     """
 
     eta_values: Optional[Tuple[float, ...]] = None
     eta_interval: Optional[Tuple[float, float]] = None
-    eta_candidates: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+
+    def eta_candidates(self, t: float, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def inner(self, t: float, u: np.ndarray, eta):
         raise NotImplementedError
@@ -149,12 +154,10 @@ def _marginal_candidates(model: MarginalEnergy, t: float, u: np.ndarray):
     """Candidate minimizers of eta -> inner(t, u, eta) and their values.
 
     Returns (etas, vals) as float arrays. Finite models are evaluated on
-    eta_values. Interval models are evaluated on their eta_candidates when
-    they have the hook, and otherwise on a 129-point grid with golden-section
-    refinement of every local basin. Either way a finer 1025-point safety
-    pass follows: the grid route refines a basin it finds there, and a
-    fine-grid value still beating the candidate minimum by more than the
-    argmin slack means the candidates missed a minimizer.
+    eta_values, interval models on their eta_candidates. A 1025-point
+    safety pass checks the latter: a grid value beating the candidate
+    minimum by more than the argmin slack means the candidates missed a
+    minimizer.
     """
     if model.eta_values is not None:
         etas = np.asarray(model.eta_values, dtype=float)
@@ -162,33 +165,9 @@ def _marginal_candidates(model: MarginalEnergy, t: float, u: np.ndarray):
         return etas, vals
 
     lo, hi = model.eta_interval
-
-    def batched(es):
-        return np.asarray(model.inner(t, u, es), dtype=float)
-
-    def refine(grid, vals):
-        idx = _optim.local_min_indices(vals)
-        a = grid[np.maximum(idx - 1, 0)]
-        b = grid[np.minimum(idx + 1, grid.shape[0] - 1)]
-        xs, fs = _optim.golden_min_batched(batched, a, b, iters=90)
-        # keep the grid points too so a refined value never sits above one
-        return (np.concatenate([np.atleast_1d(xs), grid[idx]]),
-                np.concatenate([np.atleast_1d(fs), vals[idx]]))
-
-    fine = np.linspace(lo, hi, 1025)
-    fvals = batched(fine)
-    fine_min = float(np.min(fvals))
-    if model.eta_candidates is not None:
-        cand_x = np.asarray(model.eta_candidates(t, u), dtype=float)
-        cand_f = batched(cand_x)
-    else:
-        grid = np.linspace(lo, hi, 129)
-        cand_x, cand_f = refine(grid, batched(grid))
-        best = float(np.min(cand_f))
-        if fine_min < best - default_delta_M(best):
-            extra_x, extra_f = refine(fine, fvals)  # coarse grid missed a basin
-            cand_x = np.concatenate([cand_x, extra_x])
-            cand_f = np.concatenate([cand_f, extra_f])
+    fine_min = float(np.min(model.inner(t, u, np.linspace(lo, hi, 1025))))
+    cand_x = np.asarray(model.eta_candidates(t, u), dtype=float)
+    cand_f = np.asarray(model.inner(t, u, cand_x), dtype=float)
     best = float(np.min(cand_f))
     if fine_min < best - default_delta_M(best):
         raise RefinementError(
@@ -308,25 +287,6 @@ def generalized_time_derivative(model: EnergyModel, t: float, u, xi) -> float:
     time derivative of a smooth model."""
     return float(model.time_deriv_P(t, as_state(u, model.dim),
                                     as_state(xi, model.dim)))
-
-
-def envelope_derivative_1d(model: EnergyModel, t: float, u) -> float:
-    """dE/du at a differentiability point (d = 1), for stationarity polish.
-
-    A model-supplied derivative_1d short-circuits (it is cross-checked
-    against this routine's envelope value in the test suite, not here:
-    polish loops call this hundreds of times per step). Marginal models
-    otherwise use the envelope rule: D_u I at the best minimizer.
-    Meaningless exactly at a kink; callers guard with a sign check.
-    """
-    u = as_state(u, 1)
-    if model.derivative_1d is not None:
-        return float(model.derivative_1d(t, float(u[0])))
-    if isinstance(model, MarginalEnergy):
-        etas, vals = _marginal_candidates(model, t, u)
-        e = float(etas[int(np.argmin(vals))])
-        return float(np.asarray(model.inner_du(t, u, e)).reshape(1)[0])
-    return float(np.asarray(model.grad(t, u)).reshape(1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,11 @@ class DimensionMismatchError(DnevolveError):
     """Vectors of incompatible dimension were combined."""
 
     def __init__(self, expected: int, got: int, what: str = "vector"):
-        self.expected = expected
-        self.got = got
         super().__init__(f"{what}: expected dimension {expected}, got {got}")
 
 
 class MaximizationFailureError(DnevolveError):
     """Numeric supremum failed to bracket a finite maximizer."""
-
-    def __init__(self, message: str, last_bracket=None):
-        self.last_bracket = last_bracket
-        super().__init__(message)
 
 
 class DomainError(DnevolveError):

@@ -36,9 +36,6 @@ class ModelSpec:
     exact_solution: Optional[Callable] = None  # (t, u0) -> StateVector
     parameters: Dict = field(default_factory=dict)
 
-    def describe(self) -> str:
-        return describe(self.name)
-
 
 # ---------------------------------------------------------------------------
 # energies
@@ -136,7 +133,7 @@ class _PhaseFieldEnergy(MarginalEnergy):
     (minimizer eta = (u + 2 sign(u)) / 3, both signs tied at u = 0), which
     value() uses directly. Argmin queries evaluate inner exactly on
     eta_candidates, which the fine-grid safety pass of the marginal layer
-    checks; the grid-plus-golden route stays the tests' reference.
+    checks; tests/test_energy.py keeps a grid-plus-golden reference route.
     """
 
     def __init__(self, load_amp: float, offset: float):

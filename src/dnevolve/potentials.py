@@ -14,12 +14,13 @@ a base potential by a positive weight omega(u). The queries this module owns:
 The pairing is the Euclidean dot product throughout; models that need mesh
 weights bake them into the potential and the energy.
 
-Every kind the package builds has a closed-form conjugate. A sum of an l1
-part and one other separable part soft-thresholds xi into that part's
-conjugate. The certified numeric supremum (per-coordinate 1D maximization
-by bracket expansion plus bounded Brent refinement) is the reference the
-tests check the closed forms against, and the fallback for a separable sum
-with two or more non-l1 parts.
+Every kind has a closed-form conjugate, the only route `conjugate` takes.
+A sum of l1 parts and exactly one other separable part soft-thresholds xi
+into that part's conjugate; WeightedSum rejects any other sum. The
+certified numeric supremum `_scalar_conjugate_numeric` (per-coordinate 1D
+maximization by bracket expansion plus bounded Brent refinement) is not
+called by the package: it is the reference the tests check the closed
+forms against.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import DimensionMismatchError, MaximizationFailureError
 
 _CONJ_XTOL = 1e-10
 LAMBDA_STEP = 1e-6   # difference step of _one_sided_lambda_derivatives
+SUPERLIN_BOUND = 1e3  # the bound the last superlinearity ratio must reach
+CONVEXITY_THETAS = (0.25, 0.5, 0.75)  # convexity interpolation weights
 
 
 def as_state(x, dim: Optional[int] = None) -> np.ndarray:
@@ -53,12 +56,11 @@ class DissipationPotential:
 
     Separable kinds (Psi(v) = sum_i scalar(v_i)) fill in the decomposition
     below, from which `scalar(s)`, the per-coordinate contribution, follows.
-    Kinds with `has_closed_conjugate` give Psi* by `closed_conjugate`.
+    Every state-independent kind gives Psi* by `closed_conjugate`.
     """
 
     state_dependent: bool = False
     separable: bool = False
-    has_closed_conjugate: bool = False
 
     def value(self, v: np.ndarray) -> float:
         raise NotImplementedError
@@ -107,7 +109,6 @@ class Quadratic(DissipationPotential):
 
     c: float = 1.0
     separable = True
-    has_closed_conjugate = True
 
     def __post_init__(self):
         if not self.c > 0:
@@ -145,7 +146,6 @@ class PNorm(DissipationPotential):
     c: float = 1.0
     p: float = 2.0
     separable = True
-    has_closed_conjugate = True
 
     def __post_init__(self):
         if not self.c > 0:
@@ -197,7 +197,6 @@ class OneHomPlusQuad(DissipationPotential):
     rho: float = 1.0
     eps: float = 1.0
     separable = True
-    has_closed_conjugate = True
 
     def __post_init__(self):
         if self.rho < 0 or not self.eps > 0:
@@ -232,22 +231,22 @@ class WeightedSum(DissipationPotential):
     """Psi(v) = sum_k Psi_k(v) for separable even members (weights folded into
     the members).
 
-    The l1 members (PNorm with p = 1) sum to rho ||v||_1. When exactly one
-    other member g remains and it has a closed conjugate, so does the sum:
-    Psi* is the infimal convolution of g* with the indicator of the box
+    The l1 members (PNorm with p = 1) sum to rho ||v||_1, and exactly one
+    other member g must remain; construction rejects any other sum. Psi* is
+    then the infimal convolution of g* with the indicator of the box
     ||eta||_inf <= rho (Rockafellar, Convex Analysis, Thm 16.4), and since g*
     is separable, even and nondecreasing in each |xi_i|, the infimum over the
-    box sits at the soft-threshold, Psi*(xi) = g*(soft(xi, rho)). Any other
-    sum takes the certified per-coordinate supremum.
+    box sits at the soft-threshold, Psi*(xi) = g*(soft(xi, rho)).
     """
 
     parts: tuple = ()
 
     def __post_init__(self):
-        if not self.parts:
-            raise ValueError("WeightedSum needs at least one member")
         if not all(p.separable for p in self.parts):
             raise ValueError("WeightedSum members must be separable")
+        if len(self._split()[1]) != 1:
+            raise ValueError("WeightedSum needs exactly one member that is "
+                             "not an l1 PNorm")
 
     @property
     def separable(self):
@@ -262,11 +261,6 @@ class WeightedSum(DissipationPotential):
             else:
                 others.append(p)
         return rho, others
-
-    @property
-    def has_closed_conjugate(self):
-        others = self._split()[1]
-        return len(others) == 1 and others[0].has_closed_conjugate
 
     def closed_conjugate(self, xi):
         rho, (g,) = self._split()
@@ -308,10 +302,6 @@ class Scaled(DissipationPotential):
     @property
     def separable(self):
         return self.base.separable
-
-    @property
-    def has_closed_conjugate(self):
-        return self.base.has_closed_conjugate
 
     def value(self, v):
         return self.w * self.base.value(v)
@@ -378,8 +368,6 @@ class TwoSlope(DissipationPotential):
     conjugate is (||xi|| - 1)_+ for ||xi|| <= 2 and infinite beyond.
     """
 
-    has_closed_conjugate = True
-
     def value(self, v):
         r = float(np.linalg.norm(v))
         return max(r, 2.0 * r - 1.0)
@@ -427,7 +415,8 @@ def _soft(z, thresh):
 
 
 def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:
-    """sup_s sigma*s - scalar(s) by two-sided bracket expansion + Brent."""
+    """sup_s sigma*s - scalar(s) by two-sided bracket expansion + Brent;
+    the tests' reference for every closed_conjugate."""
     best = 0.0  # s = 0 is always feasible and gives 0
     for sgn in (1.0, -1.0):
         def g(s, sgn=sgn):
@@ -441,21 +430,11 @@ def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:
 
 
 def conjugate(psi: DissipationPotential, u, xi) -> float:
-    """Psi_u*(xi) = sup_v <xi,v> - Psi_u(v), always >= 0.
-
-    Closed form when available; else the certified per-coordinate numeric
-    supremum for separable kinds. Raises MaximizationFailureError when the
-    supremum fails to bracket (infinite conjugate outside the effective
-    domain).
+    """Psi_u*(xi) = sup_v <xi,v> - Psi_u(v), always >= 0, by the closed
+    form of the state-resolved kind. TwoSlope raises
+    MaximizationFailureError where its conjugate is infinite.
     """
-    p = _resolve(psi, u)
-    xi = as_state(xi)
-    if p.has_closed_conjugate:
-        return max(p.closed_conjugate(xi), 0.0)
-    if p.separable:
-        return max(sum(_scalar_conjugate_numeric(p, float(s)) for s in xi), 0.0)
-    raise MaximizationFailureError(
-        f"no conjugate route for potential {p.label()}")
+    return max(_resolve(psi, u).closed_conjugate(as_state(xi)), 0.0)
 
 
 def fenchel_young_gap(psi: DissipationPotential, u, v, xi) -> float:
@@ -482,15 +461,11 @@ class SamplePlan:
     """Test inputs for check_admissible.
 
     vectors: nonzero probe directions; radii: increasing growth ladder for
-    the superlinearity witness; superlin_bound: the bound M the last ratio
-    must exceed; thetas: convexity interpolation weights; state: u for
-    state-dependent families.
+    the superlinearity witness; state: u for state-dependent families.
     """
 
     vectors: Sequence = ()
     radii: Sequence = ()
-    superlin_bound: float = 1e3
-    thetas: Sequence = (0.25, 0.5, 0.75)
     state: Optional[np.ndarray] = None
 
 
@@ -576,7 +551,7 @@ def check_admissible(psi: DissipationPotential, plan: Optional[SamplePlan] = Non
     for v1 in vecs:
         for v2 in vecs:
             f1, f2 = p.value(v1), p.value(v2)
-            for th in plan.thetas:
+            for th in CONVEXITY_THETAS:
                 lhs = p.value(th * v1 + (1.0 - th) * v2)
                 rhs = th * f1 + (1.0 - th) * f2
                 viol = lhs - rhs
@@ -592,15 +567,15 @@ def check_admissible(psi: DissipationPotential, plan: Optional[SamplePlan] = Non
         vhat = v / np.linalg.norm(v)
         ratios = np.array([p.value(r * vhat) / r for r in plan.radii])
         nondecreasing = bool(np.all(np.diff(ratios) >= -1e-9 * (1.0 + np.abs(ratios[:-1]))))
-        exceeds = bool(ratios[-1] >= plan.superlin_bound)
+        exceeds = bool(ratios[-1] >= SUPERLIN_BOUND)
         if not (nondecreasing and exceeds):
             sup_ok = False
             sup_detail = (f"direction {np.round(vhat, 3).tolist()}: "
-                          f"final ratio {ratios[-1]:.3e} vs bound {plan.superlin_bound:.1e}, "
+                          f"final ratio {ratios[-1]:.3e} vs bound {SUPERLIN_BOUND:.1e}, "
                           f"nondecreasing={nondecreasing}")
             break
     rows.append(AxiomCheck("superlinearity", sup_ok,
-                           sup_detail or f"all ratios reach {plan.superlin_bound:.1e}"))
+                           sup_detail or f"all ratios reach {SUPERLIN_BOUND:.1e}"))
 
     psi3_ok = True
     psi3_detail = ""

@@ -41,7 +41,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import _optim, potentials
-from .energy import (EnergyModel, energy_value, envelope_derivative_1d)
+from .energy import EnergyModel, energy_value
 from .errors import (RangeError, SolveAbortedError, StepFailureError,
                      SubdifferentialUnavailableError)
 from .potentials import _soft, as_state
@@ -155,17 +155,10 @@ def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
     if not lo < hi:
         lo, hi = float(blo[0]), float(bhi[0])
 
-    batch = model.value_batch_1d
-
     def phi_batch(us):
-        us = np.asarray(us, dtype=float)
         vs = (us - x_prev) / tau
-        pen = tau * np.asarray(p.scalar(vs), dtype=float)
-        if batch is not None:
-            ene = batch(t_n, us)
-        else:
-            ene = np.array([model.value(t_n, np.array([x])) for x in us])
-        return pen + ene
+        return (tau * np.asarray(p.scalar(vs), dtype=float)
+                + model.value_batch_1d(t_n, us))
 
     def phi(x):
         return float(phi_batch(np.array([x]))[0])
@@ -176,7 +169,7 @@ def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
     def dphi(x):
         v = (x - x_prev) / tau
         return (potentials.scalar_derivative(p, v)
-                + envelope_derivative_1d(model, t_n, np.array([x])))
+                + model.derivative_1d(t_n, x))
 
     spacing = (hi - lo) / (SCAN_POINTS - 1)
     polished = False

@@ -1,8 +1,14 @@
-"""No module of the package keeps a private helper that nothing uses: every
-module-level `_name` function or constant in src/dnevolve/*.py is read
-somewhere in the package outside its own definition, or is hooked by name
-by the benchmark's tracer (certbench/tracer.py), which reads it from
-outside the package."""
+"""No module of the package keeps code that nothing uses:
+
+- every module-level `_name` function or constant in src/dnevolve/*.py is
+  read somewhere in the package outside its own definition, or is hooked by
+  name by the benchmark's tracer (certbench/tracer.py), which reads it from
+  outside the package;
+- every defaulted parameter of a module-level function is passed by some
+  call, and every defaulted dataclass field is set somewhere;
+- every attribute an `__init__` sets is read outside that `__init__`.
+
+Callers and readers are searched in src/, tests/ and certbench/."""
 
 import ast
 import importlib.util
@@ -171,3 +177,166 @@ def test_unpassed_defaults_sees_every_form():
          "k(**kw)\n")
     assert unpassed_defaults({"a": a}, [a, b]) == [
         ("a", "f", "z"), ("a", "g", "y")]
+
+
+def _is_dataclass(cls):
+    for d in cls.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None) \
+                == "dataclass":
+            return True
+    return False
+
+
+def _fields(cls, classes):
+    """(name, defaulted) of every field of the dataclass cls, in
+    constructor order: those of dataclass bases in classes first."""
+    out = []
+    for b in cls.bases:
+        if isinstance(b, ast.Name) and b.id in classes:
+            out += _fields(classes[b.id], classes)
+    for stmt in cls.body:
+        if (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and "ClassVar" not in ast.unparse(stmt.annotation)):
+            out.append((stmt.target.id, stmt.value is not None))
+    return out
+
+
+def unset_fields(sources, setters):
+    """(module, class, field) of every defaulted field of a dataclass in
+    sources ({module: text}) that nothing in setters (a list of texts)
+    sets: no constructor call passes it by position, keyword or `**`, no
+    `replace` call passes it by keyword or `**`, and no statement stores
+    to an attribute of that name. Calls are matched by the called name or
+    attribute alone."""
+    calls, stored = {}, set()
+    for text in setters:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Call):
+                f = n.func
+                key = (f.id if isinstance(f, ast.Name)
+                       else f.attr if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(key, []).append(n)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+                stored.add(n.attr)
+    out = []
+    for mod, text in sources.items():
+        classes = {c.name: c for c in ast.parse(text).body
+                   if isinstance(c, ast.ClassDef) and _is_dataclass(c)}
+        for cls in classes.values():
+            for index, (name, defaulted) in enumerate(_fields(cls, classes)):
+                if not defaulted or name in stored:
+                    continue
+                if any(_passes(c, name, index)
+                       for c in calls.get(cls.name, ())):
+                    continue
+                if any(_passes(c, name, None) for c in calls.get("replace", ())):
+                    continue
+                out.append((mod, cls.name, name))
+    return sorted(out)
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    setters = [p.read_text(encoding="utf-8")
+               for d in (SRC, ROOT / "tests", ROOT / "certbench")
+               for p in sorted(d.glob("*.py"))]
+    assert unset_fields(sources, setters) == []
+
+
+def test_unset_fields_sees_every_form():
+    a = ("from dataclasses import dataclass, field, replace\n"
+         "from typing import ClassVar\n"
+         "@dataclass(frozen=True)\n"
+         "class P:\n"
+         "    x: int\n"
+         "    by_pos: int = 0\n"
+         "    by_kw: int = 0\n"
+         "    by_replace: int = 0\n"
+         "    by_store: int = 0\n"
+         "    never: list = field(default_factory=list)\n"
+         "    shared: ClassVar[int] = 0\n"
+         "    plain = 0\n"
+         "@dataclass\n"
+         "class Q(P):\n"
+         "    q_by_pos: int = 0\n"
+         "    q_never: int = 0\n"
+         "@dataclass\n"
+         "class R:\n"
+         "    by_star: int = 0\n"
+         "class NotData:\n"
+         "    y: int = 0\n")
+    b = ("p = P(0, 1, by_kw=2)\n"
+         "p = replace(p, by_replace=3)\n"
+         "p.by_store = 4\n"
+         "q = mod.Q(0, 1, 2, 3, 4, 5, 6)\n"
+         "r = R(**kw)\n")
+    assert unset_fields({"a": a}, [a, b]) == [
+        ("a", "P", "never"), ("a", "Q", "q_never")]
+
+
+def unread_init_attributes(sources, readers):
+    """(module, class, attribute) of every `self.X` that an `__init__` of a
+    class in sources ({module: text}) stores and that no code in readers
+    (a list of texts, which should include the sources) loads as an
+    attribute outside that `__init__`. Attributes are matched by name
+    alone."""
+    trees = {text: ast.parse(text)
+             for text in set(readers) | set(sources.values())}
+    loads = [n for text in readers for n in ast.walk(trees[text])
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    out = []
+    for mod, text in sources.items():
+        for cls in ast.walk(trees[text]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef)
+                        and init.name == "__init__"):
+                    continue
+                inside = {id(n) for n in ast.walk(init)}
+                stored = {n.attr for n in ast.walk(init)
+                          if isinstance(n, ast.Attribute)
+                          and isinstance(n.ctx, ast.Store)
+                          and isinstance(n.value, ast.Name)
+                          and n.value.id == "self"}
+                for name in sorted(stored):
+                    if not any(n.attr == name and id(n) not in inside
+                               for n in loads):
+                        out.append((mod, cls.name, name))
+    return sorted(out)
+
+
+def test_every_attribute_an_init_sets_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for d in (SRC, ROOT / "tests", ROOT / "certbench")
+               for p in sorted(d.glob("*.py"))]
+    assert unread_init_attributes(sources, readers) == []
+
+
+def test_unread_init_attributes_sees_every_form():
+    a = ("class E(Exception):\n"
+         "    def __init__(self, msg, detail=None):\n"
+         "        self.detail = detail\n"
+         "        self.code = 2\n"
+         "        self.only_here = 1\n"
+         "        self.a, self.b = 1, 2\n"
+         "        print(self.only_here)\n"
+         "    def show(self):\n"
+         "        return self.a\n"
+         "class F:\n"
+         "    def __init__(self):\n"
+         "        self.local = 0\n"
+         "        other.x = 1\n")
+    b = ("try:\n"
+         "    pass\n"
+         "except E as err:\n"
+         "    print(err.code)\n")
+    assert unread_init_attributes({"a": a}, [a, b]) == [
+        ("a", "E", "b"), ("a", "E", "detail"), ("a", "E", "only_here"),
+        ("a", "F", "local")]

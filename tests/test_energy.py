@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dnevolve as dn
+from dnevolve import _optim
 from dnevolve import energy as energy_mod
 from dnevolve.energy import (ETA_CLUSTER, argmin_set, audit_assumptions,
                              clarke_subdifferential_1d, default_delta_M,
@@ -101,19 +102,49 @@ def test_phase_field_closed_form_matches_oracle_on_grid(phase_field):
 PF_SWEEP_U = (-4.0, -1.7, -0.5, -0.4, 0.0, 0.2, 0.5, 1.3, 4.0)
 
 
-def _reference_phase_field():
-    """PhaseField1D without its eta_candidates hook, so that argmin queries
-    take the grid-plus-golden route."""
-    model = build("PhaseField1D", {"offset": 2.0}).energy
-    model.eta_candidates = None
-    return model
+def reference_candidates(model, t, u):
+    """The eta_candidates hook's reference for an interval model: a 129-point
+    grid with golden-section refinement of every local basin, and a second
+    pass over a 1025-point grid when that grid beats it. It finds eta only
+    to about sqrt(eps)."""
+    lo, hi = model.eta_interval
+
+    def batched(es):
+        return np.asarray(model.inner(t, u, es), dtype=float)
+
+    def refine(grid, vals):
+        idx = _optim.local_min_indices(vals)
+        a = grid[np.maximum(idx - 1, 0)]
+        b = grid[np.minimum(idx + 1, grid.shape[0] - 1)]
+        xs, fs = _optim.golden_min_batched(batched, a, b, iters=90)
+        # keep the grid points too so a refined value never sits above one
+        return (np.concatenate([np.atleast_1d(xs), grid[idx]]),
+                np.concatenate([np.atleast_1d(fs), vals[idx]]))
+
+    grid = np.linspace(lo, hi, 129)
+    cand_x, cand_f = refine(grid, batched(grid))
+    fine = np.linspace(lo, hi, 1025)
+    fvals = batched(fine)
+    best = float(np.min(cand_f))
+    if float(np.min(fvals)) < best - default_delta_M(best):
+        extra_x, extra_f = refine(fine, fvals)  # coarse grid missed a basin
+        cand_x = np.concatenate([cand_x, extra_x])
+        cand_f = np.concatenate([cand_f, extra_f])
+    return cand_x, cand_f
+
+
+def reference_argmin(model, t, u):
+    """argmin_set's selection and clustering on reference_candidates."""
+    cands, vals = reference_candidates(model, t, u)
+    m = float(np.min(vals))
+    keep = vals <= m + default_delta_M(m)
+    return energy_mod._cluster_scalars(cands[keep], vals[keep], ETA_CLUSTER)
 
 
 def test_certified_route_agrees_with_closed_form(phase_field):
     # value() short-circuits through the closed form; the candidates that
     # argmin queries evaluate must land on the same minimum, and so must
     # the grid-plus-golden reference route
-    ref = _reference_phase_field()
     for t in (0.0, 0.5, 1.0):
         for u in PF_SWEEP_U:
             x = np.array([u])
@@ -121,24 +152,39 @@ def test_certified_route_agrees_with_closed_form(phase_field):
             _, vals = energy_mod._marginal_candidates(phase_field, t, x)
             assert float(np.min(vals)) == pytest.approx(closed, rel=0,
                                                         abs=1e-12)
-            _, ref_vals = energy_mod._marginal_candidates(ref, t, x)
+            _, ref_vals = reference_candidates(phase_field, t, x)
             m_ref = float(np.min(ref_vals))
             assert m_ref == pytest.approx(closed, rel=0, abs=1e-10)
             assert abs(float(np.min(vals)) - m_ref) <= default_delta_M(m_ref)
 
 
 def test_eta_candidates_match_reference_route(phase_field):
-    ref = _reference_phase_field()
     for t in (0.0, 0.5, 1.0):
         for u in PF_SWEEP_U:
             x = np.array([u])
             got = argmin_set(phase_field, t, x)
-            want = argmin_set(ref, t, x)
+            want = reference_argmin(phase_field, t, x)
             assert len(got) == len(want) == (2 if u == 0.0 else 1)
             assert got == pytest.approx(want, rel=0, abs=ETA_CLUSTER)
             if u != 0.0:
                 xi = phase_field.inner_du(t, x, got[0])[0]
                 assert abs(xi - phase_field.derivative_1d(t, u)) <= 1e-15
+
+
+class _NoCandidates(energy_mod.MarginalEnergy):
+    """An interval marginal energy without the eta_candidates hook."""
+
+    name = "NoCandidates"
+    eta_interval = (-1.0, 1.0)
+
+    def inner(self, t, u, eta):
+        return np.square(np.asarray(eta, dtype=float) - u[0]) + 1.0
+
+
+def test_interval_marginal_needs_eta_candidates():
+    # no grid-and-golden fallback: the hook is the only interval route
+    with pytest.raises(NotImplementedError):
+        energy_value(_NoCandidates(), 0.0, [0.2])
 
 
 @pytest.mark.parametrize("u,dropped", [(-0.55, 1), (0.55, 4)])

@@ -113,7 +113,7 @@ def test_conjugate_zero_is_zero_exactly():
 
 def test_conjugate_closed_vs_grid_oracle():
     for p in catalogue():
-        if not (p.has_closed_conjugate and p.separable):
+        if not p.separable:
             continue
         for xi in (-4.0, -1.0, -0.2, 0.7, 2.5):
             closed = conjugate(p, None, [xi])
@@ -156,7 +156,7 @@ CLOSED_VS_NUMERIC = {**BUILT, **{p.label(): p for p in (
 def test_closed_conjugate_matches_numeric_reference(p):
     # |xi_i| = rho, the l1 weight, puts the sup objective on a plateau
     # around s = 0, the case the bracket expansion must handle
-    assert p.has_closed_conjugate and p.separable
+    assert p.separable
     rho = p.one_hom or 1.0
     for xi in ([rho, -rho, 2.5], [-rho, 0.0, 0.6 * rho],
                [-3.0, 1.1 * rho, -0.4], [rho, rho, -rho]):
@@ -168,26 +168,25 @@ def test_closed_conjugate_matches_numeric_reference(p):
                                                                    ref)
 
 
-def test_weighted_sum_with_two_smooth_parts_takes_numeric_route():
-    p = WeightedSum((PNorm(0.5, 1.0), PNorm(1.0, 1.5), Quadratic(1.0)))
-    assert not p.has_closed_conjugate
-    assert conjugate(p, None, [0.5, -2.0]) > 0.0
+def test_weighted_sum_without_exactly_one_non_l1_member_is_rejected():
+    # only a sum of l1 members and one other member has a closed conjugate
+    for parts in ((PNorm(0.5, 1.0), PNorm(1.0, 1.5), Quadratic(1.0)),
+                  (PNorm(1.0, 1.5), Quadratic(1.0)),
+                  (PNorm(0.5, 1.0), PNorm(0.2, 1.0)),
+                  ()):
+        with pytest.raises(ValueError, match="exactly one member"):
+            WeightedSum(parts)
 
 
 @pytest.mark.parametrize("label,p", SHIPPED, ids=[lab for lab, _ in SHIPPED])
-def test_shipped_potentials_have_closed_conjugates(label, p, monkeypatch):
-    def numeric(*args):
-        raise AssertionError(f"{label} took the numeric conjugate route")
-
-    monkeypatch.setattr(potentials, "_scalar_conjugate_numeric", numeric)
-    assert p.has_closed_conjugate
+def test_shipped_potentials_have_closed_conjugates(label, p):
     assert conjugate(p, None, np.linspace(-3.0, 3.0, 4)) > 0.0
 
 
 def test_biconjugation_on_samples():
     # (Psi*)* computed numerically from the closed conjugate must return Psi
     for p in catalogue():
-        if not (p.has_closed_conjugate and p.separable):
+        if not p.separable:
             continue
         for v in (-2.0, -0.5, 0.0, 1.0, 3.0):
             xis = np.arange(-60.0, 60.0, 1e-3)
@@ -396,8 +395,9 @@ MODULI = [
     (PNorm(2.0, 1.5), lambda r: r ** -0.5),
     (PNorm(0.5, 3.0), lambda r: 0.0),
     (PNorm(1.0, 1.0), lambda r: 0.0),
-    (WeightedSum((PNorm(1.0, 1.0), PNorm(2.0, 1.5), Quadratic(0.5))),
-     lambda r: r ** -0.5 + 0.5),
+    (WeightedSum((PNorm(1.0, 1.0), WeightedSum((PNorm(0.5, 1.0),
+                                                 Quadratic(0.5))))),
+     lambda r: 0.5),
     (Scaled(PNorm(2.0, 1.5), 1.7), lambda r: 1.7 * r ** -0.5),
     (TwoSlope(), lambda r: 0.0),
 ]
