@@ -27,8 +27,7 @@ from .potentials import (AdmissibilityReport, DissipationPotential,
                          subdiff_contains)
 from .potentials import eval as potential_value
 from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
-                     de_giorgi_interpolant, incremental_step, interpolants,
-                     solve)
+                     de_giorgi_interpolant, incremental_step, solve)
 from .diagnostics import (DiagnosticsReport, RefinementTable, build_report,
                           chain_rule_defects, energy_identity_defect,
                           fenchel_young_profile, refinement_study,
@@ -51,7 +50,7 @@ __all__ = [
     "conjugate", "de_giorgi_interpolant", "default_probe_plan", "describe",
     "energy_identity_defect", "energy_value", "fenchel_young_gap",
     "fenchel_young_profile", "generalized_time_derivative",
-    "incremental_step", "interpolants", "marginal_subdifferential",
+    "incremental_step", "marginal_subdifferential",
     "potential_value", "refinement_study", "solve", "step_inequality",
     "subdiff_contains",
 ]

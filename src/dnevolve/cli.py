@@ -26,6 +26,7 @@ Reruns of one config produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -48,13 +49,6 @@ IDENTITY_SLACK = 1e-8
 MAX_STEPS = 2 ** 20  # longest time grid a config may ask for
 
 _DISSIPATION_KINDS = ("quadratic", "pnorm", "one_hom_plus_quad")
-_SUBDIFF_ALLOWED = {
-    "QuadraticBenchmark": ("analytic",),
-    "StateWeightedToy": ("analytic",),
-    "AllenCahn1D": ("analytic",),
-    "PhaseField1D": ("marginal",),
-    "AbsoluteMarginal": ("marginal", "clarke"),
-}
 _CHECK_DEFAULTS = {"fenchel_young": True, "minimality": True,
                    "chain_rule": True, "energy_identity": True,
                    "step_inequality": False}
@@ -185,22 +179,23 @@ class RunPlan:
         params = dict(params)
 
         mode = cfg.get("subdiff_mode")
-        allowed = _SUBDIFF_ALLOWED[name]
-        if mode is not None:
-            if mode not in ("clarke", "marginal", "analytic"):
-                raise ConfigError("subdiff_mode",
-                                  "must be clarke, marginal or analytic")
-            if mode not in allowed:
-                raise ConfigError(
-                    "subdiff_mode",
-                    f"{name} supports only {list(allowed)}")
-        if name == "AbsoluteMarginal":
-            prior = params.get("subdiff_kind")
-            if prior is not None and mode is not None and prior != mode:
+        allowed = models.SUBDIFF_MODES[name]
+        if mode is not None and mode not in allowed:
+            # every mode some model admits, last-declared first
+            known = list(dict.fromkeys(
+                m for ms in models.SUBDIFF_MODES.values() for m in ms))[::-1]
+            if mode not in known:
+                raise ConfigError("subdiff_mode", f"must be "
+                                  f"{', '.join(known[:-1])} or {known[-1]}")
+            raise ConfigError("subdiff_mode",
+                              f"{name} supports only {list(allowed)}")
+        # a model with a choice of modes takes the chosen one as subdiff_kind
+        if len(allowed) > 1 and mode is not None:
+            prior = params.setdefault("subdiff_kind", mode)
+            if prior != mode:
                 raise ConfigError("subdiff_mode",
                                   f"conflicts with model.params.subdiff_kind="
                                   f"{prior}")
-            params["subdiff_kind"] = prior or mode or allowed[0]
 
         try:
             self.spec = models.build(name, params)
@@ -541,18 +536,12 @@ def cmd_run(config_path: str) -> int:
 
 
 def _write_refinement_csv(path: str, table) -> None:
-    cols = ["tau", "N", "status", "energy_identity_defect",
-            "dissipation_integral", "conjugate_dissipation_integral",
-            "P_integral", "sup_interpolant_distance",
-            "dissipation_integral_diff"]
+    cols = [f.name for f in dataclasses.fields(diagnostics.RefinementRow)]
     lines = [",".join(cols)]
     for r in table.rows:
-        row = [_fmt(r.tau), str(r.N), r.status]
-        for val in (r.energy_identity_defect, r.dissipation_integral,
-                    r.conjugate_dissipation_integral, r.P_integral,
-                    r.sup_interpolant_distance, r.dissipation_integral_diff):
-            row.append("" if val is None else _fmt(val))
-        lines.append(",".join(row))
+        # _fmt prints the integer N as str does
+        lines.append(",".join("" if v is None else v if isinstance(v, str)
+                              else _fmt(v) for v in dataclasses.astuple(r)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -32,7 +32,7 @@ each marginal model (see energy.argmin_set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +40,11 @@ import numpy as np
 from . import potentials
 from .energy import energy_value, generalized_time_derivative
 from .errors import RangeError, SolveAbortedError, StepFailureError
-from .scheme import (QUAD_M, DiscreteTrajectory, SolveOptions, TimeGrid,
-                     de_giorgi_interpolant, interpolants, slope_multiplier,
-                     solve)
+from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
+                     de_giorgi_interpolant, linear_interpolant,
+                     slope_multiplier, solve)
+
+QUAD_M = 8               # left-Riemann sub-samples per step (step_inequality)
 
 
 def _node_index(grid: TimeGrid, t: float) -> int:
@@ -288,9 +290,6 @@ class RefinementRow:
     sup_interpolant_distance: Optional[float] = None
     dissipation_integral_diff: Optional[float] = None
 
-    def to_dict(self) -> Dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class RefinementTable:
@@ -299,7 +298,7 @@ class RefinementTable:
     finest: Optional[DiscreteTrajectory] = None
 
     def to_dicts(self) -> List[Dict]:
-        return [r.to_dict() for r in self.rows]
+        return [asdict(r) for r in self.rows]
 
 
 def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
@@ -327,30 +326,28 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
     trajs: List[Optional[DiscreteTrajectory]] = []
     for tau in ladder:
         grid = TimeGrid(T=T, tau=tau)
-        row = RefinementRow(tau=tau, N=grid.N)
         try:
             traj = solve(model, psi, u0, grid, opts)
         except Exception as err:  # annotate and continue, per contract
-            row.status = f"solve failed: {err}"
+            rows.append(RefinementRow(tau=tau, N=grid.N,
+                                      status=f"solve failed: {err}"))
             trajs.append(None)
-            rows.append(row)
             continue
-        row.energy_identity_defect = energy_identity_defect(traj)
-        ints = dissipation_integrals(traj)
-        row.dissipation_integral = ints["dissipation_integral"]
-        row.conjugate_dissipation_integral = ints["conjugate_dissipation_integral"]
-        row.P_integral = ints["P_integral"]
+        rows.append(RefinementRow(
+            tau=tau, N=grid.N,
+            energy_identity_defect=energy_identity_defect(traj),
+            **dissipation_integrals(traj)))
         trajs.append(traj)
-        rows.append(row)
 
     times = np.linspace(0.0, T, 1024)
     for i in range(len(rows) - 1):
         if trajs[i] is None or trajs[i + 1] is None:
             continue
-        si, sj = interpolants(trajs[i]), interpolants(trajs[i + 1])
-        dist = max(float(np.linalg.norm(si.linear(t) - sj.linear(t)))
-                   for t in times)
-        rows[i].sup_interpolant_distance = dist
+        diff = linear_interpolant(trajs[i], times)
+        diff -= linear_interpolant(trajs[i + 1], times)
+        # row by row, the dot product np.linalg.norm takes of one vector
+        sq = diff[:, None, :] @ diff[:, :, None]
+        rows[i].sup_interpolant_distance = float(np.sqrt(sq.max()))
         rows[i].dissipation_integral_diff = abs(
             rows[i].dissipation_integral - rows[i + 1].dissipation_integral)
     return RefinementTable(rows=rows, finest=trajs[-1])

@@ -309,10 +309,11 @@ def _build_absolute_marginal(params):
     offset = _num(params, "offset", 2.0, name="AbsoluteMarginal")
     t_cap = _num(params, "t_cap", 1.0, lo=0.0, lo_strict=True, hi=8.0,
                  name="AbsoluteMarginal")
-    kind = params.pop("subdiff_kind", "marginal")
-    if kind not in ("marginal", "clarke"):
-        raise ConfigError("params.subdiff_kind",
-                          f"expected 'marginal' or 'clarke', got {kind!r}")
+    modes = SUBDIFF_MODES["AbsoluteMarginal"]
+    kind = params.pop("subdiff_kind", modes[0])
+    if kind not in modes:
+        raise ConfigError("params.subdiff_kind", f"expected "
+                          f"{' or '.join(map(repr, modes))}, got {kind!r}")
     _reject_unknown(params, "AbsoluteMarginal")
     C0 = offset - alpha * (1.5 + beta * t_cap)
     if not C0 > 0.0:
@@ -404,15 +405,17 @@ def _build_state_weighted(params):
                                  "omega_scale": scale})
 
 
+# each model's builder and admitted subdiff modes, the default first
 _BUILDERS = {
-    "QuadraticBenchmark": _build_quadratic,
-    "AbsoluteMarginal": _build_absolute_marginal,
-    "PhaseField1D": _build_phase_field,
-    "AllenCahn1D": _build_allen_cahn,
-    "StateWeightedToy": _build_state_weighted,
+    "QuadraticBenchmark": (_build_quadratic, ("analytic",)),
+    "AbsoluteMarginal": (_build_absolute_marginal, ("marginal", "clarke")),
+    "PhaseField1D": (_build_phase_field, ("marginal",)),
+    "AllenCahn1D": (_build_allen_cahn, ("analytic",)),
+    "StateWeightedToy": (_build_state_weighted, ("analytic",)),
 }
 
 MODEL_NAMES = tuple(_BUILDERS)
+SUBDIFF_MODES = {name: modes for name, (_, modes) in _BUILDERS.items()}
 
 _DOCS = {
     "QuadraticBenchmark": (
@@ -463,7 +466,7 @@ def build(name: str, params: Optional[Dict] = None) -> ModelSpec:
     if name not in _BUILDERS:
         raise ConfigError("model.name",
                           f"unknown model {name!r}; registered: {', '.join(MODEL_NAMES)}")
-    return _BUILDERS[name](dict(params or {}))
+    return _BUILDERS[name][0](dict(params or {}))
 
 
 def describe(name: str) -> str:

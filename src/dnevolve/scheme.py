@@ -25,8 +25,8 @@ one start from U_{n-1} suffices. Otherwise it is certified only by a
 deterministic multi-start budget. The solver records mu and its start
 count in inner_status.
 
-The De Giorgi variational interpolant reuses the same step solver with a
-shrunken step r = t - t_{n-1} and energy frozen at time t.
+The De Giorgi interpolant reuses the step solver (step r = t - t_{n-1},
+energy frozen at t); the piecewise interpolants also take arrays of times.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ WITNESS_TOL = 1e-12
 # eps_inner = EPS_INNER_SCALE * (1 + |E(t_n, U_{n-1})|) is both the
 # prox-residual target and the gap certification scale
 EPS_INNER_SCALE = 1e-10
-QUAD_M = 8               # left-Riemann sub-samples per step (step_inequality)
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class SolveOptions:
     """The per-run settings of a config: seed drives the multistart points
     of the n-D inner solver, and eps_quad is the interval-inequality budget
     (None resolves to 1e-6 * (1 + E(0, u0))). The inner tolerance and the
-    quadrature sample count are the constants EPS_INNER_SCALE and QUAD_M."""
+    quadrature sample count are EPS_INNER_SCALE and diagnostics.QUAD_M."""
 
     seed: int = 0
     eps_quad: Optional[float] = None
@@ -435,13 +434,23 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
 # interpolants
 
 
-def _locate(grid: TimeGrid, t: float) -> Tuple[int, float]:
-    """Interval index n with t in (t_{n-1}, t_n], and r = t - t_{n-1}."""
-    if not 0.0 < t <= grid.t(grid.N) + 1e-12 * grid.tau:
-        raise RangeError(f"time {t} outside (0, {grid.t(grid.N)}]")
-    n = int(math.ceil(t / grid.tau - 1e-9))
-    n = min(max(n, 1), grid.N)
-    return n, t - grid.t(n - 1)
+def _locate(grid: TimeGrid, t):
+    """(n, r) for t in [0, t_N] +- 1e-12 tau: t in (t_{n-1}, t_n] gives n and
+    r = t - t_{n-1}, t = 0 gives (0, 0.0); arrays of times give arrays."""
+    tau, N = grid.tau, grid.N
+    lo, hi = -1e-12 * tau, grid.t(N) + 1e-12 * tau
+    if isinstance(t, (int, float)) and lo <= t <= hi:  # no numpy calls
+        if t <= 0.0:
+            return 0, 0.0
+        n = min(max(math.ceil(t / tau - 1e-9), 1), N)
+        return n, t - grid.t(n - 1)
+    t = np.asarray(t, dtype=float)
+    inside = (t >= lo) & (t <= hi)
+    if not inside.all():
+        raise RangeError(f"time {t[~inside].flat[0]} outside [0, {grid.t(N)}]")
+    n = np.where(t > 0.0, np.clip(np.ceil(t / tau - 1e-9), 1, N), 0)
+    n = n.astype(np.intp)
+    return n, np.where(n > 0, t - (n - 1) * tau, 0.0)
 
 
 def slope_multiplier(model: EnergyModel, psi, t: float, u) -> np.ndarray:
@@ -459,6 +468,8 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t: float):
     problem under traj.opts, its multiplier, and r = t - t_{n-1}. At nodes
     it returns the stored step data exactly."""
     n, r = _locate(traj.grid, t)
+    if n == 0:
+        raise RangeError(f"time {t} outside (0, {traj.grid.t(traj.N)}]")
     if abs(r - traj.grid.tau) <= 1e-12 * traj.grid.tau:
         return traj.U[n].copy(), traj.xi[n].copy(), traj.grid.tau
     U, xi = incremental_step(traj.model, traj.psi, traj.U[n - 1], t, r,
@@ -466,52 +477,34 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t: float):
     return U, xi, r
 
 
-@dataclass(frozen=True)
-class InterpolantSampler:
-    """Piecewise samplers of a trajectory on [0, t_N]."""
-
-    traj: DiscreteTrajectory
-
-    def _n_left(self, t: float) -> int:
-        g = self.traj.grid
-        if not -1e-12 * g.tau <= t <= g.t(g.N) + 1e-12 * g.tau:
-            raise RangeError(f"time {t} outside [0, {g.t(g.N)}]")
-        if t <= 0.0:
-            return 0
-        n, _ = _locate(g, t)
-        return n
-
-    def left_constant(self, t: float) -> np.ndarray:
-        """U_n on (t_{n-1}, t_n]; U_0 at t = 0."""
-        n = self._n_left(t)
-        return self.traj.U[n].copy()
-
-    def right_constant(self, t: float) -> np.ndarray:
-        """U_{n-1} on [t_{n-1}, t_n); U_N at t = t_N."""
-        g = self.traj.grid
-        n = self._n_left(t)
-        if n == 0:
-            return self.traj.U[0].copy()
-        # exactly at a node the right-continuous interpolant has already
-        # jumped; strictly inside the interval it still shows U_{n-1}
-        if abs(t - g.t(n)) <= 1e-12 * g.tau:
-            return self.traj.U[n].copy()
-        return self.traj.U[n - 1].copy()
-
-    def linear(self, t: float) -> np.ndarray:
-        g = self.traj.grid
-        n = self._n_left(t)
-        if n == 0:
-            return self.traj.U[0].copy()
-        th = (t - g.t(n - 1)) / g.tau
-        return (1.0 - th) * self.traj.U[n - 1] + th * self.traj.U[n]
-
-    def linear_rate(self, t: float) -> np.ndarray:
-        """The difference quotient on the interval containing t (the left
-        interval's rate exactly at nodes)."""
-        n = max(self._n_left(t), 1)
-        return self.traj.rate(n)
+def left_constant_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
+    """U_n on (t_{n-1}, t_n]; U_0 at t = 0."""
+    n, _ = _locate(traj.grid, t)
+    return traj.U.take(n, axis=0)
 
 
-def interpolants(traj: DiscreteTrajectory) -> InterpolantSampler:
-    return InterpolantSampler(traj)
+def right_constant_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
+    """U_{n-1} on [t_{n-1}, t_n); U_N at t = t_N."""
+    n, r = _locate(traj.grid, t)
+    # at a node (the test of de_giorgi_interpolant) it has jumped to U_n
+    at_node = abs(r - traj.grid.tau) <= 1e-12 * traj.grid.tau
+    return traj.U[np.where(at_node, n, np.maximum(n - 1, 0))]
+
+
+def linear_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
+    """The piecewise-linear interpolant of the nodes U_n."""
+    n, r = _locate(traj.grid, t)
+    th = np.expand_dims(r / traj.grid.tau, -1)
+    # in place: an array of times holds two (times, d) arrays at most
+    out = traj.U.take(np.maximum(n - 1, 0), axis=0)
+    out *= 1.0 - th
+    nxt = traj.U.take(n, axis=0)
+    nxt *= th
+    out += nxt
+    return out
+
+
+def interpolant_rate(traj: DiscreteTrajectory, t) -> np.ndarray:
+    """The rate of the interval holding t: the left one's at nodes."""
+    n, _ = _locate(traj.grid, t)
+    return traj.rate(np.maximum(n, 1))

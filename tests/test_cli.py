@@ -139,6 +139,18 @@ def test_conflicting_subdiff_mode(tmp_path, capsys):
     assert "config error at subdiff_mode:" in err
 
 
+@pytest.mark.parametrize("kind", ["", False, None, 0])
+def test_malformed_subdiff_kind_is_rejected(tmp_path, capsys, kind):
+    # models.build rejects these, so the config boundary must not swap in
+    # the default mode for them
+    path = write_cfg(tmp_path, {
+        "model": {"name": "AbsoluteMarginal",
+                  "params": {"subdiff_kind": kind}}})
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 2
+    assert "config error at model.params.subdiff_kind:" in err
+
+
 def test_unreadable_and_invalid_json(tmp_path, capsys):
     code, _, err = run_main(capsys, "run", str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read config" in err
@@ -288,10 +300,6 @@ def test_interpolant_solve_failure_exits_3(tmp_path, capsys, monkeypatch):
         assert code == 3, err
         assert ("solver failure at step 1: interpolant solve at "
                 "t=0.015625 failed: inner solver stalled") in err
-
-
-def test_subdiff_modes_cover_the_model_registry():
-    assert set(cli._SUBDIFF_ALLOWED) == set(MODEL_NAMES)
 
 
 def test_nan_witness_exits_3(tmp_path, capsys, monkeypatch):

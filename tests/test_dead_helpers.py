@@ -6,7 +6,10 @@
   outside the package;
 - every defaulted parameter of a module-level function is passed by some
   call, and every defaulted dataclass field is set somewhere;
-- every attribute an `__init__` sets is read outside that `__init__`.
+- every attribute an `__init__` sets is read outside that `__init__`;
+- every public module-level constant is read in its own module, or by
+  certbench/ (for example `_kernels.BACKEND`, which only the benchmark's
+  environment record reads), so it lives with its reader.
 
 Callers and readers are searched in src/, tests/ and certbench/."""
 
@@ -16,19 +19,25 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dnevolve"
-TRACER = ROOT / "certbench" / "tracer.py"
+BENCH = ROOT / "certbench"
+TRACER = BENCH / "tracer.py"
+
+
+def _assigned(stmt):
+    """Names a module-level assignment binds."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
 
 
 def _defined(stmt):
     """Private names a module-level statement defines (dunders excluded)."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
         names = [stmt.name]
-    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = [n.id for t in targets for n in ast.walk(t)
-                 if isinstance(n, ast.Name)]
     else:
-        names = []
+        names = _assigned(stmt)
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
@@ -96,6 +105,49 @@ def test_dead_helpers_sees_every_form():
          "y = a._by_attribute()\n")
     assert dead_helpers({"a": a, "b": b}, {("a", "_hooked")}) == [
         ("a", "_K"), ("a", "_self_only")]
+
+
+def misplaced_constants(sources, outside=()):
+    """(module, name) of every public module-level constant in sources
+    ({module: text}) that no other statement of its own module reads and
+    that no text in outside (a list of texts) reads."""
+    read_outside = set()
+    for text in outside:
+        read_outside |= _reads(ast.parse(text))
+    out = []
+    for mod, text in sources.items():
+        body = ast.parse(text).body
+        reads = [_reads(stmt) for stmt in body]
+        for i, stmt in enumerate(body):
+            for name in _assigned(stmt):
+                if name.startswith("_") or name in read_outside:
+                    continue
+                if not any(name in r for j, r in enumerate(reads) if j != i):
+                    out.append((mod, name))
+    return sorted(out)
+
+
+def test_every_public_constant_lives_with_its_reader():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    assert misplaced_constants(sources, bench) == []
+
+
+def test_misplaced_constants_sees_every_form():
+    a = ("K = 1\n"
+         "READ: int = 2\n"
+         "LO, HI = 0, 1\n"
+         "BENCH_ONLY = 'x'\n"
+         "_PRIVATE = 3\n"
+         "__version__ = '0'\n"
+         "def f():\n"
+         "    return READ + HI\n")
+    b = ("from .a import K\n"
+         "x = K + 1\n")
+    bench = "import a\nprint(a.BENCH_ONLY)\n"
+    assert misplaced_constants({"a": a, "b": b}, [bench]) == [
+        ("a", "K"), ("a", "LO"), ("b", "x")]
 
 
 # clarke_subdifferential_1d's ResolutionError tells users to shrink h

@@ -1,5 +1,5 @@
 """Time stepping: frozen one-step values, a dense-grid minimization oracle,
-certificates, determinism, and the interpolant samplers."""
+certificates, determinism, and the interpolants."""
 
 import math
 import random
@@ -9,11 +9,14 @@ import pytest
 
 import dnevolve.scheme as scheme
 from dnevolve import potentials
+from dnevolve.diagnostics import refinement_study
 from dnevolve.errors import DomainError, RangeError, SolveAbortedError
 from dnevolve.models import build
 from dnevolve.scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
                              de_giorgi_interpolant, incremental_step,
-                             interpolants, slope_multiplier, solve)
+                             interpolant_rate, left_constant_interpolant,
+                             linear_interpolant, right_constant_interpolant,
+                             slope_multiplier, solve)
 
 
 def dense_step_oracle(model, p, u_prev, t_n, tau, half_width=1.0, step=2e-5):
@@ -405,25 +408,89 @@ def test_slope_multiplier_choices():
 
 
 def test_samplers(quad_traj):
-    s = interpolants(quad_traj)
     U = quad_traj.U
-    np.testing.assert_array_equal(s.left_constant(0.0), U[0])
-    np.testing.assert_array_equal(s.left_constant(0.1), U[1])
-    np.testing.assert_array_equal(s.left_constant(0.25), U[1])
-    np.testing.assert_array_equal(s.left_constant(0.26), U[2])
-    np.testing.assert_array_equal(s.right_constant(0.1), U[0])
-    np.testing.assert_array_equal(s.right_constant(0.25), U[1])
-    np.testing.assert_array_equal(s.right_constant(0.3), U[1])
-    np.testing.assert_array_equal(s.right_constant(1.0), U[4])
-    np.testing.assert_allclose(s.linear(0.125), 0.5 * (U[0] + U[1]),
-                               atol=1e-15)
-    np.testing.assert_array_equal(s.linear(0.75), U[3])
-    np.testing.assert_array_equal(s.linear_rate(0.1), quad_traj.rate(1))
-    np.testing.assert_array_equal(s.linear_rate(0.25), quad_traj.rate(1))
-    np.testing.assert_array_equal(s.linear_rate(0.26), quad_traj.rate(2))
+    left, right = left_constant_interpolant, right_constant_interpolant
+    np.testing.assert_array_equal(left(quad_traj, 0.0), U[0])
+    np.testing.assert_array_equal(left(quad_traj, 0.1), U[1])
+    np.testing.assert_array_equal(left(quad_traj, 0.25), U[1])
+    np.testing.assert_array_equal(left(quad_traj, 0.26), U[2])
+    np.testing.assert_array_equal(right(quad_traj, 0.1), U[0])
+    np.testing.assert_array_equal(right(quad_traj, 0.25), U[1])
+    np.testing.assert_array_equal(right(quad_traj, 0.3), U[1])
+    np.testing.assert_array_equal(right(quad_traj, 1.0), U[4])
+    np.testing.assert_allclose(linear_interpolant(quad_traj, 0.125),
+                               0.5 * (U[0] + U[1]), atol=1e-15)
+    np.testing.assert_array_equal(linear_interpolant(quad_traj, 0.75), U[3])
+    np.testing.assert_array_equal(interpolant_rate(quad_traj, 0.1),
+                                  quad_traj.rate(1))
+    np.testing.assert_array_equal(interpolant_rate(quad_traj, 0.25),
+                                  quad_traj.rate(1))
+    np.testing.assert_array_equal(interpolant_rate(quad_traj, 0.26),
+                                  quad_traj.rate(2))
     for bad in (-0.01, 1.01):
         with pytest.raises(RangeError):
-            s.left_constant(bad)
+            left(quad_traj, bad)
+
+
+INTERPOLANTS = (left_constant_interpolant, right_constant_interpolant,
+                linear_interpolant, interpolant_rate)
+
+
+@pytest.fixture(scope="module")
+def ac_traj():
+    spec = build("AllenCahn1D", {"N": 4})
+    u0 = 0.3 * np.sin(np.pi * (np.arange(4) + 0.5) / 4)
+    return solve(spec.energy, spec.dissipation, u0,
+                 TimeGrid(T=0.3, tau=2.0 ** -4))
+
+
+@pytest.mark.parametrize("f", INTERPOLANTS, ids=lambda f: f.__name__)
+def test_interpolant_arrays_match_scalar_calls(ac_traj, f):
+    g = ac_traj.grid
+    nodes = g.nodes()
+    eps = 1e-10 * g.tau
+    times = np.concatenate([
+        [0.0], nodes, nodes[1:] - eps, nodes[:-1] + eps, [g.t(g.N)],
+        np.linspace(0.0, g.t(g.N), 1024)])
+    rows = f(ac_traj, times)
+    assert rows.shape == (times.size, 4)
+    for t, row in zip(times, rows):
+        assert row.tobytes() == f(ac_traj, float(t)).tobytes(), t
+        assert row.tobytes() == f(ac_traj, np.array(t)).tobytes(), t
+
+
+@pytest.mark.parametrize("f", INTERPOLANTS, ids=lambda f: f.__name__)
+def test_interpolant_arrays_reject_a_time_out_of_range(quad_traj, f):
+    for bad in (-0.01, 1.01, np.nan):
+        with pytest.raises(RangeError):
+            f(quad_traj, np.array([0.0, 0.5, bad, 1.0]))
+
+
+def _per_time_linear(traj, t):
+    # the per-time sampler the array form replaced, kept as the reference
+    g = traj.grid
+    if t <= 0.0:
+        return traj.U[0].copy()
+    n = min(max(int(math.ceil(t / g.tau - 1e-9)), 1), g.N)
+    th = (t - g.t(n - 1)) / g.tau
+    return (1.0 - th) * traj.U[n - 1] + th * traj.U[n]
+
+
+def test_refinement_distance_matches_the_per_time_loop():
+    spec = build("AllenCahn1D", {"N": 8})
+    u0 = 0.1 * np.sin(np.pi * (np.arange(8) + 0.5) / 8)
+    T = 0.125
+    ladder = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
+    table = refinement_study(spec.energy, spec.dissipation, u0, T, ladder)
+    trajs = [solve(spec.energy, spec.dissipation, u0, TimeGrid(T=T, tau=tau))
+             for tau in ladder]
+    times = np.linspace(0.0, T, 1024)
+    for row, a, b in zip(table.rows, trajs, trajs[1:]):
+        ref = max(float(np.linalg.norm(_per_time_linear(a, t)
+                                       - _per_time_linear(b, t)))
+                  for t in times)
+        assert row.sup_interpolant_distance == ref
+    assert table.rows[-1].sup_interpolant_distance is None
 
 
 def test_energy_monotone_when_time_frozen():
