@@ -38,8 +38,9 @@ def _forward_diff(u: np.ndarray, dx: float) -> np.ndarray:
 
 def ac_energy(u: np.ndarray, dx: float, q: float, load: np.ndarray) -> float:
     g = _forward_diff(u, dx)
-    grad_term = np.sum(np.abs(g) ** q) * dx / q
-    well_term = np.sum(_quartic_well(u)) * dx
+    # ndarray.sum is np.sum without its Python wrapper: the same sum
+    grad_term = (np.abs(g) ** q).sum() * dx / q
+    well_term = _quartic_well(u).sum() * dx
     load_term = np.dot(load, u) * dx
     return float(grad_term + well_term - load_term)
 

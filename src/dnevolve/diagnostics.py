@@ -340,11 +340,18 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
         trajs.append(traj)
 
     times = np.linspace(0.0, T, 1024)
+    # each rung's interpolant is evaluated once: the finer rung's array is
+    # kept for the next pair, and the coarser one, dropped after this pair,
+    # takes the difference in place
+    finer = None
     for i in range(len(rows) - 1):
         if trajs[i] is None or trajs[i + 1] is None:
+            finer = None
             continue
-        diff = linear_interpolant(trajs[i], times)
-        diff -= linear_interpolant(trajs[i + 1], times)
+        diff = (linear_interpolant(trajs[i], times) if finer is None
+                else finer)
+        finer = linear_interpolant(trajs[i + 1], times)
+        diff -= finer
         # row by row, the dot product np.linalg.norm takes of one vector
         sq = diff[:, None, :] @ diff[:, :, None]
         rows[i].sup_interpolant_distance = float(np.sqrt(sq.max()))

@@ -16,7 +16,10 @@ bounded-Brent refinement of every local basin and a final stationarity
 polish; in higher dimension, proximal gradient with backtracking (a step
 must pass sufficient decrease and a curvature test on the gradient
 difference), the 1-homogeneous part of Psi handled by its exact proximal
-map (soft-thresholding around the previous state). Global optimality is
+map (soft-thresholding around the previous state). Its step size 1/L
+adapts both ways: a failed trial doubles L, and an iteration accepted at
+its first trial halves L, floored at 1 (Nesterov's adaptive composite
+gradient step, Math. Program. 2013, sec. 4). Global optimality is
 certified by strong convexity where it can be proven: when
 mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the coercivity box of
 radius R, with lambda_E the energy's declared (and audited) semiconvexity,
@@ -187,12 +190,18 @@ def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
 
 def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
                L0=1.0):
-    """Monotone proximal gradient from x0. Returns (x, phi, residual, iters, L)."""
+    """Monotone proximal gradient from x0. Returns (x, phi, residual, iters, L).
+
+    Step size 1/L, adaptive both ways (Nesterov 2013, sec. 4): a trial
+    point that fails the value or the curvature test doubles L, up to
+    1e18; an iteration accepted at its first trial halves L afterwards,
+    floored at 1, so one stiff iterate does not fix a small step for the
+    rest of the solve. The residual L ||x_new - x|| uses the accepted L."""
     lo, hi = box
 
     def g_val(x):
         v = (x - u_prev) / tau
-        return (tau * float(np.sum(p.smooth_scalar(v)))
+        return (tau * float(p.smooth_scalar(v).sum())
                 + float(model.value(t_n, x)))
 
     def g_grad(x):
@@ -200,10 +209,11 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
         return np.asarray(p.smooth_scalar_grad(v), dtype=float) + model.grad(t_n, x)
 
     def h_val(x):
-        return rho_hat * float(np.sum(np.abs(x - u_prev)))
+        return rho_hat * float(np.abs(x - u_prev).sum())
 
+    # np.minimum(np.maximum(.)) is np.clip without its Python wrapper frames
     L = L0
-    x = np.clip(x0, lo, hi)
+    x = np.minimum(np.maximum(x0, lo), hi)
     gx = g_val(x)
     grad = g_grad(x)
     residual = np.inf
@@ -211,10 +221,12 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
     while it < max_iters:
         it += 1
         accepted = False
+        first_trial = True
         while True:
             step = 1.0 / L
             z = x - step * grad
-            x_new = np.clip(u_prev + _soft(z - u_prev, step * rho_hat), lo, hi)
+            x_new = np.minimum(
+                np.maximum(u_prev + _soft(z - u_prev, step * rho_hat), lo), hi)
             dx = x_new - x
             nrm2 = float(np.dot(dx, dx))
             if nrm2 == 0.0:
@@ -230,6 +242,7 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
                 if accepted:
                     break
             L *= 2.0
+            first_trial = False
             if L > 1e18:
                 break
         if nrm2 == 0.0:
@@ -243,6 +256,8 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
         x, gx, grad = x_new, g_new, grad_new
         if residual <= tol:
             break
+        if first_trial:
+            L = max(1.0, L / 2.0)
     return x, gx + h_val(x), residual, it, L
 
 

@@ -352,6 +352,26 @@ def test_p_one_and_a_half_noisy_start_solves(tmp_path, capsys):
     assert code == 0, err
 
 
+def test_p_one_and_a_half_interpolant_solves(tmp_path, capsys):
+    # the De Giorgi interpolant at t = tau/2 stalled with exit 3 at L = 4096
+    # after 20480 iterations, although its Hessian there has eigenvalues
+    # 3.0 to 36.2: the prox-grad step size could only shrink. Every solve
+    # now converges; chain_rule and step_inequality fail on their own merits
+    path = write_cfg(tmp_path, {
+        "model": {"name": "AllenCahn1D",
+                  "params": {"N": 4, "p": 1.5, "q": 4, "rho": 0}},
+        "u0": [-0.8207801848836977, 0.4138031035087677, 0.7909721601955884,
+               -0.8672351491452202],
+        "T": 0.125, "tau": 2.0 ** -5,
+        "diagnostics": {"step_inequality": True}})
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 1, err
+    assert "stalled" not in err
+    payload = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    failed = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert failed == ["chain_rule", "step_inequality"]
+
+
 def test_output_root_env_prefixes_relative_dirs(tmp_path, capsys,
                                                 monkeypatch):
     monkeypatch.setenv("DNEVOLVE_OUTPUT_ROOT", str(tmp_path / "root"))

@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
+import dnevolve.diagnostics as diagnostics
 import dnevolve.scheme as scheme
 from dnevolve import potentials
 from dnevolve.diagnostics import refinement_study
+from dnevolve.energy import energy_value
 from dnevolve.errors import DomainError, RangeError, SolveAbortedError
 from dnevolve.models import build
 from dnevolve.scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
@@ -260,6 +262,45 @@ def test_prox_grad_keeps_x_when_backtracking_gives_up():
     assert (it, res) == (1, np.inf) and L > 1e18
 
 
+def _ac_step_problem(N):
+    """The first AllenCahn1D step problem from 0.1 sin(pi x), tau = 2^-6,
+    set up as _solve_nd sets it up: (model, p, u_prev, tau, box, tol)."""
+    spec = build("AllenCahn1D", {"N": N})
+    tau = 2.0 ** -6
+    u_prev = 0.1 * np.sin(np.pi * (np.arange(N) + 0.5) / N)
+    p = spec.dissipation.at_state(u_prev)
+    e_prev = energy_value(spec.energy, tau, u_prev)
+    R = scheme._coercivity_radius(p, tau, e_prev - spec.energy.constants.C0)
+    blo, bhi = spec.energy.domain_box
+    box = (np.maximum(u_prev - R, blo), np.minimum(u_prev + R, bhi))
+    return (spec.energy, p, u_prev, tau, box,
+            scheme.EPS_INNER_SCALE * (1.0 + abs(e_prev)))
+
+
+def test_prox_grad_step_size_grows_back():
+    # from L0 = 2^20 the step was 2^-20 for the whole solve, which ran out
+    # its 20000 iterations at residual 8.8e-3; halving L after every
+    # iteration accepted at its first trial brings it to 32 in 29
+    model, p, u_prev, tau, box, tol = _ac_step_problem(8)
+    L0 = 2.0 ** 20
+    _, _, res, it, L = scheme._prox_grad(
+        model, p, u_prev, tau, tau, u_prev, box, p.one_hom, tol,
+        scheme.MAX_REFINE_ITERS, L0=L0)
+    assert res <= tol
+    assert L < L0 / 2 ** 10
+    assert it < 60
+
+
+def test_prox_grad_backtracking_still_doubles_L():
+    # the N = 32 grid energy has curvature far above 1
+    model, p, u_prev, tau, box, tol = _ac_step_problem(32)
+    _, _, res, _, L = scheme._prox_grad(
+        model, p, u_prev, tau, tau, u_prev, box, p.one_hom, tol,
+        scheme.MAX_REFINE_ITERS, L0=1.0)
+    assert res <= tol
+    assert L > 1.0
+
+
 def _noisy_sine(N, seed=1):
     rng = random.Random(seed)
     return np.array([0.1 * math.sin(math.pi * (i + 0.5) / N)
@@ -491,6 +532,45 @@ def test_refinement_distance_matches_the_per_time_loop():
                   for t in times)
         assert row.sup_interpolant_distance == ref
     assert table.rows[-1].sup_interpolant_distance is None
+
+
+@pytest.mark.parametrize("failed,evaluations", [(None, 5), (2, 4)])
+def test_refinement_evaluates_each_rung_interpolant_once(monkeypatch, failed,
+                                                         evaluations):
+    # the pairwise loop evaluated every interior rung twice, once against
+    # each neighbour: 8 evaluations for 5 rungs. A failed rung skips both
+    # of its pairs, and the pair after them must not reuse an older array
+    spec = build("AllenCahn1D", {"N": 8})
+    u0 = 0.1 * np.sin(np.pi * (np.arange(8) + 0.5) / 8)
+    T = 0.125
+    ladder = [2.0 ** -k for k in range(3, 8)]
+    trajs = []
+
+    def solved(model, psi, u0, grid, opts):
+        if failed is not None and grid.tau == ladder[failed]:
+            trajs.append(None)
+            raise RuntimeError("rung left out")
+        trajs.append(solve(model, psi, u0, grid, opts))
+        return trajs[-1]
+    evaluated = []
+
+    def counted(traj, t):
+        evaluated.append(traj.grid.tau)
+        return linear_interpolant(traj, t)
+    monkeypatch.setattr(diagnostics, "solve", solved)
+    monkeypatch.setattr(diagnostics, "linear_interpolant", counted)
+    table = refinement_study(spec.energy, spec.dissipation, u0, T, ladder)
+    assert len(evaluated) == len(set(evaluated)) == evaluations
+    times = np.linspace(0.0, T, 1024)
+    for row, a, b in zip(table.rows, trajs, trajs[1:]):
+        if a is None or b is None:
+            assert row.sup_interpolant_distance is None
+            continue
+        # the two-call form, one evaluation per side of each pair
+        diff = linear_interpolant(a, times)
+        diff -= linear_interpolant(b, times)
+        ref = float(np.sqrt((diff[:, None, :] @ diff[:, :, None]).max()))
+        assert row.sup_interpolant_distance == ref
 
 
 def test_energy_monotone_when_time_frozen():
