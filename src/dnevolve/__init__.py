@@ -21,11 +21,10 @@ from .errors import (ConditioningError, ConfigError, DimensionMismatchError,
                      SubdifferentialUnavailableError)
 from .models import MODEL_NAMES, ModelSpec, build, describe
 from .potentials import (AdmissibilityReport, DissipationPotential,
-                         OneHomPlusQuad, PNorm, Quadratic, SamplePlan,
-                         Scaled, StateWeighted, TwoSlope, WeightedSum,
+                         OneHomPlusQuad, PNorm, Quadratic, Scaled,
+                         StateWeighted, TwoSlope, WeightedSum,
                          check_admissible, conjugate, fenchel_young_gap,
                          subdiff_contains)
-from .potentials import eval as potential_value
 from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
                      de_giorgi_interpolant, incremental_step, solve)
 from .diagnostics import (DiagnosticsReport, RefinementTable, build_report,
@@ -42,7 +41,7 @@ __all__ = [
     "DomainError", "EnergyConstants", "EnergyModel", "MODEL_NAMES",
     "MarginalEnergy", "MaximizationFailureError", "ModelSpec",
     "OneHomPlusQuad", "PNorm", "Quadratic", "RangeError", "RefinementError",
-    "RefinementTable", "ResolutionError", "SamplePlan", "Scaled",
+    "RefinementTable", "ResolutionError", "Scaled",
     "SolveAbortedError", "SolveOptions", "StateWeighted", "StepFailureError",
     "SubdifferentialUnavailableError", "TimeGrid", "TwoSlope", "WeightedSum",
     "argmin_set", "audit_assumptions", "build", "build_report",
@@ -51,6 +50,6 @@ __all__ = [
     "energy_identity_defect", "energy_value", "fenchel_young_gap",
     "fenchel_young_profile", "generalized_time_derivative",
     "incremental_step", "marginal_subdifferential",
-    "potential_value", "refinement_study", "solve", "step_inequality",
+    "refinement_study", "solve", "step_inequality",
     "subdiff_contains",
 ]

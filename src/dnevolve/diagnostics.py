@@ -63,38 +63,46 @@ def resolve_eps_quad(traj: DiscreteTrajectory) -> float:
 @dataclass(frozen=True)
 class StepTerms:
     """tau-free per-step certificate integrands of one trajectory, entry 0 = 0:
-    psi[n] = Psi(v_n), conj[n] = Psi*(-xi_n), P[n] = P(t_n, U_n, xi_n) and
-    the Fenchel-Young gap[n] = psi[n] + conj[n] - <-xi_n, v_n>, with Psi the
-    frozen potential of step n. The arrays are read-only."""
+    psi[n] = Psi(v_n), conj[n] = Psi*(-xi_n), P[n] = P(t_n, U_n, xi_n), the
+    Fenchel-Young gap[n] = psi[n] + conj[n] - <-xi_n, v_n>, with Psi the
+    frozen potential of step n, and the chain-rule defect
+    chain[n] = (E_n - E_{n-1}) / tau + <-xi_n, v_n> - P[n]. The arrays are
+    read-only."""
 
     psi: np.ndarray
     conj: np.ndarray
     P: np.ndarray
     gap: np.ndarray
+    chain: np.ndarray
 
 
 def _per_step_terms(traj: DiscreteTrajectory) -> StepTerms:
     """The one certificate pass: every per-step integrand, in one loop."""
     N = traj.N
+    tau = traj.grid.tau
     psis = np.zeros(N + 1)
     conjs = np.zeros(N + 1)
     Ps = np.zeros(N + 1)
     gaps = np.zeros(N + 1)
+    chains = np.zeros(N + 1)
     for n in range(1, N + 1):
         p = traj.psi_at(n)
         v = traj.rate(n)
         xi = -traj.xi[n]
         psi = p.value(v)
-        conj = potentials.conjugate(p, None, xi)
+        conj = potentials.conjugate(p, xi)
+        pairing = float(np.dot(xi, v))
         # the operands and order of potentials.fenchel_young_gap
-        gaps[n] = psi + conj - float(np.dot(xi, v))
+        gaps[n] = psi + conj - pairing
         psis[n] = psi
         conjs[n] = conj
         Ps[n] = generalized_time_derivative(traj.model, traj.grid.t(n),
                                             traj.U[n], traj.xi[n])
-    for arr in (psis, conjs, Ps, gaps):
+        de = (traj.energies[n] - traj.energies[n - 1]) / tau
+        chains[n] = de + pairing - Ps[n]
+    for arr in (psis, conjs, Ps, gaps, chains):
         arr.flags.writeable = False
-    return StepTerms(psi=psis, conj=conjs, P=Ps, gap=gaps)
+    return StepTerms(psi=psis, conj=conjs, P=Ps, gap=gaps, chain=chains)
 
 
 def _certified(traj: DiscreteTrajectory, name: str):
@@ -128,14 +136,7 @@ def chain_rule_defects(traj: DiscreteTrajectory) -> np.ndarray:
     Predicted >= -O(tau) along solutions; the pass threshold is
     -chain_rule_constant(traj) * tau.
     """
-    N = traj.N
-    tau = traj.grid.tau
-    terms = _certified(traj, "_per_step_terms")
-    out = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        de = (traj.energies[n] - traj.energies[n - 1]) / tau
-        out[n] = de - float(np.dot(traj.xi[n], traj.rate(n))) - terms.P[n]
-    return out
+    return _certified(traj, "_per_step_terms").chain.copy()
 
 
 def _window(grid: TimeGrid, s: float, t: Optional[float]) -> Tuple[int, int]:
@@ -240,7 +241,7 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
         xis.append(traj.xi[n])
         times.append(grid.t(n))
 
-        conj_vals = [potentials.conjugate(p, None, -x) for x in xis[:m]]
+        conj_vals = [potentials.conjugate(p, -x) for x in xis[:m]]
         P_vals = [generalized_time_derivative(model, times[j], states[j],
                                               xis[j]) for j in range(m)]
         worst = -np.inf

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import (ConditioningError, DimensionMismatchError, DomainError,
                      RefinementError, ResolutionError)
 from .potentials import (AdmissibilityReport as AssumptionReport,
-                         AxiomCheck as AssumptionCheck, as_state)
+                         AxiomCheck as AssumptionCheck, _one_sided,
+                         as_state)
 
 DELTA_XI = 1e-8       # xi-to-eta matching tolerance; both sides come from
                       # the same analytic D_u I, so agreement is near machine
@@ -144,7 +145,7 @@ def _check_domain(model: EnergyModel, u: np.ndarray) -> None:
     if model.domain_box is None:
         return
     lo, hi = model.domain_box
-    if np.any(u < lo) or np.any(u > hi):
+    if (u < lo).any() or (u > hi).any():
         raise DomainError(
             f"state outside declared domain box of {model.name}: "
             f"u = {np.round(u, 6).tolist()}")
@@ -243,14 +244,6 @@ def marginal_subdifferential(model: MarginalEnergy, t: float, u
         if not out or np.linalg.norm(x - out[-1]) > XI_DEDUP:
             out.append(x)
     return out
-
-
-def _one_sided(f, x: float, h: float, side: float) -> float:
-    """One-sided difference quotient at x, Richardson-refined once."""
-    def d(step):
-        return (f(x + side * step) - f(x)) / (side * step)
-
-    return 2.0 * d(h / 2.0) - d(h)
 
 
 def clarke_subdifferential_1d(model: EnergyModel, t: float, u,

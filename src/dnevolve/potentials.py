@@ -2,14 +2,20 @@
 
 A dissipation potential Psi is a convex, nonnegative function of the rate v
 with Psi(0) = 0 and superlinear growth; state-dependent families Psi_u scale
-a base potential by a positive weight omega(u). The queries this module owns:
+a base potential by a positive weight omega(u). A family is queried only in
+frozen form: psi.at_state(u) is the potential Psi_u (the identity for a
+state-independent kind), and every query below takes such a frozen p:
 
-    eval(psi, u, v)            Psi_u(v)
-    conjugate(psi, u, xi)      Psi_u*(xi) = sup_v <xi,v> - Psi_u(v)
-    fenchel_young_gap          Psi_u(v) + Psi_u*(xi) - <xi,v>  (>= 0)
-    subdiff_contains           gap <= tol  certifies  xi in dPsi_u(v)
-    check_admissible           axiom audit (nonnegativity, zero, convexity,
-                               superlinearity, equal-conjugate condition)
+    p.value(v)                       Psi(v)
+    conjugate(p, xi)                 Psi*(xi) = sup_v <xi,v> - Psi(v)
+    fenchel_young_gap(p, v, xi)      Psi(v) + Psi*(xi) - <xi,v>  (>= 0)
+    subdiff_contains(p, v, xi, tol)  gap <= tol  certifies  xi in dPsi(v)
+    check_admissible(p)              axiom audit on fixed 1-D probes
+                                     (nonnegativity, zero, convexity,
+                                     superlinearity, equal-conjugate
+                                     condition)
+
+An unfrozen StateWeighted family raises TypeError from all of them.
 
 The pairing is the Euclidean dot product throughout; models that need mesh
 weights bake them into the potential and the energy.
@@ -26,7 +32,7 @@ forms against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,9 +40,14 @@ from . import _optim
 from .errors import DimensionMismatchError, MaximizationFailureError
 
 _CONJ_XTOL = 1e-10
-LAMBDA_STEP = 1e-6   # difference step of _one_sided_lambda_derivatives
+LAMBDA_STEP = 1e-6   # difference step of the equal_conjugates row
 SUPERLIN_BOUND = 1e3  # the bound the last superlinearity ratio must reach
 CONVEXITY_THETAS = (0.25, 0.5, 0.75)  # convexity interpolation weights
+# check_admissible's probe rates, (0.5, 1, 3) x (+, -), and the growth
+# ladder of its superlinearity witness
+PROBES = tuple(np.array([sgn * mag]) for mag in (0.5, 1.0, 3.0)
+               for sgn in (1.0, -1.0))
+RADII = tuple(np.logspace(0, 6, 13))
 
 
 def as_state(x, dim: Optional[int] = None) -> np.ndarray:
@@ -44,7 +55,7 @@ def as_state(x, dim: Optional[int] = None) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise ValueError("state vectors are 1D")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("state vector has non-finite coordinates")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatchError(dim, v.shape[0], "state")
@@ -52,14 +63,13 @@ def as_state(x, dim: Optional[int] = None) -> np.ndarray:
 
 
 class DissipationPotential:
-    """Base class: state-independent unless declared otherwise.
+    """Base class of the frozen potentials.
 
     Separable kinds (Psi(v) = sum_i scalar(v_i)) fill in the decomposition
     below, from which `scalar(s)`, the per-coordinate contribution, follows.
     Every state-independent kind gives Psi* by `closed_conjugate`.
     """
 
-    state_dependent: bool = False
     separable: bool = False
 
     def value(self, v: np.ndarray) -> float:
@@ -160,7 +170,14 @@ class PNorm(DissipationPotential):
         if self.p == 1.0:
             return 0.0 if np.max(np.abs(xi), initial=0.0) <= self.c else np.inf
         q = self.p / (self.p - 1.0)
-        return float(self.c ** (1.0 - q) / q * np.sum(np.abs(xi) ** q))
+        try:
+            w = self.c ** (1.0 - q)
+        except OverflowError:
+            # a tiny c: c^(1-q) |xi|^q = c (|xi|/c)^q, which overflows to
+            # +inf only where the value does, and is 0 at xi = 0
+            with np.errstate(over="ignore"):
+                return float(self.c / q * np.sum((np.abs(xi) / self.c) ** q))
+        return float(w / q * np.sum(np.abs(xi) ** q))
 
     @property
     def one_hom(self):
@@ -330,13 +347,13 @@ class Scaled(DissipationPotential):
 class StateWeighted(DissipationPotential):
     """Family Psi_u(v) = omega(u) * Psi0(v) with 0 < omega_min <= omega <= omega_max.
 
-    All queries take the state u; at_state(u) freezes the weight.
+    Queries take the frozen potential at_state(u); the family itself has no
+    value or conjugate.
     """
 
     base: DissipationPotential = None
     omega: Callable[[np.ndarray], float] = None
     omega_bounds: tuple = (0.0, np.inf)
-    state_dependent = True
 
     def weight(self, u) -> float:
         w = float(self.omega(as_state(u)))
@@ -350,8 +367,10 @@ class StateWeighted(DissipationPotential):
     def at_state(self, u) -> Scaled:
         return Scaled(base=self.base, w=self.weight(u))
 
-    def value(self, v):  # pragma: no cover - state required
-        raise TypeError("state-dependent potential: use at_state(u) or pass u")
+    def value(self, v):
+        raise TypeError("state-dependent potential: freeze it with at_state(u)")
+
+    closed_conjugate = value
 
     def label(self):
         return f"StateWeighted({self.base.label()}, omega in {list(self.omega_bounds)})"
@@ -392,23 +411,6 @@ class TwoSlope(DissipationPotential):
 # module-level queries
 
 
-def _resolve(psi: DissipationPotential, u) -> DissipationPotential:
-    if psi.state_dependent:
-        if u is None:
-            raise TypeError("state-dependent potential requires the state u")
-        return psi.at_state(u)
-    return psi
-
-
-def eval(psi: DissipationPotential, u, v) -> float:
-    """Psi_u(v). u is required iff psi is state-dependent."""
-    v = as_state(v)
-    if u is not None:
-        as_state(u, dim=v.shape[0])  # state and rate dimensions must agree
-    p = _resolve(psi, u)
-    return p.value(v)
-
-
 def _soft(z, thresh):
     """Soft-threshold: the proximal map of thresh * ||.||_1."""
     return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
@@ -429,58 +431,30 @@ def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:
     return best
 
 
-def conjugate(psi: DissipationPotential, u, xi) -> float:
-    """Psi_u*(xi) = sup_v <xi,v> - Psi_u(v), always >= 0, by the closed
-    form of the state-resolved kind. TwoSlope raises
-    MaximizationFailureError where its conjugate is infinite.
+def conjugate(p: DissipationPotential, xi) -> float:
+    """Psi*(xi) = sup_v <xi,v> - Psi(v), always >= 0, by the closed form of
+    the frozen potential p. TwoSlope raises MaximizationFailureError where
+    its conjugate is infinite.
     """
-    return max(_resolve(psi, u).closed_conjugate(as_state(xi)), 0.0)
+    return max(p.closed_conjugate(as_state(xi)), 0.0)
 
 
-def fenchel_young_gap(psi: DissipationPotential, u, v, xi) -> float:
-    """Psi_u(v) + Psi_u*(xi) - <xi, v>; nonnegative, zero iff xi in dPsi_u(v)."""
+def fenchel_young_gap(p: DissipationPotential, v, xi) -> float:
+    """Psi(v) + Psi*(xi) - <xi, v>; nonnegative, zero iff xi in dPsi(v)."""
     v = as_state(v)
     xi = as_state(xi, dim=v.shape[0])
-    p = _resolve(psi, u)
-    return p.value(v) + conjugate(p, None, xi) - float(np.dot(xi, v))
+    return p.value(v) + conjugate(p, xi) - float(np.dot(xi, v))
 
 
-def subdiff_contains(psi: DissipationPotential, u, v, xi, tol: float) -> bool:
+def subdiff_contains(p: DissipationPotential, v, xi, tol: float) -> bool:
     """True iff the Fenchel-Young gap is at most tol."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    return fenchel_young_gap(psi, u, v, xi) <= tol
+    return fenchel_young_gap(p, v, xi) <= tol
 
 
 # ---------------------------------------------------------------------------
 # admissibility audit
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    """Test inputs for check_admissible.
-
-    vectors: nonzero probe directions; radii: increasing growth ladder for
-    the superlinearity witness; state: u for state-dependent families.
-    """
-
-    vectors: Sequence = ()
-    radii: Sequence = ()
-    state: Optional[np.ndarray] = None
-
-
-def default_sample_plan(dim: int = 1, state=None) -> SamplePlan:
-    dirs = []
-    for mag in (0.5, 1.0, 3.0):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(dim)
-            e[0] = sgn * mag
-            dirs.append(e)
-            if dim > 1:
-                dirs.append(np.full(dim, sgn * mag / np.sqrt(dim)))
-    return SamplePlan(vectors=tuple(dirs),
-                      radii=tuple(np.logspace(0, 6, 13)),
-                      state=state)
 
 
 @dataclass(frozen=True)
@@ -508,22 +482,16 @@ class AdmissibilityReport:
         return {r.name: {"passed": r.passed, "detail": r.detail} for r in self.rows}
 
 
-def _one_sided_lambda_derivatives(value, v):
-    """Richardson-refined one-sided derivatives of lambda -> Psi(lambda v) at 1."""
-    def dplus(step):
-        return (value((1.0 + step) * v) - value(v)) / step
+def _one_sided(f, x: float, h: float, side: float) -> float:
+    """One-sided difference quotient at x, Richardson-refined once."""
+    def d(step):
+        return (f(x + side * step) - f(x)) / (side * step)
 
-    def dminus(step):
-        return (value(v) - value((1.0 - step) * v)) / step
-
-    rp = 2.0 * dplus(LAMBDA_STEP / 2) - dplus(LAMBDA_STEP)
-    rm = 2.0 * dminus(LAMBDA_STEP / 2) - dminus(LAMBDA_STEP)
-    return rp, rm
+    return 2.0 * d(h / 2.0) - d(h)
 
 
-def check_admissible(psi: DissipationPotential, plan: Optional[SamplePlan] = None
-                     ) -> AdmissibilityReport:
-    """Audit the potential axioms on the sample plan.
+def check_admissible(p: DissipationPotential) -> AdmissibilityReport:
+    """Audit the axioms of the frozen potential p on PROBES and RADII.
 
     Rows: nonnegativity, zero_at_origin, convexity, superlinearity, and
     equal_conjugates, the condition that lambda -> Psi(lambda v) is
@@ -531,25 +499,21 @@ def check_admissible(psi: DissipationPotential, plan: Optional[SamplePlan] = Non
     subgradients at v share one conjugate value). Failures are rows, not
     exceptions.
     """
-    if plan is None:
-        plan = default_sample_plan(1)
-    p = _resolve(psi, plan.state)
-    vecs = [as_state(v) for v in plan.vectors]
     rows = []
 
-    worst = min((p.value(v) for v in vecs), default=0.0)
-    for v in vecs:
-        for r in plan.radii:
-            worst = min(worst, p.value(r * v / max(np.linalg.norm(v), 1e-300)))
+    worst = min(p.value(v) for v in PROBES)
+    for v in PROBES:
+        for r in RADII:
+            worst = min(worst, p.value(r * v / np.linalg.norm(v)))
     rows.append(AxiomCheck("nonnegativity", bool(worst >= -1e-12),
                            f"min sampled value {worst:.3e}"))
 
-    z = p.value(np.zeros(vecs[0].shape[0] if vecs else 1))
+    z = p.value(np.zeros(1))
     rows.append(AxiomCheck("zero_at_origin", z == 0.0, f"Psi(0) = {z!r}"))
 
     conv_ok, conv_worst = True, 0.0
-    for v1 in vecs:
-        for v2 in vecs:
+    for v1 in PROBES:
+        for v2 in PROBES:
             f1, f2 = p.value(v1), p.value(v2)
             for th in CONVEXITY_THETAS:
                 lhs = p.value(th * v1 + (1.0 - th) * v2)
@@ -563,9 +527,9 @@ def check_admissible(psi: DissipationPotential, plan: Optional[SamplePlan] = Non
 
     sup_ok = True
     sup_detail = ""
-    for v in vecs:
+    for v in PROBES:
         vhat = v / np.linalg.norm(v)
-        ratios = np.array([p.value(r * vhat) / r for r in plan.radii])
+        ratios = np.array([p.value(r * vhat) / r for r in RADII])
         nondecreasing = bool(np.all(np.diff(ratios) >= -1e-9 * (1.0 + np.abs(ratios[:-1]))))
         exceeds = bool(ratios[-1] >= SUPERLIN_BOUND)
         if not (nondecreasing and exceeds):
@@ -579,8 +543,12 @@ def check_admissible(psi: DissipationPotential, plan: Optional[SamplePlan] = Non
 
     psi3_ok = True
     psi3_detail = ""
-    for v in vecs:
-        rp, rm = _one_sided_lambda_derivatives(p.value, v)
+    for v in PROBES:
+        def f(lam):
+            return p.value(lam * v)
+
+        rp = _one_sided(f, 1.0, LAMBDA_STEP, +1.0)
+        rm = _one_sided(f, 1.0, LAMBDA_STEP, -1.0)
         tol = 1e-4 * (1.0 + p.value(v))
         if abs(rp - rm) > tol:
             psi3_ok = False

@@ -340,7 +340,7 @@ def _select_multiplier(model, p, v, t_n, U):
     ties go to the lexicographically smallest xi."""
     best_xi, best_gap = None, np.inf
     for c in _candidates(model, t_n, U):
-        gap = potentials.fenchel_young_gap(p, None, v, -c)
+        gap = potentials.fenchel_young_gap(p, v, -c)
         if gap < best_gap:
             best_xi, best_gap = c, gap
     return best_xi, float(best_gap)
@@ -474,7 +474,7 @@ def slope_multiplier(model: EnergyModel, psi, t: float, u) -> np.ndarray:
     u = as_state(u, model.dim)
     p = psi.at_state(u)
     cands = _candidates(model, t, u)
-    vals = [potentials.conjugate(p, None, -c) for c in cands]
+    vals = [potentials.conjugate(p, -c) for c in cands]
     return cands[int(np.argmin(vals))]
 
 

@@ -21,8 +21,7 @@ from dnevolve.energy import (clarke_subdifferential_1d, energy_value,
 from dnevolve.models import MODEL_NAMES, build
 from dnevolve.potentials import (OneHomPlusQuad, PNorm, Quadratic, Scaled,
                                  StateWeighted, TwoSlope, WeightedSum,
-                                 check_admissible, default_sample_plan,
-                                 fenchel_young_gap)
+                                 check_admissible, fenchel_young_gap)
 from dnevolve.scheme import SolveOptions, TimeGrid, solve
 
 # per-model interval-inequality budgets, sized once against the measured
@@ -84,10 +83,10 @@ def test_criterion_1_convex_analysis(capsys):
     per = -(-10_000 // len(catalogue))
     worst_gap = 0.0
     for psi in catalogue:
-        u = np.array([0.7]) if psi.state_dependent else None
+        p = psi.at_state(np.array([0.7]))
         for v, x in rng.uniform(-5.0, 5.0, size=(per, 2)):
             worst_gap = min(worst_gap,
-                            fenchel_young_gap(psi, u, [v], [x]))
+                            fenchel_young_gap(p, [v], [x]))
     if worst_gap < -1e-12:
         failures.append(f"Fenchel-Young gap dipped to {worst_gap:.3e}")
 
@@ -111,8 +110,7 @@ def test_criterion_1_convex_analysis(capsys):
                 break
 
     for psi in catalogue:
-        state = np.array([0.7]) if psi.state_dependent else None
-        rep = check_admissible(psi, default_sample_plan(1, state=state))
+        rep = check_admissible(psi.at_state(np.array([0.7])))
         if not rep.passed:
             bad = [r.name for r in rep.rows if not r.passed]
             failures.append(f"{psi.label()} flagged inadmissible: {bad}")

@@ -75,6 +75,16 @@ def run_main(capsys, *argv):
     ({"diagnostics": {"windows": [0.5]}}, (), "diagnostics.windows[0]"),
     ({"dissipation": {"kind": "cubic"}}, (), "dissipation.kind"),
     ({"dissipation": {"kind": "pnorm", "p": 0.5}}, (), "dissipation.p"),
+    ({"dissipation": {"kind": "quadratic", "c": 0.0}}, (), "dissipation.c"),
+    ({"dissipation": {"kind": "pnorm", "c": -1.0}}, (), "dissipation.c"),
+    ({"dissipation": {"kind": "one_hom_plus_quad", "rho": -0.1}}, (),
+     "dissipation.rho"),
+    ({"dissipation": {"kind": "one_hom_plus_quad", "eps": 0.0}}, (),
+     "dissipation.eps"),
+    ({"diagnostics": {"chain_rule": 1}}, (), "diagnostics.chain_rule"),
+    ({"diagnostics": {"windows": "all"}}, (), "diagnostics.windows"),
+    ({"tau_ladder": [0.25, 0.0]}, ("tau",), "tau_ladder[1]"),
+    ({"tau_ladder": [0.5, 0.25]}, ("tau",), "tau_ladder[0]"),  # tau_o
     ({"output_dir": ""}, (), "output_dir"),
 ])
 def test_rejected_configs(tmp_path, capsys, overrides, drop, field):
@@ -82,6 +92,23 @@ def test_rejected_configs(tmp_path, capsys, overrides, drop, field):
     code, out, err = run_main(capsys, "run", path)
     assert code == 2
     assert f"config error at {field}:" in err
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([BASE]))
+    code, _, err = run_main(capsys, "run", str(path))
+    assert code == 2
+    assert "config error at <config>: top-level config must be an object" \
+        in err
+
+
+def test_uncreatable_output_dir_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    path = write_cfg(tmp_path, {"output_dir": str(tmp_path / "file" / "out")})
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 2
+    assert "config error at output_dir: cannot create:" in err
 
 
 def test_non_object_params_exits_2(tmp_path, capsys):
@@ -284,6 +311,52 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run_main(capsys, "run", path)
     assert code == 3
     assert "solver failure" in err
+
+
+def test_ladder_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scheme, "TRIAGE_ITERS", 1)
+    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 1)
+    path = write_cfg(tmp_path, {
+        "model": {"name": "AllenCahn1D", "params": {"N": 4, "rho": 0.0}},
+        "u0": [0.1, 0.2, 0.2, 0.1],
+        "tau_ladder": [0.125, 0.0625]}, drop=("tau",))
+    code, _, err = run_main(capsys, "run", path)
+    assert code == 3
+    assert "solver failure on ladder row tau=0.125: solve failed:" in err
+    assert (tmp_path / "out" / "refinement.csv").exists()
+
+
+# a PNorm scale so small that c^(1-q) leaves the float range (q = 3)
+TINY_PNORM = {"kind": "pnorm", "c": 1e-300, "p": 1.5}
+
+
+def test_tiny_pnorm_scale_runs_without_overflow(tmp_path, capsys):
+    # the conjugate raised OverflowError out of run at every query, even at
+    # xi = 0; it is 0 there, so the run goes through, and the jump to the
+    # target in the first step fails the chain-rule check
+    single = write_cfg(tmp_path, {"T": 0.25, "dissipation": TINY_PNORM})
+    code, _, err = run_main(capsys, "run", single)
+    assert code == 1
+    assert err.strip() == "failing checks: chain_rule"
+    ladder = write_cfg(tmp_path, {"T": 0.25, "dissipation": TINY_PNORM,
+                                  "tau_ladder": [0.125, 0.0625]},
+                       drop=("tau",), name="ladder.json")
+    code, _, err = run_main(capsys, "run", ladder)
+    assert code == 1
+    assert err.strip() == "failing checks: chain_rule"
+
+
+def test_tiny_pnorm_scale_checks_without_overflow(tmp_path, capsys):
+    # a trajectory written under c = 1 has nonzero multipliers, whose
+    # conjugate under the tiny scale is +inf: a failed check, not a crash
+    written = write_cfg(tmp_path, {"T": 0.25, "dissipation": dict(
+        TINY_PNORM, c=1.0)})
+    assert run_main(capsys, "run", written)[0] == 0
+    path = write_cfg(tmp_path, {"T": 0.25, "dissipation": TINY_PNORM})
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 1
+    assert "check fenchel_young: FAIL (value=inf" in out
+    assert "fenchel_young" in err
 
 
 def test_interpolant_solve_failure_exits_3(tmp_path, capsys, monkeypatch):

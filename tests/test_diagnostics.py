@@ -22,7 +22,7 @@ from dnevolve.diagnostics import (_per_step_terms, build_report,
                                   resolve_eps_quad, step_inequality,
                                   window_upper_estimate_defect)
 from dnevolve.errors import RangeError
-from dnevolve.models import build
+from dnevolve.models import MODEL_NAMES, build
 from dnevolve.scheme import SolveOptions, TimeGrid, solve
 
 
@@ -114,7 +114,7 @@ def test_step_terms_gap_is_bitwise_fenchel_young_gap():
     terms = _per_step_terms(traj)
     for n in range(1, traj.N + 1):
         assert terms.gap[n] == potentials.fenchel_young_gap(
-            traj.psi_at(n), None, traj.rate(n), -traj.xi[n])
+            traj.psi_at(n), traj.rate(n), -traj.xi[n])
     with pytest.raises(ValueError):
         terms.P[1] = 0.0  # the bundle is read-only
 
@@ -165,6 +165,23 @@ def test_quadratic_chain_defects_are_small_and_one_sided():
     tau = 2.0 ** -7
     assert np.all(d <= 1e-12)
     assert np.all(d >= -2.0 * tau)
+
+
+def test_chain_defects_are_bitwise_the_step_loop():
+    # the chain row of the one certificate pass against the loop it
+    # replaced: 16 steps of every model
+    u0s = {"AllenCahn1D": 0.1 * np.sin(np.pi * (np.arange(4) + 0.5) / 4),
+           "PhaseField1D": [0.55]}
+    for name in MODEL_NAMES:
+        params = {"N": 4} if name == "AllenCahn1D" else {}
+        traj = make_traj(name, params, u0s.get(name, [0.0]), T=0.25,
+                         tau=2.0 ** -6)
+        P = _per_step_terms(traj).P
+        ref = np.zeros(traj.N + 1)
+        for n in range(1, traj.N + 1):
+            de = (traj.energies[n] - traj.energies[n - 1]) / traj.grid.tau
+            ref[n] = de - float(np.dot(traj.xi[n], traj.rate(n))) - P[n]
+        assert chain_rule_defects(traj).tobytes() == ref.tobytes(), name
 
 
 def test_chain_rule_constant_rules(quad_traj):

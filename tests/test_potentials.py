@@ -14,9 +14,8 @@ from dnevolve.errors import DimensionMismatchError, MaximizationFailureError
 from dnevolve.models import MODEL_NAMES, build
 from dnevolve.potentials import (OneHomPlusQuad, PNorm, Quadratic, Scaled,
                                  StateWeighted, TwoSlope, WeightedSum,
-                                 check_admissible, conjugate,
+                                 as_state, check_admissible, conjugate,
                                  fenchel_young_gap, subdiff_contains)
-from dnevolve.potentials import eval as psi_eval
 
 
 def grid_conjugate(p, xi, lo=-100.0, hi=100.0, step=1e-4):
@@ -42,13 +41,13 @@ def catalogue():
 
 
 def shipped():
-    """(label, state-resolved potential) for every dissipation models.build
-    or a config `dissipation` yields."""
+    """(label, frozen potential) for every dissipation models.build or a
+    config `dissipation` yields."""
     specs = [build(name) for name in MODEL_NAMES if name != "AllenCahn1D"]
     specs += [build("AllenCahn1D", {"N": 4, "p": p, "rho": rho})
               for p in (1.5, 2.0, 3.0) for rho in (0.0, 1.0)]
     out = [(f"{s.name}:{s.dissipation.label()}",
-            potentials._resolve(s.dissipation, np.full(s.dim, 0.3)))
+            s.dissipation.at_state(np.full(s.dim, 0.3)))
            for s in specs]
     for d in ({"kind": "quadratic", "c": 0.7},
               {"kind": "pnorm", "c": 0.7, "p": 1.5},
@@ -62,32 +61,31 @@ SHIPPED = shipped()
 
 
 # ---------------------------------------------------------------------------
-# eval
+# values
 
 
 def test_eval_quadratic():
-    assert psi_eval(Quadratic(1.0), None, [2.0]) == 2.0
+    assert Quadratic(1.0).value(np.array([2.0])) == 2.0
 
 
 def test_eval_one_hom_plus_quad_zero():
-    assert psi_eval(OneHomPlusQuad(1.0, 1.0), None, [0.0]) == 0.0
+    assert OneHomPlusQuad(1.0, 1.0).value(np.array([0.0])) == 0.0
 
 
 def test_eval_one_hom_plus_quad_mixed():
     # |2| + 0.25 * 4
-    assert psi_eval(OneHomPlusQuad(1.0, 0.5), None, [2.0]) == pytest.approx(3.0)
+    assert OneHomPlusQuad(1.0, 0.5).value(np.array([2.0])) \
+        == pytest.approx(3.0)
 
 
-def test_eval_rejects_dimension_mismatch():
-    w = StateWeighted(Quadratic(1.0), lambda u: 1.0 + 0.1 * float(u[0]) ** 2,
-                      (1.0, 3.0))
+def test_gap_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        psi_eval(w, [0.0, 0.0], [1.0])
+        fenchel_young_gap(Quadratic(1.0), [1.0], [0.0, 0.0])
 
 
-def test_eval_rejects_nonfinite():
+def test_as_state_rejects_nonfinite():
     with pytest.raises(ValueError):
-        psi_eval(Quadratic(1.0), None, [np.nan])
+        as_state([np.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +93,20 @@ def test_eval_rejects_nonfinite():
 
 
 def test_conjugate_quadratic_self_dual():
-    assert conjugate(Quadratic(1.0), None, [3.0]) == pytest.approx(4.5)
+    assert conjugate(Quadratic(1.0), [3.0]) == pytest.approx(4.5)
 
 
 def test_conjugate_one_hom_plus_quad_frozen():
     # ((|3| - 1)_+)^2 / (2 * 0.5) = 4
     p = OneHomPlusQuad(1.0, 0.5)
-    assert conjugate(p, None, [3.0]) == pytest.approx(4.0)
-    assert conjugate(p, None, [3.0]) == pytest.approx(
+    assert conjugate(p, [3.0]) == pytest.approx(4.0)
+    assert conjugate(p, [3.0]) == pytest.approx(
         grid_conjugate(p, 3.0), abs=1e-6)
 
 
 def test_conjugate_zero_is_zero_exactly():
     for p in catalogue():
-        assert conjugate(p, None, [0.0]) == 0.0
+        assert conjugate(p, [0.0]) == 0.0
 
 
 def test_conjugate_closed_vs_grid_oracle():
@@ -116,7 +114,7 @@ def test_conjugate_closed_vs_grid_oracle():
         if not p.separable:
             continue
         for xi in (-4.0, -1.0, -0.2, 0.7, 2.5):
-            closed = conjugate(p, None, [xi])
+            closed = conjugate(p, [xi])
             if not np.isfinite(closed):
                 continue
             assert closed == pytest.approx(grid_conjugate(p, xi), abs=1e-6)
@@ -124,22 +122,31 @@ def test_conjugate_closed_vs_grid_oracle():
 
 def test_conjugate_pnorm_p1_indicator():
     p = PNorm(1.0, 1.0)
-    assert conjugate(p, None, [0.5]) == 0.0
-    assert conjugate(p, None, [1.0]) == 0.0
-    assert conjugate(p, None, [2.0]) == np.inf
+    assert conjugate(p, [0.5]) == 0.0
+    assert conjugate(p, [1.0]) == 0.0
+    assert conjugate(p, [2.0]) == np.inf
 
 
 def test_conjugate_numeric_plateau_is_bracketed():
     # the two-slope profile has flat sup objectives at its slope values
     p = TwoSlope()
-    assert conjugate(p, None, [1.0]) == pytest.approx(0.0, abs=1e-9)
-    assert conjugate(p, None, [1.5]) == pytest.approx(0.5, abs=1e-8)
-    assert conjugate(p, None, [2.0]) == pytest.approx(1.0, abs=1e-8)
+    assert conjugate(p, [1.0]) == pytest.approx(0.0, abs=1e-9)
+    assert conjugate(p, [1.5]) == pytest.approx(0.5, abs=1e-8)
+    assert conjugate(p, [2.0]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_conjugate_numeric_unbounded_raises():
     with pytest.raises(MaximizationFailureError):
-        conjugate(TwoSlope(), None, [2.5])
+        conjugate(TwoSlope(), [2.5])
+
+
+def test_pnorm_conjugate_with_tiny_c_does_not_overflow():
+    # c^(1-q) = 1e600 leaves the float range (q = 3); the conjugate
+    # (1/3) c^-2 |xi|^3 is +inf at xi = 1, 0 at xi = 0, and 1/3 at 1e-200
+    p = PNorm(1e-300, 1.5)
+    assert conjugate(p, [1.0]) == np.inf
+    assert conjugate(p, [0.0]) == 0.0
+    assert conjugate(p, [1e-200]) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 # the catalogue and every shipped potential, by label, and for the numeric
@@ -161,7 +168,7 @@ def test_closed_conjugate_matches_numeric_reference(p):
     for xi in ([rho, -rho, 2.5], [-rho, 0.0, 0.6 * rho],
                [-3.0, 1.1 * rho, -0.4], [rho, rho, -rho]):
         xi = np.array(xi)
-        closed = conjugate(p, None, xi)
+        closed = conjugate(p, xi)
         ref = sum(potentials._scalar_conjugate_numeric(p, float(s))
                   for s in xi)
         assert abs(closed - ref) <= 1e-12 * (1.0 + abs(closed)), (xi, closed,
@@ -180,7 +187,7 @@ def test_weighted_sum_without_exactly_one_non_l1_member_is_rejected():
 
 @pytest.mark.parametrize("label,p", SHIPPED, ids=[lab for lab, _ in SHIPPED])
 def test_shipped_potentials_have_closed_conjugates(label, p):
-    assert conjugate(p, None, np.linspace(-3.0, 3.0, 4)) > 0.0
+    assert conjugate(p, np.linspace(-3.0, 3.0, 4)) > 0.0
 
 
 def test_biconjugation_on_samples():
@@ -190,18 +197,18 @@ def test_biconjugation_on_samples():
             continue
         for v in (-2.0, -0.5, 0.0, 1.0, 3.0):
             xis = np.arange(-60.0, 60.0, 1e-3)
-            stars = np.array([conjugate(p, None, [x]) for x in
+            stars = np.array([conjugate(p, [x]) for x in
                               np.arange(-60.0, 60.0, 0.25)])
             coarse = np.arange(-60.0, 60.0, 0.25)
             bicon = np.max(coarse * v - stars)
-            assert bicon <= psi_eval(p, None, [v]) + 1e-8
+            assert bicon <= p.value(np.array([v])) + 1e-8
     # the coarse xi-grid undershoots; a matching fine check on one kind
     p = OneHomPlusQuad(1.0, 1.0)
     xis = np.arange(-10.0, 10.0, 1e-3)
     stars = (np.maximum(np.abs(xis) - 1.0, 0.0) ** 2) / 2.0
     for v in (-2.0, -0.5, 0.0, 1.0, 3.0):
         bicon = float(np.max(xis * v - stars))
-        assert bicon == pytest.approx(psi_eval(p, None, [v]), abs=1e-5)
+        assert bicon == pytest.approx(p.value(np.array([v])), abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +216,16 @@ def test_biconjugation_on_samples():
 
 
 def test_gap_quadratic_equality_case():
-    assert fenchel_young_gap(Quadratic(1.0), None, [2.0], [2.0]) == 0.0
+    assert fenchel_young_gap(Quadratic(1.0), [2.0], [2.0]) == 0.0
 
 
 def test_gap_quadratic_frozen():
-    assert fenchel_young_gap(Quadratic(1.0), None, [2.0], [0.0]) \
+    assert fenchel_young_gap(Quadratic(1.0), [2.0], [0.0]) \
         == pytest.approx(2.0)
 
 
 def test_gap_one_hom_ball_interior():
-    assert fenchel_young_gap(OneHomPlusQuad(1.0, 1.0), None, [0.0], [0.5]) \
+    assert fenchel_young_gap(OneHomPlusQuad(1.0, 1.0), [0.0], [0.5]) \
         == pytest.approx(0.0, abs=1e-15)
 
 
@@ -230,23 +237,23 @@ def test_gap_nonnegative_on_random_pairs():
         p = cat[rng.integers(len(cat))]
         v = rng.normal(scale=3.0, size=1)
         xi = rng.normal(scale=3.0, size=1)
-        g = fenchel_young_gap(p, None, v, xi)
+        g = fenchel_young_gap(p, v, xi)
         if np.isfinite(g):
             worst = min(worst, g)
     assert worst >= -1e-12
 
 
 def test_subdiff_contains_frozen_cases():
-    assert subdiff_contains(Quadratic(1.0), None, [2.0], [2.0], 1e-10)
+    assert subdiff_contains(Quadratic(1.0), [2.0], [2.0], 1e-10)
     # gap = Psi*(1.2) = 0.02 exactly
-    assert not subdiff_contains(OneHomPlusQuad(1.0, 1.0), None, [0.0], [1.2],
+    assert not subdiff_contains(OneHomPlusQuad(1.0, 1.0), [0.0], [1.2],
                                 1e-10)
-    assert subdiff_contains(PNorm(1.0, 2.0), None, [0.0], [0.0], 1e-10)
+    assert subdiff_contains(PNorm(1.0, 2.0), [0.0], [0.0], 1e-10)
 
 
 def test_subdiff_contains_requires_positive_tol():
     with pytest.raises(ValueError):
-        subdiff_contains(Quadratic(1.0), None, [0.0], [0.0], 0.0)
+        subdiff_contains(Quadratic(1.0), [0.0], [0.0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,18 +270,22 @@ def test_state_weighted_scaling_exact():
     u = np.array([0.7])
     om = _omega(u)
     v = np.array([1.3])
-    assert psi_eval(w, u, v) == om * base.value(v)
+    assert w.at_state(u).value(v) == om * base.value(v)
     xi = np.array([2.1])
-    assert conjugate(w, u, xi) == pytest.approx(
+    assert conjugate(w.at_state(u), xi) == pytest.approx(
         om * base.closed_conjugate(xi / om), abs=1e-10)
 
 
 def test_state_weighted_requires_state():
+    # an unfrozen family is refused by every query, as a TypeError
     w = StateWeighted(Quadratic(1.0), _omega, (0.5, 1.5))
-    with pytest.raises(TypeError):
-        psi_eval(w, None, [1.0])
-    with pytest.raises(TypeError):
-        w.value(np.array([1.0]))
+    for query in (lambda: w.value(np.array([1.0])),
+                  lambda: conjugate(w, [1.0]),
+                  lambda: fenchel_young_gap(w, [1.0], [1.0]),
+                  lambda: subdiff_contains(w, [1.0], [1.0], 1e-10),
+                  lambda: check_admissible(w)):
+        with pytest.raises(TypeError, match="at_state"):
+            query()
 
 
 def test_state_weighted_rejects_weight_outside_bounds():
@@ -288,7 +299,7 @@ def test_scaled_matches_weighted_sum_of_one():
     v = np.array([1.1])
     assert p.value(v) == pytest.approx(0.6 * Quadratic(2.0).value(v))
     xi = np.array([0.9])
-    assert conjugate(p, None, xi) == pytest.approx(
+    assert conjugate(p, xi) == pytest.approx(
         0.6 * Quadratic(2.0).closed_conjugate(xi / 0.6), abs=1e-12)
 
 
@@ -319,6 +330,27 @@ def test_admissibility_counterexample_fails_equal_conjugates():
     assert not rows["superlinearity"].passed
     assert not rows["equal_conjugates"].passed
     assert not rep.passed
+
+
+def test_lambda_derivatives_are_bitwise_the_two_quotients():
+    # the equal_conjugates row's one-sided quotients of lambda -> Psi(lambda v)
+    # at 1, against the two Richardson-refined quotients they replaced
+    h = potentials.LAMBDA_STEP
+    for p in catalogue() + [TwoSlope()]:
+        for v in potentials.PROBES:
+            def f(lam):
+                return p.value(lam * v)
+
+            def dplus(step):
+                return (p.value((1.0 + step) * v) - p.value(v)) / step
+
+            def dminus(step):
+                return (p.value(v) - p.value((1.0 - step) * v)) / step
+
+            assert potentials._one_sided(f, 1.0, h, +1.0) \
+                == 2.0 * dplus(h / 2) - dplus(h)
+            assert potentials._one_sided(f, 1.0, h, -1.0) \
+                == 2.0 * dminus(h / 2) - dminus(h)
 
 
 def test_admissibility_counterexample_one_sided_slopes():
