@@ -75,6 +75,7 @@ def run_main(capsys, *argv):
     ({"diagnostics": {"windows": [0.5]}}, (), "diagnostics.windows[0]"),
     ({"dissipation": {"kind": "cubic"}}, (), "dissipation.kind"),
     ({"dissipation": {"kind": "pnorm", "p": 0.5}}, (), "dissipation.p"),
+    ({"output_dir": ""}, (), "output_dir"),
     ({"dissipation": {"kind": "quadratic", "c": 0.0}}, (), "dissipation.c"),
     ({"dissipation": {"kind": "pnorm", "c": -1.0}}, (), "dissipation.c"),
     ({"dissipation": {"kind": "one_hom_plus_quad", "rho": -0.1}}, (),
@@ -85,7 +86,6 @@ def run_main(capsys, *argv):
     ({"diagnostics": {"windows": "all"}}, (), "diagnostics.windows"),
     ({"tau_ladder": [0.25, 0.0]}, ("tau",), "tau_ladder[1]"),
     ({"tau_ladder": [0.5, 0.25]}, ("tau",), "tau_ladder[0]"),  # tau_o
-    ({"output_dir": ""}, (), "output_dir"),
 ])
 def test_rejected_configs(tmp_path, capsys, overrides, drop, field):
     path = write_cfg(tmp_path, overrides, drop)
