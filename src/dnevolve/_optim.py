@@ -148,11 +148,22 @@ def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
     return x, gx
 
 
-def min_scalar(f, a: float, b: float, xtol: float = 1e-12):
-    """Minimize f on [a, b] with bounded Brent; returns (x, f(x))."""
-    x = float(_bounded_brent(f, a, b, xtol, 500))
-    candidates = [(a, f(a)), (b, f(b)), (x, f(x))]
-    return min(candidates, key=lambda p: p[1])
+def min_scalar(f, a: float, b: float, xtol: float = 1e-12, ends=None):
+    """Minimize f on [a, b] with bounded Brent; returns (x, f(x)).
+
+    ends, when given, is (f(a), f(b)), and f is not called at a and b. f(x)
+    is the value Brent computed at x, so f is not called there again.
+    """
+    seen = {}
+
+    def recorded(x):
+        fx = seen[x] = f(x)
+        return fx
+
+    # _bounded_brent returns one of the abscissae it passed to recorded
+    x = float(_bounded_brent(recorded, a, b, xtol, 500))
+    fa, fb = (f(a), f(b)) if ends is None else ends
+    return min([(a, fa), (b, fb), (x, seen[x])], key=lambda p: p[1])
 
 
 def golden_min_batched(f, lo: np.ndarray, hi: np.ndarray, iters: int = 90):
@@ -200,23 +211,26 @@ def local_min_indices(vals: np.ndarray) -> np.ndarray:
     return np.nonzero(left_ok & right_ok)[0]
 
 
-def scan_min(f, lo: float, hi: float, n_points: int, xtol: float = 1e-13,
-             f_batched=None):
+def scan_min(f, f_batched, lo: float, hi: float, n_points: int,
+             xtol: float = 1e-13):
     """Global 1D minimization: coarse scan, then bounded Brent around every
     local basin of the scan. Returns (x_best, f_best, basins) where basins is
     the list of all refined (x, f) local minima.
+
+    f_batched evaluates f on an array and must equal it elementwise, bit
+    for bit: the scan values stand in for f at each basin's bracket ends.
     """
     grid = np.linspace(lo, hi, n_points)
-    vals = f_batched(grid) if f_batched is not None else np.array([f(x) for x in grid])
+    vals = f_batched(grid)
     basins = []
     for i in local_min_indices(vals):
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, n_points - 1)]
+        ia, ib = max(i - 1, 0), min(i + 1, n_points - 1)
+        a, b = float(grid[ia]), float(grid[ib])
         if a == b:
             basins.append((float(grid[i]), float(vals[i])))
             continue
-        x, fx = min_scalar(f, float(a), float(b), xtol=xtol)
-        basins.append((x, fx))
+        basins.append(min_scalar(f, a, b, xtol=xtol,
+                                 ends=(float(vals[ia]), float(vals[ib]))))
     x_best, f_best = min(basins, key=lambda p: p[1])
     return x_best, f_best, basins
 

@@ -25,7 +25,6 @@ Reruns of one config produce byte-identical CSV bodies.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import os
@@ -108,9 +107,12 @@ def _validate_dissipation(d: Dict) -> potentials.DissipationPotential:
         p = _num(d.get("p", 2.0), "dissipation.p")
         if not c > 0:
             raise ConfigError("dissipation.c", "must be > 0")
-        # p = 1 alone has no superlinear growth (see potentials.PNorm)
+        # p = 1 alone has no superlinear growth (see potentials.PNorm); the
+        # upper end is AllenCahn1D's, and a far larger p overflows |v|^(p-1)
         if not p > 1:
             raise ConfigError("dissipation.p", "must be > 1")
+        if not p <= 8:
+            raise ConfigError("dissipation.p", "must be <= 8")
         return potentials.PNorm(c, p)
     _reject_unknown(d, ("kind", "rho", "eps"), "dissipation")
     rho = _num(d.get("rho", 1.0), "dissipation.rho")
@@ -316,8 +318,13 @@ def write_trajectory_csv(path: str, traj: DiscreteTrajectory) -> None:
 
 
 def _rel_err(stored, want):
-    """|stored - want| / (1 + |want|), elementwise; NaN stays NaN."""
-    return np.abs(stored - want) / (1.0 + np.abs(want))
+    """|stored - want| / (1 + |want|), elementwise; NaN stays NaN. Against
+    an infinite want, where that quotient is inf / inf, an equal stored
+    value is off by 0 and any other by inf."""
+    with np.errstate(invalid="ignore"):
+        err = np.abs(stored - want) / (1.0 + np.abs(want))
+    return np.where(np.isinf(want) & (stored == stored),
+                    np.where(stored == want, 0.0, np.inf), err)
 
 
 def read_trajectory_csv(path: str, plan: RunPlan, tau: float
@@ -360,7 +367,11 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
         except ValueError as err:
             raise ConfigError("output_dir",
                               f"trajectory.csv row {k + 1}: {err}")
-        if n_cell != k or not _rel_err(t_cell, grid.t(k)) <= STORED_TOL:
+        # _rel_err on Python floats, without numpy's per-call cost; t_k is
+        # finite, so no inf / inf arises
+        t_k = grid.t(k)
+        t_err = abs(t_cell - t_k) / (1.0 + abs(t_k))
+        if n_cell != k or not t_err <= STORED_TOL:
             bad_nodes += 1
     # a non-finite gap_n or energy_n cell fails its stored_* check; states
     # and multipliers must be finite to be checked at all
@@ -586,29 +597,29 @@ def cmd_describe(name: str) -> int:
     return 0
 
 
+USAGE = ("usage: dnevolve run <config.json> | check <config.json> | "
+         "list-models | describe <name>")
+
+# verb -> (handler, number of arguments it takes)
+_VERBS = {"run": (cmd_run, 1), "check": (cmd_check, 1),
+          "list-models": (cmd_list_models, 0), "describe": (cmd_describe, 1)}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dnevolve",
-        description="Doubly nonlinear evolution solver and certifier")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    p_run = sub.add_parser("run", help="solve a config and run its checks")
-    p_run.add_argument("config")
-    p_chk = sub.add_parser("check",
-                           help="re-run checks on an existing trajectory.csv")
-    p_chk.add_argument("config")
-    sub.add_parser("list-models", help="list the model registry")
-    p_desc = sub.add_parser("describe", help="describe one model")
-    p_desc.add_argument("name")
-    args = parser.parse_args(argv)
+    """Dispatch one verb. -h or --help prints USAGE and returns 0; any
+    other argv that names no verb with its arguments prints USAGE on
+    stderr and returns 2."""
+    args = list(sys.argv[1:] if argv is None else argv)
+    if "-h" in args or "--help" in args:
+        print(USAGE)
+        return 0
+    verb = _VERBS.get(args[0]) if args else None
+    if verb is None or len(args) != 1 + verb[1]:
+        print(USAGE, file=sys.stderr)
+        return 2
 
     try:
-        if args.verb == "run":
-            return cmd_run(args.config)
-        if args.verb == "check":
-            return cmd_check(args.config)
-        if args.verb == "list-models":
-            return cmd_list_models()
-        return cmd_describe(args.name)
+        return verb[0](*args[1:])
     except ConfigError as err:
         field = err.field or "<config>"
         print(f"config error at {field}: {err.message}", file=sys.stderr)

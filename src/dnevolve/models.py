@@ -350,8 +350,12 @@ def _build_phase_field(params):
 
 def _quartic_well_drop(amp: float) -> float:
     """min over s in [0, 3] of W4(s) - amp * s (a nonpositive number)."""
-    _, h, _ = _optim.scan_min(
-        lambda s: 0.25 * (s * s - 1.0) ** 2 - amp * s, 0.0, 3.0, 801)
+    # one expression for a float and for the whole scan grid, with the
+    # same bits at each point
+    def f(s):
+        return 0.25 * (s * s - 1.0) ** 2 - amp * s
+
+    _, h, _ = _optim.scan_min(f, f, 0.0, 3.0, 801)
     return min(h, 0.0)
 
 

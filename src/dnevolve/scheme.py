@@ -39,9 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-# numpy loads numpy.random lazily, on first use; every n-D step draws its
-# multistart points from it, so load it with the package instead
-import numpy.random  # noqa: F401
 
 from . import _optim, potentials
 from .energy import EnergyModel, energy_value
@@ -166,7 +163,7 @@ def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
         return float(phi_batch(np.array([x]))[0])
 
     x_best, f_best, basins = _optim.scan_min(
-        phi, lo, hi, SCAN_POINTS, xtol=1e-13, f_batched=phi_batch)
+        phi, phi_batch, lo, hi, SCAN_POINTS, xtol=1e-13)
 
     def dphi(x):
         v = (x - x_prev) / tau

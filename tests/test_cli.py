@@ -86,6 +86,7 @@ def run_main(capsys, *argv):
     ({"diagnostics": {"windows": "all"}}, (), "diagnostics.windows"),
     ({"tau_ladder": [0.25, 0.0]}, ("tau",), "tau_ladder[1]"),
     ({"tau_ladder": [0.5, 0.25]}, ("tau",), "tau_ladder[0]"),  # tau_o
+    ({"dissipation": {"kind": "pnorm", "p": 1e300}}, (), "dissipation.p"),
 ])
 def test_rejected_configs(tmp_path, capsys, overrides, drop, field):
     path = write_cfg(tmp_path, overrides, drop)
@@ -346,9 +347,11 @@ def test_tiny_pnorm_scale_runs_without_overflow(tmp_path, capsys):
     assert err.strip() == "failing checks: chain_rule"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tiny_pnorm_scale_checks_without_overflow(tmp_path, capsys):
     # a trajectory written under c = 1 has nonzero multipliers, whose
-    # conjugate under the tiny scale is +inf: a failed check, not a crash
+    # conjugate under the tiny scale is +inf: a failed check, not a crash;
+    # the stored gaps are then infinitely off, where inf / inf gave nan
     written = write_cfg(tmp_path, {"T": 0.25, "dissipation": dict(
         TINY_PNORM, c=1.0)})
     assert run_main(capsys, "run", written)[0] == 0
@@ -356,6 +359,7 @@ def test_tiny_pnorm_scale_checks_without_overflow(tmp_path, capsys):
     code, out, err = run_main(capsys, "check", path)
     assert code == 1
     assert "check fenchel_young: FAIL (value=inf" in out
+    assert "check stored_gap: FAIL (value=inf" in out
     assert "fenchel_young" in err
 
 
@@ -653,6 +657,36 @@ def test_describe_known_and_unknown(capsys):
     code, _, err = run_main(capsys, "describe", "NoSuch")
     assert code == 2
     assert "config error at model.name:" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["run"], ["run", "a", "b"],
+                                  ["list-models", "x"], ["--x"]])
+def test_usage_errors_exit_2(capsys, argv):
+    # argparse's exit status, now returned instead of raised
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == cli.USAGE + "\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage(capsys, flag):
+    code, out, err = run_main(capsys, flag)
+    assert code == 0
+    assert out == cli.USAGE + "\n"
+    assert err == ""
+
+
+def test_cli_import_loads_no_argparse_or_numpy_random():
+    # a fresh interpreter: this one has loaded both for pytest and the tests
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, dnevolve.cli; print(sorted(m for m in sys.modules "
+            "if m in ('argparse', 'numpy.random')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_trajectory_csv_parses_cleanly_with_numpy(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dnevolve import _kernels
+from dnevolve import _kernels, _optim, models
 from dnevolve.energy import argmin_set, energy_value
 from dnevolve.errors import ConfigError, RangeError
 from dnevolve.models import MODEL_NAMES, build, describe, double_well
@@ -100,6 +100,35 @@ def test_parameters_echo_resolved_values():
     assert spec.parameters["offset"] > 1.0
     spec = build("QuadraticBenchmark", {"a": [2.0, 0.0], "dim": 2})
     assert spec.parameters["a"] == [2.0, 0.0]
+
+
+def scalar_scan_well_drop(amp):
+    """_quartic_well_drop as it was: the 801-point scan through the scalar
+    objective, and min_scalar calling it again at each basin's ends and
+    at Brent's abscissa."""
+    def f(s):
+        return 0.25 * (s * s - 1.0) ** 2 - amp * s
+
+    grid = np.linspace(0.0, 3.0, 801)
+    vals = np.array([f(x) for x in grid])
+    basins = []
+    for i in _optim.local_min_indices(vals):
+        a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 800)])
+        x = float(_optim._bounded_brent(f, a, b, 1e-13, 500))
+        basins.append(min([(a, f(a)), (b, f(b)), (x, f(x))],
+                          key=lambda p: p[1]))
+    return min(min(basins, key=lambda p: p[1])[1], 0.0)
+
+
+def test_well_drop_equals_the_scalar_scan_bitwise():
+    # the scan evaluates its objective as one array; every value, and so
+    # the basins Brent refines, must be the scalar calls' bits
+    rng = np.random.default_rng(15)
+    amps = np.concatenate([np.linspace(0.0, 1.0, 1001), [0.385],
+                           rng.uniform(0.0, 1.0, 10)])
+    for amp in map(float, amps):
+        got = models._quartic_well_drop(amp)
+        assert float(got).hex() == float(scalar_scan_well_drop(amp)).hex(), amp
 
 
 def test_offset_is_reported_not_hidden():

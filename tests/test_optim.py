@@ -115,7 +115,10 @@ def test_min_scalar_matches_composition_bitwise(name, sign):
     ours_log, ref_log = [], []
     x, fx = _optim.min_scalar(recording(f, ours_log), a, b)
     x_ref, fx_ref = composed_min_scalar(recording(f, ref_log), a, b)
-    assert ours_log == ref_log
+    # the reference evaluates Brent's abscissa once more, last; min_scalar
+    # takes that value from Brent's own evaluation
+    assert ours_log == ref_log[:-1]
+    assert ref_log[-1] in ref_log[:-3]
     assert (bits(x), bits(fx)) == (bits(x_ref), bits(fx_ref))
 
 

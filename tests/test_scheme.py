@@ -9,11 +9,11 @@ import pytest
 
 import dnevolve.diagnostics as diagnostics
 import dnevolve.scheme as scheme
-from dnevolve import potentials
+from dnevolve import _optim, potentials
 from dnevolve.diagnostics import refinement_study
 from dnevolve.energy import energy_value
 from dnevolve.errors import DomainError, RangeError, SolveAbortedError
-from dnevolve.models import build
+from dnevolve.models import MODEL_NAMES, build
 from dnevolve.scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
                              de_giorgi_interpolant, incremental_step,
                              interpolant_rate, left_constant_interpolant,
@@ -116,6 +116,39 @@ def test_step_beats_dense_grid_oracle():
             + spec.energy.value(tau, U)
         oracle = dense_step_oracle(spec.energy, p, u_prev, tau, tau)
         assert got <= oracle + 1e-9 * (1.0 + abs(oracle)), name
+
+
+D1_MODELS = [name for name in MODEL_NAMES if build(name, {}).dim == 1]
+D1_DISSIPATIONS = {"quadratic": potentials.Quadratic(1.0),
+                   "pnorm1.5": potentials.PNorm(1.0, 1.5),
+                   "pnorm3": potentials.PNorm(1.0, 3.0),
+                   "one_hom_plus_quad": potentials.OneHomPlusQuad(0.5, 1.0)}
+
+
+@pytest.mark.parametrize("psi_name", sorted(D1_DISSIPATIONS))
+@pytest.mark.parametrize("name", D1_MODELS)
+def test_scan_values_are_the_one_point_objective_bitwise(monkeypatch, name,
+                                                         psi_name):
+    # scan_min takes the scan's values at each basin's bracket ends in
+    # place of phi calls there: phi_batch must equal phi bit for bit
+    real = _optim.scan_min
+    scanned = []
+
+    def checked(f, f_batched, lo, hi, n_points, **kwargs):
+        grid = np.linspace(lo, hi, n_points)
+        batch = [float(y).hex() for y in f_batched(grid)]
+        assert batch == [float(f(x)).hex() for x in grid]
+        scanned.append(n_points)
+        return real(f, f_batched, lo, hi, n_points, **kwargs)
+
+    monkeypatch.setattr(_optim, "scan_min", checked)
+    spec = build(name, {})
+    lo, hi = (float(x[0]) for x in spec.energy.domain_box)
+    for u_prev, t_n in ((0.5 * (lo + hi), 0.125), (lo + 0.3 * (hi - lo), 0.5),
+                        (hi - 0.1 * (hi - lo), 0.875)):
+        incremental_step(spec.energy, D1_DISSIPATIONS[psi_name], [u_prev],
+                         t_n, 0.125)
+    assert scanned == [scheme.SCAN_POINTS] * 3
 
 
 # ---------------------------------------------------------------------------
