@@ -148,12 +148,10 @@ def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
     return x, gx
 
 
-def min_scalar(f, a: float, b: float, xtol: float = 1e-12, ends=None):
-    """Minimize f on [a, b] with bounded Brent; returns (x, f(x)).
-
-    ends, when given, is (f(a), f(b)), and f is not called at a and b. f(x)
-    is the value Brent computed at x, so f is not called there again.
-    """
+def min_scalar(f, a: float, b: float, xtol: float = 1e-12):
+    """Bounded Brent on [a, b]; returns (x, f(x)) at the abscissa Brent
+    settles on, f(x) taken from Brent's own evaluation. The ends a and b
+    are not evaluated: a caller holding f(a) and f(b) compares them."""
     seen = {}
 
     def recorded(x):
@@ -162,8 +160,7 @@ def min_scalar(f, a: float, b: float, xtol: float = 1e-12, ends=None):
 
     # _bounded_brent returns one of the abscissae it passed to recorded
     x = float(_bounded_brent(recorded, a, b, xtol, 500))
-    fa, fb = (f(a), f(b)) if ends is None else ends
-    return min([(a, fa), (b, fb), (x, seen[x])], key=lambda p: p[1])
+    return x, seen[x]
 
 
 def golden_min_batched(f, lo: np.ndarray, hi: np.ndarray, iters: int = 90):
@@ -229,8 +226,9 @@ def scan_min(f, f_batched, lo: float, hi: float, n_points: int,
         if a == b:
             basins.append((float(grid[i]), float(vals[i])))
             continue
-        basins.append(min_scalar(f, a, b, xtol=xtol,
-                                 ends=(float(vals[ia]), float(vals[ib]))))
+        basins.append(min([(a, float(vals[ia])), (b, float(vals[ib])),
+                           min_scalar(f, a, b, xtol=xtol)],
+                          key=lambda p: p[1]))
     x_best, f_best = min(basins, key=lambda p: p[1])
     return x_best, f_best, basins
 

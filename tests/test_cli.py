@@ -659,14 +659,19 @@ def test_describe_known_and_unknown(capsys):
     assert "config error at model.name:" in err
 
 
-@pytest.mark.parametrize("argv", [[], ["bogus"], ["run"], ["run", "a", "b"],
-                                  ["list-models", "x"], ["--x"]])
-def test_usage_errors_exit_2(capsys, argv):
+@pytest.mark.parametrize("argv,reason", [
+    ([], "no verb given"),
+    (["bogus"], "unknown verb 'bogus'"),
+    (["run"], "run takes 1 argument(s), got 0"),
+    (["run", "a", "b"], "run takes 1 argument(s), got 2"),
+    (["list-models", "x"], "list-models takes 0 argument(s), got 1"),
+    (["--x"], "unknown verb '--x'")])
+def test_usage_errors_exit_2(capsys, argv, reason):
     # argparse's exit status, now returned instead of raised
     code, out, err = run_main(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == cli.USAGE + "\n"
+    assert err == f"{cli.USAGE}\ndnevolve: error: {reason}\n"
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
