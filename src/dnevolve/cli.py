@@ -33,10 +33,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import diagnostics, models, potentials
+from . import diagnostics, models
 from .energy import energy_value
 from .errors import (ConditioningError, ConfigError, DnevolveError,
                      DomainError, RangeError, SolveAbortedError)
+from .models import finite_number, reject_unknown
 from .potentials import as_state
 from .scheme import (WITNESS_TOL, DiscreteTrajectory, SolveOptions, TimeGrid,
                      minimality_witness, solve)
@@ -47,7 +48,6 @@ CHAIN_FRACTION = 0.99
 IDENTITY_SLACK = 1e-8
 MAX_STEPS = 2 ** 20  # longest time grid a config may ask for
 
-_DISSIPATION_KINDS = ("quadratic", "pnorm", "one_hom_plus_quad")
 _CHECK_DEFAULTS = {"fenchel_young": True, "minimality": True,
                    "chain_rule": True, "energy_identity": True,
                    "step_inequality": False}
@@ -64,65 +64,12 @@ def _want(cfg: Dict, field: str, path: str):
     return cfg[field]
 
 
-def _num(x, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(x).__name__}")
-    v = models._finite(x)
-    if v is None:
-        raise ConfigError(path, "must be finite")
-    return v
-
-
 def _check_steps(T: float, tau: float, path: str):
     # T / tau > MAX_STEPS iff the grid's ceil(T / tau) steps exceed it; the
     # quotient may overflow to inf, which ceil could not take
     if T / tau > MAX_STEPS:
         raise ConfigError(path, f"T / tau = {T / tau:.6g} exceeds the "
                                 f"{MAX_STEPS} steps a grid may have")
-
-
-def _reject_unknown(cfg: Dict, allowed: Sequence[str], path: str):
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key,
-                              "unknown field")
-
-
-def _validate_dissipation(d: Dict) -> potentials.DissipationPotential:
-    if not isinstance(d, dict):
-        raise ConfigError("dissipation", "expected an object")
-    kind = _want(d, "kind", "dissipation.kind")
-    if kind not in _DISSIPATION_KINDS:
-        raise ConfigError("dissipation.kind",
-                          f"must be one of {list(_DISSIPATION_KINDS)}")
-    if kind == "quadratic":
-        _reject_unknown(d, ("kind", "c"), "dissipation")
-        c = _num(d.get("c", 1.0), "dissipation.c")
-        if not c > 0:
-            raise ConfigError("dissipation.c", "must be > 0")
-        return potentials.Quadratic(c)
-    if kind == "pnorm":
-        _reject_unknown(d, ("kind", "c", "p"), "dissipation")
-        c = _num(d.get("c", 1.0), "dissipation.c")
-        p = _num(d.get("p", 2.0), "dissipation.p")
-        if not c > 0:
-            raise ConfigError("dissipation.c", "must be > 0")
-        # p = 1 alone has no superlinear growth (see potentials.PNorm). The
-        # upper end is a policy, AllenCahn1D's own bound on its p, not the
-        # p at which c |v|^(p-1) overflows: that p depends on the rates
-        if not p > 1:
-            raise ConfigError("dissipation.p", "must be > 1")
-        if not p <= 8:
-            raise ConfigError("dissipation.p", "must be <= 8")
-        return potentials.PNorm(c, p)
-    _reject_unknown(d, ("kind", "rho", "eps"), "dissipation")
-    rho = _num(d.get("rho", 1.0), "dissipation.rho")
-    eps = _num(d.get("eps", 1.0), "dissipation.eps")
-    if not rho >= 0:
-        raise ConfigError("dissipation.rho", "must be >= 0")
-    if not eps > 0:
-        raise ConfigError("dissipation.eps", "must be > 0")
-    return potentials.OneHomPlusQuad(rho, eps)
 
 
 def _validate_diag(d) -> Dict:
@@ -133,14 +80,14 @@ def _validate_diag(d) -> Dict:
         return out
     if not isinstance(d, dict):
         raise ConfigError("diagnostics", "expected an object")
-    _reject_unknown(d, _CHECK_KEYS + ("windows", "eps_quad"), "diagnostics")
+    reject_unknown(d, _CHECK_KEYS + ("windows", "eps_quad"), "diagnostics")
     for key in _CHECK_KEYS:
         if key in d:
             if not isinstance(d[key], bool):
                 raise ConfigError(f"diagnostics.{key}", "expected a boolean")
             out[key] = d[key]
     if "eps_quad" in d:
-        eq = _num(d["eps_quad"], "diagnostics.eps_quad")
+        eq = finite_number(d["eps_quad"], "diagnostics.eps_quad")
         if not eq > 0:
             raise ConfigError("diagnostics.eps_quad", "must be > 0")
         out["eps_quad"] = eq
@@ -152,7 +99,8 @@ def _validate_diag(d) -> Dict:
             p = f"diagnostics.windows[{i}]"
             if not (isinstance(w, list) and len(w) == 2):
                 raise ConfigError(p, "expected a [s, t] pair")
-            s, t = _num(w[0], p + "[0]"), _num(w[1], p + "[1]")
+            s = finite_number(w[0], p + "[0]")
+            t = finite_number(w[1], p + "[1]")
             if not 0.0 <= s <= t:
                 raise ConfigError(p, "requires 0 <= s <= t")
             out["windows"].append((s, t))
@@ -165,28 +113,25 @@ class RunPlan:
     def __init__(self, cfg: Dict):
         if not isinstance(cfg, dict):
             raise ConfigError("", "top-level config must be an object")
-        _reject_unknown(cfg, ("model", "dissipation", "u0", "T", "tau",
-                              "tau_ladder", "subdiff_mode", "diagnostics",
-                              "output_dir", "seed"), "")
+        reject_unknown(cfg, ("model", "dissipation", "u0", "T", "tau",
+                             "tau_ladder", "subdiff_mode", "diagnostics",
+                             "output_dir", "seed"), "")
         mdl = _want(cfg, "model", "model")
         if not isinstance(mdl, dict):
             raise ConfigError("model", "expected an object")
-        _reject_unknown(mdl, ("name", "params"), "model")
+        reject_unknown(mdl, ("name", "params"), "model")
         name = _want(mdl, "name", "model.name")
-        if name not in models.MODEL_NAMES:
-            raise ConfigError("model.name",
-                              f"unknown model; known: {list(models.MODEL_NAMES)}")
+        _, allowed, _ = models.lookup(name)
         params = mdl.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("model.params", "expected an object")
         params = dict(params)
 
         mode = cfg.get("subdiff_mode")
-        allowed = models.SUBDIFF_MODES[name]
         if mode is not None and mode not in allowed:
             # every mode some model admits, last-declared first
             known = list(dict.fromkeys(
-                m for ms in models.SUBDIFF_MODES.values() for m in ms))[::-1]
+                m for n in models.MODEL_NAMES for m in models.lookup(n)[1]))[::-1]
             if mode not in known:
                 raise ConfigError("subdiff_mode", f"must be "
                                   f"{', '.join(known[:-1])} or {known[-1]}")
@@ -202,23 +147,18 @@ class RunPlan:
 
         try:
             self.spec = models.build(name, params)
-        except ConfigError as err:
-            field = err.field or "model.params"
-            if field.startswith("params"):
-                field = "model." + field
-            raise ConfigError(field, err.message) from err
-        except RangeError as err:
+        except RangeError as err:  # a constraint between parameters
             raise ConfigError("model.params", str(err)) from err
 
         dis = cfg.get("dissipation")
-        self.psi = (_validate_dissipation(dis) if dis is not None
+        self.psi = (models.build_dissipation(dis) if dis is not None
                     else self.spec.dissipation)
 
         u0 = _want(cfg, "u0", "u0")
         if isinstance(u0, list):
-            u0 = [_num(x, f"u0[{i}]") for i, x in enumerate(u0)]
+            u0 = [finite_number(x, f"u0[{i}]") for i, x in enumerate(u0)]
         else:
-            u0 = [_num(u0, "u0")] * self.spec.dim
+            u0 = [finite_number(u0, "u0")] * self.spec.dim
         try:
             self.u0 = as_state(u0, self.spec.dim)
         except DnevolveError as err:
@@ -228,7 +168,7 @@ class RunPlan:
                                 or np.any(self.u0 > box[1])):
             raise ConfigError("u0", "outside the model domain box")
 
-        self.T = _num(_want(cfg, "T", "T"), "T")
+        self.T = finite_number(_want(cfg, "T", "T"), "T")
         if not self.T > 0:
             raise ConfigError("T", "must be > 0")
 
@@ -237,7 +177,7 @@ class RunPlan:
         if has_tau == has_ladder:
             raise ConfigError("tau", "exactly one of tau, tau_ladder required")
         if has_tau:
-            tau = _num(cfg["tau"], "tau")
+            tau = finite_number(cfg["tau"], "tau")
             if not 0 < tau <= self.T:
                 raise ConfigError("tau", f"must satisfy 0 < tau <= T={self.T}")
             if not tau < tau_o:
@@ -249,7 +189,8 @@ class RunPlan:
             lad = cfg["tau_ladder"]
             if not (isinstance(lad, list) and lad):
                 raise ConfigError("tau_ladder", "expected a nonempty list")
-            vals = [_num(x, f"tau_ladder[{i}]") for i, x in enumerate(lad)]
+            vals = [finite_number(x, f"tau_ladder[{i}]")
+                    for i, x in enumerate(lad)]
             for i, x in enumerate(vals):
                 if not 0 < x <= self.T:
                     raise ConfigError(f"tau_ladder[{i}]",
@@ -588,11 +529,7 @@ def cmd_list_models() -> int:
 
 
 def cmd_describe(name: str) -> int:
-    try:
-        print(models.describe(name))
-    except ConfigError as err:
-        print(f"config error at model.name: {err.message}", file=sys.stderr)
-        return 2
+    print(models.describe(name))
     return 0
 
 

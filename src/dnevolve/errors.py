@@ -21,7 +21,8 @@ class DomainError(DnevolveError):
 
 
 class RangeError(DnevolveError):
-    """Time argument outside the valid range (off-grid or beyond horizon)."""
+    """A value outside its valid range: a time off the grid or beyond the
+    horizon, or model parameters that break a constraint between them."""
 
 
 class RefinementError(DnevolveError):

@@ -6,6 +6,10 @@ exact solution for oracle comparisons, and the resolved parameters. Energies
 are shifted by an explicit offset so the working minimum is at least 1; the
 offset is part of the parameters and is reported in every output.
 
+Each model's parameters, and each kind of a config's `dissipation`, are a
+table of rows (key, default, kind, bounds, doc): one reader validates
+them, naming the offending key, and describe prints them.
+
 Registered names: QuadraticBenchmark, AbsoluteMarginal, PhaseField1D,
 AllenCahn1D, StateWeightedToy.
 """
@@ -13,6 +17,7 @@ AllenCahn1D, StateWeightedToy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -232,95 +237,157 @@ class _StateWeightedQuadEnergy(_QuadraticEnergy):
 
 
 # ---------------------------------------------------------------------------
+# parameter tables
+#
+# One row per parameter: (key, default, kind, bounds, doc). kind is "number"
+# (a finite float), "integer", a tuple of the admitted values, or None for a
+# value its builder parses. bounds is a tuple of (op, bound) pairs the value
+# must satisfy. A default of None is computed by the builder ("auto" in
+# describe). describe prints every row; _read_fields enforces it.
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+        "<=": operator.le}
+
+# p = 1 alone has no superlinear growth (see potentials.PNorm). The upper
+# end is a policy, not the p at which c |v|^(p-1) overflows: that p depends
+# on the rates
+P_MAX = 8.0
+_P_ROW = ("p", 2.0, "number", ((">", 1.0), ("<=", P_MAX)), "")
+_C_ROW = ("c", 1.0, "number", ((">", 0.0),), "")
+_UNIT = ((">=", 0.0), ("<=", 1.0))
+_POINT_ROWS = (
+    ("dim", 1, "integer", ((">=", 1), ("<=", 16)), ""),
+    ("a", 1.0, None, (), "target point, scalar or length-dim list"),
+    ("offset", 1.0, "number", ((">", 0.0),), "energy shift"),
+)
+
+# each dissipation kind's constructor, called with its rows' values in order
+_DISSIPATIONS = {
+    "quadratic": (Quadratic, (_C_ROW,)),
+    "pnorm": (PNorm, (_C_ROW, _P_ROW)),
+    "one_hom_plus_quad": (OneHomPlusQuad, (
+        ("rho", 1.0, "number", ((">=", 0.0),), ""),
+        ("eps", 1.0, "number", ((">", 0.0),), ""))),
+}
+_DISSIPATION_KINDS = tuple(_DISSIPATIONS)
+
+
+def finite_number(x, path: str) -> float:
+    """x as a float when it is a finite JSON number; anything else raises
+    ConfigError at path."""
+    if not isinstance(x, bool) and isinstance(x, (int, float)):
+        try:
+            v = float(x)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise ConfigError(path, f"expected a finite number, got {x!r}")
+
+
+def reject_unknown(obj: Dict, allowed, path: str):
+    """Raise ConfigError at the first key of obj not in allowed."""
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+
+
+def _read_fields(obj: Dict, rows, path: str) -> Dict:
+    """The value of every row's key in obj, or its default, keyed in row
+    order. An unknown key, or a value of the wrong kind or outside its
+    row's bounds, raises ConfigError at path.key."""
+    reject_unknown(obj, [row[0] for row in rows], path)
+    out = {}
+    for key, default, kind, bounds, _ in rows:
+        v = obj.get(key, default)
+        if key in obj:
+            field = f"{path}.{key}"
+            if kind == "number":
+                v = finite_number(v, field)
+            elif kind == "integer" and (isinstance(v, bool)
+                                        or not isinstance(v, int)):
+                raise ConfigError(field, f"expected an integer, got {v!r}")
+            elif isinstance(kind, tuple) and v not in kind:
+                raise ConfigError(field, f"expected {_bounds_text(kind, ())}, "
+                                         f"got {v!r}")
+            for op, bound in bounds:
+                if not _OPS[op](v, bound):
+                    raise ConfigError(field,
+                                      f"must be {op} {bound:g}; got {v!r}")
+        out[key] = v
+    return out
+
+
+def _bounds_text(kind, bounds) -> str:
+    """What a row admits, as describe prints it: "in (0, 1]", "> 0", ..."""
+    if isinstance(kind, tuple):
+        return " or ".join(map(repr, kind))
+    if len(bounds) == 2:
+        (lo_op, lo), (hi_op, hi) = bounds
+        text = (f"in {'(' if lo_op == '>' else '['}{lo:g}, "
+                f"{hi:g}{')' if hi_op == '<' else ']'}")
+    else:
+        text = " ".join(f"{op} {bound:g}" for op, bound in bounds)
+    return f"integer {text}" if kind == "integer" else text
+
+
+def build_dissipation(d) -> DissipationPotential:
+    """The potential a config's `dissipation` object names; each error
+    raises ConfigError at its field."""
+    if not isinstance(d, dict):
+        raise ConfigError("dissipation", "expected an object")
+    if "kind" not in d:
+        raise ConfigError("dissipation.kind", "missing required field")
+    if d["kind"] not in _DISSIPATION_KINDS:
+        raise ConfigError("dissipation.kind",
+                          f"must be one of {list(_DISSIPATION_KINDS)}")
+    ctor, rows = _DISSIPATIONS[d["kind"]]
+    fields = {k: v for k, v in d.items() if k != "kind"}
+    return ctor(*_read_fields(fields, rows, "dissipation").values())
+
+
+# ---------------------------------------------------------------------------
 # builders
+#
+# Each takes its model's resolved parameters (_read_fields of its rows) and
+# checks the constraints between them, raising RangeError.
 
 
-def _finite(x) -> Optional[float]:
-    """x as a float when it is a finite JSON number, else None."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return None
-    try:
-        v = float(x)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return v if math.isfinite(v) else None
-
-
-def _num(params, key, default, lo=None, hi=None, lo_strict=False,
-         hi_strict=False, name=""):
-    raw = params.pop(key, default)
-    v = _finite(raw)
-    if v is None:
-        raise ConfigError(f"params.{key}", f"expected a finite number, got {raw!r}")
-    if lo is not None and (v <= lo if lo_strict else v < lo):
-        raise RangeError(f"{name} requires {key} {'>' if lo_strict else '>='} {lo}; got {v}")
-    if hi is not None and (v >= hi if hi_strict else v > hi):
-        raise RangeError(f"{name} requires {key} {'<' if hi_strict else '<='} {hi}; got {v}")
-    return v
-
-
-def _reject_unknown(params, name):
-    if params:
-        key = sorted(params)[0]
-        raise ConfigError(f"params.{key}", f"unknown parameter for {name}")
-
-
-def _dim_and_target(params, name):
-    """dim, an integer in [1, 16], and the target point a: one number for
-    every coordinate, or a list of dim numbers."""
-    dim = params.pop("dim", 1)
-    if not isinstance(dim, int) or isinstance(dim, bool) or not 1 <= dim <= 16:
-        raise RangeError(f"{name} requires integer dim in [1, 16]; got {dim!r}")
-    a = params.pop("a", 1.0)
+def _target(dim, a) -> np.ndarray:
+    """The target point a: one number for every coordinate, or a list of
+    dim numbers."""
     cells = a if isinstance(a, list) else [a] * dim
     if len(cells) != dim:
-        raise ConfigError("params.a", f"expected a number or a list of {dim} "
-                                      f"numbers, got {len(cells)} entries")
-    for x in cells:
-        if _finite(x) is None:
-            raise ConfigError("params.a", f"expected finite numbers, got {x!r}")
-    return dim, np.array(cells, dtype=float)
+        raise ConfigError("model.params.a", f"expected a number or a list of "
+                                            f"{dim} numbers, got {len(cells)} "
+                                            f"entries")
+    return np.array([finite_number(x, "model.params.a") for x in cells])
 
 
-def _build_quadratic(params):
-    dim, a = _dim_and_target(params, "QuadraticBenchmark")
-    offset = _num(params, "offset", 1.0, lo=0.0, lo_strict=True,
-                  name="QuadraticBenchmark")
-    _reject_unknown(params, "QuadraticBenchmark")
-    energy = _QuadraticEnergy(a, offset)
+def _build_quadratic(v):
+    dim, a = v["dim"], _target(v["dim"], v["a"])
+    energy = _QuadraticEnergy(a, v["offset"])
 
     def exact(t, u0):
         u0 = as_state(u0, dim)
         return a + (u0 - a) * math.exp(-t)
 
     return ModelSpec("QuadraticBenchmark", dim, energy, Quadratic(1.0),
-                     exact_solution=exact,
-                     parameters={"dim": dim, "a": a.tolist(), "offset": offset})
+                     exact_solution=exact, parameters=dict(v, a=a.tolist()))
 
 
-def _build_absolute_marginal(params):
-    alpha = _num(params, "alpha", 0.5, lo=0.0, lo_strict=True,
-                 name="AbsoluteMarginal")
-    beta = _num(params, "beta", 0.25, lo=0.0, lo_strict=True, hi=1.0,
-                hi_strict=True, name="AbsoluteMarginal")
+def _build_absolute_marginal(v):
+    alpha, beta, offset, t_cap = v["alpha"], v["beta"], v["offset"], v["t_cap"]
     if not alpha > beta:
         raise RangeError(
             f"AbsoluteMarginal requires alpha > beta; got alpha={alpha}, beta={beta}")
-    offset = _num(params, "offset", 2.0, name="AbsoluteMarginal")
-    t_cap = _num(params, "t_cap", 1.0, lo=0.0, lo_strict=True, hi=8.0,
-                 name="AbsoluteMarginal")
-    modes = SUBDIFF_MODES["AbsoluteMarginal"]
-    kind = params.pop("subdiff_kind", modes[0])
-    if kind not in modes:
-        raise ConfigError("params.subdiff_kind", f"expected "
-                          f"{' or '.join(map(repr, modes))}, got {kind!r}")
-    _reject_unknown(params, "AbsoluteMarginal")
     C0 = offset - alpha * (1.5 + beta * t_cap)
     if not C0 > 0.0:
         raise RangeError(
             f"AbsoluteMarginal requires offset > alpha*(1.5 + beta*t_cap) "
             f"so the energy stays positive on its box; got C0={C0}")
-    energy = _AbsoluteMarginalEnergy(alpha, beta, offset, kind, t_cap)
+    energy = _AbsoluteMarginalEnergy(alpha, beta, offset, v["subdiff_kind"],
+                                     t_cap)
 
     def exact(t, u0):
         # the selected evolution from nonpositive starts: u(t) = u0 - alpha t
@@ -328,24 +395,22 @@ def _build_absolute_marginal(params):
         return u0 - alpha * t
 
     return ModelSpec("AbsoluteMarginal", 1, energy, Quadratic(1.0),
-                     exact_solution=exact,
-                     parameters={"alpha": alpha, "beta": beta, "offset": offset,
-                                 "t_cap": t_cap, "subdiff_kind": kind})
+                     exact_solution=exact, parameters=v)
 
 
-def _build_phase_field(params):
-    A = _num(params, "load_amp", 0.3, lo=0.0, hi=1.0, name="PhaseField1D")
+def _build_phase_field(v):
+    A = v["load_amp"]
     # raw min of the marginal energy over the box is ((1 + 1.5 A)^2 - 1)/3
     # below zero; the automatic offset puts the working minimum at exactly 1
-    auto = 1.0 + ((1.0 + 1.5 * A) ** 2 - 1.0) / 3.0
-    offset = _num(params, "offset", auto, name="PhaseField1D")
-    _reject_unknown(params, "PhaseField1D")
-    if not offset - ((1.0 + 1.5 * A) ** 2 - 1.0) / 3.0 > 0.0:
+    drop = ((1.0 + 1.5 * A) ** 2 - 1.0) / 3.0
+    if v["offset"] is None:
+        v["offset"] = 1.0 + drop
+    if not v["offset"] - drop > 0.0:
         raise RangeError(
-            f"PhaseField1D requires offset > ((1 + 1.5*load_amp)^2 - 1)/3; got {offset}")
-    energy = _PhaseFieldEnergy(A, offset)
-    return ModelSpec("PhaseField1D", 1, energy, Quadratic(1.0),
-                     parameters={"load_amp": A, "offset": offset})
+            f"PhaseField1D requires offset > ((1 + 1.5*load_amp)^2 - 1)/3; "
+            f"got {v['offset']}")
+    energy = _PhaseFieldEnergy(A, v["offset"])
+    return ModelSpec("PhaseField1D", 1, energy, Quadratic(1.0), parameters=v)
 
 
 def _quartic_well_drop(amp: float) -> float:
@@ -359,22 +424,16 @@ def _quartic_well_drop(amp: float) -> float:
     return min(h, 0.0)
 
 
-def _build_allen_cahn(params):
-    N = params.pop("N", 32)
-    if not isinstance(N, int) or isinstance(N, bool) or not 2 <= N <= 1024:
-        raise RangeError(f"AllenCahn1D requires integer N in [2, 1024]; got {N!r}")
-    q = _num(params, "q", 2.0, lo=1.0, lo_strict=True, hi=8.0, name="AllenCahn1D")
-    p = _num(params, "p", 2.0, lo=1.0, lo_strict=True, hi=8.0, name="AllenCahn1D")
-    rho = _num(params, "rho", 1.0, lo=0.0, hi=4.0, name="AllenCahn1D")
-    amp = _num(params, "load_amp", 0.2, lo=0.0, hi=1.0, name="AllenCahn1D")
+def _build_allen_cahn(v):
+    N, p, rho, amp = v["N"], v["p"], v["rho"], v["load_amp"]
     drop = _quartic_well_drop(amp)
-    offset = _num(params, "offset", 1.0 - drop, name="AllenCahn1D")
-    _reject_unknown(params, "AllenCahn1D")
-    if not offset + drop > 0.0:
+    if v["offset"] is None:
+        v["offset"] = 1.0 - drop
+    if not v["offset"] + drop > 0.0:
         raise RangeError(
             f"AllenCahn1D requires offset > {-drop:.6g} for this load_amp "
-            f"so the energy stays positive; got {offset}")
-    energy = _AllenCahnEnergy(N, q, amp, offset, drop)
+            f"so the energy stays positive; got {v['offset']}")
+    energy = _AllenCahnEnergy(N, v["q"], amp, v["offset"], drop)
     # chain-rule scale is stiffness-aware: the difference-quotient Hessian
     # has norm of order 4 N, and the per-step Taylor remainder scales with it
     energy.c_chain = 64.0 * N
@@ -385,19 +444,13 @@ def _build_allen_cahn(params):
         psi = OneHomPlusQuad(rho * dx, dx)
     else:
         psi = WeightedSum((PNorm(rho * dx, 1.0), PNorm(dx, p)))
-    return ModelSpec("AllenCahn1D", N, energy, psi,
-                     parameters={"N": N, "q": q, "p": p, "rho": rho,
-                                 "load_amp": amp, "offset": offset})
+    return ModelSpec("AllenCahn1D", N, energy, psi, parameters=v)
 
 
-def _build_state_weighted(params):
-    dim, a = _dim_and_target(params, "StateWeightedToy")
-    offset = _num(params, "offset", 1.0, lo=0.0, lo_strict=True,
-                  name="StateWeightedToy")
-    scale = _num(params, "omega_scale", 0.5, lo=0.0, hi=0.95,
-                 name="StateWeightedToy")
-    _reject_unknown(params, "StateWeightedToy")
-    energy = _StateWeightedQuadEnergy(a, offset)
+def _build_state_weighted(v):
+    dim, a = v["dim"], _target(v["dim"], v["a"])
+    scale = v["omega_scale"]
+    energy = _StateWeightedQuadEnergy(a, v["offset"])
 
     def omega(u):
         return 1.0 + scale * math.tanh(float(u[0]))
@@ -405,80 +458,87 @@ def _build_state_weighted(params):
     psi = StateWeighted(base=Quadratic(1.0), omega=omega,
                         omega_bounds=(1.0 - scale, 1.0 + scale))
     return ModelSpec("StateWeightedToy", dim, energy, psi,
-                     parameters={"dim": dim, "a": a.tolist(), "offset": offset,
-                                 "omega_scale": scale})
+                     parameters=dict(v, a=a.tolist()))
 
 
-# each model's builder and admitted subdiff modes, the default first
-_BUILDERS = {
-    "QuadraticBenchmark": (_build_quadratic, ("analytic",)),
-    "AbsoluteMarginal": (_build_absolute_marginal, ("marginal", "clarke")),
-    "PhaseField1D": (_build_phase_field, ("marginal",)),
-    "AllenCahn1D": (_build_allen_cahn, ("analytic",)),
-    "StateWeightedToy": (_build_state_weighted, ("analytic",)),
+# each model's builder, admitted subdiff modes (the default first) and
+# parameter rows
+_AM_MODES = ("marginal", "clarke")
+_MODELS = {
+    "QuadraticBenchmark": (_build_quadratic, ("analytic",), _POINT_ROWS),
+    "AbsoluteMarginal": (_build_absolute_marginal, _AM_MODES, (
+        ("alpha", 0.5, "number", ((">", 0.0),), "> beta"),
+        ("beta", 0.25, "number", ((">", 0.0), ("<", 1.0)), "< alpha"),
+        ("offset", 2.0, "number", (),
+         "large enough that offset > alpha*(1.5 + beta*t_cap)"),
+        ("t_cap", 1.0, "number", ((">", 0.0), ("<=", 8.0)),
+         "time horizon the positivity constant covers"),
+        ("subdiff_kind", _AM_MODES[0], _AM_MODES, (), ""))),
+    "PhaseField1D": (_build_phase_field, ("marginal",), (
+        ("load_amp", 0.3, "number", _UNIT, ""),
+        ("offset", None, "number", (),
+         "default puts the box minimum at exactly 1"))),
+    "AllenCahn1D": (_build_allen_cahn, ("analytic",), (
+        ("N", 32, "integer", ((">=", 2), ("<=", 1024)), ""),
+        ("q", 2.0, "number", ((">", 1.0), ("<=", 8.0)), ""),
+        _P_ROW,
+        ("rho", 1.0, "number", ((">=", 0.0), ("<=", 4.0)),
+         "0 and 1 are the canonical settings"),
+        ("load_amp", 0.2, "number", _UNIT, ""),
+        ("offset", None, "number", (),
+         "default puts the energy lower bound at exactly 1"))),
+    "StateWeightedToy": (_build_state_weighted, ("analytic",), _POINT_ROWS + (
+        ("omega_scale", 0.5, "number", ((">=", 0.0), ("<=", 0.95)), ""),)),
 }
 
-MODEL_NAMES = tuple(_BUILDERS)
-SUBDIFF_MODES = {name: modes for name, (_, modes) in _BUILDERS.items()}
+MODEL_NAMES = tuple(_MODELS)
 
 _DOCS = {
-    "QuadraticBenchmark": (
+    "QuadraticBenchmark":
         "Convex sanity baseline: E(t,u) = 1/2 ||u - a||^2 + offset with "
         "Psi = 1/2 ||v||^2; exact flow u(t) = a + (u0 - a) exp(-t).",
-        (("dim", "1", "integer in [1, 16]"),
-         ("a", "1.0", "target point, scalar or length-dim list"),
-         ("offset", "1.0", "energy shift, > 0"))),
-    "AbsoluteMarginal": (
+    "AbsoluteMarginal":
         "Traveling-kink marginal energy E(t,u) = -alpha |u - beta t| + offset "
         "with two affine branches; subdifferential selectable marginal or "
         "Clarke-interval. Constraint: alpha > beta > 0, beta < 1.",
-        (("alpha", "0.5", "> beta"),
-         ("beta", "0.25", "in (0, 1), < alpha"),
-         ("offset", "2.0", "large enough that offset > alpha*(1.5 + beta*t_cap)"),
-         ("t_cap", "1.0", "time horizon the positivity constant covers, in (0, 8]"),
-         ("subdiff_kind", "'marginal'", "'marginal' or 'clarke'"))),
-    "PhaseField1D": (
+    "PhaseField1D":
         "Scalar quasistatic phase-field energy: E(t,u) = 1/2 u^2 + "
         "min_eta [1/2 eta^2 - u eta + W(eta)] - load_amp sin(t) u + offset, "
         "W the piecewise-quadratic double well; gradient-flow Psi = 1/2 v^2.",
-        (("load_amp", "0.3", "in [0, 1]"),
-         ("offset", "auto", "default puts the box minimum at exactly 1"))),
-    "AllenCahn1D": (
+    "AllenCahn1D":
         "N-cell grid Allen-Cahn on [0,1] with zero Dirichlet walls: "
         "E = sum (1/q)|D+ u|^q dx + sum (W4(u_i) - l_i(t) u_i) dx, quartic "
         "well W4(s) = (s^2-1)^2/4; Psi = rho sum |v_i| dx + (1/p) sum |v_i|^p dx.",
-        (("N", "32", "integer in [2, 1024]"),
-         ("q", "2.0", "in (1, 8]"),
-         ("p", "2.0", "in (1, 8]"),
-         ("rho", "1.0", "in [0, 4]; 0 and 1 are the canonical settings"),
-         ("load_amp", "0.2", "in [0, 1]"),
-         ("offset", "auto", "default puts the energy lower bound at exactly 1"))),
-    "StateWeightedToy": (
+    "StateWeightedToy":
         "QuadraticBenchmark energy with a state-dependent dissipation "
         "Psi_u(v) = omega(u) 1/2 ||v||^2, omega(u) = 1 + omega_scale tanh(u_1); "
         "omega_scale = 0 reproduces QuadraticBenchmark bit for bit.",
-        (("dim", "1", "integer in [1, 16]"),
-         ("a", "1.0", "target point"),
-         ("offset", "1.0", "> 0"),
-         ("omega_scale", "0.5", "in [0, 0.95]"))),
 }
 
 
-def build(name: str, params: Optional[Dict] = None) -> ModelSpec:
-    """Construct a registered model; unknown names and out-of-range
-    parameters raise with the violated field or bound named."""
-    if name not in _BUILDERS:
+def lookup(name):
+    """(builder, subdiff modes, parameter rows) of a registered model; any
+    other name raises ConfigError at model.name."""
+    # a tuple: a list or object name compares unequal instead of raising
+    if name not in MODEL_NAMES:
         raise ConfigError("model.name",
                           f"unknown model {name!r}; registered: {', '.join(MODEL_NAMES)}")
-    return _BUILDERS[name][0](dict(params or {}))
+    return _MODELS[name]
+
+
+def build(name: str, params: Optional[Dict] = None) -> ModelSpec:
+    """Construct a registered model. A parameter outside its own bounds
+    raises ConfigError at model.params.<key>; a constraint between
+    parameters raises RangeError."""
+    builder, _, rows = lookup(name)
+    return builder(_read_fields(params or {}, rows, "model.params"))
 
 
 def describe(name: str) -> str:
-    if name not in _DOCS:
-        raise ConfigError("model.name",
-                          f"unknown model {name!r}; registered: {', '.join(MODEL_NAMES)}")
-    doc, schema = _DOCS[name]
-    lines = [name, "  " + doc, "  parameters:"]
-    for key, default, constraint in schema:
-        lines.append(f"    {key} (default {default}): {constraint}")
+    _, _, rows = lookup(name)
+    lines = [name, "  " + _DOCS[name], "  parameters:"]
+    for key, default, kind, bounds, doc in rows:
+        text = "; ".join(filter(None, (_bounds_text(kind, bounds), doc)))
+        shown = "auto" if default is None else repr(default)
+        lines.append(f"    {key} (default {shown}): {text}")
     return "\n".join(lines)

@@ -29,7 +29,8 @@ deterministic multi-start budget. The solver records mu and its start
 count in inner_status.
 
 The De Giorgi interpolant reuses the step solver (step r = t - t_{n-1},
-energy frozen at t); the piecewise interpolants also take arrays of times.
+energy frozen at t); the piecewise-linear interpolant also takes arrays
+of times.
 """
 
 from __future__ import annotations
@@ -489,20 +490,6 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t: float):
     return U, xi, r
 
 
-def left_constant_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
-    """U_n on (t_{n-1}, t_n]; U_0 at t = 0."""
-    n, _ = _locate(traj.grid, t)
-    return traj.U.take(n, axis=0)
-
-
-def right_constant_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
-    """U_{n-1} on [t_{n-1}, t_n); U_N at t = t_N."""
-    n, r = _locate(traj.grid, t)
-    # at a node (the test of de_giorgi_interpolant) it has jumped to U_n
-    at_node = abs(r - traj.grid.tau) <= 1e-12 * traj.grid.tau
-    return traj.U[np.where(at_node, n, np.maximum(n - 1, 0))]
-
-
 def linear_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
     """The piecewise-linear interpolant of the nodes U_n."""
     n, r = _locate(traj.grid, t)
@@ -514,9 +501,3 @@ def linear_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
     nxt *= th
     out += nxt
     return out
-
-
-def interpolant_rate(traj: DiscreteTrajectory, t) -> np.ndarray:
-    """The rate of the interval holding t: the left one's at nodes."""
-    n, _ = _locate(traj.grid, t)
-    return traj.rate(np.maximum(n, 1))

@@ -87,6 +87,18 @@ def run_main(capsys, *argv):
     ({"tau_ladder": [0.25, 0.0]}, ("tau",), "tau_ladder[1]"),
     ({"tau_ladder": [0.5, 0.25]}, ("tau",), "tau_ladder[0]"),  # tau_o
     ({"dissipation": {"kind": "pnorm", "p": 1e300}}, (), "dissipation.p"),
+    # a parameter's own bound names its key
+    ({"model": {"name": "AllenCahn1D", "params": {"q": 9}}}, (),
+     "model.params.q"),
+    ({"model": {"name": "AllenCahn1D", "params": {"N": 1}}}, (),
+     "model.params.N"),
+    ({"model": {"name": "QuadraticBenchmark", "params": {"dim": 17}}}, (),
+     "model.params.dim"),
+    ({"model": {"name": "AbsoluteMarginal", "params": {"t_cap": 9}}}, (),
+     "model.params.t_cap"),
+    ({"model": {"name": "StateWeightedToy",
+                "params": {"omega_scale": 0.96}}}, (),
+     "model.params.omega_scale"),
 ])
 def test_rejected_configs(tmp_path, capsys, overrides, drop, field):
     path = write_cfg(tmp_path, overrides, drop)
@@ -650,13 +662,18 @@ def test_list_models(capsys):
     assert out.split() == list(MODEL_NAMES)
 
 
-def test_describe_known_and_unknown(capsys):
+def test_describe_known_and_unknown(capsys, tmp_path):
     code, out, _ = run_main(capsys, "describe", "AbsoluteMarginal")
     assert code == 0
     assert "alpha > beta" in out
     code, _, err = run_main(capsys, "describe", "NoSuch")
     assert code == 2
     assert "config error at model.name:" in err
+    # run names an unknown model with the same line
+    assert err == ("config error at model.name: unknown model 'NoSuch'; "
+                   "registered: " + ", ".join(MODEL_NAMES) + "\n")
+    path = write_cfg(tmp_path, {"model": {"name": "NoSuch"}})
+    assert run_main(capsys, "run", path) == (2, "", err)
 
 
 @pytest.mark.parametrize("argv,reason", [

@@ -56,30 +56,122 @@ def test_unknown_model_rejected():
         describe("NoSuchModel")
 
 
-@pytest.mark.parametrize("name,params", [
-    ("QuadraticBenchmark", {"dim": 0}),
-    ("QuadraticBenchmark", {"dim": 17}),
-    ("QuadraticBenchmark", {"dim": True}),
-    ("QuadraticBenchmark", {"offset": 0.0}),
-    ("AbsoluteMarginal", {"alpha": 0.2, "beta": 0.25}),
-    ("AbsoluteMarginal", {"beta": 1.0}),
-    ("AbsoluteMarginal", {"beta": 0.0}),
-    ("AbsoluteMarginal", {"offset": 0.8}),
-    ("AbsoluteMarginal", {"t_cap": 9.0}),
-    ("PhaseField1D", {"load_amp": 1.5}),
-    ("PhaseField1D", {"offset": 0.3}),
-    ("AllenCahn1D", {"N": 1}),
-    ("AllenCahn1D", {"N": 1025}),
-    ("AllenCahn1D", {"q": 1.0}),
-    ("AllenCahn1D", {"rho": -0.5}),
-    ("AllenCahn1D", {"load_amp": 1.5}),
-    ("AllenCahn1D", {"offset": 0.1}),
-    ("StateWeightedToy", {"omega_scale": 0.96}),
-    ("StateWeightedToy", {"dim": 17}),
-])
-def test_out_of_range_parameters(name, params):
-    with pytest.raises(RangeError):
+def _cases(*cases):
+    """pytest params with ids name-params<i>, the form pytest gives a
+    (name, params) case, so each id stays when a case gains its outcome."""
+    return [pytest.param(*c, id=f"{c[0]}-params{i}")
+            for i, c in enumerate(cases)]
+
+
+def below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+# (name, params, outcome): a field is a ConfigError at that field, a
+# parameter's own bound; RangeError is a constraint between parameters;
+# None is a value at a closed bound, which builds
+@pytest.mark.parametrize("name,params,outcome", _cases(
+    ("QuadraticBenchmark", {"dim": 0}, "model.params.dim"),
+    ("QuadraticBenchmark", {"dim": 17}, "model.params.dim"),
+    ("QuadraticBenchmark", {"dim": True}, "model.params.dim"),
+    ("QuadraticBenchmark", {"offset": 0.0}, "model.params.offset"),
+    ("AbsoluteMarginal", {"alpha": 0.2, "beta": 0.25}, RangeError),
+    ("AbsoluteMarginal", {"beta": 1.0}, "model.params.beta"),
+    ("AbsoluteMarginal", {"beta": 0.0}, "model.params.beta"),
+    ("AbsoluteMarginal", {"offset": 0.8}, RangeError),
+    ("AbsoluteMarginal", {"t_cap": 9.0}, "model.params.t_cap"),
+    ("PhaseField1D", {"load_amp": 1.5}, "model.params.load_amp"),
+    ("PhaseField1D", {"offset": 0.3}, RangeError),
+    ("AllenCahn1D", {"N": 1}, "model.params.N"),
+    ("AllenCahn1D", {"N": 1025}, "model.params.N"),
+    ("AllenCahn1D", {"q": 1.0}, "model.params.q"),
+    ("AllenCahn1D", {"rho": -0.5}, "model.params.rho"),
+    ("AllenCahn1D", {"load_amp": 1.5}, "model.params.load_amp"),
+    ("AllenCahn1D", {"offset": 0.1}, RangeError),
+    ("StateWeightedToy", {"omega_scale": 0.96}, "model.params.omega_scale"),
+    ("StateWeightedToy", {"dim": 17}, "model.params.dim"),
+    # each bound: the value just outside it is rejected at its key, a
+    # closed bound itself builds and a strict one is rejected
+    ("QuadraticBenchmark", {"dim": 1}, None),
+    ("QuadraticBenchmark", {"dim": 16}, None),
+    ("QuadraticBenchmark", {"offset": below(0.0)}, "model.params.offset"),
+    ("AbsoluteMarginal", {"alpha": below(0.0)}, "model.params.alpha"),
+    ("AbsoluteMarginal", {"alpha": 0.0}, "model.params.alpha"),
+    ("AbsoluteMarginal", {"beta": below(0.0)}, "model.params.beta"),
+    ("AbsoluteMarginal", {"beta": above(1.0)}, "model.params.beta"),
+    ("AbsoluteMarginal", {"t_cap": below(0.0)}, "model.params.t_cap"),
+    ("AbsoluteMarginal", {"t_cap": 0.0}, "model.params.t_cap"),
+    ("AbsoluteMarginal", {"t_cap": above(8.0)}, "model.params.t_cap"),
+    ("AbsoluteMarginal", {"t_cap": 8.0}, None),
+    ("PhaseField1D", {"load_amp": below(0.0)}, "model.params.load_amp"),
+    ("PhaseField1D", {"load_amp": 0.0}, None),
+    ("PhaseField1D", {"load_amp": above(1.0)}, "model.params.load_amp"),
+    ("PhaseField1D", {"load_amp": 1.0}, None),
+    ("AllenCahn1D", {"N": 2}, None),
+    ("AllenCahn1D", {"N": 1024}, None),
+    ("AllenCahn1D", {"q": below(1.0)}, "model.params.q"),
+    ("AllenCahn1D", {"q": above(8.0)}, "model.params.q"),
+    ("AllenCahn1D", {"q": 8.0}, None),
+    ("AllenCahn1D", {"p": below(1.0)}, "model.params.p"),
+    ("AllenCahn1D", {"p": 1.0}, "model.params.p"),
+    ("AllenCahn1D", {"p": above(8.0)}, "model.params.p"),
+    ("AllenCahn1D", {"p": 8.0}, None),
+    ("AllenCahn1D", {"rho": below(0.0)}, "model.params.rho"),
+    ("AllenCahn1D", {"rho": 0.0}, None),
+    ("AllenCahn1D", {"rho": above(4.0)}, "model.params.rho"),
+    ("AllenCahn1D", {"rho": 4.0}, None),
+    ("AllenCahn1D", {"load_amp": below(0.0)}, "model.params.load_amp"),
+    ("AllenCahn1D", {"load_amp": 0.0}, None),
+    ("AllenCahn1D", {"load_amp": above(1.0)}, "model.params.load_amp"),
+    ("AllenCahn1D", {"load_amp": 1.0}, None),
+    ("StateWeightedToy", {"dim": 0}, "model.params.dim"),
+    ("StateWeightedToy", {"dim": 1}, None),
+    ("StateWeightedToy", {"dim": 16}, None),
+    ("StateWeightedToy", {"offset": below(0.0)}, "model.params.offset"),
+    ("StateWeightedToy", {"offset": 0.0}, "model.params.offset"),
+    ("StateWeightedToy", {"omega_scale": below(0.0)},
+     "model.params.omega_scale"),
+    ("StateWeightedToy", {"omega_scale": 0.0}, None),
+    ("StateWeightedToy", {"omega_scale": above(0.95)},
+     "model.params.omega_scale"),
+    ("StateWeightedToy", {"omega_scale": 0.95}, None),
+))
+def test_out_of_range_parameters(name, params, outcome):
+    if outcome is None:
         build(name, params)
+    elif outcome is RangeError:
+        with pytest.raises(RangeError):
+            build(name, params)
+    else:
+        with pytest.raises(ConfigError) as err:
+            build(name, params)
+        assert err.value.field == outcome
+
+
+@pytest.mark.parametrize("d,field", [
+    ({"kind": "quadratic", "c": 0.0}, "dissipation.c"),
+    ({"kind": "quadratic", "c": below(0.0)}, "dissipation.c"),
+    ({"kind": "pnorm", "c": 0.0}, "dissipation.c"),
+    ({"kind": "pnorm", "p": 1.0}, "dissipation.p"),
+    ({"kind": "pnorm", "p": below(1.0)}, "dissipation.p"),
+    ({"kind": "pnorm", "p": above(8.0)}, "dissipation.p"),
+    ({"kind": "pnorm", "p": 8.0}, None),
+    ({"kind": "one_hom_plus_quad", "rho": below(0.0)}, "dissipation.rho"),
+    ({"kind": "one_hom_plus_quad", "rho": 0.0}, None),
+    ({"kind": "one_hom_plus_quad", "eps": 0.0}, "dissipation.eps"),
+    ({"kind": "one_hom_plus_quad", "eps": below(0.0)}, "dissipation.eps"),
+])
+def test_dissipation_bounds(d, field):
+    if field is None:
+        models.build_dissipation(d)
+        return
+    with pytest.raises(ConfigError) as err:
+        models.build_dissipation(d)
+    assert err.value.field == field
 
 
 def test_unknown_and_malformed_parameters():
@@ -282,6 +374,62 @@ def test_describe_lists_parameters_and_constraints():
         text = describe(name)
         assert text.startswith(name)
         assert "parameters:" in text
+
+
+DESCRIBE = (
+    "QuadraticBenchmark\n"
+    "  Convex sanity baseline: E(t,u) = 1/2 ||u - a||^2 + offset with Psi "
+    "= 1/2 ||v||^2; exact flow u(t) = a + (u0 - a) exp(-t).\n"
+    "  parameters:\n"
+    "    dim (default 1): integer in [1, 16]\n"
+    "    a (default 1.0): target point, scalar or length-dim list\n"
+    "    offset (default 1.0): > 0; energy shift\n"
+    "AbsoluteMarginal\n"
+    "  Traveling-kink marginal energy E(t,u) = -alpha |u - beta t| + "
+    "offset with two affine branches; subdifferential selectable marginal "
+    "or Clarke-interval. Constraint: alpha > beta > 0, beta < 1.\n"
+    "  parameters:\n"
+    "    alpha (default 0.5): > 0; > beta\n"
+    "    beta (default 0.25): in (0, 1); < alpha\n"
+    "    offset (default 2.0): large enough that offset > alpha*(1.5 + "
+    "beta*t_cap)\n"
+    "    t_cap (default 1.0): in (0, 8]; time horizon the positivity "
+    "constant covers\n"
+    "    subdiff_kind (default 'marginal'): 'marginal' or 'clarke'\n"
+    "PhaseField1D\n"
+    "  Scalar quasistatic phase-field energy: E(t,u) = 1/2 u^2 + min_eta "
+    "[1/2 eta^2 - u eta + W(eta)] - load_amp sin(t) u + offset, W the "
+    "piecewise-quadratic double well; gradient-flow Psi = 1/2 v^2.\n"
+    "  parameters:\n"
+    "    load_amp (default 0.3): in [0, 1]\n"
+    "    offset (default auto): default puts the box minimum at exactly 1\n"
+    "AllenCahn1D\n"
+    "  N-cell grid Allen-Cahn on [0,1] with zero Dirichlet walls: E = sum "
+    "(1/q)|D+ u|^q dx + sum (W4(u_i) - l_i(t) u_i) dx, quartic well W4(s) "
+    "= (s^2-1)^2/4; Psi = rho sum |v_i| dx + (1/p) sum |v_i|^p dx.\n"
+    "  parameters:\n"
+    "    N (default 32): integer in [2, 1024]\n"
+    "    q (default 2.0): in (1, 8]\n"
+    "    p (default 2.0): in (1, 8]\n"
+    "    rho (default 1.0): in [0, 4]; 0 and 1 are the canonical settings\n"
+    "    load_amp (default 0.2): in [0, 1]\n"
+    "    offset (default auto): default puts the energy lower bound at "
+    "exactly 1\n"
+    "StateWeightedToy\n"
+    "  QuadraticBenchmark energy with a state-dependent dissipation "
+    "Psi_u(v) = omega(u) 1/2 ||v||^2, omega(u) = 1 + omega_scale "
+    "tanh(u_1); omega_scale = 0 reproduces QuadraticBenchmark bit for "
+    "bit.\n"
+    "  parameters:\n"
+    "    dim (default 1): integer in [1, 16]\n"
+    "    a (default 1.0): target point, scalar or length-dim list\n"
+    "    offset (default 1.0): > 0; energy shift\n"
+    "    omega_scale (default 0.5): in [0, 0.95]\n"
+)
+
+
+def test_describe_text_of_every_model():
+    assert "\n".join(describe(name) for name in MODEL_NAMES) + "\n" == DESCRIBE
 
 
 def test_state_weighted_zero_scale_is_quadratic_weight():

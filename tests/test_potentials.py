@@ -9,7 +9,7 @@ route to 1e-12 relative.
 import numpy as np
 import pytest
 
-from dnevolve import cli, potentials
+from dnevolve import models, potentials
 from dnevolve.errors import DimensionMismatchError, MaximizationFailureError
 from dnevolve.models import MODEL_NAMES, build
 from dnevolve.potentials import (OneHomPlusQuad, PNorm, Quadratic, Scaled,
@@ -52,7 +52,7 @@ def shipped():
     for d in ({"kind": "quadratic", "c": 0.7},
               {"kind": "pnorm", "c": 0.7, "p": 1.5},
               {"kind": "one_hom_plus_quad", "rho": 0.4, "eps": 0.7}):
-        p = cli._validate_dissipation(d)
+        p = models.build_dissipation(d)
         out.append((f"config:{p.label()}", p))
     return out
 

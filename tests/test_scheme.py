@@ -16,9 +16,7 @@ from dnevolve.errors import DomainError, RangeError, SolveAbortedError
 from dnevolve.models import MODEL_NAMES, build
 from dnevolve.scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
                              de_giorgi_interpolant, incremental_step,
-                             interpolant_rate, left_constant_interpolant,
-                             linear_interpolant, right_constant_interpolant,
-                             slope_multiplier, solve)
+                             linear_interpolant, slope_multiplier, solve)
 
 
 def dense_step_oracle(model, p, u_prev, t_n, tau, half_width=1.0, step=2e-5):
@@ -426,6 +424,30 @@ def test_solve_abort_carries_partial(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # interpolants
+#
+# The piecewise-constant interpolants and the rate sampler of the paper's
+# scheme, kept as references for the interval rule of scheme._locate, which
+# linear_interpolant and de_giorgi_interpolant share.
+
+
+def left_constant_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
+    """U_n on (t_{n-1}, t_n]; U_0 at t = 0."""
+    n, _ = scheme._locate(traj.grid, t)
+    return traj.U.take(n, axis=0)
+
+
+def right_constant_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
+    """U_{n-1} on [t_{n-1}, t_n); U_N at t = t_N."""
+    n, r = scheme._locate(traj.grid, t)
+    # at a node (the test of de_giorgi_interpolant) it has jumped to U_n
+    at_node = abs(r - traj.grid.tau) <= 1e-12 * traj.grid.tau
+    return traj.U[np.where(at_node, n, np.maximum(n - 1, 0))]
+
+
+def interpolant_rate(traj: DiscreteTrajectory, t) -> np.ndarray:
+    """The rate of the interval holding t: the left one's at nodes."""
+    n, _ = scheme._locate(traj.grid, t)
+    return traj.rate(np.maximum(n, 1))
 
 
 @pytest.fixture(scope="module")
