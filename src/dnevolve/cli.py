@@ -231,7 +231,9 @@ def load_plan(config_path: str) -> RunPlan:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError("", f"cannot read config: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # malformed JSON, bytes that are not UTF-8, an integer literal
+        # beyond int's digit limit, or nesting beyond the recursion limit
         raise ConfigError("", f"invalid JSON: {err}") from err
     return RunPlan(cfg)
 
@@ -280,8 +282,12 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     """
     model = plan.spec.energy
     d = model.dim
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError("output_dir",
+                          f"cannot read trajectory.csv: {err}") from err
     expected = 2 + 2 * d + 2
     widths = sorted({ln.count(",") + 1 for ln in lines})
     if widths != [expected]:

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import potentials
+from ._record import FrozenRecord, Record
 from .energy import energy_value, generalized_time_derivative
 from .errors import RangeError, SolveAbortedError, StepFailureError
 from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
@@ -60,8 +61,7 @@ def resolve_eps_quad(traj: DiscreteTrajectory) -> float:
     return 1e-6 * (1.0 + float(traj.energies[0]))
 
 
-@dataclass(frozen=True)
-class StepTerms:
+class StepTerms(FrozenRecord):
     """tau-free per-step certificate integrands of one trajectory, entry 0 = 0:
     psi[n] = Psi(v_n), conj[n] = Psi*(-xi_n), P[n] = P(t_n, U_n, xi_n), the
     Fenchel-Young gap[n] = psi[n] + conj[n] - <-xi_n, v_n>, with Psi the
@@ -69,11 +69,15 @@ class StepTerms:
     chain[n] = (E_n - E_{n-1}) / tau + <-xi_n, v_n> - P[n]. The arrays are
     read-only."""
 
-    psi: np.ndarray
-    conj: np.ndarray
-    P: np.ndarray
-    gap: np.ndarray
-    chain: np.ndarray
+    _fields = ("psi", "conj", "P", "gap", "chain")
+
+    def __init__(self, psi: np.ndarray, conj: np.ndarray, P: np.ndarray,
+                 gap: np.ndarray, chain: np.ndarray):
+        self.psi = psi
+        self.conj = conj
+        self.P = P
+        self.gap = gap
+        self.chain = chain
 
 
 def _per_step_terms(traj: DiscreteTrajectory) -> StepTerms:
@@ -178,16 +182,19 @@ def energy_identity_defect(traj: DiscreteTrajectory, s: float = 0.0,
 # node-interval upper energy estimate
 
 
-@dataclass(frozen=True)
-class StepInequalityResult:
+class StepInequalityResult(FrozenRecord):
     """max_defects[n] = worst defect over the m sampled times in step n;
     end_defects[n] = defect at the right node (these telescope into the
     window estimate). Entry 0 of both is 0."""
 
-    max_defects: np.ndarray
-    end_defects: np.ndarray
-    eps_quad: float
-    m: int
+    _fields = ("max_defects", "end_defects", "eps_quad", "m")
+
+    def __init__(self, max_defects: np.ndarray, end_defects: np.ndarray,
+                 eps_quad: float, m: int):
+        self.max_defects = max_defects
+        self.end_defects = end_defects
+        self.eps_quad = eps_quad
+        self.m = m
 
     @property
     def worst(self) -> float:
@@ -292,11 +299,14 @@ class RefinementRow:
     dissipation_integral_diff: Optional[float] = None
 
 
-@dataclass
-class RefinementTable:
-    rows: List[RefinementRow]
-    # the finest rung's trajectory, None when its solve failed
-    finest: Optional[DiscreteTrajectory] = None
+class RefinementTable(Record):
+    _fields = ("rows", "finest")
+
+    def __init__(self, rows: List[RefinementRow],
+                 finest: Optional[DiscreteTrajectory] = None):
+        self.rows = rows
+        # the finest rung's trajectory, None when its solve failed
+        self.finest = finest
 
     def to_dicts(self) -> List[Dict]:
         return [asdict(r) for r in self.rows]
@@ -365,11 +375,14 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
 # assembled report
 
 
-@dataclass
-class DiagnosticsReport:
-    per_step: List[Dict]
-    overall: Dict
-    refinement: Optional[List[Dict]] = None
+class DiagnosticsReport(Record):
+    _fields = ("per_step", "overall", "refinement")
+
+    def __init__(self, per_step: List[Dict], overall: Dict,
+                 refinement: Optional[List[Dict]] = None):
+        self.per_step = per_step
+        self.overall = overall
+        self.refinement = refinement
 
     def to_dict(self) -> Dict:
         out = {"per_step": self.per_step, "global": self.overall}

@@ -18,11 +18,11 @@ at least 1; the offset is stored and reported, never silently applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._record import FrozenRecord
 from .errors import (ConditioningError, DimensionMismatchError, DomainError,
                      RefinementError, ResolutionError)
 from .potentials import (AdmissibilityReport as AssumptionReport,
@@ -36,15 +36,17 @@ XI_DEDUP = 1e-10
 ARGMIN_MEMO_SIZE = 1 << 14   # points kept per model by argmin_set
 
 
-@dataclass(frozen=True)
-class EnergyConstants:
+class EnergyConstants(FrozenRecord):
     """C0: positive lower bound of E; C1: time-Lipschitz modulus;
     C2: bound modulus for P; tau_o: maximal admissible step."""
 
-    C0: float
-    C1: float
-    C2: float
-    tau_o: float
+    _fields = ("C0", "C1", "C2", "tau_o")
+
+    def __init__(self, C0: float, C1: float, C2: float, tau_o: float):
+        self.C0 = C0
+        self.C1 = C1
+        self.C2 = C2
+        self.tau_o = tau_o
 
 
 class EnergyModel:

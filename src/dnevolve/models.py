@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from . import _kernels, _optim
 from ._kernels import double_well  # re-export  # noqa: F401
+from ._record import FrozenRecord
 from .energy import (EnergyConstants, EnergyModel, MarginalEnergy,
                      clarke_subdifferential_1d, marginal_subdifferential)
 from .errors import ConfigError, RangeError
@@ -32,14 +32,20 @@ from .potentials import (DissipationPotential, OneHomPlusQuad, PNorm,
                          Quadratic, StateWeighted, WeightedSum, as_state)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    name: str
-    dim: int
-    energy: EnergyModel
-    dissipation: DissipationPotential
-    exact_solution: Optional[Callable] = None  # (t, u0) -> StateVector
-    parameters: Dict = field(default_factory=dict)
+class ModelSpec(FrozenRecord):
+    _fields = ("name", "dim", "energy", "dissipation", "exact_solution",
+               "parameters")
+
+    def __init__(self, name: str, dim: int, energy: EnergyModel,
+                 dissipation: DissipationPotential,
+                 exact_solution: Optional[Callable] = None,
+                 parameters: Optional[Dict] = None):
+        self.name = name
+        self.dim = dim
+        self.energy = energy
+        self.dissipation = dissipation
+        self.exact_solution = exact_solution  # (t, u0) -> StateVector
+        self.parameters = {} if parameters is None else parameters
 
 
 # ---------------------------------------------------------------------------

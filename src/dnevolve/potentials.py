@@ -31,12 +31,12 @@ forms against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import _optim
+from ._record import FrozenRecord
 from .errors import DimensionMismatchError, MaximizationFailureError
 
 _CONJ_XTOL = 1e-10
@@ -62,8 +62,10 @@ def as_state(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
-class DissipationPotential:
-    """Base class of the frozen potentials.
+class DissipationPotential(FrozenRecord):
+    """Base class of the frozen potentials. Each kind is an immutable value
+    (_record.FrozenRecord): it names its fields in `_fields` and sets them
+    in its __init__.
 
     Separable kinds (Psi(v) = sum_i scalar(v_i)) fill in the decomposition
     below, from which `scalar(s)`, the per-coordinate contribution, follows.
@@ -113,16 +115,16 @@ class DissipationPotential:
         return self
 
 
-@dataclass(frozen=True)
 class Quadratic(DissipationPotential):
     """Psi(v) = (c/2) ||v||^2; conjugate ||xi||^2 / (2c)."""
 
-    c: float = 1.0
+    _fields = ("c",)
     separable = True
 
-    def __post_init__(self):
-        if not self.c > 0:
+    def __init__(self, c: float = 1.0):
+        if not c > 0:
             raise ValueError("Quadratic needs c > 0")
+        self.c = c
 
     def value(self, v):
         return 0.5 * self.c * float(np.dot(v, v))
@@ -143,7 +145,6 @@ class Quadratic(DissipationPotential):
         return f"Quadratic(c={self.c})"
 
 
-@dataclass(frozen=True)
 class PNorm(DissipationPotential):
     """Psi(v) = (c/p) sum_i |v_i|^p  (the lp-norm to the p-th power).
 
@@ -153,15 +154,16 @@ class PNorm(DissipationPotential):
     growth) but it is a valid summand inside WeightedSum.
     """
 
-    c: float = 1.0
-    p: float = 2.0
+    _fields = ("c", "p")
     separable = True
 
-    def __post_init__(self):
-        if not self.c > 0:
+    def __init__(self, c: float = 1.0, p: float = 2.0):
+        if not c > 0:
             raise ValueError("PNorm needs c > 0")
-        if not self.p >= 1:
+        if not p >= 1:
             raise ValueError("PNorm needs p >= 1")
+        self.c = c
+        self.p = p
 
     def value(self, v):
         return float(self.c / self.p * np.sum(np.abs(v) ** self.p))
@@ -205,19 +207,19 @@ class PNorm(DissipationPotential):
         return f"PNorm(c={self.c}, p={self.p})"
 
 
-@dataclass(frozen=True)
 class OneHomPlusQuad(DissipationPotential):
     """Psi(v) = rho ||v||_1 + (eps/2) ||v||^2, the viscous regularization of a
     rate-independent potential; conjugate sum_i ((|xi_i| - rho)_+)^2 / (2 eps).
     """
 
-    rho: float = 1.0
-    eps: float = 1.0
+    _fields = ("rho", "eps")
     separable = True
 
-    def __post_init__(self):
-        if self.rho < 0 or not self.eps > 0:
+    def __init__(self, rho: float = 1.0, eps: float = 1.0):
+        if rho < 0 or not eps > 0:
             raise ValueError("OneHomPlusQuad needs rho >= 0 and eps > 0")
+        self.rho = rho
+        self.eps = eps
 
     def value(self, v):
         return float(self.rho * np.sum(np.abs(v)) + 0.5 * self.eps * np.dot(v, v))
@@ -243,7 +245,6 @@ class OneHomPlusQuad(DissipationPotential):
         return f"OneHomPlusQuad(rho={self.rho}, eps={self.eps})"
 
 
-@dataclass(frozen=True)
 class WeightedSum(DissipationPotential):
     """Psi(v) = sum_k Psi_k(v) for separable even members (weights folded into
     the members).
@@ -256,9 +257,10 @@ class WeightedSum(DissipationPotential):
     box sits at the soft-threshold, Psi*(xi) = g*(soft(xi, rho)).
     """
 
-    parts: tuple = ()
+    _fields = ("parts",)
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple = ()):
+        self.parts = parts
         if not all(p.separable for p in self.parts):
             raise ValueError("WeightedSum members must be separable")
         if len(self._split()[1]) != 1:
@@ -303,18 +305,18 @@ class WeightedSum(DissipationPotential):
         return "WeightedSum(" + ", ".join(p.label() for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
 class Scaled(DissipationPotential):
     """w * base for a fixed positive weight; the frozen view Psi_u of a
     state-dependent family. Conjugate scales exactly: w * base*(xi / w).
     """
 
-    base: DissipationPotential = None
-    w: float = 1.0
+    _fields = ("base", "w")
 
-    def __post_init__(self):
-        if not self.w > 0:
+    def __init__(self, base: DissipationPotential = None, w: float = 1.0):
+        if not w > 0:
             raise ValueError("Scaled needs w > 0")
+        self.base = base
+        self.w = w
 
     @property
     def separable(self):
@@ -343,7 +345,6 @@ class Scaled(DissipationPotential):
         return f"{self.w} * {self.base.label()}"
 
 
-@dataclass(frozen=True)
 class StateWeighted(DissipationPotential):
     """Family Psi_u(v) = omega(u) * Psi0(v) with 0 < omega_min <= omega <= omega_max.
 
@@ -351,9 +352,14 @@ class StateWeighted(DissipationPotential):
     value or conjugate.
     """
 
-    base: DissipationPotential = None
-    omega: Callable[[np.ndarray], float] = None
-    omega_bounds: tuple = (0.0, np.inf)
+    _fields = ("base", "omega", "omega_bounds")
+
+    def __init__(self, base: DissipationPotential = None,
+                 omega: Callable[[np.ndarray], float] = None,
+                 omega_bounds: tuple = (0.0, np.inf)):
+        self.base = base
+        self.omega = omega
+        self.omega_bounds = omega_bounds
 
     def weight(self, u) -> float:
         w = float(self.omega(as_state(u)))
@@ -376,7 +382,6 @@ class StateWeighted(DissipationPotential):
         return f"StateWeighted({self.base.label()}, omega in {list(self.omega_bounds)})"
 
 
-@dataclass(frozen=True)
 class TwoSlope(DissipationPotential):
     """Psi(v) = max(||v||, 2||v|| - 1).
 
@@ -457,16 +462,20 @@ def subdiff_contains(p: DissipationPotential, v, xi, tol: float) -> bool:
 # admissibility audit
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    detail: str
+class AxiomCheck(FrozenRecord):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    rows: tuple = ()
+class AdmissibilityReport(FrozenRecord):
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple = ()):
+        self.rows = rows
 
     @property
     def passed(self) -> bool:

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import _optim, potentials
+from ._record import FrozenRecord
 from .energy import EnergyModel, energy_value
 from .errors import (RangeError, SolveAbortedError, StepFailureError,
                      SubdifferentialUnavailableError)
@@ -59,18 +60,18 @@ WITNESS_TOL = 1e-12
 EPS_INNER_SCALE = 1e-10
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(FrozenRecord):
     """Uniform nodes t_n = n tau, N = ceil(T / tau), so t_N >= T."""
 
-    T: float
-    tau: float
+    _fields = ("T", "tau")
 
-    def __post_init__(self):
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise RangeError(f"TimeGrid requires T > 0; got {self.T}")
-        if not (0.0 < self.tau <= self.T):
-            raise RangeError(f"TimeGrid requires 0 < tau <= T; got tau={self.tau}")
+    def __init__(self, T: float, tau: float):
+        if not (T > 0.0 and math.isfinite(T)):
+            raise RangeError(f"TimeGrid requires T > 0; got {T}")
+        if not (0.0 < tau <= T):
+            raise RangeError(f"TimeGrid requires 0 < tau <= T; got tau={tau}")
+        self.T = T
+        self.tau = tau
 
     @property
     def N(self) -> int:
@@ -83,15 +84,17 @@ class TimeGrid:
         return np.arange(self.N + 1) * self.tau
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(FrozenRecord):
     """The per-run settings of a config: seed drives the multistart points
     of the n-D inner solver, and eps_quad is the interval-inequality budget
     (None resolves to 1e-6 * (1 + E(0, u0))). The inner tolerance and the
     quadrature sample count are EPS_INNER_SCALE and diagnostics.QUAD_M."""
 
-    seed: int = 0
-    eps_quad: Optional[float] = None
+    _fields = ("seed", "eps_quad")
+
+    def __init__(self, seed: int = 0, eps_quad: Optional[float] = None):
+        self.seed = seed
+        self.eps_quad = eps_quad
 
 
 @dataclass

@@ -200,6 +200,33 @@ def test_unreadable_and_invalid_json(tmp_path, capsys):
     assert code == 2 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("verb", ["run", "check"])
+@pytest.mark.parametrize("data", [
+    b'{"T": ' + b"1" * 5000 + b"}",   # beyond int's 4300-digit limit
+    b"[" * 100000,                    # beyond the recursion limit
+    b"\xff\xfe{}",                    # not UTF-8
+], ids=["long-int", "deep-nesting", "not-utf8"])
+def test_malformed_config_bytes_exit_2(tmp_path, capsys, verb, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, _, err = run_main(capsys, verb, str(bad))
+    assert code == 2
+    assert err.startswith("config error at <config>: invalid JSON: ")
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda p: p.write_bytes(b"\xff\xfe" + p.read_bytes()),
+    lambda p: (p.unlink(), p.mkdir()),
+], ids=["not-utf8", "a-directory"])
+def test_unreadable_trajectory_exits_2(tmp_path, capsys, spoil):
+    path = write_cfg(tmp_path)
+    assert run_main(capsys, "run", path)[0] == 0
+    spoil(tmp_path / "out" / "trajectory.csv")
+    code, _, err = run_main(capsys, "check", path)
+    assert code == 2
+    assert "config error at output_dir: cannot read trajectory.csv" in err
+
+
 # ---------------------------------------------------------------------------
 # run verb
 

@@ -5,7 +5,9 @@
   name by the benchmark's tracer (certbench/tracer.py), which reads it from
   outside the package;
 - every defaulted parameter of a module-level function is passed by some
-  call, and every defaulted dataclass field is set somewhere;
+  call, and every defaulted field of a dataclass or of a record class (one
+  that names its fields in `_fields`, on dnevolve._record's bases) is set
+  somewhere;
 - every attribute an `__init__` sets is read outside that `__init__`;
 - every public module-level constant is read in its own module, or by
   certbench/ (for example `_kernels.BACKEND`, which only the benchmark's
@@ -256,30 +258,61 @@ def _fields(cls, classes):
     return out
 
 
+def _record_fields(cls):
+    """(fields, inside) of a class that names its fields in a class-level
+    `_fields` tuple and sets them in a written __init__: the (name,
+    defaulted, positional index or None) of each field, from that
+    __init__'s parameters, and the ids of the nodes of that __init__.
+    ([], set()) for any other class."""
+    names = [n.value for stmt in cls.body if isinstance(stmt, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "_fields"
+                     for t in stmt.targets)
+             for n in ast.walk(stmt.value) if isinstance(n, ast.Constant)]
+    init = next((f for f in cls.body if isinstance(f, ast.FunctionDef)
+                 and f.name == "__init__"), None)
+    if not names or init is None:
+        return [], set()
+    pos = [p.arg for p in init.args.posonlyargs + init.args.args][1:]
+    defaulted = {name for name, _ in _defaulted(init)}
+    return ([(name, name in defaulted, pos.index(name) if name in pos
+              else None) for name in names],
+            {id(n) for n in ast.walk(init)})
+
+
 def unset_fields(sources, setters):
-    """(module, class, field) of every defaulted field of a dataclass in
-    sources ({module: text}) that nothing in setters (a list of texts)
-    sets: no constructor call passes it by position, keyword or `**`, no
-    `replace` call passes it by keyword or `**`, and no statement stores
-    to an attribute of that name. Calls are matched by the called name or
-    attribute alone."""
-    calls, stored = {}, set()
+    """(module, class, field) of every defaulted field of a dataclass or
+    record class in sources ({module: text}) that nothing in setters (a
+    list of texts, which should include the sources) sets: no constructor
+    call passes it by position, keyword or `**`, no `replace` call passes
+    it by keyword or `**`, and no statement stores to an attribute of that
+    name, other than a record's own __init__. Calls are matched by the
+    called name or attribute alone."""
+    trees = {text: ast.parse(text)
+             for text in set(setters) | set(sources.values())}
+    calls, stores = {}, []
     for text in setters:
-        for n in ast.walk(ast.parse(text)):
+        for n in ast.walk(trees[text]):
             if isinstance(n, ast.Call):
                 f = n.func
                 key = (f.id if isinstance(f, ast.Name)
                        else f.attr if isinstance(f, ast.Attribute) else None)
                 calls.setdefault(key, []).append(n)
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
-                stored.add(n.attr)
+                stores.append(n)
     out = []
     for mod, text in sources.items():
-        classes = {c.name: c for c in ast.parse(text).body
-                   if isinstance(c, ast.ClassDef) and _is_dataclass(c)}
-        for cls in classes.values():
-            for index, (name, defaulted) in enumerate(_fields(cls, classes)):
-                if not defaulted or name in stored:
+        body = [c for c in trees[text].body if isinstance(c, ast.ClassDef)]
+        classes = {c.name: c for c in body if _is_dataclass(c)}
+        for cls in body:
+            if cls.name in classes:
+                fields = [(name, defaulted, index) for index, (name, defaulted)
+                          in enumerate(_fields(cls, classes))]
+                inside = set()
+            else:
+                fields, inside = _record_fields(cls)
+            for name, defaulted, index in fields:
+                if not defaulted or any(n.attr == name and id(n) not in inside
+                                        for n in stores):
                     continue
                 if any(_passes(c, name, index)
                        for c in calls.get(cls.name, ())):
@@ -328,11 +361,39 @@ def test_unset_fields_sees_every_form():
          "r = R(**kw)\n")
     assert unset_fields({"a": a}, [a, b]) == [
         ("a", "P", "never"), ("a", "Q", "q_never")]
+    c = ("class S(FrozenRecord):\n"
+         "    _fields = ('x', 'by_pos', 'by_kw', 'by_store', 'never', 'kw')\n"
+         "    plain = 0\n"
+         "    def __init__(self, x, by_pos=0, by_kw=0, by_store=0, never=0,\n"
+         "                 *, kw=0):\n"
+         "        self.x, self.by_pos, self.by_kw = x, by_pos, by_kw\n"
+         "        self.by_store, self.never = by_store, never\n"
+         "        object.__setattr__(self, 'kw', kw)\n"
+         "class T(S):\n"
+         "    pass\n"
+         "class U:\n"
+         "    def __init__(self, y=0):\n"
+         "        self.y = y\n")
+    d = ("s = S(0, 1, by_kw=2)\n"
+         "s.by_store = 3\n")
+    assert unset_fields({"c": c}, [c, d]) == [
+        ("c", "S", "kw"), ("c", "S", "never")]
+
+
+def _sets_on_self(n):
+    """True for a call object.__setattr__(self, "X", value)."""
+    return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__setattr__"
+            and isinstance(n.func.value, ast.Name)
+            and n.func.value.id == "object" and len(n.args) == 3
+            and isinstance(n.args[0], ast.Name) and n.args[0].id == "self"
+            and isinstance(n.args[1], ast.Constant))
 
 
 def unread_init_attributes(sources, readers):
     """(module, class, attribute) of every `self.X` that an `__init__` of a
-    class in sources ({module: text}) stores and that no code in readers
+    class in sources ({module: text}) stores, directly or by
+    object.__setattr__(self, "X", ...), and that no code in readers
     (a list of texts, which should include the sources) loads as an
     attribute outside that `__init__`. Attributes are matched by name
     alone."""
@@ -355,6 +416,8 @@ def unread_init_attributes(sources, readers):
                           and isinstance(n.ctx, ast.Store)
                           and isinstance(n.value, ast.Name)
                           and n.value.id == "self"}
+                stored |= {n.args[1].value for n in ast.walk(init)
+                           if _sets_on_self(n)}
                 for name in sorted(stored):
                     if not any(n.attr == name and id(n) not in inside
                                for n in loads):
@@ -392,3 +455,13 @@ def test_unread_init_attributes_sees_every_form():
     assert unread_init_attributes({"a": a}, [a, b]) == [
         ("a", "E", "b"), ("a", "E", "detail"), ("a", "E", "only_here"),
         ("a", "F", "local")]
+    c = ("class G(FrozenRecord):\n"
+         "    _fields = ('x', 'y')\n"
+         "    def __init__(self, x, y):\n"
+         "        object.__setattr__(self, 'x', x)\n"
+         "        object.__setattr__(self, 'y', y)\n"
+         "        object.__setattr__(other, 'z', 0)\n"
+         "        self.w = 0\n")
+    d = "print(g.x)\n"
+    assert unread_init_attributes({"c": c}, [c, d]) == [
+        ("c", "G", "w"), ("c", "G", "y")]
