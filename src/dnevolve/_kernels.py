@@ -2,7 +2,8 @@
 
 These are the inner-loop costs of the solver: the Allen-Cahn grid energy
 and gradient (called once per objective/gradient evaluation of the
-proximal-gradient inner solver) and the piecewise-quadratic double well of
+proximal-gradient inner solver, which computes their shared grid terms
+once per state) and the piecewise-quadratic double well of
 PhaseField1D. numpy is the only backend, so one config writes the same
 bytes wherever it runs; BACKEND names it for benchmark records.
 """
@@ -14,19 +15,6 @@ import numpy as np
 BACKEND = "numpy"
 
 
-# quartic well W(s) = (s^2-1)^2/4 and W'(s) = s(s^2-1): the Allen-Cahn
-# on-site nonlinearity
-
-
-def _quartic_well(u):
-    s = u * u - 1.0
-    return 0.25 * s * s
-
-
-def _quartic_well_prime(u):
-    return u * (u * u - 1.0)
-
-
 def _forward_diff(u: np.ndarray, dx: float) -> np.ndarray:
     """D+ u with ghost zeros at both ends (Dirichlet): N + 1 differences."""
     g = np.empty(u.shape[0] + 1)
@@ -36,24 +24,37 @@ def _forward_diff(u: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
-def ac_energy(u: np.ndarray, dx: float, q: float, load: np.ndarray) -> float:
-    g = _forward_diff(u, dx)
+def ac_terms(u: np.ndarray, dx: float):
+    """The grid terms that ac_energy and ac_grad share: D+ u and u^2 - 1.
+    A caller that needs both at one state computes them once and passes
+    them to each."""
+    return _forward_diff(u, dx), u * u - 1.0
+
+
+# the Allen-Cahn on-site nonlinearity is the quartic well
+# W(s) = (s^2-1)^2/4, with W'(s) = s(s^2-1)
+
+
+def ac_energy(u: np.ndarray, dx: float, q: float, load: np.ndarray,
+              terms=None) -> float:
+    g, s = ac_terms(u, dx) if terms is None else terms
     # ndarray.sum is np.sum without its Python wrapper: the same sum
     grad_term = (np.abs(g) ** q).sum() * dx / q
-    well_term = _quartic_well(u).sum() * dx
+    well_term = (0.25 * s * s).sum() * dx
     load_term = np.dot(load, u) * dx
     return float(grad_term + well_term - load_term)
 
 
-def ac_grad(u: np.ndarray, dx: float, q: float, load: np.ndarray) -> np.ndarray:
-    g = _forward_diff(u, dx)
+def ac_grad(u: np.ndarray, dx: float, q: float, load: np.ndarray,
+            terms=None) -> np.ndarray:
+    g, s = ac_terms(u, dx) if terms is None else terms
     if q == 2.0:
         beta = g
     else:
         # sign(g) |g|^(q-1): the well-defined form of |g|^(q-2) g at g = 0
         beta = np.sign(g) * np.abs(g) ** (q - 1.0)
     out = beta[:-1] - beta[1:]
-    out += (_quartic_well_prime(u) - load) * dx
+    out += (u * s - load) * dx
     return out
 
 

@@ -77,6 +77,13 @@ class EnergyModel:
         """Gradient of the smooth part in u; smooth models only."""
         raise NotImplementedError
 
+    def at_time(self, t: float):
+        """E(t, .) frozen at t: a function of u that returns E(t, u) and a
+        thunk for the gradient at u, so a caller that needs the gradient
+        only at some states pays for it only there. A model whose value
+        and gradient share work computes that work once per state."""
+        return lambda u: (self.value(t, u), lambda: self.grad(t, u))
+
     def subdiff(self, t: float, u: np.ndarray) -> List[np.ndarray]:
         """Finite list of subgradient candidates at (t, u); a smooth model's
         one candidate is its gradient."""

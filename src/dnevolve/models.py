@@ -202,7 +202,8 @@ class _AllenCahnEnergy(EnergyModel):
     """Grid Allen-Cahn energy on N midpoint cells of [0, 1], zero Dirichlet
     walls: E = sum (1/q)|D+ u|^q dx + sum (W4(u_i) - l_i(t) u_i) dx with the
     quartic well W4(s) = (s^2 - 1)^2 / 4 and load l_i(t) = amp sin(t) sin(pi x_i).
-    Values and gradients go through _kernels.ac_energy and ac_grad.
+    Values and gradients go through _kernels.ac_energy and ac_grad; at_time
+    shares their grid terms between the two at one state.
     """
 
     def __init__(self, N: int, q: float, amp: float, offset: float,
@@ -230,6 +231,16 @@ class _AllenCahnEnergy(EnergyModel):
 
     def grad(self, t, u):
         return _kernels.ac_grad(u, self.dx, self.q, self.load(t))
+
+    def at_time(self, t):
+        # l(t) once; D+ u and u^2 - 1 once per state, for value and gradient
+        dx, q, load, offset = self.dx, self.q, self.load(t), self.offset
+
+        def at(u):
+            terms = _kernels.ac_terms(u, dx)
+            return (_kernels.ac_energy(u, dx, q, load, terms) + offset,
+                    lambda: _kernels.ac_grad(u, dx, q, load, terms))
+        return at
 
     def time_deriv_P(self, t, u, xi):
         # d/dt of -<l(t), u> dx

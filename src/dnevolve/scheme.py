@@ -18,15 +18,18 @@ must pass sufficient decrease and a curvature test on the gradient
 difference), the 1-homogeneous part of Psi handled by its exact proximal
 map (soft-thresholding around the previous state). Its step size 1/L
 adapts both ways: a failed trial doubles L, and an iteration accepted at
-its first trial halves L, floored at 1 (Nesterov's adaptive composite
-gradient step, Math. Program. 2013, sec. 4). Global optimality is
-certified by strong convexity where it can be proven: when
+its first trial halves L, floored at 1, when its step also passes both
+tests at L/2 (Nesterov's adaptive composite gradient step, Math. Program.
+2013, sec. 4). Within solve, each step starts at half the L the previous
+step ended with, floored at 1; every other solve, the interpolants'
+included, starts at L = 1. Global optimality is certified by strong
+convexity where it can be proven: when
 mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the coercivity box of
 radius R, with lambda_E the energy's declared (and audited) semiconvexity,
 the step problem has one minimizer and every stationary point is it, so
 one start from U_{n-1} suffices. Otherwise it is certified only by a
-deterministic multi-start budget. The solver records mu and its start
-count in inner_status.
+deterministic multi-start budget. The solver records mu, its start
+count, its trial count and its final L in inner_status.
 
 The De Giorgi interpolant reuses the step solver (step r = t - t_{n-1},
 energy frozen at t); the piecewise-linear interpolant also takes arrays
@@ -190,24 +193,29 @@ def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
 
 
 def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
-               L0=1.0):
-    """Monotone proximal gradient from x0. Returns (x, phi, residual, iters, L).
+               L0=1.0, trial_counts=None):
+    """Monotone proximal gradient from x0. Returns (x, phi, residual, iters, L)
+    and appends its trial count to the list trial_counts, if one is given.
 
     Step size 1/L, adaptive both ways (Nesterov 2013, sec. 4): a trial
     point that fails the value or the curvature test doubles L, up to
-    1e18; an iteration accepted at its first trial halves L afterwards,
+    1e18. An iteration accepted at its first trial halves L afterwards,
     floored at 1, so one stiff iterate does not fix a small step for the
-    rest of the solve. The residual L ||x_new - x|| uses the accepted L."""
+    rest of the solve; it halves only when its step also passes both
+    tests at L/2, where a halving would likely buy a failed trial. That
+    look-ahead is free: the value slack and the gradient pairing of the
+    step are at hand. Each trial point is evaluated once, its gradient
+    reusing the rate and the energy's grid work. The residual
+    L ||x_new - x|| uses the accepted L."""
     lo, hi = box
+    energy = model.at_time(t_n)
 
-    def g_val(x):
+    def g_eval(x):
         v = (x - u_prev) / tau
-        return (tau * float(p.smooth_scalar(v).sum())
-                + float(model.value(t_n, x)))
-
-    def g_grad(x):
-        v = (x - u_prev) / tau
-        return np.asarray(p.smooth_scalar_grad(v), dtype=float) + model.grad(t_n, x)
+        e, e_grad = energy(x)
+        return (tau * float(p.smooth_scalar(v).sum()) + float(e),
+                lambda: np.asarray(p.smooth_scalar_grad(v), dtype=float)
+                + e_grad())
 
     def h_val(x):
         return rho_hat * float(np.abs(x - u_prev).sum())
@@ -215,10 +223,10 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
     # np.minimum(np.maximum(.)) is np.clip without its Python wrapper frames
     L = L0
     x = np.minimum(np.maximum(x0, lo), hi)
-    gx = g_val(x)
-    grad = g_grad(x)
+    gx, grad = g_eval(x)
+    grad = grad()
     residual = np.inf
-    it = 0
+    it = trials = 0
     while it < max_iters:
         it += 1
         accepted = False
@@ -232,14 +240,17 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
             nrm2 = float(np.dot(dx, dx))
             if nrm2 == 0.0:
                 break
-            g_new = g_val(x_new)
-            if g_new <= gx + float(np.dot(grad, dx)) \
-                    + 0.5 * L * nrm2 + 1e-15 * (1.0 + abs(gx)):
+            trials += 1
+            g_new, grad_at = g_eval(x_new)
+            lin = gx + float(np.dot(grad, dx))
+            slack = 1e-15 * (1.0 + abs(gx))
+            if g_new <= lin + 0.5 * L * nrm2 + slack:
                 # near the optimum the decrease falls below float resolution
                 # and the value test passes on roundoff alone; the gradient
                 # difference does not (Becker, Candes and Grant 2011, sec. 5)
-                grad_new = g_grad(x_new)
-                accepted = float(np.dot(grad_new - grad, dx)) <= L * nrm2
+                grad_new = grad_at()
+                curv = float(np.dot(grad_new - grad, dx))
+                accepted = curv <= L * nrm2
                 if accepted:
                     break
             L *= 2.0
@@ -257,16 +268,20 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
         x, gx, grad = x_new, g_new, grad_new
         if residual <= tol:
             break
-        if first_trial:
+        if (first_trial and curv <= 0.5 * L * nrm2
+                and g_new <= lin + 0.25 * L * nrm2 + slack):
             L = max(1.0, L / 2.0)
+    if trial_counts is not None:
+        trial_counts.append(trials)
     return x, gx + h_val(x), residual, it, L
 
 
-def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts):
+def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0):
     """Proximal gradient with triage: every start runs to a coarse
     tolerance, the best is refined to eps_inner. A step problem proven
     strongly convex on the box (mu > 0) has one start, u_prev; any other
-    gets the deterministic multi-start budget."""
+    gets the deterministic multi-start budget. The first start begins at
+    L = L0, each later call at half the L its predecessor ended with."""
     d = u_prev.shape[0]
     eps_inner = EPS_INNER_SCALE * (1.0 + abs(e_prev))
     R = _coercivity_radius(p, tau, e_prev - model.constants.C0)
@@ -299,25 +314,27 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts):
     triage_tol = TRIAGE_TOL_SCALE * (1.0 + abs(e_prev))
     total_iters = 0
     best = None
-    L_carry = 1.0
+    L_carry = L0
+    trials: List[int] = []
     for x0 in starts:
         x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, x0,
                                       (lo, hi), rho_hat, triage_tol,
-                                      TRIAGE_ITERS, L0=L_carry)
+                                      TRIAGE_ITERS, L_carry, trials)
         L_carry = max(1.0, L / 2.0)
         total_iters += it
         if best is None or f < best[1]:
             best = (x, f)
     x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, best[0],
                                   (lo, hi), rho_hat, eps_inner,
-                                  MAX_REFINE_ITERS, L0=L_carry)
+                                  MAX_REFINE_ITERS, L_carry, trials)
     total_iters += it
     if res > eps_inner:
         raise StepFailureError(
             f"inner solver stalled at prox-residual {res:.3e} "
             f"(target {eps_inner:.3e}) after {total_iters} iterations")
     status = {"method": "proxgrad", "starts": len(starts), "mu": mu,
-              "iterations": total_iters, "prox_residual": res}
+              "iterations": total_iters, "trials": sum(trials),
+              "prox_residual": res, "L": L}
     return x, status
 
 
@@ -360,10 +377,11 @@ def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
 
 
 def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
-                     opts: Optional[SolveOptions] = None):
+                     opts: Optional[SolveOptions] = None, L0: float = 1.0):
     """One incremental minimization step; returns (U_n, xi_n, gap, status,
     E(t_n, U_n), witness), with U_n = U_{n-1} and witness 0 when the inner
-    solver's result is worse than U_{n-1}.
+    solver's result is worse than U_{n-1}. L0 is the first step size
+    constant of the n-D inner solver.
 
     Also usable as the variational interpolant solve by passing the
     intermediate time as t_n and the shrunken step as tau.
@@ -379,7 +397,7 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
     if model.dim == 1:
         U, status = _solve_1d(model, p, u_prev, t_n, tau, e_prev)
     else:
-        U, status = _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts)
+        U, status = _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0)
 
     # the previous state is always an admissible competitor; taking it when
     # it is no worse keeps the minimality witness nonpositive by construction
@@ -397,7 +415,8 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
 def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
           opts: Optional[SolveOptions] = None) -> DiscreteTrajectory:
     """Run the scheme over the whole grid; step failures abort with the
-    partial trajectory attached."""
+    partial trajectory attached. Each n-D step starts its inner solver at
+    half the L the previous step ended with, floored at 1."""
     opts = opts or SolveOptions()
     if not grid.tau < model.constants.tau_o:
         raise RangeError(
@@ -422,17 +441,19 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
             energies=energies[:n + 1].copy(),
             witnesses=witnesses[:n + 1].copy(), inner_status=status[:n + 1])
 
+    L0 = 1.0
     for n in range(1, N + 1):
         t_n = grid.t(n)
         try:
             (U[n], xi[n], gaps[n], st, energies[n],
              witnesses[n]) = incremental_step(model, psi, U[n - 1], t_n,
-                                              grid.tau, opts)
+                                              grid.tau, opts, L0)
         except StepFailureError as err:
             raise SolveAbortedError(
                 f"step {n} (t={t_n}) failed: {err}",
                 partial=partial(n - 1), step_index=n) from err
         status.append(st)
+        L0 = max(1.0, st.get("L", 1.0) / 2.0)
         if not witnesses[n] <= WITNESS_TOL:
             raise SolveAbortedError(
                 f"step {n}: minimality witness {witnesses[n]:.3e} is not "

@@ -873,3 +873,29 @@ def test_run_report_equals_standalone_diagnostics(tmp_path, capsys):
     assert overall["chain_rule_constant"] == \
         diagnostics.chain_rule_constant(traj)
     assert overall["eps_quad"] == diagnostics.resolve_eps_quad(traj)
+
+
+def test_allen_cahn_report_equals_diagnostics_of_loaded_trajectory(
+        tmp_path, capsys):
+    # solve carries the prox-grad step size from step to step, but the
+    # interpolant solves of step_inequality start at L = 1 under run and
+    # check alike, so the defects recomputed from trajectory.csv are the
+    # reported ones, bit for bit
+    # (with these params, an interpolant solve started at the step's
+    # carried L moves a defect in its last bit)
+    N = 8
+    path = write_cfg(tmp_path, {
+        "model": {"name": "AllenCahn1D",
+                  "params": {"N": N, "p": 1.5, "q": 4.0, "rho": 0.0}},
+        "u0": [0.1 * math.sin(math.pi * (i + 0.5) / N) for i in range(N)],
+        "T": 0.125, "tau": 2.0 ** -5,
+        "diagnostics": {"step_inequality": True}})
+    assert run_main(capsys, "run", path)[0] == 0
+    payload = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+    plan = cli.load_plan(path)
+    loaded, _ = cli.read_trajectory_csv(
+        str(tmp_path / "out" / "trajectory.csv"), plan, plan.ladder[-1])
+    ineq = diagnostics.step_inequality(loaded)
+    assert [row["n"] for row in payload["per_step"]] == [1, 2, 3, 4]
+    for row in payload["per_step"]:
+        assert row["step_inequality_defect"] == ineq.max_defects[row["n"]]

@@ -9,9 +9,9 @@ import pytest
 
 import dnevolve.diagnostics as diagnostics
 import dnevolve.scheme as scheme
-from dnevolve import _optim, potentials
+from dnevolve import _kernels, _optim, potentials
 from dnevolve.diagnostics import refinement_study
-from dnevolve.energy import energy_value
+from dnevolve.energy import EnergyModel, energy_value
 from dnevolve.errors import DomainError, RangeError, SolveAbortedError
 from dnevolve.models import MODEL_NAMES, build
 from dnevolve.scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
@@ -271,7 +271,7 @@ def test_multistart_path_matches_closed_form(monkeypatch):
         assert gap <= 1e-8
 
 
-class _UphillGradient:
+class _UphillGradient(EnergyModel):
     """E(x) = |x|^2 / 2 with its gradient reported mis-scaled and of the
     wrong sign, so no backtracking step passes sufficient decrease."""
 
@@ -330,6 +330,74 @@ def test_prox_grad_backtracking_still_doubles_L():
         scheme.MAX_REFINE_ITERS, L0=1.0)
     assert res <= tol
     assert L > 1.0
+
+
+@pytest.mark.parametrize("N", [8, 32, 64])
+def test_prox_grad_accepts_only_steps_that_pass_at_their_L(N):
+    # replay the solve one iteration at a time; iteration k's L is its
+    # residual over its step length, exact since L is a power of two
+    model, p, u_prev, tau, box, tol = _ac_step_problem(N)
+
+    def g(x):
+        v = (x - u_prev) / tau
+        return (tau * float(p.smooth_scalar(v).sum()) + model.value(tau, x),
+                np.asarray(p.smooth_scalar_grad(v), dtype=float)
+                + model.grad(tau, x))
+
+    def prox_grad(iters):
+        return scheme._prox_grad(model, p, u_prev, tau, tau, u_prev, box,
+                                 p.one_hom, tol, iters)
+
+    iters = prox_grad(scheme.MAX_REFINE_ITERS)[3]
+    assert iters >= 5
+    x = np.minimum(np.maximum(u_prev, box[0]), box[1])
+    for k in range(1, iters + 1):
+        x_new, _, res, _, _ = prox_grad(k)
+        dx = x_new - x
+        nrm2 = float(np.dot(dx, dx))
+        if nrm2 == 0.0:
+            break
+        L = res / math.sqrt(nrm2)
+        assert math.frexp(L)[0] == 0.5
+        (gx, grad), (g_new, grad_new) = g(x), g(x_new)
+        assert g_new <= (gx + float(np.dot(grad, dx)) + 0.5 * L * nrm2
+                         + 1e-15 * (1.0 + abs(gx)))
+        assert float(np.dot(grad_new - grad, dx)) <= L * nrm2
+        x = x_new
+
+
+def test_prox_grad_pays_one_grid_evaluation_per_trial(monkeypatch):
+    # the coarse rung of the certbench ac-ladder workload. Evaluating the
+    # value and the gradient of a trial point separately, and halving L
+    # after every first-trial accept, this solve made 242 trials and 438
+    # forward differences in its 8 _prox_grad calls (135 iterations)
+    N = 64
+    spec = build("AllenCahn1D", {"N": N, "rho": 1.0})
+    counts = {"calls": 0, "forward_diffs": 0}
+    inside = []
+    prox_grad, forward_diff = scheme._prox_grad, _kernels._forward_diff
+
+    def counted_prox_grad(*args, **kwargs):
+        counts["calls"] += 1
+        inside.append(True)
+        try:
+            return prox_grad(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_forward_diff(*args):
+        if inside:
+            counts["forward_diffs"] += 1
+        return forward_diff(*args)
+    monkeypatch.setattr(scheme, "_prox_grad", counted_prox_grad)
+    monkeypatch.setattr(_kernels, "_forward_diff", counted_forward_diff)
+    u0 = 0.1 * np.sin(np.pi * (np.arange(N) + 0.5) / N)
+    traj = solve(spec.energy, spec.dissipation, u0,
+                 TimeGrid(T=0.125, tau=2.0 ** -5))
+    trials = sum(s["trials"] for s in traj.inner_status[1:])
+    assert counts["calls"] == 8
+    assert counts["forward_diffs"] <= trials + counts["calls"]
+    assert trials < 242
 
 
 def _noisy_sine(N, seed=1):
