@@ -38,9 +38,9 @@ def ac_terms(u: np.ndarray, dx: float):
 def ac_energy(u: np.ndarray, dx: float, q: float, load: np.ndarray,
               terms=None) -> float:
     g, s = ac_terms(u, dx) if terms is None else terms
-    # ndarray.sum is np.sum without its Python wrapper: the same sum
-    grad_term = (np.abs(g) ** q).sum() * dx / q
-    well_term = (0.25 * s * s).sum() * dx
+    # np.add.reduce is ndarray.sum without its Python frame: the same sum
+    grad_term = np.add.reduce(np.abs(g) ** q) * dx / q
+    well_term = np.add.reduce(0.25 * s * s) * dx
     load_term = np.dot(load, u) * dx
     return float(grad_term + well_term - load_term)
 

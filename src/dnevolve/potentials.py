@@ -417,8 +417,11 @@ class TwoSlope(DissipationPotential):
 
 
 def _soft(z, thresh):
-    """Soft-threshold: the proximal map of thresh * ||.||_1."""
-    return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    """Soft-threshold: the proximal map of thresh * ||.||_1, as z minus its
+    clip to [-thresh, thresh]. It equals sign(z) max(|z| - thresh, 0) bit
+    for bit wherever that is nonzero; only the sign of a zero may differ
+    (that form gives -0.0 for -thresh <= z < 0, this one +0.0)."""
+    return z - np.minimum(np.maximum(z, -thresh), thresh)
 
 
 def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:

@@ -27,9 +27,15 @@ convexity where it can be proven: when
 mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the coercivity box of
 radius R, with lambda_E the energy's declared (and audited) semiconvexity,
 the step problem has one minimizer and every stationary point is it, so
-one start from U_{n-1} suffices. Otherwise it is certified only by a
-deterministic multi-start budget. The solver records mu, its start
-count, its trial count and its final L in inner_status.
+one start suffices and is refined directly, with no triage. Within solve,
+from step 2 on, that start is whichever of U_{n-1} and the prediction
+2 U_{n-1} - U_{n-2}, clipped to the box, has the lower step objective;
+the interpolant solves start at U_{n-1}, so they depend on the stored
+trajectory alone. Otherwise optimality is certified only by a
+deterministic multi-start budget around U_{n-1}: every start runs to a
+coarse tolerance (triage) and the best is refined. The solver records
+mu, its start count, its start ("previous" or "predictor"), its trial
+count and its final L in inner_status.
 
 The De Giorgi interpolant reuses the step solver (step r = t - t_{n-1},
 energy frozen at t); the piecewise-linear interpolant also takes arrays
@@ -205,25 +211,25 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
     tests at L/2, where a halving would likely buy a failed trial. That
     look-ahead is free: the value slack and the gradient pairing of the
     step are at hand. Each trial point is evaluated once, its gradient
-    reusing the rate and the energy's grid work. The residual
-    L ||x_new - x|| uses the accepted L."""
+    reusing the rate and the energy's grid work. The iterate is carried
+    with its displacement w = x - u_prev, which gives the prox argument
+    and the rate. The residual L ||x_new - x|| uses the accepted L."""
     lo, hi = box
     energy = model.at_time(t_n)
+    # np.add.reduce is ndarray.sum without its Python frame: the same sum
+    add = np.add.reduce
 
-    def g_eval(x):
-        v = (x - u_prev) / tau
+    def g_eval(x, w):
+        v = w / tau
         e, e_grad = energy(x)
-        return (tau * float(p.smooth_scalar(v).sum()) + float(e),
-                lambda: np.asarray(p.smooth_scalar_grad(v), dtype=float)
-                + e_grad())
-
-    def h_val(x):
-        return rho_hat * float(np.abs(x - u_prev).sum())
+        return (tau * float(add(p.smooth_scalar(v))) + float(e),
+                lambda: p.smooth_scalar_grad(v) + e_grad())
 
     # np.minimum(np.maximum(.)) is np.clip without its Python wrapper frames
     L = L0
     x = np.minimum(np.maximum(x0, lo), hi)
-    gx, grad = g_eval(x)
+    w = x - u_prev
+    gx, grad = g_eval(x, w)
     grad = grad()
     residual = np.inf
     it = trials = 0
@@ -233,15 +239,15 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
         first_trial = True
         while True:
             step = 1.0 / L
-            z = x - step * grad
-            x_new = np.minimum(
-                np.maximum(u_prev + _soft(z - u_prev, step * rho_hat), lo), hi)
+            x_new = np.minimum(np.maximum(
+                u_prev + _soft(w - step * grad, step * rho_hat), lo), hi)
             dx = x_new - x
             nrm2 = float(np.dot(dx, dx))
             if nrm2 == 0.0:
                 break
             trials += 1
-            g_new, grad_at = g_eval(x_new)
+            w_new = x_new - u_prev
+            g_new, grad_at = g_eval(x_new, w_new)
             lin = gx + float(np.dot(grad, dx))
             slack = 1e-15 * (1.0 + abs(gx))
             if g_new <= lin + 0.5 * L * nrm2 + slack:
@@ -265,7 +271,7 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
             # and the residual of its last accepted step
             break
         residual = L * math.sqrt(nrm2)
-        x, gx, grad = x_new, g_new, grad_new
+        x, w, gx, grad = x_new, w_new, g_new, grad_new
         if residual <= tol:
             break
         if (first_trial and curv <= 0.5 * L * nrm2
@@ -273,15 +279,18 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
             L = max(1.0, L / 2.0)
     if trial_counts is not None:
         trial_counts.append(trials)
-    return x, gx + h_val(x), residual, it, L
+    return x, gx + rho_hat * float(add(np.abs(w))), residual, it, L
 
 
-def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0):
-    """Proximal gradient with triage: every start runs to a coarse
-    tolerance, the best is refined to eps_inner. A step problem proven
-    strongly convex on the box (mu > 0) has one start, u_prev; any other
-    gets the deterministic multi-start budget. The first start begins at
-    L = L0, each later call at half the L its predecessor ended with."""
+def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0, x_pred=None):
+    """Proximal gradient to eps_inner from one start, or with triage over
+    several. A step problem proven strongly convex on the box (mu > 0) has
+    one minimizer, so one start suffices and needs no triage: u_prev, or
+    the predicted state x_pred clipped to the box when its step objective
+    is lower. Any other step gets the deterministic multi-start budget,
+    built around u_prev: every start runs to a coarse tolerance and the
+    best is refined. The first call begins at L = L0, each later one at
+    half the L its predecessor ended with."""
     d = u_prev.shape[0]
     eps_inner = EPS_INNER_SCALE * (1.0 + abs(e_prev))
     R = _coercivity_radius(p, tau, e_prev - model.constants.C0)
@@ -297,8 +306,19 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0):
     # strongly convex, so its stationary point is the global minimizer
     lam = model.semiconvexity
     mu = None if lam is None else p.modulus(R / tau) / tau + lam
+    total_iters = 0
+    L_carry = L0
+    trials: List[int] = []
+    start = "previous"
     if mu is not None and mu > 0.0:
-        starts = [u_prev.copy()]
+        # the start changes only the path to the one minimizer; u_prev's
+        # step objective is e_prev, since Psi(0) = 0
+        n_starts, x0 = 1, u_prev
+        if x_pred is not None:
+            xp = np.minimum(np.maximum(x_pred, lo), hi)
+            if (tau * p.value((xp - u_prev) / tau) + model.value(t_n, xp)
+                    < e_prev):
+                x0, start = xp, "predictor"
     else:
         n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
         rng = np.random.default_rng(_step_seed(opts, t_n, tau))
@@ -309,22 +329,18 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0):
                   u_prev + 0.25 * R * alt]
         while len(starts) < n_starts:
             starts.append(lo + rng.random(d) * (hi - lo))
-        starts = starts[:n_starts]
-
-    triage_tol = TRIAGE_TOL_SCALE * (1.0 + abs(e_prev))
-    total_iters = 0
-    best = None
-    L_carry = L0
-    trials: List[int] = []
-    for x0 in starts:
-        x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, x0,
-                                      (lo, hi), rho_hat, triage_tol,
-                                      TRIAGE_ITERS, L_carry, trials)
-        L_carry = max(1.0, L / 2.0)
-        total_iters += it
-        if best is None or f < best[1]:
-            best = (x, f)
-    x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, best[0],
+        triage_tol = TRIAGE_TOL_SCALE * (1.0 + abs(e_prev))
+        best = None
+        for x0 in starts:
+            x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, x0,
+                                          (lo, hi), rho_hat, triage_tol,
+                                          TRIAGE_ITERS, L_carry, trials)
+            L_carry = max(1.0, L / 2.0)
+            total_iters += it
+            if best is None or f < best[1]:
+                best = (x, f)
+        x0 = best[0]
+    x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, x0,
                                   (lo, hi), rho_hat, eps_inner,
                                   MAX_REFINE_ITERS, L_carry, trials)
     total_iters += it
@@ -332,8 +348,8 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0):
         raise StepFailureError(
             f"inner solver stalled at prox-residual {res:.3e} "
             f"(target {eps_inner:.3e}) after {total_iters} iterations")
-    status = {"method": "proxgrad", "starts": len(starts), "mu": mu,
-              "iterations": total_iters, "trials": sum(trials),
+    status = {"method": "proxgrad", "starts": n_starts, "start": start,
+              "mu": mu, "iterations": total_iters, "trials": sum(trials),
               "prox_residual": res, "L": L}
     return x, status
 
@@ -377,11 +393,14 @@ def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
 
 
 def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
-                     opts: Optional[SolveOptions] = None, L0: float = 1.0):
+                     opts: Optional[SolveOptions] = None, L0: float = 1.0,
+                     x_pred=None):
     """One incremental minimization step; returns (U_n, xi_n, gap, status,
     E(t_n, U_n), witness), with U_n = U_{n-1} and witness 0 when the inner
     solver's result is worse than U_{n-1}. L0 is the first step size
-    constant of the n-D inner solver.
+    constant of the n-D inner solver, and x_pred, if given, a predicted
+    state it may start a strongly convex step from instead of U_{n-1}
+    (see _solve_nd); neither changes the minimizer, only the path to it.
 
     Also usable as the variational interpolant solve by passing the
     intermediate time as t_n and the shrunken step as tau.
@@ -397,7 +416,8 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
     if model.dim == 1:
         U, status = _solve_1d(model, p, u_prev, t_n, tau, e_prev)
     else:
-        U, status = _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0)
+        U, status = _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0,
+                              x_pred)
 
     # the previous state is always an admissible competitor; taking it when
     # it is no worse keeps the minimality witness nonpositive by construction
@@ -416,7 +436,8 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
           opts: Optional[SolveOptions] = None) -> DiscreteTrajectory:
     """Run the scheme over the whole grid; step failures abort with the
     partial trajectory attached. Each n-D step starts its inner solver at
-    half the L the previous step ended with, floored at 1."""
+    half the L the previous step ended with, floored at 1, and from step 2
+    on offers it the linear prediction 2 U_{n-1} - U_{n-2} as a start."""
     opts = opts or SolveOptions()
     if not grid.tau < model.constants.tau_o:
         raise RangeError(
@@ -444,10 +465,11 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
     L0 = 1.0
     for n in range(1, N + 1):
         t_n = grid.t(n)
+        x_pred = 2.0 * U[n - 1] - U[n - 2] if n >= 2 and d > 1 else None
         try:
             (U[n], xi[n], gaps[n], st, energies[n],
              witnesses[n]) = incremental_step(model, psi, U[n - 1], t_n,
-                                              grid.tau, opts, L0)
+                                              grid.tau, opts, L0, x_pred)
         except StepFailureError as err:
             raise SolveAbortedError(
                 f"step {n} (t={t_n}) failed: {err}",

@@ -175,6 +175,25 @@ def test_closed_conjugate_matches_numeric_reference(p):
                                                                    ref)
 
 
+@pytest.mark.parametrize("thresh", [0.0, 1e-300, 1e-3, 1.0, 3.0])
+def test_soft_threshold_is_bitwise_the_sign_form(thresh):
+    # the clip form z - clip(z, -t, t) against sign(z) max(|z| - t, 0):
+    # equal bit for bit at every nonzero value, +0.0 at every zero for t > 0
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, thresh, -thresh, np.nextafter(thresh, 9.0),
+             -np.nextafter(thresh, 9.0), np.inf, -np.inf]
+    z = np.concatenate([rng.normal(size=2000) * scale
+                        for scale in (1e-300, 1e-5, 1.0, 1e5)] + [edges])
+    got = potentials._soft(z, thresh)
+    ref = np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    nonzero = ref != 0.0
+    assert np.array_equal(got[nonzero].view(np.int64),
+                          ref[nonzero].view(np.int64))
+    assert np.all(got[~nonzero] == 0.0)
+    if thresh > 0.0:
+        assert not np.signbit(got[~nonzero]).any()
+
+
 def test_weighted_sum_without_exactly_one_non_l1_member_is_rejected():
     # only a sum of l1 members and one other member has a closed conjugate
     for parts in ((PNorm(0.5, 1.0), PNorm(1.0, 1.5), Quadratic(1.0)),

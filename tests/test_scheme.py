@@ -370,7 +370,8 @@ def test_prox_grad_pays_one_grid_evaluation_per_trial(monkeypatch):
     # the coarse rung of the certbench ac-ladder workload. Evaluating the
     # value and the gradient of a trial point separately, and halving L
     # after every first-trial accept, this solve made 242 trials and 438
-    # forward differences in its 8 _prox_grad calls (135 iterations)
+    # forward differences in its 8 _prox_grad calls (135 iterations); its
+    # 4 steps are strongly convex, so each is one call
     N = 64
     spec = build("AllenCahn1D", {"N": N, "rho": 1.0})
     counts = {"calls": 0, "forward_diffs": 0}
@@ -395,7 +396,7 @@ def test_prox_grad_pays_one_grid_evaluation_per_trial(monkeypatch):
     traj = solve(spec.energy, spec.dissipation, u0,
                  TimeGrid(T=0.125, tau=2.0 ** -5))
     trials = sum(s["trials"] for s in traj.inner_status[1:])
-    assert counts["calls"] == 8
+    assert counts["calls"] == 4
     assert counts["forward_diffs"] <= trials + counts["calls"]
     assert trials < 242
 
@@ -409,10 +410,12 @@ def _noisy_sine(N, seed=1):
 @pytest.mark.parametrize("params,tau", [
     ({"N": 8}, 2.0 ** -5), ({"N": 8}, 2.0 ** -6),
     ({"N": 32, "p": 1.5}, 2.0 ** -5), ({"N": 32, "p": 1.5}, 2.0 ** -6),
+    ({"N": 64, "rho": 1.0}, 2.0 ** -6),
 ])
 def test_convex_path_agrees_with_multistart(monkeypatch, params, tau):
     # AllenCahn1D's step problem is strongly convex (lambda_E = -dx), so one
-    # start from u_prev must find the minimizer the multistart budget finds
+    # start, from u_prev or from the prediction 2 U_{n-1} - U_{n-2}, must
+    # find the minimizer the multistart budget finds
     spec = build("AllenCahn1D", params)
     u0 = _noisy_sine(params["N"])
     grid = TimeGrid(T=0.125, tau=tau)
@@ -422,7 +425,13 @@ def test_convex_path_agrees_with_multistart(monkeypatch, params, tau):
     assert all(s["starts"] == 1 and s["mu"] > 0.0
                for s in one.inner_status[1:])
     assert all(s["starts"] > 1 and s["mu"] is None
-               for s in multi.inner_status[1:])
+               and s["start"] == "previous" for s in multi.inner_status[1:])
+    started = [s["start"] for s in one.inner_status[1:]]
+    assert started[0] == "previous"
+    assert set(started) <= {"previous", "predictor"}
+    if params.get("rho"):
+        # the ac-ladder setting: its later steps start from the prediction
+        assert "predictor" in started
     np.testing.assert_allclose(one.U, multi.U, rtol=0.0, atol=1e-9)
     assert np.all(one.witnesses <= scheme.WITNESS_TOL)
     assert np.all(multi.witnesses <= scheme.WITNESS_TOL)
@@ -448,9 +457,10 @@ def test_step_without_strong_convexity_keeps_multistart():
 
 
 @pytest.mark.parametrize("N", [8, 32])
-def test_solve_makes_two_prox_grad_calls_per_step(monkeypatch, N):
-    # triage plus refine from the one start; the multistart budget made
-    # 9 calls per step for N <= 16 and 5 above
+def test_solve_makes_one_prox_grad_call_per_step(monkeypatch, N):
+    # one start needs no triage, so a strongly convex step is one refine;
+    # with triage it made 2 calls, and the multistart budget makes 9 calls
+    # per step for N <= 16 and 5 above
     spec = build("AllenCahn1D", {"N": N})
     calls = []
     orig = scheme._prox_grad
@@ -462,7 +472,31 @@ def test_solve_makes_two_prox_grad_calls_per_step(monkeypatch, N):
     grid = TimeGrid(T=2.0 ** -4, tau=2.0 ** -6)
     u0 = 0.1 * np.sin(np.pi * (np.arange(N) + 0.5) / N)
     solve(spec.energy, spec.dissipation, u0, grid)
-    assert len(calls) == 2 * grid.N
+    assert len(calls) == grid.N
+
+
+def test_solve_starts_from_the_prediction(monkeypatch):
+    # the fine rung of the certbench ac-ladder workload. Every step started
+    # at U_{n-1}, with triage, paid 404 prox-grad iterations in 32 calls;
+    # from step 6 on each paid 21
+    N = 64
+    spec = build("AllenCahn1D", {"N": N, "rho": 1.0})
+    calls = []
+    orig = scheme._prox_grad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(scheme, "_prox_grad", counted)
+    grid = TimeGrid(T=0.125, tau=2.0 ** -7)
+    u0 = 0.1 * np.sin(np.pi * (np.arange(N) + 0.5) / N)
+    traj = solve(spec.energy, spec.dissipation, u0, grid)
+    steps = traj.inner_status[1:]
+    assert len(calls) == grid.N
+    assert sum(s["iterations"] for s in steps) < 330
+    assert steps[0]["start"] == "previous"
+    assert steps[-1]["start"] == "predictor"
+    assert np.all(traj.witnesses <= scheme.WITNESS_TOL)
 
 
 def test_allen_cahn_short_solve_certifies():
