@@ -1,20 +1,26 @@
 """Small deterministic 1D optimization helpers.
 
 Everything here is derivative-free and reproducible: bracket expansion by
-doubling, bounded Brent minimization, a vectorized golden-section minimizer
-for batches of independent 1D problems, and a guarded stationarity polish
-built on Brent's root finder. The package solves its scalar problems with
-scan_min and polish_root. bracket_max, max_scalar and golden_min_batched
-serve only the tests' reference routes (the numeric conjugate in
-potentials, the grid-and-golden eta search in tests/test_energy.py), and
-certbench/tracer.py hooks them by name.
+doubling, bounded Brent minimization, for one function or for many
+problems in lockstep, a vectorized golden-section minimizer for batches of
+independent 1D problems, and a guarded stationarity polish built on
+Brent's root finder. The package solves its scalar problems with scan_min,
+which scans many problems as one array and refines all their basins in
+one lockstep Brent, and polish_root. bracket_max, max_scalar and
+golden_min_batched serve only the tests' reference routes (the numeric
+conjugate in potentials, the grid-and-golden eta search in
+tests/test_energy.py), and certbench/tracer.py hooks them by name.
 
 The two Brent methods (Brent, Algorithms for Minimization without
 Derivatives, 1973, ch. 4 and 5) are ports of SciPy's bounded
 minimize_scalar and brentq. They make the same float operations in the
 same order, so they return the same bits; tests/test_optim.py cross-checks
-them against SciPy when it is installed. Carrying them here keeps SciPy's
-optimize package, and the subpackages it loads, out of every import.
+them against SciPy when it is installed. The bounded method is one
+generator, _brent_min, driven for one function by _bounded_brent and for
+many problems by _bounded_brent_rows, which evaluates the next abscissa of
+every running problem in one call, so each problem keeps its own bits.
+Carrying them here keeps SciPy's optimize package, and the subpackages it
+loads, out of every import.
 """
 
 from __future__ import annotations
@@ -66,12 +72,15 @@ def _direction(v):
     return v
 
 
-def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
-    """Minimize func on [x1, x2] by Brent's bounded method (golden section
-    plus parabolic steps); returns the best abscissa found.
+def _brent_min(x1: float, x2: float, xatol: float, maxiter: int):
+    """Brent's bounded method (golden section plus parabolic steps) on
+    [x1, x2], as a generator: it yields each abscissa to evaluate, takes
+    the value by send, and returns (x, fx), the best abscissa found and the
+    value sent for it. The drivers are _bounded_brent, for one function,
+    and _bounded_brent_rows, for many problems in lockstep.
 
     Raises ValueError on non-finite bounds or x1 > x2. Stops after maxiter
-    evaluations of func.
+    evaluations.
     """
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise ValueError("Optimization bounds must be finite scalars.")
@@ -81,7 +90,7 @@ def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
     fulc = a + _INVPHI2 * (b - a)
     nfc = xf = fulc
     rat = e = 0.0
-    fx = func(xf)
+    fx = yield xf
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -112,7 +121,7 @@ def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
             e = (a - xf) if xf >= xm else (b - xf)
             rat = _INVPHI2 * e
         x = xf + _direction(rat) * max(abs(rat), tol1)
-        fu = func(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -137,7 +146,48 @@ def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
         tol2 = 2.0 * tol1
         if num >= maxiter:
             break
-    return xf
+    return xf, fx
+
+
+def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
+    """Minimize func on [x1, x2] by Brent's bounded method; returns the
+    best abscissa found. Raises ValueError on non-finite bounds or x1 > x2.
+    Stops after maxiter evaluations of func."""
+    run = _brent_min(x1, x2, xatol, maxiter)
+    try:
+        x = next(run)
+        while True:
+            x = run.send(func(x))
+    except StopIteration as stop:
+        return stop.value[0]
+
+
+def _bounded_brent_rows(func, x1, x2, xatol: float, maxiter: int):
+    """_bounded_brent for K problems at once, in lockstep: problem k
+    minimizes on [x1[k], x2[k]], and each round evaluates the next abscissa
+    of every problem still running in one call func(x, rows), rows the
+    array of their indices. Each problem makes the float operations of
+    _bounded_brent in its order and stops by its own test, so it returns
+    the same bits. Returns (x, fx), each problem's best abscissa and the
+    value func gave there."""
+    runs = [_brent_min(a, b, xatol, maxiter)
+            for a, b in zip(np.asarray(x1, dtype=float).tolist(),
+                            np.asarray(x2, dtype=float).tolist())]
+    x = [next(run) for run in runs]
+    live = list(range(len(runs)))
+    x_best, f_best = np.empty(len(runs)), np.empty(len(runs))
+    while live:
+        vals = np.asarray(func(np.array([x[k] for k in live]),
+                               np.array(live)), dtype=float).tolist()
+        running = []
+        for k, fu in zip(live, vals):
+            try:
+                x[k] = runs[k].send(fu)
+                running.append(k)
+            except StopIteration as stop:
+                x_best[k], f_best[k] = stop.value
+        live = running
+    return x_best, f_best
 
 
 def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
@@ -146,21 +196,6 @@ def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
     candidates = [(a, g(a)), (b, g(b)), (x, g(x))]
     x, gx = max(candidates, key=lambda p: p[1])
     return x, gx
-
-
-def min_scalar(f, a: float, b: float, xtol: float = 1e-12):
-    """Bounded Brent on [a, b]; returns (x, f(x)) at the abscissa Brent
-    settles on, f(x) taken from Brent's own evaluation. The ends a and b
-    are not evaluated: a caller holding f(a) and f(b) compares them."""
-    seen = {}
-
-    def recorded(x):
-        fx = seen[x] = f(x)
-        return fx
-
-    # _bounded_brent returns one of the abscissae it passed to recorded
-    x = float(_bounded_brent(recorded, a, b, xtol, 500))
-    return x, seen[x]
 
 
 def golden_min_batched(f, lo: np.ndarray, hi: np.ndarray, iters: int = 90):
@@ -193,43 +228,64 @@ def golden_min_batched(f, lo: np.ndarray, hi: np.ndarray, iters: int = 90):
     return x, fx
 
 
-def local_min_indices(vals: np.ndarray) -> np.ndarray:
-    """Indices i with vals[i] <= both neighbors (ends compared one-sided)."""
+def local_min_indices(vals: np.ndarray):
+    """Indices i with vals[..., i] <= both neighbours along the last axis
+    (ends compared one-sided), as np.nonzero gives them: the array of i
+    for one row, the pair (rows, i) in row order for a (B, n) array."""
     v = np.asarray(vals)
-    n = v.shape[0]
-    if n == 1:
-        return np.array([0])
-    left_ok = np.empty(n, dtype=bool)
-    right_ok = np.empty(n, dtype=bool)
-    left_ok[0] = True
-    left_ok[1:] = v[1:] <= v[:-1]
-    right_ok[-1] = True
-    right_ok[:-1] = v[:-1] <= v[1:]
-    return np.nonzero(left_ok & right_ok)[0]
+    ok = np.ones(v.shape, dtype=bool)
+    ok[..., 1:] = v[..., 1:] <= v[..., :-1]
+    ok[..., :-1] &= v[..., :-1] <= v[..., 1:]
+    idx = np.nonzero(ok)
+    return idx[0] if v.ndim == 1 else idx
 
 
-def scan_min(f, f_batched, lo: float, hi: float, n_points: int,
-             xtol: float = 1e-13):
-    """Global 1D minimization: coarse scan, then bounded Brent around every
-    local basin of the scan. Returns (x_best, f_best, basins) where basins is
-    the list of all refined (x, f) local minima.
+def scan_min(f, lo, hi, n_points: int, xtol: float = 1e-13):
+    """Global 1D minimization of B problems at once: coarse scan, then
+    bounded Brent around every local basin of the scan. Problem b minimizes
+    f(., b) on [lo[b], hi[b]]. Returns (x_best, f_best, basins), arrays of
+    length B; basins[b] counts the refined local minima of problem b, and
+    each problem's best is the first basin of least value.
 
-    f_batched evaluates f on an array and must equal it elementwise, bit
-    for bit: the scan values stand in for f at each basin's bracket ends.
+    f(x, rows) evaluates problem rows[...] at x[...] for arrays that
+    broadcast: the scan is one call on a (B, n_points) grid with rows a
+    (B, 1) column, and one lockstep _bounded_brent_rows refines every basin
+    of every problem. f must give each point the same bits whatever the
+    shape of the call: the scan values stand in for f at each basin's
+    bracket ends.
     """
-    grid = np.linspace(lo, hi, n_points)
-    vals = f_batched(grid)
-    basins = []
-    for i in local_min_indices(vals):
-        ia, ib = max(i - 1, 0), min(i + 1, n_points - 1)
-        a, b = float(grid[ia]), float(grid[ib])
-        if a == b:
-            basins.append((float(grid[i]), float(vals[i])))
-            continue
-        basins.append(min([(a, float(vals[ia])), (b, float(vals[ib])),
-                           min_scalar(f, a, b, xtol=xtol)],
-                          key=lambda p: p[1]))
-    x_best, f_best = min(basins, key=lambda p: p[1])
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    B = lo.shape[0]
+    grid = np.linspace(lo, hi, n_points).T
+    vals = f(grid, np.arange(B)[:, None])
+    rows, i = local_min_indices(vals)
+    basins = np.bincount(rows, minlength=B)
+    if not basins.all():
+        raise ValueError("the scan of a problem has no local minimum")
+    # each basin's best of its bracket ends and Brent's abscissa, the first
+    # of least value; a bracket of zero width is its midpoint alone
+    ia, ib = np.maximum(i - 1, 0), np.minimum(i + 1, n_points - 1)
+    xa, xb = grid[rows, ia], grid[rows, ib]
+    wide = np.flatnonzero(xa != xb)
+    bx = np.where(xa != xb, xa, grid[rows, i])
+    bf = np.where(xa != xb, vals[rows, ia], vals[rows, i])
+    refined = rows[wide]
+    for x_new, f_new in ((xb[wide], vals[refined, ib[wide]]),
+                         _bounded_brent_rows(
+                             lambda x, k: f(x, refined[k]),
+                             xa[wide], xb[wide], xtol, 500)):
+        at = f_new < bf[wide]
+        bx[wide[at]], bf[wide[at]] = x_new[at], f_new[at]
+    # each problem's first basin of least value, rank by rank
+    first = np.cumsum(basins) - basins
+    x_best, f_best = bx[first], bf[first]
+    for j in range(1, int(basins.max())):
+        has = np.flatnonzero(basins > j)
+        k = first[has] + j
+        better = bf[k] < f_best[has]
+        x_best[has[better]] = bx[k[better]]
+        f_best[has[better]] = bf[k[better]]
     return x_best, f_best, basins
 
 

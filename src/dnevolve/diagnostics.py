@@ -25,9 +25,12 @@ consumer (profiles, defects, integrals, the report, the CLI checks and the
 refinement study) reads them from there, so each is computed at most once
 per trajectory whoever asks first. A trajectory made by
 dataclasses.replace starts with an empty memo. Window sums stay slice sums
-over the bundle. The repeated eta-argmin queries of P_n, multiplier
+over the bundle. step_inequality solves all N (m - 1) interior interpolant
+samples of a trajectory in one de_giorgi_interpolant call, and takes their
+energies from it. The repeated eta-argmin queries of P_n, multiplier
 selection and the interpolant samples are answered by the argmin memo of
-each marginal model (see energy.argmin_set).
+each marginal model (see energy.argmin_set), which the row batch of
+interpolant samples fills for the P_n samples that follow.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from . import potentials
 from ._record import FrozenRecord, Record
 from .energy import energy_value, generalized_time_derivative
-from .errors import RangeError, SolveAbortedError, StepFailureError
+from .errors import RangeError
 from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
                      de_giorgi_interpolant, linear_interpolant,
                      slope_multiplier, solve)
@@ -211,8 +214,10 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
     at the m sample times t = t_{n-1} + k tau / m, k = 1..m, with Q_n, R_n
     the m-point left-Riemann sums of Psi*(-xi~) and P over the variational
     interpolant. The r = 0 sample uses the previous node state with the
-    conjugate-minimal multiplier. A stalled interpolant solve aborts with
-    SolveAbortedError naming the step and the sample time.
+    conjugate-minimal multiplier. The N (m - 1) interior samples of the
+    trajectory are one de_giorgi_interpolant call, whose energies E(t, U~)
+    are used as the solve computed them. A stalled interpolant solve aborts
+    with SolveAbortedError naming the step and the sample time.
     """
     m = QUAD_M if m is None else int(m)
     if m < 1:
@@ -221,6 +226,11 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
     tau = grid.tau
     eps_quad = resolve_eps_quad(traj)
     N = traj.N
+    # the interior samples j = 1..m-1 of step n are rows (n-1)(m-1) + j - 1
+    inner_t = [grid.t(n - 1) + j * tau / m
+               for n in range(1, N + 1) for j in range(1, m)]
+    inner_U, inner_xi, _, inner_E = de_giorgi_interpolant(
+        traj, np.array(inner_t, dtype=float))
     max_defects = np.zeros(N + 1)
     end_defects = np.zeros(N + 1)
     for n in range(1, N + 1):
@@ -228,25 +238,16 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
         U0 = traj.U[n - 1]
         p = traj.psi_at(n)
         e0 = traj.energies[n - 1]
+        rows = slice((n - 1) * (m - 1), n * (m - 1))
 
-        # samples j = 0..m: state, multiplier, and absolute time
-        states = [U0]
-        xis = [slope_multiplier(model, traj.psi, t0, U0)]
-        times = [t0]
-        for j in range(1, m):
-            tj = t0 + j * tau / m
-            try:
-                Uj, xij, _ = de_giorgi_interpolant(traj, tj)
-            except StepFailureError as err:
-                raise SolveAbortedError(
-                    f"interpolant solve at t={tj} failed: {err}",
-                    step_index=n) from err
-            states.append(Uj)
-            xis.append(xij)
-            times.append(tj)
-        states.append(traj.U[n])
-        xis.append(traj.xi[n])
-        times.append(grid.t(n))
+        # samples j = 0..m: state, multiplier, absolute time, and (j >= 1)
+        # the energy E(t_j, state_j)
+        states = [U0, *inner_U[rows], traj.U[n]]
+        xis = [slope_multiplier(model, traj.psi, t0, U0), *inner_xi[rows],
+               traj.xi[n]]
+        times = [t0, *inner_t[rows], grid.t(n)]
+        energies = [None, *inner_E[rows],
+                    energy_value(model, grid.t(n), traj.U[n])]
 
         conj_vals = [potentials.conjugate(p, -x) for x in xis[:m]]
         P_vals = [generalized_time_derivative(model, times[j], states[j],
@@ -256,8 +257,7 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
             r = k * tau / m
             Q = (tau / m) * sum(conj_vals[:k])
             R = (tau / m) * sum(P_vals[:k])
-            lhs = (r * p.value((states[k] - U0) / r)
-                   + Q + energy_value(model, times[k], states[k]))
+            lhs = r * p.value((states[k] - U0) / r) + Q + energies[k]
             defect = lhs - (e0 + R)
             worst = max(worst, defect)
             if k == m:

@@ -11,6 +11,8 @@ subdifferential is the set of partial gradients D_u I at the minimizing eta
 (the marginal subdifferential), and P is the conditioned supremum of d/dt I
 over minimizers compatible with the supplied xi. A Clarke-type interval is
 available in dimension 1 for models that declare their kink locations.
+subdiff_rows asks many points at once; the marginal layer evaluates their
+candidate etas, safety grid and D_u I as (B, k) arrays.
 
 Energies carry an explicit constant offset chosen so the working minimum is
 at least 1; the offset is stored and reported, never silently applied.
@@ -18,6 +20,7 @@ at least 1; the offset is stored and reported, never silently applied.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -89,6 +92,11 @@ class EnergyModel:
         one candidate is its gradient."""
         return [self.grad(t, u)]
 
+    def subdiff_rows(self, t, U) -> List[List[np.ndarray]]:
+        """subdiff at each row (t[b], U[b]) of an array of times and a
+        (B, d) array of states, in row order."""
+        return [self.subdiff(tb, ub) for tb, ub in zip(t, U)]
+
     def time_deriv_P(self, t: float, u: np.ndarray, xi: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -105,7 +113,10 @@ class MarginalEnergy(EnergyModel):
     tuple) or eta_interval (compact [lo, hi]). An interval model also
     provides eta_candidates(t, u), a finite superset of the minimizers of
     eta -> inner(t, u, eta) inside the interval; its minimum is then exact
-    and checked against a fine grid. time_deriv_P is the sup of inner_dt
+    and checked against a fine grid. inner, inner_du and eta_candidates
+    also take rows: a (B, 1) column of times, a (B, d) array of states and
+    a (B, k) array of etas give (B, k) values, each the bits of the
+    one-point call (d = 1). time_deriv_P is the sup of inner_dt
     over the minimizing eta whose D_u I lies within DELTA_XI of xi;
     ConditioningError when none does.
     """
@@ -131,6 +142,15 @@ class MarginalEnergy(EnergyModel):
 
     def subdiff(self, t, u):
         return marginal_subdifferential(self, t, u)
+
+    def subdiff_rows(self, t, U):
+        return _marginal_subdiff_rows(self, t, U)
+
+    @cached_property
+    def eta_grid(self) -> np.ndarray:
+        """The 1025-point safety grid of eta_interval, built once."""
+        lo, hi = self.eta_interval
+        return np.linspace(lo, hi, 1025)
 
     def time_deriv_P(self, t, u, xi):
         etas = argmin_set(self, t, u)
@@ -160,30 +180,33 @@ def _check_domain(model: EnergyModel, u: np.ndarray) -> None:
             f"u = {np.round(u, 6).tolist()}")
 
 
-def _marginal_candidates(model: MarginalEnergy, t: float, u: np.ndarray):
+def _marginal_candidates(model: MarginalEnergy, t, u: np.ndarray):
     """Candidate minimizers of eta -> inner(t, u, eta) and their values.
 
-    Returns (etas, vals) as float arrays. Finite models are evaluated on
-    eta_values, interval models on their eta_candidates. A 1025-point
-    safety pass checks the latter: a grid value beating the candidate
-    minimum by more than the argmin slack means the candidates missed a
-    minimizer.
+    Returns (etas, vals) as float arrays: of shape (k,) for one point, and
+    (B, k) for rows, t a (B, 1) column of times and u a (B, d) array of
+    states. Finite models are evaluated on eta_values, interval models on
+    their eta_candidates. The model's 1025-point eta_grid checks the
+    latter: a grid value beating the candidate minimum by more than the
+    argmin slack means the candidates missed a minimizer.
     """
     if model.eta_values is not None:
         etas = np.asarray(model.eta_values, dtype=float)
         vals = np.asarray(model.inner(t, u, etas), dtype=float)
-        return etas, vals
+        return np.broadcast_to(etas, vals.shape), vals
 
-    lo, hi = model.eta_interval
-    fine_min = float(np.min(model.inner(t, u, np.linspace(lo, hi, 1025))))
+    fine_min = np.min(model.inner(t, u, model.eta_grid), axis=-1)
     cand_x = np.asarray(model.eta_candidates(t, u), dtype=float)
     cand_f = np.asarray(model.inner(t, u, cand_x), dtype=float)
-    best = float(np.min(cand_f))
-    if fine_min < best - default_delta_M(best):
+    best = np.min(cand_f, axis=-1)
+    missed = np.flatnonzero(fine_min < best - default_delta_M(best))
+    if missed.size:
+        b = missed[0]
         raise RefinementError(
             f"interval minimization over eta failed to certify the "
-            f"minimum for {model.name} at t={t}: grid value "
-            f"{fine_min} beats candidate value {best}")
+            f"minimum for {model.name} at t={float(np.ravel(t)[b])}: grid "
+            f"value {float(np.ravel(fine_min)[b])} beats candidate value "
+            f"{float(np.ravel(best)[b])}")
     return cand_x, cand_f
 
 
@@ -226,32 +249,53 @@ def argmin_set(model: MarginalEnergy, t: float, u) -> List[float]:
     """
     u = as_state(u, model.dim)
     _check_domain(model, u)
+    return list(_argmin_rows(model, (t,), u[None])[0])
+
+
+def _argmin_rows(model: MarginalEnergy, t, U) -> List[Tuple[float, ...]]:
+    """argmin_set of each row (t[b], U[b]), as tuples, through the memo;
+    the rows it misses are evaluated as one (B, k) problem."""
     memo = vars(model).setdefault("_argmin_memo", {})
-    key = (t, u.tobytes())
-    etas = memo.get(key)
-    if etas is None:
-        cands, vals = _marginal_candidates(model, t, u)
-        m = float(np.min(vals))
-        keep = vals <= m + default_delta_M(m)
-        etas = tuple(_cluster_scalars(cands[keep], vals[keep], ETA_CLUSTER))
-        if len(memo) >= ARGMIN_MEMO_SIZE:
-            memo.clear()
-        memo[key] = etas
-    return list(etas)
+    keys = [(tb, ub.tobytes()) for tb, ub in zip(t, U)]
+    out = [memo.get(key) for key in keys]
+    miss = [b for b, etas in enumerate(out) if etas is None]
+    if miss:
+        cands, vals = _marginal_candidates(
+            model, np.asarray(t, dtype=float)[miss, None], U[miss])
+        for b, c, v in zip(miss, cands, vals):
+            m = float(np.min(v))
+            keep = v <= m + default_delta_M(m)
+            out[b] = tuple(_cluster_scalars(c[keep], v[keep], ETA_CLUSTER))
+            if len(memo) >= ARGMIN_MEMO_SIZE:
+                memo.clear()
+            memo[keys[b]] = out[b]
+    return out
 
 
 def marginal_subdifferential(model: MarginalEnergy, t: float, u
                              ) -> List[np.ndarray]:
     """{D_u I(t, u, eta) : eta in argmin_set}, deduplicated."""
     u = as_state(u, model.dim)
-    etas = argmin_set(model, t, u)
-    xis = [np.asarray(model.inner_du(t, u, e), dtype=float).reshape(model.dim)
-           for e in etas]
-    xis.sort(key=lambda x: tuple(x))
-    out: List[np.ndarray] = []
-    for x in xis:
-        if not out or np.linalg.norm(x - out[-1]) > XI_DEDUP:
-            out.append(x)
+    _check_domain(model, u)
+    return _marginal_subdiff_rows(model, (t,), u[None])[0]
+
+
+def _marginal_subdiff_rows(model: MarginalEnergy, t, U
+                           ) -> List[List[np.ndarray]]:
+    """marginal_subdifferential of each row (t[b], U[b]) of a d = 1 model,
+    with D_u I of every row's minimizing etas as one (B, k) array."""
+    sets = _argmin_rows(model, t, U)
+    k = max(len(s) for s in sets)
+    etas = np.array([s + s[-1:] * (k - len(s)) for s in sets])
+    dus = model.inner_du(np.asarray(t, dtype=float)[:, None], U, etas)
+    out = []
+    for s, du in zip(sets, dus):
+        xis = sorted((du[j:j + 1] for j in range(len(s))), key=tuple)
+        row: List[np.ndarray] = []
+        for x in xis:
+            if not row or np.linalg.norm(x - row[-1]) > XI_DEDUP:
+                row.append(x)
+        out.append(row)
     return out
 
 

@@ -16,6 +16,7 @@ AllenCahn1D, StateWeightedToy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable, Dict, Optional
@@ -105,10 +106,10 @@ class _AbsoluteMarginalEnergy(MarginalEnergy):
 
     def inner(self, t, u, eta):
         s = self._branch_sign(eta)
-        return s * self.alpha * (u[0] - self.beta * t) + self.offset
+        return s * self.alpha * (u[..., :1] - self.beta * t) + self.offset
 
     def inner_du(self, t, u, eta):
-        return np.array([float(self._branch_sign(eta)) * self.alpha])
+        return np.atleast_1d(self._branch_sign(eta) * self.alpha)
 
     def inner_dt(self, t, u, eta):
         return -float(self._branch_sign(eta)) * self.alpha * self.beta
@@ -123,6 +124,12 @@ class _AbsoluteMarginalEnergy(MarginalEnergy):
 
     def kinks_1d(self, t):
         return (self.beta * t,)
+
+    def subdiff_rows(self, t, U):
+        # Clarke mode takes its one-sided differences point by point
+        if self.subdiff_kind == "marginal":
+            return super().subdiff_rows(t, U)
+        return EnergyModel.subdiff_rows(self, t, U)
 
     def subdiff(self, t, u):
         if self.subdiff_kind == "marginal":
@@ -159,11 +166,16 @@ class _PhaseFieldEnergy(MarginalEnergy):
         self.eta_interval = (-3.0, 3.0)
 
     def load(self, t):
+        # math.sin for every time of an array too: np.sin may differ from
+        # it in the last bit, and the scan's rows must match one-row calls
+        if isinstance(t, np.ndarray):
+            return self.load_amp * np.array(
+                [math.sin(s) for s in t.ravel().tolist()]).reshape(t.shape)
         return self.load_amp * math.sin(t)
 
     def inner(self, t, u, eta):
         eta = np.asarray(eta, dtype=float)
-        x = u[0]
+        x = u[..., :1]
         return (0.5 * x * x + 0.5 * eta * eta - x * eta + double_well(eta)
                 - self.load(t) * x + self.offset)
 
@@ -172,12 +184,15 @@ class _PhaseFieldEnergy(MarginalEnergy):
         # and eta > 1/2, so each well contributes its clipped stationary
         # point; the middle piece is concave and has its minimum at +-1/2
         lo, hi = self.eta_interval
-        x = u[0]
-        return np.array([lo, min(max((x - 2.0) / 3.0, lo), -0.5), -0.5,
-                         0.5, min(max((x + 2.0) / 3.0, 0.5), hi), hi])
+        x = u[..., :1]
+        out = np.empty(x.shape[:-1] + (6,))
+        out[...] = (lo, 0.0, -0.5, 0.5, 0.0, hi)
+        out[..., 1:2] = np.minimum(np.maximum((x - 2.0) / 3.0, lo), -0.5)
+        out[..., 4:5] = np.minimum(np.maximum((x + 2.0) / 3.0, 0.5), hi)
+        return out
 
     def inner_du(self, t, u, eta):
-        return np.array([u[0] - float(eta) - self.load(t)])
+        return u[..., :1] - eta - self.load(t)
 
     def inner_dt(self, t, u, eta):
         return -self.load_amp * math.cos(t) * u[0]
@@ -430,15 +445,22 @@ def _build_phase_field(v):
     return ModelSpec("PhaseField1D", 1, energy, Quadratic(1.0), parameters=v)
 
 
+@functools.lru_cache(maxsize=64)
 def _quartic_well_drop(amp: float) -> float:
-    """min over s in [0, 3] of W4(s) - amp * s (a nonpositive number)."""
-    # one expression for a float and for the whole scan grid, with the
-    # same bits at each point
-    def f(s):
+    """min over s in [0, 3] of W4(s) - amp * s (a nonpositive number).
+    Kept per amp: one process builds its model for the plan, for run and
+    for check."""
+    def g(s):
         return 0.25 * (s * s - 1.0) ** 2 - amp * s
 
-    _, h, _ = _optim.scan_min(f, f, 0.0, 3.0, 801)
-    return min(h, 0.0)
+    # the scan grid as one array; Brent's abscissae one by one as floats,
+    # whose ** is C pow rather than numpy's square, which may differ from
+    # it in the last bit: the bits the drop has always had
+    def f(s, rows):
+        return g(s) if s.ndim > 1 else np.array([g(x) for x in s.tolist()])
+
+    _, h, _ = _optim.scan_min(f, [0.0], [3.0], 801)
+    return min(float(h[0]), 0.0)
 
 
 def _build_allen_cahn(v):

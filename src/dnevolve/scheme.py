@@ -13,14 +13,17 @@ witness, and hands the witness back to solve with E(t_n, U_n).
 Inner minimization: in dimension 1, a 513-point scan of the coercivity box
 (bounded via the superlinearity of Psi and the energy lower bound C0) with
 bounded-Brent refinement of every local basin and a final stationarity
-polish; in higher dimension, proximal gradient with backtracking (a step
-must pass sufficient decrease and a curvature test on the gradient
-difference), the 1-homogeneous part of Psi handled by its exact proximal
-map (soft-thresholding around the previous state). Its step size 1/L
-adapts both ways: a failed trial doubles L, and an iteration accepted at
-its first trial halves L, floored at 1, when its step also passes both
-tests at L/2 (Nesterov's adaptive composite gradient step, Math. Program.
-2013, sec. 4). Within solve, each step starts at half the L the previous
+polish, for many step problems at once: B rows under one frozen potential
+are one (B, 513) scan, one lockstep Brent over every basin of every row
+and row-batched multiplier selection, and a step of solve is the row
+batch with B = 1; in higher dimension, proximal gradient with
+backtracking (a step must pass sufficient decrease and a curvature test
+on the gradient difference), the 1-homogeneous part of Psi handled by its
+exact proximal map (soft-thresholding around the previous state). Its
+step size 1/L adapts both ways: a failed trial doubles L, and an
+iteration accepted at its first trial halves L, floored at 1, when its
+step also passes both tests at L/2 (Nesterov's adaptive composite
+gradient step, Math. Program. 2013, sec. 4). Within solve, each step starts at half the L the previous
 step ended with, floored at 1; every other solve, the interpolants'
 included, starts at L = 1. Global optimality is certified by strong
 convexity where it can be proven: when
@@ -38,8 +41,11 @@ mu, its start count, its start ("previous" or "predictor"), its trial
 count and its final L in inner_status.
 
 The De Giorgi interpolant reuses the step solver (step r = t - t_{n-1},
-energy frozen at t); the piecewise-linear interpolant also takes arrays
-of times.
+energy frozen at t). Given the trajectory its samples are independent, so
+an array of times is one problem: the d = 1 samples whose steps share a
+frozen potential are one row batch of that solver, and it hands back
+E(t, U) as the solve computed it. The piecewise-linear interpolant also
+takes arrays of times.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ from .errors import (RangeError, SolveAbortedError, StepFailureError,
 from .potentials import _soft, as_state
 
 SCAN_POINTS = 513
+# rows per 1-D batch of interpolant samples: bounds the (rows, SCAN_POINTS)
+# scan and the marginal layer's (rows, 1025) safety grid
+ROW_BLOCK = 64
 MULTISTARTS = 8          # for 2 <= d <= 16
 MULTISTARTS_LARGE = 4    # above d = 16 the start budget is halved
 TRIAGE_ITERS = 60
@@ -157,45 +166,56 @@ def _coercivity_radius(p, tau: float, budget: float) -> float:
     return 1.0000001 * r
 
 
-def _solve_1d(model, p, u_prev, t_n, tau, e_prev):
-    """Scan + refine + stationarity polish. Returns (U, status)."""
-    x_prev = float(u_prev[0])
-    R = _coercivity_radius(p, tau, e_prev - model.constants.C0)
-    blo, bhi = model.domain_box
-    lo = max(x_prev - R, float(blo[0]))
-    hi = min(x_prev + R, float(bhi[0]))
-    if not lo < hi:
-        lo, hi = float(blo[0]), float(bhi[0])
+def _solve_1d(model, p, u_prev, t, tau, e_prev):
+    """Scan + refine + stationarity polish of B d = 1 step problems at once,
+    all under the frozen potential p: row b minimizes
+    tau[b] p((x - u_prev[b]) / tau[b]) + E(t[b], x) over its coercivity
+    interval, given e_prev[b] = E(t[b], u_prev[b]). The 513-point scans of
+    all rows are one (B, 513) array, one lockstep bounded Brent refines
+    every basin of every row, and each row's minimizer is polished on its
+    own. u_prev is (B, 1), the others have length B. Returns (U, statuses)
+    with U of shape (B, 1); a step of solve is the case B = 1."""
+    x_prev = u_prev[:, 0]
+    B = x_prev.shape[0]
+    blo, bhi = (float(x[0]) for x in model.domain_box)
+    lo, hi = np.empty(B), np.empty(B)
+    for b in range(B):
+        R = _coercivity_radius(p, tau[b], e_prev[b] - model.constants.C0)
+        lo[b], hi[b] = max(x_prev[b] - R, blo), min(x_prev[b] + R, bhi)
+        if not lo[b] < hi[b]:
+            lo[b], hi[b] = blo, bhi
 
-    def phi_batch(us):
-        vs = (us - x_prev) / tau
-        return (tau * np.asarray(p.scalar(vs), dtype=float)
-                + model.value_batch_1d(t_n, us))
+    def phi(x, rows):
+        h = tau[rows]
+        return (h * np.asarray(p.scalar((x - x_prev[rows]) / h), dtype=float)
+                + model.value_batch_1d(t[rows], x))
 
-    def phi(x):
-        return float(phi_batch(np.array([x]))[0])
+    x_best, f_best, basins = _optim.scan_min(phi, lo, hi, SCAN_POINTS,
+                                             xtol=1e-13)
 
-    x_best, f_best, basins = _optim.scan_min(
-        phi, phi_batch, lo, hi, SCAN_POINTS, xtol=1e-13)
-
-    def dphi(x):
-        v = (x - x_prev) / tau
+    def dphi(x, b):
+        v = (x - x_prev[b]) / tau[b]
         return (potentials.scalar_derivative(p, v)
-                + model.derivative_1d(t_n, x))
+                + model.derivative_1d(t[b], x))
 
     spacing = (hi - lo) / (SCAN_POINTS - 1)
-    polished = False
-    x_pol = _optim.polish_root(dphi, x_best, 2.0 * spacing)
-    if x_pol != x_best and lo <= x_pol <= hi:
-        f_pol = phi(x_pol)
+    x_pol = np.array([_optim.polish_root(lambda x: dphi(x, b), x_best[b],
+                                         2.0 * spacing[b])
+                      for b in range(B)])
+    polished = np.zeros(B, dtype=bool)
+    moved = np.flatnonzero((x_pol != x_best) & (lo <= x_pol) & (x_pol <= hi))
+    if moved.size:
+        f_pol = phi(x_pol[moved], moved)
         # objective values sit on a float plateau around the optimum; a
         # couple of ulps of slack lets the machine-accurate stationary
         # point through (a sign-flipped local max is ulps worse, never)
-        if f_pol <= f_best + 4e-16 * (1.0 + abs(f_best)):
-            x_best, f_best, polished = x_pol, f_pol, True
-
-    status = {"method": "scan1d", "basins": len(basins), "polished": polished}
-    return np.array([x_best]), status
+        ok = moved[f_pol <= f_best[moved] + 4e-16 * (1.0 + np.abs(
+            f_best[moved]))]
+        x_best[ok] = x_pol[ok]
+        polished[ok] = True
+    status = [{"method": "scan1d", "basins": int(basins[b]),
+               "polished": bool(polished[b])} for b in range(B)]
+    return x_best[:, None], status
 
 
 def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
@@ -358,26 +378,34 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0, x_pred=None):
 # steps and solves
 
 
-def _candidates(model, t, u) -> List[np.ndarray]:
-    """The model's subdifferential candidates at (t, u), in lexicographic
-    order, so that ties between them go to the smallest."""
-    cands = model.subdiff(t, u)
-    if not cands:
-        raise SubdifferentialUnavailableError(
-            f"{model.name} returned no subgradient candidates at t={t}")
-    return sorted((np.asarray(c, dtype=float).reshape(model.dim)
-                   for c in cands), key=tuple)
+def _candidates(model, t, U) -> List[List[np.ndarray]]:
+    """The model's subdifferential candidates at each row (t[b], U[b]), each
+    row's in lexicographic order, so that ties between them go to the
+    smallest."""
+    out = []
+    for tb, cands in zip(t, model.subdiff_rows(t, U)):
+        if not cands:
+            raise SubdifferentialUnavailableError(
+                f"{model.name} returned no subgradient candidates at t={tb}")
+        out.append(sorted((np.asarray(c, dtype=float).reshape(model.dim)
+                           for c in cands), key=tuple))
+    return out
 
 
-def _select_multiplier(model, p, v, t_n, U):
-    """Gap-minimal multiplier among the model's candidates at (t_n, U);
-    ties go to the lexicographically smallest xi."""
-    best_xi, best_gap = None, np.inf
-    for c in _candidates(model, t_n, U):
-        gap = potentials.fenchel_young_gap(p, v, -c)
-        if gap < best_gap:
-            best_xi, best_gap = c, gap
-    return best_xi, float(best_gap)
+def _select_multiplier(model, p, v, t, U):
+    """Each row's gap-minimal multiplier among the model's candidates at
+    (t[b], U[b]), against the rate v[b]; ties go to the lexicographically
+    smallest xi. Returns (xi, gap), of shapes (B, d) and (B,)."""
+    xi = np.empty_like(U)
+    gap = np.empty(U.shape[0])
+    for b, cands in enumerate(_candidates(model, t, U)):
+        best_xi, best_gap = None, np.inf
+        for c in cands:
+            g = potentials.fenchel_young_gap(p, v[b], -c)
+            if g < best_gap:
+                best_xi, best_gap = c, g
+        xi[b], gap[b] = best_xi, best_gap
+    return xi, gap
 
 
 def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
@@ -392,6 +420,42 @@ def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
     return e, obj - e_prev
 
 
+def _check_step(model: EnergyModel, tau: float) -> None:
+    if not 0.0 < tau < model.constants.tau_o:
+        raise RangeError(
+            f"step tau={tau} outside (0, tau_o={model.constants.tau_o}) "
+            f"of {model.name}")
+
+
+def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status):
+    """Rows b of solved steps from u_prev[b] to U[b] at (t[b], tau[b]): the
+    minimality witness against u_prev[b], which replaces U[b] when it is
+    no worse, and the gap-minimal multiplier. Returns (U, xi, gap, status,
+    energy, witness): row arrays, and the list of row statuses."""
+    B = len(status)
+    energy, witness = np.empty(B), np.empty(B)
+    for b in range(B):
+        energy[b], witness[b] = minimality_witness(model, p, t[b], tau[b],
+                                                   u_prev[b], U[b], e_prev[b])
+        # the previous state is always an admissible competitor; taking it
+        # when it is no worse keeps the witness nonpositive by construction
+        if witness[b] > 0.0:
+            U[b], energy[b], witness[b] = u_prev[b], e_prev[b], 0.0
+            status[b] = dict(status[b], fell_back_to_prev=True)
+    v = (U - u_prev) / np.asarray(tau)[:, None]
+    xi, gap = _select_multiplier(model, p, v, t, U)
+    return U, xi, gap, status, energy, witness
+
+
+def _steps_1d(model, p, u_prev, t, tau):
+    """B d = 1 steps under one frozen potential p, row b from u_prev[b] (of
+    the (B, 1) array u_prev) at time t[b] with step tau[b], solved as one
+    row batch; returns the rows of _finish_steps."""
+    e_prev = [energy_value(model, tb, ub) for tb, ub in zip(t, u_prev)]
+    U, status = _solve_1d(model, p, u_prev, t, tau, e_prev)
+    return _finish_steps(model, p, u_prev, t, tau, U, e_prev, status)
+
+
 def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
                      opts: Optional[SolveOptions] = None, L0: float = 1.0,
                      x_pred=None):
@@ -401,35 +465,25 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
     constant of the n-D inner solver, and x_pred, if given, a predicted
     state it may start a strongly convex step from instead of U_{n-1}
     (see _solve_nd); neither changes the minimizer, only the path to it.
-
-    Also usable as the variational interpolant solve by passing the
-    intermediate time as t_n and the shrunken step as tau.
+    A d = 1 step is the one-row case of the row batch that
+    de_giorgi_interpolant solves its samples with.
     """
     opts = opts or SolveOptions()
-    if not 0.0 < tau < model.constants.tau_o:
-        raise RangeError(
-            f"step tau={tau} outside (0, tau_o={model.constants.tau_o}) "
-            f"of {model.name}")
+    _check_step(model, tau)
     u_prev = as_state(u_prev, model.dim)
     p = psi.at_state(u_prev)
-    e_prev = energy_value(model, t_n, u_prev)
     if model.dim == 1:
-        U, status = _solve_1d(model, p, u_prev, t_n, tau, e_prev)
+        rows = _steps_1d(model, p, u_prev[None], np.array([t_n], dtype=float),
+                         np.array([tau], dtype=float))
     else:
+        e_prev = energy_value(model, t_n, u_prev)
         U, status = _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0,
                               x_pred)
-
-    # the previous state is always an admissible competitor; taking it when
-    # it is no worse keeps the minimality witness nonpositive by construction
-    energy, witness = minimality_witness(model, p, t_n, tau, u_prev, U,
-                                         e_prev)
-    if witness > 0.0:
-        U, energy, witness = u_prev.copy(), e_prev, 0.0
-        status = dict(status, fell_back_to_prev=True)
-    v = (U - u_prev) / tau
-
-    xi, gap = _select_multiplier(model, p, v, t_n, U)
-    return U, xi, gap, status, energy, witness
+        rows = _finish_steps(model, p, u_prev[None], [t_n], [tau], U[None],
+                             [e_prev], [status])
+    U, xi, gap, status, energy, witness = rows
+    return (U[0], xi[0], float(gap[0]), status[0], float(energy[0]),
+            float(witness[0]))
 
 
 def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
@@ -517,23 +571,68 @@ def slope_multiplier(model: EnergyModel, psi, t: float, u) -> np.ndarray:
     subdifferential candidate minimizing the conjugate Psi_u*(-xi)."""
     u = as_state(u, model.dim)
     p = psi.at_state(u)
-    cands = _candidates(model, t, u)
+    cands = _candidates(model, [t], u[None])[0]
     vals = [potentials.conjugate(p, -c) for c in cands]
     return cands[int(np.argmin(vals))]
 
 
-def de_giorgi_interpolant(traj: DiscreteTrajectory, t: float):
-    """Variational interpolant at t in (0, T]: minimizer of the shrunken-step
-    problem under traj.opts, its multiplier, and r = t - t_{n-1}. At nodes
-    it returns the stored step data exactly."""
-    n, r = _locate(traj.grid, t)
-    if n == 0:
-        raise RangeError(f"time {t} outside (0, {traj.grid.t(traj.N)}]")
-    if abs(r - traj.grid.tau) <= 1e-12 * traj.grid.tau:
-        return traj.U[n].copy(), traj.xi[n].copy(), traj.grid.tau
-    U, xi = incremental_step(traj.model, traj.psi, traj.U[n - 1], t, r,
-                             traj.opts)[:2]
-    return U, xi, r
+def de_giorgi_interpolant(traj: DiscreteTrajectory, t):
+    """Variational interpolant at t in (0, t_N], or at every time of an
+    array t: the minimizer U of the shrunken-step problem of t's step n
+    (step r = t - t_{n-1} from U_{n-1}, energy frozen at t) under
+    traj.opts, its multiplier xi, r, and E(t, U) as the solve computed it.
+    An array of k times gives (k, d), (k, d), (k,) and (k,) arrays. At
+    nodes it returns the stored step data exactly.
+
+    The d = 1 times whose steps share a frozen potential are solved as one
+    row batch, in blocks of at most ROW_BLOCK rows: all of a trajectory's
+    under a state-independent potential, one step's under a
+    state-dependent one. n-D times are solved one by one. A failed solve
+    raises SolveAbortedError naming the step and the time of the first
+    failing sample."""
+    grid, model = traj.grid, traj.model
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    n, r = _locate(grid, ts)
+    if not n.all():
+        raise RangeError(f"time {ts[n == 0][0]} outside (0, {grid.t(traj.N)}]")
+    node = np.abs(r - grid.tau) <= 1e-12 * grid.tau
+    r[node] = grid.tau
+    U, xi, E = traj.U[n], traj.xi[n], traj.energies[n]
+    failed = None
+    if model.dim == 1:
+        frozen, batches = {}, {}
+        for b in np.flatnonzero(~node):
+            if n[b] not in frozen:
+                frozen[n[b]] = traj.psi_at(n[b])
+            batches.setdefault(frozen[n[b]], []).append(b)
+        for p, rows in batches.items():
+            for i in range(0, len(rows), ROW_BLOCK):
+                b = np.array(rows[i:i + ROW_BLOCK])
+                for h in r[b]:
+                    _check_step(model, h)
+                try:
+                    U[b], xi[b], _, _, E[b], _ = _steps_1d(
+                        model, p, traj.U[n[b] - 1], ts[b], r[b])
+                except StepFailureError as err:
+                    if failed is None or b[0] < failed[0]:
+                        failed = (b[0], err)
+    else:
+        for b in np.flatnonzero(~node):
+            try:
+                U[b], xi[b], _, _, E[b], _ = incremental_step(
+                    model, traj.psi, traj.U[n[b] - 1], float(ts[b]),
+                    float(r[b]), traj.opts)
+            except StepFailureError as err:
+                failed = (b, err)
+                break
+    if failed is not None:
+        b, err = failed
+        raise SolveAbortedError(
+            f"interpolant solve at t={float(ts[b])} failed: {err}",
+            step_index=int(n[b])) from err
+    if np.ndim(t) == 0:
+        return U[0], xi[0], float(r[0]), float(E[0])
+    return U, xi, r, E
 
 
 def linear_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:

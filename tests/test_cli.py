@@ -405,11 +405,16 @@ def test_tiny_pnorm_scale_checks_without_overflow(tmp_path, capsys):
 def test_interpolant_solve_failure_exits_3(tmp_path, capsys, monkeypatch):
     # a stalled interpolant solve escaped main as a StepFailureError
     # traceback, from run and from check; a real AllenCahn1D config hits
-    # it after seconds of solving, so a stand-in stalls the first one here
-    def stall(*args):
-        raise StepFailureError("inner solver stalled")
+    # it after seconds of solving, so a stand-in stalls the interpolant
+    # solves here: the 1-D row batch whose steps are shorter than tau
+    real = scheme._solve_1d
 
-    monkeypatch.setattr(diagnostics, "de_giorgi_interpolant", stall)
+    def stall(model, p, u_prev, t, tau, e_prev):
+        if (tau < BASE["tau"]).any():
+            raise StepFailureError("inner solver stalled")
+        return real(model, p, u_prev, t, tau, e_prev)
+
+    monkeypatch.setattr(scheme, "_solve_1d", stall)
     path = write_cfg(tmp_path, {"diagnostics": {"step_inequality": True}})
     for verb in ("run", "check"):
         code, _, err = run_main(capsys, verb, path)
@@ -441,7 +446,8 @@ def test_non_finite_gap_exits_3(tmp_path, capsys, monkeypatch, patch):
         real = scheme._select_multiplier
 
         def select(*args):
-            return real(*args)[0], float("nan")
+            xi, gap = real(*args)
+            return xi, np.full_like(gap, np.nan)
         monkeypatch.setattr(scheme, "_select_multiplier", select)
         shown = "gap nan"
     else:
@@ -781,7 +787,15 @@ def test_run_certifies_once(tmp_path, capsys, monkeypatch):
     _count_calls(monkeypatch, counts, diagnostics, "step_inequality")
     _count_calls(monkeypatch, counts, diagnostics, "chain_rule_constant")
     _count_calls(monkeypatch, counts, energy, "argmin_set", record)
-    _count_calls(monkeypatch, counts, energy, "_marginal_candidates")
+    # the candidates of one point, or of a batch of rows, count once per
+    # point they evaluate
+    orig = energy._marginal_candidates
+
+    def candidates(model, t, u):
+        counts["candidate_points"] = (counts.get("candidate_points", 0)
+                                      + max(np.size(t), 1))
+        return orig(model, t, u)
+    monkeypatch.setattr(energy, "_marginal_candidates", candidates)
     code, out, err = run_main(capsys, "run", write_cfg(tmp_path, PF_CERTIFY))
     assert code == 0, err
     assert "check energy_identity[0.015625,0.03125]: PASS" in out
@@ -790,7 +804,7 @@ def test_run_certifies_once(tmp_path, capsys, monkeypatch):
     # PhaseField1D declares no c_chain: each call makes N + 1 energy calls
     assert counts["chain_rule_constant"] == 1
     assert counts["argmin_set"] > len(points)
-    assert counts["_marginal_candidates"] == len(points)
+    assert counts["candidate_points"] == len(points)
 
 
 def test_phase_field_run_makes_no_golden_section_calls(tmp_path, capsys,

@@ -13,7 +13,7 @@ import pytest
 
 import dnevolve.diagnostics as diagnostics
 import dnevolve.scheme as scheme
-from dnevolve import potentials
+from dnevolve import _optim, potentials
 from dnevolve.diagnostics import (_per_step_terms, build_report,
                                   chain_rule_constant,
                                   chain_rule_defects, dissipation_integrals,
@@ -220,6 +220,26 @@ def test_step_inequality_m1_needs_no_interpolant(quad_traj):
     res = step_inequality(quad_traj, m=1)
     assert res.m == 1
     assert res.worst <= 5e-3
+
+
+def test_step_inequality_solves_its_samples_as_one_batch(monkeypatch):
+    # the benchmark's pf-certify config (seed 0): its N (m - 1) = 28
+    # interpolant samples are one scan and one 1-D solve, where each
+    # sample was its own step solve with its own scan (28 of each), and
+    # the marginal layer's eta grid is built once per model, during the
+    # solve, so the scan's grid is the only linspace left
+    traj = make_traj("PhaseField1D", {}, [0.55], T=2.0 ** -5,
+                     tau=2.0 ** -7)
+    counts = {}
+    for module, name in ((_optim, "scan_min"), (scheme, "_solve_1d"),
+                         (np, "linspace")):
+        def counted(*args, _real=getattr(module, name), _name=name,
+                    **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    step_inequality(traj)
+    assert counts == {"scan_min": 1, "_solve_1d": 1, "linspace": 1}
 
 
 def test_window_estimate_telescopes():

@@ -223,6 +223,23 @@ def test_phase_field_argmin_pinned(phase_field):
         [0.85], rel=0, abs=1e-15)
 
 
+def test_marginal_candidates_build_no_grid_per_call(monkeypatch):
+    # the 1025-point safety grid is the model's, built once; one point and
+    # a batch of rows evaluate it without building another
+    model = build("PhaseField1D", {}).energy
+    energy_mod._marginal_candidates(model, 0.3, np.array([0.55]))
+    built = []
+    real = np.linspace
+    monkeypatch.setattr(np, "linspace",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    _, one = energy_mod._marginal_candidates(model, 0.4, np.array([0.5]))
+    _, rows = energy_mod._marginal_candidates(
+        model, np.array([[0.4], [0.3]]), np.array([[0.5], [0.55]]))
+    assert built == []
+    assert rows.shape == (2, one.shape[0])
+    assert [x.hex() for x in rows[0]] == [x.hex() for x in one]
+
+
 def test_argmin_memo_answers_repeats(monkeypatch):
     model = build("PhaseField1D", {}).energy
     calls = []

@@ -1,10 +1,11 @@
 """The in-package Brent methods against scipy.optimize, bit for bit.
 
-_bounded_brent and max_scalar are compared with
-minimize_scalar(method="bounded"), and _brentq and polish_root with brentq,
-on smooth, kinked, flat, NaN-returning, root-at-endpoint and sign-underflow
-functions. Besides the results, the sequence of abscissae each method
-evaluates must agree. scipy is needed only here (the `test` extra).
+_bounded_brent, its lockstep form _bounded_brent_rows and max_scalar are
+compared with minimize_scalar(method="bounded"), and _brentq and
+polish_root with brentq, on smooth, kinked, flat, NaN-returning,
+root-at-endpoint and sign-underflow functions. Besides the results, the
+sequence of abscissae each method evaluates must agree. scipy is needed
+only here (the `test` extra).
 """
 
 import math
@@ -98,6 +99,21 @@ def test_max_scalar_matches_scipy_bitwise(name):
     assert (bits(x), bits(gx)) == (bits(x_ref), bits(gx_ref))
 
 
+def min_scalar(f, a, b, xtol=1e-12):
+    """Bounded Brent on [a, b]; returns (x, f(x)) at the abscissa Brent
+    settles on, f(x) taken from Brent's own evaluation, as the package's
+    scan took it before its basins were refined in lockstep; the ends are
+    left to the caller."""
+    seen = {}
+
+    def recorded(x):
+        fx = seen[x] = f(x)
+        return fx
+
+    x = float(_optim._bounded_brent(recorded, a, b, xtol, 500))
+    return x, seen[x]
+
+
 def composed_min_scalar(f, a, b, xtol=1e-12):
     """min_scalar as it was built on max_scalar, negating twice."""
     x, gx = _optim.max_scalar(lambda s: -f(s), a, b, xtol=xtol)
@@ -114,7 +130,7 @@ def test_min_scalar_matches_composition_bitwise(name, sign):
 
     ours_log, ref_log = [], []
     ours = recording(f, ours_log)
-    brent = _optim.min_scalar(ours, a, b)
+    brent = min_scalar(ours, a, b)
     x, fx = min([(a, ours(a)), (b, ours(b)), brent], key=lambda p: p[1])
     x_ref, fx_ref = composed_min_scalar(recording(f, ref_log), a, b)
     # the reference evaluates Brent's abscissa once more, last; min_scalar
@@ -142,6 +158,63 @@ def test_bounded_brent_random_cubics_match_scipy():
         assert bits(ours) == bits(res.x)
 
 
+@pytest.mark.parametrize("xatol,maxiter", [(1e-12, 500), (1e-5, 500),
+                                           (1e-12, 6), (1e-12, 2)])
+def test_bounded_brent_rows_match_scipy_bitwise(xatol, maxiter):
+    # every case is one row of one lockstep call: the rows stop at
+    # different rounds, and at maxiter = 6 or 2 some are cut off
+    names = sorted(MIN_CASES)
+    logs = {name: [] for name in names}
+
+    def rows_f(x, rows):
+        out = []
+        for xk, k in zip(x.tolist(), rows.tolist()):
+            logs[names[k]].append(bits(xk))
+            out.append(MIN_CASES[names[k]][0](xk))
+        return np.array(out, dtype=float)
+
+    xs, fxs = _optim._bounded_brent_rows(
+        rows_f, [MIN_CASES[n][1] for n in names],
+        [MIN_CASES[n][2] for n in names], xatol, maxiter)
+    stops = set()
+    for k, name in enumerate(names):
+        f, a, b = MIN_CASES[name]
+        theirs_log = []
+        res = optimize.minimize_scalar(recording(f, theirs_log),
+                                       bounds=(a, b), method="bounded",
+                                       options={"xatol": xatol,
+                                                "maxiter": maxiter})
+        assert logs[name] == theirs_log, name
+        assert bits(xs[k]) == bits(res.x), name
+        # the value f gave at the abscissa, as min_scalar takes it
+        assert bits(fxs[k]) == bits(f(float(xs[k]))), name
+        stops.add(len(theirs_log))
+    assert len(stops) > 1
+
+
+def test_bounded_brent_rows_random_cubics_match_scipy():
+    rng = np.random.default_rng(20261019)
+    c = rng.normal(size=(200, 4))
+    a = rng.uniform(-3.0, 0.0, 200)
+    b = a + rng.uniform(1e-6, 5.0, 200)
+
+    def rows_f(x, rows):
+        k = c[rows]
+        return ((k[:, 0] * x + k[:, 1]) * x + k[:, 2]) * x + k[:, 3]
+
+    xs, fxs = _optim._bounded_brent_rows(rows_f, a, b, 1e-12, 500)
+    for j in range(200):
+        def f(x, j=j):
+            return ((c[j, 0] * x + c[j, 1]) * x + c[j, 2]) * x + c[j, 3]
+
+        res = optimize.minimize_scalar(f, bounds=(a[j], b[j]),
+                                       method="bounded",
+                                       options={"xatol": 1e-12,
+                                                "maxiter": 500})
+        assert bits(xs[j]) == bits(res.x)
+        assert bits(fxs[j]) == bits(f(xs[j]))
+
+
 @pytest.mark.parametrize("a,b", [(1.0, 0.0), (-math.inf, 1.0),
                                  (0.0, math.inf), (math.nan, 1.0),
                                  (0.0, math.nan)])
@@ -152,7 +225,10 @@ def test_bad_bounds_raise_like_scipy(a, b):
     with pytest.raises(ValueError):
         _optim.max_scalar(lambda x: -x * x, a, b)
     with pytest.raises(ValueError):
-        _optim.min_scalar(lambda x: x * x, a, b)
+        min_scalar(lambda x: x * x, a, b)
+    with pytest.raises(ValueError):
+        _optim._bounded_brent_rows(lambda x, rows: x * x, [0.0, a],
+                                   [1.0, b], 1e-12, 500)
 
 
 # ---------------------------------------------------------------------------

@@ -128,25 +128,42 @@ D1_DISSIPATIONS = {"quadratic": potentials.Quadratic(1.0),
 def test_scan_values_are_the_one_point_objective_bitwise(monkeypatch, name,
                                                          psi_name):
     # scan_min takes the scan's values at each basin's bracket ends in
-    # place of phi calls there: phi_batch must equal phi bit for bit
+    # place of objective calls there, and Brent evaluates its abscissae as
+    # arrays of other shapes: every row of the (B, 513) scan must equal
+    # the objective at each of its points alone, bit for bit
     real = _optim.scan_min
-    scanned = []
+    scanned, shapes = [], []
 
-    def checked(f, f_batched, lo, hi, n_points, **kwargs):
-        grid = np.linspace(lo, hi, n_points)
-        batch = [float(y).hex() for y in f_batched(grid)]
-        assert batch == [float(f(x)).hex() for x in grid]
+    def checked(f, lo, hi, n_points, **kwargs):
+        grid = np.linspace(lo, hi, n_points, axis=1)
+        batch = f(grid, np.arange(grid.shape[0])[:, None])
+        for b, row in enumerate(grid):
+            one = [f(np.array([x]), np.array([b]))[0] for x in row]
+            assert ([float(y).hex() for y in batch[b]]
+                    == [float(y).hex() for y in one])
         scanned.append(n_points)
-        return real(f, f_batched, lo, hi, n_points, **kwargs)
+        shapes.append(grid.shape)
+        return real(f, lo, hi, n_points, **kwargs)
 
     monkeypatch.setattr(_optim, "scan_min", checked)
     spec = build(name, {})
+    p = D1_DISSIPATIONS[psi_name]
     lo, hi = (float(x[0]) for x in spec.energy.domain_box)
-    for u_prev, t_n in ((0.5 * (lo + hi), 0.125), (lo + 0.3 * (hi - lo), 0.5),
-                        (hi - 0.1 * (hi - lo), 0.875)):
-        incremental_step(spec.energy, D1_DISSIPATIONS[psi_name], [u_prev],
-                         t_n, 0.125)
+    points = ((0.5 * (lo + hi), 0.125), (lo + 0.3 * (hi - lo), 0.5),
+              (hi - 0.1 * (hi - lo), 0.875))
+    steps = [incremental_step(spec.energy, p, [u_prev], t_n, 0.125)
+             for u_prev, t_n in points]
     assert scanned == [scheme.SCAN_POINTS] * 3
+    # the same three problems as one row batch: one (3, 513) scan, and
+    # each row's minimizer, multiplier, gap and energy are its step's
+    U, xi, gap, _, E, _ = scheme._steps_1d(
+        spec.energy, p, np.array([[u] for u, _ in points]),
+        np.array([t for _, t in points]), np.full(3, 0.125))
+    assert shapes == [(1, scheme.SCAN_POINTS)] * 3 + [(3, scheme.SCAN_POINTS)]
+    for b, step in enumerate(steps):
+        got = (U[b][0], xi[b][0], gap[b], E[b])
+        want = (step[0][0], step[1][0], step[2], step[4])
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 # ---------------------------------------------------------------------------
@@ -561,16 +578,17 @@ def quad_traj():
 
 def test_interpolant_node_coincidence(quad_traj):
     t = quad_traj.grid.t(2)
-    U, xi, r = de_giorgi_interpolant(quad_traj, t)
+    U, xi, r, E = de_giorgi_interpolant(quad_traj, t)
     assert r == quad_traj.grid.tau
     np.testing.assert_array_equal(U, quad_traj.U[2])
     np.testing.assert_array_equal(xi, quad_traj.xi[2])
+    assert E == quad_traj.energies[2]
 
 
 def test_interpolant_matches_closed_form_mid_interval(quad_traj):
     # frozen-at-t shrunken step from U_1 with r = t - t_1
     t = 0.25 + 0.1
-    U, xi, r = de_giorgi_interpolant(quad_traj, t)
+    U, xi, r, _ = de_giorgi_interpolant(quad_traj, t)
     assert r == pytest.approx(0.1, abs=1e-15)
     u1 = quad_traj.U[1][0]
     expect = (u1 + r * 1.0) / (1.0 + r)
@@ -580,7 +598,7 @@ def test_interpolant_matches_closed_form_mid_interval(quad_traj):
 
 def test_interpolant_shrinks_to_left_node(quad_traj):
     t = 0.25 + 1e-7
-    U, _, r = de_giorgi_interpolant(quad_traj, t)
+    U, _, r, _ = de_giorgi_interpolant(quad_traj, t)
     assert r == pytest.approx(1e-7, rel=1e-6)
     assert abs(U[0] - quad_traj.U[1][0]) <= 1e-5
 
@@ -590,6 +608,96 @@ def test_interpolant_rejects_out_of_range(quad_traj):
         de_giorgi_interpolant(quad_traj, 0.0)
     with pytest.raises(RangeError):
         de_giorgi_interpolant(quad_traj, 1.0 + 1e-6)
+
+
+def per_sample_step_inequality(traj, m):
+    """(max_defects, end_defects) of diagnostics.step_inequality as it was
+    before a trajectory's interpolant samples became one row batch: one
+    incremental_step per sample, and E(t, U~) evaluated again. The
+    reference of the batched route, bit for bit."""
+    model, grid = traj.model, traj.grid
+    tau = grid.tau
+    max_defects = np.zeros(traj.N + 1)
+    end_defects = np.zeros(traj.N + 1)
+    for n in range(1, traj.N + 1):
+        t0 = grid.t(n - 1)
+        U0 = traj.U[n - 1]
+        p = traj.psi_at(n)
+        e0 = traj.energies[n - 1]
+        states = [U0]
+        xis = [slope_multiplier(model, traj.psi, t0, U0)]
+        times = [t0]
+        for j in range(1, m):
+            tj = t0 + j * tau / m
+            Uj, xij = incremental_step(model, traj.psi, U0, tj, tj - t0,
+                                       traj.opts)[:2]
+            states.append(Uj)
+            xis.append(xij)
+            times.append(tj)
+        states.append(traj.U[n])
+        xis.append(traj.xi[n])
+        times.append(grid.t(n))
+        conj_vals = [potentials.conjugate(p, -x) for x in xis[:m]]
+        P_vals = [diagnostics.generalized_time_derivative(
+            model, times[j], states[j], xis[j]) for j in range(m)]
+        worst = -np.inf
+        for k in range(1, m + 1):
+            r = k * tau / m
+            Q = (tau / m) * sum(conj_vals[:k])
+            R = (tau / m) * sum(P_vals[:k])
+            lhs = (r * p.value((states[k] - U0) / r) + Q
+                   + energy_value(model, times[k], states[k]))
+            defect = lhs - (e0 + R)
+            worst = max(worst, defect)
+            if k == m:
+                end_defects[n] = defect
+        max_defects[n] = worst
+    return max_defects, end_defects
+
+
+D1_U0 = {"QuadraticBenchmark": 0.0, "AbsoluteMarginal": 0.0,
+         "PhaseField1D": 0.55, "StateWeightedToy": 0.0}
+BATCH_CASES = ([(name, {}, psi_name) for name in D1_MODELS
+                for psi_name in sorted(D1_DISSIPATIONS)]
+               + [("AbsoluteMarginal", {"subdiff_kind": "clarke"}, psi_name)
+                  for psi_name in sorted(D1_DISSIPATIONS)]
+               # its own state-dependent potential: one batch per step
+               + [("StateWeightedToy", {}, None)])
+
+
+@pytest.mark.parametrize("name,params,psi_name", BATCH_CASES)
+def test_batched_step_inequality_equals_per_sample_loop_bitwise(
+        monkeypatch, name, params, psi_name):
+    spec = build(name, params)
+    psi = spec.dissipation if psi_name is None else D1_DISSIPATIONS[psi_name]
+    # the Clarke interval's multiplier at the kink u = beta t matches no
+    # minimizing branch, so P is undefined there: start off the kink
+    u0 = -0.4 if params else D1_U0[name]
+    traj = solve(spec.energy, psi, [u0], TimeGrid(T=0.125, tau=2.0 ** -5))
+    batches = []
+    real = scheme._solve_1d
+
+    def counted(model, p, u_prev, *args):
+        batches.append(u_prev.shape[0])
+        return real(model, p, u_prev, *args)
+    monkeypatch.setattr(scheme, "_solve_1d", counted)
+    for m in (1, 3, 8):
+        vars(spec.energy).pop("_argmin_memo", None)
+        batches.clear()
+        got = diagnostics.step_inequality(traj, m)
+        # a state-independent potential makes one batch of all N (m - 1)
+        # samples; StateWeightedToy's weight differs from step to step
+        if m == 1:
+            assert batches == []
+        elif psi_name is None:
+            assert batches == [m - 1] * traj.N
+        else:
+            assert batches == [traj.N * (m - 1)]
+        want = per_sample_step_inequality(traj, m)
+        for arr_got, arr_want in zip((got.max_defects, got.end_defects),
+                                     want):
+            assert ([float(x).hex() for x in arr_got]
+                    == [float(x).hex() for x in arr_want])
 
 
 def test_slope_multiplier_choices():
