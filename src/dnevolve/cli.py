@@ -251,12 +251,13 @@ def write_trajectory_csv(path: str, traj: DiscreteTrajectory) -> None:
     cols = (["n", "t_n"] + [f"U_{i}" for i in range(d)]
             + [f"xi_{i}" for i in range(d)] + ["gap_n", "energy_n"])
     lines = [",".join(cols)]
-    for n in range(traj.N + 1):
-        row = ([str(n), _fmt(traj.grid.t(n))]
-               + [_fmt(x) for x in traj.U[n]]
-               + [_fmt(x) for x in traj.xi[n]]
-               + [_fmt(traj.gaps[n]), _fmt(traj.energies[n])])
-        lines.append(",".join(row))
+    # one row of Python floats per node, each cell formatted as _fmt does;
+    # "%.17g" prints the integer n as str does
+    fmt = "%.17g".__mod__
+    for n, U, xi, gap, e in zip(range(traj.N + 1), traj.U.tolist(),
+                                traj.xi.tolist(), traj.gaps.tolist(),
+                                traj.energies.tolist()):
+        lines.append(",".join(map(fmt, [n, traj.grid.t(n), *U, *xi, gap, e])))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -438,6 +439,14 @@ def _windows_for_report(plan: RunPlan, traj: DiscreteTrajectory):
     return snapped
 
 
+def _conditioning_failure(err: ConditioningError) -> int:
+    """A multiplier that matches no minimizer, where P conditions on it, is
+    a failed certification, not a crash: one FAIL line and exit 1."""
+    print(f"check conditioning: FAIL ({err})")
+    print("failing checks: conditioning", file=sys.stderr)
+    return 1
+
+
 def cmd_run(config_path: str) -> int:
     plan = load_plan(config_path)
     try:
@@ -467,11 +476,14 @@ def cmd_run(config_path: str) -> int:
     write_trajectory_csv(os.path.join(plan.output_dir, "trajectory.csv"),
                          traj)
     snapped = _windows_for_report(plan, traj)
-    checks = run_checks(traj, dict(plan.diag, windows=snapped))
-    ineq = (diagnostics._certified(traj, "step_inequality")
-            if plan.diag["step_inequality"] else None)
-    report = diagnostics.build_report(traj, windows=snapped,
-                                      refinement=table, ineq=ineq)
+    try:
+        checks = run_checks(traj, dict(plan.diag, windows=snapped))
+        ineq = (diagnostics._certified(traj, "step_inequality")
+                if plan.diag["step_inequality"] else None)
+        report = diagnostics.build_report(traj, windows=snapped,
+                                          refinement=table, ineq=ineq)
+    except ConditioningError as err:
+        return _conditioning_failure(err)
     payload = report.to_dict()
     payload["checks"] = checks
     payload["model"] = plan.spec.name
@@ -516,11 +528,7 @@ def cmd_check(config_path: str) -> int:
                   + run_checks(traj, dict(plan.diag, windows=snapped))
                   + [_stored_gap_check(traj)])
     except ConditioningError as err:
-        # a stored multiplier matching no minimizer is a failed
-        # certification of the loaded data, not a crash
-        print(f"check conditioning: FAIL ({err})")
-        print("failing checks: conditioning", file=sys.stderr)
-        return 1
+        return _conditioning_failure(err)
     failing = _print_checks(checks)
     if failing:
         print("failing checks: " + ", ".join(failing), file=sys.stderr)

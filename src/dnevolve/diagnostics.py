@@ -45,8 +45,8 @@ from ._record import FrozenRecord, Record
 from .energy import energy_value, generalized_time_derivative
 from .errors import RangeError
 from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
-                     de_giorgi_interpolant, linear_interpolant,
-                     slope_multiplier, solve)
+                     _solve_grids, de_giorgi_interpolant,
+                     linear_interpolant, slope_multiplier)
 
 QUAD_M = 8               # left-Riemann sub-samples per step (step_inequality)
 
@@ -317,7 +317,10 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
     """Solve on a strictly decreasing tau ladder and tabulate convergence
     surrogates: sup-distance of consecutive linear interpolants on a
     1024-point time grid, identity defects, dissipation-integral
-    differences. A failed solve annotates its row and the study continues.
+    differences. The rungs are solved in lockstep (scheme._solve_grids):
+    step n of every rung that has one is a row of one batched step call,
+    and each rung's trajectory is the one solve gives it, bit for bit. A
+    failed solve annotates its row and the other rungs continue.
     The table keeps the finest rung's trajectory, with its certificate
     memo, so callers that need it neither solve nor certify it again.
     """
@@ -333,19 +336,21 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
                          f"tau_o={model.constants.tau_o}")
     opts = opts or SolveOptions()
 
+    grids = [TimeGrid(T=T, tau=tau) for tau in ladder]
+    try:
+        solved = _solve_grids(model, psi, u0, grids, opts)
+    except Exception as err:  # no rung could start: each carries the error
+        solved = [err] * len(grids)
     rows: List[RefinementRow] = []
     trajs: List[Optional[DiscreteTrajectory]] = []
-    for tau in ladder:
-        grid = TimeGrid(T=T, tau=tau)
-        try:
-            traj = solve(model, psi, u0, grid, opts)
-        except Exception as err:  # annotate and continue, per contract
-            rows.append(RefinementRow(tau=tau, N=grid.N,
-                                      status=f"solve failed: {err}"))
+    for grid, traj in zip(grids, solved):
+        if isinstance(traj, Exception):  # annotate and continue, per contract
+            rows.append(RefinementRow(tau=grid.tau, N=grid.N,
+                                      status=f"solve failed: {traj}"))
             trajs.append(None)
             continue
         rows.append(RefinementRow(
-            tau=tau, N=grid.N,
+            tau=grid.tau, N=grid.N,
             energy_identity_defect=energy_identity_defect(traj),
             **dissipation_integrals(traj)))
         trajs.append(traj)

@@ -80,12 +80,19 @@ class EnergyModel:
         """Gradient of the smooth part in u; smooth models only."""
         raise NotImplementedError
 
-    def at_time(self, t: float):
-        """E(t, .) frozen at t: a function of u that returns E(t, u) and a
-        thunk for the gradient at u, so a caller that needs the gradient
-        only at some states pays for it only there. A model whose value
-        and gradient share work computes that work once per state."""
-        return lambda u: (self.value(t, u), lambda: self.grad(t, u))
+    def at_times(self, t):
+        """E frozen at each time t[b] of a row batch: a function of a
+        (B, d) array of states that returns the list of the values
+        E(t[b], U[b]) and a thunk for the (B, d) gradients, so a caller
+        that needs gradients only at some states pays for them only there.
+        Each row has the bits of its own value and grad call. By default
+        every row is one call; a model whose value and gradient share work
+        computes that work once, for all rows at once."""
+        def at(U):
+            return ([self.value(tb, ub) for tb, ub in zip(t, U)],
+                    lambda: np.array([self.grad(tb, ub)
+                                      for tb, ub in zip(t, U)]))
+        return at
 
     def subdiff(self, t: float, u: np.ndarray) -> List[np.ndarray]:
         """Finite list of subgradient candidates at (t, u); a smooth model's

@@ -217,8 +217,9 @@ class _AllenCahnEnergy(EnergyModel):
     """Grid Allen-Cahn energy on N midpoint cells of [0, 1], zero Dirichlet
     walls: E = sum (1/q)|D+ u|^q dx + sum (W4(u_i) - l_i(t) u_i) dx with the
     quartic well W4(s) = (s^2 - 1)^2 / 4 and load l_i(t) = amp sin(t) sin(pi x_i).
-    Values and gradients go through _kernels.ac_energy and ac_grad; at_time
-    shares their grid terms between the two at one state.
+    Values and gradients go through _kernels.ac_energy and ac_grad;
+    at_times shares their grid terms between the two, for a row batch of
+    states in one kernel call each.
     """
 
     def __init__(self, N: int, q: float, amp: float, offset: float,
@@ -242,19 +243,25 @@ class _AllenCahnEnergy(EnergyModel):
         return self.amp * math.sin(t) * self.profile
 
     def value(self, t, u):
-        return _kernels.ac_energy(u, self.dx, self.q, self.load(t)) + self.offset
+        return _kernels.ac_energy(u, self.dx, self.q, self.load(t),
+                                  self.offset)
 
     def grad(self, t, u):
         return _kernels.ac_grad(u, self.dx, self.q, self.load(t))
 
-    def at_time(self, t):
-        # l(t) once; D+ u and u^2 - 1 once per state, for value and gradient
-        dx, q, load, offset = self.dx, self.q, self.load(t), self.offset
+    def at_times(self, t):
+        # each row's l(t[b]) once, with load's operands; D+ u and u^2 - 1
+        # once per array of states, for the values and the gradients, in
+        # one ghost buffer
+        dx, q, offset = self.dx, self.q, self.offset
+        load = (np.array([self.amp * math.sin(s) for s in t])[:, None]
+                * self.profile)
+        buf = _kernels.ghost_buffer((len(t), self.dim))
 
-        def at(u):
-            terms = _kernels.ac_terms(u, dx)
-            return (_kernels.ac_energy(u, dx, q, load, terms) + offset,
-                    lambda: _kernels.ac_grad(u, dx, q, load, terms))
+        def at(U):
+            terms = _kernels.ac_terms(U, dx, buf)
+            return (_kernels.ac_energy(U, dx, q, load, offset, terms),
+                    lambda: _kernels.ac_grad(U, dx, q, load, terms))
         return at
 
     def time_deriv_P(self, t, u, xi):

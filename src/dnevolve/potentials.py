@@ -292,11 +292,15 @@ class WeightedSum(DissipationPotential):
     def one_hom(self):
         return sum(p.one_hom for p in self.parts)
 
+    # The l1 members' smooth parts are zeros, so the smooth part is the one
+    # other member's plus 0.0: the sum of all members' bits, since adding
+    # a zero makes that member's -0.0 a +0.0 and changes nothing else.
+
     def smooth_scalar(self, s):
-        return sum(p.smooth_scalar(s) for p in self.parts)
+        return self._split()[1][0].smooth_scalar(s) + 0.0
 
     def smooth_scalar_grad(self, s):
-        return sum(p.smooth_scalar_grad(s) for p in self.parts)
+        return self._split()[1][0].smooth_scalar_grad(s) + 0.0
 
     def modulus(self, r):
         return sum(p.modulus(r) for p in self.parts)

@@ -10,42 +10,50 @@ so that -xi_n lies in dPsi(v_n) up to the inner tolerance. A step
 evaluates E(t_n, U_{n-1}) once, for the inner solver and the minimality
 witness, and hands the witness back to solve with E(t_n, U_n).
 
-Inner minimization: in dimension 1, a 513-point scan of the coercivity box
-(bounded via the superlinearity of Psi and the energy lower bound C0) with
-bounded-Brent refinement of every local basin and a final stationarity
-polish, for many step problems at once: B rows under one frozen potential
-are one (B, 513) scan, one lockstep Brent over every basin of every row
-and row-batched multiplier selection, and a step of solve is the row
-batch with B = 1; in higher dimension, proximal gradient with
-backtracking (a step must pass sufficient decrease and a curvature test
-on the gradient difference), the 1-homogeneous part of Psi handled by its
-exact proximal map (soft-thresholding around the previous state). Its
-step size 1/L adapts both ways: a failed trial doubles L, and an
-iteration accepted at its first trial halves L, floored at 1, when its
-step also passes both tests at L/2 (Nesterov's adaptive composite
-gradient step, Math. Program. 2013, sec. 4). Within solve, each step starts at half the L the previous
-step ended with, floored at 1; every other solve, the interpolants'
-included, starts at L = 1. Global optimality is certified by strong
-convexity where it can be proven: when
-mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the coercivity box of
-radius R, with lambda_E the energy's declared (and audited) semiconvexity,
-the step problem has one minimizer and every stationary point is it, so
-one start suffices and is refined directly, with no triage. Within solve,
-from step 2 on, that start is whichever of U_{n-1} and the prediction
-2 U_{n-1} - U_{n-2}, clipped to the box, has the lower step objective;
-the interpolant solves start at U_{n-1}, so they depend on the stored
-trajectory alone. Otherwise optimality is certified only by a
-deterministic multi-start budget around U_{n-1}: every start runs to a
-coarse tolerance (triage) and the best is refined. The solver records
-mu, its start count, its start ("previous" or "predictor"), its trial
-count and its final L in inner_status.
+Inner minimization, for B step problems at once under one frozen
+potential, each row with its own previous state, time and step; a single
+step is the case B = 1. In dimension 1, a 513-point scan of the
+coercivity box (bounded via the superlinearity of Psi and the energy
+lower bound C0) with bounded-Brent refinement of every local basin and a
+final stationarity polish: the rows are one (B, 513) scan, one lockstep
+Brent over every basin of every row and row-batched multiplier
+selection. In higher dimension, proximal gradient with backtracking (a
+step must pass sufficient decrease and a curvature test on the gradient
+difference), the 1-homogeneous part of Psi handled by its exact proximal
+map (soft-thresholding around the previous state), run on all rows in
+lockstep: each round evaluates one trial point of every unfinished row in
+one grid-kernel call, and every row takes exactly the trial points of its
+own solve. Its step size 1/L adapts both ways: a failed trial doubles L,
+and an iteration accepted at its first trial halves L, floored at 1, when
+its step also passes both tests at L/2 (Nesterov's adaptive composite
+gradient step, Math. Program. 2013, sec. 4). Within solve, each step
+starts at half the L the previous step of its grid ended with, floored at
+1; every other solve, the interpolants' included, starts at L = 1.
+Global optimality is certified by strong convexity where it can be
+proven: when mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the
+coercivity box of radius R, with lambda_E the energy's declared (and
+audited) semiconvexity, the step problem has one minimizer and every
+stationary point is it, so one start suffices and is refined directly,
+with no triage. Within solve, from step 2 on, that start is whichever of
+U_{n-1} and the prediction 2 U_{n-1} - U_{n-2}, clipped to the box, has
+the lower step objective; the interpolant solves start at U_{n-1}, so
+they depend on the stored trajectory alone. Otherwise optimality is
+certified only by a deterministic multi-start budget around U_{n-1}:
+every start runs to a coarse tolerance (triage) and the best is refined;
+start k of every such row is one row call. The solver records mu, its
+start count, its start ("previous" or "predictor"), its trial count and
+its final L in inner_status.
+
+Several grids are solved in lockstep (_solve_grids, which refinement
+studies use): round n takes step n of every grid that has one, as rows of
+one batch, and solve is the case of one grid.
 
 The De Giorgi interpolant reuses the step solver (step r = t - t_{n-1},
 energy frozen at t). Given the trajectory its samples are independent, so
-an array of times is one problem: the d = 1 samples whose steps share a
-frozen potential are one row batch of that solver, and it hands back
-E(t, U) as the solve computed it. The piecewise-linear interpolant also
-takes arrays of times.
+an array of times is one problem: the samples whose steps share a frozen
+potential are rows of one batch of that solver, and it hands back E(t, U)
+as the solve computed it. The piecewise-linear interpolant also takes
+arrays of times.
 """
 
 from __future__ import annotations
@@ -61,10 +69,10 @@ from ._record import FrozenRecord
 from .energy import EnergyModel, energy_value
 from .errors import (RangeError, SolveAbortedError, StepFailureError,
                      SubdifferentialUnavailableError)
-from .potentials import _soft, as_state
+from .potentials import as_state
 
 SCAN_POINTS = 513
-# rows per 1-D batch of interpolant samples: bounds the (rows, SCAN_POINTS)
+# rows per batch of interpolant samples: bounds the 1-D (rows, SCAN_POINTS)
 # scan and the marginal layer's (rows, 1025) safety grid
 ROW_BLOCK = 64
 MULTISTARTS = 8          # for 2 <= d <= 16
@@ -218,10 +226,28 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
     return x_best[:, None], status
 
 
-def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
-               L0=1.0, trial_counts=None):
-    """Monotone proximal gradient from x0. Returns (x, phi, residual, iters, L)
-    and appends its trial count to the list trial_counts, if one is given.
+def _prox_grad(model, p, u_prev, t, tau, x0, box, rho_hat, tol, max_iters,
+               L0):
+    """Monotone proximal gradient for B step problems under the frozen
+    potential p, solved in lockstep: row b minimizes
+    tau[b] p((x - u_prev[b]) / tau[b]) + E(t[b], x) over its box
+    (lo[b], hi[b]), from x0[b], to the prox residual tol[b], with step
+    size 1/L from L = L0[b]; p's l1 part, of weight rho_hat, enters
+    through its proximal map. u_prev, x0, lo and hi are (B, d) arrays,
+    t, tau, tol and L0 are sequences of B floats, and max_iters >= 1
+    bounds every row's iterations. Returns (x, phi, residual, iters, L,
+    its, trials, energy): the (B, d) array x, the lists phi, residual and
+    L of each row's final objective value (its l1 part included),
+    residual and L, the summed iteration count iters, the lists its and
+    trials of each row's iterations and trial points, and the list of
+    each row's E(t[b], x[b]), which is energy_value's bit for bit.
+
+    Every row takes the trial points, iterations and L of its own solve
+    with B = 1, bit for bit: each round evaluates one trial point of every
+    unfinished row, all of them in one at_times call, and runs each row's
+    tests on Python floats (np.vecdot gives np.dot per row, and
+    np.add.reduce along the rows' axis the 1-D sum). A row that finishes
+    leaves the arrays.
 
     Step size 1/L, adaptive both ways (Nesterov 2013, sec. 4): a trial
     point that fails the value or the curvature test doubles L, up to
@@ -235,88 +261,162 @@ def _prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol, max_iters,
     with its displacement w = x - u_prev, which gives the prox argument
     and the rate. The residual L ||x_new - x|| uses the accepted L."""
     lo, hi = box
-    energy = model.at_time(t_n)
-    # np.add.reduce is ndarray.sum without its Python frame: the same sum
-    add = np.add.reduce
+    B, d = u_prev.shape
+    # np.add.reduce is ndarray.sum without its Python frame: the same sum;
+    # np.minimum(np.maximum(.)) is np.clip without its wrapper frames
+    add, dot, lower, upper = np.add.reduce, np.vecdot, np.maximum, np.minimum
+    smooth, smooth_grad = p.smooth_scalar, p.smooth_scalar_grad
+    # per row, by its index b: Python floats and counters
+    L = list(L0)
+    res, phi = [math.inf] * B, [0.0] * B
+    its, trials = [1] * B, [0] * B
+    first = [True] * B
+    # the arrays of the unfinished rows, whose indices rows lists. tau and
+    # the step 1/L of each row fill its row: operands of the states' shape
+    # cost numpy less than columns
+    rows = list(range(B))
+    up, blo, bhi = u_prev, lo, hi
+    taus = tau
+    tw = np.array(tau)[:, None].repeat(d, 1)
+    energy = model.at_times(t)
 
     def g_eval(x, w):
-        v = w / tau
+        v = w / tw
         e, e_grad = energy(x)
-        return (tau * float(add(p.smooth_scalar(v))) + float(e),
-                lambda: p.smooth_scalar_grad(v) + e_grad())
+        sm = add(smooth(v), 1).tolist()
+        return ([h * a + eb for h, a, eb in zip(taus, sm, e)], e,
+                lambda: smooth_grad(v) + e_grad())
 
-    # np.minimum(np.maximum(.)) is np.clip without its Python wrapper frames
-    L = L0
-    x = np.minimum(np.maximum(x0, lo), hi)
+    x = upper(lower(x0, lo), hi)
     w = x - u_prev
-    gx, grad = g_eval(x, w)
+    gx, ex, grad = g_eval(x, w)
     grad = grad()
-    residual = np.inf
-    it = trials = 0
-    while it < max_iters:
-        it += 1
-        accepted = False
-        first_trial = True
-        while True:
-            step = 1.0 / L
-            x_new = np.minimum(np.maximum(
-                u_prev + _soft(w - step * grad, step * rho_hat), lo), hi)
-            dx = x_new - x
-            nrm2 = float(np.dot(dx, dx))
-            if nrm2 == 0.0:
-                break
-            trials += 1
-            w_new = x_new - u_prev
-            g_new, grad_at = g_eval(x_new, w_new)
-            lin = gx + float(np.dot(grad, dx))
-            slack = 1e-15 * (1.0 + abs(gx))
-            if g_new <= lin + 0.5 * L * nrm2 + slack:
-                # near the optimum the decrease falls below float resolution
-                # and the value test passes on roundoff alone; the gradient
-                # difference does not (Becker, Candes and Grant 2011, sec. 5)
-                grad_new = grad_at()
-                curv = float(np.dot(grad_new - grad, dx))
-                accepted = curv <= L * nrm2
-                if accepted:
-                    break
-            L *= 2.0
-            first_trial = False
-            if L > 1e18:
-                break
-        if nrm2 == 0.0:
-            residual = 0.0
+    x_out = None
+    # the prox threshold of each row; a row whose L changes is set again
+    step = (1.0 / np.array(L))[:, None].repeat(d, 1)
+    thresh = step * rho_hat
+    neg_thresh = -thresh
+
+    def set_L(i, b, value):
+        L[b] = value
+        step[i] = 1.0 / value
+        thresh[i] = step[i, 0] * rho_hat
+        neg_thresh[i] = -thresh[i, 0]
+
+    while rows:
+        # _soft(z, thresh), its bounds computed with the step
+        z = w - step * grad
+        x_new = upper(lower(up + (z - upper(lower(z, neg_thresh), thresh)),
+                            blo), bhi)
+        dx = x_new - x
+        nrm2 = dot(dx, dx).tolist()
+        moved, done = [], []
+        if not any(nrm2):
+            # every row is at a fixed point of its prox step
+            done = list(range(len(rows)))
+            for b in rows:
+                res[b] = 0.0
+        else:
+            w_new = x_new - up
+            g_new, e_new, grad_at = g_eval(x_new, w_new)
+            gd = dot(grad, dx).tolist()
+            curv = None
+            for i, b in enumerate(rows):
+                n2, Lb, gb = nrm2[i], L[b], g_new[i]
+                if n2 == 0.0:
+                    res[b] = 0.0
+                    done.append(i)
+                    continue
+                trials[b] += 1
+                lin = gx[b] + gd[i]
+                slack = 1e-15 * (1.0 + abs(gx[b]))
+                if gb <= lin + 0.5 * Lb * n2 + slack:
+                    # near the optimum the decrease falls below float
+                    # resolution and the value test passes on roundoff
+                    # alone; the gradient difference does not (Becker,
+                    # Candes and Grant 2011, sec. 5)
+                    if curv is None:
+                        grad_new = grad_at()
+                        curv = dot(grad_new - grad, dx).tolist()
+                    c = curv[i]
+                    if c <= Lb * n2:
+                        res[b] = Lb * math.sqrt(n2)
+                        gx[b], ex[b] = gb, e_new[i]
+                        moved.append(i)
+                        if res[b] <= tol[b]:
+                            done.append(i)
+                            continue
+                        if (first[b] and c <= 0.5 * Lb * n2
+                                and gb <= lin + 0.25 * Lb * n2 + slack):
+                            set_L(i, b, max(1.0, Lb / 2.0))
+                        if its[b] >= max_iters:
+                            done.append(i)
+                            continue
+                        its[b] += 1
+                        first[b] = True
+                        continue
+                set_L(i, b, Lb * 2.0)
+                first[b] = False
+                if L[b] > 1e18:
+                    # backtracking gave up: no x_new passed both tests, so
+                    # keep x and the residual of its last accepted step
+                    done.append(i)
+            if len(moved) == len(rows):
+                x, w, grad = x_new, w_new, grad_new
+            elif moved:
+                x[moved], w[moved], grad[moved] = (
+                    x_new[moved], w_new[moved], grad_new[moved])
+        if not done:
+            continue
+        # the objective with its l1 part, from the carried displacement
+        if len(done) == len(rows):
+            l1 = add(np.abs(w), 1).tolist()
+            if x_out is None:  # every row finishes at once
+                x_out = x
+            else:
+                x_out[rows] = x
+            for b, a in zip(rows, l1):
+                phi[b] = gx[b] + rho_hat * a
             break
-        if not accepted:
-            # backtracking gave up: no x_new passed both tests, so keep x
-            # and the residual of its last accepted step
-            break
-        residual = L * math.sqrt(nrm2)
-        x, w, gx, grad = x_new, w_new, g_new, grad_new
-        if residual <= tol:
-            break
-        if (first_trial and curv <= 0.5 * L * nrm2
-                and g_new <= lin + 0.25 * L * nrm2 + slack):
-            L = max(1.0, L / 2.0)
-    if trial_counts is not None:
-        trial_counts.append(trials)
-    return x, gx + rho_hat * float(add(np.abs(w))), residual, it, L
+        if x_out is None:
+            x_out = np.empty_like(x0)
+        x_out[[rows[i] for i in done]] = x[done]
+        for i, a in zip(done, add(np.abs(w[done]), 1).tolist()):
+            phi[rows[i]] = gx[rows[i]] + rho_hat * a
+        keep = [i for i in range(len(rows)) if i not in done]
+        rows = [rows[i] for i in keep]
+        x, w, grad = x[keep], w[keep], grad[keep]
+        up, blo, bhi = up[keep], blo[keep], bhi[keep]
+        taus, tw = [tau[b] for b in rows], tw[keep]
+        step, thresh, neg_thresh = step[keep], thresh[keep], neg_thresh[keep]
+        energy = model.at_times([t[b] for b in rows])
+    return x_out, phi, res, sum(its), L, its, trials, ex
 
 
-def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0, x_pred=None):
-    """Proximal gradient to eps_inner from one start, or with triage over
-    several. A step problem proven strongly convex on the box (mu > 0) has
-    one minimizer, so one start suffices and needs no triage: u_prev, or
-    the predicted state x_pred clipped to the box when its step objective
-    is lower. Any other step gets the deterministic multi-start budget,
-    built around u_prev: every start runs to a coarse tolerance and the
-    best is refined. The first call begins at L = L0, each later one at
-    half the L its predecessor ended with."""
-    d = u_prev.shape[0]
-    eps_inner = EPS_INNER_SCALE * (1.0 + abs(e_prev))
-    R = _coercivity_radius(p, tau, e_prev - model.constants.C0)
+def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
+    """Proximal gradient to eps_inner for B step problems under the frozen
+    potential p: row b from u_prev[b] at time t[b] with step tau[b], given
+    e_prev[b] = E(t[b], u_prev[b]); u_prev is (B, d), and t, tau and
+    e_prev are lists of floats. A row proven strongly convex on its box
+    (mu > 0) has one minimizer, so one start suffices and needs no
+    triage: u_prev[b], or the predicted state x_pred[b] (x_pred is None or
+    (B, d)) clipped to the box when its step objective is lower. Any other row gets the deterministic multi-start
+    budget, built around u_prev[b]: every start runs to a coarse
+    tolerance and the best is refined. A row's first prox-grad call
+    begins at L = L0[b], each later one at half the L its predecessor
+    ended with. Start k of every multi-start row is one _prox_grad row
+    call, and the refinement of every row one more, so each row takes the
+    path of its own solve. Returns (U, status, errors, energy) with
+    errors[b] the StepFailureError of a row that missed eps_inner, else
+    None, and energy[b] = E(t[b], U[b])."""
+    B, d = u_prev.shape
+    eps_inner = [EPS_INNER_SCALE * (1.0 + abs(e)) for e in e_prev]
+    R = [_coercivity_radius(p, h, e - model.constants.C0)
+         for h, e in zip(tau, e_prev)]
     blo, bhi = model.domain_box
-    lo = np.maximum(u_prev - R, blo)
-    hi = np.minimum(u_prev + R, bhi)
+    Rc = np.array(R)[:, None]
+    lo = np.maximum(u_prev - Rc, blo)
+    hi = np.minimum(u_prev + Rc, bhi)
     # tau * rho ||(U - u_prev)/tau||_1 = rho ||U - u_prev||_1, so the prox
     # threshold is step * rho regardless of tau
     rho_hat = p.one_hom
@@ -325,53 +425,69 @@ def _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0=1.0, x_pred=None):
     # where every rate has |v_i| <= R / tau; for mu > 0 the objective is
     # strongly convex, so its stationary point is the global minimizer
     lam = model.semiconvexity
-    mu = None if lam is None else p.modulus(R / tau) / tau + lam
-    total_iters = 0
-    L_carry = L0
-    trials: List[int] = []
-    start = "previous"
-    if mu is not None and mu > 0.0:
+    mu = [None if lam is None else p.modulus(r / h) / h + lam
+          for r, h in zip(R, tau)]
+    convex = [m is not None and m > 0.0 for m in mu]
+    multi = [b for b in range(B) if not convex[b]]
+    x0 = u_prev.copy()
+    start = ["previous"] * B
+    if x_pred is not None:
         # the start changes only the path to the one minimizer; u_prev's
         # step objective is e_prev, since Psi(0) = 0
-        n_starts, x0 = 1, u_prev
-        if x_pred is not None:
-            xp = np.minimum(np.maximum(x_pred, lo), hi)
-            if (tau * p.value((xp - u_prev) / tau) + model.value(t_n, xp)
-                    < e_prev):
-                x0, start = xp, "predictor"
-    else:
-        n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
-        rng = np.random.default_rng(_step_seed(opts, t_n, tau))
+        xp = np.minimum(np.maximum(x_pred, lo), hi)
+        for b in range(B):
+            if convex[b] and (tau[b] * p.value((xp[b] - u_prev[b]) / tau[b])
+                              + model.value(t[b], xp[b]) < e_prev[b]):
+                x0[b], start[b] = xp[b], "predictor"
+    L = [float(v) for v in L0]
+    its, trials = [0] * B, [0] * B
+    n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
+    if multi:
         alt = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
-        starts = [u_prev.copy(),
-                  u_prev + 0.25 * R * np.ones(d),
-                  u_prev - 0.25 * R * np.ones(d),
-                  u_prev + 0.25 * R * alt]
-        while len(starts) < n_starts:
-            starts.append(lo + rng.random(d) * (hi - lo))
-        triage_tol = TRIAGE_TOL_SCALE * (1.0 + abs(e_prev))
-        best = None
-        for x0 in starts:
-            x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, x0,
-                                          (lo, hi), rho_hat, triage_tol,
-                                          TRIAGE_ITERS, L_carry, trials)
-            L_carry = max(1.0, L / 2.0)
-            total_iters += it
-            if best is None or f < best[1]:
-                best = (x, f)
-        x0 = best[0]
-    x, f, res, it, L = _prox_grad(model, p, u_prev, t_n, tau, x0,
-                                  (lo, hi), rho_hat, eps_inner,
-                                  MAX_REFINE_ITERS, L_carry, trials)
-    total_iters += it
-    if res > eps_inner:
-        raise StepFailureError(
-            f"inner solver stalled at prox-residual {res:.3e} "
-            f"(target {eps_inner:.3e}) after {total_iters} iterations")
-    status = {"method": "proxgrad", "starts": n_starts, "start": start,
-              "mu": mu, "iterations": total_iters, "trials": sum(trials),
-              "prox_residual": res, "L": L}
-    return x, status
+        starts = []
+        for b in multi:
+            rng = np.random.default_rng(_step_seed(opts, t[b], tau[b]))
+            r = R[b]
+            row = [u_prev[b].copy(),
+                   u_prev[b] + 0.25 * r * np.ones(d),
+                   u_prev[b] - 0.25 * r * np.ones(d),
+                   u_prev[b] + 0.25 * r * alt]
+            while len(row) < n_starts:
+                row.append(lo[b] + rng.random(d) * (hi[b] - lo[b]))
+            starts.append(row)
+        triage_tol = [TRIAGE_TOL_SCALE * (1.0 + abs(e_prev[b]))
+                      for b in multi]
+        best = [None] * len(multi)
+        for k in range(n_starts):
+            x, f, _, _, Lk, itk, trk, _ = _prox_grad(
+                model, p, u_prev[multi], [t[b] for b in multi],
+                [tau[b] for b in multi], np.array([s[k] for s in starts]),
+                (lo[multi], hi[multi]), rho_hat, triage_tol, TRIAGE_ITERS,
+                [L[b] for b in multi])
+            for i, b in enumerate(multi):
+                L[b] = max(1.0, Lk[i] / 2.0)
+                its[b] += itk[i]
+                trials[b] += trk[i]
+                if best[i] is None or f[i] < best[i][1]:
+                    best[i] = (x[i], f[i])
+        for i, b in enumerate(multi):
+            x0[b] = best[i][0]
+    x, _, res, _, L, itr, trr, energy = _prox_grad(
+        model, p, u_prev, t, tau, x0, (lo, hi), rho_hat, eps_inner,
+        MAX_REFINE_ITERS, L)
+    status, errors = [], []
+    for b in range(B):
+        its[b] += itr[b]
+        trials[b] += trr[b]
+        errors.append(None if res[b] <= eps_inner[b] else StepFailureError(
+            f"inner solver stalled at prox-residual {res[b]:.3e} "
+            f"(target {eps_inner[b]:.3e}) after {its[b]} iterations"))
+        status.append({"method": "proxgrad",
+                       "starts": 1 if convex[b] else n_starts,
+                       "start": start[b], "mu": mu[b], "iterations": its[b],
+                       "trials": trials[b], "prox_residual": res[b],
+                       "L": L[b]})
+    return x, status, errors, energy
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +525,16 @@ def _select_multiplier(model, p, v, t, U):
 
 
 def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
-                       u_prev, U, e_prev: float) -> Tuple[float, float]:
+                       u_prev, U, e_prev: float,
+                       e: Optional[float] = None) -> Tuple[float, float]:
     """(E(t_n, U), witness) for the step from u_prev to U under the frozen
     potential p, given e_prev = E(t_n, u_prev), with witness =
     tau p((U - u_prev) / tau) + E(t_n, U) - e_prev: the objective of U
-    minus that of the competitor u_prev, so a minimizer has witness <= 0."""
+    minus that of the competitor u_prev, so a minimizer has witness <= 0.
+    e, if given, is E(t_n, U) as energy_value computes it."""
     v = (U - u_prev) / tau
-    e = energy_value(model, t_n, U)
+    if e is None:
+        e = energy_value(model, t_n, U)
     obj = tau * p.value(v) + e
     return e, obj - e_prev
 
@@ -427,16 +546,19 @@ def _check_step(model: EnergyModel, tau: float) -> None:
             f"of {model.name}")
 
 
-def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status):
+def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
+                  e_solved=None):
     """Rows b of solved steps from u_prev[b] to U[b] at (t[b], tau[b]): the
     minimality witness against u_prev[b], which replaces U[b] when it is
-    no worse, and the gap-minimal multiplier. Returns (U, xi, gap, status,
-    energy, witness): row arrays, and the list of row statuses."""
+    no worse, and the gap-minimal multiplier. e_solved, if given, lists
+    E(t[b], U[b]) as the inner solver computed it. Returns (U, xi, gap,
+    status, energy, witness): row arrays, and the list of row statuses."""
     B = len(status)
     energy, witness = np.empty(B), np.empty(B)
     for b in range(B):
-        energy[b], witness[b] = minimality_witness(model, p, t[b], tau[b],
-                                                   u_prev[b], U[b], e_prev[b])
+        energy[b], witness[b] = minimality_witness(
+            model, p, t[b], tau[b], u_prev[b], U[b], e_prev[b],
+            None if e_solved is None else e_solved[b])
         # the previous state is always an admissible competitor; taking it
         # when it is no worse keeps the witness nonpositive by construction
         if witness[b] > 0.0:
@@ -447,100 +569,178 @@ def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status):
     return U, xi, gap, status, energy, witness
 
 
-def _steps_1d(model, p, u_prev, t, tau):
-    """B d = 1 steps under one frozen potential p, row b from u_prev[b] (of
-    the (B, 1) array u_prev) at time t[b] with step tau[b], solved as one
-    row batch; returns the rows of _finish_steps."""
+def _steps(model, p, u_prev, t, tau, opts, L0, x_pred):
+    """B steps under one frozen potential p, row b from u_prev[b] (of the
+    (B, d) array u_prev) at time t[b] with step tau[b], solved as one row
+    batch: by _solve_1d for d = 1, else by _solve_nd, whose rows start
+    their prox-grad calls at L = L0[b] and may start from x_pred[b]
+    (x_pred is None or (B, d); d = 1 reads neither). Returns (ok, rows,
+    errors): errors[b] is row b's StepFailureError or None, ok lists the
+    rows without one, and rows are the _finish_steps rows of those."""
+    if model.dim == 1:
+        # _solve_1d takes its rows' times and steps as arrays
+        t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+    else:
+        t, tau = [float(h) for h in t], [float(h) for h in tau]
     e_prev = [energy_value(model, tb, ub) for tb, ub in zip(t, u_prev)]
-    U, status = _solve_1d(model, p, u_prev, t, tau, e_prev)
-    return _finish_steps(model, p, u_prev, t, tau, U, e_prev, status)
+    if model.dim == 1:
+        U, status = _solve_1d(model, p, u_prev, t, tau, e_prev)
+        errors, energy = [None] * len(t), None
+    else:
+        U, status, errors, energy = _solve_nd(model, p, u_prev, t, tau,
+                                              e_prev, opts, L0, x_pred)
+    ok = [b for b, err in enumerate(errors) if err is None]
+    if len(ok) < len(errors):
+        u_prev, U = u_prev[ok], U[ok]
+        t, tau, e_prev, status, energy = ([v[b] for b in ok] for v in (
+            t, tau, e_prev, status, energy))
+    return ok, _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
+                             energy), errors
 
 
 def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
-                     opts: Optional[SolveOptions] = None, L0: float = 1.0,
-                     x_pred=None):
+                     opts: Optional[SolveOptions] = None):
     """One incremental minimization step; returns (U_n, xi_n, gap, status,
     E(t_n, U_n), witness), with U_n = U_{n-1} and witness 0 when the inner
-    solver's result is worse than U_{n-1}. L0 is the first step size
-    constant of the n-D inner solver, and x_pred, if given, a predicted
-    state it may start a strongly convex step from instead of U_{n-1}
-    (see _solve_nd); neither changes the minimizer, only the path to it.
-    A d = 1 step is the one-row case of the row batch that
-    de_giorgi_interpolant solves its samples with.
+    solver's result is worse than U_{n-1}. It is the one-row case of the
+    row batch that solve, refinement_study and de_giorgi_interpolant
+    solve their steps with, and raises StepFailureError when the n-D
+    inner solver misses its tolerance.
     """
     opts = opts or SolveOptions()
     _check_step(model, tau)
     u_prev = as_state(u_prev, model.dim)
-    p = psi.at_state(u_prev)
-    if model.dim == 1:
-        rows = _steps_1d(model, p, u_prev[None], np.array([t_n], dtype=float),
-                         np.array([tau], dtype=float))
-    else:
-        e_prev = energy_value(model, t_n, u_prev)
-        U, status = _solve_nd(model, p, u_prev, t_n, tau, e_prev, opts, L0,
-                              x_pred)
-        rows = _finish_steps(model, p, u_prev[None], [t_n], [tau], U[None],
-                             [e_prev], [status])
+    _, rows, errors = _steps(model, psi.at_state(u_prev), u_prev[None],
+                             [t_n], [tau], opts, [1.0], None)
+    if errors[0] is not None:
+        raise errors[0]
     U, xi, gap, status, energy, witness = rows
     return (U[0], xi[0], float(gap[0]), status[0], float(energy[0]),
             float(witness[0]))
 
 
+def _solve_grids(model: EnergyModel, psi, u0, grids: List[TimeGrid],
+                 opts: SolveOptions) -> List:
+    """Run the scheme on every grid of the list at once, in lockstep:
+    round n takes step n of every grid that has one and has not failed,
+    as rows of one _steps call per frozen potential, each row with its own
+    time, step, L carry and prediction. Each n-D step starts its inner
+    solver at half the L the previous step of its grid ended with, floored
+    at 1, and from step 2 on offers it the linear prediction
+    2 U_{n-1} - U_{n-2} as a start. A row takes the path it takes alone,
+    so each grid's trajectory is the one it has solved on its own, bit for
+    bit. Returns, per grid, its DiscreteTrajectory or the exception that
+    ended it: a SolveAbortedError, with the partial trajectory, for a step
+    that failed or whose witness or gap is out of bounds, or what its step
+    raised. A batch that raises is retried row by row, so that only the
+    grids whose own steps raise fail."""
+    u0 = as_state(u0, model.dim)
+    d = model.dim
+    U = [np.zeros((g.N + 1, d)) for g in grids]
+    xi = [np.zeros((g.N + 1, d)) for g in grids]
+    gaps = [np.zeros(g.N + 1) for g in grids]
+    energies = [np.zeros(g.N + 1) for g in grids]
+    witnesses = [np.zeros(g.N + 1) for g in grids]
+    status: List[List[Dict]] = [[{"method": "initial"}] for _ in grids]
+    for k in range(len(grids)):
+        U[k][0] = u0
+        energies[k][0] = energy_value(model, 0.0, u0)
+    L0 = [1.0] * len(grids)
+    out: List = [None] * len(grids)
+
+    def partial(k, n):
+        return DiscreteTrajectory(
+            model=model, psi=psi, grid=grids[k], opts=opts,
+            U=U[k][:n + 1].copy(), xi=xi[k][:n + 1].copy(),
+            gaps=gaps[k][:n + 1].copy(), energies=energies[k][:n + 1].copy(),
+            witnesses=witnesses[k][:n + 1].copy(),
+            inner_status=status[k][:n + 1])
+
+    def steps(p, ks, n):
+        x_pred = (np.array([2.0 * U[k][n - 1] - U[k][n - 2] for k in ks])
+                  if n >= 2 and d > 1 else None)
+        return _steps(model, p, np.array([U[k][n - 1] for k in ks]),
+                      [grids[k].t(n) for k in ks],
+                      [grids[k].tau for k in ks], opts,
+                      [L0[k] for k in ks], x_pred)
+
+    def abort(k, n, msg, m, cause=None):
+        out[k] = SolveAbortedError(msg, partial=partial(k, m), step_index=n)
+        out[k].__cause__ = cause
+
+    def fail(k, n, err):
+        if isinstance(err, StepFailureError):
+            abort(k, n, f"step {n} (t={grids[k].t(n)}) failed: {err}", n - 1,
+                  err)
+        else:
+            out[k] = err
+
+    for n in range(1, max(g.N for g in grids) + 1):
+        groups: Dict = {}
+        for k, g in enumerate(grids):
+            if out[k] is None and n <= g.N:
+                try:
+                    p = psi.at_state(U[k][n - 1])
+                except Exception as err:
+                    fail(k, n, err)
+                    continue
+                groups.setdefault(p, []).append(k)
+        batches = []
+        for p, ks in groups.items():
+            try:
+                batches.append((ks, steps(p, ks, n)))
+            except Exception as err:
+                if len(ks) == 1:
+                    fail(ks[0], n, err)
+                    continue
+                for k in ks:
+                    try:
+                        batches.append(([k], steps(p, [k], n)))
+                    except Exception as err_k:
+                        fail(k, n, err_k)
+        for ks, (ok, rows, errors) in batches:
+            for k, err in zip(ks, errors):
+                if err is not None:
+                    fail(k, n, err)
+            for k, row in zip([ks[b] for b in ok], zip(*rows)):
+                (U[k][n], xi[k][n], gaps[k][n], st, energies[k][n],
+                 witnesses[k][n]) = row
+                status[k].append(st)
+                L0[k] = max(1.0, st.get("L", 1.0) / 2.0)
+                if not witnesses[k][n] <= WITNESS_TOL:
+                    abort(k, n, f"step {n}: minimality witness "
+                                f"{witnesses[k][n]:.3e} is not <= "
+                                f"{WITNESS_TOL}", n)
+                elif not math.isfinite(gaps[k][n]):
+                    abort(k, n, f"step {n}: Fenchel-Young gap "
+                                f"{gaps[k][n]:.3e} of the selected "
+                                f"multiplier is not finite", n)
+    for k, g in enumerate(grids):
+        if out[k] is None:
+            out[k] = DiscreteTrajectory(
+                model=model, psi=psi, grid=g, opts=opts, U=U[k], xi=xi[k],
+                gaps=gaps[k], energies=energies[k], witnesses=witnesses[k],
+                inner_status=status[k])
+    return out
+
+
 def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
           opts: Optional[SolveOptions] = None) -> DiscreteTrajectory:
-    """Run the scheme over the whole grid; step failures abort with the
-    partial trajectory attached. Each n-D step starts its inner solver at
-    half the L the previous step ended with, floored at 1, and from step 2
-    on offers it the linear prediction 2 U_{n-1} - U_{n-2} as a start."""
+    """Run the scheme over the whole grid: the one-grid case of the
+    lockstep of _solve_grids, so each step is a row batch of one. Step
+    failures abort with the partial trajectory attached. Each n-D step
+    starts its inner solver at half the L the previous step ended with,
+    floored at 1, and from step 2 on offers it the linear prediction
+    2 U_{n-1} - U_{n-2} as a start."""
     opts = opts or SolveOptions()
     if not grid.tau < model.constants.tau_o:
         raise RangeError(
             f"grid tau={grid.tau} must be below tau_o={model.constants.tau_o} "
             f"of {model.name}")
-    u0 = as_state(u0, model.dim)
-    N = grid.N
-    d = model.dim
-    U = np.zeros((N + 1, d))
-    xi = np.zeros((N + 1, d))
-    gaps = np.zeros(N + 1)
-    energies = np.zeros(N + 1)
-    witnesses = np.zeros(N + 1)
-    status: List[Dict] = [{"method": "initial"}]
-    U[0] = u0
-    energies[0] = energy_value(model, 0.0, u0)
-
-    def partial(n):
-        return DiscreteTrajectory(
-            model=model, psi=psi, grid=grid, opts=opts,
-            U=U[:n + 1].copy(), xi=xi[:n + 1].copy(), gaps=gaps[:n + 1].copy(),
-            energies=energies[:n + 1].copy(),
-            witnesses=witnesses[:n + 1].copy(), inner_status=status[:n + 1])
-
-    L0 = 1.0
-    for n in range(1, N + 1):
-        t_n = grid.t(n)
-        x_pred = 2.0 * U[n - 1] - U[n - 2] if n >= 2 and d > 1 else None
-        try:
-            (U[n], xi[n], gaps[n], st, energies[n],
-             witnesses[n]) = incremental_step(model, psi, U[n - 1], t_n,
-                                              grid.tau, opts, L0, x_pred)
-        except StepFailureError as err:
-            raise SolveAbortedError(
-                f"step {n} (t={t_n}) failed: {err}",
-                partial=partial(n - 1), step_index=n) from err
-        status.append(st)
-        L0 = max(1.0, st.get("L", 1.0) / 2.0)
-        if not witnesses[n] <= WITNESS_TOL:
-            raise SolveAbortedError(
-                f"step {n}: minimality witness {witnesses[n]:.3e} is not "
-                f"<= {WITNESS_TOL}", partial=partial(n), step_index=n)
-        if not math.isfinite(gaps[n]):
-            raise SolveAbortedError(
-                f"step {n}: Fenchel-Young gap {gaps[n]:.3e} of the selected "
-                f"multiplier is not finite", partial=partial(n), step_index=n)
-    return DiscreteTrajectory(
-        model=model, psi=psi, grid=grid, opts=opts, U=U, xi=xi, gaps=gaps,
-        energies=energies, witnesses=witnesses, inner_status=status)
+    traj = _solve_grids(model, psi, u0, [grid], opts)[0]
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +784,12 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t):
     An array of k times gives (k, d), (k, d), (k,) and (k,) arrays. At
     nodes it returns the stored step data exactly.
 
-    The d = 1 times whose steps share a frozen potential are solved as one
-    row batch, in blocks of at most ROW_BLOCK rows: all of a trajectory's
+    The times whose steps share a frozen potential are solved as one row
+    batch, in blocks of at most ROW_BLOCK rows: all of a trajectory's
     under a state-independent potential, one step's under a
-    state-dependent one. n-D times are solved one by one. A failed solve
+    state-dependent one. In n-D the block's rows are one lockstep
+    proximal gradient where mu > 0 proves them strongly convex, and take
+    the multi-start budget, start by start, otherwise. A failed solve
     raises SolveAbortedError naming the step and the time of the first
     failing sample."""
     grid, model = traj.grid, traj.model
@@ -598,33 +800,29 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t):
     node = np.abs(r - grid.tau) <= 1e-12 * grid.tau
     r[node] = grid.tau
     U, xi, E = traj.U[n], traj.xi[n], traj.energies[n]
+    frozen, batches = {}, {}
+    for b in np.flatnonzero(~node):
+        if n[b] not in frozen:
+            frozen[n[b]] = traj.psi_at(n[b])
+        batches.setdefault(frozen[n[b]], []).append(b)
     failed = None
-    if model.dim == 1:
-        frozen, batches = {}, {}
-        for b in np.flatnonzero(~node):
-            if n[b] not in frozen:
-                frozen[n[b]] = traj.psi_at(n[b])
-            batches.setdefault(frozen[n[b]], []).append(b)
-        for p, rows in batches.items():
-            for i in range(0, len(rows), ROW_BLOCK):
-                b = np.array(rows[i:i + ROW_BLOCK])
-                for h in r[b]:
-                    _check_step(model, h)
-                try:
-                    U[b], xi[b], _, _, E[b], _ = _steps_1d(
-                        model, p, traj.U[n[b] - 1], ts[b], r[b])
-                except StepFailureError as err:
-                    if failed is None or b[0] < failed[0]:
-                        failed = (b[0], err)
-    else:
-        for b in np.flatnonzero(~node):
+    for p, rows in batches.items():
+        for i in range(0, len(rows), ROW_BLOCK):
+            b = np.array(rows[i:i + ROW_BLOCK])
+            for h in r[b]:
+                _check_step(model, h)
             try:
-                U[b], xi[b], _, _, E[b], _ = incremental_step(
-                    model, traj.psi, traj.U[n[b] - 1], float(ts[b]),
-                    float(r[b]), traj.opts)
+                ok, out, errors = _steps(model, p, traj.U[n[b] - 1], ts[b],
+                                         r[b], traj.opts, [1.0] * len(b),
+                                         None)
             except StepFailureError as err:
-                failed = (b, err)
-                break
+                # the block failed as a whole: name its first sample
+                ok, errors = [], [err]
+            for bb, err in zip(b, errors):
+                if err is not None and (failed is None or bb < failed[0]):
+                    failed = (bb, err)
+            if ok:
+                U[b[ok]], xi[b[ok]], _, _, E[b[ok]], _ = out
     if failed is not None:
         b, err = failed
         raise SolveAbortedError(

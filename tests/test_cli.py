@@ -1,6 +1,7 @@
 """Config runner: schema rejection paths, output files, check gating, and
 byte-stable reruns. Every test drives cli.main the way a shell would."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import dnevolve.scheme as scheme
-from dnevolve import _optim, cli, diagnostics, energy
+from dnevolve import _optim, cli, diagnostics, energy, models
 from dnevolve.errors import StepFailureError
 from dnevolve.models import MODEL_NAMES
 
@@ -821,14 +822,62 @@ def test_phase_field_run_makes_no_golden_section_calls(tmp_path, capsys,
     assert counts["_marginal_candidates"] > 0
 
 
+def test_clarke_multiplier_without_conditioning_fails_run_and_check(
+        tmp_path, capsys):
+    # at AbsoluteMarginal's kink the Clarke candidate 0 is the r = 0
+    # sample's conjugate-minimal multiplier, and P matches no minimizing
+    # branch to it: run died with a ConditioningError traceback, while
+    # check reported a failed certification
+    path = write_cfg(tmp_path, {
+        "model": {"name": "AbsoluteMarginal",
+                  "params": {"subdiff_kind": "clarke"}},
+        "u0": 0.0, "tau": 2.0 ** -5, "T": 0.25,
+        "diagnostics": {"step_inequality": True}})
+    for verb in ("run", "check"):
+        code, out, err = run_main(capsys, verb, path)
+        assert code == 1, err
+        assert out.startswith("check conditioning: FAIL (xi = [0.0] matches "
+                              "no minimizer of AbsoluteMarginal")
+        assert err == "failing checks: conditioning\n"
+
+
+def test_trajectory_csv_cells_are_the_per_cell_format(tmp_path):
+    # a row is one join of "%.17g" over its Python floats; the reference
+    # formats each cell with cli._fmt, and n with str
+    spec = models.build("AllenCahn1D", {"N": 3})
+    traj = scheme.solve(spec.energy, spec.dissipation, [0.1, 0.2, 0.1],
+                        scheme.TimeGrid(T=2.0 ** -4, tau=2.0 ** -6))
+    U = traj.U.copy()
+    U[1] = (-0.0, 5e-324, -1e300)
+    traj = dataclasses.replace(traj, U=U)
+    path = tmp_path / "trajectory.csv"
+    cli.write_trajectory_csv(str(path), traj)
+    lines = path.read_text().splitlines()
+    for n, line in enumerate(lines[1:]):
+        cells = ([str(n), cli._fmt(traj.grid.t(n))]
+                 + [cli._fmt(x) for x in traj.U[n]]
+                 + [cli._fmt(x) for x in traj.xi[n]]
+                 + [cli._fmt(traj.gaps[n]), cli._fmt(traj.energies[n])])
+        assert line == ",".join(cells)
+    assert lines[2].split(",")[2:5] == ["-0", "4.9406564584124654e-324",
+                                        "-1.0000000000000001e+300"]
+
+
 def test_ladder_run_solves_each_rung_once(tmp_path, capsys, monkeypatch):
-    counts = {}
-    _count_calls(monkeypatch, counts, diagnostics, "solve")
+    # the study solves its rungs in one lockstep call, and the run reuses
+    # its finest rung instead of solving it again
+    counts, rungs = {}, []
+
+    def record(model, psi, u0, grids, opts):
+        rungs.extend(g.tau for g in grids)
+
+    _count_calls(monkeypatch, counts, diagnostics, "_solve_grids", record)
     _count_calls(monkeypatch, counts, cli, "solve")
     path = write_cfg(tmp_path, {"tau_ladder": [0.125, 0.0625, 0.03125]},
                      drop=("tau",))
     assert run_main(capsys, "run", path)[0] == 0
-    assert counts == {"solve": 3}
+    assert counts == {"_solve_grids": 1}
+    assert rungs == [0.125, 0.0625, 0.03125]
 
 
 def test_ladder_run_certifies_each_rung_once(tmp_path, capsys, monkeypatch):

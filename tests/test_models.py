@@ -278,8 +278,8 @@ def test_ac_grad_matches_finite_differences():
             up, dn = u.copy(), u.copy()
             up[i] += h
             dn[i] -= h
-            fd = (_kernels.ac_energy(up, dx, q, load)
-                  - _kernels.ac_energy(dn, dx, q, load)) / (2 * h)
+            fd = (_kernels.ac_energy(up, dx, q, load, 0.0)
+                  - _kernels.ac_energy(dn, dx, q, load, 0.0)) / (2 * h)
             assert g[i] == pytest.approx(fd, abs=5e-6)
 
 

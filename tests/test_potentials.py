@@ -194,6 +194,31 @@ def test_soft_threshold_is_bitwise_the_sign_form(thresh):
         assert not np.signbit(got[~nonzero]).any()
 
 
+@pytest.mark.parametrize("parts", [
+    (PNorm(0.5, 1.0), PNorm(1.0, 1.5)),
+    (Quadratic(2.0), PNorm(0.25, 1.0)),
+    (PNorm(0.3, 1.0), OneHomPlusQuad(0.5, 2.0), PNorm(0.2, 1.0)),
+    (PNorm(1.0, 3.0),),
+])
+def test_weighted_sum_smooth_part_is_its_members_sum_bitwise(parts):
+    # the smooth part is the non-l1 member's plus 0.0, not the sum over
+    # every member: the same bits, the sign of every zero included (the
+    # member's gradient at s = -0.0 is -0.0, which the sum made +0.0)
+    ws = WeightedSum(parts)
+    rng = np.random.default_rng(2)
+    s = np.concatenate([rng.normal(size=200) * scale
+                        for scale in (1e-300, 1e-3, 1.0, 1e3)]
+                       + [[0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]])
+    for got, want in ((ws.smooth_scalar(s),
+                       sum(p.smooth_scalar(s) for p in parts)),
+                      (ws.smooth_scalar_grad(s),
+                       sum(p.smooth_scalar_grad(s) for p in parts))):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x in (0.0, -0.0, 0.5, -2.0):
+        assert float(ws.smooth_scalar_grad(x)).hex() == float(
+            sum(p.smooth_scalar_grad(x) for p in parts)).hex()
+
+
 def test_weighted_sum_without_exactly_one_non_l1_member_is_rejected():
     # only a sum of l1 members and one other member has a closed conjugate
     for parts in ((PNorm(0.5, 1.0), PNorm(1.0, 1.5), Quadratic(1.0)),

@@ -156,9 +156,10 @@ def test_scan_values_are_the_one_point_objective_bitwise(monkeypatch, name,
     assert scanned == [scheme.SCAN_POINTS] * 3
     # the same three problems as one row batch: one (3, 513) scan, and
     # each row's minimizer, multiplier, gap and energy are its step's
-    U, xi, gap, _, E, _ = scheme._steps_1d(
+    _, (U, xi, gap, _, E, _), _ = scheme._steps(
         spec.energy, p, np.array([[u] for u, _ in points]),
-        np.array([t for _, t in points]), np.full(3, 0.125))
+        np.array([t for _, t in points]), np.full(3, 0.125), SolveOptions(),
+        [1.0] * 3, None)
     assert shapes == [(1, scheme.SCAN_POINTS)] * 3 + [(3, scheme.SCAN_POINTS)]
     for b, step in enumerate(steps):
         got = (U[b][0], xi[b][0], gap[b], E[b])
@@ -177,7 +178,9 @@ def test_scan_values_are_the_one_point_objective_bitwise(monkeypatch, name,
 def test_solve_makes_two_energy_calls_per_step(monkeypatch, name, params,
                                                u0):
     # per step: E(t_n, U_{n-1}) once for the inner solver and the witness,
-    # and E(t_n, U_n) in the witness; solve reuses the step's witness
+    # and, in d = 1, E(t_n, U_n) in the witness; the n-D inner solver hands
+    # the witness E(t_n, U_n) of its last accepted point. solve reuses the
+    # step's witness
     spec = build(name, params)
     calls = []
     orig = scheme.energy_value
@@ -188,7 +191,7 @@ def test_solve_makes_two_energy_calls_per_step(monkeypatch, name, params,
     monkeypatch.setattr(scheme, "energy_value", counted)
     grid = TimeGrid(T=2.0 ** -4, tau=2.0 ** -6)
     traj = solve(spec.energy, spec.dissipation, u0, grid)
-    assert len(calls) == 2 * grid.N + 1
+    assert len(calls) == (2 if spec.dim == 1 else 1) * grid.N + 1
     for n in range(1, grid.N + 1):
         e, w = scheme.minimality_witness(
             spec.energy, traj.psi_at(n), grid.t(n), grid.tau,
@@ -299,10 +302,20 @@ class _UphillGradient(EnergyModel):
         return -1e9 * np.asarray(x, dtype=float)
 
 
+def prox_grad_one(model, p, u_prev, t, tau, x0, box, rho_hat, tol,
+                  max_iters, L0=1.0):
+    """One step problem as the one-row case of the row-batched
+    scheme._prox_grad: (x, phi, residual, iterations, L) of that row."""
+    x, phi, res, it, L, _, _, _ = scheme._prox_grad(
+        model, p, u_prev[None], [t], [tau], x0[None],
+        (box[0][None], box[1][None]), rho_hat, [tol], max_iters, [L0])
+    return x[0], phi[0], res[0], it, L[0]
+
+
 def test_prox_grad_keeps_x_when_backtracking_gives_up():
     x0 = np.array([1.0, 1.0])
     box = (np.full(2, -10.0), np.full(2, 10.0))
-    x, phi, res, it, L = scheme._prox_grad(
+    x, phi, res, it, L = prox_grad_one(
         _UphillGradient(), potentials.Quadratic(1.0), x0, 0.0, 0.1, x0, box,
         0.0, 1e-10, 50)
     assert np.array_equal(x, x0)
@@ -331,7 +344,7 @@ def test_prox_grad_step_size_grows_back():
     # iteration accepted at its first trial brings it to 32 in 29
     model, p, u_prev, tau, box, tol = _ac_step_problem(8)
     L0 = 2.0 ** 20
-    _, _, res, it, L = scheme._prox_grad(
+    _, _, res, it, L = prox_grad_one(
         model, p, u_prev, tau, tau, u_prev, box, p.one_hom, tol,
         scheme.MAX_REFINE_ITERS, L0=L0)
     assert res <= tol
@@ -342,7 +355,7 @@ def test_prox_grad_step_size_grows_back():
 def test_prox_grad_backtracking_still_doubles_L():
     # the N = 32 grid energy has curvature far above 1
     model, p, u_prev, tau, box, tol = _ac_step_problem(32)
-    _, _, res, _, L = scheme._prox_grad(
+    _, _, res, _, L = prox_grad_one(
         model, p, u_prev, tau, tau, u_prev, box, p.one_hom, tol,
         scheme.MAX_REFINE_ITERS, L0=1.0)
     assert res <= tol
@@ -362,8 +375,8 @@ def test_prox_grad_accepts_only_steps_that_pass_at_their_L(N):
                 + model.grad(tau, x))
 
     def prox_grad(iters):
-        return scheme._prox_grad(model, p, u_prev, tau, tau, u_prev, box,
-                                 p.one_hom, tol, iters)
+        return prox_grad_one(model, p, u_prev, tau, tau, u_prev, box,
+                             p.one_hom, tol, iters)
 
     iters = prox_grad(scheme.MAX_REFINE_ITERS)[3]
     assert iters >= 5
@@ -700,6 +713,50 @@ def test_batched_step_inequality_equals_per_sample_loop_bitwise(
                     == [float(x).hex() for x in arr_want])
 
 
+ND_BATCH_CASES = [
+    ("AllenCahn1D", {"N": 8}, 2.0 ** -5, False),
+    ("AllenCahn1D", {"N": 4, "p": 1.5}, 2.0 ** -5, False),
+    ("AllenCahn1D", {"N": 4, "q": 2.5, "rho": 0.0}, 2.0 ** -5, False),
+    # no declared semiconvexity: the rows take the multi-start budget
+    ("AllenCahn1D", {"N": 4}, 2.0 ** -4, True),
+    # its own state-dependent potential: one batch per step
+    ("StateWeightedToy", {"dim": 2}, 2.0 ** -4, False),
+]
+
+
+@pytest.mark.parametrize("name,params,tau,multistart", ND_BATCH_CASES)
+def test_nd_batched_step_inequality_equals_per_sample_loop_bitwise(
+        monkeypatch, name, params, tau, multistart):
+    spec = build(name, params)
+    if multistart:
+        monkeypatch.setattr(spec.energy, "semiconvexity", None)
+    u0 = ([0.3, -0.2] if name == "StateWeightedToy"
+          else 0.1 * np.sin(np.pi * (np.arange(spec.dim) + 0.5) / spec.dim))
+    traj = solve(spec.energy, spec.dissipation, u0, TimeGrid(T=0.125,
+                                                             tau=tau))
+    batches = []
+    real = scheme._solve_nd
+
+    def counted(model, p, u_prev, *args):
+        batches.append(u_prev.shape[0])
+        return real(model, p, u_prev, *args)
+    monkeypatch.setattr(scheme, "_solve_nd", counted)
+    for m in (1, 3, 8):
+        batches.clear()
+        got = diagnostics.step_inequality(traj, m)
+        if m == 1:
+            assert batches == []
+        elif name == "StateWeightedToy":
+            assert batches == [m - 1] * traj.N
+        else:
+            assert batches == [traj.N * (m - 1)]
+        want = per_sample_step_inequality(traj, m)
+        for arr_got, arr_want in zip((got.max_defects, got.end_defects),
+                                     want):
+            assert ([float(x).hex() for x in arr_got]
+                    == [float(x).hex() for x in arr_want])
+
+
 def test_slope_multiplier_choices():
     qspec = build("QuadraticBenchmark", {})
     out = slope_multiplier(qspec.energy, qspec.dissipation, 0.3, [1.0])
@@ -810,19 +867,20 @@ def test_refinement_evaluates_each_rung_interpolant_once(monkeypatch, failed,
     T = 0.125
     ladder = [2.0 ** -k for k in range(3, 8)]
     trajs = []
+    solve_grids = scheme._solve_grids
 
-    def solved(model, psi, u0, grid, opts):
-        if failed is not None and grid.tau == ladder[failed]:
-            trajs.append(None)
-            raise RuntimeError("rung left out")
-        trajs.append(solve(model, psi, u0, grid, opts))
-        return trajs[-1]
+    def solved(model, psi, u0, grids, opts):
+        out = solve_grids(model, psi, u0, grids, opts)
+        if failed is not None:
+            out[failed] = RuntimeError("rung left out")
+        trajs.extend(None if isinstance(t, Exception) else t for t in out)
+        return out
     evaluated = []
 
     def counted(traj, t):
         evaluated.append(traj.grid.tau)
         return linear_interpolant(traj, t)
-    monkeypatch.setattr(diagnostics, "solve", solved)
+    monkeypatch.setattr(diagnostics, "_solve_grids", solved)
     monkeypatch.setattr(diagnostics, "linear_interpolant", counted)
     table = refinement_study(spec.energy, spec.dissipation, u0, T, ladder)
     assert len(evaluated) == len(set(evaluated)) == evaluations

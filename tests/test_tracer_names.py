@@ -39,8 +39,11 @@ def test_hooked_result_shapes():
     spec = build("AllenCahn1D", {"N": 4})
     u_prev = np.array([0.05, 0.1, 0.1, 0.05])
     box = (np.full(4, -2.0), np.full(4, 2.0))
-    out = scheme._prox_grad(spec.energy, potentials.Quadratic(1.0), u_prev,
-                            0.125, 0.125, u_prev, box, 0.0, 1e-8, 50)
+    # one row of the row-batched solver: index 3 sums the rows' iterations
+    out = scheme._prox_grad(spec.energy, potentials.Quadratic(1.0),
+                            u_prev[None], [0.125], [0.125], u_prev[None],
+                            (box[0][None], box[1][None]), 0.0, [1e-8], 50,
+                            [1.0])
     assert isinstance(out[3], int) and out[3] >= 1
     step = scheme.incremental_step(spec.energy, spec.dissipation, u_prev,
                                    0.125, 0.125)
