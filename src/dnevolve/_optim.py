@@ -36,6 +36,7 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _SQRT_EPS = math.sqrt(2.2e-16)
 BRACKET_EXPANSIONS = 600   # doublings bracket_max makes at most
 BRACKET_CAP = 1e150        # |x| past which bracket_max gives up
+SCAN_XTOL = 1e-13          # Brent's tolerance on scan_min's basins
 
 
 def bracket_max(g, x0: float = 0.0, step: float = 1e-2):
@@ -240,9 +241,9 @@ def local_min_indices(vals: np.ndarray):
     return idx[0] if v.ndim == 1 else idx
 
 
-def scan_min(f, lo, hi, n_points: int, xtol: float = 1e-13):
+def scan_min(f, lo, hi, n_points: int):
     """Global 1D minimization of B problems at once: coarse scan, then
-    bounded Brent around every local basin of the scan. Problem b minimizes
+    bounded Brent, to SCAN_XTOL, around every local basin of the scan. Problem b minimizes
     f(., b) on [lo[b], hi[b]]. Returns (x_best, f_best, basins), arrays of
     length B; basins[b] counts the refined local minima of problem b, and
     each problem's best is the first basin of least value.
@@ -274,7 +275,7 @@ def scan_min(f, lo, hi, n_points: int, xtol: float = 1e-13):
     for x_new, f_new in ((xb[wide], vals[refined, ib[wide]]),
                          _bounded_brent_rows(
                              lambda x, k: f(x, refined[k]),
-                             xa[wide], xb[wide], xtol, 500)):
+                             xa[wide], xb[wide], SCAN_XTOL, 500)):
         at = f_new < bf[wide]
         bx[wide[at]], bf[wide[at]] = x_new[at], f_new[at]
     # each problem's first basin of least value, rank by rank

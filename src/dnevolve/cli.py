@@ -40,7 +40,7 @@ from .errors import (ConditioningError, ConfigError, DnevolveError,
 from .models import finite_number, reject_unknown
 from .potentials import as_state
 from .scheme import (WITNESS_TOL, DiscreteTrajectory, SolveOptions, TimeGrid,
-                     minimality_witness, solve)
+                     ladder_fault, minimality_witness, solve)
 
 GAP_TOL = 1e-8
 STORED_TOL = 1e-12   # relative tolerance on stored t_n, gap_n, energy_n cells
@@ -172,38 +172,25 @@ class RunPlan:
         if not self.T > 0:
             raise ConfigError("T", "must be > 0")
 
-        tau_o = self.spec.energy.constants.tau_o
         has_tau, has_ladder = "tau" in cfg, "tau_ladder" in cfg
         if has_tau == has_ladder:
             raise ConfigError("tau", "exactly one of tau, tau_ladder required")
         if has_tau:
-            tau = finite_number(cfg["tau"], "tau")
-            if not 0 < tau <= self.T:
-                raise ConfigError("tau", f"must satisfy 0 < tau <= T={self.T}")
-            if not tau < tau_o:
-                raise ConfigError("tau", f"must be below tau_o={tau_o} "
-                                         f"of {name}")
-            _check_steps(self.T, tau, "tau")
-            self.ladder = [tau]
+            paths = ["tau"]
+            vals = [finite_number(cfg["tau"], "tau")]
         else:
             lad = cfg["tau_ladder"]
             if not (isinstance(lad, list) and lad):
                 raise ConfigError("tau_ladder", "expected a nonempty list")
-            vals = [finite_number(x, f"tau_ladder[{i}]")
-                    for i, x in enumerate(lad)]
-            for i, x in enumerate(vals):
-                if not 0 < x <= self.T:
-                    raise ConfigError(f"tau_ladder[{i}]",
-                                      f"must satisfy 0 < tau <= T={self.T}")
-                _check_steps(self.T, x, f"tau_ladder[{i}]")
-            if not vals[0] < tau_o:
-                raise ConfigError("tau_ladder[0]",
-                                  f"must be below tau_o={tau_o} of {name}")
-            for i in range(1, len(vals)):
-                if not vals[i] < vals[i - 1]:
-                    raise ConfigError(f"tau_ladder[{i}]",
-                                      "ladder must be strictly decreasing")
-            self.ladder = vals
+            paths = [f"tau_ladder[{i}]" for i in range(len(lad))]
+            vals = [finite_number(x, path) for x, path in zip(lad, paths)]
+        # the scheme's step rule first, then the CLI's cap on grid length
+        fault = ladder_fault(self.spec.energy, self.T, vals)
+        if fault is not None:
+            raise ConfigError(paths[fault[0]], fault[1])
+        for x, path in zip(vals, paths):
+            _check_steps(self.T, x, path)
+        self.ladder = vals
 
         self.diag = _validate_diag(cfg.get("diagnostics"))
 

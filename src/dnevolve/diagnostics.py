@@ -45,7 +45,7 @@ from ._record import FrozenRecord, Record
 from .energy import energy_value, generalized_time_derivative
 from .errors import RangeError
 from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
-                     _solve_grids, de_giorgi_interpolant,
+                     _solve_grids, de_giorgi_interpolant, ladder_fault,
                      linear_interpolant, slope_multiplier)
 
 QUAD_M = 8               # left-Riemann sub-samples per step (step_inequality)
@@ -216,7 +216,8 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
     interpolant. The r = 0 sample uses the previous node state with the
     conjugate-minimal multiplier. The N (m - 1) interior samples of the
     trajectory are one de_giorgi_interpolant call, whose energies E(t, U~)
-    are used as the solve computed them. A stalled interpolant solve aborts
+    are used as the solve computed them, and E(t_n, U_n) is the
+    trajectory's stored energy. A stalled interpolant solve aborts
     with SolveAbortedError naming the step and the sample time.
     """
     m = QUAD_M if m is None else int(m)
@@ -246,8 +247,7 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
         xis = [slope_multiplier(model, traj.psi, t0, U0), *inner_xi[rows],
                traj.xi[n]]
         times = [t0, *inner_t[rows], grid.t(n)]
-        energies = [None, *inner_E[rows],
-                    energy_value(model, grid.t(n), traj.U[n])]
+        energies = [None, *inner_E[rows], traj.energies[n]]
 
         conj_vals = [potentials.conjugate(p, -x) for x in xis[:m]]
         P_vals = [generalized_time_derivative(model, times[j], states[j],
@@ -314,26 +314,24 @@ class RefinementTable(Record):
 
 def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
                      opts: Optional[SolveOptions] = None) -> RefinementTable:
-    """Solve on a strictly decreasing tau ladder and tabulate convergence
-    surrogates: sup-distance of consecutive linear interpolants on a
-    1024-point time grid, identity defects, dissipation-integral
-    differences. The rungs are solved in lockstep (scheme._solve_grids):
-    step n of every rung that has one is a row of one batched step call,
-    and each rung's trajectory is the one solve gives it, bit for bit. A
-    failed solve annotates its row and the other rungs continue.
+    """Solve on a tau ladder and tabulate convergence surrogates:
+    sup-distance of consecutive linear interpolants on a 1024-point time
+    grid, identity defects, dissipation-integral differences. A ladder
+    that breaks scheme.ladder_fault's step rule raises RangeError naming
+    the step. The rungs are solved in lockstep (scheme._solve_grids): step
+    n of every rung that has one is a row of one _steps call, and each
+    rung's trajectory is the one solve gives it, bit for bit. A failed
+    solve annotates its row and the other rungs continue.
     The table keeps the finest rung's trajectory, with its certificate
     memo, so callers that need it neither solve nor certify it again.
     """
     ladder = [float(t) for t in tau_ladder]
     if not ladder:
         raise RangeError("tau ladder is empty")
-    for a, b in zip(ladder, ladder[1:]):
-        if not b < a:
-            raise RangeError(f"tau ladder must be strictly decreasing; "
-                             f"got {a} then {b}")
-    if not ladder[0] < model.constants.tau_o:
-        raise RangeError(f"ladder start {ladder[0]} must be below "
-                         f"tau_o={model.constants.tau_o}")
+    fault = ladder_fault(model, T, ladder)
+    if fault is not None:
+        i, reason = fault
+        raise RangeError(f"tau ladder step {i} (tau={ladder[i]}): {reason}")
     opts = opts or SolveOptions()
 
     grids = [TimeGrid(T=T, tau=tau) for tau in ladder]

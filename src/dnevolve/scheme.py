@@ -44,16 +44,20 @@ start k of every such row is one row call. The solver records mu, its
 start count, its start ("previous" or "predictor"), its trial count and
 its final L in inner_status.
 
-Several grids are solved in lockstep (_solve_grids, which refinement
-studies use): round n takes step n of every grid that has one, as rows of
-one batch, and solve is the case of one grid.
+Every step problem goes through one row entry, _steps: it rejects a step
+outside (0, tau_o), freezes each row's potential at its previous state,
+batches the rows that share a frozen potential in blocks of ROW_BLOCK, and
+hands each row back its own result or its own error. Several grids are
+solved in lockstep (_solve_grids, which refinement studies use): round n
+takes step n of every grid that has one, as the rows of one _steps call,
+and solve is the case of one grid. ladder_fault states the rule every tau
+ladder, and every grid's tau, must keep.
 
-The De Giorgi interpolant reuses the step solver (step r = t - t_{n-1},
-energy frozen at t). Given the trajectory its samples are independent, so
-an array of times is one problem: the samples whose steps share a frozen
-potential are rows of one batch of that solver, and it hands back E(t, U)
-as the solve computed it. The piecewise-linear interpolant also takes
-arrays of times.
+The De Giorgi interpolant is the step problem with the shorter step
+r = t - t_{n-1} in (0, tau] (energy frozen at t). Given the trajectory
+its samples are independent, so an array of times is the rows of one
+_steps call, which hands back E(t, U) as the solve computed it. The
+piecewise-linear interpolant also takes arrays of times.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from .errors import (RangeError, SolveAbortedError, StepFailureError,
 from .potentials import as_state
 
 SCAN_POINTS = 513
-# rows per batch of interpolant samples: bounds the 1-D (rows, SCAN_POINTS)
+# rows per block of one _steps batch: bounds the 1-D (rows, SCAN_POINTS)
 # scan and the marginal layer's (rows, 1025) safety grid
 ROW_BLOCK = 64
 MULTISTARTS = 8          # for 2 <= d <= 16
@@ -198,8 +202,7 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
         return (h * np.asarray(p.scalar((x - x_prev[rows]) / h), dtype=float)
                 + model.value_batch_1d(t[rows], x))
 
-    x_best, f_best, basins = _optim.scan_min(phi, lo, hi, SCAN_POINTS,
-                                             xtol=1e-13)
+    x_best, f_best, basins = _optim.scan_min(phi, lo, hi, SCAN_POINTS)
 
     def dphi(x, b):
         v = (x - x_prev[b]) / tau[b]
@@ -539,13 +542,6 @@ def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
     return e, obj - e_prev
 
 
-def _check_step(model: EnergyModel, tau: float) -> None:
-    if not 0.0 < tau < model.constants.tau_o:
-        raise RangeError(
-            f"step tau={tau} outside (0, tau_o={model.constants.tau_o}) "
-            f"of {model.name}")
-
-
 def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
                   e_solved=None):
     """Rows b of solved steps from u_prev[b] to U[b] at (t[b], tau[b]): the
@@ -569,71 +565,107 @@ def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
     return U, xi, gap, status, energy, witness
 
 
-def _steps(model, p, u_prev, t, tau, opts, L0, x_pred):
-    """B steps under one frozen potential p, row b from u_prev[b] (of the
-    (B, d) array u_prev) at time t[b] with step tau[b], solved as one row
-    batch: by _solve_1d for d = 1, else by _solve_nd, whose rows start
-    their prox-grad calls at L = L0[b] and may start from x_pred[b]
-    (x_pred is None or (B, d); d = 1 reads neither). Returns (ok, rows,
-    errors): errors[b] is row b's StepFailureError or None, ok lists the
-    rows without one, and rows are the _finish_steps rows of those."""
-    if model.dim == 1:
-        # _solve_1d takes its rows' times and steps as arrays
-        t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
-    else:
-        t, tau = [float(h) for h in t], [float(h) for h in tau]
-    e_prev = [energy_value(model, tb, ub) for tb, ub in zip(t, u_prev)]
-    if model.dim == 1:
-        U, status = _solve_1d(model, p, u_prev, t, tau, e_prev)
-        errors, energy = [None] * len(t), None
-    else:
-        U, status, errors, energy = _solve_nd(model, p, u_prev, t, tau,
-                                              e_prev, opts, L0, x_pred)
-    ok = [b for b, err in enumerate(errors) if err is None]
-    if len(ok) < len(errors):
-        u_prev, U = u_prev[ok], U[ok]
-        t, tau, e_prev, status, energy = ([v[b] for b in ok] for v in (
-            t, tau, e_prev, status, energy))
-    return ok, _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
-                             energy), errors
+def _steps(model, psi, u_prev, t, tau, opts, L0, x_pred):
+    """The scheme's one row entry: B step problems, row b from u_prev[b]
+    (of the (B, d) array u_prev) at time t[b] with step tau[b], under the
+    frozen potential psi.at_state(u_prev[b]). A row whose step is outside
+    (0, tau_o), or whose potential does not freeze, fails alone. The other
+    rows are grouped by frozen potential into blocks of at most ROW_BLOCK
+    rows, and each block is one row batch: by _solve_1d for d = 1, else by
+    _solve_nd, whose rows start their prox-grad calls at L = L0[b] and may
+    start from x_pred[b] (x_pred is None or (B, d); d = 1 reads neither).
+    A block that raises is retried row by row, so only the rows whose own
+    solve raises fail. Every row takes the path it takes alone, bit for
+    bit. Returns, in row order, each row's _finish_steps row (U, xi, gap,
+    status, energy, witness) or its own error: the RangeError of its step,
+    what freezing or solving it raised, or the StepFailureError of an n-D
+    row that missed eps_inner."""
+    out = [None] * len(t)
+    tau_o = model.constants.tau_o
+    groups = {}
+    for b, h in enumerate(tau):
+        try:
+            if not 0.0 < h < tau_o:
+                raise RangeError(f"step tau={h} outside (0, tau_o={tau_o}) "
+                                 f"of {model.name}")
+            groups.setdefault(psi.at_state(u_prev[b]), []).append(b)
+        except Exception as err:
+            out[b] = err
+
+    def block(p, rows):
+        ub = u_prev[rows]
+        tb, hb = [float(t[b]) for b in rows], [float(tau[b]) for b in rows]
+        if model.dim == 1:
+            # _solve_1d takes its rows' times and steps as arrays
+            tb, hb = np.array(tb), np.array(hb)
+        e_prev = [energy_value(model, s, u) for s, u in zip(tb, ub)]
+        if model.dim == 1:
+            U, status = _solve_1d(model, p, ub, tb, hb, e_prev)
+            res, energy = [None] * len(rows), None
+        else:
+            U, status, res, energy = _solve_nd(
+                model, p, ub, tb, hb, e_prev, opts, [L0[b] for b in rows],
+                None if x_pred is None else x_pred[rows])
+        ok = [i for i, err in enumerate(res) if err is None]
+        if len(ok) < len(rows):  # only n-D rows fail here
+            ub, U = ub[ok], U[ok]
+            tb, hb, e_prev, status, energy = ([v[i] for i in ok] for v in (
+                tb, hb, e_prev, status, energy))
+        if ok:
+            for i, row in zip(ok, zip(*_finish_steps(
+                    model, p, ub, tb, hb, U, e_prev, status, energy))):
+                res[i] = row
+        return res
+
+    def alone(p, b):
+        try:
+            return block(p, [b])[0]
+        except Exception as err:
+            return err
+
+    for p, rows in groups.items():
+        for i in range(0, len(rows), ROW_BLOCK):
+            ks = rows[i:i + ROW_BLOCK]
+            try:
+                res = block(p, ks)
+            except Exception as err:
+                res = [err] if len(ks) == 1 else [alone(p, b) for b in ks]
+            for b, row in zip(ks, res):
+                out[b] = row
+    return out
 
 
 def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
                      opts: Optional[SolveOptions] = None):
     """One incremental minimization step; returns (U_n, xi_n, gap, status,
     E(t_n, U_n), witness), with U_n = U_{n-1} and witness 0 when the inner
-    solver's result is worse than U_{n-1}. It is the one-row case of the
-    row batch that solve, refinement_study and de_giorgi_interpolant
-    solve their steps with, and raises StepFailureError when the n-D
-    inner solver misses its tolerance.
+    solver's result is worse than U_{n-1}. It is the one-row call of the
+    row entry _steps, and raises that row's error: a RangeError for tau
+    outside (0, tau_o), StepFailureError when the n-D inner solver misses
+    its tolerance, or what freezing psi or solving the step raised.
     """
-    opts = opts or SolveOptions()
-    _check_step(model, tau)
-    u_prev = as_state(u_prev, model.dim)
-    _, rows, errors = _steps(model, psi.at_state(u_prev), u_prev[None],
-                             [t_n], [tau], opts, [1.0], None)
-    if errors[0] is not None:
-        raise errors[0]
-    U, xi, gap, status, energy, witness = rows
-    return (U[0], xi[0], float(gap[0]), status[0], float(energy[0]),
-            float(witness[0]))
+    row = _steps(model, psi, as_state(u_prev, model.dim)[None], [t_n], [tau],
+                 opts or SolveOptions(), [1.0], None)[0]
+    if isinstance(row, Exception):
+        raise row
+    U, xi, gap, status, energy, witness = row
+    return U, xi, float(gap), status, float(energy), float(witness)
 
 
 def _solve_grids(model: EnergyModel, psi, u0, grids: List[TimeGrid],
                  opts: SolveOptions) -> List:
     """Run the scheme on every grid of the list at once, in lockstep:
     round n takes step n of every grid that has one and has not failed,
-    as rows of one _steps call per frozen potential, each row with its own
-    time, step, L carry and prediction. Each n-D step starts its inner
-    solver at half the L the previous step of its grid ended with, floored
-    at 1, and from step 2 on offers it the linear prediction
-    2 U_{n-1} - U_{n-2} as a start. A row takes the path it takes alone,
-    so each grid's trajectory is the one it has solved on its own, bit for
-    bit. Returns, per grid, its DiscreteTrajectory or the exception that
-    ended it: a SolveAbortedError, with the partial trajectory, for a step
-    that failed or whose witness or gap is out of bounds, or what its step
-    raised. A batch that raises is retried row by row, so that only the
-    grids whose own steps raise fail."""
+    as one row of one _steps call, each row with its own time, step, L
+    carry and prediction. Each n-D step starts its inner solver at half
+    the L the previous step of its grid ended with, floored at 1, and from
+    step 2 on offers it the linear prediction 2 U_{n-1} - U_{n-2} as a
+    start. A row takes the path it takes alone, so each grid's trajectory
+    is the one it has solved on its own, bit for bit. Returns, per grid,
+    its DiscreteTrajectory or the exception that ended it: a
+    SolveAbortedError, with the partial trajectory, for a step that failed
+    or whose witness or gap is out of bounds, or the error of its step's
+    row."""
     u0 = as_state(u0, model.dim)
     d = model.dim
     U = [np.zeros((g.N + 1, d)) for g in grids]
@@ -648,73 +680,44 @@ def _solve_grids(model: EnergyModel, psi, u0, grids: List[TimeGrid],
     L0 = [1.0] * len(grids)
     out: List = [None] * len(grids)
 
-    def partial(k, n):
-        return DiscreteTrajectory(
-            model=model, psi=psi, grid=grids[k], opts=opts,
-            U=U[k][:n + 1].copy(), xi=xi[k][:n + 1].copy(),
-            gaps=gaps[k][:n + 1].copy(), energies=energies[k][:n + 1].copy(),
-            witnesses=witnesses[k][:n + 1].copy(),
-            inner_status=status[k][:n + 1])
-
-    def steps(p, ks, n):
-        x_pred = (np.array([2.0 * U[k][n - 1] - U[k][n - 2] for k in ks])
-                  if n >= 2 and d > 1 else None)
-        return _steps(model, p, np.array([U[k][n - 1] for k in ks]),
-                      [grids[k].t(n) for k in ks],
-                      [grids[k].tau for k in ks], opts,
-                      [L0[k] for k in ks], x_pred)
-
     def abort(k, n, msg, m, cause=None):
-        out[k] = SolveAbortedError(msg, partial=partial(k, m), step_index=n)
+        out[k] = SolveAbortedError(msg, partial=DiscreteTrajectory(
+            model=model, psi=psi, grid=grids[k], opts=opts,
+            U=U[k][:m + 1].copy(), xi=xi[k][:m + 1].copy(),
+            gaps=gaps[k][:m + 1].copy(), energies=energies[k][:m + 1].copy(),
+            witnesses=witnesses[k][:m + 1].copy(),
+            inner_status=status[k][:m + 1]), step_index=n)
         out[k].__cause__ = cause
 
-    def fail(k, n, err):
-        if isinstance(err, StepFailureError):
-            abort(k, n, f"step {n} (t={grids[k].t(n)}) failed: {err}", n - 1,
-                  err)
-        else:
-            out[k] = err
-
     for n in range(1, max(g.N for g in grids) + 1):
-        groups: Dict = {}
-        for k, g in enumerate(grids):
-            if out[k] is None and n <= g.N:
-                try:
-                    p = psi.at_state(U[k][n - 1])
-                except Exception as err:
-                    fail(k, n, err)
-                    continue
-                groups.setdefault(p, []).append(k)
-        batches = []
-        for p, ks in groups.items():
-            try:
-                batches.append((ks, steps(p, ks, n)))
-            except Exception as err:
-                if len(ks) == 1:
-                    fail(ks[0], n, err)
-                    continue
-                for k in ks:
-                    try:
-                        batches.append(([k], steps(p, [k], n)))
-                    except Exception as err_k:
-                        fail(k, n, err_k)
-        for ks, (ok, rows, errors) in batches:
-            for k, err in zip(ks, errors):
-                if err is not None:
-                    fail(k, n, err)
-            for k, row in zip([ks[b] for b in ok], zip(*rows)):
-                (U[k][n], xi[k][n], gaps[k][n], st, energies[k][n],
-                 witnesses[k][n]) = row
-                status[k].append(st)
-                L0[k] = max(1.0, st.get("L", 1.0) / 2.0)
-                if not witnesses[k][n] <= WITNESS_TOL:
-                    abort(k, n, f"step {n}: minimality witness "
-                                f"{witnesses[k][n]:.3e} is not <= "
-                                f"{WITNESS_TOL}", n)
-                elif not math.isfinite(gaps[k][n]):
-                    abort(k, n, f"step {n}: Fenchel-Young gap "
-                                f"{gaps[k][n]:.3e} of the selected "
-                                f"multiplier is not finite", n)
+        ks = [k for k, g in enumerate(grids) if out[k] is None and n <= g.N]
+        if not ks:
+            break
+        x_pred = (np.array([2.0 * U[k][n - 1] - U[k][n - 2] for k in ks])
+                  if n >= 2 and d > 1 else None)
+        rows = _steps(model, psi, np.array([U[k][n - 1] for k in ks]),
+                      [grids[k].t(n) for k in ks], [grids[k].tau for k in ks],
+                      opts, [L0[k] for k in ks], x_pred)
+        for k, row in zip(ks, rows):
+            if isinstance(row, StepFailureError):
+                abort(k, n, f"step {n} (t={grids[k].t(n)}) failed: {row}",
+                      n - 1, row)
+                continue
+            if isinstance(row, Exception):
+                out[k] = row
+                continue
+            (U[k][n], xi[k][n], gaps[k][n], st, energies[k][n],
+             witnesses[k][n]) = row
+            status[k].append(st)
+            L0[k] = max(1.0, st.get("L", 1.0) / 2.0)
+            if not witnesses[k][n] <= WITNESS_TOL:
+                abort(k, n, f"step {n}: minimality witness "
+                            f"{witnesses[k][n]:.3e} is not <= "
+                            f"{WITNESS_TOL}", n)
+            elif not math.isfinite(gaps[k][n]):
+                abort(k, n, f"step {n}: Fenchel-Young gap "
+                            f"{gaps[k][n]:.3e} of the selected "
+                            f"multiplier is not finite", n)
     for k, g in enumerate(grids):
         if out[k] is None:
             out[k] = DiscreteTrajectory(
@@ -724,20 +727,39 @@ def _solve_grids(model: EnergyModel, psi, u0, grids: List[TimeGrid],
     return out
 
 
+def ladder_fault(model: EnergyModel, T: float, ladder
+                 ) -> Optional[Tuple[int, str]]:
+    """The scheme's step rule on a nonempty tau ladder (one step is the
+    ladder of one): every step satisfies 0 < tau <= T, the first is below
+    the model's tau_o, and the ladder is strictly decreasing. Returns None
+    when the ladder keeps it, else (i, reason) for the step that breaks it,
+    checked in that order: the first step out of range, then a first step
+    at or above tau_o, then the first step not below its predecessor."""
+    for i, tau in enumerate(ladder):
+        if not 0.0 < tau <= T:
+            return i, f"must satisfy 0 < tau <= T={T}"
+    tau_o = model.constants.tau_o
+    if not ladder[0] < tau_o:
+        return 0, f"must be below tau_o={tau_o} of {model.name}"
+    for i in range(1, len(ladder)):
+        if not ladder[i] < ladder[i - 1]:
+            return i, "ladder must be strictly decreasing"
+    return None
+
+
 def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
           opts: Optional[SolveOptions] = None) -> DiscreteTrajectory:
     """Run the scheme over the whole grid: the one-grid case of the
-    lockstep of _solve_grids, so each step is a row batch of one. Step
+    lockstep of _solve_grids, so each step is a one-row _steps call. A
+    grid whose tau breaks ladder_fault's rule raises RangeError; step
     failures abort with the partial trajectory attached. Each n-D step
     starts its inner solver at half the L the previous step ended with,
     floored at 1, and from step 2 on offers it the linear prediction
     2 U_{n-1} - U_{n-2} as a start."""
-    opts = opts or SolveOptions()
-    if not grid.tau < model.constants.tau_o:
-        raise RangeError(
-            f"grid tau={grid.tau} must be below tau_o={model.constants.tau_o} "
-            f"of {model.name}")
-    traj = _solve_grids(model, psi, u0, [grid], opts)[0]
+    fault = ladder_fault(model, grid.T, [grid.tau])
+    if fault is not None:
+        raise RangeError(f"grid tau={grid.tau} {fault[1]}")
+    traj = _solve_grids(model, psi, u0, [grid], opts or SolveOptions())[0]
     if isinstance(traj, Exception):
         raise traj
     return traj
@@ -784,15 +806,14 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t):
     An array of k times gives (k, d), (k, d), (k,) and (k,) arrays. At
     nodes it returns the stored step data exactly.
 
-    The times whose steps share a frozen potential are solved as one row
-    batch, in blocks of at most ROW_BLOCK rows: all of a trajectory's
-    under a state-independent potential, one step's under a
-    state-dependent one. In n-D the block's rows are one lockstep
-    proximal gradient where mu > 0 proves them strongly convex, and take
-    the multi-start budget, start by start, otherwise. A failed solve
-    raises SolveAbortedError naming the step and the time of the first
-    failing sample."""
-    grid, model = traj.grid, traj.model
+    The samples off the nodes are the rows of one _steps call, which
+    batches the rows that share a frozen potential in blocks of at most
+    ROW_BLOCK: all of a trajectory's under a state-independent potential,
+    one step's under a state-dependent one. Every n-D row starts at
+    U_{n-1} with L = 1. The first failing sample, in the order of t,
+    decides the error: a stalled inner solve raises SolveAbortedError
+    naming its step and time, any other error is raised as it is."""
+    grid = traj.grid
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     n, r = _locate(grid, ts)
     if not n.all():
@@ -800,34 +821,17 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t):
     node = np.abs(r - grid.tau) <= 1e-12 * grid.tau
     r[node] = grid.tau
     U, xi, E = traj.U[n], traj.xi[n], traj.energies[n]
-    frozen, batches = {}, {}
-    for b in np.flatnonzero(~node):
-        if n[b] not in frozen:
-            frozen[n[b]] = traj.psi_at(n[b])
-        batches.setdefault(frozen[n[b]], []).append(b)
-    failed = None
-    for p, rows in batches.items():
-        for i in range(0, len(rows), ROW_BLOCK):
-            b = np.array(rows[i:i + ROW_BLOCK])
-            for h in r[b]:
-                _check_step(model, h)
-            try:
-                ok, out, errors = _steps(model, p, traj.U[n[b] - 1], ts[b],
-                                         r[b], traj.opts, [1.0] * len(b),
-                                         None)
-            except StepFailureError as err:
-                # the block failed as a whole: name its first sample
-                ok, errors = [], [err]
-            for bb, err in zip(b, errors):
-                if err is not None and (failed is None or bb < failed[0]):
-                    failed = (bb, err)
-            if ok:
-                U[b[ok]], xi[b[ok]], _, _, E[b[ok]], _ = out
-    if failed is not None:
-        b, err = failed
-        raise SolveAbortedError(
-            f"interpolant solve at t={float(ts[b])} failed: {err}",
-            step_index=int(n[b])) from err
+    b = np.flatnonzero(~node)
+    for i, row in zip(b, _steps(traj.model, traj.psi, traj.U[n[b] - 1],
+                                ts[b], r[b], traj.opts, [1.0] * len(b),
+                                None)):
+        if isinstance(row, StepFailureError):
+            raise SolveAbortedError(
+                f"interpolant solve at t={float(ts[i])} failed: {row}",
+                step_index=int(n[i])) from row
+        if isinstance(row, Exception):
+            raise row
+        U[i], xi[i], _, _, E[i], _ = row
     if np.ndim(t) == 0:
         return U[0], xi[0], float(r[0]), float(E[0])
     return U, xi, r, E

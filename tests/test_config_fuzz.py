@@ -44,7 +44,14 @@ BASES = (
      "dissipation": {"kind": "one_hom_plus_quad", "rho": 0.25, "eps": 0.25},
      "u0": [0.1, 0.2, 0.2, 0.1], "T": 0.125, "tau": 0.125,
      "output_dir": "out"},
+    # the Clarke kink with the step inequality on: P is undefined at the
+    # r = 0 sample's multiplier 0, so run and check fail on conditioning
+    {"model": {"name": "AbsoluteMarginal", "params": {}},
+     "subdiff_mode": "clarke", "u0": 0.0, "T": 0.25, "tau": 0.125,
+     "diagnostics": {"step_inequality": True}, "output_dir": "out"},
 )
+# each base's exit code under run and under check
+BASE_EXITS = (0, 0, 0, 0, 0, 1)
 
 MAX_FUZZ_STEPS = 4
 
@@ -141,9 +148,11 @@ def _run(cfg):
 
 
 def test_fuzz_bases_pass():
-    for base in BASES:
+    for base, want in zip(BASES, BASE_EXITS):
         code, out = _run(base)
-        assert code == 0, out
+        assert code == want, out
+        if want == 1:
+            assert out.startswith("check conditioning: FAIL"), out
 
 
 @settings(max_examples=200, deadline=None, database=None,
@@ -174,7 +183,8 @@ def solved(tmp_path_factory):
         tmp = tmp_path_factory.mktemp(f"base{i}")
         path = tmp / "cfg.json"
         path.write_text(json.dumps(dict(base, output_dir=str(tmp / "out"))))
-        assert _main("run", str(path))[0] == 0
+        assert _main("run", str(path))[0] == BASE_EXITS[i]
+        assert _main("check", str(path))[0] == BASE_EXITS[i]
         csv = tmp / "out" / "trajectory.csv"
         out.append((str(path), csv, csv.read_text()))
     return out

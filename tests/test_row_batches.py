@@ -327,3 +327,70 @@ def test_nd_interpolants_are_row_blocks(monkeypatch):
     nd_rows = count_rows(monkeypatch, "_solve_nd")
     diagnostics.step_inequality(traj)
     assert nd_rows == [scheme.ROW_BLOCK, 112 - scheme.ROW_BLOCK]
+
+
+def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
+    # one _steps call of 11 StateWeightedToy rows: two frozen potentials
+    # (A and A2 freeze to the same one), a step at tau_o, a row whose
+    # energy raises, and a row that stalls at 30 refine iterations (it
+    # needs 32; every other row at most 27). With ROW_BLOCK = 3 the
+    # potential of A has blocks of rows [0, 2, 4] and [6, 8, 10], that of
+    # B blocks [1, 3, 7] and [9]
+    monkeypatch.setattr(scheme, "ROW_BLOCK", 3)
+    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 30)
+    spec = build("StateWeightedToy", {"dim": 2})
+    model, psi = spec.energy, spec.dissipation
+    real = model.value
+
+    def value(t, u):
+        if t == 0.375:
+            raise RuntimeError(f"no energy at t={t}")
+        return real(t, u)
+
+    monkeypatch.setattr(model, "value", value)
+    A, A2, B = [0.3, -0.2], [0.3, -0.2001], [-0.1, 0.4]
+    assert psi.at_state(np.array(A)) == psi.at_state(np.array(A2))
+    assert psi.at_state(np.array(A)) != psi.at_state(np.array(B))
+    rows = [(A, 0.125, 0.125), (B, 0.125, 0.125), (A2, 0.25, 0.0625),
+            (B, 0.25, 0.0625), (A, 0.375, 0.125), (B, 0.1, 0.5),
+            (A, 0.3, 0.25), (B, 0.3, 0.25), (A2, 0.4, 0.03125),
+            (B, 0.4, 0.03125), (A, 0.1, 0.45)]
+    u_prev = np.array([r[0] for r in rows])
+    t, tau = [r[1] for r in rows], [r[2] for r in rows]
+    L0 = [1.0, 2.0, 4.0, 1.0, 8.0, 1.0, 2.0, 1.0, 16.0, 4.0, 1.0]
+    # odd rows are offered a start toward the minimizer, even rows one
+    # farther away
+    x_pred = u_prev - 0.5
+    x_pred[1::2] = u_prev[1::2] + 0.1 * (1.0 - u_prev[1::2])
+    nd_rows = count_rows(monkeypatch, "_solve_nd")
+    got = scheme._steps(model, psi, u_prev, t, tau, SolveOptions(), L0,
+                        x_pred)
+    # the raising block is retried row by row, and row 4 raises before
+    # its solve
+    assert nd_rows == [1, 1, 3, 3, 1]
+    assert len(got) == len(rows)
+    for b, row in enumerate(got):
+        one = scheme._steps(model, psi, u_prev[b:b + 1], [t[b]], [tau[b]],
+                            SolveOptions(), [L0[b]], x_pred[b:b + 1])
+        assert len(one) == 1
+        if isinstance(row, Exception):
+            assert type(row) is type(one[0]) and str(row) == str(one[0])
+            continue
+        U, xi, gap, status, energy, witness = row
+        want = one[0]
+        assert hexes(U) == hexes(want[0]) and hexes(xi) == hexes(want[1])
+        assert hexes([gap, energy, witness]) == hexes(
+            [want[2], want[4], want[5]])
+        assert status == want[3]
+    errors = {b: row for b, row in enumerate(got)
+              if isinstance(row, Exception)}
+    assert sorted(errors) == [3, 4, 5]
+    assert isinstance(errors[3], scheme.StepFailureError)
+    assert str(errors[3]).startswith("inner solver stalled")
+    assert str(errors[4]) == "no energy at t=0.375"
+    assert str(errors[5]) == ("step tau=0.5 outside (0, tau_o=0.5) of "
+                              "StateWeightedToy")
+    # both starts occur; row 9's prediction is not lower than its u_prev
+    assert [got[b][3]["start"] for b in (0, 1, 2, 6, 7, 8, 9, 10)] == [
+        "previous", "predictor", "previous", "previous", "predictor",
+        "previous", "previous", "previous"]

@@ -156,13 +156,13 @@ def test_scan_values_are_the_one_point_objective_bitwise(monkeypatch, name,
     assert scanned == [scheme.SCAN_POINTS] * 3
     # the same three problems as one row batch: one (3, 513) scan, and
     # each row's minimizer, multiplier, gap and energy are its step's
-    _, (U, xi, gap, _, E, _), _ = scheme._steps(
+    rows = scheme._steps(
         spec.energy, p, np.array([[u] for u, _ in points]),
         np.array([t for _, t in points]), np.full(3, 0.125), SolveOptions(),
         [1.0] * 3, None)
     assert shapes == [(1, scheme.SCAN_POINTS)] * 3 + [(3, scheme.SCAN_POINTS)]
-    for b, step in enumerate(steps):
-        got = (U[b][0], xi[b][0], gap[b], E[b])
+    for (U, xi, gap, _, E, _), step in zip(rows, steps):
+        got = (U[0], xi[0], gap, E)
         want = (step[0][0], step[1][0], step[2], step[4])
         assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
