@@ -38,7 +38,7 @@ from .energy import energy_value
 from .errors import (ConditioningError, ConfigError, DnevolveError,
                      DomainError, RangeError, SolveAbortedError)
 from .models import finite_number, reject_unknown
-from .potentials import as_state
+from .potentials import as_state, frozen_query
 from .scheme import (WITNESS_TOL, DiscreteTrajectory, SolveOptions, TimeGrid,
                      ladder_fault, minimality_witness, solve)
 
@@ -264,8 +264,14 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     """Rebuild a trajectory for `check`: states/multipliers from the CSV,
     witnesses and energies recomputed against the configured model.
 
-    Also returns the checks of the stored columns against the grid and the
-    recomputation: stored_nodes counts rows whose n or t_n disagrees,
+    The 2N + 1 energies E(0, U_0), E(t_n, U_{n-1}) and E(t_n, U_n) are one
+    energy_value row call, in that order, and the N witnesses one
+    minimality_witness call per frozen potential.
+
+    Also returns the checks of the stored columns against the grid, the
+    config and the recomputation: stored_nodes counts rows whose n or t_n
+    disagrees, stored_initial the cells of row 0 that differ from the
+    config's u0 (bit for bit) or from the zero xi_0 and gap_0, and
     stored_energy is the worst relative error of the energy_n column.
     """
     model = plan.spec.energy
@@ -309,25 +315,36 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(xi))):
         raise ConfigError("output_dir", "trajectory.csv has a non-finite "
                                         "state or multiplier cell")
-    energies = np.zeros(grid.N + 1)
-    witnesses = np.zeros(grid.N + 1)
     psi = plan.psi
+    steps = np.array([grid.t(n) for n in range(1, grid.N + 1)])
     try:
-        energies[0] = energy_value(model, 0.0, U[0])
-        for n in range(1, grid.N + 1):
-            energies[n], witnesses[n] = minimality_witness(
-                model, psi.at_state(U[n - 1]), grid.t(n), grid.tau, U[n - 1],
-                U[n], energy_value(model, grid.t(n), U[n - 1]))
+        # E(0, U_0), then E(t_n, U_{n-1}) and E(t_n, U_n) of each step n
+        E = energy_value(model, np.concatenate([[0.0], steps.repeat(2)]),
+                         np.concatenate([U[:1], np.stack(
+                             [U[:-1], U[1:]], axis=1).reshape(-1, d)]))
     except DomainError as err:
         raise ConfigError("output_dir",
                           f"stored trajectory leaves the model domain: {err}")
+    energies = np.concatenate([E[:1], E[2::2]])
+    witnesses = np.zeros(grid.N + 1)
+    witnesses[1:] = frozen_query(
+        [psi.at_state(u) for u in U[:-1]],
+        lambda p, t, u_prev, u, e_prev, e: minimality_witness(
+            model, p, t, grid.tau, u_prev, u, e_prev, e)[1],
+        steps, U[:-1], U[1:], E[1::2], E[2::2])
     bad_nodes = int(np.count_nonzero(
         (nodes != np.arange(grid.N + 1))
         | ~(_rel_err(times, grid.nodes()) <= STORED_TOL)))
+    # U_0 is written with %.17g, which round-trips u0's bits
+    bad_initial = int(np.count_nonzero(U[0].view(np.int64)
+                                       != plan.u0.view(np.int64))
+                      + np.count_nonzero(xi[0]) + (gaps[0] != 0.0))
     energy_err = float(np.max(_rel_err(stored, energies)))
     checks = [
         {"name": "stored_nodes", "passed": bad_nodes == 0,
          "value": float(bad_nodes), "threshold": 0.0},
+        {"name": "stored_initial", "passed": bad_initial == 0,
+         "value": float(bad_initial), "threshold": 0.0},
         {"name": "stored_energy", "passed": energy_err <= STORED_TOL,
          "value": energy_err, "threshold": STORED_TOL},
     ]

@@ -27,10 +27,22 @@ per trajectory whoever asks first. A trajectory made by
 dataclasses.replace starts with an empty memo. Window sums stay slice sums
 over the bundle. step_inequality solves all N (m - 1) interior interpolant
 samples of a trajectory in one de_giorgi_interpolant call, and takes their
-energies from it. The repeated eta-argmin queries of P_n, multiplier
-selection and the interpolant samples are answered by the argmin memo of
-each marginal model (see energy.argmin_set), which the row batch of
-interpolant samples fills for the P_n samples that follow.
+energies from it.
+
+Certify in rows. Every scalar term is a row call, not one call per step
+or sample: _per_step_terms takes Psi(v_n) and Psi*(-xi_n) of the N steps
+as one call per frozen potential (potentials.frozen_query) and P_n as one
+generalized_time_derivative call; step_inequality takes its N slope
+multipliers as one slope_multiplier call and the N m samples of Psi*, P
+and Psi the same way; chain_rule_constant's N + 1 energies are one
+energy_value call. Each row keeps the bits of its own call, and the
+left-Riemann sums run step by step on Python floats, so every value is the
+one a loop over the samples gives. A pass that fails raises the error of
+the first failing step (potentials.row_call). The repeated eta-argmin
+queries of P_n, multiplier selection and the interpolant samples are
+answered by the argmin memo of each marginal model (see energy.argmin_set),
+whose misses in one row call are one batch; the row batch of interpolant
+samples fills it for the P_n samples that follow.
 """
 
 from __future__ import annotations
@@ -83,30 +95,38 @@ class StepTerms(FrozenRecord):
         self.chain = chain
 
 
-def _per_step_terms(traj: DiscreteTrajectory) -> StepTerms:
-    """The one certificate pass: every per-step integrand, in one loop."""
-    N = traj.N
+def _step_rows(traj: DiscreteTrajectory, ns: np.ndarray) -> np.ndarray:
+    """psi, conj, P, gap and chain of the steps ns (an index array) as the
+    rows of a (5, len(ns)) array: Psi and Psi* one call per frozen
+    potential, P one row call."""
     tau = traj.grid.tau
-    psis = np.zeros(N + 1)
-    conjs = np.zeros(N + 1)
-    Ps = np.zeros(N + 1)
-    gaps = np.zeros(N + 1)
-    chains = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        p = traj.psi_at(n)
-        v = traj.rate(n)
-        xi = -traj.xi[n]
-        psi = p.value(v)
-        conj = potentials.conjugate(p, xi)
-        pairing = float(np.dot(xi, v))
-        # the operands and order of potentials.fenchel_young_gap
-        gaps[n] = psi + conj - pairing
-        psis[n] = psi
-        conjs[n] = conj
-        Ps[n] = generalized_time_derivative(traj.model, traj.grid.t(n),
-                                            traj.U[n], traj.xi[n])
-        de = (traj.energies[n] - traj.energies[n - 1]) / tau
-        chains[n] = de + pairing - Ps[n]
+    frozen = [traj.psi_at(n) for n in ns.tolist()]
+    v = (traj.U[ns] - traj.U[ns - 1]) / tau
+    xi = -traj.xi[ns]
+    out = np.empty((5, len(ns)))
+    psi, conj, P, gap, chain = out
+    psi[:] = potentials.frozen_query(frozen, lambda p, v: p.value(v), v)
+    conj[:] = potentials.frozen_query(frozen, potentials.conjugate, xi)
+    pairing = np.vecdot(xi, v)
+    # the operands and order of potentials.fenchel_young_gap
+    gap[:] = psi + conj - pairing
+    P[:] = generalized_time_derivative(
+        traj.model, [traj.grid.t(n) for n in ns.tolist()], traj.U[ns],
+        traj.xi[ns])
+    de = (traj.energies[ns] - traj.energies[ns - 1]) / tau
+    chain[:] = de + pairing - P
+    return out
+
+
+def _per_step_terms(traj: DiscreteTrajectory) -> StepTerms:
+    """The one certificate pass: every per-step integrand, each a row pass
+    over the N steps (_step_rows). A step that fails raises the error the
+    first failing step raises alone."""
+    terms = np.zeros((5, traj.N + 1))
+    if traj.N:
+        terms[:, 1:] = potentials.row_call(
+            lambda ns: _step_rows(traj, ns), np.arange(1, traj.N + 1))
+    psis, conjs, Ps, gaps, chains = (row.copy() for row in terms)
     for arr in (psis, conjs, Ps, gaps, chains):
         arr.flags.writeable = False
     return StepTerms(psi=psis, conj=conjs, P=Ps, gap=gaps, chain=chains)
@@ -132,8 +152,9 @@ def chain_rule_constant(traj: DiscreteTrajectory) -> float:
     """Model-declared c_chain, else 10 (1 + C1 sup_n E(t_n, u0))."""
     if traj.model.c_chain is not None:
         return float(traj.model.c_chain)
-    sup_e = max(energy_value(traj.model, traj.grid.t(n), traj.U[0])
-                for n in range(traj.N + 1))
+    nodes = [traj.grid.t(n) for n in range(traj.N + 1)]
+    sup_e = max(energy_value(traj.model, nodes,
+                             traj.U[[0] * len(nodes)]).tolist())
     return 10.0 * (1.0 + traj.model.constants.C1 * sup_e)
 
 
@@ -217,8 +238,13 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
     conjugate-minimal multiplier. The N (m - 1) interior samples of the
     trajectory are one de_giorgi_interpolant call, whose energies E(t, U~)
     are used as the solve computed them, and E(t_n, U_n) is the
-    trajectory's stored energy. A stalled interpolant solve aborts
-    with SolveAbortedError naming the step and the sample time.
+    trajectory's stored energy. The N slope multipliers are one
+    slope_multiplier call, and the N m samples of each of Psi*, P and Psi
+    one row call (per frozen potential for Psi* and Psi); the sums run on
+    Python floats, step by step, so they keep the bits of a loop over the
+    samples. A stalled interpolant solve aborts with SolveAbortedError
+    naming the step and the sample time; a step whose samples fail raises
+    the error the first failing step raises alone.
     """
     m = QUAD_M if m is None else int(m)
     if m < 1:
@@ -226,38 +252,60 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
     model, grid = traj.model, traj.grid
     tau = grid.tau
     eps_quad = resolve_eps_quad(traj)
-    N = traj.N
+    N, d = traj.N, model.dim
     # the interior samples j = 1..m-1 of step n are rows (n-1)(m-1) + j - 1
     inner_t = [grid.t(n - 1) + j * tau / m
                for n in range(1, N + 1) for j in range(1, m)]
     inner_U, inner_xi, _, inner_E = de_giorgi_interpolant(
         traj, np.array(inner_t, dtype=float))
+    # sample j of step n is entry [n - 1, j] of these: j = 0 is the node
+    # U_{n-1} with its slope multiplier (set by passes), j = m the node
+    # U_n with its stored energy, the others the interior samples
+    S = np.empty((N, m + 1, d))
+    S[:, 0] = traj.U[:-1]
+    S[:, 1:m] = inner_U.reshape(N, m - 1, d)
+    S[:, m] = traj.U[1:]
+    X = np.empty((N, m, d))
+    X[:, 1:] = inner_xi.reshape(N, m - 1, d)
+    times = np.empty((N, m))
+    times[:, 0] = [grid.t(n) for n in range(N)]
+    times[:, 1:] = np.reshape(inner_t, (N, m - 1))
+    energies = np.empty((N, m))
+    energies[:, :-1] = inner_E.reshape(N, m - 1)
+    energies[:, -1] = traj.energies[1:]
+    # the shrunken steps r = k tau / m of the samples k = 1..m, as a column
+    r_k = np.array([k * tau / m for k in range(1, m + 1)])[:, None]
+
+    def passes(steps):
+        """Psi*(-xi~), P at the samples j = 0..m-1 and Psi of the rates
+        to the samples k = 1..m of the steps n = steps + 1, as (B, m)."""
+        B = len(steps)
+        X[steps, 0] = slope_multiplier(model, traj.psi,
+                                       times[steps, 0].tolist(), S[steps, 0])
+        # each step's potential, frozen once, for each of its m rows
+        frozen = [p for n in steps.tolist() for p in [traj.psi_at(n + 1)] * m]
+        xis = X[steps].reshape(B * m, d)
+        conj = potentials.frozen_query(frozen, potentials.conjugate, -xis)
+        P = generalized_time_derivative(
+            model, times[steps].ravel().tolist(),
+            S[steps, :m].reshape(B * m, d), xis)
+        rates = (S[steps, 1:] - S[steps, :1]) / r_k
+        vals = potentials.frozen_query(frozen, lambda p, v: p.value(v),
+                                       rates.reshape(B * m, d))
+        return [a.reshape(B, m).tolist() for a in (conj, P, vals)]
+
+    conj, P, vals = potentials.row_call(passes, np.arange(N))
     max_defects = np.zeros(N + 1)
     end_defects = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        t0 = grid.t(n - 1)
-        U0 = traj.U[n - 1]
-        p = traj.psi_at(n)
-        e0 = traj.energies[n - 1]
-        rows = slice((n - 1) * (m - 1), n * (m - 1))
-
-        # samples j = 0..m: state, multiplier, absolute time, and (j >= 1)
-        # the energy E(t_j, state_j)
-        states = [U0, *inner_U[rows], traj.U[n]]
-        xis = [slope_multiplier(model, traj.psi, t0, U0), *inner_xi[rows],
-               traj.xi[n]]
-        times = [t0, *inner_t[rows], grid.t(n)]
-        energies = [None, *inner_E[rows], traj.energies[n]]
-
-        conj_vals = [potentials.conjugate(p, -x) for x in xis[:m]]
-        P_vals = [generalized_time_derivative(model, times[j], states[j],
-                                              xis[j]) for j in range(m)]
+    for n, (e0, conj_n, P_n, val_n, E_n) in enumerate(zip(
+            traj.energies[:-1].tolist(), conj, P, vals, energies.tolist()),
+            start=1):
         worst = -np.inf
         for k in range(1, m + 1):
             r = k * tau / m
-            Q = (tau / m) * sum(conj_vals[:k])
-            R = (tau / m) * sum(P_vals[:k])
-            lhs = r * p.value((states[k] - U0) / r) + Q + energies[k]
+            Q = (tau / m) * sum(conj_n[:k])
+            R = (tau / m) * sum(P_n[:k])
+            lhs = r * val_n[k - 1] + Q + E_n[k - 1]
             defect = lhs - (e0 + R)
             worst = max(worst, defect)
             if k == m:

@@ -12,7 +12,11 @@ subdifferential is the set of partial gradients D_u I at the minimizing eta
 over minimizers compatible with the supplied xi. A Clarke-type interval is
 available in dimension 1 for models that declare their kink locations.
 subdiff_rows asks many points at once; the marginal layer evaluates their
-candidate etas, safety grid and D_u I as (B, k) arrays.
+candidate etas, safety grid and D_u I as (B, k) arrays. Rows of
+(time, state) pairs likewise go to energy_value, through the model's
+at_times, and to generalized_time_derivative, through its
+time_deriv_P_rows: AllenCahn1D's P is one closed-form array expression,
+and a marginal model's one argmin query and one D_u I array.
 
 Energies carry an explicit constant offset chosen so the working minimum is
 at least 1; the offset is stored and reported, never silently applied.
@@ -30,7 +34,7 @@ from .errors import (ConditioningError, DimensionMismatchError, DomainError,
                      RefinementError, ResolutionError)
 from .potentials import (AdmissibilityReport as AssumptionReport,
                          AxiomCheck as AssumptionCheck, _one_sided,
-                         as_state)
+                         as_state, row_call)
 
 DELTA_XI = 1e-8       # xi-to-eta matching tolerance; both sides come from
                       # the same analytic D_u I, so agreement is near machine
@@ -107,6 +111,12 @@ class EnergyModel:
     def time_deriv_P(self, t: float, u: np.ndarray, xi: np.ndarray) -> float:
         raise NotImplementedError
 
+    def time_deriv_P_rows(self, t, U, XI) -> List[float]:
+        """time_deriv_P at each row (t[b], U[b], XI[b]) of a sequence of
+        times and two (B, d) arrays, in row order. By default every row
+        is one call."""
+        return [self.time_deriv_P(tb, ub, xb) for tb, ub, xb in zip(t, U, XI)]
+
     def kinks_1d(self, t: float) -> Tuple[float, ...]:
         """u-locations where E(t, .) is not differentiable (d = 1 models)."""
         return ()
@@ -125,7 +135,9 @@ class MarginalEnergy(EnergyModel):
     a (B, k) array of etas give (B, k) values, each the bits of the
     one-point call (d = 1). time_deriv_P is the sup of inner_dt
     over the minimizing eta whose D_u I lies within DELTA_XI of xi;
-    ConditioningError when none does.
+    ConditioningError when none does. It is the one-row case of
+    time_deriv_P_rows, whose rows share one argmin query and one D_u I
+    array.
     """
 
     eta_values: Optional[Tuple[float, ...]] = None
@@ -160,17 +172,37 @@ class MarginalEnergy(EnergyModel):
         return np.linspace(lo, hi, 1025)
 
     def time_deriv_P(self, t, u, xi):
-        etas = argmin_set(self, t, u)
-        dus = [np.asarray(self.inner_du(t, u, e), dtype=float).reshape(self.dim)
-               for e in etas]
-        matched = [e for e, du in zip(etas, dus)
-                   if np.linalg.norm(xi - du) <= DELTA_XI]
-        if not matched:
-            raise ConditioningError(
-                f"xi = {np.round(xi, 8).tolist()} matches no minimizer of "
-                f"{self.name} at (t={t}); candidates "
-                f"{[np.round(du, 8).tolist() for du in dus]}")
-        return max(float(self.inner_dt(t, u, e)) for e in matched)
+        return self.time_deriv_P_rows(
+            (t,), np.asarray(u, dtype=float)[None],
+            np.asarray(xi, dtype=float)[None])[0]
+
+    def time_deriv_P_rows(self, t, U, XI):
+        """P at each row of a d = 1 model: the minimizing etas of every
+        row are one _argmin_rows query (its memo misses one batch), their
+        D_u I one (B, k) inner_du call, and inner_dt is taken per row and
+        matched eta. The first row whose xi matches no minimizer raises
+        ConditioningError."""
+        _check_domain(self, U)
+        sets = _argmin_rows(self, t, U)
+        k = max(len(s) for s in sets)
+        etas = np.array([s + s[-1:] * (k - len(s)) for s in sets])
+        dus = np.asarray(self.inner_du(np.asarray(t, dtype=float)[:, None],
+                                       U, etas), dtype=float)
+        # |xi - D_u I| as np.linalg.norm takes it of one coordinate
+        diff = XI - dus
+        near = (np.sqrt(diff * diff) <= DELTA_XI).tolist()
+        out = []
+        for b, etas_b in enumerate(sets):
+            matched = [e for e, ok in zip(etas_b, near[b]) if ok]
+            if not matched:
+                cands = np.round(dus[b, :len(etas_b), None], 8).tolist()
+                raise ConditioningError(
+                    f"xi = {np.round(XI[b], 8).tolist()} matches no "
+                    f"minimizer of {self.name} at (t={t[b]}); candidates "
+                    f"{cands}")
+            out.append(max(float(self.inner_dt(t[b], U[b], e))
+                           for e in matched))
+        return out
 
 
 def default_delta_M(min_inner: float) -> float:
@@ -178,10 +210,15 @@ def default_delta_M(min_inner: float) -> float:
 
 
 def _check_domain(model: EnergyModel, u: np.ndarray) -> None:
+    """DomainError naming the state u (d,), or the first row of a (B, d)
+    array of states, that leaves the model's domain box."""
     if model.domain_box is None:
         return
     lo, hi = model.domain_box
-    if (u < lo).any() or (u > hi).any():
+    out = (u < lo) | (u > hi)
+    if out.any():
+        if u.ndim == 2:
+            u = u[np.flatnonzero(out.any(axis=1))[0]]
         raise DomainError(
             f"state outside declared domain box of {model.name}: "
             f"u = {np.round(u, 6).tolist()}")
@@ -238,11 +275,27 @@ def _cluster_scalars(xs: np.ndarray, fs: np.ndarray, tol: float) -> List[float]:
 # operations
 
 
-def energy_value(model: EnergyModel, t: float, u) -> float:
-    """E(t, u), with the declared domain box enforced."""
-    u = as_state(u, model.dim)
-    _check_domain(model, u)
-    return float(model.value(t, u))
+def _times(t) -> list:
+    """A sequence of times as a list, of Python floats for an array."""
+    return t.tolist() if isinstance(t, np.ndarray) else list(t)
+
+
+def energy_value(model: EnergyModel, t: float, u):
+    """E(t, u), with the declared domain box enforced. A state (d,) gives
+    a float; times t[b] and the rows U[b] of a (B, d) array give the (B,)
+    array of E(t[b], U[b]), by one model.at_times call and one domain
+    check of the array, each row with the bits of its own call. A row
+    that fails raises the error the first failing row raises alone."""
+    if np.ndim(u) < 2:
+        u = as_state(u, model.dim)
+        _check_domain(model, u)
+        return float(model.value(t, u))
+
+    def rows(t, U):
+        U = as_state(U, model.dim)
+        _check_domain(model, U)
+        return np.array(model.at_times(t)(U)[0], dtype=float)
+    return row_call(rows, _times(t), u)
 
 
 def argmin_set(model: MarginalEnergy, t: float, u) -> List[float]:
@@ -334,12 +387,22 @@ def clarke_subdifferential_1d(model: EnergyModel, t: float, u,
     return (min(d_left, d_right), max(d_left, d_right))
 
 
-def generalized_time_derivative(model: EnergyModel, t: float, u, xi) -> float:
+def generalized_time_derivative(model: EnergyModel, t: float, u, xi):
     """Conditioned P(t, u, xi) = model.time_deriv_P on validated states:
     the conditioned sup of MarginalEnergy, the analytic (xi-independent)
-    time derivative of a smooth model."""
-    return float(model.time_deriv_P(t, as_state(u, model.dim),
-                                    as_state(xi, model.dim)))
+    time derivative of a smooth model. A state and a multiplier (d,) give
+    a float; times t[b] and the rows of two (B, d) arrays give the (B,)
+    array of P(t[b], U[b], XI[b]), by one model.time_deriv_P_rows call,
+    each row with the bits of its own call. A row that fails raises the
+    error the first failing row raises alone."""
+    if np.ndim(u) < 2:
+        return float(model.time_deriv_P(t, as_state(u, model.dim),
+                                        as_state(xi, model.dim)))
+
+    def rows(t, U, XI):
+        return np.array(model.time_deriv_P_rows(
+            t, as_state(U, model.dim), as_state(XI, model.dim)), dtype=float)
+    return row_call(rows, _times(t), u, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -265,8 +265,15 @@ class _AllenCahnEnergy(EnergyModel):
         return at
 
     def time_deriv_P(self, t, u, xi):
-        # d/dt of -<l(t), u> dx
-        return -self.amp * math.cos(t) * float(np.dot(self.profile, u)) * self.dx
+        return self.time_deriv_P_rows((t,), np.asarray(u, dtype=float)[None],
+                                      None)[0]
+
+    def time_deriv_P_rows(self, t, U, XI):
+        # d/dt of -<l(t), u> dx, with the cosine of each time from math
+        # as load takes the sine
+        cos = np.array([math.cos(s) for s in t])
+        return (-self.amp * cos * np.vecdot(U, self.profile)
+                * self.dx).tolist()
 
 
 class _StateWeightedQuadEnergy(_QuadraticEnergy):

@@ -17,6 +17,16 @@ state-independent kind), and every query below takes such a frozen p:
 
 An unfrozen StateWeighted family raises TypeError from all of them.
 
+Rows. p.value, p.closed_conjugate, conjugate and fenchel_young_gap take a
+rate (d,) and give a float, or take the rows of a (B, d) array and give
+the (B,) array of the rows' values, each with the bits of its one-rate
+call: a sum over a rate is np.add.reduce along the last axis, which is
+the 1-D sum of each row, and a pairing np.vecdot, which is np.dot per
+row. Where a row fails, the error raised is the one a loop over the rows
+would have met first (row_call). frozen_query groups rows by the
+potential each is frozen to, so a pass over the steps of a trajectory
+under a state-dependent family makes one call per frozen potential.
+
 The pairing is the Euclidean dot product throughout; models that need mesh
 weights bake them into the potential and the energy.
 
@@ -51,15 +61,58 @@ RADII = tuple(np.logspace(0, 6, 13))
 
 
 def as_state(x, dim: Optional[int] = None) -> np.ndarray:
-    """Coerce to a finite 1D float64 state vector."""
+    """Coerce to a finite float64 state vector (d,), or to finite rows of
+    states, a (B, d) array."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError("state vectors are 1D")
+    if v.ndim > 2:
+        raise ValueError("state vectors are 1D, or the rows of a 2D array")
     if not np.isfinite(v).all():
         raise ValueError("state vector has non-finite coordinates")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatchError(dim, v.shape[0], "state")
+    if dim is not None and v.shape[-1] != dim:
+        raise DimensionMismatchError(dim, v.shape[-1], "state")
     return v
+
+
+def row_call(fn, *rows):
+    """fn(*rows), for arrays or sequences whose leading axis is the row.
+    When it raises, fn runs again on each row alone, in order, and the
+    first row that raises alone raises its own error: the error a loop
+    over the rows would have met first, with its own message."""
+    try:
+        return fn(*rows)
+    except Exception:
+        for b in range(len(rows[0])):
+            fn(*(r[b:b + 1] for r in rows))
+        raise
+
+
+def frozen_query(frozen, query, *rows) -> np.ndarray:
+    """The (B,) array of query(p, *row arrays) over rows under several
+    frozen potentials: row b belongs to the potential frozen[b], and the
+    rows of one potential, taken from each (B, ...) array of rows, are one
+    query call, so a state-independent family makes one call. A row that
+    fails raises the error the first failing row raises alone."""
+    def grouped(frozen, *rows):
+        groups, last = {}, None
+        for b, p in enumerate(frozen):
+            if p is not last:  # a run of one object is hashed once
+                bs, last = groups.setdefault(p, []), p
+            bs.append(b)
+        out = np.empty(len(frozen))
+        for p, bs in groups.items():
+            out[bs] = query(p, *(r[bs] for r in rows))
+        return out
+    return row_call(grouped, frozen, *rows)
+
+
+def _sum(x):
+    """The sum over a rate, or over each row of a (B, d) array."""
+    return np.add.reduce(x, -1)
+
+
+def _out(x):
+    """A float for one rate, the (B,) array for rows."""
+    return x if getattr(x, "ndim", 0) else float(x)
 
 
 class DissipationPotential(FrozenRecord):
@@ -69,7 +122,9 @@ class DissipationPotential(FrozenRecord):
 
     Separable kinds (Psi(v) = sum_i scalar(v_i)) fill in the decomposition
     below, from which `scalar(s)`, the per-coordinate contribution, follows.
-    Every state-independent kind gives Psi* by `closed_conjugate`.
+    Every state-independent kind gives Psi* by `closed_conjugate`. value
+    and closed_conjugate take a rate (d,), giving a float, or the rows of
+    a (B, d) array, giving the (B,) array of the rows' values.
     """
 
     separable: bool = False
@@ -127,10 +182,10 @@ class Quadratic(DissipationPotential):
         self.c = c
 
     def value(self, v):
-        return 0.5 * self.c * float(np.dot(v, v))
+        return _out(0.5 * self.c * np.vecdot(v, v))
 
     def closed_conjugate(self, xi):
-        return float(np.dot(xi, xi)) / (2.0 * self.c)
+        return _out(np.vecdot(xi, xi) / (2.0 * self.c))
 
     def smooth_scalar(self, s):
         return 0.5 * self.c * np.square(s)
@@ -166,11 +221,12 @@ class PNorm(DissipationPotential):
         self.p = p
 
     def value(self, v):
-        return float(self.c / self.p * np.sum(np.abs(v) ** self.p))
+        return _out(self.c / self.p * _sum(np.abs(v) ** self.p))
 
     def closed_conjugate(self, xi):
         if self.p == 1.0:
-            return 0.0 if np.max(np.abs(xi), initial=0.0) <= self.c else np.inf
+            top = np.maximum.reduce(np.abs(xi), -1, initial=0.0)
+            return _out(np.where(top <= self.c, 0.0, np.inf))
         q = self.p / (self.p - 1.0)
         try:
             w = self.c ** (1.0 - q)
@@ -178,8 +234,8 @@ class PNorm(DissipationPotential):
             # a tiny c: c^(1-q) |xi|^q = c (|xi|/c)^q, which overflows to
             # +inf only where the value does, and is 0 at xi = 0
             with np.errstate(over="ignore"):
-                return float(self.c / q * np.sum((np.abs(xi) / self.c) ** q))
-        return float(w / q * np.sum(np.abs(xi) ** q))
+                return _out(self.c / q * _sum((np.abs(xi) / self.c) ** q))
+        return _out(w / q * _sum(np.abs(xi) ** q))
 
     @property
     def one_hom(self):
@@ -222,11 +278,12 @@ class OneHomPlusQuad(DissipationPotential):
         self.eps = eps
 
     def value(self, v):
-        return float(self.rho * np.sum(np.abs(v)) + 0.5 * self.eps * np.dot(v, v))
+        return _out(self.rho * _sum(np.abs(v))
+                    + 0.5 * self.eps * np.vecdot(v, v))
 
     def closed_conjugate(self, xi):
         excess = np.maximum(np.abs(xi) - self.rho, 0.0)
-        return float(np.sum(np.square(excess)) / (2.0 * self.eps))
+        return _out(_sum(np.square(excess)) / (2.0 * self.eps))
 
     @property
     def one_hom(self):
@@ -286,7 +343,7 @@ class WeightedSum(DissipationPotential):
         return g.closed_conjugate(_soft(xi, rho))
 
     def value(self, v):
-        return float(sum(p.value(v) for p in self.parts))
+        return _out(sum(p.value(v) for p in self.parts))
 
     @property
     def one_hom(self):
@@ -397,20 +454,22 @@ class TwoSlope(DissipationPotential):
     """
 
     def value(self, v):
-        r = float(np.linalg.norm(v))
-        return max(r, 2.0 * r - 1.0)
+        # max(r, 2r - 1) as Python's max picks: 2r - 1 only when larger
+        r = np.sqrt(np.vecdot(v, v))
+        return _out(np.where(2.0 * r - 1.0 > r, 2.0 * r - 1.0, r))
 
     def scalar(self, s):
         r = np.abs(np.asarray(s, dtype=float))
         return np.maximum(r, 2.0 * r - 1.0)
 
     def closed_conjugate(self, xi):
-        r = float(np.linalg.norm(xi))
-        if r > 2.0:
+        r = np.sqrt(np.vecdot(xi, xi))
+        over = np.flatnonzero(r > 2.0)
+        if over.size:  # the first such row
             raise MaximizationFailureError(
-                f"||xi|| = {r:.3e} exceeds the largest slope 2; "
-                "the conjugate is infinite")
-        return max(r - 1.0, 0.0)
+                f"||xi|| = {float(np.ravel(r)[over[0]]):.3e} exceeds the "
+                "largest slope 2; the conjugate is infinite")
+        return _out(np.where(0.0 > r - 1.0, 0.0, r - 1.0))
 
     def label(self):
         return "TwoSlope"
@@ -443,19 +502,28 @@ def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:
     return best
 
 
-def conjugate(p: DissipationPotential, xi) -> float:
+def conjugate(p: DissipationPotential, xi):
     """Psi*(xi) = sup_v <xi,v> - Psi(v), always >= 0, by the closed form of
-    the frozen potential p. TwoSlope raises MaximizationFailureError where
+    the frozen potential p: a float for one xi (d,), the (B,) array for the
+    rows of a (B, d) array. TwoSlope raises MaximizationFailureError where
     its conjugate is infinite.
     """
-    return max(p.closed_conjugate(as_state(xi)), 0.0)
+    def rows(x):
+        c = p.closed_conjugate(as_state(x))
+        # max(c, 0.0) row by row: 0.0 only below zero, so -0.0 and NaN stay
+        return _out(np.where(c < 0.0, 0.0, c))
+    return rows(xi) if np.ndim(xi) < 2 else row_call(rows, xi)
 
 
-def fenchel_young_gap(p: DissipationPotential, v, xi) -> float:
-    """Psi(v) + Psi*(xi) - <xi, v>; nonnegative, zero iff xi in dPsi(v)."""
-    v = as_state(v)
-    xi = as_state(xi, dim=v.shape[0])
-    return p.value(v) + conjugate(p, xi) - float(np.dot(xi, v))
+def fenchel_young_gap(p: DissipationPotential, v, xi):
+    """Psi(v) + Psi*(xi) - <xi, v>; nonnegative, zero iff xi in dPsi(v).
+    A rate and a multiplier give a float, the rows of two (B, d) arrays
+    the (B,) array of the rows' gaps."""
+    def rows(v, xi):
+        v = as_state(v)
+        xi = as_state(xi, dim=v.shape[-1])
+        return p.value(v) + conjugate(p, xi) - _out(np.vecdot(xi, v))
+    return rows(v, xi) if np.ndim(v) < 2 else row_call(rows, v, xi)
 
 
 def subdiff_contains(p: DissipationPotential, v, xi, tol: float) -> bool:

@@ -47,7 +47,11 @@ its final L in inner_status.
 Every step problem goes through one row entry, _steps: it rejects a step
 outside (0, tau_o), freezes each row's potential at its previous state,
 batches the rows that share a frozen potential in blocks of ROW_BLOCK, and
-hands each row back its own result or its own error. Several grids are
+hands each row back its own result or its own error. A block's scalar
+terms are rows as well: its E(t, U_{n-1}) and the energies the solver did
+not hand over are one energy_value call each, its witnesses one
+minimality_witness call, and the gaps of all its rows' candidate
+multipliers one fenchel_young_gap call. Several grids are
 solved in lockstep (_solve_grids, which refinement studies use): round n
 takes step n of every grid that has one, as the rows of one _steps call,
 and solve is the case of one grid. ladder_fault states the rule every tau
@@ -511,34 +515,49 @@ def _candidates(model, t, U) -> List[List[np.ndarray]]:
     return out
 
 
+def _flat(cands):
+    """(owner, C) of per-row candidate lists: the row each candidate
+    belongs to, and every candidate, in row order, as a row of C."""
+    return ([b for b, cs in enumerate(cands) for _ in cs],
+            np.array([c for cs in cands for c in cs]))
+
+
 def _select_multiplier(model, p, v, t, U):
     """Each row's gap-minimal multiplier among the model's candidates at
     (t[b], U[b]), against the rate v[b]; ties go to the lexicographically
-    smallest xi. Returns (xi, gap), of shapes (B, d) and (B,)."""
+    smallest xi. The gaps of every row's candidates are one row call of
+    fenchel_young_gap, and each row picks its least on Python floats.
+    Returns (xi, gap), of shapes (B, d) and (B,)."""
+    cands = _candidates(model, t, U)
+    owner, C = _flat(cands)
+    gaps = potentials.fenchel_young_gap(p, v[owner], -C).tolist()
     xi = np.empty_like(U)
     gap = np.empty(U.shape[0])
-    for b, cands in enumerate(_candidates(model, t, U)):
+    i = 0
+    for b, cs in enumerate(cands):
         best_xi, best_gap = None, np.inf
-        for c in cands:
-            g = potentials.fenchel_young_gap(p, v[b], -c)
+        for c, g in zip(cs, gaps[i:i + len(cs)]):
             if g < best_gap:
                 best_xi, best_gap = c, g
+        i += len(cs)
         xi[b], gap[b] = best_xi, best_gap
     return xi, gap
 
 
-def minimality_witness(model: EnergyModel, p, t_n: float, tau: float,
-                       u_prev, U, e_prev: float,
-                       e: Optional[float] = None) -> Tuple[float, float]:
+def minimality_witness(model: EnergyModel, p, t_n, tau, u_prev, U, e_prev,
+                       e=None):
     """(E(t_n, U), witness) for the step from u_prev to U under the frozen
     potential p, given e_prev = E(t_n, u_prev), with witness =
     tau p((U - u_prev) / tau) + E(t_n, U) - e_prev: the objective of U
     minus that of the competitor u_prev, so a minimizer has witness <= 0.
-    e, if given, is E(t_n, U) as energy_value computes it."""
-    v = (U - u_prev) / tau
+    e, if given, is E(t_n, U) as energy_value computes it. One step takes
+    states (d,) and floats; B steps take the rows of (B, d) arrays and
+    sequences of B times, steps and energies, and give (B,) arrays."""
+    h = np.asarray(tau, dtype=float)
+    v = (U - u_prev) / h[..., None]
     if e is None:
         e = energy_value(model, t_n, U)
-    obj = tau * p.value(v) + e
+    obj = h * p.value(v) + e
     return e, obj - e_prev
 
 
@@ -547,19 +566,18 @@ def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
     """Rows b of solved steps from u_prev[b] to U[b] at (t[b], tau[b]): the
     minimality witness against u_prev[b], which replaces U[b] when it is
     no worse, and the gap-minimal multiplier. e_solved, if given, lists
-    E(t[b], U[b]) as the inner solver computed it. Returns (U, xi, gap,
-    status, energy, witness): row arrays, and the list of row statuses."""
-    B = len(status)
-    energy, witness = np.empty(B), np.empty(B)
-    for b in range(B):
-        energy[b], witness[b] = minimality_witness(
-            model, p, t[b], tau[b], u_prev[b], U[b], e_prev[b],
-            None if e_solved is None else e_solved[b])
-        # the previous state is always an admissible competitor; taking it
-        # when it is no worse keeps the witness nonpositive by construction
-        if witness[b] > 0.0:
-            U[b], energy[b], witness[b] = u_prev[b], e_prev[b], 0.0
-            status[b] = dict(status[b], fell_back_to_prev=True)
+    E(t[b], U[b]) as the inner solver computed it; the other rows' energy
+    is one energy_value row call, and the witnesses one minimality_witness
+    call. Returns (U, xi, gap, status, energy, witness): row arrays, and
+    the list of row statuses."""
+    energy, witness = minimality_witness(model, p, t, tau, u_prev, U, e_prev,
+                                         e_solved)
+    energy = np.array(energy, dtype=float)
+    # the previous state is always an admissible competitor; taking it
+    # when it is no worse keeps the witness nonpositive by construction
+    for b in [b for b, w in enumerate(witness.tolist()) if w > 0.0]:
+        U[b], energy[b], witness[b] = u_prev[b], e_prev[b], 0.0
+        status[b] = dict(status[b], fell_back_to_prev=True)
     v = (U - u_prev) / np.asarray(tau)[:, None]
     xi, gap = _select_multiplier(model, p, v, t, U)
     return U, xi, gap, status, energy, witness
@@ -598,7 +616,7 @@ def _steps(model, psi, u_prev, t, tau, opts, L0, x_pred):
         if model.dim == 1:
             # _solve_1d takes its rows' times and steps as arrays
             tb, hb = np.array(tb), np.array(hb)
-        e_prev = [energy_value(model, s, u) for s, u in zip(tb, ub)]
+        e_prev = energy_value(model, tb, ub).tolist()
         if model.dim == 1:
             U, status = _solve_1d(model, p, ub, tb, hb, e_prev)
             res, energy = [None] * len(rows), None
@@ -788,14 +806,30 @@ def _locate(grid: TimeGrid, t):
     return n, np.where(n > 0, t - (n - 1) * tau, 0.0)
 
 
-def slope_multiplier(model: EnergyModel, psi, t: float, u) -> np.ndarray:
+def slope_multiplier(model: EnergyModel, psi, t, u) -> np.ndarray:
     """The r -> 0 limit multiplier of the variational interpolant: the
-    subdifferential candidate minimizing the conjugate Psi_u*(-xi)."""
+    subdifferential candidate minimizing the conjugate Psi_u*(-xi), ties
+    to the lexicographically smallest. A time and a state (d,) give its
+    (d,) multiplier; times t[b] and the rows of a (B, d) array give the
+    (B, d) array, with the candidates of every row one conjugate call per
+    frozen potential."""
     u = as_state(u, model.dim)
-    p = psi.at_state(u)
-    cands = _candidates(model, [t], u[None])[0]
-    vals = [potentials.conjugate(p, -c) for c in cands]
-    return cands[int(np.argmin(vals))]
+    if u.ndim == 1:
+        return slope_multiplier(model, psi, [t], u[None])[0]
+
+    def rows(t, U):
+        frozen = [psi.at_state(u) for u in U]
+        cands = _candidates(model, t, U)
+        owner, C = _flat(cands)
+        vals = potentials.frozen_query([frozen[b] for b in owner],
+                                       potentials.conjugate, -C).tolist()
+        out = np.empty_like(U)
+        i = 0
+        for b, cs in enumerate(cands):
+            out[b] = cs[int(np.argmin(vals[i:i + len(cs)]))]
+            i += len(cs)
+        return out
+    return potentials.row_call(rows, list(t), u)
 
 
 def de_giorgi_interpolant(traj: DiscreteTrajectory, t):

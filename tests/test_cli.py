@@ -430,7 +430,9 @@ def test_nan_witness_exits_3(tmp_path, capsys, monkeypatch):
     real = scheme.minimality_witness
 
     def nan_witness(*args, **kwargs):
-        return real(*args, **kwargs)[0], float("nan")
+        # a NaN in every row of the witness array
+        e, w = real(*args, **kwargs)
+        return e, w * float("nan")
 
     monkeypatch.setattr(scheme, "minimality_witness", nan_witness)
     code, _, err = run_main(capsys, "run", write_cfg(tmp_path))
@@ -452,8 +454,9 @@ def test_non_finite_gap_exits_3(tmp_path, capsys, monkeypatch, patch):
         monkeypatch.setattr(scheme, "_select_multiplier", select)
         shown = "gap nan"
     else:
+        # every candidate's gap, of the one row call over them, is inf
         monkeypatch.setattr(scheme.potentials, "fenchel_young_gap",
-                            lambda *args: math.inf)
+                            lambda p, v, xi: np.full(len(v), math.inf))
         shown = "gap inf"
     code, _, err = run_main(capsys, "run", write_cfg(tmp_path))
     assert code == 3
@@ -537,6 +540,7 @@ def test_check_round_trip(tmp_path, capsys):
     assert code == 0
     assert "check fenchel_young: PASS" in out
     assert "check stored_nodes: PASS" in out
+    assert "check stored_initial: PASS" in out
     assert "check stored_energy: PASS" in out
     assert "check stored_gap: PASS" in out
 
@@ -585,6 +589,73 @@ def test_check_validates_node_columns(tmp_path, capsys, col, value):
     assert code == 1
     assert "check stored_nodes: FAIL (value=1," in out
     assert "failing checks: stored_nodes" in err
+
+
+@pytest.mark.parametrize("col,edit", [
+    (2, lambda x: x + 1e-6 * (1.0 + abs(x))),   # U_0, moved by 1e-6
+    (3, lambda x: 1e-6),                         # xi_0
+    (4, lambda x: 1e-13)])                       # gap_0, within stored_gap
+def test_check_compares_row_zero_with_the_config(tmp_path, capsys, col,
+                                                 edit):
+    # row 0 is u0 with xi_0 = gap_0 = 0. With the energy_n and gap_n
+    # columns rewritten to match the edit, as a writer that recomputes its
+    # columns would, every other check passes these edits
+    path = write_cfg(tmp_path, {"T": 0.125, "tau": 2.0 ** -6})
+    assert run_main(capsys, "run", path)[0] == 0
+    csv_path = tmp_path / "out" / "trajectory.csv"
+    rows = [ln.split(",") for ln in csv_path.read_text().splitlines()]
+    rows[1][col] = "%.17g" % edit(float(rows[1][col]))
+    csv_path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    plan = cli.load_plan(path)
+    traj, _ = cli.read_trajectory_csv(str(csv_path), plan, plan.ladder[-1])
+    gap = diagnostics.fenchel_young_profile(traj)
+    for n in range(traj.N + 1):
+        rows[n + 1][-1] = "%.17g" % traj.energies[n]
+        if n:
+            rows[n + 1][-2] = "%.17g" % gap[n]
+    csv_path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 1
+    assert "check stored_initial: FAIL (value=1," in out
+    assert err == "failing checks: stored_initial\n"
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    # a state-dependent potential: one witness call per frozen potential
+    {"model": {"name": "StateWeightedToy", "params": {"dim": 2}},
+     "u0": [0.3, -0.2]}])
+def test_check_reads_energies_and_witnesses_as_rows(tmp_path, capsys,
+                                                    monkeypatch, overrides):
+    path = write_cfg(tmp_path, overrides)
+    assert run_main(capsys, "run", path)[0] == 0
+    calls = {"energy_value": [], "minimality_witness": []}
+    for name in calls:
+        def counted(model, *args, _real=getattr(cli, name), _name=name):
+            calls[_name].append(len(args[-1]))
+            return _real(model, *args)
+        monkeypatch.setattr(cli, name, counted)
+    plan = cli.load_plan(path)
+    traj, _ = cli.read_trajectory_csv(str(tmp_path / "out" / "trajectory.csv"),
+                                      plan, plan.ladder[-1])
+    N = traj.N
+    frozen = {traj.psi_at(n) for n in range(1, N + 1)}
+    assert calls["energy_value"] == [2 * N + 1]
+    assert len(calls["minimality_witness"]) == len(frozen)
+    assert sum(calls["minimality_witness"]) == N
+    # each as the loop over the steps computed it
+    model, grid = plan.spec.energy, traj.grid
+    want_e, want_w = [energy.energy_value(model, 0.0, traj.U[0])], [0.0]
+    for n in range(1, N + 1):
+        e, w = scheme.minimality_witness(
+            model, traj.psi_at(n), grid.t(n), grid.tau, traj.U[n - 1],
+            traj.U[n], energy.energy_value(model, grid.t(n), traj.U[n - 1]))
+        want_e.append(e)
+        want_w.append(w)
+    assert ([float(x).hex() for x in traj.energies]
+            == [float(x).hex() for x in want_e])
+    assert ([float(x).hex() for x in traj.witnesses]
+            == [float(x).hex() for x in want_w])
 
 
 def test_check_requires_existing_trajectory(tmp_path, capsys):
@@ -779,15 +850,18 @@ def _count_calls(monkeypatch, counts, module, name, on_call=None):
 
 
 def test_run_certifies_once(tmp_path, capsys, monkeypatch):
-    counts, points = {}, set()
+    counts, points = {"argmin_rows": 0}, set()
 
-    def record(model, t, u):
-        points.add((float(t), np.asarray(u, dtype=float).tobytes()))
+    def record(model, t, U):
+        # each row of an argmin query is one point asked
+        counts["argmin_rows"] += len(t)
+        for tb, ub in zip(t, U):
+            points.add((float(tb), np.asarray(ub, dtype=float).tobytes()))
 
     _count_calls(monkeypatch, counts, diagnostics, "_per_step_terms")
     _count_calls(monkeypatch, counts, diagnostics, "step_inequality")
     _count_calls(monkeypatch, counts, diagnostics, "chain_rule_constant")
-    _count_calls(monkeypatch, counts, energy, "argmin_set", record)
+    _count_calls(monkeypatch, counts, energy, "_argmin_rows", record)
     # the candidates of one point, or of a batch of rows, count once per
     # point they evaluate
     orig = energy._marginal_candidates
@@ -804,7 +878,7 @@ def test_run_certifies_once(tmp_path, capsys, monkeypatch):
     assert counts["step_inequality"] == 1
     # PhaseField1D declares no c_chain: each call makes N + 1 energy calls
     assert counts["chain_rule_constant"] == 1
-    assert counts["argmin_set"] > len(points)
+    assert counts["argmin_rows"] > len(points)
     assert counts["candidate_points"] == len(points)
 
 

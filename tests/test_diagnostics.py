@@ -13,7 +13,7 @@ import pytest
 
 import dnevolve.diagnostics as diagnostics
 import dnevolve.scheme as scheme
-from dnevolve import _optim, potentials
+from dnevolve import _optim, energy, potentials
 from dnevolve.diagnostics import (_per_step_terms, build_report,
                                   chain_rule_constant,
                                   chain_rule_defects, dissipation_integrals,
@@ -230,6 +230,26 @@ def test_step_inequality_solves_its_samples_as_one_batch(monkeypatch):
     # solve, so the scan's grid is the only linspace left
     traj = make_traj("PhaseField1D", {}, [0.55], T=2.0 ** -5,
                      tau=2.0 ** -7)
+    # the certificate's scalar terms are rows too: per pass, one conjugate
+    # call for the one frozen potential and one P call, and the argmin
+    # misses of a pass one batch. As in `check`, the model's argmin memo
+    # starts empty and _per_step_terms runs first
+    vars(traj.model).pop("_argmin_memo", None)
+    rows = {}
+    for module, name in ((potentials, "conjugate"),
+                         (diagnostics, "generalized_time_derivative"),
+                         (energy, "_marginal_candidates")):
+        def rows_of(*args, _real=getattr(module, name), _name=name,
+                    **kwargs):
+            shape = np.shape(args[2] if _name != "conjugate" else args[1])
+            rows.setdefault(_name, []).append(shape[0])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, rows_of)
+    _per_step_terms(traj)
+    # the N = 4 nodes: one conjugate, one P, one argmin miss batch
+    assert rows == {"conjugate": [4], "generalized_time_derivative": [4],
+                    "_marginal_candidates": [4]}
+    rows.clear()
     counts = {}
     for module, name in ((_optim, "scan_min"), (scheme, "_solve_1d"),
                          (np, "linspace")):
@@ -240,6 +260,14 @@ def test_step_inequality_solves_its_samples_as_one_batch(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     step_inequality(traj)
     assert counts == {"scan_min": 1, "_solve_1d": 1, "linspace": 1}
+    # conjugates: the samples' multiplier gaps (one or two candidates
+    # each), the N slope multipliers' candidates, the N m left samples;
+    # P: the N m left samples, whose argmins the solve and the slope
+    # multipliers have asked; argmin misses: the 28 interior samples, and
+    # node 0 of the slope multipliers (nodes 1..3 are memo hits)
+    assert len(rows["conjugate"]) == 3 and rows["conjugate"][2] == 32
+    assert rows["generalized_time_derivative"] == [32]
+    assert rows["_marginal_candidates"] == [28, 1]
 
 
 def test_window_estimate_telescopes():

@@ -272,14 +272,17 @@ def test_ladder_rung_that_raises_fails_alone(monkeypatch):
     # row by row, and only the rung whose own step raises fails, with the
     # error its own solve raises
     spec = build("AllenCahn1D", {"N": 4})
-    real = spec.energy.value
+    real = spec.energy.at_times
 
-    def value(t, u):
-        if t == 2.0 ** -5:  # the finest rung's first step only
-            raise RuntimeError(f"no energy at t={t}")
-        return real(t, u)
+    def at_times(t):
+        # the finest rung's first step only; energies of rows, the
+        # previous states' included, go through at_times
+        for s in t:
+            if s == 2.0 ** -5:
+                raise RuntimeError(f"no energy at t={s}")
+        return real(t)
 
-    monkeypatch.setattr(spec.energy, "value", value)
+    monkeypatch.setattr(spec.energy, "at_times", at_times)
     ladder = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
     table = refinement_study(spec.energy, spec.dissipation, sine(4), 0.25,
                              ladder)
