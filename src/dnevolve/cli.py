@@ -233,11 +233,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _csv_header(d: int) -> str:
+    """The header line of a dim-d trajectory.csv."""
+    return ",".join(["n", "t_n"] + [f"U_{i}" for i in range(d)]
+                    + [f"xi_{i}" for i in range(d)] + ["gap_n", "energy_n"])
+
+
 def write_trajectory_csv(path: str, traj: DiscreteTrajectory) -> None:
-    d = traj.model.dim
-    cols = (["n", "t_n"] + [f"U_{i}" for i in range(d)]
-            + [f"xi_{i}" for i in range(d)] + ["gap_n", "energy_n"])
-    lines = [",".join(cols)]
+    lines = [_csv_header(traj.model.dim)]
     # one row of Python floats per node, each cell formatted as _fmt does;
     # "%.17g" prints the integer n as str does
     fmt = "%.17g".__mod__
@@ -288,6 +291,10 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
         raise ConfigError("output_dir",
                           f"trajectory.csv has lines of {widths} cells, "
                           f"expected {expected} for dim {d}")
+    if lines[0] != _csv_header(d):
+        raise ConfigError("output_dir",
+                          f"trajectory.csv header is {lines[0]!r}, expected "
+                          f"{_csv_header(d)!r}")
     grid = TimeGrid(T=plan.T, tau=tau)
     if len(lines) - 1 != grid.N + 1:
         raise ConfigError("output_dir",

@@ -1,22 +1,23 @@
 """Time-dependent energies, their subdifferential notions, and audits.
 
-An EnergyModel owns E(t, u), subgradient candidates subdiff(t, u) and a
-generalized time derivative P(t, u, xi); a d = 1 model also gives the
-scan solver value_batch_1d and derivative_1d. Marginal models realize E as
+An EnergyModel owns E(t, u), subgradient candidates and a generalized
+time derivative P(t, u, xi); a d = 1 model also gives the scan solver
+value_batch_1d and derivative_1d. The package asks them only as rows:
+at_times (E and its gradient), subdiff_rows and time_deriv_P_rows. A
+model writes each query once, either as a scalar hook (value, grad,
+time_deriv_P) that the base class's rows loop over, or as its own row
+form; energy_value and generalized_time_derivative of one point are the
+one-row case. Marginal models realize E as
 
     E(t, u) = min_{eta} I(t, u, eta)
 
 over a finite set or a compact interval of internal states eta; their
 subdifferential is the set of partial gradients D_u I at the minimizing eta
 (the marginal subdifferential), and P is the conditioned supremum of d/dt I
-over minimizers compatible with the supplied xi. A Clarke-type interval is
-available in dimension 1 for models that declare their kink locations.
-subdiff_rows asks many points at once; the marginal layer evaluates their
-candidate etas, safety grid and D_u I as (B, k) arrays. Rows of
-(time, state) pairs likewise go to energy_value, through the model's
-at_times, and to generalized_time_derivative, through its
-time_deriv_P_rows: AllenCahn1D's P is one closed-form array expression,
-and a marginal model's one argmin query and one D_u I array.
+over minimizers compatible with the supplied xi. Their rows evaluate the
+candidate etas, safety grid and D_u I of many points as (B, k) arrays. A
+Clarke-type interval is available in dimension 1 for models that declare
+their kink locations.
 
 Energies carry an explicit constant offset chosen so the working minimum is
 at least 1; the offset is stored and reported, never silently applied.
@@ -57,7 +58,10 @@ class EnergyConstants(FrozenRecord):
 
 
 class EnergyModel:
-    """Base energy: immutable after construction, all queries pure."""
+    """Base energy: immutable after construction, all queries pure. A model
+    writes each query once: a scalar hook (value, grad, time_deriv_P) that
+    the default rows below loop over, or its own row form (at_times,
+    subdiff_rows, time_deriv_P_rows)."""
 
     name: str = "energy"
     dim: int = 1
@@ -89,8 +93,8 @@ class EnergyModel:
         (B, d) array of states that returns the list of the values
         E(t[b], U[b]) and a thunk for the (B, d) gradients, so a caller
         that needs gradients only at some states pays for them only there.
-        Each row has the bits of its own value and grad call. By default
-        every row is one call; a model whose value and gradient share work
+        By default every row is one value call and one grad call; a model
+        whose value and gradient share work writes at_times instead, and
         computes that work once, for all rows at once."""
         def at(U):
             return ([self.value(tb, ub) for tb, ub in zip(t, U)],
@@ -98,23 +102,20 @@ class EnergyModel:
                                       for tb, ub in zip(t, U)]))
         return at
 
-    def subdiff(self, t: float, u: np.ndarray) -> List[np.ndarray]:
-        """Finite list of subgradient candidates at (t, u); a smooth model's
-        one candidate is its gradient."""
-        return [self.grad(t, u)]
-
     def subdiff_rows(self, t, U) -> List[List[np.ndarray]]:
-        """subdiff at each row (t[b], U[b]) of an array of times and a
-        (B, d) array of states, in row order."""
-        return [self.subdiff(tb, ub) for tb, ub in zip(t, U)]
+        """The finite list of subgradient candidates at each row
+        (t[b], U[b]) of a sequence of times and a (B, d) array of states,
+        in row order. A smooth model's one candidate is its gradient, by
+        default from one at_times call."""
+        return [[g] for g in self.at_times(t)(U)[1]()]
 
     def time_deriv_P(self, t: float, u: np.ndarray, xi: np.ndarray) -> float:
         raise NotImplementedError
 
     def time_deriv_P_rows(self, t, U, XI) -> List[float]:
-        """time_deriv_P at each row (t[b], U[b], XI[b]) of a sequence of
-        times and two (B, d) arrays, in row order. By default every row
-        is one call."""
+        """P at each row (t[b], U[b], XI[b]) of a sequence of times and
+        two (B, d) arrays, in row order. By default every row is one
+        time_deriv_P call."""
         return [self.time_deriv_P(tb, ub, xb) for tb, ub, xb in zip(t, U, XI)]
 
     def kinks_1d(self, t: float) -> Tuple[float, ...]:
@@ -133,11 +134,12 @@ class MarginalEnergy(EnergyModel):
     and checked against a fine grid. inner, inner_du and eta_candidates
     also take rows: a (B, 1) column of times, a (B, d) array of states and
     a (B, k) array of etas give (B, k) values, each the bits of the
-    one-point call (d = 1). time_deriv_P is the sup of inner_dt
-    over the minimizing eta whose D_u I lies within DELTA_XI of xi;
-    ConditioningError when none does. It is the one-row case of
-    time_deriv_P_rows, whose rows share one argmin query and one D_u I
-    array.
+    one-point call (d = 1). at_times takes the minimum of every row's
+    candidate values, all rows one (B, k) array; a marginal E has no
+    gradient, so its thunk is None. P is the sup of inner_dt over the
+    minimizing eta whose D_u I lies within DELTA_XI of xi;
+    ConditioningError when none does. Its rows share one argmin query
+    and one D_u I array.
     """
 
     eta_values: Optional[Tuple[float, ...]] = None
@@ -155,12 +157,14 @@ class MarginalEnergy(EnergyModel):
     def inner_dt(self, t: float, u: np.ndarray, eta: float) -> float:
         raise NotImplementedError
 
-    def value(self, t, u):
-        _, vals = _marginal_candidates(self, t, u)
-        return float(np.min(vals))
+    def at_times(self, t):
+        tc = np.asarray(t, dtype=float)[:, None]
 
-    def subdiff(self, t, u):
-        return marginal_subdifferential(self, t, u)
+        def at(U):
+            # the minimum is exact, so each row has its own point's bits
+            return np.min(_marginal_candidates(self, tc, U)[1],
+                          axis=-1).tolist(), None
+        return at
 
     def subdiff_rows(self, t, U):
         return _marginal_subdiff_rows(self, t, U)
@@ -170,11 +174,6 @@ class MarginalEnergy(EnergyModel):
         """The 1025-point safety grid of eta_interval, built once."""
         lo, hi = self.eta_interval
         return np.linspace(lo, hi, 1025)
-
-    def time_deriv_P(self, t, u, xi):
-        return self.time_deriv_P_rows(
-            (t,), np.asarray(u, dtype=float)[None],
-            np.asarray(xi, dtype=float)[None])[0]
 
     def time_deriv_P_rows(self, t, U, XI):
         """P at each row of a d = 1 model: the minimizing etas of every
@@ -275,27 +274,30 @@ def _cluster_scalars(xs: np.ndarray, fs: np.ndarray, tol: float) -> List[float]:
 # operations
 
 
-def _times(t) -> list:
-    """A sequence of times as a list, of Python floats for an array."""
-    return t.tolist() if isinstance(t, np.ndarray) else list(t)
+def _rows(fn, t, *arrays):
+    """row_call of fn over times t and arrays of rows: a state (d,), or a
+    number, is one row and gives a float; the rows of (B, d) arrays give
+    fn's (B,) array, t[b] a Python float for an array of times."""
+    if np.ndim(arrays[0]) < 2:
+        return float(row_call(fn, [t], *(
+            np.atleast_1d(np.asarray(a, dtype=float))[None]
+            for a in arrays))[0])
+    return row_call(fn, t.tolist() if isinstance(t, np.ndarray) else list(t),
+                    *arrays)
 
 
 def energy_value(model: EnergyModel, t: float, u):
-    """E(t, u), with the declared domain box enforced. A state (d,) gives
-    a float; times t[b] and the rows U[b] of a (B, d) array give the (B,)
-    array of E(t[b], U[b]), by one model.at_times call and one domain
-    check of the array, each row with the bits of its own call. A row
-    that fails raises the error the first failing row raises alone."""
-    if np.ndim(u) < 2:
-        u = as_state(u, model.dim)
-        _check_domain(model, u)
-        return float(model.value(t, u))
-
+    """E(t, u), with the declared domain box enforced, by one
+    model.at_times call and one domain check of the array. A state (d,)
+    gives a float; times t[b] and the rows U[b] of a (B, d) array give the
+    (B,) array of E(t[b], U[b]), each row with the bits of its one-row
+    call. A row that fails raises the error the first failing row raises
+    alone."""
     def rows(t, U):
         U = as_state(U, model.dim)
         _check_domain(model, U)
         return np.array(model.at_times(t)(U)[0], dtype=float)
-    return row_call(rows, _times(t), u)
+    return _rows(rows, t, u)
 
 
 def argmin_set(model: MarginalEnergy, t: float, u) -> List[float]:
@@ -378,9 +380,10 @@ def clarke_subdifferential_1d(model: EnergyModel, t: float, u,
             f"{len(near)} kinks of {model.name} within step {h} of u={x}; "
             f"shrink h to separate them")
     base = near[0] if near else x
+    at = model.at_times((t,))
 
     def f(y):
-        return model.value(t, np.array([y]))
+        return at(np.array([[y]]))[0][0]
 
     d_right = _one_sided(f, base, h, +1.0)
     d_left = _one_sided(f, base, h, -1.0)
@@ -388,21 +391,17 @@ def clarke_subdifferential_1d(model: EnergyModel, t: float, u,
 
 
 def generalized_time_derivative(model: EnergyModel, t: float, u, xi):
-    """Conditioned P(t, u, xi) = model.time_deriv_P on validated states:
-    the conditioned sup of MarginalEnergy, the analytic (xi-independent)
-    time derivative of a smooth model. A state and a multiplier (d,) give
-    a float; times t[b] and the rows of two (B, d) arrays give the (B,)
-    array of P(t[b], U[b], XI[b]), by one model.time_deriv_P_rows call,
-    each row with the bits of its own call. A row that fails raises the
+    """Conditioned P(t, u, xi) on validated states, by one
+    model.time_deriv_P_rows call: the conditioned sup of MarginalEnergy,
+    the analytic (xi-independent) time derivative of a smooth model. A
+    state and a multiplier (d,) give a float; times t[b] and the rows of
+    two (B, d) arrays give the (B,) array of P(t[b], U[b], XI[b]), each
+    row with the bits of its one-row call. A row that fails raises the
     error the first failing row raises alone."""
-    if np.ndim(u) < 2:
-        return float(model.time_deriv_P(t, as_state(u, model.dim),
-                                        as_state(xi, model.dim)))
-
     def rows(t, U, XI):
         return np.array(model.time_deriv_P_rows(
             t, as_state(U, model.dim), as_state(XI, model.dim)), dtype=float)
-    return row_call(rows, _times(t), u, xi)
+    return _rows(rows, t, u, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +433,12 @@ def audit_assumptions(model: EnergyModel) -> AssumptionReport:
     Rows: positivity (E >= C0 > 0), time_lipschitz
     (|E(t,u) - E(s,u)| <= C1 E(t,u) |t-s|), exponential_bound
     (E(t,u) <= exp(C1 |t-s|) E(s,u)), power_bound (|P| <= C2 sup_t E(t,u)
-    for every subgradient candidate subdiff(t, u), which fails when P is
-    undefined at a candidate), coercivity_witness (a bounded domain box is
-    declared and every probed state lies inside it), and, for models that
-    declare lambda_E = semiconvexity, a semiconvexity row (the midpoint
-    inequality E(t, m) <= E(t, u)/2 + E(t, w)/2 - lambda_E/8 ||u - w||^2
-    on every probe segment at every probe time).
+    for every subgradient candidate of subdiff_rows at (t, u), which fails
+    when P is undefined at a candidate), coercivity_witness (a bounded
+    domain box is declared and every probed state lies inside it), and,
+    for models that declare lambda_E = semiconvexity, a semiconvexity row
+    (the midpoint inequality E(t, m) <= E(t, u)/2 + E(t, w)/2 - lambda_E/8
+    ||u - w||^2 on every probe segment at every probe time).
     """
     K = model.constants
     slack = 1e-9
@@ -491,14 +490,14 @@ def audit_assumptions(model: EnergyModel) -> AssumptionReport:
     worst_p = -np.inf
     for (t, s, k, u) in keyed:
         g_u = max(E(tt, k, u) for tt in times)
-        for xi in model.subdiff(t, u):
+        for xi in model.subdiff_rows((t,), u[None])[0]:
             xi = np.asarray(xi, dtype=float)
             if xi.shape != (model.dim,) or not np.all(np.isfinite(xi)):
                 p_ok = False
                 p_detail = f"malformed subgradient candidate {xi!r}"
                 break
             try:
-                p = model.time_deriv_P(t, u, xi)
+                p = model.time_deriv_P_rows((t,), u[None], xi[None])[0]
             except ConditioningError:
                 p_ok = False
                 p_detail = f"P undefined at candidate {xi.tolist()} at t={t}"

@@ -27,7 +27,7 @@ from . import _kernels, _optim
 from ._kernels import double_well  # re-export  # noqa: F401
 from ._record import FrozenRecord
 from .energy import (EnergyConstants, EnergyModel, MarginalEnergy,
-                     clarke_subdifferential_1d, marginal_subdifferential)
+                     clarke_subdifferential_1d)
 from .errors import ConfigError, RangeError
 from .potentials import (DissipationPotential, OneHomPlusQuad, PNorm,
                          Quadratic, StateWeighted, WeightedSum, as_state)
@@ -126,21 +126,19 @@ class _AbsoluteMarginalEnergy(MarginalEnergy):
         return (self.beta * t,)
 
     def subdiff_rows(self, t, U):
-        # Clarke mode takes its one-sided differences point by point
         if self.subdiff_kind == "marginal":
             return super().subdiff_rows(t, U)
-        return EnergyModel.subdiff_rows(self, t, U)
-
-    def subdiff(self, t, u):
-        if self.subdiff_kind == "marginal":
-            return marginal_subdifferential(self, t, u)
-        lo, hi = clarke_subdifferential_1d(self, t, u)
-        cands = [np.array([lo])]
-        if hi > lo:
-            if lo < 0.0 < hi:
-                cands.append(np.array([0.0]))
-            cands.append(np.array([hi]))
-        return cands
+        # Clarke mode takes its one-sided differences point by point
+        out = []
+        for tb, ub in zip(t, U):
+            lo, hi = clarke_subdifferential_1d(self, tb, ub)
+            cands = [np.array([lo])]
+            if hi > lo:
+                if lo < 0.0 < hi:
+                    cands.append(np.array([0.0]))
+                cands.append(np.array([hi]))
+            out.append(cands)
+        return out
 
 
 class _PhaseFieldEnergy(MarginalEnergy):
@@ -149,9 +147,10 @@ class _PhaseFieldEnergy(MarginalEnergy):
 
     The eta-minimization has the closed form m(u) = 1 - (|u| + 2)^2 / 6
     (minimizer eta = (u + 2 sign(u)) / 3, both signs tied at u = 0), which
-    value() uses directly. Argmin queries evaluate inner exactly on
-    eta_candidates, which the fine-grid safety pass of the marginal layer
-    checks; tests/test_energy.py keeps a grid-plus-golden reference route.
+    value() uses directly, one row at a time. Argmin queries evaluate inner
+    exactly on eta_candidates, which the fine-grid safety pass of the
+    marginal layer checks; tests/test_energy.py keeps a grid-plus-golden
+    reference route.
     """
 
     def __init__(self, load_amp: float, offset: float):
@@ -202,6 +201,10 @@ class _PhaseFieldEnergy(MarginalEnergy):
         return (0.5 * x * x + 1.0 - (abs(x) + 2.0) ** 2 / 6.0
                 - self.load(t) * x + self.offset)
 
+    # the closed form per row: as an array expression, np.square differs
+    # in the last bit from the scalar **, which is C pow
+    at_times = EnergyModel.at_times
+
     def value_batch_1d(self, t, us):
         return (0.5 * np.square(us) + 1.0 - np.square(np.abs(us) + 2.0) / 6.0
                 - self.load(t) * us + self.offset)
@@ -217,9 +220,9 @@ class _AllenCahnEnergy(EnergyModel):
     """Grid Allen-Cahn energy on N midpoint cells of [0, 1], zero Dirichlet
     walls: E = sum (1/q)|D+ u|^q dx + sum (W4(u_i) - l_i(t) u_i) dx with the
     quartic well W4(s) = (s^2 - 1)^2 / 4 and load l_i(t) = amp sin(t) sin(pi x_i).
-    Values and gradients go through _kernels.ac_energy and ac_grad;
-    at_times shares their grid terms between the two, for a row batch of
-    states in one kernel call each.
+    at_times is its one energy query: values and gradients go through
+    _kernels.ac_energy and ac_grad, which share their grid terms, for a
+    row batch of states in one kernel call each.
     """
 
     def __init__(self, N: int, q: float, amp: float, offset: float,
@@ -239,18 +242,8 @@ class _AllenCahnEnergy(EnergyModel):
         self.constants = EnergyConstants(C0=C0, C1=c, C2=c, tau_o=0.5)
         self.domain_box = (np.full(N, -3.0), np.full(N, 3.0))
 
-    def load(self, t):
-        return self.amp * math.sin(t) * self.profile
-
-    def value(self, t, u):
-        return _kernels.ac_energy(u, self.dx, self.q, self.load(t),
-                                  self.offset)
-
-    def grad(self, t, u):
-        return _kernels.ac_grad(u, self.dx, self.q, self.load(t))
-
     def at_times(self, t):
-        # each row's l(t[b]) once, with load's operands; D+ u and u^2 - 1
+        # each row's l(t[b]) = (amp sin t[b]) profile once; D+ u and u^2 - 1
         # once per array of states, for the values and the gradients, in
         # one ghost buffer
         dx, q, offset = self.dx, self.q, self.offset
@@ -263,10 +256,6 @@ class _AllenCahnEnergy(EnergyModel):
             return (_kernels.ac_energy(U, dx, q, load, offset, terms),
                     lambda: _kernels.ac_grad(U, dx, q, load, terms))
         return at
-
-    def time_deriv_P(self, t, u, xi):
-        return self.time_deriv_P_rows((t,), np.asarray(u, dtype=float)[None],
-                                      None)[0]
 
     def time_deriv_P_rows(self, t, U, XI):
         # d/dt of -<l(t), u> dx, with the cosine of each time from math

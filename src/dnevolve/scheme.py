@@ -438,14 +438,18 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
     multi = [b for b in range(B) if not convex[b]]
     x0 = u_prev.copy()
     start = ["previous"] * B
-    if x_pred is not None:
+    c = [b for b in range(B) if convex[b]]
+    if x_pred is not None and c:
         # the start changes only the path to the one minimizer; u_prev's
-        # step objective is e_prev, since Psi(0) = 0
-        xp = np.minimum(np.maximum(x_pred, lo), hi)
-        for b in range(B):
-            if convex[b] and (tau[b] * p.value((xp[b] - u_prev[b]) / tau[b])
-                              + model.value(t[b], xp[b]) < e_prev[b]):
-                x0[b], start[b] = xp[b], "predictor"
+        # step objective is e_prev, since Psi(0) = 0. The convex rows'
+        # energies are one at_times call and their Psi one row call
+        xp = np.minimum(np.maximum(x_pred[c], lo[c]), hi[c])
+        h = [tau[b] for b in c]
+        psi = p.value((xp - u_prev[c]) / np.array(h)[:, None]).tolist()
+        e = model.at_times([t[b] for b in c])(xp)[0]
+        for i, b in enumerate(c):
+            if h[i] * psi[i] + e[i] < e_prev[b]:
+                x0[b], start[b] = xp[i], "predictor"
     L = [float(v) for v in L0]
     its, trials = [0] * B, [0] * B
     n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
@@ -789,14 +793,9 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
 
 def _locate(grid: TimeGrid, t):
     """(n, r) for t in [0, t_N] +- 1e-12 tau: t in (t_{n-1}, t_n] gives n and
-    r = t - t_{n-1}, t = 0 gives (0, 0.0); arrays of times give arrays."""
+    r = t - t_{n-1}, t = 0 gives (0, 0.0); as arrays of t's shape."""
     tau, N = grid.tau, grid.N
     lo, hi = -1e-12 * tau, grid.t(N) + 1e-12 * tau
-    if isinstance(t, (int, float)) and lo <= t <= hi:  # no numpy calls
-        if t <= 0.0:
-            return 0, 0.0
-        n = min(max(math.ceil(t / tau - 1e-9), 1), N)
-        return n, t - grid.t(n - 1)
     t = np.asarray(t, dtype=float)
     inside = (t >= lo) & (t <= hi)
     if not inside.all():

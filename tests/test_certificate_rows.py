@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from dnevolve import diagnostics, energy, potentials, scheme
+from dnevolve import _kernels, diagnostics, energy, potentials, scheme
 from dnevolve.energy import (MarginalEnergy, argmin_set, energy_value,
                              generalized_time_derivative)
 from dnevolve.errors import (ConditioningError, DomainError,
@@ -70,6 +70,19 @@ def old_closed_conjugate(p, xi):
     if r > 2.0:
         raise MaximizationFailureError("infinite")
     return max(r - 1.0, 0.0)
+
+
+def old_E(model, t, u):
+    """E of one point as it was computed before rows: AllenCahn1D's grid
+    kernels on one state, AbsoluteMarginal's candidate minimum, and every
+    other model's value."""
+    if model.name == "AllenCahn1D":
+        return _kernels.ac_energy(u, model.dx, model.q,
+                                  model.amp * math.sin(t) * model.profile,
+                                  model.offset)
+    if model.name == "AbsoluteMarginal":
+        return float(np.min(energy._marginal_candidates(model, t, u)[1]))
+    return model.value(t, u)
 
 
 def old_P(model, t, u, xi):
@@ -220,6 +233,37 @@ def points(model):
     return t, np.array(U)
 
 
+@pytest.mark.parametrize("params", [{}, {"subdiff_kind": "clarke"}])
+def test_marginal_energy_rows_are_one_candidates_call(monkeypatch, params):
+    # AbsoluteMarginal's E is the minimum over its candidate etas: B rows
+    # are one (B, k) _marginal_candidates call, each row the bits of its
+    # own point's candidate minimum
+    model = build("AbsoluteMarginal", params).energy
+    t, U = points(model)
+    candidates = energy._marginal_candidates
+    want = [float(np.min(candidates(model, tb, ub)[1]))
+            for tb, ub in zip(t, U)]
+    shapes = []
+
+    def counted(model, t, u):
+        shapes.append(np.shape(u))
+        return candidates(model, t, u)
+    monkeypatch.setattr(energy, "_marginal_candidates", counted)
+    assert bits(energy_value(model, t, U)) == bits(want)
+    assert bits(model.at_times(t)(U)[0]) == bits(want)
+    assert shapes == [U.shape, U.shape]
+
+
+def test_phase_field_rows_are_its_closed_form_per_row():
+    model = build("PhaseField1D", {}).energy
+    t, U = points(model)
+    want = [0.5 * x * x + 1.0 - (abs(x) + 2.0) ** 2 / 6.0
+            - model.load_amp * math.sin(tb) * x + model.offset
+            for tb, (x,) in zip(t, U.tolist())]
+    assert bits(energy_value(model, t, U)) == bits(want)
+    assert bits(model.at_times(t)(U)[0]) == bits(want)
+
+
 @pytest.mark.parametrize("name,params", MODELS)
 def test_energy_and_P_rows_are_their_one_row_calls(name, params):
     model = build(name, params).energy
@@ -227,11 +271,11 @@ def test_energy_and_P_rows_are_their_one_row_calls(name, params):
     got = energy_value(model, t, U)
     assert bits(got) == bits([energy_value(model, tb, ub)
                               for tb, ub in zip(t, U)])
-    assert bits(got) == bits([model.value(tb, ub) for tb, ub in zip(t, U)])
+    assert bits(got) == bits([old_E(model, tb, ub) for tb, ub in zip(t, U)])
     # every candidate multiplier whose P is defined, as rows
     rows = []
     for tb, ub in zip(t, U):
-        for xi in model.subdiff(tb, ub):
+        for xi in model.subdiff_rows([tb], ub[None])[0]:
             try:
                 old_P(model, tb, ub, xi)
             except ConditioningError:

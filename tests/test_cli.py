@@ -744,6 +744,23 @@ def test_check_rejects_malformed_row(tmp_path, capsys, row, edit):
     assert "config error at output_dir:" in err
 
 
+@pytest.mark.parametrize("header", ["a,b,c,d,e,f",
+                                    "n,t_n,xi_0,U_0,gap_n,energy_n"],
+                         ids=["garbage", "U-xi-swapped"])
+def test_check_rejects_a_foreign_header(tmp_path, capsys, header):
+    path = write_cfg(tmp_path)
+    assert run_main(capsys, "run", path)[0] == 0
+    csv_path = tmp_path / "out" / "trajectory.csv"
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "n,t_n,U_0,xi_0,gap_n,energy_n"
+    csv_path.write_text("".join(ln + "\n" for ln in [header] + lines[1:]))
+    code, out, err = run_main(capsys, "check", path)
+    assert code == 2
+    assert out == ""
+    assert (f"config error at output_dir: trajectory.csv header is "
+            f"{header!r}") in err
+
+
 def test_check_fails_on_foreign_multiplier(tmp_path, capsys):
     # a marginal model conditions P on the stored xi; a xi matching no
     # minimizer must read as a failed certification, not a traceback

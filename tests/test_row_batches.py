@@ -36,10 +36,15 @@ def single_prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol,
     lo, hi = box
     add = np.add.reduce
 
+    # AllenCahn1D's energy and gradient at one state, by the grid kernels
+    load = model.amp * math.sin(t_n) * model.profile
+
     def g_eval(x, w):
         v = w / tau
-        return (tau * float(add(p.smooth_scalar(v))) + model.value(t_n, x),
-                lambda: p.smooth_scalar_grad(v) + model.grad(t_n, x))
+        return (tau * float(add(p.smooth_scalar(v)))
+                + _kernels.ac_energy(x, model.dx, model.q, load, model.offset),
+                lambda: p.smooth_scalar_grad(v)
+                + _kernels.ac_grad(x, model.dx, model.q, load))
 
     L = L0
     x = np.minimum(np.maximum(x0, lo), hi)

@@ -111,7 +111,7 @@ def test_step_beats_dense_grid_oracle():
                                             tau)
         v = (U[0] - u_prev) / tau
         got = tau * float(p.scalar(np.array([v]))[0]) \
-            + spec.energy.value(tau, U)
+            + energy_value(spec.energy, tau, U)
         oracle = dense_step_oracle(spec.energy, p, u_prev, tau, tau)
         assert got <= oracle + 1e-9 * (1.0 + abs(oracle)), name
 
@@ -368,11 +368,15 @@ def test_prox_grad_accepts_only_steps_that_pass_at_their_L(N):
     # residual over its step length, exact since L is a power of two
     model, p, u_prev, tau, box, tol = _ac_step_problem(N)
 
+    # AllenCahn1D's energy and gradient at one state, by the grid kernels
+    load = model.amp * math.sin(tau) * model.profile
+
     def g(x):
         v = (x - u_prev) / tau
-        return (tau * float(p.smooth_scalar(v).sum()) + model.value(tau, x),
+        return (tau * float(p.smooth_scalar(v).sum())
+                + _kernels.ac_energy(x, model.dx, model.q, load, model.offset),
                 np.asarray(p.smooth_scalar_grad(v), dtype=float)
-                + model.grad(tau, x))
+                + _kernels.ac_grad(x, model.dx, model.q, load))
 
     def prox_grad(iters):
         return prox_grad_one(model, p, u_prev, tau, tau, u_prev, box,
