@@ -1,26 +1,26 @@
 """Small deterministic 1D optimization helpers.
 
 Everything here is derivative-free and reproducible: bracket expansion by
-doubling, bounded Brent minimization, for one function or for many
-problems in lockstep, a vectorized golden-section minimizer for batches of
-independent 1D problems, and a guarded stationarity polish built on
-Brent's root finder. The package solves its scalar problems with scan_min,
-which scans many problems as one array and refines all their basins in
-one lockstep Brent, and polish_root. bracket_max, max_scalar and
-golden_min_batched serve only the tests' reference routes (the numeric
-conjugate in potentials, the grid-and-golden eta search in
-tests/test_energy.py), and certbench/tracer.py hooks them by name.
+doubling, bounded Brent minimization of many problems in lockstep, a
+vectorized golden-section minimizer for batches of independent 1D
+problems, and a guarded stationarity polish built on Brent's root finder.
+The package solves its scalar problems with scan_min, which scans many
+problems as one array and refines all their basins in one lockstep Brent,
+and polish_root. bracket_max, max_scalar and golden_min_batched serve only
+the tests' reference routes (the numeric conjugate in potentials, the
+grid-and-golden eta search in tests/test_energy.py), and
+certbench/tracer.py hooks them by name.
 
 The two Brent methods (Brent, Algorithms for Minimization without
 Derivatives, 1973, ch. 4 and 5) are ports of SciPy's bounded
 minimize_scalar and brentq. They make the same float operations in the
 same order, so they return the same bits; tests/test_optim.py cross-checks
 them against SciPy when it is installed. The bounded method is one
-generator, _brent_min, driven for one function by _bounded_brent and for
-many problems by _bounded_brent_rows, which evaluates the next abscissa of
-every running problem in one call, so each problem keeps its own bits.
-Carrying them here keeps SciPy's optimize package, and the subpackages it
-loads, out of every import.
+generator, _brent_min, with one driver, _bounded_brent_rows: it evaluates
+the next abscissa of every running problem in one call, so each problem
+keeps its own bits, and max_scalar is its one-problem case. Carrying them
+here keeps SciPy's optimize package, and the subpackages it loads, out of
+every import.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def _brent_min(x1: float, x2: float, xatol: float, maxiter: int):
     """Brent's bounded method (golden section plus parabolic steps) on
     [x1, x2], as a generator: it yields each abscissa to evaluate, takes
     the value by send, and returns (x, fx), the best abscissa found and the
-    value sent for it. The drivers are _bounded_brent, for one function,
-    and _bounded_brent_rows, for many problems in lockstep.
+    value sent for it. Its driver is _bounded_brent_rows, which runs many
+    problems in lockstep.
 
     Raises ValueError on non-finite bounds or x1 > x2. Stops after maxiter
     evaluations.
@@ -150,27 +150,14 @@ def _brent_min(x1: float, x2: float, xatol: float, maxiter: int):
     return xf, fx
 
 
-def _bounded_brent(func, x1: float, x2: float, xatol: float, maxiter: int):
-    """Minimize func on [x1, x2] by Brent's bounded method; returns the
-    best abscissa found. Raises ValueError on non-finite bounds or x1 > x2.
-    Stops after maxiter evaluations of func."""
-    run = _brent_min(x1, x2, xatol, maxiter)
-    try:
-        x = next(run)
-        while True:
-            x = run.send(func(x))
-    except StopIteration as stop:
-        return stop.value[0]
-
-
 def _bounded_brent_rows(func, x1, x2, xatol: float, maxiter: int):
-    """_bounded_brent for K problems at once, in lockstep: problem k
-    minimizes on [x1[k], x2[k]], and each round evaluates the next abscissa
-    of every problem still running in one call func(x, rows), rows the
-    array of their indices. Each problem makes the float operations of
-    _bounded_brent in its order and stops by its own test, so it returns
-    the same bits. Returns (x, fx), each problem's best abscissa and the
-    value func gave there."""
+    """Brent's bounded method for K problems at once, in lockstep: problem
+    k minimizes on [x1[k], x2[k]], and each round evaluates the next
+    abscissa of every problem still running in one call func(x, rows),
+    rows the array of their indices. Each problem runs its own _brent_min,
+    at most maxiter evaluations, and stops by its own test, so it gets the
+    bits it gets alone. Returns (x, fx), each problem's best abscissa and
+    the value func gave there. ValueError on a non-finite bound or x1 > x2."""
     runs = [_brent_min(a, b, xatol, maxiter)
             for a, b in zip(np.asarray(x1, dtype=float).tolist(),
                             np.asarray(x2, dtype=float).tolist())]
@@ -192,8 +179,9 @@ def _bounded_brent_rows(func, x1, x2, xatol: float, maxiter: int):
 
 
 def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
-    """Maximize g on [a, b] with bounded Brent; returns (x, g(x))."""
-    x = float(_bounded_brent(lambda x: -g(x), a, b, xtol, 500))
+    """Maximize g on [a, b] by one bounded Brent problem; returns (x, g(x))."""
+    x = float(_bounded_brent_rows(lambda x, rows: [-g(float(x[0]))],
+                                  [a], [b], xtol, 500)[0][0])
     candidates = [(a, g(a)), (b, g(b)), (x, g(x))]
     x, gx = max(candidates, key=lambda p: p[1])
     return x, gx

@@ -17,7 +17,9 @@ subdifferential is the set of partial gradients D_u I at the minimizing eta
 over minimizers compatible with the supplied xi. Their rows evaluate the
 candidate etas, safety grid and D_u I of many points as (B, k) arrays. A
 Clarke-type interval is available in dimension 1 for models that declare
-their kink locations.
+their kink locations; the difference points of many rows are one at_times
+call. The assumption audit asks each of its (t, u) probes once, the
+energies, candidates and P of all probes as one row call each.
 
 Energies carry an explicit constant offset chosen so the working minimum is
 at least 1; the offset is stored and reported, never silently applied.
@@ -42,6 +44,7 @@ DELTA_XI = 1e-8       # xi-to-eta matching tolerance; both sides come from
 ETA_CLUSTER = 1e-7    # dedup radius for minimizing eta
 XI_DEDUP = 1e-10
 ARGMIN_MEMO_SIZE = 1 << 14   # points kept per model by argmin_set
+_CLARKE_H = 1e-6      # one-sided difference step of the Clarke interval
 
 
 class EnergyConstants(FrozenRecord):
@@ -167,7 +170,18 @@ class MarginalEnergy(EnergyModel):
         return at
 
     def subdiff_rows(self, t, U):
-        return _marginal_subdiff_rows(self, t, U)
+        """The marginal subdifferential of each row of a d = 1 model: D_u I
+        at its minimizing etas, from _argmin_du_rows, deduplicated."""
+        sets, dus = _argmin_du_rows(self, t, U)
+        out = []
+        for s, du in zip(sets, dus):
+            xis = sorted((du[j:j + 1] for j in range(len(s))), key=tuple)
+            row: List[np.ndarray] = []
+            for x in xis:
+                if not row or np.linalg.norm(x - row[-1]) > XI_DEDUP:
+                    row.append(x)
+            out.append(row)
+        return out
 
     @cached_property
     def eta_grid(self) -> np.ndarray:
@@ -177,16 +191,11 @@ class MarginalEnergy(EnergyModel):
 
     def time_deriv_P_rows(self, t, U, XI):
         """P at each row of a d = 1 model: the minimizing etas of every
-        row are one _argmin_rows query (its memo misses one batch), their
-        D_u I one (B, k) inner_du call, and inner_dt is taken per row and
-        matched eta. The first row whose xi matches no minimizer raises
-        ConditioningError."""
+        row and their D_u I come from _argmin_du_rows, and inner_dt is
+        taken per row and matched eta. The first row whose xi matches no
+        minimizer raises ConditioningError."""
         _check_domain(self, U)
-        sets = _argmin_rows(self, t, U)
-        k = max(len(s) for s in sets)
-        etas = np.array([s + s[-1:] * (k - len(s)) for s in sets])
-        dus = np.asarray(self.inner_du(np.asarray(t, dtype=float)[:, None],
-                                       U, etas), dtype=float)
+        sets, dus = _argmin_du_rows(self, t, U)
         # |xi - D_u I| as np.linalg.norm takes it of one coordinate
         diff = XI - dus
         near = (np.sqrt(diff * diff) <= DELTA_XI).tolist()
@@ -336,58 +345,68 @@ def _argmin_rows(model: MarginalEnergy, t, U) -> List[Tuple[float, ...]]:
 
 def marginal_subdifferential(model: MarginalEnergy, t: float, u
                              ) -> List[np.ndarray]:
-    """{D_u I(t, u, eta) : eta in argmin_set}, deduplicated."""
+    """{D_u I(t, u, eta) : eta in argmin_set}, deduplicated: the one-row
+    case of MarginalEnergy.subdiff_rows, even where a model overrides it."""
     u = as_state(u, model.dim)
     _check_domain(model, u)
-    return _marginal_subdiff_rows(model, (t,), u[None])[0]
+    return MarginalEnergy.subdiff_rows(model, (t,), u[None])[0]
 
 
-def _marginal_subdiff_rows(model: MarginalEnergy, t, U
-                           ) -> List[List[np.ndarray]]:
-    """marginal_subdifferential of each row (t[b], U[b]) of a d = 1 model,
-    with D_u I of every row's minimizing etas as one (B, k) array."""
+def _argmin_du_rows(model: MarginalEnergy, t, U):
+    """(sets, dus): the minimizing etas of each row (t[b], U[b]) of a d = 1
+    model, by one _argmin_rows query, and D_u I at each, as one (B, k)
+    inner_du call on the sets padded to k with their last eta."""
     sets = _argmin_rows(model, t, U)
     k = max(len(s) for s in sets)
     etas = np.array([s + s[-1:] * (k - len(s)) for s in sets])
-    dus = model.inner_du(np.asarray(t, dtype=float)[:, None], U, etas)
-    out = []
-    for s, du in zip(sets, dus):
-        xis = sorted((du[j:j + 1] for j in range(len(s))), key=tuple)
-        row: List[np.ndarray] = []
-        for x in xis:
-            if not row or np.linalg.norm(x - row[-1]) > XI_DEDUP:
-                row.append(x)
-        out.append(row)
-    return out
+    return sets, np.asarray(model.inner_du(np.asarray(t, dtype=float)[:, None],
+                                           U, etas), dtype=float)
 
 
 def clarke_subdifferential_1d(model: EnergyModel, t: float, u,
-                              h: float = 1e-6) -> Tuple[float, float]:
+                              h: float = _CLARKE_H) -> Tuple[float, float]:
     """Interval hull of the one-sided derivatives of E(t, .) at u (d = 1).
 
     Smooth points give the singleton derivative; within h of a declared kink
     the one-sided derivatives are taken from the kink itself. More than one
-    kink inside the step is unresolvable at this h.
+    kink inside the step is unresolvable at this h. The one-row case of
+    _clarke_rows.
     """
     if model.dim != 1:
         raise DimensionMismatchError(1, model.dim, "Clarke interval")
-    u = as_state(u, 1)
-    _check_domain(model, u)
-    x = float(u[0])
-    near = [k for k in model.kinks_1d(t) if abs(k - x) <= h]
-    if len(near) > 1:
-        raise ResolutionError(
-            f"{len(near)} kinks of {model.name} within step {h} of u={x}; "
-            f"shrink h to separate them")
-    base = near[0] if near else x
-    at = model.at_times((t,))
+    lo, hi = _clarke_rows(model, (t,), as_state(u, 1)[None], h)
+    return lo[0], hi[0]
 
-    def f(y):
-        return at(np.array([[y]]))[0][0]
 
-    d_right = _one_sided(f, base, h, +1.0)
-    d_left = _one_sided(f, base, h, -1.0)
-    return (min(d_left, d_right), max(d_left, d_right))
+def _clarke_rows(model: EnergyModel, t, U, h: float = _CLARKE_H):
+    """clarke_subdifferential_1d of each row (t[b], U[b]), as two lists
+    (lo, hi). Each row's two one-sided quotients read E at its base x and
+    at x +- h/2, x +- h; those five points of every row are one at_times
+    call. A row that fails raises the error the first failing row raises
+    alone."""
+    offsets = (-h, -h / 2.0, 0.0, h / 2.0, h)
+
+    def rows(t, U):
+        _check_domain(model, U)
+        base = []
+        for tb, x in zip(t, U[:, 0].tolist()):
+            near = [k for k in model.kinks_1d(tb) if abs(k - x) <= h]
+            if len(near) > 1:
+                raise ResolutionError(
+                    f"{len(near)} kinks of {model.name} within step {h} of "
+                    f"u={x}; shrink h to separate them")
+            base.append(near[0] if near else x)
+        pts = np.array(base)[:, None] + offsets
+        E = model.at_times([tb for tb in t for _ in offsets])(
+            pts.reshape(-1, 1))[0]
+        # _one_sided's quotients at 0.0 read E at x + offset, column-wise
+        at = dict(zip(offsets, np.reshape(E, pts.shape).T))
+        d_right = _one_sided(at.__getitem__, 0.0, h, +1.0)
+        d_left = _one_sided(at.__getitem__, 0.0, h, -1.0)
+        # min and max of (d_left, d_right) as Python's min and max pick
+        return (np.where(d_right < d_left, d_right, d_left).tolist(),
+                np.where(d_right > d_left, d_right, d_left).tolist())
+    return row_call(rows, list(t), as_state(U, 1))
 
 
 def generalized_time_derivative(model: EnergyModel, t: float, u, xi):
@@ -448,60 +467,69 @@ def audit_assumptions(model: EnergyModel) -> AssumptionReport:
     times = sorted({t for (t, s, _) in triples} | {s for (_, s, _) in triples})
     rows = []
 
-    e_cache = {}
-
-    def E(t, u_key, u):
-        if (t, u_key) not in e_cache:
-            e_cache[(t, u_key)] = energy_value(model, t, u)
-        return e_cache[(t, u_key)]
+    # each (t, u) probe once, in the order the triples first meet it: E,
+    # the candidates and P of every probe are one row call each
+    states = {tuple(u): u for (_, _, u) in triples}
+    probes = [(t, k, u) for k, u in states.items() for t in times]
+    pt, PU = [t for t, _, _ in probes], np.array([u for _, _, u in probes])
+    e = dict(zip([(t, k) for t, k, _ in probes],
+                 energy_value(model, pt, PU).tolist()))
 
     keyed = [(t, s, tuple(u), u) for (t, s, u) in triples]
 
-    min_E = min(E(t, k, u) for (t, s, k, u) in keyed)
+    min_E = min(e[t, k] for (t, s, k, u) in keyed)
     rows.append(AssumptionCheck(
         "positivity", bool(K.C0 > 0.0 and min_E >= K.C0 - 1e-12),
         f"min probed E = {min_E:.6g} against C0 = {K.C0:.6g}"))
 
-    worst_lip = -np.inf
-    lip_ok = True
+    worst_lip = worst_exp = -np.inf
+    lip_ok = exp_ok = True
     for (t, s, k, u) in keyed:
-        et, es = E(t, k, u), E(s, k, u)
-        margin = abs(et - es) - K.C1 * et * abs(t - s)
-        worst_lip = max(worst_lip, margin)
-        if margin > slack * (1.0 + et):
-            lip_ok = False
+        et, es = e[t, k], e[s, k]
+        lip = abs(et - es) - K.C1 * et * abs(t - s)
+        exp = et - np.exp(K.C1 * abs(t - s)) * es
+        worst_lip, worst_exp = max(worst_lip, lip), max(worst_exp, exp)
+        lip_ok &= not lip > slack * (1.0 + et)
+        exp_ok &= not exp > slack * (1.0 + et)
     rows.append(AssumptionCheck(
         "time_lipschitz", lip_ok, f"worst |dE| - C1 E |dt| = {worst_lip:.3e}"))
-
-    worst_exp = -np.inf
-    exp_ok = True
-    for (t, s, k, u) in keyed:
-        et, es = E(t, k, u), E(s, k, u)
-        margin = et - np.exp(K.C1 * abs(t - s)) * es
-        worst_exp = max(worst_exp, margin)
-        if margin > slack * (1.0 + et):
-            exp_ok = False
     rows.append(AssumptionCheck(
         "exponential_bound", exp_ok,
         f"worst E(t) - exp(C1 |dt|) E(s) = {worst_exp:.3e}"))
 
+    def malformed(xi):
+        return xi.shape != (model.dim,) or not np.all(np.isfinite(xi))
+
+    cands = [[np.asarray(xi, dtype=float) for xi in row]
+             for row in model.subdiff_rows(pt, PU)]
+    good = [(b, xi) for b, row in enumerate(cands) for xi in row
+            if not malformed(xi)]
+    try:
+        P = model.time_deriv_P_rows([pt[b] for b, _ in good],
+                                    PU[[b for b, _ in good]],
+                                    np.array([xi for _, xi in good]))
+    except ConditioningError:
+        P = None   # the loop asks each candidate alone, and names the first
+
     p_ok = True
     p_detail = ""
     worst_p = -np.inf
-    for (t, s, k, u) in keyed:
-        g_u = max(E(tt, k, u) for tt in times)
-        for xi in model.subdiff_rows((t,), u[None])[0]:
-            xi = np.asarray(xi, dtype=float)
-            if xi.shape != (model.dim,) or not np.all(np.isfinite(xi)):
+    j = 0   # the next row of P
+    for b, (t, k, u) in enumerate(probes):
+        g_u = max(e[tt, k] for tt in times)
+        for xi in cands[b]:
+            if malformed(xi):
                 p_ok = False
                 p_detail = f"malformed subgradient candidate {xi!r}"
                 break
             try:
-                p = model.time_deriv_P_rows((t,), u[None], xi[None])[0]
+                p = (model.time_deriv_P_rows((t,), u[None], xi[None])[0]
+                     if P is None else P[j])
             except ConditioningError:
                 p_ok = False
                 p_detail = f"P undefined at candidate {xi.tolist()} at t={t}"
                 break
+            j += 1
             margin = abs(p) - K.C2 * g_u
             worst_p = max(worst_p, margin)
             if margin > slack * (1.0 + g_u):
@@ -528,7 +556,8 @@ def audit_assumptions(model: EnergyModel) -> AssumptionReport:
 
     lam = model.semiconvexity
     if lam is not None:
-        rows.append(_semiconvexity_row(model, lam, times, triples, slack))
+        rows.append(_semiconvexity_row(model, lam, times,
+                                        list(states.values()), slack))
 
     return AssumptionReport(rows=tuple(rows))
 
@@ -536,13 +565,12 @@ def audit_assumptions(model: EnergyModel) -> AssumptionReport:
 SEMICONVEXITY_H = 0.05   # half-length of the centred sin(pi x) segment
 
 
-def _semiconvexity_row(model: EnergyModel, lam: float, times, triples,
+def _semiconvexity_row(model: EnergyModel, lam: float, times, states,
                        slack: float) -> AssumptionCheck:
     """Midpoint test of the declared lambda_E on the segments between
     consecutive probe states, plus a short segment +-h sin(pi x) (cell
     midpoints x) around the box centre: along random directions a stiff
     gradient term hides a concave on-site well."""
-    states = list({u.tobytes(): u for (_, _, u) in triples}.values())
     segments = list(zip(states, states[1:]))
     if model.domain_box is not None:
         lo, hi = model.domain_box
@@ -553,17 +581,20 @@ def _semiconvexity_row(model: EnergyModel, lam: float, times, triples,
                                     / model.dim)
     segments.append((centre - bump, centre + bump))
 
+    # E at u, w and their midpoint, every time and segment one row call
+    cases = [(t, u, w) for t in times for (u, w) in segments]
+    E = energy_value(model, [t for t, _, _ in cases for _ in range(3)],
+                     np.array([x for _, u, w in cases
+                               for x in (u, w, 0.5 * (u + w))])).tolist()
     ok, worst = True, -np.inf
-    for t in times:
-        for (u, w) in segments:
-            eu, ew = energy_value(model, t, u), energy_value(model, t, w)
-            em = energy_value(model, t, 0.5 * (u + w))
-            d = u - w
-            chord = 0.5 * (eu + ew) - lam / 8.0 * float(np.dot(d, d))
-            margin = em - chord
-            worst = max(worst, margin)
-            if margin > slack * (1.0 + abs(chord)):
-                ok = False
+    for i, (t, u, w) in enumerate(cases):
+        eu, ew, em = E[3 * i:3 * i + 3]
+        d = u - w
+        chord = 0.5 * (eu + ew) - lam / 8.0 * float(np.dot(d, d))
+        margin = em - chord
+        worst = max(worst, margin)
+        if margin > slack * (1.0 + abs(chord)):
+            ok = False
     return AssumptionCheck(
         "semiconvexity", ok,
         f"lambda_E = {lam:.6g}: worst E(m) - chord = {worst:.3e}")

@@ -27,7 +27,7 @@ from . import _kernels, _optim
 from ._kernels import double_well  # re-export  # noqa: F401
 from ._record import FrozenRecord
 from .energy import (EnergyConstants, EnergyModel, MarginalEnergy,
-                     clarke_subdifferential_1d)
+                     _clarke_rows)
 from .errors import ConfigError, RangeError
 from .potentials import (DissipationPotential, OneHomPlusQuad, PNorm,
                          Quadratic, StateWeighted, WeightedSum, as_state)
@@ -128,10 +128,8 @@ class _AbsoluteMarginalEnergy(MarginalEnergy):
     def subdiff_rows(self, t, U):
         if self.subdiff_kind == "marginal":
             return super().subdiff_rows(t, U)
-        # Clarke mode takes its one-sided differences point by point
         out = []
-        for tb, ub in zip(t, U):
-            lo, hi = clarke_subdifferential_1d(self, tb, ub)
+        for lo, hi in zip(*_clarke_rows(self, t, U)):
             cands = [np.array([lo])]
             if hi > lo:
                 if lo < 0.0 < hi:
@@ -220,9 +218,10 @@ class _AllenCahnEnergy(EnergyModel):
     """Grid Allen-Cahn energy on N midpoint cells of [0, 1], zero Dirichlet
     walls: E = sum (1/q)|D+ u|^q dx + sum (W4(u_i) - l_i(t) u_i) dx with the
     quartic well W4(s) = (s^2 - 1)^2 / 4 and load l_i(t) = amp sin(t) sin(pi x_i).
-    at_times is its one energy query: values and gradients go through
+    at_times is its energy query: values and gradients go through
     _kernels.ac_energy and ac_grad, which share their grid terms, for a
-    row batch of states in one kernel call each.
+    row batch of states in one kernel call each; subdiff_rows takes the
+    gradient rows alone, so it computes no energy.
     """
 
     def __init__(self, N: int, q: float, amp: float, offset: float,
@@ -242,13 +241,16 @@ class _AllenCahnEnergy(EnergyModel):
         self.constants = EnergyConstants(C0=C0, C1=c, C2=c, tau_o=0.5)
         self.domain_box = (np.full(N, -3.0), np.full(N, 3.0))
 
-    def at_times(self, t):
-        # each row's l(t[b]) = (amp sin t[b]) profile once; D+ u and u^2 - 1
-        # once per array of states, for the values and the gradients, in
-        # one ghost buffer
-        dx, q, offset = self.dx, self.q, self.offset
-        load = (np.array([self.amp * math.sin(s) for s in t])[:, None]
+    def _load_rows(self, t):
+        """Each row's load l(t[b]) = (amp sin t[b]) profile."""
+        return (np.array([self.amp * math.sin(s) for s in t])[:, None]
                 * self.profile)
+
+    def at_times(self, t):
+        # D+ u and u^2 - 1 once per array of states, for the values and
+        # the gradients, in one ghost buffer
+        dx, q, offset = self.dx, self.q, self.offset
+        load = self._load_rows(t)
         buf = _kernels.ghost_buffer((len(t), self.dim))
 
         def at(U):
@@ -256,6 +258,10 @@ class _AllenCahnEnergy(EnergyModel):
             return (_kernels.ac_energy(U, dx, q, load, offset, terms),
                     lambda: _kernels.ac_grad(U, dx, q, load, terms))
         return at
+
+    def subdiff_rows(self, t, U):
+        return [[g] for g in _kernels.ac_grad(U, self.dx, self.q,
+                                              self._load_rows(t))]
 
     def time_deriv_P_rows(self, t, U, XI):
         # d/dt of -<l(t), u> dx, with the cosine of each time from math

@@ -162,9 +162,6 @@ class DissipationPotential(FrozenRecord):
         inner solver uses it to prove a step problem strongly convex."""
         return 0.0
 
-    def label(self) -> str:
-        return type(self).__name__
-
     def at_state(self, u) -> "DissipationPotential":
         """The frozen potential Psi_u; identity for state-independent kinds."""
         return self
@@ -195,9 +192,6 @@ class Quadratic(DissipationPotential):
 
     def modulus(self, r):
         return self.c
-
-    def label(self):
-        return f"Quadratic(c={self.c})"
 
 
 class PNorm(DissipationPotential):
@@ -259,9 +253,6 @@ class PNorm(DissipationPotential):
             return self.c * (self.p - 1.0) * r ** (self.p - 2.0)
         return 0.0
 
-    def label(self):
-        return f"PNorm(c={self.c}, p={self.p})"
-
 
 class OneHomPlusQuad(DissipationPotential):
     """Psi(v) = rho ||v||_1 + (eps/2) ||v||^2, the viscous regularization of a
@@ -297,9 +288,6 @@ class OneHomPlusQuad(DissipationPotential):
 
     def modulus(self, r):
         return self.eps
-
-    def label(self):
-        return f"OneHomPlusQuad(rho={self.rho}, eps={self.eps})"
 
 
 class WeightedSum(DissipationPotential):
@@ -362,9 +350,6 @@ class WeightedSum(DissipationPotential):
     def modulus(self, r):
         return sum(p.modulus(r) for p in self.parts)
 
-    def label(self):
-        return "WeightedSum(" + ", ".join(p.label() for p in self.parts) + ")"
-
 
 class Scaled(DissipationPotential):
     """w * base for a fixed positive weight; the frozen view Psi_u of a
@@ -402,9 +387,6 @@ class Scaled(DissipationPotential):
     def modulus(self, r):
         return self.w * self.base.modulus(r)
 
-    def label(self):
-        return f"{self.w} * {self.base.label()}"
-
 
 class StateWeighted(DissipationPotential):
     """Family Psi_u(v) = omega(u) * Psi0(v) with 0 < omega_min <= omega <= omega_max.
@@ -439,9 +421,6 @@ class StateWeighted(DissipationPotential):
 
     closed_conjugate = value
 
-    def label(self):
-        return f"StateWeighted({self.base.label()}, omega in {list(self.omega_bounds)})"
-
 
 class TwoSlope(DissipationPotential):
     """Psi(v) = max(||v||, 2||v|| - 1).
@@ -470,9 +449,6 @@ class TwoSlope(DissipationPotential):
                 f"||xi|| = {float(np.ravel(r)[over[0]]):.3e} exceeds the "
                 "largest slope 2; the conjugate is infinite")
         return _out(np.where(0.0 > r - 1.0, 0.0, r - 1.0))
-
-    def label(self):
-        return "TwoSlope"
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,6 @@ class DiscreteTrajectory:
     def N(self) -> int:
         return self.grid.N
 
-    def rate(self, n: int) -> np.ndarray:
-        return (self.U[n] - self.U[n - 1]) / self.grid.tau
-
     def psi_at(self, n: int) -> potentials.DissipationPotential:
         """The frozen potential Psi_{U_{n-1}} governing step n."""
         return self.psi.at_state(self.U[n - 1])

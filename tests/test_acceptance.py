@@ -105,7 +105,7 @@ def test_criterion_1_convex_analysis(capsys):
             closed = p.closed_conjugate(np.array([x]))
             err = abs(closed - grid_conjugate(p, x))
             if err > 1e-8:
-                failures.append(f"{p.label()} conjugate off by {err:.3e} "
+                failures.append(f"{p!r} conjugate off by {err:.3e} "
                                 f"at xi={x:.4f}")
                 break
 
@@ -113,7 +113,7 @@ def test_criterion_1_convex_analysis(capsys):
         rep = check_admissible(psi.at_state(np.array([0.7])))
         if not rep.passed:
             bad = [r.name for r in rep.rows if not r.passed]
-            failures.append(f"{psi.label()} flagged inadmissible: {bad}")
+            failures.append(f"{psi!r} flagged inadmissible: {bad}")
     counter = check_admissible(TwoSlope())
     if counter.passed:
         failures.append("max(|v|, 2|v|-1) counterexample passed the audit")

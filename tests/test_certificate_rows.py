@@ -135,7 +135,7 @@ def rates(d, finite=False, bound=np.inf):
         return V[np.sqrt(np.vecdot(V, V)) <= bound]
 
 
-@pytest.mark.parametrize("p", KINDS, ids=lambda p: p.label())
+@pytest.mark.parametrize("p", KINDS, ids=repr)
 @pytest.mark.parametrize("d", [1, 3])
 def test_value_and_conjugate_rows_are_their_one_row_calls(p, d):
     two_slope = isinstance(p, TwoSlope)
@@ -155,7 +155,7 @@ def test_value_and_conjugate_rows_are_their_one_row_calls(p, d):
             assert bits(got) == bits(one) == bits([ref(p, x) for x in rows])
 
 
-@pytest.mark.parametrize("p", KINDS, ids=lambda p: p.label())
+@pytest.mark.parametrize("p", KINDS, ids=repr)
 def test_gap_rows_are_their_one_row_calls(p):
     bound = 2.0 if isinstance(p, TwoSlope) else np.inf
     with np.errstate(all="ignore"):
@@ -342,7 +342,8 @@ def per_step_loop(traj):
     over the steps computed them before they became row calls."""
     out = np.zeros((5, traj.N + 1))
     for n in range(1, traj.N + 1):
-        p, v, xi = traj.psi_at(n), traj.rate(n), -traj.xi[n]
+        p, xi = traj.psi_at(n), -traj.xi[n]
+        v = (traj.U[n] - traj.U[n - 1]) / traj.grid.tau
         psi = old_value(p, v)
         conj = max(old_closed_conjugate(p, xi), 0.0)
         pairing = float(np.dot(xi, v))

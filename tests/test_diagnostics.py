@@ -113,8 +113,9 @@ def test_step_terms_gap_is_bitwise_fenchel_young_gap():
                  TimeGrid(T=2.0 ** -4, tau=2.0 ** -6))
     terms = _per_step_terms(traj)
     for n in range(1, traj.N + 1):
+        v = (traj.U[n] - traj.U[n - 1]) / traj.grid.tau
         assert terms.gap[n] == potentials.fenchel_young_gap(
-            traj.psi_at(n), traj.rate(n), -traj.xi[n])
+            traj.psi_at(n), v, -traj.xi[n])
     with pytest.raises(ValueError):
         terms.P[1] = 0.0  # the bundle is read-only
 
@@ -180,7 +181,8 @@ def test_chain_defects_are_bitwise_the_step_loop():
         ref = np.zeros(traj.N + 1)
         for n in range(1, traj.N + 1):
             de = (traj.energies[n] - traj.energies[n - 1]) / traj.grid.tau
-            ref[n] = de - float(np.dot(traj.xi[n], traj.rate(n))) - P[n]
+            v = (traj.U[n] - traj.U[n - 1]) / traj.grid.tau
+            ref[n] = de - float(np.dot(traj.xi[n], v)) - P[n]
         assert chain_rule_defects(traj).tobytes() == ref.tobytes(), name
 
 

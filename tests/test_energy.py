@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dnevolve as dn
-from dnevolve import _kernels, _optim
+from dnevolve import _kernels, _optim, potentials
 from dnevolve import energy as energy_mod
 from dnevolve.energy import (ETA_CLUSTER, argmin_set, audit_assumptions,
                              clarke_subdifferential_1d, default_delta_M,
@@ -325,6 +325,78 @@ def test_phase_field_clarke_at_kink(phase_field):
     assert hi == pytest.approx(2.0 / 3.0 - ell, abs=1e-6)
 
 
+def clarke_loop(model, t, u, h=1e-6):
+    """clarke_subdifferential_1d as it was, point by point: each of the
+    eight differences of its two quotients a one-row at_times call."""
+    x = float(u[0])
+    near = [k for k in model.kinks_1d(t) if abs(k - x) <= h]
+    base = near[0] if near else x
+    at = model.at_times((t,))
+
+    def f(y):
+        return at(np.array([[y]]))[0][0]
+
+    d_right = potentials._one_sided(f, base, h, +1.0)
+    d_left = potentials._one_sided(f, base, h, -1.0)
+    return (min(d_left, d_right), max(d_left, d_right))
+
+
+@pytest.mark.parametrize("name", ["AbsoluteMarginal", "PhaseField1D"])
+def test_clarke_rows_are_their_one_row_calls(name, monkeypatch):
+    # rows at the kink, within h of it on either side, and away from it,
+    # at several times, in one call
+    model = build(name, {}).energy
+    h = 1e-6
+    t, U = [], []
+    for tb in (0.0, 0.3, 0.8):
+        k = model.kinks_1d(tb)[0]
+        for du in (0.0, 0.4 * h, -0.9 * h, h, 0.35, -0.6):
+            t.append(tb)
+            U.append([k + du])
+    U = np.array(U)
+    lo, hi = energy_mod._clarke_rows(model, t, U)
+    for b in range(len(t)):
+        one = clarke_subdifferential_1d(model, t[b], U[b])
+        ref = clarke_loop(model, t[b], U[b])
+        assert (float(lo[b]).hex(), float(hi[b]).hex()) \
+            == tuple(float(x).hex() for x in one) \
+            == tuple(float(x).hex() for x in ref), (t[b], U[b])
+    # a row out of the box raises, after a good row, as it does alone
+    with pytest.raises(dn.DomainError, match=r"u = \[5\.0\]"):
+        energy_mod._clarke_rows(model, [0.0, 0.0], np.array([[0.1], [5.0]]))
+    # in Clarke mode the candidates of all rows take one at_times call
+    clarke = build("AbsoluteMarginal", {"subdiff_kind": "clarke"}).energy
+    calls = []
+    at_times = clarke.at_times
+    monkeypatch.setattr(clarke, "at_times",
+                        lambda t: calls.append(len(t)) or at_times(t))
+    cands = clarke.subdiff_rows(t, U)
+    assert calls == [5 * len(t)]
+    for b, row in enumerate(cands):
+        lo_b, hi_b = clarke_loop(clarke, t[b], U[b])
+        want = [lo_b] + ([0.0] if lo_b < 0.0 < hi_b else []) \
+            + ([hi_b] if hi_b > lo_b else [])
+        assert [float(x[0]).hex() for x in row] == [x.hex() for x in want]
+
+
+def test_allen_cahn_subdiff_rows_are_gradient_rows(monkeypatch):
+    # the candidates are the ac_grad rows bit for bit, and no energy is
+    # computed for them
+    model = build("AllenCahn1D", {"N": 8, "p": 1.5}).energy
+    rng = np.random.default_rng(4)
+    t = [0.0, 0.25, 0.7, 1.0]
+    U = rng.uniform(-1.5, 1.5, (4, 8))
+    energies = []
+    monkeypatch.setattr(_kernels, "ac_energy",
+                        lambda *a, **k: energies.append(1))
+    cands = model.subdiff_rows(t, U)
+    assert energies == []
+    for b, row in enumerate(cands):
+        load = model.amp * math.sin(t[b]) * model.profile
+        ref = _kernels.ac_grad(U[b], model.dx, model.q, load)
+        assert len(row) == 1 and row[0].tobytes() == ref.tobytes()
+
+
 def test_subdifferential_offset_invariance():
     # interval models: independent golden searches agree only to the
     # sqrt(eps) eta-localization floor; finite-branch models are exact
@@ -449,6 +521,67 @@ def test_audit_fails_power_bound_where_p_is_undefined():
     assert "candidate [0.0] at t=0.0" in row.detail
     marginal = build("AbsoluteMarginal", {}).energy
     assert audit_assumptions(marginal).row("power_bound").passed
+
+
+AUDIT_BOX = "all probed sublevel members inside: True"
+AUDIT_QUADRATIC = (
+    ("positivity", "min probed E = 1 against C0 = 1"),
+    ("time_lipschitz", "worst |dE| - C1 E |dt| = -2.500e-01"),
+    ("exponential_bound", "worst E(t) - exp(C1 |dt|) E(s) = -2.840e-01"),
+    ("power_bound", "worst |P| - C2 sup E = -1.000e+00"),
+    ("coercivity_witness", f"box widths [8.0], {AUDIT_BOX}"),
+    ("semiconvexity", "lambda_E = 1: worst E(m) - chord = 8.882e-16"))
+AUDITS = {
+    "QuadraticBenchmark": AUDIT_QUADRATIC,
+    "AbsoluteMarginal": (
+        ("positivity", "min probed E = 1.14979 against C0 = 1.125"),
+        ("time_lipschitz", "worst |dE| - C1 E |dt| = -6.887e-04"),
+        ("exponential_bound", "worst E(t) - exp(C1 |dt|) E(s) = -1.136e-03"),
+        ("power_bound", "worst |P| - C2 sup E = -1.664e-02"),
+        ("coercivity_witness", f"box widths [3.0], {AUDIT_BOX}")),
+    "PhaseField1D": (
+        ("positivity", "min probed E = 1.09395 against C0 = 1"),
+        ("time_lipschitz", "worst |dE| - C1 E |dt| = -2.756e-01"),
+        ("exponential_bound", "worst E(t) - exp(C1 |dt|) E(s) = -3.302e-01"),
+        ("power_bound", "worst |P| - C2 sup E = -1.316e+00"),
+        ("coercivity_witness", f"box widths [8.0], {AUDIT_BOX}")),
+    "AllenCahn1D": (
+        ("positivity", "min probed E = 1.45916 against C0 = 1"),
+        ("time_lipschitz", "worst |dE| - C1 E |dt| = -2.189e-01"),
+        ("exponential_bound", "worst E(t) - exp(C1 |dt|) E(s) = -2.361e-01"),
+        ("power_bound", "worst |P| - C2 sup E = -8.755e-01"),
+        ("coercivity_witness", f"box widths {[6.0] * 32}, {AUDIT_BOX}"),
+        ("semiconvexity",
+         "lambda_E = -0.03125: worst E(m) - chord = -5.972e-03")),
+    "StateWeightedToy": AUDIT_QUADRATIC,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDITS))
+def test_audit_asks_each_query_once_per_report(name, monkeypatch):
+    # E of every probe, and the semiconvexity energies, are one row call
+    # each, and the candidates and P of every probe one call each; the
+    # report is the one the per-triple loop of one-point calls gave
+    model = build(name, {}).energy
+    calls = []
+
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
+
+    for query in ("subdiff_rows", "time_deriv_P_rows"):
+        monkeypatch.setattr(model, query,
+                            counted(query, getattr(model, query)))
+    monkeypatch.setattr(energy_mod, "energy_value",
+                        counted("E", energy_mod.energy_value))
+    rep = audit_assumptions(model)
+    E_calls = 1 + (model.semiconvexity is not None)
+    assert sorted(calls) == ["E"] * E_calls + ["subdiff_rows",
+                                                "time_deriv_P_rows"]
+    assert [(r.name, r.detail) for r in rep.rows] == list(AUDITS[name])
+    assert rep.passed
 
 
 class _NoFloor(energy_mod.EnergyModel):

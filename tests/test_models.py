@@ -198,7 +198,7 @@ def test_parameters_echo_resolved_values():
 def scalar_scan_well_drop(amp):
     """_quartic_well_drop as it was: the 801-point scan through the scalar
     objective, and min_scalar calling it again at each basin's ends and
-    at Brent's abscissa."""
+    at Brent's abscissa, Brent run on one problem of _bounded_brent_rows."""
     def f(s):
         return 0.25 * (s * s - 1.0) ** 2 - amp * s
 
@@ -207,7 +207,8 @@ def scalar_scan_well_drop(amp):
     basins = []
     for i in _optim.local_min_indices(vals):
         a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 800)])
-        x = float(_optim._bounded_brent(f, a, b, 1e-13, 500))
+        x = float(_optim._bounded_brent_rows(
+            lambda x, rows: [f(float(x[0]))], [a], [b], 1e-13, 500)[0][0])
         basins.append(min([(a, f(a)), (b, f(b)), (x, f(x))],
                           key=lambda p: p[1]))
     return min(min(basins, key=lambda p: p[1])[1], 0.0)

@@ -1,7 +1,8 @@
 """The in-package Brent methods against scipy.optimize, bit for bit.
 
-_bounded_brent, its lockstep form _bounded_brent_rows and max_scalar are
-compared with minimize_scalar(method="bounded"), and _brentq and
+_bounded_brent_rows, on one problem as max_scalar drives it and on many in
+lockstep, and max_scalar are compared with
+minimize_scalar(method="bounded"), and _brentq and
 polish_root with brentq, on smooth, kinked, flat, NaN-returning,
 root-at-endpoint and sign-underflow functions. Besides the results, the
 sequence of abscissae each method evaluates must agree. scipy is needed
@@ -31,6 +32,15 @@ def recording(f, log):
 
 # ---------------------------------------------------------------------------
 # bounded Brent
+
+
+def bounded_brent(f, a, b, xatol, maxiter):
+    """Brent's bounded method on f over [a, b]: one problem of
+    _bounded_brent_rows, driven as max_scalar drives it; returns the best
+    abscissa found."""
+    x, _ = _optim._bounded_brent_rows(lambda x, rows: [f(float(x[0]))],
+                                      [a], [b], xatol, maxiter)
+    return x[0]
 
 
 def scipy_max_scalar(g, a, b, xtol=1e-12):
@@ -77,8 +87,7 @@ MIN_CASES = {
 def test_bounded_brent_matches_scipy_bitwise(name, xatol, maxiter):
     f, a, b = MIN_CASES[name]
     ours_log, theirs_log = [], []
-    ours = _optim._bounded_brent(recording(f, ours_log), a, b, xatol,
-                                 maxiter)
+    ours = bounded_brent(recording(f, ours_log), a, b, xatol, maxiter)
     res = optimize.minimize_scalar(recording(f, theirs_log), bounds=(a, b),
                                    method="bounded",
                                    options={"xatol": xatol,
@@ -110,7 +119,7 @@ def min_scalar(f, a, b, xtol=1e-12):
         fx = seen[x] = f(x)
         return fx
 
-    x = float(_optim._bounded_brent(recorded, a, b, xtol, 500))
+    x = float(bounded_brent(recorded, a, b, xtol, 500))
     return x, seen[x]
 
 
@@ -151,7 +160,7 @@ def test_bounded_brent_random_cubics_match_scipy():
         def f(x, c=c):
             return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
 
-        ours = _optim._bounded_brent(f, a, b, 1e-12, 500)
+        ours = bounded_brent(f, a, b, 1e-12, 500)
         res = optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
                                        options={"xatol": 1e-12,
                                                 "maxiter": 500})

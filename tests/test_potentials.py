@@ -41,19 +41,20 @@ def catalogue():
 
 
 def shipped():
-    """(label, frozen potential) for every dissipation models.build or a
-    config `dissipation` yields."""
+    """(id, frozen potential) for every dissipation models.build or a
+    config `dissipation` yields, the id the model name (or "config") and
+    the frozen potential's repr."""
     specs = [build(name) for name in MODEL_NAMES if name != "AllenCahn1D"]
     specs += [build("AllenCahn1D", {"N": 4, "p": p, "rho": rho})
               for p in (1.5, 2.0, 3.0) for rho in (0.0, 1.0)]
-    out = [(f"{s.name}:{s.dissipation.label()}",
-            s.dissipation.at_state(np.full(s.dim, 0.3)))
-           for s in specs]
+    frozen = [(s.name, s.dissipation.at_state(np.full(s.dim, 0.3)))
+              for s in specs]
+    out = [(f"{name}:{p!r}", p) for name, p in frozen]
     for d in ({"kind": "quadratic", "c": 0.7},
               {"kind": "pnorm", "c": 0.7, "p": 1.5},
               {"kind": "one_hom_plus_quad", "rho": 0.4, "eps": 0.7}):
         p = models.build_dissipation(d)
-        out.append((f"config:{p.label()}", p))
+        out.append((f"config:{p!r}", p))
     return out
 
 
@@ -149,10 +150,10 @@ def test_pnorm_conjugate_with_tiny_c_does_not_overflow():
     assert conjugate(p, [1e-200]) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
-# the catalogue and every shipped potential, by label, and for the numeric
+# the catalogue and every shipped potential, by repr, and for the numeric
 # cross-check three more sums
-BUILT = {p.label(): p for p in catalogue() + [p for _, p in SHIPPED]}
-CLOSED_VS_NUMERIC = {**BUILT, **{p.label(): p for p in (
+BUILT = {repr(p): p for p in catalogue() + [p for _, p in SHIPPED]}
+CLOSED_VS_NUMERIC = {**BUILT, **{repr(p): p for p in (
     WeightedSum((PNorm(0.3, 1.0), PNorm(0.2, 1.0), PNorm(0.5, 3.0))),
     WeightedSum((PNorm(0.4, 1.0), OneHomPlusQuad(0.3, 0.5))),
     Scaled(WeightedSum((PNorm(0.25, 1.0), PNorm(0.25, 1.5))), 1.7))}}
@@ -354,7 +355,7 @@ def test_scaled_matches_weighted_sum_of_one():
 def test_admissibility_catalogue_passes():
     for p in catalogue():
         rep = check_admissible(p)
-        assert rep.passed, f"{p.label()}: {rep.to_dict()}"
+        assert rep.passed, f"{p!r}: {rep.to_dict()}"
 
 
 def test_admissibility_state_weighted_frozen_slice_passes():
@@ -480,7 +481,7 @@ MODULI = [
 
 
 @pytest.mark.parametrize("p,expect", MODULI,
-                         ids=[p.label() for p, _ in MODULI])
+                         ids=[repr(p) for p, _ in MODULI])
 def test_modulus_is_a_sound_strong_convexity_bound(p, expect):
     # the declared value, and the midpoint inequality it promises on [-r, r]
     def f(s):

@@ -580,10 +580,15 @@ def right_constant_interpolant(traj: DiscreteTrajectory, t) -> np.ndarray:
     return traj.U[np.where(at_node, n, np.maximum(n - 1, 0))]
 
 
+def rate(traj: DiscreteTrajectory, n) -> np.ndarray:
+    """(U_n - U_{n-1}) / tau, the rate of step n."""
+    return (traj.U[n] - traj.U[n - 1]) / traj.grid.tau
+
+
 def interpolant_rate(traj: DiscreteTrajectory, t) -> np.ndarray:
     """The rate of the interval holding t: the left one's at nodes."""
     n, _ = scheme._locate(traj.grid, t)
-    return traj.rate(np.maximum(n, 1))
+    return rate(traj, np.maximum(n, 1))
 
 
 @pytest.fixture(scope="module")
@@ -789,11 +794,11 @@ def test_samplers(quad_traj):
                                0.5 * (U[0] + U[1]), atol=1e-15)
     np.testing.assert_array_equal(linear_interpolant(quad_traj, 0.75), U[3])
     np.testing.assert_array_equal(interpolant_rate(quad_traj, 0.1),
-                                  quad_traj.rate(1))
+                                  rate(quad_traj, 1))
     np.testing.assert_array_equal(interpolant_rate(quad_traj, 0.25),
-                                  quad_traj.rate(1))
+                                  rate(quad_traj, 1))
     np.testing.assert_array_equal(interpolant_rate(quad_traj, 0.26),
-                                  quad_traj.rate(2))
+                                  rate(quad_traj, 2))
     for bad in (-0.01, 1.01):
         with pytest.raises(RangeError):
             left(quad_traj, bad)
