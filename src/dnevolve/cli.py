@@ -17,8 +17,9 @@ The config dialect is JSON (frozen; see README):
       "seed": 0
     }
 
-Exit codes: 0 all enabled checks pass; 1 check failure (names printed);
-2 schema violation (field path printed); 3 solver failure (step printed).
+Exit codes: 0 all enabled checks pass; 1 check failure (names printed;
+`conditioning` when P cannot be conditioned on a multiplier); 2 schema
+violation (field path printed); 3 solver failure (step printed).
 Relative output_dir is resolved under $DNEVOLVE_OUTPUT_ROOT when set.
 Reruns of one config produce byte-identical CSV bodies.
 """
@@ -51,7 +52,10 @@ MAX_STEPS = 2 ** 20  # longest time grid a config may ask for
 _CHECK_DEFAULTS = {"fenchel_young": True, "minimality": True,
                    "chain_rule": True, "energy_identity": True,
                    "step_inequality": False}
-_CHECK_KEYS = tuple(_CHECK_DEFAULTS)
+# the diagnostics block but its windows, as models._read_fields rows
+_DIAG_ROWS = tuple((key, on, "boolean", (), "")
+                   for key, on in _CHECK_DEFAULTS.items()) + (
+    ("eps_quad", None, "number", ((">", 0.0),), ""),)
 
 
 # ---------------------------------------------------------------------------
@@ -73,37 +77,24 @@ def _check_steps(T: float, tau: float, path: str):
 
 
 def _validate_diag(d) -> Dict:
-    out = dict(_CHECK_DEFAULTS)
-    out["windows"] = []
-    out["eps_quad"] = None
-    if d is None:
-        return out
+    d = {} if d is None else d
     if not isinstance(d, dict):
         raise ConfigError("diagnostics", "expected an object")
-    reject_unknown(d, _CHECK_KEYS + ("windows", "eps_quad"), "diagnostics")
-    for key in _CHECK_KEYS:
-        if key in d:
-            if not isinstance(d[key], bool):
-                raise ConfigError(f"diagnostics.{key}", "expected a boolean")
-            out[key] = d[key]
-    if "eps_quad" in d:
-        eq = finite_number(d["eps_quad"], "diagnostics.eps_quad")
-        if not eq > 0:
-            raise ConfigError("diagnostics.eps_quad", "must be > 0")
-        out["eps_quad"] = eq
-    if "windows" in d:
-        ws = d["windows"]
-        if not isinstance(ws, list):
-            raise ConfigError("diagnostics.windows", "expected a list")
-        for i, w in enumerate(ws):
-            p = f"diagnostics.windows[{i}]"
-            if not (isinstance(w, list) and len(w) == 2):
-                raise ConfigError(p, "expected a [s, t] pair")
-            s = finite_number(w[0], p + "[0]")
-            t = finite_number(w[1], p + "[1]")
-            if not 0.0 <= s <= t:
-                raise ConfigError(p, "requires 0 <= s <= t")
-            out["windows"].append((s, t))
+    out = models._read_fields({k: v for k, v in d.items() if k != "windows"},
+                              _DIAG_ROWS, "diagnostics")
+    ws = d.get("windows", [])
+    if not isinstance(ws, list):
+        raise ConfigError("diagnostics.windows", "expected a list")
+    out["windows"] = []
+    for i, w in enumerate(ws):
+        p = f"diagnostics.windows[{i}]"
+        if not (isinstance(w, list) and len(w) == 2):
+            raise ConfigError(p, "expected a [s, t] pair")
+        s = finite_number(w[0], p + "[0]")
+        t = finite_number(w[1], p + "[1]")
+        if not 0.0 <= s <= t:
+            raise ConfigError(p, "requires 0 <= s <= t")
+        out["windows"].append((s, t))
     return out
 
 
@@ -339,22 +330,17 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
         lambda p, t, u_prev, u, e_prev, e: minimality_witness(
             model, p, t, grid.tau, u_prev, u, e_prev, e)[1],
         steps, U[:-1], U[1:], E[1::2], E[2::2])
-    bad_nodes = int(np.count_nonzero(
+    bad_nodes = float(np.count_nonzero(
         (nodes != np.arange(grid.N + 1))
         | ~(_rel_err(times, grid.nodes()) <= STORED_TOL)))
     # U_0 is written with %.17g, which round-trips u0's bits
-    bad_initial = int(np.count_nonzero(U[0].view(np.int64)
-                                       != plan.u0.view(np.int64))
-                      + np.count_nonzero(xi[0]) + (gaps[0] != 0.0))
-    energy_err = float(np.max(_rel_err(stored, energies)))
-    checks = [
-        {"name": "stored_nodes", "passed": bad_nodes == 0,
-         "value": float(bad_nodes), "threshold": 0.0},
-        {"name": "stored_initial", "passed": bad_initial == 0,
-         "value": float(bad_initial), "threshold": 0.0},
-        {"name": "stored_energy", "passed": energy_err <= STORED_TOL,
-         "value": energy_err, "threshold": STORED_TOL},
-    ]
+    bad_initial = float(np.count_nonzero(U[0].view(np.int64)
+                                         != plan.u0.view(np.int64))
+                        + np.count_nonzero(xi[0]) + (gaps[0] != 0.0))
+    checks = [_gate("stored_nodes", bad_nodes, 0.0),
+              _gate("stored_initial", bad_initial, 0.0),
+              _gate("stored_energy", float(np.max(_rel_err(stored, energies))),
+                    STORED_TOL)]
     traj = DiscreteTrajectory(
         model=model, psi=psi, grid=grid, opts=plan.opts, U=U, xi=xi,
         gaps=gaps, energies=energies, witnesses=witnesses,
@@ -366,68 +352,63 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
 # checks
 
 
-def _stored_gap_check(traj: DiscreteTrajectory) -> Dict:
-    """The stored gap_n column (traj.gaps of a loaded trajectory) against
-    the recomputed gaps: worst relative error against STORED_TOL."""
-    gap = diagnostics.fenchel_young_profile(traj)
-    err = float(np.max(_rel_err(traj.gaps, gap)))
-    return {"name": "stored_gap", "passed": err <= STORED_TOL,
-            "value": err, "threshold": STORED_TOL}
+def _gate(name: str, value: float, threshold: float,
+          floor: bool = False) -> Dict:
+    """One check entry {name, passed, value, threshold}: the value passes at
+    or below its threshold (a budget), or with floor at or above it; NaN
+    fails either way."""
+    passed = value >= threshold if floor else value <= threshold
+    return {"name": name, "passed": passed, "value": value,
+            "threshold": threshold}
 
 
 def run_checks(traj: DiscreteTrajectory, diag: Dict) -> List[Dict]:
-    """Every enabled check as {name, passed, value, threshold}. Each
-    certificate value is computed only if an enabled check needs it, and
-    at most once per trajectory (diagnostics._certified)."""
+    """Every enabled check, each a _gate entry. Each certificate value is
+    computed only if an enabled check needs it, and at most once per
+    trajectory (diagnostics._certified)."""
     out = []
     tau = traj.grid.tau
-    horizon = traj.grid.t(traj.N)
     if diag["chain_rule"] or diag["energy_identity"]:
         c_chain = diagnostics._certified(traj, "chain_rule_constant")
 
     if diag["minimality"]:
         worst = float(np.max(traj.witnesses)) if traj.N else 0.0
-        out.append({"name": "minimality", "passed": worst <= WITNESS_TOL,
-                    "value": worst, "threshold": WITNESS_TOL})
+        out.append(_gate("minimality", worst, WITNESS_TOL))
     if diag["fenchel_young"]:
         worst = float(np.max(diagnostics.fenchel_young_profile(traj)))
-        out.append({"name": "fenchel_young", "passed": worst <= GAP_TOL,
-                    "value": worst, "threshold": GAP_TOL})
+        out.append(_gate("fenchel_young", worst, GAP_TOL))
     if diag["chain_rule"]:
         defects = diagnostics.chain_rule_defects(traj)[1:]
         frac = float(np.mean(defects >= -c_chain * tau)) if len(defects) else 1.0
-        out.append({"name": "chain_rule", "passed": frac >= CHAIN_FRACTION,
-                    "value": frac, "threshold": CHAIN_FRACTION})
+        out.append(_gate("chain_rule", frac, CHAIN_FRACTION, floor=True))
     if diag["energy_identity"]:
         # lower gate only: the defect is upper-estimate slack and may be
-        # positive; it must not undershoot the chain-rule allowance
-        floor = -c_chain * tau * horizon - IDENTITY_SLACK
-        defect = diagnostics.energy_identity_defect(traj)
-        out.append({"name": "energy_identity", "passed": defect >= floor,
-                    "value": defect, "threshold": floor})
-        for (s, t) in diag["windows"]:
-            wfloor = -c_chain * tau * (t - s) - IDENTITY_SLACK
-            wdef = diagnostics.energy_identity_defect(traj, s, t)
-            out.append({"name": f"energy_identity[{s},{t}]",
-                        "passed": wdef >= wfloor,
-                        "value": wdef, "threshold": wfloor})
+        # positive; it must not undershoot the chain-rule allowance. The
+        # whole horizon is the window [0, t_N]
+        windows = [(0.0, traj.grid.t(traj.N))] + diag["windows"]
+        for k, (s, t) in enumerate(windows):
+            out.append(_gate(f"energy_identity[{s},{t}]" if k
+                             else "energy_identity",
+                             diagnostics.energy_identity_defect(traj, s, t),
+                             -c_chain * tau * (t - s) - IDENTITY_SLACK,
+                             floor=True))
     if diag["step_inequality"]:
         res = diagnostics._certified(traj, "step_inequality")
-        out.append({"name": "step_inequality",
-                    "passed": res.worst <= res.eps_quad,
-                    "value": res.worst, "threshold": res.eps_quad})
+        out.append(_gate("step_inequality", res.worst, res.eps_quad))
     return out
 
 
-def _print_checks(checks: List[Dict]) -> List[str]:
-    failing = []
+def _verdict(checks: List[Dict]) -> int:
+    """Print one line per check, then the failing names on stderr if any
+    failed; the exit code, 1 if any failed and 0 otherwise."""
     for c in checks:
         tag = "PASS" if c["passed"] else "FAIL"
         print(f"check {c['name']}: {tag} (value={c['value']:.6g}, "
               f"threshold={c['threshold']:.6g})")
-        if not c["passed"]:
-            failing.append(c["name"])
-    return failing
+    failing = [c["name"] for c in checks if not c["passed"]]
+    if failing:
+        print("failing checks: " + ", ".join(failing), file=sys.stderr)
+    return 1 if failing else 0
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +429,6 @@ def _windows_for_report(plan: RunPlan, traj: DiscreteTrajectory):
             continue
         snapped.append((grid.t(i), grid.t(j)))
     return snapped
-
-
-def _conditioning_failure(err: ConditioningError) -> int:
-    """A multiplier that matches no minimizer, where P conditions on it, is
-    a failed certification, not a crash: one FAIL line and exit 1."""
-    print(f"check conditioning: FAIL ({err})")
-    print("failing checks: conditioning", file=sys.stderr)
-    return 1
 
 
 def cmd_run(config_path: str) -> int:
@@ -487,14 +460,11 @@ def cmd_run(config_path: str) -> int:
     write_trajectory_csv(os.path.join(plan.output_dir, "trajectory.csv"),
                          traj)
     snapped = _windows_for_report(plan, traj)
-    try:
-        checks = run_checks(traj, dict(plan.diag, windows=snapped))
-        ineq = (diagnostics._certified(traj, "step_inequality")
-                if plan.diag["step_inequality"] else None)
-        report = diagnostics.build_report(traj, windows=snapped,
-                                          refinement=table, ineq=ineq)
-    except ConditioningError as err:
-        return _conditioning_failure(err)
+    checks = run_checks(traj, dict(plan.diag, windows=snapped))
+    ineq = (diagnostics._certified(traj, "step_inequality")
+            if plan.diag["step_inequality"] else None)
+    report = diagnostics.build_report(traj, windows=snapped,
+                                      refinement=table, ineq=ineq)
     payload = report.to_dict()
     payload["checks"] = checks
     payload["model"] = plan.spec.name
@@ -506,9 +476,7 @@ def cmd_run(config_path: str) -> int:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
-    failing = _print_checks(checks)
-    if failing:
-        print("failing checks: " + ", ".join(failing), file=sys.stderr)
+    if _verdict(checks):
         return 1
     offset = plan.spec.parameters.get("offset")
     print(f"run complete: {plan.output_dir} (energy offset {offset})")
@@ -534,17 +502,11 @@ def cmd_check(config_path: str) -> int:
                                         f"{plan.output_dir}")
     traj, stored = read_trajectory_csv(csv_path, plan, plan.ladder[-1])
     snapped = _windows_for_report(plan, traj)
-    try:
-        checks = (stored
-                  + run_checks(traj, dict(plan.diag, windows=snapped))
-                  + [_stored_gap_check(traj)])
-    except ConditioningError as err:
-        return _conditioning_failure(err)
-    failing = _print_checks(checks)
-    if failing:
-        print("failing checks: " + ", ".join(failing), file=sys.stderr)
-        return 1
-    return 0
+    checks = stored + run_checks(traj, dict(plan.diag, windows=snapped))
+    # the stored gap_n column against the recomputed gaps
+    gap_err = float(np.max(_rel_err(traj.gaps,
+                                    diagnostics.fenchel_young_profile(traj))))
+    return _verdict(checks + [_gate("stored_gap", gap_err, STORED_TOL)])
 
 
 def cmd_list_models() -> int:
@@ -587,6 +549,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         return verb[0](*args[1:])
+    except ConditioningError as err:
+        # a multiplier that matches no minimizer, where P conditions on it,
+        # is a failed certification, not a crash
+        print(f"check conditioning: FAIL ({err})")
+        print("failing checks: conditioning", file=sys.stderr)
+        return 1
     except ConfigError as err:
         field = err.field or "<config>"
         print(f"config error at {field}: {err.message}", file=sys.stderr)

@@ -281,10 +281,10 @@ class _StateWeightedQuadEnergy(_QuadraticEnergy):
 # parameter tables
 #
 # One row per parameter: (key, default, kind, bounds, doc). kind is "number"
-# (a finite float), "integer", a tuple of the admitted values, or None for a
-# value its builder parses. bounds is a tuple of (op, bound) pairs the value
-# must satisfy. A default of None is computed by the builder ("auto" in
-# describe). describe prints every row; _read_fields enforces it.
+# (a finite float), "integer", "boolean", a tuple of the admitted values, or
+# None for a value its builder parses. bounds is a tuple of (op, bound) pairs
+# the value must satisfy. A default of None is computed by the builder
+# ("auto" in describe). describe prints every row; _read_fields enforces it.
 
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
         "<=": operator.le}
@@ -348,6 +348,8 @@ def _read_fields(obj: Dict, rows, path: str) -> Dict:
             elif kind == "integer" and (isinstance(v, bool)
                                         or not isinstance(v, int)):
                 raise ConfigError(field, f"expected an integer, got {v!r}")
+            elif kind == "boolean" and not isinstance(v, bool):
+                raise ConfigError(field, f"expected a boolean, got {v!r}")
             elif isinstance(kind, tuple) and v not in kind:
                 raise ConfigError(field, f"expected {_bounds_text(kind, ())}, "
                                          f"got {v!r}")

@@ -14,7 +14,7 @@ import pytest
 
 import dnevolve.scheme as scheme
 from dnevolve import _optim, cli, diagnostics, energy, models
-from dnevolve.errors import StepFailureError
+from dnevolve.errors import ConditioningError, StepFailureError
 from dnevolve.models import MODEL_NAMES
 
 BASE = {
@@ -100,12 +100,33 @@ def run_main(capsys, *argv):
     ({"model": {"name": "StateWeightedToy",
                 "params": {"omega_scale": 0.96}}}, (),
      "model.params.omega_scale"),
+    ({"diagnostics": []}, (), "diagnostics"),
+    ({"diagnostics": {"step_inequality": "yes"}}, (),
+     "diagnostics.step_inequality"),
+    ({"diagnostics": {"eps_quad": True}}, (), "diagnostics.eps_quad"),
+    ({"diagnostics": {"windows": [[0.0, "x"]]}}, (),
+     "diagnostics.windows[0][1]"),
 ])
 def test_rejected_configs(tmp_path, capsys, overrides, drop, field):
     path = write_cfg(tmp_path, overrides, drop)
     code, out, err = run_main(capsys, "run", path)
     assert code == 2
     assert f"config error at {field}:" in err
+
+
+@pytest.mark.parametrize("diag,message", [
+    ({"chain_rule": 1},
+     "diagnostics.chain_rule: expected a boolean, got 1"),
+    ({"eps_quad": 0.0}, "diagnostics.eps_quad: must be > 0; got 0.0"),
+])
+def test_diagnostics_rejections_name_the_value(tmp_path, capsys, diag,
+                                               message):
+    # the diagnostics block is read by the parameter-row reader, whose
+    # messages give the rejected value
+    path = write_cfg(tmp_path, {"diagnostics": diag})
+    for verb in ("run", "check"):
+        code, out, err = run_main(capsys, verb, path)
+        assert (code, out, err) == (2, "", f"config error at {message}\n")
 
 
 def test_non_object_config_exits_2(tmp_path, capsys):
@@ -930,6 +951,22 @@ def test_clarke_multiplier_without_conditioning_fails_run_and_check(
         assert out.startswith("check conditioning: FAIL (xi = [0.0] matches "
                               "no minimizer of AbsoluteMarginal")
         assert err == "failing checks: conditioning\n"
+
+
+def test_ladder_conditioning_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # the refinement study certifies every rung before the run's own
+    # checks; a multiplier P cannot be conditioned on fails there as it
+    # fails in the checks: exit 1 and one conditioning line
+    def unconditioned(model, t, U, XI):
+        raise ConditioningError("xi matches no minimizer")
+
+    monkeypatch.setattr(diagnostics, "generalized_time_derivative",
+                        unconditioned)
+    path = write_cfg(tmp_path, {"tau_ladder": [0.125, 0.0625]}, drop=("tau",))
+    code, out, err = run_main(capsys, "run", path)
+    assert code == 1
+    assert out == "check conditioning: FAIL (xi matches no minimizer)\n"
+    assert err == "failing checks: conditioning\n"
 
 
 def test_trajectory_csv_cells_are_the_per_cell_format(tmp_path):
