@@ -39,7 +39,7 @@ from .energy import energy_value
 from .errors import (ConditioningError, ConfigError, DnevolveError,
                      DomainError, RangeError, SolveAbortedError)
 from .models import finite_number, reject_unknown
-from .potentials import as_state, frozen_query
+from .potentials import as_state
 from .scheme import (WITNESS_TOL, DiscreteTrajectory, SolveOptions, TimeGrid,
                      ladder_fault, minimality_witness, solve)
 
@@ -260,7 +260,7 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
 
     The 2N + 1 energies E(0, U_0), E(t_n, U_{n-1}) and E(t_n, U_n) are one
     energy_value row call, in that order, and the N witnesses one
-    minimality_witness call per frozen potential.
+    minimality_witness call under the potentials of one at_state call.
 
     Also returns the checks of the stored columns against the grid, the
     config and the recomputation: stored_nodes counts rows whose n or t_n
@@ -313,7 +313,6 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(xi))):
         raise ConfigError("output_dir", "trajectory.csv has a non-finite "
                                         "state or multiplier cell")
-    psi = plan.psi
     steps = np.array([grid.t(n) for n in range(1, grid.N + 1)])
     try:
         # E(0, U_0), then E(t_n, U_{n-1}) and E(t_n, U_n) of each step n
@@ -325,11 +324,9 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
                           f"stored trajectory leaves the model domain: {err}")
     energies = np.concatenate([E[:1], E[2::2]])
     witnesses = np.zeros(grid.N + 1)
-    witnesses[1:] = frozen_query(
-        [psi.at_state(u) for u in U[:-1]],
-        lambda p, t, u_prev, u, e_prev, e: minimality_witness(
-            model, p, t, grid.tau, u_prev, u, e_prev, e)[1],
-        steps, U[:-1], U[1:], E[1::2], E[2::2])
+    witnesses[1:] = minimality_witness(
+        model, plan.psi.at_state(U[:-1]), steps, grid.tau, U[:-1], U[1:],
+        E[1::2], E[2::2])[1]
     bad_nodes = float(np.count_nonzero(
         (nodes != np.arange(grid.N + 1))
         | ~(_rel_err(times, grid.nodes()) <= STORED_TOL)))
@@ -342,7 +339,7 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
               _gate("stored_energy", float(np.max(_rel_err(stored, energies))),
                     STORED_TOL)]
     traj = DiscreteTrajectory(
-        model=model, psi=psi, grid=grid, opts=plan.opts, U=U, xi=xi,
+        model=model, psi=plan.psi, grid=grid, opts=plan.opts, U=U, xi=xi,
         gaps=gaps, energies=energies, witnesses=witnesses,
         inner_status=[{"method": "loaded"}] * (grid.N + 1))
     return traj, checks
@@ -437,6 +434,10 @@ def cmd_run(config_path: str) -> int:
         os.makedirs(plan.output_dir, exist_ok=True)
     except OSError as err:
         raise ConfigError("output_dir", f"cannot create: {err}") from err
+    # a run that fails leaves none of an earlier run's outputs beside its own
+    for name in ("trajectory.csv", "diagnostics.json", "refinement.csv"):
+        if os.path.exists(os.path.join(plan.output_dir, name)):
+            os.remove(os.path.join(plan.output_dir, name))
 
     table = None
     tau = plan.ladder[-1]

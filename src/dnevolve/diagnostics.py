@@ -30,11 +30,11 @@ samples of a trajectory in one de_giorgi_interpolant call, and takes their
 energies from it.
 
 Certify in rows. Every scalar term is a row call, not one call per step
-or sample: _per_step_terms takes Psi(v_n) and Psi*(-xi_n) of the N steps
-as one call per frozen potential (potentials.frozen_query) and P_n as one
-generalized_time_derivative call; step_inequality takes its N slope
-multipliers as one slope_multiplier call and the N m samples of Psi*, P
-and Psi the same way; chain_rule_constant's N + 1 energies are one
+or sample: _per_step_terms freezes the potentials of the N steps in one
+at_state call, and takes Psi(v_n) and Psi*(-xi_n) as one call each and
+P_n as one generalized_time_derivative call; step_inequality takes its N
+slope multipliers as one slope_multiplier call and the N m samples of
+Psi*, P and Psi the same way; chain_rule_constant's N + 1 energies are one
 energy_value call. Each row keeps the bits of its own call, and the
 left-Riemann sums run step by step on Python floats, so every value is the
 one a loop over the samples gives. A pass that fails raises the error of
@@ -97,16 +97,16 @@ class StepTerms(FrozenRecord):
 
 def _step_rows(traj: DiscreteTrajectory, ns: np.ndarray) -> np.ndarray:
     """psi, conj, P, gap and chain of the steps ns (an index array) as the
-    rows of a (5, len(ns)) array: Psi and Psi* one call per frozen
-    potential, P one row call."""
+    rows of a (5, len(ns)) array: the potentials Psi_{U_{n-1}} one at_state
+    call, and Psi, Psi* and P one row call each."""
     tau = traj.grid.tau
-    frozen = [traj.psi_at(n) for n in ns.tolist()]
+    p = traj.psi.at_state(traj.U[ns - 1])
     v = (traj.U[ns] - traj.U[ns - 1]) / tau
     xi = -traj.xi[ns]
     out = np.empty((5, len(ns)))
     psi, conj, P, gap, chain = out
-    psi[:] = potentials.frozen_query(frozen, lambda p, v: p.value(v), v)
-    conj[:] = potentials.frozen_query(frozen, potentials.conjugate, xi)
+    psi[:] = p.value(v)
+    conj[:] = potentials.conjugate(p, xi)
     pairing = np.vecdot(xi, v)
     # the operands and order of potentials.fenchel_young_gap
     gap[:] = psi + conj - pairing
@@ -238,13 +238,12 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
     conjugate-minimal multiplier. The N (m - 1) interior samples of the
     trajectory are one de_giorgi_interpolant call, whose energies E(t, U~)
     are used as the solve computed them, and E(t_n, U_n) is the
-    trajectory's stored energy. The N slope multipliers are one
-    slope_multiplier call, and the N m samples of each of Psi*, P and Psi
-    one row call (per frozen potential for Psi* and Psi); the sums run on
-    Python floats, step by step, so they keep the bits of a loop over the
-    samples. A stalled interpolant solve aborts with SolveAbortedError
-    naming the step and the sample time; a step whose samples fail raises
-    the error the first failing step raises alone.
+    trajectory's stored energy. The N slope multipliers, the N potentials
+    and the N m samples of each of Psi*, P and Psi are one call each; the
+    sums run on Python floats, step by step, so they keep the bits of a
+    loop over the samples. A stalled interpolant solve aborts with
+    SolveAbortedError naming the step and the sample time; a step whose
+    samples fail raises the error the first failing step raises alone.
     """
     m = QUAD_M if m is None else int(m)
     if m < 1:
@@ -283,15 +282,14 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
         X[steps, 0] = slope_multiplier(model, traj.psi,
                                        times[steps, 0].tolist(), S[steps, 0])
         # each step's potential, frozen once, for each of its m rows
-        frozen = [p for n in steps.tolist() for p in [traj.psi_at(n + 1)] * m]
+        p = traj.psi.at_state(traj.U[steps])[np.arange(B).repeat(m)]
         xis = X[steps].reshape(B * m, d)
-        conj = potentials.frozen_query(frozen, potentials.conjugate, -xis)
+        conj = potentials.conjugate(p, -xis)
         P = generalized_time_derivative(
             model, times[steps].ravel().tolist(),
             S[steps, :m].reshape(B * m, d), xis)
         rates = (S[steps, 1:] - S[steps, :1]) / r_k
-        vals = potentials.frozen_query(frozen, lambda p, v: p.value(v),
-                                       rates.reshape(B * m, d))
+        vals = p.value(rates.reshape(B * m, d))
         return [a.reshape(B, m).tolist() for a in (conj, P, vals)]
 
     conj, P, vals = potentials.row_call(passes, np.arange(N))

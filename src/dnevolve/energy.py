@@ -1,13 +1,14 @@
 """Time-dependent energies, their subdifferential notions, and audits.
 
 An EnergyModel owns E(t, u), subgradient candidates and a generalized
-time derivative P(t, u, xi); a d = 1 model also gives the scan solver
-value_batch_1d and derivative_1d. The package asks them only as rows:
-at_times (E and its gradient), subdiff_rows and time_deriv_P_rows. A
-model writes each query once, either as a scalar hook (value, grad,
-time_deriv_P) that the base class's rows loop over, or as its own row
-form; energy_value and generalized_time_derivative of one point are the
-one-row case. Marginal models realize E as
+time derivative P(t, u, xi), each written once, as rows: at_times (E and
+its gradient), subdiff_rows and time_deriv_P_rows; energy_value and
+generalized_time_derivative of one point are the one-row case. A d = 1
+model also gives the scan solver value_batch_1d, E(t, .) on an array of
+scalar states, rather than an at_times call on a (B * 513, 1) column:
+PhaseField1D's at_times loops over rows on Python floats, 513 calls per
+scanned row. derivative_1d defaults to a one-row at_times gradient.
+Marginal models realize E as
 
     E(t, u) = min_{eta} I(t, u, eta)
 
@@ -62,9 +63,8 @@ class EnergyConstants(FrozenRecord):
 
 class EnergyModel:
     """Base energy: immutable after construction, all queries pure. A model
-    writes each query once: a scalar hook (value, grad, time_deriv_P) that
-    the default rows below loop over, or its own row form (at_times,
-    subdiff_rows, time_deriv_P_rows)."""
+    writes at_times and time_deriv_P_rows, and subdiff_rows unless its one
+    candidate is its gradient; a d = 1 model also writes value_batch_1d."""
 
     name: str = "energy"
     dim: int = 1
@@ -76,34 +76,23 @@ class EnergyModel:
     # lambda_E-convex; None makes no claim. audit_assumptions tests it.
     semiconvexity: Optional[float] = None
 
-    def value(self, t: float, u: np.ndarray) -> float:
-        raise NotImplementedError
-
     def value_batch_1d(self, t: float, us: np.ndarray) -> np.ndarray:
         """E(t, .) on an array of scalar states (d = 1), for the scan."""
         raise NotImplementedError
 
     def derivative_1d(self, t: float, u: float) -> float:
-        """dE/du(t, u) off the kinks (d = 1), for the stationarity polish."""
-        return float(self.grad(t, np.array([u]))[0])
-
-    def grad(self, t: float, u: np.ndarray) -> np.ndarray:
-        """Gradient of the smooth part in u; smooth models only."""
-        raise NotImplementedError
+        """dE/du(t, u) off the kinks (d = 1), for the stationarity polish;
+        by default the gradient of a one-row at_times call."""
+        return float(self.at_times([t])(np.array([[u]]))[1]()[0, 0])
 
     def at_times(self, t):
         """E frozen at each time t[b] of a row batch: a function of a
         (B, d) array of states that returns the list of the values
-        E(t[b], U[b]) and a thunk for the (B, d) gradients, so a caller
-        that needs gradients only at some states pays for them only there.
-        By default every row is one value call and one grad call; a model
-        whose value and gradient share work writes at_times instead, and
-        computes that work once, for all rows at once."""
-        def at(U):
-            return ([self.value(tb, ub) for tb, ub in zip(t, U)],
-                    lambda: np.array([self.grad(tb, ub)
-                                      for tb, ub in zip(t, U)]))
-        return at
+        E(t[b], U[b]) and a thunk for the (B, d) gradients (None for a
+        model without one), so a caller that needs gradients only at some
+        states pays for them only there. Work the values and gradients
+        share is done once, for all rows at once."""
+        raise NotImplementedError
 
     def subdiff_rows(self, t, U) -> List[List[np.ndarray]]:
         """The finite list of subgradient candidates at each row
@@ -112,14 +101,10 @@ class EnergyModel:
         default from one at_times call."""
         return [[g] for g in self.at_times(t)(U)[1]()]
 
-    def time_deriv_P(self, t: float, u: np.ndarray, xi: np.ndarray) -> float:
-        raise NotImplementedError
-
     def time_deriv_P_rows(self, t, U, XI) -> List[float]:
         """P at each row (t[b], U[b], XI[b]) of a sequence of times and
-        two (B, d) arrays, in row order. By default every row is one
-        time_deriv_P call."""
-        return [self.time_deriv_P(tb, ub, xb) for tb, ub, xb in zip(t, U, XI)]
+        two (B, d) arrays, in row order."""
+        raise NotImplementedError
 
     def kinks_1d(self, t: float) -> Tuple[float, ...]:
         """u-locations where E(t, .) is not differentiable (d = 1 models)."""

@@ -66,18 +66,21 @@ class _QuadraticEnergy(EnergyModel):
         self.constants = EnergyConstants(C0=offset, C1=1.0, C2=1.0, tau_o=0.5)
         self.domain_box = (a - 4.0, a + 4.0)
 
-    def value(self, t, u):
-        d = u - self.a
-        return 0.5 * float(np.dot(d, d)) + self.offset
+    def at_times(self, t):
+        def at(U):
+            D = U - self.a
+            return (0.5 * np.vecdot(D, D) + self.offset).tolist(), lambda: D
+        return at
 
     def value_batch_1d(self, t, us):
         return 0.5 * np.square(us - self.a[0]) + self.offset
 
-    def grad(self, t, u):
-        return u - self.a
+    def derivative_1d(self, t, u):
+        # the polish's hot path: a one-row at_times call costs 3x as much
+        return u - float(self.a[0])
 
-    def time_deriv_P(self, t, u, xi):
-        return 0.0
+    def time_deriv_P_rows(self, t, U, XI):
+        return [0.0] * len(U)
 
 
 class _AbsoluteMarginalEnergy(MarginalEnergy):
@@ -145,7 +148,7 @@ class _PhaseFieldEnergy(MarginalEnergy):
 
     The eta-minimization has the closed form m(u) = 1 - (|u| + 2)^2 / 6
     (minimizer eta = (u + 2 sign(u)) / 3, both signs tied at u = 0), which
-    value() uses directly, one row at a time. Argmin queries evaluate inner
+    at_times uses directly, one row at a time. Argmin queries evaluate inner
     exactly on eta_candidates, which the fine-grid safety pass of the
     marginal layer checks; tests/test_energy.py keeps a grid-plus-golden
     reference route.
@@ -194,14 +197,14 @@ class _PhaseFieldEnergy(MarginalEnergy):
     def inner_dt(self, t, u, eta):
         return -self.load_amp * math.cos(t) * u[0]
 
-    def value(self, t, u):
-        x = u[0]
-        return (0.5 * x * x + 1.0 - (abs(x) + 2.0) ** 2 / 6.0
-                - self.load(t) * x + self.offset)
-
-    # the closed form per row: as an array expression, np.square differs
-    # in the last bit from the scalar **, which is C pow
-    at_times = EnergyModel.at_times
+    def at_times(self, t):
+        # per row on Python floats: as an array expression np.square differs
+        # in the last bit from the scalar **, which is C pow; no gradient
+        def at(U):
+            return [0.5 * x * x + 1.0 - (abs(x) + 2.0) ** 2 / 6.0
+                    - self.load(tb) * x + self.offset
+                    for tb, x in zip(t, U[:, 0].tolist())], None
+        return at
 
     def value_batch_1d(self, t, us):
         return (0.5 * np.square(us) + 1.0 - np.square(np.abs(us) + 2.0) / 6.0

@@ -23,9 +23,11 @@ the (B,) array of the rows' values, each with the bits of its one-rate
 call: a sum over a rate is np.add.reduce along the last axis, which is
 the 1-D sum of each row, and a pairing np.vecdot, which is np.dot per
 row. Where a row fails, the error raised is the one a loop over the rows
-would have met first (row_call). frozen_query groups rows by the
-potential each is frozen to, so a pass over the steps of a trajectory
-under a state-dependent family makes one call per frozen potential.
+would have met first (row_call). psi.at_state takes a state (d,) or the
+rows of a (B, d) array: for rows, StateWeighted gives Scaled(base, w)
+with the (B,) row of weights, so a pass over the steps of a trajectory is
+one call whatever the family. p[rows] is the potential of some rows (a
+state-independent p itself), and row_call slices it with the rows.
 
 The pairing is the Euclidean dot product throughout; models that need mesh
 weights bake them into the potential and the energy.
@@ -74,7 +76,8 @@ def as_state(x, dim: Optional[int] = None) -> np.ndarray:
 
 
 def row_call(fn, *rows):
-    """fn(*rows), for arrays or sequences whose leading axis is the row.
+    """fn(*rows), for arrays, sequences or frozen potentials (p[rows])
+    whose leading axis is the row; the first is an array or sequence.
     When it raises, fn runs again on each row alone, in order, and the
     first row that raises alone raises its own error: the error a loop
     over the rows would have met first, with its own message."""
@@ -84,25 +87,6 @@ def row_call(fn, *rows):
         for b in range(len(rows[0])):
             fn(*(r[b:b + 1] for r in rows))
         raise
-
-
-def frozen_query(frozen, query, *rows) -> np.ndarray:
-    """The (B,) array of query(p, *row arrays) over rows under several
-    frozen potentials: row b belongs to the potential frozen[b], and the
-    rows of one potential, taken from each (B, ...) array of rows, are one
-    query call, so a state-independent family makes one call. A row that
-    fails raises the error the first failing row raises alone."""
-    def grouped(frozen, *rows):
-        groups, last = {}, None
-        for b, p in enumerate(frozen):
-            if p is not last:  # a run of one object is hashed once
-                bs, last = groups.setdefault(p, []), p
-            bs.append(b)
-        out = np.empty(len(frozen))
-        for p, bs in groups.items():
-            out[bs] = query(p, *(r[bs] for r in rows))
-        return out
-    return row_call(grouped, frozen, *rows)
 
 
 def _sum(x):
@@ -163,7 +147,12 @@ class DissipationPotential(FrozenRecord):
         return 0.0
 
     def at_state(self, u) -> "DissipationPotential":
-        """The frozen potential Psi_u; identity for state-independent kinds."""
+        """The frozen potential Psi_u of a state (d,), or of the rows of a
+        (B, d) array; identity for state-independent kinds."""
+        return self
+
+    def __getitem__(self, rows) -> "DissipationPotential":
+        """The potential of some rows of a batch: here, every row's."""
         return self
 
 
@@ -354,15 +343,30 @@ class WeightedSum(DissipationPotential):
 class Scaled(DissipationPotential):
     """w * base for a fixed positive weight; the frozen view Psi_u of a
     state-dependent family. Conjugate scales exactly: w * base*(xi / w).
+    w is a float, or the (B,) weights of a row batch, row b scaled by w[b]
+    with the bits of its one-weight call: w x is one IEEE product either way.
     """
 
     _fields = ("base", "w")
 
-    def __init__(self, base: DissipationPotential = None, w: float = 1.0):
-        if not w > 0:
+    def __init__(self, base: DissipationPotential = None, w=1.0):
+        # without numpy for a float: the 1-D scan takes rows one at a time
+        if not (w > 0 if isinstance(w, float) else np.all(w > 0)):
             raise ValueError("Scaled needs w > 0")
         self.base = base
         self.w = w
+
+    def __getitem__(self, rows):
+        if not isinstance(self.w, np.ndarray):
+            return self
+        w = self.w[rows]   # one row's weight as a float, as at_state gives it
+        return Scaled(self.base, w if isinstance(w, np.ndarray) else float(w))
+
+    def _lead(self, x):
+        """w, shaped to scale x row by row along its leading axes."""
+        w = self.w
+        return (w.reshape(w.shape + (1,) * (np.ndim(x) - w.ndim))
+                if isinstance(w, np.ndarray) else w)
 
     @property
     def separable(self):
@@ -372,17 +376,24 @@ class Scaled(DissipationPotential):
         return self.w * self.base.value(v)
 
     def closed_conjugate(self, xi):
-        return self.w * self.base.closed_conjugate(np.asarray(xi) / self.w)
+        return self.w * self.base.closed_conjugate(
+            np.asarray(xi) / self._lead(xi))
 
     @property
     def one_hom(self):
         return self.w * self.base.one_hom
 
+    def scalar(self, s):
+        # the base class's sum, with each row's l1 weight w base.one_hom
+        w, oh = self._lead(s), self.base.one_hom
+        smooth = w * self.base.smooth_scalar(s)
+        return w * oh * np.abs(s) + smooth if oh else smooth
+
     def smooth_scalar(self, s):
-        return self.w * self.base.smooth_scalar(s)
+        return self._lead(s) * self.base.smooth_scalar(s)
 
     def smooth_scalar_grad(self, s):
-        return self.w * self.base.smooth_scalar_grad(s)
+        return self._lead(s) * self.base.smooth_scalar_grad(s)
 
     def modulus(self, r):
         return self.w * self.base.modulus(r)
@@ -405,16 +416,22 @@ class StateWeighted(DissipationPotential):
         self.omega_bounds = omega_bounds
 
     def weight(self, u) -> float:
-        w = float(self.omega(as_state(u)))
+        """omega(u) of a state u (d,), checked against the bounds."""
+        w = float(self.omega(u))
         lo, hi = self.omega_bounds
-        if not (w > 0.0 and np.isfinite(w)):
+        if not 0.0 < w < np.inf:
             raise ValueError(f"omega(u) = {w} is not a positive finite weight")
         if not (lo <= w <= hi):
             raise ValueError(f"omega(u) = {w} outside declared bounds [{lo}, {hi}]")
         return w
 
     def at_state(self, u) -> Scaled:
-        return Scaled(base=self.base, w=self.weight(u))
+        """Psi_u of a state (d,), or of the rows of a (B, d) array with one
+        weight per row; the first inadmissible row raises its own error."""
+        u = as_state(u)
+        w = (self.weight(u) if u.ndim == 1
+             else np.array([self.weight(x) for x in u], dtype=float))
+        return Scaled(base=self.base, w=w)
 
     def value(self, v):
         raise TypeError("state-dependent potential: freeze it with at_state(u)")
@@ -481,25 +498,25 @@ def _scalar_conjugate_numeric(p: DissipationPotential, sigma: float) -> float:
 def conjugate(p: DissipationPotential, xi):
     """Psi*(xi) = sup_v <xi,v> - Psi(v), always >= 0, by the closed form of
     the frozen potential p: a float for one xi (d,), the (B,) array for the
-    rows of a (B, d) array. TwoSlope raises MaximizationFailureError where
-    its conjugate is infinite.
+    rows of a (B, d) array, row b under p[b]. TwoSlope raises
+    MaximizationFailureError where its conjugate is infinite.
     """
-    def rows(x):
+    def rows(x, p):
         c = p.closed_conjugate(as_state(x))
         # max(c, 0.0) row by row: 0.0 only below zero, so -0.0 and NaN stay
         return _out(np.where(c < 0.0, 0.0, c))
-    return rows(xi) if np.ndim(xi) < 2 else row_call(rows, xi)
+    return rows(xi, p) if np.ndim(xi) < 2 else row_call(rows, xi, p)
 
 
 def fenchel_young_gap(p: DissipationPotential, v, xi):
     """Psi(v) + Psi*(xi) - <xi, v>; nonnegative, zero iff xi in dPsi(v).
     A rate and a multiplier give a float, the rows of two (B, d) arrays
     the (B,) array of the rows' gaps."""
-    def rows(v, xi):
+    def rows(v, xi, p):
         v = as_state(v)
         xi = as_state(xi, dim=v.shape[-1])
         return p.value(v) + conjugate(p, xi) - _out(np.vecdot(xi, v))
-    return rows(v, xi) if np.ndim(v) < 2 else row_call(rows, v, xi)
+    return rows(v, xi, p) if np.ndim(v) < 2 else row_call(rows, v, xi, p)
 
 
 def subdiff_contains(p: DissipationPotential, v, xi, tol: float) -> bool:

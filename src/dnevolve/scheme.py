@@ -10,17 +10,17 @@ so that -xi_n lies in dPsi(v_n) up to the inner tolerance. A step
 evaluates E(t_n, U_{n-1}) once, for the inner solver and the minimality
 witness, and hands the witness back to solve with E(t_n, U_n).
 
-Inner minimization, for B step problems at once under one frozen
-potential, each row with its own previous state, time and step; a single
-step is the case B = 1. In dimension 1, a 513-point scan of the
-coercivity box (bounded via the superlinearity of Psi and the energy
-lower bound C0) with bounded-Brent refinement of every local basin and a
-final stationarity polish: the rows are one (B, 513) scan, one lockstep
-Brent over every basin of every row and row-batched multiplier
-selection. In higher dimension, proximal gradient with backtracking (a
-step must pass sufficient decrease and a curvature test on the gradient
-difference), the 1-homogeneous part of Psi handled by its exact proximal
-map (soft-thresholding around the previous state), run on all rows in
+Inner minimization, for B step problems at once, each row with its own
+previous state, time, step and frozen potential; a single step is the
+case B = 1. In dimension 1, a 513-point scan of the coercivity box
+(bounded via the superlinearity of Psi and the energy lower bound C0)
+with bounded-Brent refinement of every local basin and a final
+stationarity polish: the rows are one (B, 513) scan, one lockstep Brent
+over every basin of every row and row-batched multiplier selection. In
+higher dimension, proximal gradient with backtracking (a step must pass
+sufficient decrease and a curvature test on the gradient difference),
+the 1-homogeneous part of Psi handled by its exact proximal map
+(soft-thresholding around the previous state), run on all rows in
 lockstep: each round evaluates one trial point of every unfinished row in
 one grid-kernel call, and every row takes exactly the trial points of its
 own solve. Its step size 1/L adapts both ways: a failed trial doubles L,
@@ -45,9 +45,9 @@ start count, its start ("previous" or "predictor"), its trial count and
 its final L in inner_status.
 
 Every step problem goes through one row entry, _steps: it rejects a step
-outside (0, tau_o), freezes each row's potential at its previous state,
-batches the rows that share a frozen potential in blocks of ROW_BLOCK, and
-hands each row back its own result or its own error. A block's scalar
+outside (0, tau_o), batches the other rows in blocks of ROW_BLOCK, freezes
+a block's potential at its rows' previous states in one at_state call,
+and hands each row back its own result or its own error. A block's scalar
 terms are rows as well: its E(t, U_{n-1}) and the energies the solver did
 not hand over are one energy_value call each, its witnesses one
 minimality_witness call, and the gaps of all its rows' candidate
@@ -158,10 +158,6 @@ class DiscreteTrajectory:
     def N(self) -> int:
         return self.grid.N
 
-    def psi_at(self, n: int) -> potentials.DissipationPotential:
-        """The frozen potential Psi_{U_{n-1}} governing step n."""
-        return self.psi.at_state(self.U[n - 1])
-
 
 def _step_seed(opts: SolveOptions, t_n: float, tau: float):
     """Deterministic per-step seed, stable across runs and ladder rows."""
@@ -181,8 +177,8 @@ def _coercivity_radius(p, tau: float, budget: float) -> float:
 
 def _solve_1d(model, p, u_prev, t, tau, e_prev):
     """Scan + refine + stationarity polish of B d = 1 step problems at once,
-    all under the frozen potential p: row b minimizes
-    tau[b] p((x - u_prev[b]) / tau[b]) + E(t[b], x) over its coercivity
+    under the frozen potential p of their rows: row b minimizes
+    tau[b] p[b]((x - u_prev[b]) / tau[b]) + E(t[b], x) over its coercivity
     interval, given e_prev[b] = E(t[b], u_prev[b]). The 513-point scans of
     all rows are one (B, 513) array, one lockstep bounded Brent refines
     every basin of every row, and each row's minimizer is polished on its
@@ -192,27 +188,27 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
     B = x_prev.shape[0]
     blo, bhi = (float(x[0]) for x in model.domain_box)
     lo, hi = np.empty(B), np.empty(B)
+    ps = [p[b] for b in range(B)]   # each row's potential
     for b in range(B):
-        R = _coercivity_radius(p, tau[b], e_prev[b] - model.constants.C0)
+        R = _coercivity_radius(ps[b], tau[b], e_prev[b] - model.constants.C0)
         lo[b], hi[b] = max(x_prev[b] - R, blo), min(x_prev[b] + R, bhi)
         if not lo[b] < hi[b]:
             lo[b], hi[b] = blo, bhi
 
     def phi(x, rows):
         h = tau[rows]
-        return (h * np.asarray(p.scalar((x - x_prev[rows]) / h), dtype=float)
+        return (h * np.asarray(p[rows].scalar((x - x_prev[rows]) / h),
+                               dtype=float)
                 + model.value_batch_1d(t[rows], x))
 
     x_best, f_best, basins = _optim.scan_min(phi, lo, hi, SCAN_POINTS)
 
-    def dphi(x, b):
-        v = (x - x_prev[b]) / tau[b]
-        return (potentials.scalar_derivative(p, v)
-                + model.derivative_1d(t[b], x))
+    def dphi(b):
+        return lambda x: (potentials.scalar_derivative(
+            ps[b], (x - x_prev[b]) / tau[b]) + model.derivative_1d(t[b], x))
 
     spacing = (hi - lo) / (SCAN_POINTS - 1)
-    x_pol = np.array([_optim.polish_root(lambda x: dphi(x, b), x_best[b],
-                                         2.0 * spacing[b])
+    x_pol = np.array([_optim.polish_root(dphi(b), x_best[b], 2.0 * spacing[b])
                       for b in range(B)])
     polished = np.zeros(B, dtype=bool)
     moved = np.flatnonzero((x_pol != x_best) & (lo <= x_pol) & (x_pol <= hi))
@@ -230,15 +226,14 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
     return x_best[:, None], status
 
 
-def _prox_grad(model, p, u_prev, t, tau, x0, box, rho_hat, tol, max_iters,
-               L0):
+def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
     """Monotone proximal gradient for B step problems under the frozen
-    potential p, solved in lockstep: row b minimizes
-    tau[b] p((x - u_prev[b]) / tau[b]) + E(t[b], x) over its box
+    potential p of their rows, solved in lockstep: row b minimizes
+    tau[b] p[b]((x - u_prev[b]) / tau[b]) + E(t[b], x) over its box
     (lo[b], hi[b]), from x0[b], to the prox residual tol[b], with step
-    size 1/L from L = L0[b]; p's l1 part, of weight rho_hat, enters
-    through its proximal map. u_prev, x0, lo and hi are (B, d) arrays,
-    t, tau, tol and L0 are sequences of B floats, and max_iters >= 1
+    size 1/L from L = L0[b]; p's l1 part enters through its proximal map.
+    u_prev, x0, lo and hi are (B, d) arrays, t, tau, tol and L0 are
+    sequences of B floats, and max_iters >= 1
     bounds every row's iterations. Returns (x, phi, residual, iters, L,
     its, trials, energy): the (B, d) array x, the lists phi, residual and
     L of each row's final objective value (its l1 part included),
@@ -270,6 +265,9 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, rho_hat, tol, max_iters,
     # np.minimum(np.maximum(.)) is np.clip without its wrapper frames
     add, dot, lower, upper = np.add.reduce, np.vecdot, np.maximum, np.minimum
     smooth, smooth_grad = p.smooth_scalar, p.smooth_scalar_grad
+    # each row's l1 weight: tau rho ||(x - u_prev) / tau||_1 is
+    # rho ||x - u_prev||_1, so the prox threshold is step * rho whatever tau
+    rho = np.broadcast_to(p.one_hom, (B,)).tolist()
     # per row, by its index b: Python floats and counters
     L = list(L0)
     res, phi = [math.inf] * B, [0.0] * B
@@ -298,13 +296,13 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, rho_hat, tol, max_iters,
     x_out = None
     # the prox threshold of each row; a row whose L changes is set again
     step = (1.0 / np.array(L))[:, None].repeat(d, 1)
-    thresh = step * rho_hat
+    thresh = step * np.array(rho)[:, None]
     neg_thresh = -thresh
 
     def set_L(i, b, value):
         L[b] = value
         step[i] = 1.0 / value
-        thresh[i] = step[i, 0] * rho_hat
+        thresh[i] = step[i, 0] * rho[b]
         neg_thresh[i] = -thresh[i, 0]
 
     while rows:
@@ -380,13 +378,13 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, rho_hat, tol, max_iters,
             else:
                 x_out[rows] = x
             for b, a in zip(rows, l1):
-                phi[b] = gx[b] + rho_hat * a
+                phi[b] = gx[b] + rho[b] * a
             break
         if x_out is None:
             x_out = np.empty_like(x0)
         x_out[[rows[i] for i in done]] = x[done]
         for i, a in zip(done, add(np.abs(w[done]), 1).tolist()):
-            phi[rows[i]] = gx[rows[i]] + rho_hat * a
+            phi[rows[i]] = gx[rows[i]] + rho[rows[i]] * a
         keep = [i for i in range(len(rows)) if i not in done]
         rows = [rows[i] for i in keep]
         x, w, grad = x[keep], w[keep], grad[keep]
@@ -394,13 +392,15 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, rho_hat, tol, max_iters,
         taus, tw = [tau[b] for b in rows], tw[keep]
         step, thresh, neg_thresh = step[keep], thresh[keep], neg_thresh[keep]
         energy = model.at_times([t[b] for b in rows])
+        smooth, smooth_grad = p[rows].smooth_scalar, p[rows].smooth_scalar_grad
     return x_out, phi, res, sum(its), L, its, trials, ex
 
 
 def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
     """Proximal gradient to eps_inner for B step problems under the frozen
-    potential p: row b from u_prev[b] at time t[b] with step tau[b], given
-    e_prev[b] = E(t[b], u_prev[b]); u_prev is (B, d), and t, tau and
+    potential p of their rows: row b from u_prev[b] at time t[b] with step
+    tau[b] under p[b], given e_prev[b] = E(t[b], u_prev[b]); u_prev is
+    (B, d), and t, tau and
     e_prev are lists of floats. A row proven strongly convex on its box
     (mu > 0) has one minimizer, so one start suffices and needs no
     triage: u_prev[b], or the predicted state x_pred[b] (x_pred is None or
@@ -415,22 +415,20 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
     None, and energy[b] = E(t[b], U[b])."""
     B, d = u_prev.shape
     eps_inner = [EPS_INNER_SCALE * (1.0 + abs(e)) for e in e_prev]
-    R = [_coercivity_radius(p, h, e - model.constants.C0)
-         for h, e in zip(tau, e_prev)]
+    ps = [p[b] for b in range(B)]   # each row's potential
+    R = [_coercivity_radius(q, h, e - model.constants.C0)
+         for q, h, e in zip(ps, tau, e_prev)]
     blo, bhi = model.domain_box
     Rc = np.array(R)[:, None]
     lo = np.maximum(u_prev - Rc, blo)
     hi = np.minimum(u_prev + Rc, bhi)
-    # tau * rho ||(U - u_prev)/tau||_1 = rho ||U - u_prev||_1, so the prox
-    # threshold is step * rho regardless of tau
-    rho_hat = p.one_hom
 
     # mu bounds the Hessian of the step objective from below on the box,
     # where every rate has |v_i| <= R / tau; for mu > 0 the objective is
     # strongly convex, so its stationary point is the global minimizer
     lam = model.semiconvexity
-    mu = [None if lam is None else p.modulus(r / h) / h + lam
-          for r, h in zip(R, tau)]
+    mu = [None if lam is None else q.modulus(r / h) / h + lam
+          for q, r, h in zip(ps, R, tau)]
     convex = [m is not None and m > 0.0 for m in mu]
     multi = [b for b in range(B) if not convex[b]]
     x0 = u_prev.copy()
@@ -442,7 +440,7 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
         # energies are one at_times call and their Psi one row call
         xp = np.minimum(np.maximum(x_pred[c], lo[c]), hi[c])
         h = [tau[b] for b in c]
-        psi = p.value((xp - u_prev[c]) / np.array(h)[:, None]).tolist()
+        psi = p[c].value((xp - u_prev[c]) / np.array(h)[:, None]).tolist()
         e = model.at_times([t[b] for b in c])(xp)[0]
         for i, b in enumerate(c):
             if h[i] * psi[i] + e[i] < e_prev[b]:
@@ -468,9 +466,9 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
         best = [None] * len(multi)
         for k in range(n_starts):
             x, f, _, _, Lk, itk, trk, _ = _prox_grad(
-                model, p, u_prev[multi], [t[b] for b in multi],
+                model, p[multi], u_prev[multi], [t[b] for b in multi],
                 [tau[b] for b in multi], np.array([s[k] for s in starts]),
-                (lo[multi], hi[multi]), rho_hat, triage_tol, TRIAGE_ITERS,
+                (lo[multi], hi[multi]), triage_tol, TRIAGE_ITERS,
                 [L[b] for b in multi])
             for i, b in enumerate(multi):
                 L[b] = max(1.0, Lk[i] / 2.0)
@@ -481,8 +479,8 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
         for i, b in enumerate(multi):
             x0[b] = best[i][0]
     x, _, res, _, L, itr, trr, energy = _prox_grad(
-        model, p, u_prev, t, tau, x0, (lo, hi), rho_hat, eps_inner,
-        MAX_REFINE_ITERS, L)
+        model, p, u_prev, t, tau, x0, (lo, hi), eps_inner, MAX_REFINE_ITERS,
+        L)
     status, errors = [], []
     for b in range(B):
         its[b] += itr[b]
@@ -531,7 +529,7 @@ def _select_multiplier(model, p, v, t, U):
     Returns (xi, gap), of shapes (B, d) and (B,)."""
     cands = _candidates(model, t, U)
     owner, C = _flat(cands)
-    gaps = potentials.fenchel_young_gap(p, v[owner], -C).tolist()
+    gaps = potentials.fenchel_young_gap(p[owner], v[owner], -C).tolist()
     xi = np.empty_like(U)
     gap = np.empty(U.shape[0])
     i = 0
@@ -548,7 +546,8 @@ def _select_multiplier(model, p, v, t, U):
 def minimality_witness(model: EnergyModel, p, t_n, tau, u_prev, U, e_prev,
                        e=None):
     """(E(t_n, U), witness) for the step from u_prev to U under the frozen
-    potential p, given e_prev = E(t_n, u_prev), with witness =
+    potential p (of the rows, for rows), given e_prev = E(t_n, u_prev),
+    with witness =
     tau p((U - u_prev) / tau) + E(t_n, U) - e_prev: the objective of U
     minus that of the competitor u_prev, so a minimizer has witness <= 0.
     e, if given, is E(t_n, U) as energy_value computes it. One step takes
@@ -587,32 +586,31 @@ def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
 def _steps(model, psi, u_prev, t, tau, opts, L0, x_pred):
     """The scheme's one row entry: B step problems, row b from u_prev[b]
     (of the (B, d) array u_prev) at time t[b] with step tau[b], under the
-    frozen potential psi.at_state(u_prev[b]). A row whose step is outside
-    (0, tau_o), or whose potential does not freeze, fails alone. The other
-    rows are grouped by frozen potential into blocks of at most ROW_BLOCK
-    rows, and each block is one row batch: by _solve_1d for d = 1, else by
+    frozen potential psi.at_state(u_prev)[b]. A row whose step is outside
+    (0, tau_o) fails alone. The other rows, in order, form blocks of at
+    most ROW_BLOCK rows, and each block is one row batch: one at_state
+    call freezes its potential, and _solve_1d solves it for d = 1, else
     _solve_nd, whose rows start their prox-grad calls at L = L0[b] and may
     start from x_pred[b] (x_pred is None or (B, d); d = 1 reads neither).
     A block that raises is retried row by row, so only the rows whose own
-    solve raises fail. Every row takes the path it takes alone, bit for
-    bit. Returns, in row order, each row's _finish_steps row (U, xi, gap,
-    status, energy, witness) or its own error: the RangeError of its step,
-    what freezing or solving it raised, or the StepFailureError of an n-D
-    row that missed eps_inner."""
+    potential or solve raises fail. Every row takes the path it takes
+    alone, bit for bit. Returns, in row order, each row's _finish_steps
+    row (U, xi, gap, status, energy, witness) or its own error: the
+    RangeError of its step, what freezing or solving it raised, or the
+    StepFailureError of an n-D row that missed eps_inner."""
     out = [None] * len(t)
     tau_o = model.constants.tau_o
-    groups = {}
+    valid = []
     for b, h in enumerate(tau):
-        try:
-            if not 0.0 < h < tau_o:
-                raise RangeError(f"step tau={h} outside (0, tau_o={tau_o}) "
-                                 f"of {model.name}")
-            groups.setdefault(psi.at_state(u_prev[b]), []).append(b)
-        except Exception as err:
-            out[b] = err
+        if 0.0 < h < tau_o:
+            valid.append(b)
+        else:
+            out[b] = RangeError(f"step tau={h} outside (0, tau_o={tau_o}) "
+                                f"of {model.name}")
 
-    def block(p, rows):
+    def block(rows):
         ub = u_prev[rows]
+        p = psi.at_state(ub)
         tb, hb = [float(t[b]) for b in rows], [float(tau[b]) for b in rows]
         if model.dim == 1:
             # _solve_1d takes its rows' times and steps as arrays
@@ -627,7 +625,7 @@ def _steps(model, psi, u_prev, t, tau, opts, L0, x_pred):
                 None if x_pred is None else x_pred[rows])
         ok = [i for i, err in enumerate(res) if err is None]
         if len(ok) < len(rows):  # only n-D rows fail here
-            ub, U = ub[ok], U[ok]
+            ub, U, p = ub[ok], U[ok], p[ok]
             tb, hb, e_prev, status, energy = ([v[i] for i in ok] for v in (
                 tb, hb, e_prev, status, energy))
         if ok:
@@ -636,21 +634,20 @@ def _steps(model, psi, u_prev, t, tau, opts, L0, x_pred):
                 res[i] = row
         return res
 
-    def alone(p, b):
+    def alone(b):
         try:
-            return block(p, [b])[0]
+            return block([b])[0]
         except Exception as err:
             return err
 
-    for p, rows in groups.items():
-        for i in range(0, len(rows), ROW_BLOCK):
-            ks = rows[i:i + ROW_BLOCK]
-            try:
-                res = block(p, ks)
-            except Exception as err:
-                res = [err] if len(ks) == 1 else [alone(p, b) for b in ks]
-            for b, row in zip(ks, res):
-                out[b] = row
+    for i in range(0, len(valid), ROW_BLOCK):
+        ks = valid[i:i + ROW_BLOCK]
+        try:
+            res = block(ks)
+        except Exception as err:
+            res = [err] if len(ks) == 1 else [alone(b) for b in ks]
+        for b, row in zip(ks, res):
+            out[b] = row
     return out
 
 
@@ -807,18 +804,16 @@ def slope_multiplier(model: EnergyModel, psi, t, u) -> np.ndarray:
     subdifferential candidate minimizing the conjugate Psi_u*(-xi), ties
     to the lexicographically smallest. A time and a state (d,) give its
     (d,) multiplier; times t[b] and the rows of a (B, d) array give the
-    (B, d) array, with the candidates of every row one conjugate call per
-    frozen potential."""
+    (B, d) array, with the candidates of every row one conjugate call."""
     u = as_state(u, model.dim)
     if u.ndim == 1:
         return slope_multiplier(model, psi, [t], u[None])[0]
 
     def rows(t, U):
-        frozen = [psi.at_state(u) for u in U]
+        p = psi.at_state(U)
         cands = _candidates(model, t, U)
         owner, C = _flat(cands)
-        vals = potentials.frozen_query([frozen[b] for b in owner],
-                                       potentials.conjugate, -C).tolist()
+        vals = potentials.conjugate(p[owner], -C).tolist()
         out = np.empty_like(U)
         i = 0
         for b, cs in enumerate(cands):
@@ -837,9 +832,8 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t):
     nodes it returns the stored step data exactly.
 
     The samples off the nodes are the rows of one _steps call, which
-    batches the rows that share a frozen potential in blocks of at most
-    ROW_BLOCK: all of a trajectory's under a state-independent potential,
-    one step's under a state-dependent one. Every n-D row starts at
+    batches them in blocks of at most ROW_BLOCK, whatever the potential.
+    Every n-D row starts at
     U_{n-1} with L = 1. The first failing sample, in the order of t,
     decides the error: a stalled inner solve raises SolveAbortedError
     naming its step and time, any other error is raised as it is."""

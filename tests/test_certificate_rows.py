@@ -74,20 +74,26 @@ def old_closed_conjugate(p, xi):
 
 def old_E(model, t, u):
     """E of one point as it was computed before rows: AllenCahn1D's grid
-    kernels on one state, AbsoluteMarginal's candidate minimum, and every
-    other model's value."""
+    kernels on one state, AbsoluteMarginal's candidate minimum, and the
+    closed forms of PhaseField1D and of the quadratic energy of
+    QuadraticBenchmark and StateWeightedToy."""
     if model.name == "AllenCahn1D":
         return _kernels.ac_energy(u, model.dx, model.q,
                                   model.amp * math.sin(t) * model.profile,
                                   model.offset)
     if model.name == "AbsoluteMarginal":
         return float(np.min(energy._marginal_candidates(model, t, u)[1]))
-    return model.value(t, u)
+    if model.name == "PhaseField1D":
+        x = u[0]
+        return (0.5 * x * x + 1.0 - (abs(x) + 2.0) ** 2 / 6.0
+                - model.load(t) * x + model.offset)
+    d = u - model.a
+    return 0.5 * float(np.dot(d, d)) + model.offset
 
 
 def old_P(model, t, u, xi):
-    """time_deriv_P of the marginal models and of AllenCahn1D as one-point
-    formulas; every other model's time_deriv_P is unchanged."""
+    """P of the marginal models and of AllenCahn1D as one-point formulas;
+    the quadratic energy's P is 0."""
     if isinstance(model, MarginalEnergy):
         etas = argmin_set(model, t, u)
         dus = [np.asarray(model.inner_du(t, u, e), dtype=float).reshape(
@@ -100,7 +106,7 @@ def old_P(model, t, u, xi):
     if model.name == "AllenCahn1D":
         return (-model.amp * math.cos(t) * float(np.dot(model.profile, u))
                 * model.dx)
-    return model.time_deriv_P(t, u, xi)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +129,16 @@ KINDS = [
 ]
 
 
+# weight rows: Scaled(base, w) with one weight per row, w[b] drawn from
+# WEIGHTS; p[:B] is the weight row of B rows, and p[b] row b's potential
+# (a state-independent kind is its own at every row)
+WEIGHTS = (1.0, 0.3, 1.7, 2.5e-3, 4e2, 1e-300)
+WEIGHT_ROWS = [Scaled(base, np.random.default_rng(7).choice(WEIGHTS, 36))
+               for base in (Quadratic(2.5), PNorm(0.7, 1.5), PNorm(2.0, 1.0),
+                            OneHomPlusQuad(0.3, 0.5),
+                            WeightedSum((PNorm(0.5, 1.0), PNorm(0.7, 1.5))))]
+
+
 def rates(d, finite=False, bound=np.inf):
     """Rows of d rates: every special value in every coordinate, then
     draws of them; only finite ones if finite, and only rows of norm at
@@ -135,7 +151,7 @@ def rates(d, finite=False, bound=np.inf):
         return V[np.sqrt(np.vecdot(V, V)) <= bound]
 
 
-@pytest.mark.parametrize("p", KINDS, ids=repr)
+@pytest.mark.parametrize("p", KINDS + WEIGHT_ROWS, ids=repr)
 @pytest.mark.parametrize("d", [1, 3])
 def test_value_and_conjugate_rows_are_their_one_row_calls(p, d):
     two_slope = isinstance(p, TwoSlope)
@@ -144,18 +160,19 @@ def test_value_and_conjugate_rows_are_their_one_row_calls(p, d):
         X = rates(d, bound=2.0 if two_slope else np.inf)
         F = rates(d, finite=True, bound=2.0 if two_slope else np.inf)
         for query, ref, rows in (
-                (p.value, old_value, V),
-                (p.closed_conjugate, old_closed_conjugate, X),
-                (lambda x: conjugate(p, x),
-                 lambda p, x: max(old_closed_conjugate(p, x), 0.0), F)):
-            got = query(rows)
+                (lambda q, x: q.value(x), old_value, V),
+                (lambda q, x: q.closed_conjugate(x), old_closed_conjugate, X),
+                (conjugate,
+                 lambda q, x: max(old_closed_conjugate(q, x), 0.0), F)):
+            got = query(p[:len(rows)], rows)
             assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
-            one = [query(x) for x in rows]
+            one = [query(p[b], x) for b, x in enumerate(rows)]
             assert all(type(x) is float for x in one)
-            assert bits(got) == bits(one) == bits([ref(p, x) for x in rows])
+            assert bits(got) == bits(one) == bits(
+                [ref(p[b], x) for b, x in enumerate(rows)])
 
 
-@pytest.mark.parametrize("p", KINDS, ids=repr)
+@pytest.mark.parametrize("p", KINDS + WEIGHT_ROWS, ids=repr)
 def test_gap_rows_are_their_one_row_calls(p):
     bound = 2.0 if isinstance(p, TwoSlope) else np.inf
     with np.errstate(all="ignore"):
@@ -163,11 +180,30 @@ def test_gap_rows_are_their_one_row_calls(p):
         XI = rates(3, finite=True, bound=bound)[::-1]
         B = min(len(V), len(XI))
         V, XI = V[:B], XI[:B]
-        got = fenchel_young_gap(p, V, XI)
-        one = [fenchel_young_gap(p, v, x) for v, x in zip(V, XI)]
-        ref = [old_value(p, v) + max(old_closed_conjugate(p, x), 0.0)
-               - float(np.dot(x, v)) for v, x in zip(V, XI)]
+        got = fenchel_young_gap(p[:B], V, XI)
+        one = [fenchel_young_gap(p[b], v, x) for b, (v, x) in
+               enumerate(zip(V, XI))]
+        ref = [old_value(p[b], v) + max(old_closed_conjugate(p[b], x), 0.0)
+               - float(np.dot(x, v)) for b, (v, x) in enumerate(zip(V, XI))]
     assert bits(got) == bits(one) == bits(ref)
+
+
+def test_weight_rows_raise_the_first_failing_rows_error():
+    # TwoSlope's conjugate is infinite past ||xi / w|| = 2: row 1 is the
+    # first such row of the weight row, and row 0 would be under weight 1
+    p = Scaled(TwoSlope(), np.array([0.5, 0.25, 0.1]))
+    X = np.array([[0.9], [0.6], [0.4]])
+    want = raised(lambda: conjugate(p[1], X[1]))
+    assert want[0] is MaximizationFailureError
+    assert raised(lambda: conjugate(p, X)) == want
+    assert raised(lambda: fenchel_young_gap(p, np.zeros((3, 1)), X)) == want
+    # a state whose weight leaves the declared bounds raises its own error
+    family = StateWeighted(Quadratic(1.0), lambda u: 1.0 + float(u[0]),
+                           (0.5, 1.5))
+    U = np.array([[0.2], [0.7], [-0.9]])
+    got = raised(lambda: family.at_state(U))
+    assert got == raised(lambda: family.at_state(U[1])) == (
+        ValueError, "omega(u) = 1.7 outside declared bounds [0.5, 1.5]")
 
 
 def raised(call):
@@ -191,20 +227,27 @@ def test_two_slope_raises_the_first_failing_rows_error(rows, first):
                       else MaximizationFailureError)
 
 
-def test_frozen_query_makes_one_call_per_frozen_potential():
+def test_state_weighted_rows_make_one_call_per_row_pass(monkeypatch):
+    # the potentials of five states, two of them repeated, are one weight
+    # row, whose conjugate and value are one base call each; each row has
+    # the bits of its own state's potential
     family = StateWeighted(Quadratic(1.0), lambda u: 1.0 + 0.5 * math.tanh(
         u[0]), (0.5, 1.5))
     states = np.array([[0.1], [0.2], [0.1], [0.3], [0.2]])
-    frozen = [family.at_state(u) for u in states]
+    p = family.at_state(states)
+    assert isinstance(p, Scaled) and p.w.shape == (5,)
     X = np.arange(5.0)[:, None]
     calls = []
-
-    def query(p, x):
-        calls.append(len(x))
-        return conjugate(p, x)
-    got = potentials.frozen_query(frozen, query, X)
-    assert calls == [2, 2, 1]
-    assert bits(got) == bits([conjugate(p, x) for p, x in zip(frozen, X)])
+    for name in ("value", "closed_conjugate"):
+        def counted(self, x, _real=getattr(Quadratic, name), _name=name):
+            calls.append((_name, len(x)))
+            return _real(self, x)
+        monkeypatch.setattr(Quadratic, name, counted)
+    got = conjugate(p, X), p.value(X)
+    assert calls == [("closed_conjugate", 5), ("value", 5)]
+    frozen = [family.at_state(u) for u in states]
+    assert bits(got[0]) == bits([conjugate(q, x) for q, x in zip(frozen, X)])
+    assert bits(got[1]) == bits([q.value(x) for q, x in zip(frozen, X)])
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +385,7 @@ def per_step_loop(traj):
     over the steps computed them before they became row calls."""
     out = np.zeros((5, traj.N + 1))
     for n in range(1, traj.N + 1):
-        p, xi = traj.psi_at(n), -traj.xi[n]
+        p, xi = traj.psi.at_state(traj.U[n - 1]), -traj.xi[n]
         v = (traj.U[n] - traj.U[n - 1]) / traj.grid.tau
         psi = old_value(p, v)
         conj = max(old_closed_conjugate(p, xi), 0.0)

@@ -115,7 +115,7 @@ def test_step_terms_gap_is_bitwise_fenchel_young_gap():
     for n in range(1, traj.N + 1):
         v = (traj.U[n] - traj.U[n - 1]) / traj.grid.tau
         assert terms.gap[n] == potentials.fenchel_young_gap(
-            traj.psi_at(n), v, -traj.xi[n])
+            traj.psi.at_state(traj.U[n - 1]), v, -traj.xi[n])
     with pytest.raises(ValueError):
         terms.P[1] = 0.0  # the bundle is read-only
 

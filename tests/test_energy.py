@@ -592,17 +592,20 @@ class _NoFloor(energy_mod.EnergyModel):
     constants = energy_mod.EnergyConstants(C0=0.5, C1=10.0, C2=10.0, tau_o=0.5)
     domain_box = (np.array([-2.0]), np.array([2.0]))
 
-    def value(self, t, u):
-        return t * float(u[0]) ** 2
+    def at_times(self, t):
+        def at(U):
+            x = U[:, 0]
+            return (np.asarray(t) * x * x).tolist(), lambda: (
+                2.0 * np.asarray(t) * x)[:, None]
+        return at
 
-    def grad(self, t, u):
-        return np.array([2.0 * t * u[0]])
-
-    def time_deriv_P(self, t, u, xi):
-        return float(u[0]) ** 2
+    def time_deriv_P_rows(self, t, U, XI):
+        return (U[:, 0] * U[:, 0]).tolist()
 
 
 def test_audit_flags_missing_positive_floor():
+    # derivative_1d's default is the gradient of a one-row at_times call
+    assert _NoFloor().derivative_1d(0.5, 0.3) == 2.0 * 0.5 * 0.3
     rep = audit_assumptions(_NoFloor())
     rows = {r.name: r for r in rep.rows}
     assert not rows["positivity"].passed

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from dnevolve import _kernels, _optim, models
-from dnevolve.energy import (EnergyModel, _marginal_candidates, argmin_set,
-                             energy_value)
+from dnevolve.energy import argmin_set, energy_value
 from dnevolve.errors import ConfigError, RangeError
 from dnevolve.models import MODEL_NAMES, build, describe, double_well
 from dnevolve.potentials import (OneHomPlusQuad, PNorm, Quadratic,
@@ -298,21 +297,13 @@ def test_ac_energy_grid_refinement_consistency():
     assert abs(e128 - e64) <= abs(e64 - e32)
 
 
-def point_value(model, t, u):
-    """E(t, u) at one state: the model's scalar value hook, or the
-    candidate minimum of a marginal model that has none."""
-    if type(model).value is EnergyModel.value:
-        return float(np.min(_marginal_candidates(model, t, u)[1]))
-    return model.value(t, u)
-
-
 def test_value_batch_matches_scalar_loop():
     for name in ("QuadraticBenchmark", "AbsoluteMarginal", "PhaseField1D",
                  "StateWeightedToy"):
         model = build(name, {}).energy
         us = np.linspace(-1.4, 1.4, 57)
         batch = model.value_batch_1d(0.6, us)
-        point = np.array([point_value(model, 0.6, np.array([u]))
+        point = np.array([energy_value(model, 0.6, np.array([u]))
                           for u in us])
         np.testing.assert_allclose(batch, point, rtol=0, atol=1e-12)
 
@@ -347,8 +338,8 @@ def test_derivative_1d_is_the_derivative_of_value(name):
         for u in (-1.3, -0.45, 0.35, 1.2):
             assert min((abs(u - k) for k in model.kinks_1d(t)),
                        default=np.inf) >= 0.1
-            fd = (point_value(model, t, np.array([u + h]))
-                  - point_value(model, t, np.array([u - h]))) / (2.0 * h)
+            fd = (energy_value(model, t, np.array([u + h]))
+                  - energy_value(model, t, np.array([u - h]))) / (2.0 * h)
             assert model.derivative_1d(t, u) == pytest.approx(
                 fd, rel=0, abs=1e-8)
 

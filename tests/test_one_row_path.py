@@ -4,9 +4,10 @@ inside scheme._steps, the row entry every step, ladder round and
 interpolant sample goes through. A second caller would bring back its own
 freezing, grouping, blocking and failure handling of rows. And the
 certificate's scalar terms (energies, P, conjugates, values, gaps and
-witnesses) are row calls, never one call per sample in a loop. Each energy
-query has one body, and the package reads E, its gradient and P only
-through their row forms."""
+witnesses) are row calls, never one call per sample in a loop, and so
+is the freezing of a potential at the states of many rows. Each energy
+query has one body, its row form, and the package reads E, its gradient
+and P only through it."""
 
 import ast
 import pathlib
@@ -186,19 +187,13 @@ def test_per_sample_calls_sees_every_form():
         ("scheme", "_steps", 9, "energy_value")]
 
 
-# Each energy query has one body. An EnergyModel subclass writes a scalar
-# hook (value, grad, time_deriv_P), which the base class's default rows
-# loop over, or its own row form (at_times, time_deriv_P_rows), never
-# both; no energy class writes subdiff, whose rows are subdiff_rows; and
-# the package calls a scalar hook of an energy model only inside the base
-# class's defaults built on them (its two row forms, and the d = 1 scan's
-# derivative_1d of one scalar state), so every other reader takes E, its
-# gradient and P as rows.
+# Each energy query has one body, its row form: no energy class defines
+# a scalar hook (value, grad, time_deriv_P), which a row form would loop
+# over, or subdiff, whose rows are subdiff_rows; no class re-binds
+# at_times to another class's; and the package calls no scalar hook of
+# an energy model, so every reader takes E, its gradient and P as rows.
 ENERGY_BASE = "EnergyModel"
-SCALAR_HOOKS = ("value", "grad", "time_deriv_P")
-HOOK_READERS = {("energy", ENERGY_BASE, "at_times"),
-                ("energy", ENERGY_BASE, "time_deriv_P_rows"),
-                ("energy", ENERGY_BASE, "derivative_1d")}
+SCALAR_HOOKS = ("value", "grad", "time_deriv_P", "subdiff")
 
 
 def _members(cls):
@@ -213,67 +208,44 @@ def _members(cls):
     return out
 
 
-def _is_base_default(stmt):
-    """Whether stmt is the assignment at_times = EnergyModel.at_times."""
-    v = getattr(stmt, "value", None)
-    return (isinstance(v, ast.Attribute) and v.attr == "at_times"
-            and isinstance(v.value, ast.Name) and v.value.id == ENERGY_BASE)
-
-
 def energy_query_faults(sources):
     """(module, line, fault) of every breach of the rule above in sources
-    ({module: text}). A subclass is judged on its members together with
-    those it inherits from the energy classes of sources below
-    EnergyModel; a call's receiver is an energy model when it is self in
-    an energy class, or a name or attribute called model or energy."""
+    ({module: text}). The energy classes are EnergyModel and the classes
+    of sources below it; a call's receiver is an energy model when it is
+    self in an energy class, or a name or attribute called model or
+    energy."""
     classes = {stmt.name: (mod, stmt) for mod, text in sources.items()
                for stmt in ast.parse(text).body
                if isinstance(stmt, ast.ClassDef)}
 
-    def lineage(name):
-        """name and its energy ancestors below EnergyModel, nearest first;
-        None for a class that is no energy."""
+    def is_energy(name):
         if name == ENERGY_BASE:
-            return []
+            return True
         if name not in classes:
-            return None
-        for base in classes[name][1].bases:
-            up = lineage(base.id if isinstance(base, ast.Name)
-                         else getattr(base, "attr", None))
-            if up is not None:
-                return [name] + up
-        return None
+            return False
+        return any(is_energy(b.id if isinstance(b, ast.Name)
+                             else getattr(b, "attr", None))
+                   for b in classes[name][1].bases)
 
-    energy = {name for name in classes if lineage(name) is not None}
+    energy = {name for name in classes if is_energy(name)}
     out = []
     for name in sorted(energy):
         mod, cls = classes[name]
-        own = _members(cls)
-        if "subdiff" in own:
-            out.append((mod, own["subdiff"].lineno, f"{name} defines subdiff"))
-        if name == ENERGY_BASE:
-            continue
-        eff = {}
-        for c in reversed(lineage(name)):
-            eff.update(_members(classes[c][1]))
-        if ("value" in eff and "at_times" in eff
-                and not _is_base_default(eff["at_times"])):
-            out.append((mod, cls.lineno, f"{name} writes value and at_times"))
-        if "time_deriv_P" in eff and "time_deriv_P_rows" in eff:
-            out.append((mod, cls.lineno,
-                        f"{name} writes time_deriv_P and time_deriv_P_rows"))
+        for member, stmt in _members(cls).items():
+            if member in SCALAR_HOOKS:
+                out.append((mod, stmt.lineno, f"{name} defines {member}"))
+            elif (member == "at_times" and isinstance(stmt, ast.Assign)):
+                out.append((mod, stmt.lineno,
+                            f"{name} borrows another class's at_times"))
 
     for mod, text in sources.items():
         scopes = []
         for stmt in ast.parse(text).body:
             if isinstance(stmt, ast.ClassDef):
-                scopes += [(stmt.name, getattr(m, "name", None), m)
-                           for m in stmt.body]
+                scopes += [(stmt.name, m) for m in stmt.body]
             else:
-                scopes.append((None, None, stmt))
-        for cls, fn, node in scopes:
-            if (mod, cls, fn) in HOOK_READERS:
-                continue
+                scopes.append((None, stmt))
+        for cls, node in scopes:
             for n in ast.walk(node):
                 if not (isinstance(n, ast.Call)
                         and isinstance(n.func, ast.Attribute)
@@ -296,93 +268,118 @@ def test_each_energy_query_has_one_body():
 
 
 def test_energy_query_faults_sees_every_form():
-    # the energy classes and readers as they were while each query had a
-    # scalar form and a row form, bridged both ways
+    # the energy classes and readers as they were while a model wrote a
+    # scalar hook that the base class's rows looped over
     energy = (
         "class EnergyModel:\n"
-        "    def value(self, t, u):\n"
+        "    def value(self, t, u):\n"                                # 2
         "        raise NotImplementedError\n"
         "    def derivative_1d(self, t, u):\n"
-        "        return float(self.grad(t, np.array([u]))[0])\n"  # default
+        "        return float(self.grad(t, np.array([u]))[0])\n"      # 5
         "    def at_times(self, t):\n"
         "        def at(U):\n"
-        "            return ([self.value(tb, u) for tb, u in U],\n"  # default
+        "            return ([self.value(tb, u) for tb, u in U],\n"   # 8
         "                    lambda: [self.grad(tb, ub) for tb in t])\n"
         "        return at\n"
         "    def subdiff(self, t, u):\n"                               # 11
         "        return [self.grad(t, u)]\n"                           # 12
         "    def time_deriv_P_rows(self, t, U, XI):\n"
-        "        return [self.time_deriv_P(tb, u, x) for tb in t]\n"  # default
-        "class MarginalEnergy(EnergyModel):\n"                         # 15
-        "    def value(self, t, u):\n"
-        "        return float(np.min(_marginal_candidates(self, t, u)))\n"
-        "    def subdiff(self, t, u):\n"                               # 18
-        "        return marginal_subdifferential(self, t, u)\n"
-        "    def time_deriv_P(self, t, u, xi):\n"
+        "        return [self.time_deriv_P(tb, u, x) for tb in t]\n"  # 14
+        "class MarginalEnergy(EnergyModel):\n"
+        "    def time_deriv_P(self, t, u, xi):\n"                      # 16
         "        return self.time_deriv_P_rows((t,), u[None], xi[None])[0]\n"
-        "    def time_deriv_P_rows(self, t, U, XI):\n"
-        "        return []\n"
         "def energy_value(model, t, u):\n"
-        "    return float(model.value(t, u))\n"                        # 25
-        "def clarke_subdifferential_1d(model, t, u):\n"
-        "    def f(y):\n"
-        "        return model.value(t, np.array([y]))\n"               # 28
-        "    return f\n")
+        "    return float(model.value(t, u))\n")                       # 19
     models = (
         "class _QuadraticEnergy(EnergyModel):\n"
-        "    def value(self, t, u):\n"
+        "    def value(self, t, u):\n"                                # 2
         "        return 0.5 * float(np.dot(u, u))\n"
-        "    def grad(self, t, u):\n"
+        "    def grad(self, t, u):\n"                                 # 4
         "        return u\n"
-        "    def time_deriv_P(self, t, u, xi):\n"
-        "        return 0.0\n"
         "class _StateWeightedQuadEnergy(_QuadraticEnergy):\n"         # not
         "    pass\n"
-        "class _AbsoluteMarginalEnergy(energy.MarginalEnergy):\n"      # 10
-        "    def subdiff(self, t, u):\n"                               # 11
-        "        return []\n"
-        "class _PhaseFieldEnergy(MarginalEnergy):\n"                   # 13
-        "    def value(self, t, u):\n"
+        "class _PhaseFieldEnergy(MarginalEnergy):\n"
+        "    def value(self, t, u):\n"                                # 9
         "        return u[0] * u[0]\n"
-        "    at_times = EnergyModel.at_times\n"                       # default
-        "class _AllenCahnEnergy(EnergyModel):\n"                       # 17
-        "    def value(self, t, u):\n"
-        "        return _kernels.ac_energy(u, self.dx)\n"
-        "    def at_times(self, t):\n"
-        "        return lambda U: [self.value(t, u) for u in U]\n"     # 21
-        "    def time_deriv_P(self, t, u, xi):\n"
-        "        return self.time_deriv_P_rows((t,), u[None], None)[0]\n"
-        "    def time_deriv_P_rows(self, t, U, XI):\n"
-        "        return []\n"
-        "class _Alias(_StateWeightedQuadEnergy):\n"                   # 26
-        "    at_times = MarginalEnergy.at_times\n")
-    scheme = (
-        "def _solve_nd(model, p, u_prev, t, xp):\n"
-        "    for b in range(3):\n"
-        "        e = p.value(xp[b]) + model.value(t[b], xp[b])\n"      # 3
-        "    return spec.energy.grad(t, xp) + traj.model.time_deriv_P()\n"  # 4
+        "    at_times = EnergyModel.at_times\n"                        # 11
         "class Trajectory:\n"
         "    def rate(self, n):\n"
         "        return self.value(n) + self.psi.value(n)\n")          # not
+    scheme = (
+        "def _solve_nd(model, p, u_prev, t, xp):\n"
+        "    e = p.value(xp) + model.value(t, xp)\n"                   # 2
+        "    return spec.energy.grad(t, xp) + traj.model.time_deriv_P()\n")
     assert energy_query_faults({"energy": energy, "models": models,
                                 "scheme": scheme}) == [
+        ("energy", 2, "EnergyModel defines value"),
+        ("energy", 5, "calls .grad"),
+        ("energy", 8, "calls .value"),
+        ("energy", 9, "calls .grad"),
         ("energy", 11, "EnergyModel defines subdiff"),
         ("energy", 12, "calls .grad"),
-        ("energy", 15, "MarginalEnergy writes time_deriv_P and "
-                       "time_deriv_P_rows"),
-        ("energy", 18, "MarginalEnergy defines subdiff"),
-        ("energy", 25, "calls .value"),
-        ("energy", 28, "calls .value"),
-        ("models", 10, "_AbsoluteMarginalEnergy writes time_deriv_P and "
-                       "time_deriv_P_rows"),
-        ("models", 11, "_AbsoluteMarginalEnergy defines subdiff"),
-        ("models", 13, "_PhaseFieldEnergy writes time_deriv_P and "
-                       "time_deriv_P_rows"),
-        ("models", 17, "_AllenCahnEnergy writes time_deriv_P and "
-                       "time_deriv_P_rows"),
-        ("models", 17, "_AllenCahnEnergy writes value and at_times"),
-        ("models", 21, "calls .value"),
-        ("models", 26, "_Alias writes value and at_times"),
-        ("scheme", 3, "calls .value"),
-        ("scheme", 4, "calls .grad"),
-        ("scheme", 4, "calls .time_deriv_P")]
+        ("energy", 14, "calls .time_deriv_P"),
+        ("energy", 16, "MarginalEnergy defines time_deriv_P"),
+        ("energy", 19, "calls .value"),
+        ("models", 2, "_QuadraticEnergy defines value"),
+        ("models", 4, "_QuadraticEnergy defines grad"),
+        ("models", 9, "_PhaseFieldEnergy defines value"),
+        ("models", 11, "_PhaseFieldEnergy borrows another class's at_times"),
+        ("scheme", 2, "calls .value"),
+        ("scheme", 3, "calls .grad"),
+        ("scheme", 3, "calls .time_deriv_P")]
+
+
+# A potential is frozen as rows: psi.at_state takes the rows of a (B, d)
+# array, so no at_state call in the package sits in a loop or a
+# comprehension, where it would freeze one state per iteration again.
+def per_row_freezes(sources):
+    """(module, line) of every at_state call, by attribute, that a loop or
+    comprehension of sources ({module: text}) evaluates once per
+    iteration."""
+    out = []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        looped = set()
+        for n in ast.walk(tree):
+            if isinstance(n, _LOOPS):
+                looped |= _repeated(n)
+        out += [(mod, n.lineno) for n in ast.walk(tree)
+                if isinstance(n, ast.Call) and id(n) in looped
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "at_state"]
+    return sorted(out)
+
+
+def test_package_freezes_potentials_as_rows():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert per_row_freezes(sources) == []
+
+
+def test_per_row_freezes_sees_every_form():
+    # the freezing loops of the package before at_state took rows
+    scheme = (
+        "def _steps(model, psi, u_prev, tau):\n"
+        "    for b, h in enumerate(tau):\n"
+        "        groups.setdefault(psi.at_state(u_prev[b]), []).append(b)\n"
+        "def slope_multiplier(model, psi, t, u):\n"
+        "    frozen = [psi.at_state(u) for u in U]\n"                  # 5
+        "    return psi.at_state(U)\n"                                 # once
+        "class DiscreteTrajectory:\n"
+        "    def psi_at(self, n):\n"
+        "        return self.psi.at_state(self.U[n - 1])\n")           # once
+    diagnostics = (
+        "def _step_rows(traj, ns):\n"
+        "    frozen = [traj.psi_at(n) for n in ns.tolist()]\n"         # not
+        "def passes(steps):\n"
+        "    return {n: traj.psi.at_state(U[n]) for n in steps}\n")    # 4
+    cli = ("def read_trajectory_csv(path, plan):\n"
+           "    ws = frozen_query(\n"
+           "        [psi.at_state(u) for u in U[:-1]],\n"               # 3
+           "        witness, steps)\n"
+           "    while rows:\n"
+           "        p = plan.psi.at_state(rows.pop())\n")               # 6
+    assert per_row_freezes({"scheme": scheme, "diagnostics": diagnostics,
+                            "cli": cli}) == [
+        ("cli", 3), ("cli", 6), ("diagnostics", 4), ("scheme", 3),
+        ("scheme", 5)]

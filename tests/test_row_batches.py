@@ -124,8 +124,8 @@ def prox_grad_rows(spec, rows, max_iters):
     u_prev, x0 = np.array(cols[0]), np.array(cols[3])
     box = (np.array([b[0] for b in cols[4]]), np.array([b[1] for b in cols[4]]))
     return scheme._prox_grad(spec.energy, p, u_prev, list(cols[1]),
-                             list(cols[2]), x0, box, p.one_hom,
-                             list(cols[5]), max_iters, list(cols[6]))
+                             list(cols[2]), x0, box, list(cols[5]),
+                             max_iters, list(cols[6]))
 
 
 # OneHomPlusQuad (p = 2, rho = 1), a p = 1.5 WeightedSum (rho = 1), and
@@ -218,7 +218,7 @@ LADDERS = [
     ("AllenCahn1D", {"N": 8, "p": 1.5}, sine(8), 0.125,
      [2.0 ** -4, 2.0 ** -5]),
     ("PhaseField1D", {}, [0.55], 0.125, [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]),
-    # a state-dependent potential: a round's rows split by frozen potential
+    # a state-dependent potential: a round's rows are one weight row
     ("StateWeightedToy", {"dim": 2}, [0.3, -0.2], 0.25,
      [2.0 ** -3, 2.0 ** -4]),
 ]
@@ -327,10 +327,14 @@ def test_ladder_makes_one_solve_nd_call_per_round(monkeypatch):
     assert prox_rows == [2, 2, 1, 1]
 
 
-def test_nd_interpolants_are_row_blocks(monkeypatch):
+@pytest.mark.parametrize("name,params,u0", [
+    ("AllenCahn1D", {"N": 4}, sine(4)),
+    # a state-dependent potential: blocks of ROW_BLOCK, not one per step
+    ("StateWeightedToy", {"dim": 2}, [0.3, -0.2])])
+def test_nd_interpolants_are_row_blocks(monkeypatch, name, params, u0):
     # 16 steps of 7 interior samples: 112 rows, in blocks of ROW_BLOCK
-    spec = build("AllenCahn1D", {"N": 4})
-    traj = solve(spec.energy, spec.dissipation, sine(4),
+    spec = build(name, params)
+    traj = solve(spec.energy, spec.dissipation, u0,
                  TimeGrid(T=0.125, tau=2.0 ** -7))
     nd_rows = count_rows(monkeypatch, "_solve_nd")
     diagnostics.step_inequality(traj)
@@ -341,21 +345,22 @@ def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
     # one _steps call of 11 StateWeightedToy rows: two frozen potentials
     # (A and A2 freeze to the same one), a step at tau_o, a row whose
     # energy raises, and a row that stalls at 30 refine iterations (it
-    # needs 32; every other row at most 27). With ROW_BLOCK = 3 the
-    # potential of A has blocks of rows [0, 2, 4] and [6, 8, 10], that of
-    # B blocks [1, 3, 7] and [9]
+    # needs 32; every other row at most 27). With ROW_BLOCK = 3 the ten
+    # rows with a valid step form blocks [0, 1, 2], [3, 4, 6], [7, 8, 9]
+    # and [10], each with the weight row of its states
     monkeypatch.setattr(scheme, "ROW_BLOCK", 3)
     monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 30)
     spec = build("StateWeightedToy", {"dim": 2})
     model, psi = spec.energy, spec.dissipation
-    real = model.value
+    real = model.at_times
 
-    def value(t, u):
-        if t == 0.375:
-            raise RuntimeError(f"no energy at t={t}")
-        return real(t, u)
+    def at_times(t):
+        for s in t:
+            if s == 0.375:
+                raise RuntimeError(f"no energy at t={s}")
+        return real(t)
 
-    monkeypatch.setattr(model, "value", value)
+    monkeypatch.setattr(model, "at_times", at_times)
     A, A2, B = [0.3, -0.2], [0.3, -0.2001], [-0.1, 0.4]
     assert psi.at_state(np.array(A)) == psi.at_state(np.array(A2))
     assert psi.at_state(np.array(A)) != psi.at_state(np.array(B))
@@ -373,9 +378,9 @@ def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
     nd_rows = count_rows(monkeypatch, "_solve_nd")
     got = scheme._steps(model, psi, u_prev, t, tau, SolveOptions(), L0,
                         x_pred)
-    # the raising block is retried row by row, and row 4 raises before
-    # its solve
-    assert nd_rows == [1, 1, 3, 3, 1]
+    # the block of row 4 raises before its solve and is retried row by
+    # row, where row 4 raises again
+    assert nd_rows == [3, 1, 1, 3, 1]
     assert len(got) == len(rows)
     for b, row in enumerate(got):
         one = scheme._steps(model, psi, u_prev[b:b + 1], [t[b]], [tau[b]],

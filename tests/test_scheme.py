@@ -194,7 +194,8 @@ def test_solve_makes_two_energy_calls_per_step(monkeypatch, name, params,
     assert len(calls) == (2 if spec.dim == 1 else 1) * grid.N + 1
     for n in range(1, grid.N + 1):
         e, w = scheme.minimality_witness(
-            spec.energy, traj.psi_at(n), grid.t(n), grid.tau,
+            spec.energy, traj.psi.at_state(traj.U[n - 1]), grid.t(n),
+            grid.tau,
             traj.U[n - 1], traj.U[n],
             orig(spec.energy, grid.t(n), traj.U[n - 1]))
         assert (e, w) == (traj.energies[n], traj.witnesses[n])
@@ -238,7 +239,8 @@ def test_solve_records_certificates():
     assert np.all(traj.witnesses <= scheme.WITNESS_TOL)
     assert np.all(traj.gaps <= 1e-8)
     for n in range(grid.N + 1):
-        assert traj.energies[n] == spec.energy.value(grid.t(n), traj.U[n])
+        assert traj.energies[n] == energy_value(spec.energy, grid.t(n),
+                                                traj.U[n])
     assert traj.inner_status[0]["method"] == "initial"
     assert all(s["method"] == "scan1d" for s in traj.inner_status[1:])
 
@@ -268,7 +270,7 @@ def test_state_weight_is_frozen_at_left_state():
     spec = build("StateWeightedToy", {})
     grid = TimeGrid(T=0.25, tau=0.125)
     traj = solve(spec.energy, spec.dissipation, [-0.5], grid)
-    p1 = traj.psi_at(1)
+    p1 = spec.dissipation.at_state(traj.U[0])
     w = spec.dissipation.weight(traj.U[0])
     assert p1.value(np.array([0.4])) == pytest.approx(w * 0.08, rel=1e-12)
 
@@ -295,20 +297,18 @@ class _UphillGradient(EnergyModel):
     """E(x) = |x|^2 / 2 with its gradient reported mis-scaled and of the
     wrong sign, so no backtracking step passes sufficient decrease."""
 
-    def value(self, t, x):
-        return 0.5 * float(np.dot(x, x))
-
-    def grad(self, t, x):
-        return -1e9 * np.asarray(x, dtype=float)
+    def at_times(self, t):
+        return lambda X: ((0.5 * np.vecdot(X, X)).tolist(),
+                          lambda: -1e9 * X)
 
 
-def prox_grad_one(model, p, u_prev, t, tau, x0, box, rho_hat, tol,
-                  max_iters, L0=1.0):
+def prox_grad_one(model, p, u_prev, t, tau, x0, box, tol, max_iters,
+                  L0=1.0):
     """One step problem as the one-row case of the row-batched
     scheme._prox_grad: (x, phi, residual, iterations, L) of that row."""
     x, phi, res, it, L, _, _, _ = scheme._prox_grad(
         model, p, u_prev[None], [t], [tau], x0[None],
-        (box[0][None], box[1][None]), rho_hat, [tol], max_iters, [L0])
+        (box[0][None], box[1][None]), [tol], max_iters, [L0])
     return x[0], phi[0], res[0], it, L[0]
 
 
@@ -317,7 +317,7 @@ def test_prox_grad_keeps_x_when_backtracking_gives_up():
     box = (np.full(2, -10.0), np.full(2, 10.0))
     x, phi, res, it, L = prox_grad_one(
         _UphillGradient(), potentials.Quadratic(1.0), x0, 0.0, 0.1, x0, box,
-        0.0, 1e-10, 50)
+        1e-10, 50)
     assert np.array_equal(x, x0)
     assert phi == 1.0
     assert (it, res) == (1, np.inf) and L > 1e18
@@ -345,7 +345,7 @@ def test_prox_grad_step_size_grows_back():
     model, p, u_prev, tau, box, tol = _ac_step_problem(8)
     L0 = 2.0 ** 20
     _, _, res, it, L = prox_grad_one(
-        model, p, u_prev, tau, tau, u_prev, box, p.one_hom, tol,
+        model, p, u_prev, tau, tau, u_prev, box, tol,
         scheme.MAX_REFINE_ITERS, L0=L0)
     assert res <= tol
     assert L < L0 / 2 ** 10
@@ -356,7 +356,7 @@ def test_prox_grad_backtracking_still_doubles_L():
     # the N = 32 grid energy has curvature far above 1
     model, p, u_prev, tau, box, tol = _ac_step_problem(32)
     _, _, res, _, L = prox_grad_one(
-        model, p, u_prev, tau, tau, u_prev, box, p.one_hom, tol,
+        model, p, u_prev, tau, tau, u_prev, box, tol,
         scheme.MAX_REFINE_ITERS, L0=1.0)
     assert res <= tol
     assert L > 1.0
@@ -379,8 +379,8 @@ def test_prox_grad_accepts_only_steps_that_pass_at_their_L(N):
                 + _kernels.ac_grad(x, model.dx, model.q, load))
 
     def prox_grad(iters):
-        return prox_grad_one(model, p, u_prev, tau, tau, u_prev, box,
-                             p.one_hom, tol, iters)
+        return prox_grad_one(model, p, u_prev, tau, tau, u_prev, box, tol,
+                             iters)
 
     iters = prox_grad(scheme.MAX_REFINE_ITERS)[3]
     assert iters >= 5
@@ -644,7 +644,7 @@ def per_sample_step_inequality(traj, m):
     for n in range(1, traj.N + 1):
         t0 = grid.t(n - 1)
         U0 = traj.U[n - 1]
-        p = traj.psi_at(n)
+        p = traj.psi.at_state(traj.U[n - 1])
         e0 = traj.energies[n - 1]
         states = [U0]
         xis = [slope_multiplier(model, traj.psi, t0, U0)]
@@ -683,7 +683,7 @@ BATCH_CASES = ([(name, {}, psi_name) for name in D1_MODELS
                 for psi_name in sorted(D1_DISSIPATIONS)]
                + [("AbsoluteMarginal", {"subdiff_kind": "clarke"}, psi_name)
                   for psi_name in sorted(D1_DISSIPATIONS)]
-               # its own state-dependent potential: one batch per step
+               # its own state-dependent potential: one weight row
                + [("StateWeightedToy", {}, None)])
 
 
@@ -707,12 +707,9 @@ def test_batched_step_inequality_equals_per_sample_loop_bitwise(
         vars(spec.energy).pop("_argmin_memo", None)
         batches.clear()
         got = diagnostics.step_inequality(traj, m)
-        # a state-independent potential makes one batch of all N (m - 1)
-        # samples; StateWeightedToy's weight differs from step to step
+        # one batch of all N (m - 1) samples, whatever the potential
         if m == 1:
             assert batches == []
-        elif psi_name is None:
-            assert batches == [m - 1] * traj.N
         else:
             assert batches == [traj.N * (m - 1)]
         want = per_sample_step_inequality(traj, m)
@@ -728,7 +725,7 @@ ND_BATCH_CASES = [
     ("AllenCahn1D", {"N": 4, "q": 2.5, "rho": 0.0}, 2.0 ** -5, False),
     # no declared semiconvexity: the rows take the multi-start budget
     ("AllenCahn1D", {"N": 4}, 2.0 ** -4, True),
-    # its own state-dependent potential: one batch per step
+    # its own state-dependent potential: one weight row
     ("StateWeightedToy", {"dim": 2}, 2.0 ** -4, False),
 ]
 
@@ -755,8 +752,6 @@ def test_nd_batched_step_inequality_equals_per_sample_loop_bitwise(
         got = diagnostics.step_inequality(traj, m)
         if m == 1:
             assert batches == []
-        elif name == "StateWeightedToy":
-            assert batches == [m - 1] * traj.N
         else:
             assert batches == [traj.N * (m - 1)]
         want = per_sample_step_inequality(traj, m)

@@ -42,8 +42,7 @@ def test_hooked_result_shapes():
     # one row of the row-batched solver: index 3 sums the rows' iterations
     out = scheme._prox_grad(spec.energy, potentials.Quadratic(1.0),
                             u_prev[None], [0.125], [0.125], u_prev[None],
-                            (box[0][None], box[1][None]), 0.0, [1e-8], 50,
-                            [1.0])
+                            (box[0][None], box[1][None]), [1e-8], 50, [1.0])
     assert isinstance(out[3], int) and out[3] >= 1
     step = scheme.incremental_step(spec.energy, spec.dissipation, u_prev,
                                    0.125, 0.125)
