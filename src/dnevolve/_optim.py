@@ -1,26 +1,30 @@
 """Small deterministic 1D optimization helpers.
 
-Everything here is derivative-free and reproducible: bracket expansion by
-doubling, bounded Brent minimization of many problems in lockstep, a
-vectorized golden-section minimizer for batches of independent 1D
-problems, and a guarded stationarity polish built on Brent's root finder.
-The package solves its scalar problems with scan_min, which scans many
-problems as one array and refines all their basins in one lockstep Brent,
-and polish_root. bracket_max, max_scalar and golden_min_batched serve only
-the tests' reference routes (the numeric conjugate in potentials, the
-grid-and-golden eta search in tests/test_energy.py), and
+Everything here is reproducible: bracket expansion by doubling, bounded
+Brent minimization of many problems in lockstep, a vectorized
+golden-section minimizer for batches of independent 1D problems, and a
+guarded stationarity polish of many problems in lockstep, built on
+Brent's root finder. The package solves its scalar problems with
+scan_min, which scans many problems as one array and refines all their
+basins in one lockstep Brent, and polish_rows. bracket_max, max_scalar,
+golden_min_batched and polish_root serve only the tests' reference
+routes (the numeric conjugate in potentials, the grid-and-golden eta
+search in tests/test_energy.py, the polish of one problem), and
 certbench/tracer.py hooks them by name.
 
 The two Brent methods (Brent, Algorithms for Minimization without
 Derivatives, 1973, ch. 4 and 5) are ports of SciPy's bounded
 minimize_scalar and brentq. They make the same float operations in the
 same order, so they return the same bits; tests/test_optim.py cross-checks
-them against SciPy when it is installed. The bounded method is one
-generator, _brent_min, with one driver, _bounded_brent_rows: it evaluates
-the next abscissa of every running problem in one call, so each problem
-keeps its own bits, and max_scalar is its one-problem case. Carrying them
-here keeps SciPy's optimize package, and the subpackages it loads, out of
-every import.
+them against SciPy when it is installed. Each is one generator, which
+yields the abscissae it needs and takes their values by send: the bounded
+method is _brent_min, run by _bounded_brent_rows, of which max_scalar
+is the one-problem case, and the root finder is _brent_root, run by
+polish_rows for many problems and by _brentq for one, on which
+polish_root, the polish of one problem, is built. The lockstep loops
+evaluate the next abscissa of every running problem in one call, so each
+problem keeps the bits it gets alone. Carrying them here keeps SciPy's
+optimize package, and the subpackages it loads, out of every import.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 BRACKET_EXPANSIONS = 600   # doublings bracket_max makes at most
 BRACKET_CAP = 1e150        # |x| past which bracket_max gives up
 SCAN_XTOL = 1e-13          # Brent's tolerance on scan_min's basins
+POLISH_XTOL = 1e-15        # the stationarity polish's xtol and rtol
+POLISH_ITERS = 200         # and its iterations per root
 
 
 def bracket_max(g, x0: float = 0.0, step: float = 1e-2):
@@ -278,13 +284,14 @@ def scan_min(f, lo, hi, n_points: int):
     return x_best, f_best, basins
 
 
-def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
-            rtol: float, maxiter: int):
-    """Brent's root finder on [xa, xb], given fa = f(xa) and fb = f(xb).
-
-    Returns the root, or None where it finds none: f(xa) and f(xb) have
-    the same sign bit, f returns NaN, or maxiter iterations do not
-    converge. Exceptions raised by f propagate.
+def _brent_root(xa: float, xb: float, fa: float, fb: float, xtol: float,
+                rtol: float, maxiter: int):
+    """Brent's root finder on [xa, xb], given fa = f(xa) and fb = f(xb), as
+    a generator: it yields each abscissa to evaluate, takes f there by
+    send, and returns the root, or None where it finds none: f(xa) and
+    f(xb) have the same sign bit, f gives NaN, or maxiter iterations do
+    not converge. _brentq runs it for one problem, polish_rows for many
+    in lockstep.
     """
     xpre, xcur = float(xa), float(xb)
     fpre, fcur = float(fa), float(fb)
@@ -337,23 +344,95 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0.0 else -delta
-        fcur = float(f(xcur))
+        fcur = float((yield xcur))
         if fcur != fcur:
             return None
     return None
 
 
-def polish_root(dphi, x: float, radius: float):
-    """Refine a stationary point: if dphi changes sign across
-    [x - radius, x + radius], return the Brent root there, else x unchanged.
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
+            rtol: float, maxiter: int):
+    """One problem of _brent_root, f a function of one float: the root, or
+    None where it finds none. Exceptions raised by f propagate."""
+    run = _brent_root(xa, xb, fa, fb, xtol, rtol, maxiter)
+    try:
+        x = next(run)
+        while True:
+            x = run.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _row_values(f, x, rows):
+    """f(x, rows) as a list of floats. When the call raises, each point is
+    evaluated alone, in order, and a point that raises alone reads NaN."""
+    try:
+        return np.asarray(f(x, rows), dtype=float).tolist()
+    except Exception:
+        out = []
+        for i in range(len(rows)):
+            try:
+                out.append(float(np.asarray(f(x[i:i + 1], rows[i:i + 1]),
+                                            dtype=float)[0]))
+            except Exception:
+                out.append(math.nan)
+        return out
+
+
+def polish_rows(dphi, x, radius):
+    """Refine the stationary points x[b] of B problems at once: where
+    dphi(., b) changes sign across [x[b] - radius[b], x[b] + radius[b]],
+    row b gets the Brent root there, else keeps x[b]. Returns the (B,)
+    array.
 
     Used to sharpen scan/Brent minimizers to machine precision when the
     objective derivative is available and smooth near x. At a kinked
     minimum the sign change persists, so the root finder locates the kink,
     which is exactly the stationarity condition wanted. Any failure (dphi
-    raising or returning NaN, no sign change, no convergence in 200
-    iterations) keeps x.
+    raising or giving NaN, no sign change, no convergence in POLISH_ITERS
+    iterations) keeps x[b].
+
+    dphi(x, rows) gives the derivative of problem rows[i] at x[i], for
+    arrays. One call takes both bracket ends of every row, and each round
+    after it one call the next abscissa of every row still running. Each
+    row runs its own _brent_root, so it gets the bits polish_root gives it
+    alone. A call that raises is made again point by point, and only the
+    points that raise alone fail (potentials.row_call's rule).
     """
+    x = np.asarray(x, dtype=float)
+    B = len(x)
+    a, b = x - radius, x + radius
+    ends = _row_values(dphi, np.concatenate((a, b)), np.arange(2 * B) % B)
+    out = x.copy()
+    # the run of every row with a sign change, and the value each is sent
+    # next: None, which starts it, then dphi at the abscissa it yielded
+    runs = {k: _brent_root(ak, bk, fa, fb, POLISH_XTOL, POLISH_XTOL,
+                           POLISH_ITERS)
+            for k, (ak, bk, fa, fb) in enumerate(zip(
+                a.tolist(), b.tolist(), ends[:B], ends[B:]))
+            if math.isfinite(fa) and math.isfinite(fb) and fa != fb}
+    sent = dict.fromkeys(runs)
+    while sent:
+        nxt = {}
+        for k, fu in sent.items():
+            try:
+                nxt[k] = runs[k].send(fu)
+            except StopIteration as stop:
+                if stop.value is not None:
+                    out[k] = stop.value
+            except Exception:
+                pass
+        sent = (dict(zip(nxt, _row_values(dphi, np.array(list(nxt.values())),
+                                          np.array(list(nxt)))))
+                if nxt else {})
+    return out
+
+
+def polish_root(dphi, x: float, radius: float):
+    """polish_rows for one problem, dphi a function of one float, run by
+    _brentq: x refined to the Brent root of dphi on
+    [x - radius, x + radius], or x unchanged. Each row of polish_rows gets
+    the bits this call gives it."""
     a, b = x - radius, x + radius
     try:
         fa, fb = dphi(a), dphi(b)
@@ -362,8 +441,8 @@ def polish_root(dphi, x: float, radius: float):
     if not (np.isfinite(fa) and np.isfinite(fb)) or fa == fb:
         return x
     try:
-        root = _brentq(dphi, a, b, fa, fb, xtol=1e-15, rtol=1e-15,
-                       maxiter=200)
+        root = _brentq(dphi, a, b, fa, fb, POLISH_XTOL, POLISH_XTOL,
+                       POLISH_ITERS)
     except Exception:
         return x
     return x if root is None else root

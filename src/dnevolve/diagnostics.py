@@ -279,10 +279,12 @@ def step_inequality(traj: DiscreteTrajectory, m: Optional[int] = None
         """Psi*(-xi~), P at the samples j = 0..m-1 and Psi of the rates
         to the samples k = 1..m of the steps n = steps + 1, as (B, m)."""
         B = len(steps)
-        X[steps, 0] = slope_multiplier(model, traj.psi,
-                                       times[steps, 0].tolist(), S[steps, 0])
-        # each step's potential, frozen once, for each of its m rows
-        p = traj.psi.at_state(traj.U[steps])[np.arange(B).repeat(m)]
+        # each step's potential, frozen once, for its slope multiplier and
+        # for each of its m rows
+        p = traj.psi.at_state(traj.U[steps])
+        X[steps, 0] = slope_multiplier(model, p, times[steps, 0].tolist(),
+                                       S[steps, 0])
+        p = p[np.arange(B).repeat(m)]
         xis = X[steps].reshape(B * m, d)
         conj = potentials.conjugate(p, -xis)
         P = generalized_time_derivative(

@@ -7,8 +7,10 @@ generalized_time_derivative of one point are the one-row case. A d = 1
 model also gives the scan solver value_batch_1d, E(t, .) on an array of
 scalar states, rather than an at_times call on a (B * 513, 1) column:
 PhaseField1D's at_times loops over rows on Python floats, 513 calls per
-scanned row. derivative_1d defaults to a one-row at_times gradient.
-Marginal models realize E as
+scanned row. derivative_1d, dE/du for the stationarity polish, is a row
+query too: it takes the times and scalar states of many rows and
+defaults to the gradient of their at_times call. Marginal models realize
+E as
 
     E(t, u) = min_{eta} I(t, u, eta)
 
@@ -45,6 +47,7 @@ DELTA_XI = 1e-8       # xi-to-eta matching tolerance; both sides come from
 ETA_CLUSTER = 1e-7    # dedup radius for minimizing eta
 XI_DEDUP = 1e-10
 ARGMIN_MEMO_SIZE = 1 << 14   # points kept per model by argmin_set
+GRID_ROWS = 8         # rows per evaluation of a marginal model's eta_grid
 _CLARKE_H = 1e-6      # one-sided difference step of the Clarke interval
 
 
@@ -80,10 +83,12 @@ class EnergyModel:
         """E(t, .) on an array of scalar states (d = 1), for the scan."""
         raise NotImplementedError
 
-    def derivative_1d(self, t: float, u: float) -> float:
-        """dE/du(t, u) off the kinks (d = 1), for the stationarity polish;
-        by default the gradient of a one-row at_times call."""
-        return float(self.at_times([t])(np.array([[u]]))[1]()[0, 0])
+    def derivative_1d(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """dE/du(t[b], u[b]) off the kinks of each row of (B,) arrays of
+        times and scalar states (d = 1), for the stationarity polish, each
+        with the bits of its one-row call; by default the gradient of the
+        rows' at_times call."""
+        return self.at_times(t)(u[:, None])[1]()[:, 0]
 
     def at_times(self, t):
         """E frozen at each time t[b] of a row batch: a function of a
@@ -156,10 +161,14 @@ class MarginalEnergy(EnergyModel):
 
     def subdiff_rows(self, t, U):
         """The marginal subdifferential of each row of a d = 1 model: D_u I
-        at its minimizing etas, from _argmin_du_rows, deduplicated."""
+        at its minimizing etas, from _argmin_du_rows, sorted and
+        deduplicated where a row has more than one."""
         sets, dus = _argmin_du_rows(self, t, U)
         out = []
         for s, du in zip(sets, dus):
+            if len(s) == 1:   # one minimizer: nothing to sort or merge
+                out.append([du[:1]])
+                continue
             xis = sorted((du[j:j + 1] for j in range(len(s))), key=tuple)
             row: List[np.ndarray] = []
             for x in xis:
@@ -225,14 +234,25 @@ def _marginal_candidates(model: MarginalEnergy, t, u: np.ndarray):
     states. Finite models are evaluated on eta_values, interval models on
     their eta_candidates. The model's 1025-point eta_grid checks the
     latter: a grid value beating the candidate minimum by more than the
-    argmin slack means the candidates missed a minimizer.
+    argmin slack means the candidates missed a minimizer. The grid is
+    evaluated GRID_ROWS rows at a time, each value with the bits of the
+    one-call grid.
     """
     if model.eta_values is not None:
         etas = np.asarray(model.eta_values, dtype=float)
         vals = np.asarray(model.inner(t, u, etas), dtype=float)
         return np.broadcast_to(etas, vals.shape), vals
 
-    fine_min = np.min(model.inner(t, u, model.eta_grid), axis=-1)
+    grid = model.eta_grid
+    if np.ndim(u) < 2:
+        fine_min = np.min(model.inner(t, u, grid), axis=-1)
+    else:
+        # GRID_ROWS rows at a time: a block's (B, 1025) grid temporaries
+        # are the largest arrays of a d = 1 solve (230 kB each at B = 28)
+        fine_min = np.empty(len(u))
+        for i in range(0, len(u), GRID_ROWS):
+            fine_min[i:i + GRID_ROWS] = np.min(model.inner(
+                t[i:i + GRID_ROWS], u[i:i + GRID_ROWS], grid), axis=-1)
     cand_x = np.asarray(model.eta_candidates(t, u), dtype=float)
     cand_f = np.asarray(model.inner(t, u, cand_x), dtype=float)
     best = np.min(cand_f, axis=-1)
@@ -310,7 +330,9 @@ def argmin_set(model: MarginalEnergy, t: float, u) -> List[float]:
 
 def _argmin_rows(model: MarginalEnergy, t, U) -> List[Tuple[float, ...]]:
     """argmin_set of each row (t[b], U[b]), as tuples, through the memo;
-    the rows it misses are evaluated as one (B, k) problem."""
+    the rows it misses are evaluated as one (B, k) problem, their minima
+    and kept candidates as arrays, and only a row that keeps more than
+    one candidate is clustered."""
     memo = vars(model).setdefault("_argmin_memo", {})
     keys = [(tb, ub.tobytes()) for tb, ub in zip(t, U)]
     out = [memo.get(key) for key in keys]
@@ -318,10 +340,13 @@ def _argmin_rows(model: MarginalEnergy, t, U) -> List[Tuple[float, ...]]:
     if miss:
         cands, vals = _marginal_candidates(
             model, np.asarray(t, dtype=float)[miss, None], U[miss])
-        for b, c, v in zip(miss, cands, vals):
-            m = float(np.min(v))
-            keep = v <= m + default_delta_M(m)
-            out[b] = tuple(_cluster_scalars(c[keep], v[keep], ETA_CLUSTER))
+        m = np.min(vals, axis=-1)
+        keep = vals <= (m + default_delta_M(m))[:, None]
+        count = keep.sum(axis=-1).tolist()
+        first = cands[np.arange(len(miss)), keep.argmax(axis=-1)].tolist()
+        for i, b in enumerate(miss):
+            out[b] = ((first[i],) if count[i] == 1 else tuple(_cluster_scalars(
+                cands[i][keep[i]], vals[i][keep[i]], ETA_CLUSTER)))
             if len(memo) >= ARGMIN_MEMO_SIZE:
                 memo.clear()
             memo[keys[b]] = out[b]

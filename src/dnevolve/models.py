@@ -76,8 +76,8 @@ class _QuadraticEnergy(EnergyModel):
         return 0.5 * np.square(us - self.a[0]) + self.offset
 
     def derivative_1d(self, t, u):
-        # the polish's hot path: a one-row at_times call costs 3x as much
-        return u - float(self.a[0])
+        # the polish's hot path: an at_times call costs 3x as much
+        return u - self.a[0]
 
     def time_deriv_P_rows(self, t, U, XI):
         return [0.0] * len(U)
@@ -121,9 +121,9 @@ class _AbsoluteMarginalEnergy(MarginalEnergy):
         return -self.alpha * np.abs(us - self.beta * t) + self.offset
 
     def derivative_1d(self, t, u):
-        # sign convention at the kink itself is irrelevant: polish loops
-        # only consume this away from u = beta t
-        return -self.alpha * math.copysign(1.0, u - self.beta * t)
+        # sign convention at the kink itself is irrelevant: the polish
+        # only consumes this away from u = beta t
+        return -self.alpha * np.copysign(1.0, u - self.beta * t)
 
     def kinks_1d(self, t):
         return (self.beta * t,)
@@ -211,7 +211,8 @@ class _PhaseFieldEnergy(MarginalEnergy):
                 - self.load(t) * us + self.offset)
 
     def derivative_1d(self, t, u):
-        return u - math.copysign(1.0, u) * (abs(u) + 2.0) / 3.0 - self.load(t)
+        return (u - np.copysign(1.0, u) * (np.abs(u) + 2.0) / 3.0
+                - self.load(t))
 
     def kinks_1d(self, t):
         return (0.0,)

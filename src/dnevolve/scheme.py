@@ -15,8 +15,13 @@ previous state, time, step and frozen potential; a single step is the
 case B = 1. In dimension 1, a 513-point scan of the coercivity box
 (bounded via the superlinearity of Psi and the energy lower bound C0)
 with bounded-Brent refinement of every local basin and a final
-stationarity polish: the rows are one (B, 513) scan, one lockstep Brent
-over every basin of every row and row-batched multiplier selection. In
+stationarity polish, every stage a row call: the coercivity radii of all
+rows are one rate_bound_radius search, the rows are one (B, 513) scan,
+one lockstep Brent refines every basin of every row, one lockstep Brent
+root polish (_optim.polish_rows) every row's minimizer, each round one
+derivative call of the rows still running, and the multipliers are
+selected in rows. So a block makes a fixed number of array calls per
+round whatever B is, and each row keeps the bits of its one-row call. In
 higher dimension, proximal gradient with backtracking (a step must pass
 sufficient decrease and a curvature test on the gradient difference),
 the 1-homogeneous part of Psi handled by its exact proximal map
@@ -170,30 +175,37 @@ def _step_seed(opts: SolveOptions, t_n: float, tau: float):
 # inner solvers
 
 
-def _coercivity_radius(p, tau: float, budget: float) -> float:
-    r = potentials.rate_bound_radius(p, tau, max(budget, 0.0) * (1.0 + 1e-9) + 1e-12)
-    return 1.0000001 * r
+def _coercivity_radius(p, tau, budget):
+    """The coercivity radius of each of B rows, given its step tau[b] and
+    energy budget[b] (floats for one row), under the frozen potential p of
+    the rows: one rate_bound_radius row search. The budgets' floor and
+    slack are taken on Python floats."""
+    return 1.0000001 * potentials.rate_bound_radius(p, tau, [
+        max(e, 0.0) * (1.0 + 1e-9) + 1e-12
+        for e in np.ravel(budget).tolist()])
 
 
 def _solve_1d(model, p, u_prev, t, tau, e_prev):
     """Scan + refine + stationarity polish of B d = 1 step problems at once,
     under the frozen potential p of their rows: row b minimizes
     tau[b] p[b]((x - u_prev[b]) / tau[b]) + E(t[b], x) over its coercivity
-    interval, given e_prev[b] = E(t[b], u_prev[b]). The 513-point scans of
-    all rows are one (B, 513) array, one lockstep bounded Brent refines
-    every basin of every row, and each row's minimizer is polished on its
-    own. u_prev is (B, 1), the others have length B. Returns (U, statuses)
-    with U of shape (B, 1); a step of solve is the case B = 1."""
+    interval, given e_prev[b] = E(t[b], u_prev[b]). The coercivity radii
+    of all rows are one _coercivity_radius call, the 513-point scans one
+    (B, 513) array, one lockstep bounded Brent refines every basin of
+    every row, and one lockstep polish every row's minimizer, its
+    derivative one scalar_derivative and one derivative_1d call per
+    round. u_prev is (B, 1), the others have length B. Returns (U,
+    statuses) with U of shape (B, 1); a step of solve is the case B = 1."""
     x_prev = u_prev[:, 0]
-    B = x_prev.shape[0]
     blo, bhi = (float(x[0]) for x in model.domain_box)
-    lo, hi = np.empty(B), np.empty(B)
-    ps = [p[b] for b in range(B)]   # each row's potential
-    for b in range(B):
-        R = _coercivity_radius(ps[b], tau[b], e_prev[b] - model.constants.C0)
-        lo[b], hi[b] = max(x_prev[b] - R, blo), min(x_prev[b] + R, bhi)
-        if not lo[b] < hi[b]:
-            lo[b], hi[b] = blo, bhi
+    C0 = model.constants.C0
+    R = _coercivity_radius(p, tau, [e - C0 for e in e_prev])
+    # max(x - R, blo) and min(x + R, bhi) as Python's max and min pick,
+    # and the whole box for a row where they leave no interval
+    lo, hi = x_prev - R, x_prev + R
+    lo, hi = np.where(blo > lo, blo, lo), np.where(bhi < hi, bhi, hi)
+    ok = lo < hi
+    lo, hi = np.where(ok, lo, blo), np.where(ok, hi, bhi)
 
     def phi(x, rows):
         h = tau[rows]
@@ -203,13 +215,14 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
 
     x_best, f_best, basins = _optim.scan_min(phi, lo, hi, SCAN_POINTS)
 
-    def dphi(b):
-        return lambda x: (potentials.scalar_derivative(
-            ps[b], (x - x_prev[b]) / tau[b]) + model.derivative_1d(t[b], x))
+    def dphi(x, rows):
+        return (potentials.scalar_derivative(p[rows],
+                                             (x - x_prev[rows]) / tau[rows])
+                + model.derivative_1d(t[rows], x))
 
     spacing = (hi - lo) / (SCAN_POINTS - 1)
-    x_pol = np.array([_optim.polish_root(dphi(b), x_best[b], 2.0 * spacing[b])
-                      for b in range(B)])
+    x_pol = _optim.polish_rows(dphi, x_best, 2.0 * spacing)
+    B = len(x_best)
     polished = np.zeros(B, dtype=bool)
     moved = np.flatnonzero((x_pol != x_best) & (lo <= x_pol) & (x_pol <= hi))
     if moved.size:
@@ -401,7 +414,8 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
     potential p of their rows: row b from u_prev[b] at time t[b] with step
     tau[b] under p[b], given e_prev[b] = E(t[b], u_prev[b]); u_prev is
     (B, d), and t, tau and
-    e_prev are lists of floats. A row proven strongly convex on its box
+    e_prev are lists of floats. The coercivity radii of all rows are one
+    _coercivity_radius call. A row proven strongly convex on its box
     (mu > 0) has one minimizer, so one start suffices and needs no
     triage: u_prev[b], or the predicted state x_pred[b] (x_pred is None or
     (B, d)) clipped to the box when its step objective is lower. Any other row gets the deterministic multi-start
@@ -416,10 +430,10 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
     B, d = u_prev.shape
     eps_inner = [EPS_INNER_SCALE * (1.0 + abs(e)) for e in e_prev]
     ps = [p[b] for b in range(B)]   # each row's potential
-    R = [_coercivity_radius(q, h, e - model.constants.C0)
-         for q, h, e in zip(ps, tau, e_prev)]
+    C0 = model.constants.C0
+    Rc = _coercivity_radius(p, tau, [e - C0 for e in e_prev])[:, None]
+    R = Rc[:, 0].tolist()
     blo, bhi = model.domain_box
-    Rc = np.array(R)[:, None]
     lo = np.maximum(u_prev - Rc, blo)
     hi = np.minimum(u_prev + Rc, bhi)
 
@@ -799,18 +813,18 @@ def _locate(grid: TimeGrid, t):
     return n, np.where(n > 0, t - (n - 1) * tau, 0.0)
 
 
-def slope_multiplier(model: EnergyModel, psi, t, u) -> np.ndarray:
+def slope_multiplier(model: EnergyModel, p, t, u) -> np.ndarray:
     """The r -> 0 limit multiplier of the variational interpolant: the
-    subdifferential candidate minimizing the conjugate Psi_u*(-xi), ties
-    to the lexicographically smallest. A time and a state (d,) give its
-    (d,) multiplier; times t[b] and the rows of a (B, d) array give the
-    (B, d) array, with the candidates of every row one conjugate call."""
+    subdifferential candidate minimizing the conjugate Psi_u*(-xi) under
+    the frozen potential p = Psi_u (of the rows, for rows), ties to the
+    lexicographically smallest. A time and a state (d,) give its (d,)
+    multiplier; times t[b] and the rows of a (B, d) array give the (B, d)
+    array, with the candidates of every row one conjugate call."""
     u = as_state(u, model.dim)
     if u.ndim == 1:
-        return slope_multiplier(model, psi, [t], u[None])[0]
+        return slope_multiplier(model, p, [t], u[None])[0]
 
-    def rows(t, U):
-        p = psi.at_state(U)
+    def rows(t, U, p):
         cands = _candidates(model, t, U)
         owner, C = _flat(cands)
         vals = potentials.conjugate(p[owner], -C).tolist()
@@ -820,7 +834,7 @@ def slope_multiplier(model: EnergyModel, psi, t, u) -> np.ndarray:
             out[b] = cs[int(np.argmin(vals[i:i + len(cs)]))]
             i += len(cs)
         return out
-    return potentials.row_call(rows, list(t), u)
+    return potentials.row_call(rows, list(t), u, p)
 
 
 def de_giorgi_interpolant(traj: DiscreteTrajectory, t):

@@ -366,9 +366,10 @@ def test_slope_multiplier_and_witness_rows_are_their_one_row_calls(
     spec = build(name, params)
     model, psi = spec.energy, spec.dissipation
     t, U = points(model)
-    got = scheme.slope_multiplier(model, psi, t, U)
+    got = scheme.slope_multiplier(model, psi.at_state(U), t, U)
     for tb, ub, row in zip(t, U, got):
-        assert bits(row) == bits(scheme.slope_multiplier(model, psi, tb, ub))
+        assert bits(row) == bits(scheme.slope_multiplier(
+            model, psi.at_state(ub), tb, ub))
     tau = [0.125 / (1 + b % 3) for b in range(len(t))]
     U_next = U[::-1] * 0.5
     p = psi.at_state(U[0])

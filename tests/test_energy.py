@@ -604,8 +604,10 @@ class _NoFloor(energy_mod.EnergyModel):
 
 
 def test_audit_flags_missing_positive_floor():
-    # derivative_1d's default is the gradient of a one-row at_times call
-    assert _NoFloor().derivative_1d(0.5, 0.3) == 2.0 * 0.5 * 0.3
+    # derivative_1d's default is the gradient of the rows' at_times call
+    assert _NoFloor().derivative_1d(np.array([0.5, 0.25]),
+                                    np.array([0.3, -0.5])).tolist() == [
+        2.0 * 0.5 * 0.3, 2.0 * 0.25 * -0.5]
     rep = audit_assumptions(_NoFloor())
     rows = {r.name: r for r in rep.rows}
     assert not rows["positivity"].passed

@@ -5,9 +5,9 @@ interpolant sample goes through. A second caller would bring back its own
 freezing, grouping, blocking and failure handling of rows. And the
 certificate's scalar terms (energies, P, conjugates, values, gaps and
 witnesses) are row calls, never one call per sample in a loop, and so
-is the freezing of a potential at the states of many rows. Each energy
-query has one body, its row form, and the package reads E, its gradient
-and P only through it."""
+is the freezing of a potential at the states of many rows, and each stage
+of the 1-D step block. Each energy query has one body, its row form, and
+the package reads E, its gradient and P only through it."""
 
 import ast
 import pathlib
@@ -331,11 +331,18 @@ def test_energy_query_faults_sees_every_form():
 
 # A potential is frozen as rows: psi.at_state takes the rows of a (B, d)
 # array, so no at_state call in the package sits in a loop or a
-# comprehension, where it would freeze one state per iteration again.
-def per_row_freezes(sources):
-    """(module, line) of every at_state call, by attribute, that a loop or
-    comprehension of sources ({module: text}) evaluates once per
-    iteration."""
+# comprehension, where it would freeze one state per iteration again. And
+# the 1-D step block is solved in rows: the stationarity polish, the
+# coercivity radius and the derivatives it reads take every row of a
+# block in one call, so none of ROW_STAGES is called per row either.
+ROW_STAGES = ("polish_root", "rate_bound_radius", "_coercivity_radius",
+              "scalar_derivative", "derivative_1d")
+
+
+def per_row_calls(sources, names):
+    """(module, line, name) of every call of one of names, by name or
+    attribute, that a loop or comprehension of sources ({module: text})
+    evaluates once per iteration."""
     out = []
     for mod, text in sources.items():
         tree = ast.parse(text)
@@ -343,11 +350,22 @@ def per_row_freezes(sources):
         for n in ast.walk(tree):
             if isinstance(n, _LOOPS):
                 looped |= _repeated(n)
-        out += [(mod, n.lineno) for n in ast.walk(tree)
-                if isinstance(n, ast.Call) and id(n) in looped
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr == "at_state"]
+        for n in ast.walk(tree):
+            if not (isinstance(n, ast.Call) and id(n) in looped):
+                continue
+            f = n.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name in names:
+                out.append((mod, n.lineno, name))
     return sorted(out)
+
+
+def per_row_freezes(sources):
+    """(module, line) of every at_state call that a loop or comprehension
+    of sources ({module: text}) evaluates once per iteration."""
+    return [(mod, line) for mod, line, _ in per_row_calls(sources,
+                                                          ("at_state",))]
 
 
 def test_package_freezes_potentials_as_rows():
@@ -383,3 +401,46 @@ def test_per_row_freezes_sees_every_form():
                             "cli": cli}) == [
         ("cli", 3), ("cli", 6), ("diagnostics", 4), ("scheme", 3),
         ("scheme", 5)]
+
+
+def test_package_solves_the_1d_step_block_in_rows():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert per_row_calls(sources, ROW_STAGES) == []
+
+
+def test_per_row_calls_sees_the_per_row_stages():
+    # _solve_1d's and _solve_nd's per-row stages before they took rows
+    scheme = (
+        "def _solve_1d(model, p, u_prev, t, tau, e_prev):\n"
+        "    ps = [p[b] for b in range(B)]\n"
+        "    for b in range(B):\n"
+        "        R = _coercivity_radius(ps[b], tau[b], e_prev[b] - C0)\n"  # 4
+        "    def dphi(b):\n"
+        "        return lambda x: (potentials.scalar_derivative(\n"      # once
+        "            ps[b], x) + model.derivative_1d(t[b], x))\n"        # once
+        "    x_pol = np.array([_optim.polish_root(dphi(b), x_best[b],\n"  # 8
+        "                                         2.0 * spacing[b])\n"
+        "                      for b in range(B)])\n"
+        "def _solve_nd(model, p, u_prev, t, tau, e_prev):\n"
+        "    R = [_coercivity_radius(q, h, e - C0)\n"                   # 12
+        "         for q, h, e in zip(ps, tau, e_prev)]\n"
+        "    R = _coercivity_radius(p, tau, e_prev)\n")                 # once
+    potentials = (
+        "def rate_bound_radius(p, tau, budget):\n"
+        "    return potentials.rate_bound_radius(p, tau, budget)\n"    # once
+        "def radii(ps, taus, budgets):\n"
+        "    while ps:\n"
+        "        yield rate_bound_radius(ps.pop(), taus.pop(), 1.0)\n"   # 5
+        "def slopes(p, s):\n"
+        "    return {x: scalar_derivative(p, x) for x in s}\n")        # 7
+    energy = ("def derivatives(model, t, u):\n"
+              "    return [model.derivative_1d(tb, x) for tb, x in t]\n")  # 2
+    assert per_row_calls({"scheme": scheme, "potentials": potentials,
+                          "energy": energy}, ROW_STAGES) == [
+        ("energy", 2, "derivative_1d"),
+        ("potentials", 5, "rate_bound_radius"),
+        ("potentials", 7, "scalar_derivative"),
+        ("scheme", 4, "_coercivity_radius"),
+        ("scheme", 8, "polish_root"),
+        ("scheme", 12, "_coercivity_radius")]

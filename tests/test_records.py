@@ -116,6 +116,25 @@ def test_equality_and_repr(name):
     assert a != other
 
 
+def test_scaled_weight_rows_compare_and_hash_by_value():
+    base = P.Quadratic()
+    a, b = P.Scaled(base, np.array([1.0, 2.0])), P.Scaled(base, np.array(
+        [1.0, 2.0]))
+    assert a == b and not a != b and hash(a) == hash(b)
+    for other in (P.Scaled(base, np.array([1.0, 3.0])),
+                  P.Scaled(base, np.array([1.0])),
+                  P.Scaled(P.Quadratic(2.0), np.array([1.0, 2.0])),
+                  P.Scaled(base, 1.0)):
+        assert a != other and not a == other
+    assert {a: 1}[b] == 1
+    # a float weight: its own ==, hash and repr
+    f = P.Scaled(base, 2.0)
+    assert f == P.Scaled(base, 2.0) and f != P.Scaled(base, 3.0)
+    assert hash(f) == hash((base, 2.0))
+    assert repr(f) == "Scaled(base=Quadratic(c=1.0), w=2.0)"
+    assert repr(a) == "Scaled(base=Quadratic(c=1.0), w=array([1., 2.]))"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_hash_and_immutability(name):
     make = CASES[name][0]

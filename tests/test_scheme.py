@@ -647,7 +647,7 @@ def per_sample_step_inequality(traj, m):
         p = traj.psi.at_state(traj.U[n - 1])
         e0 = traj.energies[n - 1]
         states = [U0]
-        xis = [slope_multiplier(model, traj.psi, t0, U0)]
+        xis = [slope_multiplier(model, p, t0, U0)]
         times = [t0]
         for j in range(1, m):
             tj = t0 + j * tau / m
@@ -759,6 +759,30 @@ def test_nd_batched_step_inequality_equals_per_sample_loop_bitwise(
                                      want):
             assert ([float(x).hex() for x in arr_got]
                     == [float(x).hex() for x in arr_want])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_inequality_freezes_each_potential_once(monkeypatch, dim):
+    # the N node potentials are frozen once, for the slope multipliers and
+    # the m samples of each step, and the N (m - 1) interior samples once
+    # by their _steps block: N + N (m - 1) weights, not 2N + N (m - 1)
+    spec = build("StateWeightedToy", {"dim": dim})
+    traj = solve(spec.energy, spec.dissipation, [0.3] * dim,
+                 TimeGrid(T=0.125, tau=2.0 ** -5))
+    m = 4
+    want = per_sample_step_inequality(traj, m)
+    calls = []
+    real = potentials.StateWeighted.weight
+
+    def counted(self, u):
+        calls.append(1)
+        return real(self, u)
+    monkeypatch.setattr(potentials.StateWeighted, "weight", counted)
+    got = diagnostics.step_inequality(traj, m)
+    assert len(calls) == traj.N + traj.N * (m - 1)
+    for arr_got, arr_want in zip((got.max_defects, got.end_defects), want):
+        assert ([float(x).hex() for x in arr_got]
+                == [float(x).hex() for x in arr_want])
 
 
 def test_slope_multiplier_choices():
