@@ -18,13 +18,13 @@ minimize_scalar and brentq. They make the same float operations in the
 same order, so they return the same bits; tests/test_optim.py cross-checks
 them against SciPy when it is installed. Each is one generator, which
 yields the abscissae it needs and takes their values by send: the bounded
-method is _brent_min, run by _bounded_brent_rows, of which max_scalar
-is the one-problem case, and the root finder is _brent_root, run by
-polish_rows for many problems and by _brentq for one, on which
-polish_root, the polish of one problem, is built. The lockstep loops
-evaluate the next abscissa of every running problem in one call, so each
-problem keeps the bits it gets alone. Carrying them here keeps SciPy's
-optimize package, and the subpackages it loads, out of every import.
+method is _brent_min, the root finder _brent_root. One driver,
+_lockstep, runs them: it evaluates the next abscissa of every running
+problem in one call, so each problem keeps the bits it gets alone.
+_bounded_brent_rows and polish_rows only build the runs and read the
+results, and max_scalar and polish_root are their one-problem calls.
+Carrying the methods here keeps SciPy's optimize package, and the
+subpackages it loads, out of every import.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _brent_min(x1: float, x2: float, xatol: float, maxiter: int):
     """Brent's bounded method (golden section plus parabolic steps) on
     [x1, x2], as a generator: it yields each abscissa to evaluate, takes
     the value by send, and returns (x, fx), the best abscissa found and the
-    value sent for it. Its driver is _bounded_brent_rows, which runs many
-    problems in lockstep.
+    value sent for it. _bounded_brent_rows runs many problems of it in
+    lockstep.
 
     Raises ValueError on non-finite bounds or x1 > x2. Stops after maxiter
     evaluations.
@@ -156,32 +156,49 @@ def _brent_min(x1: float, x2: float, xatol: float, maxiter: int):
     return xf, fx
 
 
+def _lockstep(runs, values):
+    """Drive the generators runs in lockstep: runs[k] is problem k's run,
+    or None for a problem with no run. Each round makes one call
+    values(x, rows), rows the array of the indices of the runs still
+    running and x the array of the abscissae they yielded, and sends each
+    run its value. Returns the list of what each run returned, None for a
+    problem with no run. Each run takes only its own values, so it gets the
+    bits it gets alone. An exception raised by a run or by values
+    propagates."""
+    out = [None] * len(runs)
+    live, x = [], []
+    for k, run in enumerate(runs):
+        if run is not None:
+            try:
+                x.append(next(run))
+                live.append(k)
+            except StopIteration as stop:
+                out[k] = stop.value
+    while live:
+        running, nxt = [], []
+        for k, fu in zip(live, values(np.array(x), np.array(live))):
+            try:
+                nxt.append(runs[k].send(fu))
+                running.append(k)
+            except StopIteration as stop:
+                out[k] = stop.value
+        live, x = running, nxt
+    return out
+
+
 def _bounded_brent_rows(func, x1, x2, xatol: float, maxiter: int):
     """Brent's bounded method for K problems at once, in lockstep: problem
-    k minimizes on [x1[k], x2[k]], and each round evaluates the next
-    abscissa of every problem still running in one call func(x, rows),
-    rows the array of their indices. Each problem runs its own _brent_min,
-    at most maxiter evaluations, and stops by its own test, so it gets the
-    bits it gets alone. Returns (x, fx), each problem's best abscissa and
-    the value func gave there. ValueError on a non-finite bound or x1 > x2."""
+    k minimizes on [x1[k], x2[k]] by its own _brent_min, at most maxiter
+    evaluations, and _lockstep evaluates the next abscissa of every
+    problem still running in one call func(x, rows). Returns (x, fx), each
+    problem's best abscissa and the value func gave there. ValueError on a
+    non-finite bound or x1 > x2."""
     runs = [_brent_min(a, b, xatol, maxiter)
             for a, b in zip(np.asarray(x1, dtype=float).tolist(),
                             np.asarray(x2, dtype=float).tolist())]
-    x = [next(run) for run in runs]
-    live = list(range(len(runs)))
-    x_best, f_best = np.empty(len(runs)), np.empty(len(runs))
-    while live:
-        vals = np.asarray(func(np.array([x[k] for k in live]),
-                               np.array(live)), dtype=float).tolist()
-        running = []
-        for k, fu in zip(live, vals):
-            try:
-                x[k] = runs[k].send(fu)
-                running.append(k)
-            except StopIteration as stop:
-                x_best[k], f_best[k] = stop.value
-        live = running
-    return x_best, f_best
+    best = _lockstep(runs, lambda x, rows: np.asarray(
+        func(x, rows), dtype=float).tolist())
+    return np.array(best, dtype=float).reshape(-1, 2).T
 
 
 def max_scalar(g, a: float, b: float, xtol: float = 1e-12):
@@ -224,15 +241,14 @@ def golden_min_batched(f, lo: np.ndarray, hi: np.ndarray, iters: int = 90):
 
 
 def local_min_indices(vals: np.ndarray):
-    """Indices i with vals[..., i] <= both neighbours along the last axis
-    (ends compared one-sided), as np.nonzero gives them: the array of i
-    for one row, the pair (rows, i) in row order for a (B, n) array."""
+    """The pairs (rows, i) with vals[rows, i] <= both neighbours in its row
+    of a (B, n) array (ends compared one-sided), in row order, as
+    np.nonzero gives them; one row is the case B = 1."""
     v = np.asarray(vals)
     ok = np.ones(v.shape, dtype=bool)
-    ok[..., 1:] = v[..., 1:] <= v[..., :-1]
-    ok[..., :-1] &= v[..., :-1] <= v[..., 1:]
-    idx = np.nonzero(ok)
-    return idx[0] if v.ndim == 1 else idx
+    ok[:, 1:] = v[:, 1:] <= v[:, :-1]
+    ok[:, :-1] &= v[:, :-1] <= v[:, 1:]
+    return np.nonzero(ok)
 
 
 def scan_min(f, lo, hi, n_points: int):
@@ -290,8 +306,7 @@ def _brent_root(xa: float, xb: float, fa: float, fb: float, xtol: float,
     a generator: it yields each abscissa to evaluate, takes f there by
     send, and returns the root, or None where it finds none: f(xa) and
     f(xb) have the same sign bit, f gives NaN, or maxiter iterations do
-    not converge. _brentq runs it for one problem, polish_rows for many
-    in lockstep.
+    not converge. polish_rows runs many problems of it in lockstep.
     """
     xpre, xcur = float(xa), float(xb)
     fpre, fcur = float(fa), float(fb)
@@ -350,19 +365,6 @@ def _brent_root(xa: float, xb: float, fa: float, fb: float, xtol: float,
     return None
 
 
-def _brentq(f, xa: float, xb: float, fa: float, fb: float, xtol: float,
-            rtol: float, maxiter: int):
-    """One problem of _brent_root, f a function of one float: the root, or
-    None where it finds none. Exceptions raised by f propagate."""
-    run = _brent_root(xa, xb, fa, fb, xtol, rtol, maxiter)
-    try:
-        x = next(run)
-        while True:
-            x = run.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _row_values(f, x, rows):
     """f(x, rows) as a list of floats. When the call raises, each point is
     evaluated alone, in order, and a point that raises alone reads NaN."""
@@ -393,56 +395,30 @@ def polish_rows(dphi, x, radius):
     iterations) keeps x[b].
 
     dphi(x, rows) gives the derivative of problem rows[i] at x[i], for
-    arrays. One call takes both bracket ends of every row, and each round
-    after it one call the next abscissa of every row still running. Each
-    row runs its own _brent_root, so it gets the bits polish_root gives it
-    alone. A call that raises is made again point by point, and only the
-    points that raise alone fail (potentials.row_call's rule).
+    arrays. One call takes both bracket ends of every row, and _lockstep
+    then makes one call per round of the next abscissa of every row still
+    running, each row by its own _brent_root. A call that raises is made
+    again point by point, and a point that raises alone reads NaN, which
+    ends its row's run (_row_values): only the rows whose points raise
+    keep their x.
     """
     x = np.asarray(x, dtype=float)
     B = len(x)
     a, b = x - radius, x + radius
     ends = _row_values(dphi, np.concatenate((a, b)), np.arange(2 * B) % B)
-    out = x.copy()
-    # the run of every row with a sign change, and the value each is sent
-    # next: None, which starts it, then dphi at the abscissa it yielded
-    runs = {k: _brent_root(ak, bk, fa, fb, POLISH_XTOL, POLISH_XTOL,
-                           POLISH_ITERS)
-            for k, (ak, bk, fa, fb) in enumerate(zip(
-                a.tolist(), b.tolist(), ends[:B], ends[B:]))
-            if math.isfinite(fa) and math.isfinite(fb) and fa != fb}
-    sent = dict.fromkeys(runs)
-    while sent:
-        nxt = {}
-        for k, fu in sent.items():
-            try:
-                nxt[k] = runs[k].send(fu)
-            except StopIteration as stop:
-                if stop.value is not None:
-                    out[k] = stop.value
-            except Exception:
-                pass
-        sent = (dict(zip(nxt, _row_values(dphi, np.array(list(nxt.values())),
-                                          np.array(list(nxt)))))
-                if nxt else {})
-    return out
+    roots = _lockstep(
+        [_brent_root(ak, bk, fa, fb, POLISH_XTOL, POLISH_XTOL, POLISH_ITERS)
+         if math.isfinite(fa) and math.isfinite(fb) and fa != fb else None
+         for ak, bk, fa, fb in zip(a.tolist(), b.tolist(), ends[:B],
+                                   ends[B:])],
+        lambda x, rows: _row_values(dphi, x, rows))
+    return np.array([xb if r is None else r
+                     for xb, r in zip(x.tolist(), roots)])
 
 
 def polish_root(dphi, x: float, radius: float):
-    """polish_rows for one problem, dphi a function of one float, run by
-    _brentq: x refined to the Brent root of dphi on
-    [x - radius, x + radius], or x unchanged. Each row of polish_rows gets
-    the bits this call gives it."""
-    a, b = x - radius, x + radius
-    try:
-        fa, fb = dphi(a), dphi(b)
-    except Exception:
-        return x
-    if not (np.isfinite(fa) and np.isfinite(fb)) or fa == fb:
-        return x
-    try:
-        root = _brentq(dphi, a, b, fa, fb, POLISH_XTOL, POLISH_XTOL,
-                       POLISH_ITERS)
-    except Exception:
-        return x
-    return x if root is None else root
+    """The one-row call of polish_rows, dphi a function of one float: x
+    refined to the Brent root of dphi on [x - radius, x + radius], or x
+    unchanged."""
+    return float(polish_rows(lambda x, rows: [dphi(v) for v in x.tolist()],
+                             [x], radius)[0])

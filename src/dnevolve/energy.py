@@ -227,16 +227,16 @@ def _check_domain(model: EnergyModel, u: np.ndarray) -> None:
 
 
 def _marginal_candidates(model: MarginalEnergy, t, u: np.ndarray):
-    """Candidate minimizers of eta -> inner(t, u, eta) and their values.
+    """Candidate minimizers of eta -> inner(t, u, eta) and their values,
+    for B points at once: t is a (B, 1) column of times and u a (B, d)
+    array of states; one point is the case B = 1.
 
-    Returns (etas, vals) as float arrays: of shape (k,) for one point, and
-    (B, k) for rows, t a (B, 1) column of times and u a (B, d) array of
-    states. Finite models are evaluated on eta_values, interval models on
-    their eta_candidates. The model's 1025-point eta_grid checks the
-    latter: a grid value beating the candidate minimum by more than the
-    argmin slack means the candidates missed a minimizer. The grid is
-    evaluated GRID_ROWS rows at a time, each value with the bits of the
-    one-call grid.
+    Returns (etas, vals) as (B, k) float arrays. Finite models are
+    evaluated on eta_values, interval models on their eta_candidates. The
+    model's 1025-point eta_grid checks the latter: a grid value beating
+    the candidate minimum by more than the argmin slack means the
+    candidates missed a minimizer. The grid is evaluated GRID_ROWS rows at
+    a time, each value with the bits of the one-call grid.
     """
     if model.eta_values is not None:
         etas = np.asarray(model.eta_values, dtype=float)
@@ -244,15 +244,12 @@ def _marginal_candidates(model: MarginalEnergy, t, u: np.ndarray):
         return np.broadcast_to(etas, vals.shape), vals
 
     grid = model.eta_grid
-    if np.ndim(u) < 2:
-        fine_min = np.min(model.inner(t, u, grid), axis=-1)
-    else:
-        # GRID_ROWS rows at a time: a block's (B, 1025) grid temporaries
-        # are the largest arrays of a d = 1 solve (230 kB each at B = 28)
-        fine_min = np.empty(len(u))
-        for i in range(0, len(u), GRID_ROWS):
-            fine_min[i:i + GRID_ROWS] = np.min(model.inner(
-                t[i:i + GRID_ROWS], u[i:i + GRID_ROWS], grid), axis=-1)
+    # GRID_ROWS rows at a time: a block's (B, 1025) grid temporaries are
+    # the largest arrays of a d = 1 solve (230 kB each at B = 28)
+    fine_min = np.empty(len(u))
+    for i in range(0, len(u), GRID_ROWS):
+        fine_min[i:i + GRID_ROWS] = np.min(model.inner(
+            t[i:i + GRID_ROWS], u[i:i + GRID_ROWS], grid), axis=-1)
     cand_x = np.asarray(model.eta_candidates(t, u), dtype=float)
     cand_f = np.asarray(model.inner(t, u, cand_x), dtype=float)
     best = np.min(cand_f, axis=-1)
@@ -261,9 +258,9 @@ def _marginal_candidates(model: MarginalEnergy, t, u: np.ndarray):
         b = missed[0]
         raise RefinementError(
             f"interval minimization over eta failed to certify the "
-            f"minimum for {model.name} at t={float(np.ravel(t)[b])}: grid "
-            f"value {float(np.ravel(fine_min)[b])} beats candidate value "
-            f"{float(np.ravel(best)[b])}")
+            f"minimum for {model.name} at t={float(t[b, 0])}: grid "
+            f"value {float(fine_min[b])} beats candidate value "
+            f"{float(best[b])}")
     return cand_x, cand_f
 
 
@@ -373,27 +370,28 @@ def _argmin_du_rows(model: MarginalEnergy, t, U):
                                            U, etas), dtype=float)
 
 
-def clarke_subdifferential_1d(model: EnergyModel, t: float, u,
-                              h: float = _CLARKE_H) -> Tuple[float, float]:
+def clarke_subdifferential_1d(model: EnergyModel, t: float, u
+                              ) -> Tuple[float, float]:
     """Interval hull of the one-sided derivatives of E(t, .) at u (d = 1).
 
-    Smooth points give the singleton derivative; within h of a declared kink
-    the one-sided derivatives are taken from the kink itself. More than one
-    kink inside the step is unresolvable at this h. The one-row case of
-    _clarke_rows.
+    Smooth points give the singleton derivative; within the difference
+    step _CLARKE_H of a declared kink the one-sided derivatives are taken
+    from the kink itself. More than one kink inside the step is
+    unresolvable. The one-row case of _clarke_rows.
     """
     if model.dim != 1:
         raise DimensionMismatchError(1, model.dim, "Clarke interval")
-    lo, hi = _clarke_rows(model, (t,), as_state(u, 1)[None], h)
+    lo, hi = _clarke_rows(model, (t,), as_state(u, 1)[None])
     return lo[0], hi[0]
 
 
-def _clarke_rows(model: EnergyModel, t, U, h: float = _CLARKE_H):
+def _clarke_rows(model: EnergyModel, t, U):
     """clarke_subdifferential_1d of each row (t[b], U[b]), as two lists
     (lo, hi). Each row's two one-sided quotients read E at its base x and
-    at x +- h/2, x +- h; those five points of every row are one at_times
-    call. A row that fails raises the error the first failing row raises
-    alone."""
+    at x +- h/2, x +- h, h = _CLARKE_H; those five points of every row
+    are one at_times call. A row that fails raises the error the first
+    failing row raises alone."""
+    h = _CLARKE_H
     offsets = (-h, -h / 2.0, 0.0, h / 2.0, h)
 
     def rows(t, U):
@@ -404,7 +402,7 @@ def _clarke_rows(model: EnergyModel, t, U, h: float = _CLARKE_H):
             if len(near) > 1:
                 raise ResolutionError(
                     f"{len(near)} kinks of {model.name} within step {h} of "
-                    f"u={x}; shrink h to separate them")
+                    f"u={x}; the Clarke interval cannot separate them")
             base.append(near[0] if near else x)
         pts = np.array(base)[:, None] + offsets
         E = model.at_times([tb for tb in t for _ in offsets])(

@@ -43,6 +43,7 @@ forms against.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,8 +164,8 @@ class Quadratic(DissipationPotential):
     separable = True
 
     def __init__(self, c: float = 1.0):
-        if not c > 0:
-            raise ValueError("Quadratic needs c > 0")
+        if not 0 < c < math.inf:
+            raise ValueError("Quadratic needs c > 0, finite")
         self.c = c
 
     def value(self, v):
@@ -196,10 +197,10 @@ class PNorm(DissipationPotential):
     separable = True
 
     def __init__(self, c: float = 1.0, p: float = 2.0):
-        if not c > 0:
-            raise ValueError("PNorm needs c > 0")
-        if not p >= 1:
-            raise ValueError("PNorm needs p >= 1")
+        if not 0 < c < math.inf:
+            raise ValueError("PNorm needs c > 0, finite")
+        if not 1 <= p < math.inf:
+            raise ValueError("PNorm needs p >= 1, finite")
         self.c = c
         self.p = p
 
@@ -252,8 +253,9 @@ class OneHomPlusQuad(DissipationPotential):
     separable = True
 
     def __init__(self, rho: float = 1.0, eps: float = 1.0):
-        if rho < 0 or not eps > 0:
-            raise ValueError("OneHomPlusQuad needs rho >= 0 and eps > 0")
+        if not (0 <= rho < math.inf and 0 < eps < math.inf):
+            raise ValueError("OneHomPlusQuad needs rho >= 0 and eps > 0, "
+                             "both finite")
         self.rho = rho
         self.eps = eps
 
@@ -350,9 +352,10 @@ class Scaled(DissipationPotential):
     _fields = ("base", "w")
 
     def __init__(self, base: DissipationPotential = None, w=1.0):
-        # without numpy for a float: the 1-D scan takes rows one at a time
-        if not (w > 0 if isinstance(w, float) else np.all(w > 0)):
-            raise ValueError("Scaled needs w > 0")
+        # without numpy for a float: p[b] builds one per row of a batch
+        if not (0 < w < math.inf if isinstance(w, float)
+                else np.all((w > 0) & (w < math.inf))):
+            raise ValueError("Scaled needs w > 0, finite")
         self.base = base
         self.w = w
 
@@ -662,16 +665,15 @@ def rate_bound_radius(p: DissipationPotential, tau, budget):
 
     Inverts the scalar growth of a resolved separable potential; this bounds
     the coercivity box of the per-step objective, since any candidate
-    minimizer U must satisfy tau Psi((U - u)/tau) <= budget. Floats tau
-    and budget give a float; (B,) arrays give the (B,) array of the rows'
-    radii under the potential p of the rows, each with the bits of its
-    one-row call. The doublings of all rows are a few (B, K) array passes,
+    minimizer U must satisfy tau Psi((U - u)/tau) <= budget. The (B,)
+    sequences tau and budget give the (B,) array of the rows' radii under
+    the potential p of the rows, each with the bits of its one-row call
+    (B = 1). The doublings of all rows are a few (B, K) array passes,
     RADIUS_PASSES: the first 8 of every row, and the next ones only for
     the rows that need them; each row's first hit is read on Python
     floats.
     """
-    taus = np.asarray(tau, dtype=float)
-    h = taus.reshape(-1, 1)
+    h = np.asarray(tau, dtype=float).reshape(-1, 1)
     b = np.asarray(budget, dtype=float).reshape(-1, 1)
     r0 = np.maximum(h, 1e-6)
     k = [RADIUS_PASSES[-1][1]] * len(h)   # the cap where no doubling hits
@@ -690,10 +692,10 @@ def rate_bound_radius(p: DissipationPotential, tau, budget):
             if not left:
                 break
             ids, q, hr, r0r, br = left, p[left], h[left], r0[left], b[left]
-    out = [max(1e-12, 1e-9 * t) if bb <= 0.0 else r * float(1 << kb)
-           for kb, r, t, bb in zip(k, r0.ravel().tolist(),
-                                   taus.ravel().tolist(), b.ravel().tolist())]
-    return np.array(out) if taus.ndim else out[0]
+    return np.array([
+        max(1e-12, 1e-9 * t) if bb <= 0.0 else r * float(1 << kb)
+        for kb, r, t, bb in zip(k, r0.ravel().tolist(), h.ravel().tolist(),
+                                b.ravel().tolist())])
 
 
 def scalar_derivative(p: DissipationPotential, s):

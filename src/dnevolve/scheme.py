@@ -176,13 +176,12 @@ def _step_seed(opts: SolveOptions, t_n: float, tau: float):
 
 
 def _coercivity_radius(p, tau, budget):
-    """The coercivity radius of each of B rows, given its step tau[b] and
-    energy budget[b] (floats for one row), under the frozen potential p of
-    the rows: one rate_bound_radius row search. The budgets' floor and
-    slack are taken on Python floats."""
+    """The (B,) coercivity radii of B rows, given the sequences of their
+    steps tau[b] and energy budgets budget[b], under the frozen potential
+    p of the rows: one rate_bound_radius row search. The budgets' floor
+    and slack are taken on Python floats."""
     return 1.0000001 * potentials.rate_bound_radius(p, tau, [
-        max(e, 0.0) * (1.0 + 1e-9) + 1e-12
-        for e in np.ravel(budget).tolist()])
+        max(e, 0.0) * (1.0 + 1e-9) + 1e-12 for e in budget])
 
 
 def _solve_1d(model, p, u_prev, t, tau, e_prev):
@@ -306,7 +305,7 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
     w = x - u_prev
     gx, ex, grad = g_eval(x, w)
     grad = grad()
-    x_out = None
+    x_out = np.empty_like(x0)
     # the prox threshold of each row; a row whose L changes is set again
     step = (1.0 / np.array(L))[:, None].repeat(d, 1)
     thresh = step * np.array(rho)[:, None]
@@ -384,21 +383,13 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
         if not done:
             continue
         # the objective with its l1 part, from the carried displacement
-        if len(done) == len(rows):
-            l1 = add(np.abs(w), 1).tolist()
-            if x_out is None:  # every row finishes at once
-                x_out = x
-            else:
-                x_out[rows] = x
-            for b, a in zip(rows, l1):
-                phi[b] = gx[b] + rho[b] * a
-            break
-        if x_out is None:
-            x_out = np.empty_like(x0)
-        x_out[[rows[i] for i in done]] = x[done]
-        for i, a in zip(done, add(np.abs(w[done]), 1).tolist()):
-            phi[rows[i]] = gx[rows[i]] + rho[rows[i]] * a
+        ids = [rows[i] for i in done]
+        x_out[ids] = x[done]
+        for b, a in zip(ids, add(np.abs(w[done]), 1).tolist()):
+            phi[b] = gx[b] + rho[b] * a
         keep = [i for i in range(len(rows)) if i not in done]
+        if not keep:
+            break
         rows = [rows[i] for i in keep]
         x, w, grad = x[keep], w[keep], grad[keep]
         up, blo, bhi = up[keep], blo[keep], bhi[keep]
@@ -816,14 +807,10 @@ def _locate(grid: TimeGrid, t):
 def slope_multiplier(model: EnergyModel, p, t, u) -> np.ndarray:
     """The r -> 0 limit multiplier of the variational interpolant: the
     subdifferential candidate minimizing the conjugate Psi_u*(-xi) under
-    the frozen potential p = Psi_u (of the rows, for rows), ties to the
-    lexicographically smallest. A time and a state (d,) give its (d,)
-    multiplier; times t[b] and the rows of a (B, d) array give the (B, d)
-    array, with the candidates of every row one conjugate call."""
-    u = as_state(u, model.dim)
-    if u.ndim == 1:
-        return slope_multiplier(model, p, [t], u[None])[0]
-
+    the frozen potential p of the rows, ties to the lexicographically
+    smallest. Times t[b] and the rows of a (B, d) array give the (B, d)
+    array of multipliers, with the candidates of every row one conjugate
+    call; one state is the case B = 1."""
     def rows(t, U, p):
         cands = _candidates(model, t, U)
         owner, C = _flat(cands)
@@ -834,7 +821,7 @@ def slope_multiplier(model: EnergyModel, p, t, u) -> np.ndarray:
             out[b] = cs[int(np.argmin(vals[i:i + len(cs)]))]
             i += len(cs)
         return out
-    return potentials.row_call(rows, list(t), u, p)
+    return potentials.row_call(rows, list(t), as_state(u, model.dim), p)
 
 
 def de_giorgi_interpolant(traj: DiscreteTrajectory, t):

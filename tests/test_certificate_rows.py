@@ -82,7 +82,8 @@ def old_E(model, t, u):
                                   model.amp * math.sin(t) * model.profile,
                                   model.offset)
     if model.name == "AbsoluteMarginal":
-        return float(np.min(energy._marginal_candidates(model, t, u)[1]))
+        return float(np.min(energy._marginal_candidates(
+            model, np.array([[t]]), u[None])[1]))
     if model.name == "PhaseField1D":
         x = u[0]
         return (0.5 * x * x + 1.0 - (abs(x) + 2.0) ** 2 / 6.0
@@ -369,7 +370,7 @@ def test_slope_multiplier_and_witness_rows_are_their_one_row_calls(
     got = scheme.slope_multiplier(model, psi.at_state(U), t, U)
     for tb, ub, row in zip(t, U, got):
         assert bits(row) == bits(scheme.slope_multiplier(
-            model, psi.at_state(ub), tb, ub))
+            model, psi.at_state(ub[None]), [tb], ub[None])[0])
     tau = [0.125 / (1 + b % 3) for b in range(len(t))]
     U_next = U[::-1] * 0.5
     p = psi.at_state(U[0])

@@ -278,10 +278,6 @@ def test_unread_functions_sees_every_form():
         ("a", "unread"), ("b", "prop")]
 
 
-# clarke_subdifferential_1d's ResolutionError tells users to shrink h
-ALLOWED_UNPASSED = {("energy", "clarke_subdifferential_1d", "h")}
-
-
 def _defaulted(fn):
     """Names of fn's parameters that carry a default, in order, with
     their positional index (None for keyword-only ones)."""
@@ -335,8 +331,7 @@ def test_every_defaulted_parameter_has_a_caller_that_passes_it():
     callers = [p.read_text(encoding="utf-8")
                for d in (SRC, ROOT / "tests", ROOT / "certbench")
                for p in sorted(d.glob("*.py"))]
-    found = set(unpassed_defaults(sources, callers))
-    assert sorted(found - ALLOWED_UNPASSED) == []
+    assert unpassed_defaults(sources, callers) == []
 
 
 def test_unpassed_defaults_sees_every_form():

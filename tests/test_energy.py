@@ -113,7 +113,7 @@ def reference_candidates(model, t, u):
         return np.asarray(model.inner(t, u, es), dtype=float)
 
     def refine(grid, vals):
-        idx = _optim.local_min_indices(vals)
+        idx = _optim.local_min_indices(vals[None])[1]
         a = grid[np.maximum(idx - 1, 0)]
         b = grid[np.minimum(idx + 1, grid.shape[0] - 1)]
         xs, fs = _optim.golden_min_batched(batched, a, b, iters=90)
@@ -149,7 +149,8 @@ def test_certified_route_agrees_with_closed_form(phase_field):
         for u in PF_SWEEP_U:
             x = np.array([u])
             closed = energy_value(phase_field, t, x)
-            _, vals = energy_mod._marginal_candidates(phase_field, t, x)
+            _, vals = energy_mod._marginal_candidates(
+                phase_field, np.array([[t]]), x[None])
             assert float(np.min(vals)) == pytest.approx(closed, rel=0,
                                                         abs=1e-12)
             _, ref_vals = reference_candidates(phase_field, t, x)
@@ -195,7 +196,8 @@ def test_eta_candidates_are_checked_not_trusted(u, dropped):
     full = model.eta_candidates
     model.eta_candidates = lambda t, x: np.delete(full(t, x), dropped)
     with pytest.raises(RefinementError):
-        energy_mod._marginal_candidates(model, 0.3, np.array([u]))
+        energy_mod._marginal_candidates(model, np.array([[0.3]]),
+                                        np.array([[u]]))
 
 
 def test_domain_box_enforced(quad):
@@ -224,20 +226,22 @@ def test_phase_field_argmin_pinned(phase_field):
 
 
 def test_marginal_candidates_build_no_grid_per_call(monkeypatch):
-    # the 1025-point safety grid is the model's, built once; one point and
+    # the 1025-point safety grid is the model's, built once; one row and
     # a batch of rows evaluate it without building another
     model = build("PhaseField1D", {}).energy
-    energy_mod._marginal_candidates(model, 0.3, np.array([0.55]))
+    energy_mod._marginal_candidates(model, np.array([[0.3]]),
+                                    np.array([[0.55]]))
     built = []
     real = np.linspace
     monkeypatch.setattr(np, "linspace",
                         lambda *a, **k: built.append(a) or real(*a, **k))
-    _, one = energy_mod._marginal_candidates(model, 0.4, np.array([0.5]))
+    _, one = energy_mod._marginal_candidates(model, np.array([[0.4]]),
+                                             np.array([[0.5]]))
     _, rows = energy_mod._marginal_candidates(
         model, np.array([[0.4], [0.3]]), np.array([[0.5], [0.55]]))
     assert built == []
-    assert rows.shape == (2, one.shape[0])
-    assert [x.hex() for x in rows[0]] == [x.hex() for x in one]
+    assert rows.shape == (2, one.shape[1])
+    assert [x.hex() for x in rows[0]] == [x.hex() for x in one[0]]
 
 
 def test_argmin_memo_answers_repeats(monkeypatch):

@@ -204,7 +204,7 @@ def scalar_scan_well_drop(amp):
     grid = np.linspace(0.0, 3.0, 801)
     vals = np.array([f(x) for x in grid])
     basins = []
-    for i in _optim.local_min_indices(vals):
+    for i in _optim.local_min_indices(vals[None])[1]:
         a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 800)])
         x = float(_optim._bounded_brent_rows(
             lambda x, rows: [f(float(x[0]))], [a], [b], 1e-13, 500)[0][0])

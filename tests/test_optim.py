@@ -2,11 +2,11 @@
 
 _bounded_brent_rows, on one problem as max_scalar drives it and on many in
 lockstep, and max_scalar are compared with
-minimize_scalar(method="bounded"), and _brentq and
-polish_root with brentq, on smooth, kinked, flat, NaN-returning,
-root-at-endpoint and sign-underflow functions. Besides the results, the
-sequence of abscissae each method evaluates must agree. scipy is needed
-only here (the `test` extra).
+minimize_scalar(method="bounded"), and _brent_root, run on one problem by
+_lockstep, and polish_root with brentq, on smooth, kinked, flat,
+NaN-returning, root-at-endpoint and sign-underflow functions. Besides the
+results, the sequence of abscissae each method evaluates must agree. scipy
+is needed only here (the `test` extra).
 """
 
 import math
@@ -244,6 +244,15 @@ def test_bad_bounds_raise_like_scipy(a, b):
 # brentq and polish_root
 
 
+def brentq(f, xa, xb, fa, fb, xtol, rtol, maxiter):
+    """Brent's root finder on one problem, f a function of one float: one
+    _brent_root run by _lockstep. The root, or None where it finds none;
+    exceptions raised by f propagate."""
+    return _optim._lockstep(
+        [_optim._brent_root(xa, xb, fa, fb, xtol, rtol, maxiter)],
+        lambda x, rows: [f(float(x[0]))])[0]
+
+
 def scipy_polish_root(dphi, x, radius):
     """polish_root as it was built on brentq."""
     a, b = x - radius, x + radius
@@ -305,6 +314,30 @@ def test_polish_root_matches_brentq_bitwise(name):
         bits(scipy_polish_root(dphi, x, radius))
 
 
+def rows_of(dphis):
+    """dphi(x, rows) of polish_rows, row k's derivative dphis[k]."""
+    return lambda x, rows: [dphis[k](v) for v, k in zip(x.tolist(),
+                                                        rows.tolist())]
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+def test_polish_root_is_the_one_row_call_of_polish_rows(name):
+    dphi, x, radius = ROOT_CASES[name]
+    one = _optim.polish_rows(rows_of([dphi]), np.array([x]),
+                             np.array([radius]))
+    assert bits(_optim.polish_root(dphi, x, radius)) == bits(one[0])
+
+
+def test_polish_rows_of_every_root_case_match_brentq_bitwise():
+    # every case as one row of a single lockstep block
+    cases = [ROOT_CASES[name] for name in sorted(ROOT_CASES)]
+    got = _optim.polish_rows(rows_of([f for f, _, _ in cases]),
+                             np.array([x for _, x, _ in cases]),
+                             np.array([r for _, _, r in cases]))
+    assert [bits(v) for v in got] == [bits(scipy_polish_root(*case))
+                                      for case in cases]
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-300])
 def test_brentq_random_cubics_match_scipy(scale):
     # at scale 1e-300 the extrapolation denominator underflows to 0
@@ -323,8 +356,8 @@ def test_brentq_random_cubics_match_scipy(scale):
             continue
         found += 1
         ours_log, theirs_log = [], []
-        ours = _optim._brentq(recording(f, ours_log), a, b, fa, fb,
-                              1e-15, 1e-15, 200)
+        ours = brentq(recording(f, ours_log), a, b, fa, fb, 1e-15, 1e-15,
+                      200)
         theirs = optimize.brentq(recording(f, theirs_log), a, b,
                                  xtol=1e-15, rtol=1e-15, maxiter=200)
         # scipy evaluates f(a) and f(b) itself; the port is handed them
@@ -340,8 +373,8 @@ def test_brentq_without_convergence_returns_none(maxiter):
 
     with pytest.raises(RuntimeError):
         optimize.brentq(f, 0.0, 2.0, xtol=1e-15, rtol=1e-15, maxiter=maxiter)
-    assert _optim._brentq(f, 0.0, 2.0, f(0.0), f(2.0), 1e-15, 1e-15,
-                          maxiter) is None
+    assert brentq(f, 0.0, 2.0, f(0.0), f(2.0), 1e-15, 1e-15,
+                  maxiter) is None
 
 
 def test_brentq_same_sign_bits_return_none():
@@ -351,8 +384,7 @@ def test_brentq_same_sign_bits_return_none():
 
     with pytest.raises(ValueError):
         optimize.brentq(f, 0.0, 1.0)
-    assert _optim._brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-15, 1e-15,
-                          200) is None
+    assert brentq(f, 0.0, 1.0, f(0.0), f(1.0), 1e-15, 1e-15, 200) is None
 
 
 def test_brentq_nan_returns_none():
@@ -361,5 +393,5 @@ def test_brentq_nan_returns_none():
 
     with pytest.raises(ValueError):
         optimize.brentq(f, -0.8, 1.2, xtol=1e-15, rtol=1e-15)
-    assert _optim._brentq(f, -0.8, 1.2, f(-0.8), f(1.2), 1e-15, 1e-15,
-                          200) is None
+    assert brentq(f, -0.8, 1.2, f(-0.8), f(1.2), 1e-15, 1e-15,
+                  200) is None

@@ -419,6 +419,44 @@ def test_admissibility_report_serializes():
 
 
 # ---------------------------------------------------------------------------
+# finite parameters
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Quadratic(np.inf), lambda: Quadratic(np.nan),
+    lambda: PNorm(np.inf), lambda: PNorm(1.0, np.inf),
+    lambda: PNorm(np.nan), lambda: PNorm(1.0, np.nan),
+    lambda: OneHomPlusQuad(rho=np.inf), lambda: OneHomPlusQuad(rho=np.nan),
+    lambda: OneHomPlusQuad(eps=np.inf), lambda: OneHomPlusQuad(eps=np.nan),
+    lambda: Scaled(Quadratic(), float("inf")),
+    lambda: Scaled(Quadratic(), np.float64(np.inf)),
+    lambda: Scaled(Quadratic(), float("nan")),
+    lambda: Scaled(Quadratic(), np.array([1.0, np.inf])),
+    lambda: Scaled(Quadratic(), np.array([np.nan, 1.0])),
+])
+def test_constructors_reject_non_finite_parameters(make):
+    # an infinite constant or weight gave NaN values (inf * 0 at v = 0)
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_finite_parameters_are_unchanged():
+    zero, one = np.zeros(1), np.ones(1)
+    big = [Quadratic(1e308), PNorm(1e308, 8.0), OneHomPlusQuad(1e308, 1e308),
+           OneHomPlusQuad(0.0, 1e-300), Scaled(Quadratic(), 1e308),
+           Scaled(Quadratic(), 5e-324)]
+    for p in big:
+        assert p.value(zero) == 0.0
+    assert Quadratic(1e308).value(one) == 5e307
+    assert PNorm(2.0, 8.0).value(one) == 0.25
+    assert Scaled(Quadratic(), 2.0).value(one) == 1.0
+    rows = Scaled(Quadratic(), np.array([1.0, 1e308]))
+    assert rows.value(np.zeros((2, 1))).tolist() == [0.0, 0.0]
+    assert rows.value(np.ones((2, 1))).tolist() == [0.5, 5e307]
+    assert rows[1] == Scaled(Quadratic(), 1e308)
+
+
+# ---------------------------------------------------------------------------
 # scheme-facing helpers
 
 
@@ -426,7 +464,7 @@ def test_rate_bound_radius_inverts_budget():
     for p in (Quadratic(1.0), OneHomPlusQuad(1.0, 0.5),
               WeightedSum((PNorm(1.0, 1.0), PNorm(1.0, 2.0)))):
         tau, budget = 2.0 ** -7, 0.8
-        R = potentials.rate_bound_radius(p, tau, budget)
+        (R,) = potentials.rate_bound_radius(p, [tau], [budget])
         # tau Psi(R'/tau) > budget for any R' noticeably beyond R
         beyond = 1.01 * R + 1e-9
         assert tau * float(p.scalar(beyond / tau)) >= budget

@@ -331,7 +331,8 @@ def _ac_step_problem(N):
     u_prev = 0.1 * np.sin(np.pi * (np.arange(N) + 0.5) / N)
     p = spec.dissipation.at_state(u_prev)
     e_prev = energy_value(spec.energy, tau, u_prev)
-    R = scheme._coercivity_radius(p, tau, e_prev - spec.energy.constants.C0)
+    R = scheme._coercivity_radius(
+        p, [tau], [e_prev - spec.energy.constants.C0])[0]
     blo, bhi = spec.energy.domain_box
     box = (np.maximum(u_prev - R, blo), np.minimum(u_prev + R, bhi))
     return (spec.energy, p, u_prev, tau, box,
@@ -647,7 +648,7 @@ def per_sample_step_inequality(traj, m):
         p = traj.psi.at_state(traj.U[n - 1])
         e0 = traj.energies[n - 1]
         states = [U0]
-        xis = [slope_multiplier(model, p, t0, U0)]
+        xis = [slope_multiplier(model, p, [t0], U0[None])[0]]
         times = [t0]
         for j in range(1, m):
             tj = t0 + j * tau / m
@@ -787,15 +788,14 @@ def test_step_inequality_freezes_each_potential_once(monkeypatch, dim):
 
 def test_slope_multiplier_choices():
     qspec = build("QuadraticBenchmark", {})
-    out = slope_multiplier(qspec.energy, qspec.dissipation, 0.3, [1.0])
-    assert out[0] == 0.0
+    out = slope_multiplier(qspec.energy, qspec.dissipation, [0.3], [[1.0]])
+    assert out[0, 0] == 0.0
     aspec = build("AbsoluteMarginal", {})
     # at the kink both +-alpha are candidates with equal conjugate values;
     # the lexicographically smaller one is returned
-    out = slope_multiplier(aspec.energy, aspec.dissipation, 0.8, [0.2])
-    assert out[0] == -0.5
-    out = slope_multiplier(aspec.energy, aspec.dissipation, 0.8, [0.9])
-    assert out[0] == -0.5
+    out = slope_multiplier(aspec.energy, aspec.dissipation, [0.8, 0.8],
+                           [[0.2], [0.9]])
+    assert out.tolist() == [[-0.5], [-0.5]]
 
 
 def test_samplers(quad_traj):

@@ -152,6 +152,82 @@ def test_lockstep_polish_makes_one_call_per_round():
         assert live == [b for b, n in enumerate(evals) if n >= j + 2]
 
 
+def _failing_from(n, fail):
+    """(dphi, calls): atan(x - 0.3) until its n-th call, fail(x) from then
+    on; calls lists the abscissae asked. A one-row polish asks both bracket
+    ends in its calls 1 and 2."""
+    calls = []
+
+    def dphi(x):
+        calls.append(x)
+        return math.atan(x - 0.3) if len(calls) < n else fail(x)
+    return dphi, calls
+
+
+def _raise(x):
+    raise ArithmeticError("no derivative here")
+
+
+def _nan(x):
+    return math.nan
+
+
+def _smooth(x):
+    return math.atan(x - 0.3)
+
+
+def _raises_right(x):
+    return _raise(x) if x > 1.0 else x - 0.3
+
+
+@pytest.mark.parametrize("fail,n,asked", [
+    # the 4th call is the run's second abscissa; a call that raises is
+    # made again point by point, and NaN ends the run at once
+    (_raise, 4, 5), (_nan, 4, 4), (_raise, 2, 4), (_nan, 2, 2)],
+    ids=["raises_mid_run", "nan_mid_run", "raises_at_end", "nan_at_end"])
+def test_polish_root_keeps_x_where_dphi_fails(fail, n, asked):
+    dphi, calls = _failing_from(n, fail)
+    assert bits([_optim.polish_root(dphi, 0.2, 1.0)]) == bits([0.2])
+    assert len(calls) == asked
+
+
+def test_lockstep_polish_keeps_x_only_in_failing_rows():
+    # raising at a bracket end and mid-run, and NaN mid-run, next to rows
+    # that converge
+    fs = [_smooth, _raises_right, _raises_inside, _smooth,
+          lambda x: (x - 0.3) if abs(x) > 0.79 else math.nan]
+    x = np.array([0.2, 0.2, 0.1, 0.1, 0.2])
+    got = _optim.polish_rows(
+        lambda x, rows: [fs[k](v) for v, k in zip(x.tolist(),
+                                                  rows.tolist())],
+        x, np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
+    assert bits(got[[1, 2, 4]]) == bits(x[[1, 2, 4]])
+    assert bits(got[[0, 3]]) == bits([_optim.polish_root(_smooth, v, 1.0)
+                                      for v in (0.2, 0.1)])
+    assert abs(got[0] - 0.3) < 1e-15 and abs(got[3] - 0.3) < 1e-15
+
+
+SPECIALS = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 2.2e-308, 1e-300,
+            -1e-300, 1e300, -1e300, 1.7976931348623157e308, math.inf,
+            -math.inf, math.nan]
+
+
+def test_brent_root_raises_on_no_float_input():
+    # its divisions by a value that can be zero are guarded
+    # (ZeroDivisionError), and every other float operation gives inf or
+    # NaN rather than raising: runs on ends, end values and sent values
+    # drawn from extreme floats finish
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        xa, xb, fa, fb = (SPECIALS[i] for i in rng.integers(16, size=4))
+        sent = [SPECIALS[rng.integers(16)] if rng.random() < 0.5
+                else float(rng.normal()) for _ in range(40)]
+        root = _optim._lockstep(
+            [_optim._brent_root(xa, xb, fa, fb, 1e-15, 1e-15, 40)],
+            lambda x, rows: [sent.pop()])[0]
+        assert root is None or isinstance(root, float)
+
+
 # ---------------------------------------------------------------------------
 # derivative_1d rows
 
@@ -236,9 +312,8 @@ def test_radius_rows_are_their_one_row_calls(base):
                        np.nan, 3.0])
     got = potentials.rate_bound_radius(base, tau, budget)
     for b in range(len(tau)):
-        one = potentials.rate_bound_radius(base, float(tau[b]),
-                                           float(budget[b]))
-        assert isinstance(one, float)
+        (one,) = potentials.rate_bound_radius(base, tau[b:b + 1],
+                                              budget[b:b + 1])
         assert bits([got[b]]) == bits([one])
         assert bits([one]) == bits([scalar_radius(base, tau[b], budget[b])])
     # a weight row: each row under its own weight
@@ -246,8 +321,8 @@ def test_radius_rows_are_their_one_row_calls(base):
     p = potentials.Scaled(base, w)
     got = potentials.rate_bound_radius(p, tau, budget)
     for b in range(len(tau)):
-        one = potentials.rate_bound_radius(p[b], float(tau[b]),
-                                           float(budget[b]))
+        (one,) = potentials.rate_bound_radius(p[b:b + 1], tau[b:b + 1],
+                                              budget[b:b + 1])
         assert bits([got[b]]) == bits([one])
         assert bits([one]) == bits([scalar_radius(p[b], tau[b], budget[b])])
 
