@@ -4,12 +4,12 @@ An EnergyModel owns E(t, u), subgradient candidates and a generalized
 time derivative P(t, u, xi), each written once, as rows: at_times (E and
 its gradient), subdiff_rows and time_deriv_P_rows; energy_value and
 generalized_time_derivative of one point are the one-row case. A d = 1
-model also gives the scan solver value_batch_1d, E(t, .) on an array of
-scalar states, rather than an at_times call on a (B * 513, 1) column:
-PhaseField1D's at_times loops over rows on Python floats, 513 calls per
-scanned row. derivative_1d, dE/du for the stationarity polish, is a row
-query too: it takes the times and scalar states of many rows and
-defaults to the gradient of their at_times call. Marginal models realize
+model's at_times is also the scan solver's E: it takes a (B, 1) column
+of times and a (B, n, 1) grid of states, and gives each grid point the
+bits of its one-row call. derivative_1d, dE/du for the stationarity
+polish, is a row query too: it takes the times and scalar states of many
+rows and defaults to the gradient of their at_times call, since a
+marginal model's at_times has no gradient. Marginal models realize
 E as
 
     E(t, u) = min_{eta} I(t, u, eta)
@@ -30,7 +30,7 @@ at least 1; the offset is stored and reported, never silently applied.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -67,7 +67,7 @@ class EnergyConstants(FrozenRecord):
 class EnergyModel:
     """Base energy: immutable after construction, all queries pure. A model
     writes at_times and time_deriv_P_rows, and subdiff_rows unless its one
-    candidate is its gradient; a d = 1 model also writes value_batch_1d."""
+    candidate is its gradient."""
 
     name: str = "energy"
     dim: int = 1
@@ -79,10 +79,6 @@ class EnergyModel:
     # lambda_E-convex; None makes no claim. audit_assumptions tests it.
     semiconvexity: Optional[float] = None
 
-    def value_batch_1d(self, t: float, us: np.ndarray) -> np.ndarray:
-        """E(t, .) on an array of scalar states (d = 1), for the scan."""
-        raise NotImplementedError
-
     def derivative_1d(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
         """dE/du(t[b], u[b]) off the kinks of each row of (B,) arrays of
         times and scalar states (d = 1), for the stationarity polish, each
@@ -92,11 +88,14 @@ class EnergyModel:
 
     def at_times(self, t):
         """E frozen at each time t[b] of a row batch: a function of a
-        (B, d) array of states that returns the list of the values
-        E(t[b], U[b]) and a thunk for the (B, d) gradients (None for a
-        model without one), so a caller that needs gradients only at some
-        states pays for them only there. Work the values and gradients
-        share is done once, for all rows at once."""
+        (B, d) array of states that returns the values E(t[b], U[b]), a
+        list or a (B,) array, and a thunk for the (B, d) gradients (None
+        for a model without one), so a caller that needs gradients only at
+        some states pays for them only there. Work the values and
+        gradients share is done once, for all rows at once. A d = 1 model
+        gives an array, and its times broadcast against U[..., 0]: a
+        (B, 1) column of times and a (B, n, 1) grid of states give the
+        (B, n) values, each point with the bits of its one-row call."""
         raise NotImplementedError
 
     def subdiff_rows(self, t, U) -> List[List[np.ndarray]]:
@@ -127,11 +126,13 @@ class MarginalEnergy(EnergyModel):
     and checked against a fine grid. inner, inner_du and eta_candidates
     also take rows: a (B, 1) column of times, a (B, d) array of states and
     a (B, k) array of etas give (B, k) values, each the bits of the
-    one-point call (d = 1). at_times takes the minimum of every row's
-    candidate values, all rows one (B, k) array; a marginal E has no
-    gradient, so its thunk is None. P is the sup of inner_dt over the
-    minimizing eta whose D_u I lies within DELTA_XI of xi;
-    ConditioningError when none does. Its rows share one argmin query
+    one-point call (d = 1). at_times takes the minimum of every point's
+    candidate values, all points one array; a finite model's candidates
+    broadcast over the scan's grid, and an interval model's safety grid
+    takes rows only, so a d = 1 interval model writes its own at_times. A
+    marginal E has no gradient, so its thunk is None. P is the sup of
+    inner_dt over the minimizing eta whose D_u I lies within DELTA_XI of
+    xi; ConditioningError when none does. Its rows share one argmin query
     and one D_u I array.
     """
 
@@ -151,12 +152,14 @@ class MarginalEnergy(EnergyModel):
         raise NotImplementedError
 
     def at_times(self, t):
-        tc = np.asarray(t, dtype=float)[:, None]
+        tc = np.asarray(t, dtype=float)[..., None]
 
         def at(U):
-            # the minimum is exact, so each row has its own point's bits
-            return np.min(_marginal_candidates(self, tc, U)[1],
-                          axis=-1).tolist(), None
+            # the minimum is exact, so each point has its one-row call's
+            # bits; np.minimum over the k columns in turn, as np.min along
+            # a short last axis steps point by point (4x slower on a scan)
+            vals = _marginal_candidates(self, tc, U)[1]
+            return reduce(np.minimum, np.moveaxis(vals, -1, 0)), None
         return at
 
     def subdiff_rows(self, t, U):
@@ -232,7 +235,9 @@ def _marginal_candidates(model: MarginalEnergy, t, u: np.ndarray):
     array of states; one point is the case B = 1.
 
     Returns (etas, vals) as (B, k) float arrays. Finite models are
-    evaluated on eta_values, interval models on their eta_candidates. The
+    evaluated on eta_values, and broadcast: a (B, 1, 1) column of times
+    and a (B, n, d) grid of states give (B, n, k) arrays, the scan's
+    call. Interval models are evaluated on their eta_candidates. The
     model's 1025-point eta_grid checks the latter: a grid value beating
     the candidate minimum by more than the argmin slack means the
     candidates missed a minimizer. The grid is evaluated GRID_ROWS rows at

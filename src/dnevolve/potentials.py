@@ -54,7 +54,12 @@ from .errors import DimensionMismatchError, MaximizationFailureError
 
 _CONJ_XTOL = 1e-10
 LAMBDA_STEP = 1e-6   # difference step of the equal_conjugates row
-SUPERLIN_BOUND = 1e3  # the bound the last superlinearity ratio must reach
+# superlinearity: Psi's log-slope over the last decade of RADII must exceed
+# 1 + SUPERLIN_DELTA. A p-norm's slope is p, so p > 1.001 passes, and
+# AllenCahn1D's rho |v| + |v|^p / p for p > 1.002 at rho = 1 and p > 1.0048
+# at rho = 4. An affine growth a r - b has slope 1 + 3.9e-6 b / a (TwoSlope
+# 1 + 2e-6), so it fails for b / a below about 250
+SUPERLIN_DELTA = 1e-3
 CONVEXITY_THETAS = (0.25, 0.5, 0.75)  # convexity interpolation weights
 # check_admissible's probe rates, (0.5, 1, 3) x (+, -), and the growth
 # ladder of its superlinearity witness
@@ -611,21 +616,26 @@ def check_admissible(p: DissipationPotential) -> AdmissibilityReport:
     rows.append(AxiomCheck("convexity", conv_ok,
                            f"max segment violation {conv_worst:.3e}"))
 
+    # the log-slope log(Psi(r1 vhat) / Psi(r0 vhat)) / log(r1 / r0) over the
+    # last decade: scale-free, where the ratio Psi(r vhat) / r grows with c
+    r0, r1 = RADII[-3], RADII[-1]
     sup_ok = True
     sup_detail = ""
     for v in PROBES:
         vhat = v / np.linalg.norm(v)
-        ratios = np.array([p.value(r * vhat) / r for r in RADII])
+        vals = [p.value(r * vhat) for r in RADII]
+        ratios = np.array(vals) / np.array(RADII)
         nondecreasing = bool(np.all(np.diff(ratios) >= -1e-9 * (1.0 + np.abs(ratios[:-1]))))
-        exceeds = bool(ratios[-1] >= SUPERLIN_BOUND)
-        if not (nondecreasing and exceeds):
+        slope = (math.log(vals[-1] / vals[-3]) / math.log(r1 / r0)
+                 if vals[-1] > 0.0 and vals[-3] > 0.0 else 0.0)
+        if not (nondecreasing and slope > 1.0 + SUPERLIN_DELTA):
             sup_ok = False
             sup_detail = (f"direction {np.round(vhat, 3).tolist()}: "
-                          f"final ratio {ratios[-1]:.3e} vs bound {SUPERLIN_BOUND:.1e}, "
+                          f"log-slope {slope:.6f} vs bound 1 + {SUPERLIN_DELTA:.0e}, "
                           f"nondecreasing={nondecreasing}")
             break
     rows.append(AxiomCheck("superlinearity", sup_ok,
-                           sup_detail or f"all ratios reach {SUPERLIN_BOUND:.1e}"))
+                           sup_detail or f"all log-slopes exceed 1 + {SUPERLIN_DELTA:.0e}"))
 
     psi3_ok = True
     psi3_detail = ""

@@ -193,8 +193,11 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
     (B, 513) array, one lockstep bounded Brent refines every basin of
     every row, and one lockstep polish every row's minimizer, its
     derivative one scalar_derivative and one derivative_1d call per
-    round. u_prev is (B, 1), the others have length B. Returns (U,
-    statuses) with U of shape (B, 1); a step of solve is the case B = 1."""
+    round. E is the model's at_times, the body the certificate reads too:
+    one call on the scan's (B, 513, 1) grid of states and one on each
+    Brent round's points. u_prev is (B, 1), the others have length B.
+    Returns (U, statuses) with U of shape (B, 1); a step of solve is the
+    case B = 1."""
     x_prev = u_prev[:, 0]
     blo, bhi = (float(x[0]) for x in model.domain_box)
     C0 = model.constants.C0
@@ -210,7 +213,7 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
         h = tau[rows]
         return (h * np.asarray(p[rows].scalar((x - x_prev[rows]) / h),
                                dtype=float)
-                + model.value_batch_1d(t[rows], x))
+                + model.at_times(t[rows])(x[..., None])[0])
 
     x_best, f_best, basins = _optim.scan_min(phi, lo, hi, SCAN_POINTS)
 

@@ -185,7 +185,7 @@ def test_criterion_4_traveling_kink(capsys):
         us = np.arange(u_prev - 4 * alpha * tau, u_prev + 4 * alpha * tau,
                        1e-4 * tau)
         obj = (0.5 * np.square(us - u_prev) / tau
-               + model.value_batch_1d(t_n, us))
+               + energy_value(model, [t_n] * len(us), us[:, None]))
         best = us[int(np.argmin(obj))]
         if abs(best - traj.U[n, 0]) > 2e-4 * tau + 1e-12:
             failures.append(f"step {n}: dense oracle argmin {best!r} vs "

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dnevolve import _kernels, _optim, models
+from dnevolve import _kernels, _optim, models, scheme
 from dnevolve.energy import argmin_set, energy_value
 from dnevolve.errors import ConfigError, RangeError
 from dnevolve.models import MODEL_NAMES, build, describe, double_well
@@ -297,15 +297,47 @@ def test_ac_energy_grid_refinement_consistency():
     assert abs(e128 - e64) <= abs(e64 - e32)
 
 
-def test_value_batch_matches_scalar_loop():
-    for name in ("QuadraticBenchmark", "AbsoluteMarginal", "PhaseField1D",
-                 "StateWeightedToy"):
-        model = build(name, {}).energy
-        us = np.linspace(-1.4, 1.4, 57)
-        batch = model.value_batch_1d(0.6, us)
-        point = np.array([energy_value(model, 0.6, np.array([u]))
-                          for u in us])
-        np.testing.assert_allclose(batch, point, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("name,params", [
+    ("QuadraticBenchmark", {}), ("AbsoluteMarginal", {}),
+    ("AbsoluteMarginal", {"subdiff_kind": "clarke"}), ("PhaseField1D", {}),
+    ("StateWeightedToy", {})])
+def test_scan_reads_e_with_the_bits_of_one_row_calls(monkeypatch, name,
+                                                       params):
+    # the 1-D step solve reads E only through at_times: on the scan's
+    # (B, 513, 1) grid and at the Brent and polish rounds' points. Each
+    # value it reads is energy_value's one-row call bit for bit, so a step
+    # picks its minimizer by the E the certificate judges it by
+    spec = build(name, params)
+    model = spec.energy
+    rng = np.random.default_rng(7)
+    B = 40
+    lo, hi = (float(x[0]) for x in model.domain_box)
+    u_prev = rng.uniform(lo, hi, (B, 1))
+    t = rng.uniform(0.0, 1.0, B)
+    tau = rng.uniform(2.0 ** -8, 2.0 ** -3, B)
+    e_prev = energy_value(model, t, u_prev).tolist()
+    at_times, calls = model.at_times, []
+
+    def recording(tt):
+        at = at_times(tt)
+
+        def values(U):
+            out = at(U)
+            calls.append((np.broadcast_to(tt, U.shape[:-1]).ravel(),
+                          U[..., 0].ravel(), np.asarray(out[0]).ravel()))
+            return out
+        return values
+    monkeypatch.setattr(model, "at_times", recording)
+    scheme._solve_1d(model, spec.dissipation.at_state(u_prev), u_prev, t,
+                     tau, e_prev)
+    monkeypatch.undo()
+    sizes = [len(c[0]) for c in calls]
+    assert sizes[0] == B * scheme.SCAN_POINTS and len(sizes) > 1
+    ts, us, got = (np.concatenate(c) for c in zip(*calls))
+    assert len(got) >= 20000
+    want = [energy_value(model, tb, np.array([u]))
+            for tb, u in zip(ts.tolist(), us.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_derivative_fast_paths_match_envelope_route():
@@ -330,8 +362,8 @@ def test_derivative_fast_paths_match_envelope_route():
 @pytest.mark.parametrize("name", ["QuadraticBenchmark", "AbsoluteMarginal",
                                   "PhaseField1D", "StateWeightedToy"])
 def test_derivative_1d_is_the_derivative_of_value(name):
-    # the scan minimizes value_batch_1d and the polish zeroes derivative_1d,
-    # so both must describe one energy; probes stay 0.1 off every kink
+    # the scan minimizes at_times and the polish zeroes derivative_1d, so
+    # both must describe one energy; probes stay 0.1 off every kink
     model = build(name, {}).energy
     h = 1e-6
     for t in (0.0, 0.4, 0.9):

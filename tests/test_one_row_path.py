@@ -329,6 +329,56 @@ def test_energy_query_faults_sees_every_form():
         ("scheme", 3, "calls .time_deriv_P")]
 
 
+# E has one body in d = 1 as well: the scan reads at_times, so no module
+# defines, calls or otherwise names value_batch_1d, the scan's second body
+# of E that could pick a minimizer by one formula and the certificate
+# judge it by another.
+SECOND_BODIES = ("value_batch_1d",)
+
+
+def second_bodies(sources, names=SECOND_BODIES):
+    """(module, line, name) of every def of, attribute named, or name
+    reading one of names in sources ({module: text})."""
+    out = []
+    for mod, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            name = (n.name if isinstance(n, ast.FunctionDef)
+                    else n.attr if isinstance(n, ast.Attribute)
+                    else n.id if isinstance(n, ast.Name) else None)
+            if name in names:
+                out.append((mod, n.lineno, name))
+    return sorted(out)
+
+
+def test_e_has_no_second_body_in_1d():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert second_bodies(sources) == []
+
+
+def test_second_bodies_sees_every_form():
+    # the scan's E and its overrides as they were, and their other forms
+    energy = ("class EnergyModel:\n"
+              "    def value_batch_1d(self, t, us):\n"             # 2
+              "        raise NotImplementedError\n"
+              "    def at_times(self, t):\n"
+              "        return 'value_batch_1d'\n")                 # not
+    models = ("class _PhaseFieldEnergy(MarginalEnergy):\n"
+              "    def value_batch_1d(self, t, us):\n"             # 2
+              "        return us * us\n"
+              "    scan = EnergyModel.value_batch_1d\n")           # 4
+    scheme = ("def _solve_1d(model, p, u_prev, t, tau, e_prev):\n"
+              "    def phi(x, rows):\n"
+              "        return model.value_batch_1d(t[rows], x)\n"  # 3
+              "    f = getattr(model, 'at_times')\n"              # not
+              "    value_batch_1d = f\n")                          # 5
+    assert second_bodies({"energy": energy, "models": models,
+                          "scheme": scheme}) == [
+        ("energy", 2, "value_batch_1d"), ("models", 2, "value_batch_1d"),
+        ("models", 4, "value_batch_1d"), ("scheme", 3, "value_batch_1d"),
+        ("scheme", 5, "value_batch_1d")]
+
+
 # A potential is frozen as rows: psi.at_state takes the rows of a (B, d)
 # array, so no at_state call in the package sits in a loop or a
 # comprehension, where it would freeze one state per iteration again. And

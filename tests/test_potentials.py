@@ -377,6 +377,25 @@ def test_admissibility_counterexample_fails_equal_conjugates():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("p", [
+    PNorm(1.0, 1.5), Quadratic(1e-3),
+    build("AllenCahn1D", {"N": 32, "p": 1.5}).dissipation,
+    build("AllenCahn1D", {"N": 1024, "p": 1.5}).dissipation], ids=repr)
+def test_superlinearity_is_scale_free(p):
+    # the row reads Psi's log-slope over the last decade of RADII, which the
+    # scale c does not move; each of these failed the ratio bound
+    # Psi(1e6 v) / 1e6 >= 1e3 it replaced
+    rep = check_admissible(p)
+    assert rep.row("superlinearity").passed, rep.to_dict()
+    assert rep.passed
+
+
+def test_linear_growth_fails_superlinearity():
+    rep = check_admissible(PNorm(1.0, 1.0))
+    assert not rep.row("superlinearity").passed
+    assert "log-slope 1.000000" in rep.row("superlinearity").detail
+
+
 def test_lambda_derivatives_are_bitwise_the_two_quotients():
     # the equal_conjugates row's one-sided quotients of lambda -> Psi(lambda v)
     # at 1, against the two Richardson-refined quotients they replaced

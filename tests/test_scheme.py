@@ -27,7 +27,7 @@ def dense_step_oracle(model, p, u_prev, t_n, tau, half_width=1.0, step=2e-5):
     us = np.arange(lo, hi + step, step)
     vs = (us - u_prev) / tau
     obj = tau * np.asarray(p.scalar(vs), dtype=float) \
-        + model.value_batch_1d(t_n, us)
+        + energy_value(model, [t_n] * len(us), us[:, None])
     return float(np.min(obj))
 
 
