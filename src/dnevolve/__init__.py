@@ -11,9 +11,8 @@ and chain-rule residuals.
 
 from .energy import (AssumptionReport, EnergyConstants, EnergyModel,
                      MarginalEnergy, argmin_set, audit_assumptions,
-                     clarke_subdifferential_1d, default_probe_plan,
-                     energy_value, generalized_time_derivative,
-                     marginal_subdifferential)
+                     default_probe_plan, energy_value,
+                     generalized_time_derivative)
 from .errors import (ConditioningError, ConfigError, DimensionMismatchError,
                      DnevolveError, DomainError, MaximizationFailureError,
                      RangeError, RefinementError, ResolutionError,
@@ -45,11 +44,10 @@ __all__ = [
     "SolveAbortedError", "SolveOptions", "StateWeighted", "StepFailureError",
     "SubdifferentialUnavailableError", "TimeGrid", "TwoSlope", "WeightedSum",
     "argmin_set", "audit_assumptions", "build", "build_report",
-    "chain_rule_defects", "check_admissible", "clarke_subdifferential_1d",
-    "conjugate", "de_giorgi_interpolant", "default_probe_plan", "describe",
+    "chain_rule_defects", "check_admissible", "conjugate",
+    "de_giorgi_interpolant", "default_probe_plan", "describe",
     "energy_identity_defect", "energy_value", "fenchel_young_gap",
     "fenchel_young_profile", "generalized_time_derivative",
-    "incremental_step", "marginal_subdifferential",
-    "refinement_study", "solve", "step_inequality",
+    "incremental_step", "refinement_study", "solve", "step_inequality",
     "subdiff_contains",
 ]

@@ -3,7 +3,16 @@
 An EnergyModel owns E(t, u), subgradient candidates and a generalized
 time derivative P(t, u, xi), each written once, as rows: at_times (E and
 its gradient), subdiff_rows and time_deriv_P_rows; energy_value and
-generalized_time_derivative of one point are the one-row case. A d = 1
+generalized_time_derivative of one point are the one-row case.
+subdiff_rows gives the candidates of B rows as one pair (owner, C): C is
+an (n, d) float array of finite candidates, C[i] one of row owner[i];
+owners are nondecreasing and name every row, and each row's candidates
+come in lexicographic order, no two within XI_DEDUP. So the scheme picks
+a multiplier per row with array operations alone and never sorts. A
+smooth model's one candidate is its gradient; a d = 1 model with several
+candidates per row writes them as a (B, k) array of ascending rows, and
+_candidate_pair keeps each entry more than XI_DEDUP above the one before
+it (a row's padding repeats a value, so it goes too). A d = 1
 model's at_times is also the scan solver's E: it takes a (B, 1) column
 of times and a (B, n, 1) grid of states, and gives each grid point the
 bits of its one-row call. derivative_1d, dE/du for the stationarity
@@ -36,8 +45,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._record import FrozenRecord
-from .errors import (ConditioningError, DimensionMismatchError, DomainError,
-                     RefinementError, ResolutionError)
+from .errors import (ConditioningError, DomainError, RefinementError,
+                     ResolutionError)
 from .potentials import (AdmissibilityReport as AssumptionReport,
                          AxiomCheck as AssumptionCheck, _one_sided,
                          as_state, row_call)
@@ -98,12 +107,12 @@ class EnergyModel:
         (B, n) values, each point with the bits of its one-row call."""
         raise NotImplementedError
 
-    def subdiff_rows(self, t, U) -> List[List[np.ndarray]]:
-        """The finite list of subgradient candidates at each row
-        (t[b], U[b]) of a sequence of times and a (B, d) array of states,
-        in row order. A smooth model's one candidate is its gradient, by
-        default from one at_times call."""
-        return [[g] for g in self.at_times(t)(U)[1]()]
+    def subdiff_rows(self, t, U) -> Tuple[np.ndarray, np.ndarray]:
+        """The subgradient candidates of the rows (t[b], U[b]) of a
+        sequence of times and a (B, d) array of states, as the pair
+        (owner, C) of the module docstring. A smooth model's one candidate
+        is its gradient, by default from one at_times call."""
+        return np.arange(len(U)), self.at_times(t)(U)[1]()
 
     def time_deriv_P_rows(self, t, U, XI) -> List[float]:
         """P at each row (t[b], U[b], XI[b]) of a sequence of times and
@@ -164,21 +173,10 @@ class MarginalEnergy(EnergyModel):
 
     def subdiff_rows(self, t, U):
         """The marginal subdifferential of each row of a d = 1 model: D_u I
-        at its minimizing etas, from _argmin_du_rows, sorted and
-        deduplicated where a row has more than one."""
-        sets, dus = _argmin_du_rows(self, t, U)
-        out = []
-        for s, du in zip(sets, dus):
-            if len(s) == 1:   # one minimizer: nothing to sort or merge
-                out.append([du[:1]])
-                continue
-            xis = sorted((du[j:j + 1] for j in range(len(s))), key=tuple)
-            row: List[np.ndarray] = []
-            for x in xis:
-                if not row or np.linalg.norm(x - row[-1]) > XI_DEDUP:
-                    row.append(x)
-            out.append(row)
-        return out
+        at its minimizing etas, the (B, k) array of _argmin_du_rows, each
+        row sorted, as _candidate_pair's pair."""
+        return _candidate_pair(np.sort(_argmin_du_rows(self, t, U)[1],
+                                       axis=1, kind="stable"))
 
     @cached_property
     def eta_grid(self) -> np.ndarray:
@@ -355,15 +353,6 @@ def _argmin_rows(model: MarginalEnergy, t, U) -> List[Tuple[float, ...]]:
     return out
 
 
-def marginal_subdifferential(model: MarginalEnergy, t: float, u
-                             ) -> List[np.ndarray]:
-    """{D_u I(t, u, eta) : eta in argmin_set}, deduplicated: the one-row
-    case of MarginalEnergy.subdiff_rows, even where a model overrides it."""
-    u = as_state(u, model.dim)
-    _check_domain(model, u)
-    return MarginalEnergy.subdiff_rows(model, (t,), u[None])[0]
-
-
 def _argmin_du_rows(model: MarginalEnergy, t, U):
     """(sets, dus): the minimizing etas of each row (t[b], U[b]) of a d = 1
     model, by one _argmin_rows query, and D_u I at each, as one (B, k)
@@ -375,27 +364,26 @@ def _argmin_du_rows(model: MarginalEnergy, t, U):
                                            U, etas), dtype=float)
 
 
-def clarke_subdifferential_1d(model: EnergyModel, t: float, u
-                              ) -> Tuple[float, float]:
-    """Interval hull of the one-sided derivatives of E(t, .) at u (d = 1).
-
-    Smooth points give the singleton derivative; within the difference
-    step _CLARKE_H of a declared kink the one-sided derivatives are taken
-    from the kink itself. More than one kink inside the step is
-    unresolvable. The one-row case of _clarke_rows.
-    """
-    if model.dim != 1:
-        raise DimensionMismatchError(1, model.dim, "Clarke interval")
-    lo, hi = _clarke_rows(model, (t,), as_state(u, 1)[None])
-    return lo[0], hi[0]
+def _candidate_pair(C: np.ndarray):
+    """The subdiff_rows pair (owner, C) of the candidates of a d = 1
+    model, the entries of a (B, k) array with ascending rows: a row keeps
+    its first entry and each entry more than XI_DEDUP above the one
+    before."""
+    keep = np.ones(C.shape, dtype=bool)
+    keep[:, 1:] = np.diff(C, axis=1) > XI_DEDUP
+    return np.nonzero(keep)[0], C[keep][:, None]
 
 
 def _clarke_rows(model: EnergyModel, t, U):
-    """clarke_subdifferential_1d of each row (t[b], U[b]), as two lists
-    (lo, hi). Each row's two one-sided quotients read E at its base x and
-    at x +- h/2, x +- h, h = _CLARKE_H; those five points of every row
-    are one at_times call. A row that fails raises the error the first
-    failing row raises alone."""
+    """The Clarke interval [lo, hi] of E(t[b], .) at each row U[b] (d = 1),
+    the hull of its one-sided derivatives, as two lists (lo, hi). A smooth
+    point gives the singleton derivative; within the difference step
+    h = _CLARKE_H of a declared kink the one-sided derivatives are taken
+    from the kink itself, and more than one kink inside the step is
+    unresolvable. Each row's two one-sided quotients read E at its base x
+    and at x +- h/2, x +- h; those five points of every row are one
+    at_times call. A row that fails raises the error the first failing
+    row raises alone."""
     h = _CLARKE_H
     offsets = (-h, -h / 2.0, 0.0, h / 2.0, h)
 
@@ -513,42 +501,38 @@ def audit_assumptions(model: EnergyModel) -> AssumptionReport:
     def malformed(xi):
         return xi.shape != (model.dim,) or not np.all(np.isfinite(xi))
 
-    cands = [[np.asarray(xi, dtype=float) for xi in row]
-             for row in model.subdiff_rows(pt, PU)]
-    good = [(b, xi) for b, row in enumerate(cands) for xi in row
-            if not malformed(xi)]
+    # P of the candidates before the first malformed one, one row call
+    owner, C = model.subdiff_rows(pt, PU)
+    n = next((i for i, xi in enumerate(C) if malformed(xi)), len(C))
     try:
-        P = model.time_deriv_P_rows([pt[b] for b, _ in good],
-                                    PU[[b for b, _ in good]],
-                                    np.array([xi for _, xi in good]))
+        P = model.time_deriv_P_rows([pt[b] for b in owner[:n]],
+                                    PU[owner[:n]], C[:n])
     except ConditioningError:
         P = None   # the loop asks each candidate alone, and names the first
 
     p_ok = True
     p_detail = ""
     worst_p = -np.inf
-    j = 0   # the next row of P
-    for b, (t, k, u) in enumerate(probes):
+    for i, b in enumerate(owner.tolist()):
+        t, k, u = probes[b]
+        xi = C[i]
+        if i == n:
+            p_ok = False
+            p_detail = f"malformed subgradient candidate {xi!r}"
+            break
+        try:
+            p = (model.time_deriv_P_rows((t,), u[None], xi[None])[0]
+                 if P is None else P[i])
+        except ConditioningError:
+            p_ok = False
+            p_detail = f"P undefined at candidate {xi.tolist()} at t={t}"
+            break
         g_u = max(e[tt, k] for tt in times)
-        for xi in cands[b]:
-            if malformed(xi):
-                p_ok = False
-                p_detail = f"malformed subgradient candidate {xi!r}"
-                break
-            try:
-                p = (model.time_deriv_P_rows((t,), u[None], xi[None])[0]
-                     if P is None else P[j])
-            except ConditioningError:
-                p_ok = False
-                p_detail = f"P undefined at candidate {xi.tolist()} at t={t}"
-                break
-            j += 1
-            margin = abs(p) - K.C2 * g_u
-            worst_p = max(worst_p, margin)
-            if margin > slack * (1.0 + g_u):
-                p_ok = False
-                p_detail = f"|P| = {abs(p):.6g} > C2 sup E = {K.C2 * g_u:.6g} at t={t}"
-        if not p_ok:
+        margin = abs(p) - K.C2 * g_u
+        worst_p = max(worst_p, margin)
+        if margin > slack * (1.0 + g_u):
+            p_ok = False
+            p_detail = f"|P| = {abs(p):.6g} > C2 sup E = {K.C2 * g_u:.6g} at t={t}"
             break
     rows.append(AssumptionCheck(
         "power_bound", p_ok,

@@ -27,7 +27,7 @@ from . import _kernels, _optim
 from ._kernels import double_well  # re-export  # noqa: F401
 from ._record import FrozenRecord
 from .energy import (EnergyConstants, EnergyModel, MarginalEnergy,
-                     _clarke_rows)
+                     _candidate_pair, _clarke_rows)
 from .errors import ConfigError, RangeError
 from .potentials import (DissipationPotential, OneHomPlusQuad, PNorm,
                          Quadratic, StateWeighted, WeightedSum, as_state)
@@ -127,15 +127,9 @@ class _AbsoluteMarginalEnergy(MarginalEnergy):
     def subdiff_rows(self, t, U):
         if self.subdiff_kind == "marginal":
             return super().subdiff_rows(t, U)
-        out = []
-        for lo, hi in zip(*_clarke_rows(self, t, U)):
-            cands = [np.array([lo])]
-            if hi > lo:
-                if lo < 0.0 < hi:
-                    cands.append(np.array([0.0]))
-                cands.append(np.array([hi]))
-            out.append(cands)
-        return out
+        # the interval's ends, and 0 where it lies strictly inside
+        lo, hi = map(np.array, _clarke_rows(self, t, U))
+        return _candidate_pair(np.stack([lo, np.clip(0.0, lo, hi), hi], 1))
 
 
 class _PhaseFieldEnergy(MarginalEnergy):
@@ -251,8 +245,8 @@ class _AllenCahnEnergy(EnergyModel):
         return at
 
     def subdiff_rows(self, t, U):
-        return [[g] for g in _kernels.ac_grad(U, self.dx, self.q,
-                                              self._load_rows(t))]
+        return np.arange(len(U)), _kernels.ac_grad(U, self.dx, self.q,
+                                                   self._load_rows(t))
 
     def time_deriv_P_rows(self, t, U, XI):
         # d/dt of -<l(t), u> dx, with the cosine of each time from math

@@ -398,10 +398,8 @@ class Scaled(DissipationPotential):
         return self.w * self.base.one_hom
 
     def scalar(self, s):
-        # the base class's sum, with each row's l1 weight w base.one_hom
-        w, oh = self._lead(s), self.base.one_hom
-        smooth = w * self.base.smooth_scalar(s)
-        return w * oh * np.abs(s) + smooth if oh else smooth
+        # w times the base's, as value scales it, so both agree bit for bit
+        return self._lead(s) * self.base.scalar(s)
 
     def smooth_scalar(self, s):
         return self._lead(s) * self.base.smooth_scalar(s)

@@ -6,7 +6,14 @@ Each step solves
 
 and extracts the multiplier xi_n from the model's subdifferential candidates
 by minimal Fenchel-Young gap against the rate v_n = (U_n - U_{n-1}) / tau,
-so that -xi_n lies in dPsi(v_n) up to the inner tolerance. A step
+so that -xi_n lies in dPsi(v_n) up to the inner tolerance. The candidates
+of many rows are the model's subdiff_rows pair (owner, C), C[i] one of row
+owner[i], each row's in lexicographic order (see dnevolve.energy). Both
+picks among them, this one and the interpolant's r -> 0 multiplier
+(slope_multiplier, least conjugate Psi*(-xi)), follow one rule,
+_first_least: the first of a row's least values wins, and NaN never beats
+a number, so ties go to the lexicographically smallest xi and a row whose
+every value is NaN keeps its first candidate. A step
 evaluates E(t_n, U_{n-1}) once, for the inner solver and the minimality
 witness, and hands the witness back to solve with E(t_n, U_n).
 
@@ -508,47 +515,44 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
 # steps and solves
 
 
-def _candidates(model, t, U) -> List[List[np.ndarray]]:
-    """The model's subdifferential candidates at each row (t[b], U[b]), each
-    row's in lexicographic order, so that ties between them go to the
-    smallest."""
-    out = []
-    for tb, cands in zip(t, model.subdiff_rows(t, U)):
-        if not cands:
-            raise SubdifferentialUnavailableError(
-                f"{model.name} returned no subgradient candidates at t={tb}")
-        out.append(sorted((np.asarray(c, dtype=float).reshape(model.dim)
-                           for c in cands), key=tuple))
-    return out
+def _candidates(model, t, U):
+    """The model's subdiff_rows pair (owner, C) at the rows (t[b], U[b]);
+    a row with no candidate raises SubdifferentialUnavailableError."""
+    owner, C = model.subdiff_rows(t, U)
+    count = np.bincount(owner, minlength=len(U))
+    if not count.all():
+        raise SubdifferentialUnavailableError(
+            f"{model.name} returned no subgradient candidates at "
+            f"t={t[int(np.argmin(count))]}")
+    return owner, C
 
 
-def _flat(cands):
-    """(owner, C) of per-row candidate lists: the row each candidate
-    belongs to, and every candidate, in row order, as a row of C."""
-    return ([b for b, cs in enumerate(cands) for _ in cs],
-            np.array([c for cs in cands for c in cs]))
+def _first_least(owner, vals):
+    """The index into the candidates of a subdiff_rows pair of each row's
+    pick, given their values, by the rule of the module docstring. A
+    later candidate replaces the row's pick only when its value is less,
+    or a number where the pick's is NaN. (np.lexsort with np.searchsorted
+    does this in arrays, but first loading their code adds 0.1-0.2 MB to
+    a run's peak RSS, and most rows have one candidate.)"""
+    pick: List[int] = []
+    for i, (b, x) in enumerate(zip(owner.tolist(), vals.tolist())):
+        if len(pick) == b:   # row b's first candidate
+            pick.append(i)
+            best = x
+        elif x < best or (math.isnan(best) and not math.isnan(x)):
+            pick[b], best = i, x
+    return np.array(pick)
 
 
 def _select_multiplier(model, p, v, t, U):
     """Each row's gap-minimal multiplier among the model's candidates at
-    (t[b], U[b]), against the rate v[b]; ties go to the lexicographically
-    smallest xi. The gaps of every row's candidates are one row call of
-    fenchel_young_gap, and each row picks its least on Python floats.
+    (t[b], U[b]), against the rate v[b], picked by _first_least. The gaps
+    of every row's candidates are one row call of fenchel_young_gap.
     Returns (xi, gap), of shapes (B, d) and (B,)."""
-    cands = _candidates(model, t, U)
-    owner, C = _flat(cands)
-    gaps = potentials.fenchel_young_gap(p[owner], v[owner], -C).tolist()
-    xi = np.empty_like(U)
-    gap = np.empty(U.shape[0])
-    i = 0
-    for b, cs in enumerate(cands):
-        best_xi, best_gap = None, np.inf
-        for c, g in zip(cs, gaps[i:i + len(cs)]):
-            if g < best_gap:
-                best_xi, best_gap = c, g
-        i += len(cs)
-        xi[b], gap[b] = best_xi, best_gap
-    return xi, gap
+    owner, C = _candidates(model, t, U)
+    gaps = potentials.fenchel_young_gap(p[owner], v[owner], -C)
+    pick = _first_least(owner, gaps)
+    return C[pick], gaps[pick]
 
 
 def minimality_witness(model: EnergyModel, p, t_n, tau, u_prev, U, e_prev,
@@ -810,20 +814,13 @@ def _locate(grid: TimeGrid, t):
 def slope_multiplier(model: EnergyModel, p, t, u) -> np.ndarray:
     """The r -> 0 limit multiplier of the variational interpolant: the
     subdifferential candidate minimizing the conjugate Psi_u*(-xi) under
-    the frozen potential p of the rows, ties to the lexicographically
-    smallest. Times t[b] and the rows of a (B, d) array give the (B, d)
-    array of multipliers, with the candidates of every row one conjugate
-    call; one state is the case B = 1."""
+    the frozen potential p of the rows, picked by _first_least. Times
+    t[b] and the rows of a (B, d) array give the (B, d) array of
+    multipliers, with the candidates of every row one conjugate call; one
+    state is the case B = 1."""
     def rows(t, U, p):
-        cands = _candidates(model, t, U)
-        owner, C = _flat(cands)
-        vals = potentials.conjugate(p[owner], -C).tolist()
-        out = np.empty_like(U)
-        i = 0
-        for b, cs in enumerate(cands):
-            out[b] = cs[int(np.argmin(vals[i:i + len(cs)]))]
-            i += len(cs)
-        return out
+        owner, C = _candidates(model, t, U)
+        return C[_first_least(owner, potentials.conjugate(p[owner], -C))]
     return potentials.row_call(rows, list(t), as_state(u, model.dim), p)
 
 

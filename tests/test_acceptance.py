@@ -15,9 +15,8 @@ from dnevolve import cli
 from dnevolve.diagnostics import (chain_rule_constant, chain_rule_defects,
                                   energy_identity_defect, resolve_eps_quad,
                                   step_inequality)
-from dnevolve.energy import (clarke_subdifferential_1d, energy_value,
-                             generalized_time_derivative,
-                             marginal_subdifferential)
+from dnevolve.energy import (MarginalEnergy, _clarke_rows, energy_value,
+                             generalized_time_derivative)
 from dnevolve.models import MODEL_NAMES, build
 from dnevolve.potentials import (OneHomPlusQuad, PNorm, Quadratic, Scaled,
                                  StateWeighted, TwoSlope, WeightedSum,
@@ -268,13 +267,14 @@ def test_criterion_8_subdifferential_tables(capsys):
         cases += [(kink - d, (alpha,), (alpha, alpha)) for d in offsets]
         for u, table, clarke in cases:
             probes += 1
-            got = tuple(sorted(float(x[0])
-                               for x in marginal_subdifferential(model, t, [u])))
+            U = np.array([[u]])
+            got = tuple(sorted(
+                MarginalEnergy.subdiff_rows(model, [t], U)[1][:, 0].tolist()))
             if got != table:
                 failures.append(f"marginal table at (t={t}, u={u}): "
                                 f"{got} != {table}")
                 break
-            lo, hi = clarke_subdifferential_1d(model, t, [u])
+            (lo,), (hi,) = _clarke_rows(model, [t], U)
             if abs(lo - clarke[0]) > 1e-6 or abs(hi - clarke[1]) > 1e-6:
                 failures.append(f"Clarke interval at (t={t}, u={u}): "
                                 f"({lo}, {hi}) != {clarke}")

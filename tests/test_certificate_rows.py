@@ -319,7 +319,7 @@ def test_energy_and_P_rows_are_their_one_row_calls(name, params):
     # every candidate multiplier whose P is defined, as rows
     rows = []
     for tb, ub in zip(t, U):
-        for xi in model.subdiff_rows([tb], ub[None])[0]:
+        for xi in model.subdiff_rows([tb], ub[None])[1]:
             try:
                 old_P(model, tb, ub, xi)
             except ConditioningError:

@@ -495,9 +495,8 @@ def test_nan_witness_exits_3(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("patch", ["nan_gap", "all_gaps_inf"])
 def test_non_finite_gap_exits_3(tmp_path, capsys, monkeypatch, patch):
-    # solve stored a non-finite gap (and, with every candidate's gap
-    # infinite, a NaN multiplier), so run exited 0 on outputs that its own
-    # check rejects
+    # a non-finite selected gap aborts the solve, so run never exits 0 on
+    # outputs that its own check rejects
     if patch == "nan_gap":
         real = scheme._select_multiplier
 

@@ -14,11 +14,10 @@ import pytest
 import dnevolve as dn
 from dnevolve import _kernels, _optim, potentials
 from dnevolve import energy as energy_mod
-from dnevolve.energy import (ETA_CLUSTER, argmin_set, audit_assumptions,
-                             clarke_subdifferential_1d, default_delta_M,
+from dnevolve.energy import (ETA_CLUSTER, MarginalEnergy, argmin_set,
+                             audit_assumptions, default_delta_M,
                              default_probe_plan, energy_value,
-                             generalized_time_derivative,
-                             marginal_subdifferential)
+                             generalized_time_derivative)
 from dnevolve.errors import (ConditioningError, DimensionMismatchError,
                              DomainError, RangeError, RefinementError)
 from dnevolve.models import build
@@ -280,27 +279,82 @@ def test_argmin_matches_brute_force_along_loading(phase_field):
 # subdifferentials
 
 
+def marginal_xis(model, t, u):
+    """The marginal subdifferential at one point (d = 1), as floats: the
+    one-row MarginalEnergy.subdiff_rows, even where a model overrides it."""
+    return MarginalEnergy.subdiff_rows(model, [t], np.array([u]))[1][:, 0] \
+        .tolist()
+
+
+def clarke_interval(model, t, u):
+    """(lo, hi), the one-row _clarke_rows call at (t, u)."""
+    (lo,), (hi,) = energy_mod._clarke_rows(model, [t], np.array([u]))
+    return lo, hi
+
+
+# (name, params, rows of kinks and ties: (t, u) with more than one
+# candidate); AbsoluteMarginal's kink travels along u = beta t, and
+# PhaseField1D's two wells tie at u = 0 without load
+CONTRACT_MODELS = [
+    ("QuadraticBenchmark", {"dim": 3}, []),
+    ("AbsoluteMarginal", {"subdiff_kind": "marginal"},
+     [(t, 0.25 * t) for t in (0.0, 0.5, 0.8)]),
+    ("AbsoluteMarginal", {"subdiff_kind": "clarke"},
+     [(t, 0.25 * t) for t in (0.0, 0.5, 0.8)]),
+    ("PhaseField1D", {"load_amp": 0.0}, [(t, 0.0) for t in (0.0, 0.4, 1.0)]),
+    ("PhaseField1D", {}, []),
+    ("AllenCahn1D", {"N": 8}, []),
+    ("StateWeightedToy", {"dim": 2}, []),
+]
+
+
+@pytest.mark.parametrize("name,params,ties", CONTRACT_MODELS,
+                         ids=[f"{n}-{p}" for n, p, _ in CONTRACT_MODELS])
+def test_subdiff_rows_keeps_its_pair_contract(name, params, ties):
+    # (owner, C): every row present, owners nondecreasing, each row in
+    # lexicographic order with no two candidates within XI_DEDUP, and C a
+    # finite (n, d) array; the multiplier picks rely on it unsorted
+    model = build(name, params).energy
+    lo, hi = model.domain_box
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 1.0, 40).tolist() + [tb for tb, _ in ties]
+    U = np.concatenate([lo + rng.random((40, model.dim)) * (hi - lo),
+                        np.array([[u] for _, u in ties]).reshape(
+                            -1, model.dim)])
+    owner, C = model.subdiff_rows(t, U)
+    owner = np.asarray(owner)
+    assert C.shape == (len(owner), model.dim) and C.dtype == float
+    assert np.isfinite(C).all()
+    assert np.issubdtype(owner.dtype, np.integer)
+    assert (np.diff(owner) >= 0).all()
+    assert set(owner.tolist()) == set(range(len(t)))
+    for b in range(len(t)):
+        row = [tuple(c) for c in C[owner == b].tolist()]
+        assert row == sorted(row)
+        for a, c in zip(row, row[1:]):
+            assert np.linalg.norm(np.subtract(c, a)) > energy_mod.XI_DEDUP
+    # every kink or tie row has more than one candidate
+    assert (np.bincount(owner)[40:] > 1).all()
+
+
 def test_abs_marginal_subdiff_table(abs_marginal):
     t = 0.8
     k = 0.25 * t
-    above = marginal_subdifferential(abs_marginal, t, [k + 0.3])
-    at = marginal_subdifferential(abs_marginal, t, [k])
-    below = marginal_subdifferential(abs_marginal, t, [k - 0.3])
-    assert [x[0] for x in above] == [-0.5]
-    assert [x[0] for x in at] == [-0.5, 0.5]
-    assert [x[0] for x in below] == [0.5]
+    assert marginal_xis(abs_marginal, t, [k + 0.3]) == [-0.5]
+    assert marginal_xis(abs_marginal, t, [k]) == [-0.5, 0.5]
+    assert marginal_xis(abs_marginal, t, [k - 0.3]) == [0.5]
 
 
 def test_clarke_intervals(abs_marginal, quad):
     t = 0.8
     k = 0.25 * t
-    lo, hi = clarke_subdifferential_1d(abs_marginal, t, [k])
+    lo, hi = clarke_interval(abs_marginal, t, [k])
     assert lo == pytest.approx(-0.5, abs=1e-6)
     assert hi == pytest.approx(0.5, abs=1e-6)
-    lo, hi = clarke_subdifferential_1d(abs_marginal, t, [k + 0.3])
+    lo, hi = clarke_interval(abs_marginal, t, [k + 0.3])
     assert lo == pytest.approx(-0.5, abs=1e-6)
     assert hi == pytest.approx(-0.5, abs=1e-6)
-    lo, hi = clarke_subdifferential_1d(quad, 0.0, [3.0])
+    lo, hi = clarke_interval(quad, 0.0, [3.0])
     assert lo == pytest.approx(2.0, abs=1e-8)
     assert hi == pytest.approx(2.0, abs=1e-8)
 
@@ -308,7 +362,7 @@ def test_clarke_intervals(abs_marginal, quad):
 def test_clarke_requires_dim_1():
     ac = build("AllenCahn1D", {"N": 4}).energy
     with pytest.raises(DimensionMismatchError):
-        clarke_subdifferential_1d(ac, 0.0, np.zeros(4))
+        energy_mod._clarke_rows(ac, [0.0], np.zeros((1, 4)))
 
 
 def test_clarke_contains_marginal_elements(abs_marginal):
@@ -316,22 +370,22 @@ def test_clarke_contains_marginal_elements(abs_marginal):
     for _ in range(60):
         t = float(rng.uniform(0.0, 1.0))
         u = float(rng.uniform(-1.2, 1.2))
-        lo, hi = clarke_subdifferential_1d(abs_marginal, t, [u])
-        for xi in marginal_subdifferential(abs_marginal, t, [u]):
-            assert lo - 1e-6 <= xi[0] <= hi + 1e-6
+        lo, hi = clarke_interval(abs_marginal, t, [u])
+        for xi in marginal_xis(abs_marginal, t, [u]):
+            assert lo - 1e-6 <= xi <= hi + 1e-6
 
 
 def test_phase_field_clarke_at_kink(phase_field):
     t = 0.9
     ell = 0.3 * math.sin(t)  # builder default load_amp
-    lo, hi = clarke_subdifferential_1d(phase_field, t, [0.0])
+    lo, hi = clarke_interval(phase_field, t, [0.0])
     assert lo == pytest.approx(-2.0 / 3.0 - ell, abs=1e-6)
     assert hi == pytest.approx(2.0 / 3.0 - ell, abs=1e-6)
 
 
 def clarke_loop(model, t, u, h=1e-6):
-    """clarke_subdifferential_1d as it was, point by point: each of the
-    eight differences of its two quotients a one-row at_times call."""
+    """The Clarke interval at one point, point by point: each of the eight
+    differences of its two quotients a one-row at_times call."""
     x = float(u[0])
     near = [k for k in model.kinks_1d(t) if abs(k - x) <= h]
     base = near[0] if near else x
@@ -360,7 +414,7 @@ def test_clarke_rows_are_their_one_row_calls(name, monkeypatch):
     U = np.array(U)
     lo, hi = energy_mod._clarke_rows(model, t, U)
     for b in range(len(t)):
-        one = clarke_subdifferential_1d(model, t[b], U[b])
+        one = clarke_interval(model, t[b], U[b])
         ref = clarke_loop(model, t[b], U[b])
         assert (float(lo[b]).hex(), float(hi[b]).hex()) \
             == tuple(float(x).hex() for x in one) \
@@ -374,13 +428,14 @@ def test_clarke_rows_are_their_one_row_calls(name, monkeypatch):
     at_times = clarke.at_times
     monkeypatch.setattr(clarke, "at_times",
                         lambda t: calls.append(len(t)) or at_times(t))
-    cands = clarke.subdiff_rows(t, U)
+    owner, C = clarke.subdiff_rows(t, U)
     assert calls == [5 * len(t)]
-    for b, row in enumerate(cands):
+    for b in range(len(t)):
         lo_b, hi_b = clarke_loop(clarke, t[b], U[b])
         want = [lo_b] + ([0.0] if lo_b < 0.0 < hi_b else []) \
             + ([hi_b] if hi_b > lo_b else [])
-        assert [float(x[0]).hex() for x in row] == [x.hex() for x in want]
+        assert [x.hex() for x in C[owner == b, 0].tolist()] \
+            == [x.hex() for x in want]
 
 
 def test_allen_cahn_subdiff_rows_are_gradient_rows(monkeypatch):
@@ -393,12 +448,13 @@ def test_allen_cahn_subdiff_rows_are_gradient_rows(monkeypatch):
     energies = []
     monkeypatch.setattr(_kernels, "ac_energy",
                         lambda *a, **k: energies.append(1))
-    cands = model.subdiff_rows(t, U)
+    owner, C = model.subdiff_rows(t, U)
     assert energies == []
-    for b, row in enumerate(cands):
+    assert owner.tolist() == [0, 1, 2, 3]
+    for b in range(4):
         load = model.amp * math.sin(t[b]) * model.profile
         ref = _kernels.ac_grad(U[b], model.dx, model.q, load)
-        assert len(row) == 1 and row[0].tobytes() == ref.tobytes()
+        assert C[b].tobytes() == ref.tobytes()
 
 
 def test_subdifferential_offset_invariance():
@@ -407,19 +463,17 @@ def test_subdifferential_offset_invariance():
     a = build("PhaseField1D", {"offset": 2.0}).energy
     b = build("PhaseField1D", {"offset": 5.0}).energy
     for u in (-0.8, 0.0, 0.4):
-        xa = marginal_subdifferential(a, 0.3, [u])
-        xb = marginal_subdifferential(b, 0.3, [u])
+        xa = marginal_xis(a, 0.3, [u])
+        xb = marginal_xis(b, 0.3, [u])
         assert len(xa) == len(xb)
         for p, q in zip(xa, xb):
-            assert p[0] == pytest.approx(q[0], abs=5e-8)
+            assert p == pytest.approx(q, abs=5e-8)
         assert energy_value(b, 0.3, [u]) - energy_value(a, 0.3, [u]) \
             == pytest.approx(3.0, abs=1e-12)
     c = build("AbsoluteMarginal", {"offset": 2.0}).energy
     d = build("AbsoluteMarginal", {"offset": 3.0}).energy
     for u in (-0.4, 0.2, 0.9):
-        xc = marginal_subdifferential(c, 0.8, [u])
-        xd = marginal_subdifferential(d, 0.8, [u])
-        assert [x[0] for x in xc] == [x[0] for x in xd]
+        assert marginal_xis(c, 0.8, [u]) == marginal_xis(d, 0.8, [u])
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +688,8 @@ def test_probe_plan_is_deterministic():
 def test_marginal_xi_matches_some_argmin(phase_field):
     for u in (-0.9, 0.0, 1.1):
         etas = argmin_set(phase_field, 0.4, [u])
-        xis = marginal_subdifferential(phase_field, 0.4, [u])
-        for xi in xis:
-            ok = any(abs(xi[0] - phase_field.inner_du(0.4, np.array([u]), e)[0])
+        for xi in marginal_xis(phase_field, 0.4, [u]):
+            ok = any(abs(xi - phase_field.inner_du(0.4, np.array([u]), e)[0])
                      <= 1e-10 for e in etas)
             assert ok
 

@@ -513,6 +513,23 @@ def test_scalar_is_bitwise_the_per_class_formula(p):
                 == np.asarray(per_class_scalar(p, s)).tobytes())
 
 
+SEPARABLE = [p for p in catalogue() if p.separable]
+ONE_COORDINATE = {repr(p): p for p in SEPARABLE + [
+    Scaled(p, 1.7) for p in SEPARABLE if not isinstance(p, Scaled)]}
+
+
+@pytest.mark.parametrize("p", ONE_COORDINATE.values(),
+                         ids=ONE_COORDINATE.keys())
+def test_scalar_is_bitwise_the_value_of_one_coordinate(p):
+    # the 1-D scan and rate_bound_radius read scalar, the witness and the
+    # certificate value: Psi in d = 1 has one body
+    rng = np.random.default_rng(3)
+    s = np.concatenate(([0.0, -0.0], 4.0 * rng.standard_normal(30000),
+                        rng.uniform(-1e-3, 1e-3, 30000)))
+    assert (np.asarray(p.scalar(s)).tobytes()
+            == np.asarray(p.value(s[:, None])).tobytes())
+
+
 def test_scalar_derivative_matches_finite_differences():
     for p in (Quadratic(2.0), OneHomPlusQuad(0.7, 1.3), PNorm(1.0, 3.0)):
         for s in (-1.4, -0.3, 0.8, 2.2):

@@ -798,6 +798,53 @@ def test_slope_multiplier_choices():
     assert out.tolist() == [[-0.5], [-0.5]]
 
 
+def test_first_least_rule():
+    # each row's first least value wins, and NaN never beats a number:
+    # [NaN, inf] picks inf, a row of NaN its first candidate, -0.0 ties 0.0
+    owner = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 4])
+    vals = np.array([np.nan, np.inf, np.nan, np.nan, np.nan, 3.0, 3.0,
+                     0.0, -0.0, 7.0])
+    assert scheme._first_least(owner, vals).tolist() == [1, 2, 5, 7, 9]
+
+
+def test_both_multiplier_picks_share_the_rule(monkeypatch):
+    # Clarke candidates at the kink are [-alpha, 0, alpha]; a NaN value of
+    # the first and equal values of the others pick 0.0 in both picks
+    spec = build("AbsoluteMarginal", {"subdiff_kind": "clarke"})
+    model, p = spec.energy, spec.dissipation
+    t, U = [0.8], np.array([[0.2]])
+    C = model.subdiff_rows(t, U)[1]
+    assert C[:, 0] == pytest.approx([-0.5, 0.0, 0.5]) and C[1, 0] == 0.0
+    vals = lambda p, *rows: np.array([np.nan, 2.0, 2.0])  # noqa: E731
+    monkeypatch.setattr(scheme.potentials, "conjugate", vals)
+    monkeypatch.setattr(scheme.potentials, "fenchel_young_gap", vals)
+    assert slope_multiplier(model, p, t, U).tolist() == [[0.0]]
+    xi, gap = scheme._select_multiplier(model, p, np.zeros((1, 1)), t, U)
+    assert xi.tolist() == [[0.0]] and gap.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("name,params", [
+    ("QuadraticBenchmark", {}),
+    ("AbsoluteMarginal", {"subdiff_kind": "clarke"})])
+def test_all_infinite_gaps_keep_a_finite_first_candidate(name, params,
+                                                         monkeypatch):
+    # every candidate's gap inf: solve aborts naming the gap, and the
+    # step's multiplier is its first candidate, not NaN
+    spec = build(name, params)
+    monkeypatch.setattr(scheme.potentials, "fenchel_young_gap",
+                        lambda p, v, xi: np.full(len(v), math.inf))
+    with pytest.raises(SolveAbortedError,
+                       match="Fenchel-Young gap inf") as info:
+        solve(spec.energy, spec.dissipation, [0.0],
+              TimeGrid(T=0.0625, tau=0.03125))
+    part = info.value.partial
+    t1, U1 = part.grid.t(1), part.U[1:2]
+    first = spec.energy.subdiff_rows([t1], U1)[1][0]
+    assert np.isfinite(part.xi[-1]).all()
+    assert part.xi[-1].tobytes() == first.tobytes()
+    assert part.gaps[-1] == math.inf
+
+
 def test_samplers(quad_traj):
     U = quad_traj.U
     left, right = left_constant_interpolant, right_constant_interpolant
