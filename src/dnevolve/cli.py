@@ -291,23 +291,22 @@ def read_trajectory_csv(path: str, plan: RunPlan, tau: float
         raise ConfigError("output_dir",
                           f"trajectory.csv has {len(lines) - 1} rows, "
                           f"expected {grid.N + 1} for tau={tau}, T={plan.T}")
-    U = np.zeros((grid.N + 1, d))
-    xi = np.zeros((grid.N + 1, d))
-    nodes = np.zeros(grid.N + 1)
-    times = np.zeros(grid.N + 1)
-    gaps = np.zeros(grid.N + 1)
-    stored = np.zeros(grid.N + 1)
-    for k, ln in enumerate(lines[1:]):
-        parts = ln.split(",")
-        try:
-            nodes[k], times[k] = float(parts[0]), float(parts[1])
-            U[k] = [float(x) for x in parts[2:2 + d]]
-            xi[k] = [float(x) for x in parts[2 + d:2 + 2 * d]]
-            gaps[k] = float(parts[2 + 2 * d])
-            stored[k] = float(parts[3 + 2 * d])
-        except ValueError as err:
-            raise ConfigError("output_dir",
-                              f"trajectory.csv row {k + 1}: {err}")
+    # every cell by one float() pass; only a bad cell's error path looks
+    # for its row, the first in row and cell order, to name it
+    try:
+        cells = np.array(list(map(float, ",".join(lines[1:]).split(","))))
+    except ValueError:
+        for k, ln in enumerate(lines[1:]):
+            try:
+                list(map(float, ln.split(",")))
+            except ValueError as err:
+                raise ConfigError("output_dir",
+                                  f"trajectory.csv row {k + 1}: {err}")
+        raise
+    cells = cells.reshape(grid.N + 1, expected)
+    nodes, times = cells[:, 0].copy(), cells[:, 1].copy()
+    U, xi = cells[:, 2:2 + d].copy(), cells[:, 2 + d:2 + 2 * d].copy()
+    gaps, stored = cells[:, 2 + 2 * d].copy(), cells[:, 3 + 2 * d].copy()
     # a non-finite gap_n or energy_n cell fails its stored_* check; states
     # and multipliers must be finite to be checked at all
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(xi))):

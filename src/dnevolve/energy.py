@@ -75,8 +75,8 @@ class EnergyConstants(FrozenRecord):
 
 class EnergyModel:
     """Base energy: immutable after construction, all queries pure. A model
-    writes at_times and time_deriv_P_rows, and subdiff_rows unless its one
-    candidate is its gradient."""
+    writes at_times and time_deriv_P_rows, subdiff_rows unless its one
+    candidate is its gradient, and hess_rows when d > 1."""
 
     name: str = "energy"
     dim: int = 1
@@ -117,6 +117,14 @@ class EnergyModel:
     def time_deriv_P_rows(self, t, U, XI) -> List[float]:
         """P at each row (t[b], U[b], XI[b]) of a sequence of times and
         two (B, d) arrays, in row order."""
+        raise NotImplementedError
+
+    def hess_rows(self, t, U) -> Tuple[np.ndarray, np.ndarray]:
+        """The tridiagonal Hessian of E(t[b], .) at each row U[b] of a
+        (B, d) array (d > 1), as its (B, d) diagonal and (B, d - 1)
+        off-diagonal; +inf marks a diagonal entry where E has no second
+        derivative. The n-D inner solver builds its prox-Newton candidate
+        from it."""
         raise NotImplementedError
 
     def kinks_1d(self, t: float) -> Tuple[float, ...]:
@@ -376,10 +384,14 @@ def _candidate_pair(C: np.ndarray):
 
 def _clarke_rows(model: EnergyModel, t, U):
     """The Clarke interval [lo, hi] of E(t[b], .) at each row U[b] (d = 1),
-    the hull of its one-sided derivatives, as two lists (lo, hi). A smooth
-    point gives the singleton derivative; within the difference step
-    h = _CLARKE_H of a declared kink the one-sided derivatives are taken
-    from the kink itself, and more than one kink inside the step is
+    the hull of its one-sided derivatives, as two lists (lo, hi), each
+    from Richardson-refined difference quotients. At a smooth point the
+    two quotients agree only up to their truncation and rounding error,
+    so the interval is narrow there but seldom a singleton: on
+    AbsoluteMarginal its ends differ, by 2.2e-10 to 1.6e-9, at 13,893 of
+    20,000 random (t, u) in [0, 1] x [-1.5, 1.5]. Within the difference
+    step h = _CLARKE_H of a declared kink the one-sided derivatives are
+    taken from the kink itself, and more than one kink inside the step is
     unresolvable. Each row's two one-sided quotients read E at its base x
     and at x +- h/2, x +- h; those five points of every row are one
     at_times call. A row that fails raises the error the first failing

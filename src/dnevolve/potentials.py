@@ -146,6 +146,11 @@ class DissipationPotential(FrozenRecord):
         """Derivative of smooth_scalar."""
         raise NotImplementedError
 
+    def smooth_scalar_hess(self, s):
+        """Second derivative of smooth_scalar, +inf where it blows up (the
+        prox-Newton candidate of the n-D inner solver reads it)."""
+        raise NotImplementedError
+
     def modulus(self, r: float) -> float:
         """Lower bound on the strong-convexity modulus of Psi on the rates
         with |v_i| <= r (r > 0); 0.0 makes no claim. The scheme's n-D
@@ -184,6 +189,9 @@ class Quadratic(DissipationPotential):
 
     def smooth_scalar_grad(self, s):
         return self.c * np.asarray(s, dtype=float)
+
+    def smooth_scalar_hess(self, s):
+        return np.full(np.shape(s), float(self.c))
 
     def modulus(self, r):
         return self.c
@@ -241,6 +249,14 @@ class PNorm(DissipationPotential):
             return np.zeros_like(s)
         return self.c * np.sign(s) * np.abs(s) ** (self.p - 1.0)
 
+    def smooth_scalar_hess(self, s):
+        s = np.asarray(s, dtype=float)
+        if self.p == 1.0:
+            return np.zeros_like(s)
+        # c (p - 1) |s|^(p - 2): +inf at s = 0 for p < 2
+        with np.errstate(divide="ignore"):
+            return self.c * (self.p - 1.0) * np.abs(s) ** (self.p - 2.0)
+
     def modulus(self, r):
         # the scalar's second derivative c (p-1) |s|^(p-2) is smallest at
         # |s| = r for p <= 2 and vanishes at s = 0 for p > 2
@@ -281,6 +297,9 @@ class OneHomPlusQuad(DissipationPotential):
 
     def smooth_scalar_grad(self, s):
         return self.eps * np.asarray(s, dtype=float)
+
+    def smooth_scalar_hess(self, s):
+        return np.full(np.shape(s), float(self.eps))
 
     def modulus(self, r):
         return self.eps
@@ -342,6 +361,9 @@ class WeightedSum(DissipationPotential):
 
     def smooth_scalar_grad(self, s):
         return self._split()[1][0].smooth_scalar_grad(s) + 0.0
+
+    def smooth_scalar_hess(self, s):
+        return self._split()[1][0].smooth_scalar_hess(s)
 
     def modulus(self, r):
         return sum(p.modulus(r) for p in self.parts)
@@ -406,6 +428,9 @@ class Scaled(DissipationPotential):
 
     def smooth_scalar_grad(self, s):
         return self._lead(s) * self.base.smooth_scalar_grad(s)
+
+    def smooth_scalar_hess(self, s):
+        return self._lead(s) * self.base.smooth_scalar_hess(s)
 
     def modulus(self, r):
         return self.w * self.base.modulus(r)
@@ -571,6 +596,12 @@ class AdmissibilityReport(FrozenRecord):
         return {r.name: {"passed": r.passed, "detail": r.detail} for r in self.rows}
 
 
+def _norm(v) -> float:
+    """The Euclidean norm of a vector, sqrt(<v, v>), with the bits
+    np.linalg.norm gives it (the package reads nothing of numpy.linalg)."""
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def _one_sided(f, x: float, h: float, side: float) -> float:
     """One-sided difference quotient at x, Richardson-refined once."""
     def d(step):
@@ -593,7 +624,7 @@ def check_admissible(p: DissipationPotential) -> AdmissibilityReport:
     worst = min(p.value(v) for v in PROBES)
     for v in PROBES:
         for r in RADII:
-            worst = min(worst, p.value(r * v / np.linalg.norm(v)))
+            worst = min(worst, p.value(r * v / _norm(v)))
     rows.append(AxiomCheck("nonnegativity", bool(worst >= -1e-12),
                            f"min sampled value {worst:.3e}"))
 
@@ -620,7 +651,7 @@ def check_admissible(p: DissipationPotential) -> AdmissibilityReport:
     sup_ok = True
     sup_detail = ""
     for v in PROBES:
-        vhat = v / np.linalg.norm(v)
+        vhat = v / _norm(v)
         vals = [p.value(r * vhat) for r in RADII]
         ratios = np.array(vals) / np.array(RADII)
         nondecreasing = bool(np.all(np.diff(ratios) >= -1e-9 * (1.0 + np.abs(ratios[:-1]))))

@@ -32,15 +32,28 @@ round whatever B is, and each row keeps the bits of its one-row call. In
 higher dimension, proximal gradient with backtracking (a step must pass
 sufficient decrease and a curvature test on the gradient difference),
 the 1-homogeneous part of Psi handled by its exact proximal map
-(soft-thresholding around the previous state), run on all rows in
-lockstep: each round evaluates one trial point of every unfinished row in
-one grid-kernel call, and every row takes exactly the trial points of its
-own solve. Its step size 1/L adapts both ways: a failed trial doubles L,
-and an iteration accepted at its first trial halves L, floored at 1, when
-its step also passes both tests at L/2 (Nesterov's adaptive composite
-gradient step, Math. Program. 2013, sec. 4). Within solve, each step
-starts at half the L the previous step of its grid ended with, floored at
-1; every other solve, the interpolants' included, starts at L = 1.
+(soft-thresholding around the previous state), and a prox-Newton
+candidate beside each trial point, run on all rows in lockstep. Each
+round evaluates the trial point x+ and the candidate of every unfinished
+row in one grid-kernel call of 2B states, and every row takes exactly
+the points of its own solve. The candidate is a Newton step on the
+coordinates x+ leaves free (off the previous state and inside the box),
+with the others held at x+: one Thomas sweep on Python floats of the
+tridiagonal Hessian, the energy's hess_rows plus the dissipation's
+smooth_scalar_hess / tau, projected back onto the sign pattern of
+x+ - U_{n-1} and the box. That sweep is the package's one linear solve:
+it reads nothing of numpy.linalg or scipy. A row moves to its candidate
+when the candidate's objective is no worse than that of the point the
+prox-grad tests give it (x+ if accepted, else the iterate); a row whose
+sweep meets a pivot that is not positive and finite takes the prox-grad
+path alone. The step size 1/L adapts both ways: a failed trial doubles
+L, and an iteration accepted at its first trial halves L, floored at 1,
+when its step also passes both tests at L/2 (Nesterov's adaptive
+composite gradient step, Math. Program. 2013, sec. 4). The solve stops at
+an accepted trial whose prox residual L ||x+ - x|| is within the
+tolerance, and returns that x+. Within solve, each step starts at half
+the L the previous step of its grid ended with, floored at 1; every
+other solve, the interpolants' included, starts at L = 1.
 Global optimality is certified by strong convexity where it can be
 proven: when mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the
 coercivity box of radius R, with lambda_E the energy's declared (and
@@ -53,8 +66,9 @@ they depend on the stored trajectory alone. Otherwise optimality is
 certified only by a deterministic multi-start budget around U_{n-1}:
 every start runs to a coarse tolerance (triage) and the best is refined;
 start k of every such row is one row call. The solver records mu, its
-start count, its start ("previous" or "predictor"), its trial count and
-its final L in inner_status.
+start count, its start ("previous" or "predictor"), its iteration and
+trial counts, the iterations that moved to a Newton candidate ("newton")
+and its final L in inner_status.
 
 Every step problem goes through one row entry, _steps: it rejects a step
 outside (0, tau_o), batches the other rows in blocks of ROW_BLOCK, freezes
@@ -248,27 +262,109 @@ def _solve_1d(model, p, u_prev, t, tau, e_prev):
     return x_best[:, None], status
 
 
-def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
-    """Monotone proximal gradient for B step problems under the frozen
-    potential p of their rows, solved in lockstep: row b minimizes
-    tau[b] p[b]((x - u_prev[b]) / tau[b]) + E(t[b], x) over its box
-    (lo[b], hi[b]), from x0[b], to the prox residual tol[b], with step
-    size 1/L from L = L0[b]; p's l1 part enters through its proximal map.
-    u_prev, x0, lo and hi are (B, d) arrays, t, tau, tol and L0 are
-    sequences of B floats, and max_iters >= 1
-    bounds every row's iterations. Returns (x, phi, residual, iters, L,
-    its, trials, energy): the (B, d) array x, the lists phi, residual and
-    L of each row's final objective value (its l1 part included),
-    residual and L, the summed iteration count iters, the lists its and
-    trials of each row's iterations and trial points, and the list of
-    each row's E(t[b], x[b]), which is energy_value's bit for bit.
+def _free(xp, u, lo, hi):
+    """The free coordinates of prox-grad trials xp, of one row or of the
+    rows of arrays: those where xp leaves the previous state u and lies
+    strictly inside the box (lo, hi)."""
+    return (xp != u) & (lo < xp) & (xp < hi)
 
-    Every row takes the trial points, iterations and L of its own solve
-    with B = 1, bit for bit: each round evaluates one trial point of every
-    unfinished row, all of them in one at_times call, and runs each row's
-    tests on Python floats (np.vecdot gives np.dot per row, and
-    np.add.reduce along the rows' axis the 1-D sum). A row that finishes
-    leaves the arrays.
+
+def _newton_row(free, xp, x, g, u, lo, hi, D, O, rho):
+    """The prox-Newton candidate of one row on Python floats, or None when
+    no coordinate is free, its sweep meets a pivot that is not positive
+    and finite, or its step is not finite. free marks the free
+    coordinates F of _free, xp is the row's prox-grad trial, x its
+    iterate, g the gradient of the smooth part f at x, u the previous
+    state, lo and hi the box, D and O the diagonal and off-diagonal of
+    f's Hessian H at x, all lists, and rho the l1 weight. sigma is the
+    sign of xp - u on F, and the other coordinates keep xp. On F the step
+    solves H_FF d_F = -(g + rho sigma)_F - H_FC (xp - x)_C by one Thomas
+    sweep over F's runs of neighbours, and x + d is projected onto
+    sigma's orthant around u and onto the box."""
+    if True not in free:
+        return None
+    last = len(xp) - 1
+    cs, zs = [0.0] * (last + 1), [0.0] * (last + 1)
+    c = z = 0.0
+    left = False   # whether coordinate i - 1 is free
+    for i, f in enumerate(free):
+        if not f:
+            left = False
+            continue
+        r = -g[i] - rho if xp[i] > u[i] else rho - g[i]
+        piv = D[i]
+        if left:
+            a = O[i - 1]
+            piv -= a * c
+            r -= a * z
+        elif i:
+            r -= O[i - 1] * (xp[i - 1] - x[i - 1])
+        if not 0.0 < piv < math.inf:
+            return None
+        if i == last:
+            c = 0.0
+        elif free[i + 1]:
+            c = O[i] / piv
+        else:
+            r -= O[i] * (xp[i + 1] - x[i + 1])
+            c = 0.0
+        z = r / piv
+        cs[i], zs[i] = c, z
+        left = True
+    y = list(xp)
+    step = 0.0
+    for i in range(last, -1, -1):
+        if not free[i]:
+            step = 0.0
+            continue
+        step = zs[i] - cs[i] * step
+        if not -math.inf < step < math.inf:
+            return None
+        v, ui = x[i] + step, u[i]
+        if (v < ui) if xp[i] > ui else (v > ui):
+            v = ui
+        if v < lo[i]:
+            v = lo[i]
+        elif v > hi[i]:
+            v = hi[i]
+        y[i] = v
+    return y
+
+
+def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
+    """Monotone proximal gradient with a prox-Newton candidate, for B step
+    problems under the frozen potential p of their rows, solved in
+    lockstep: row b minimizes tau[b] p[b]((x - u_prev[b]) / tau[b]) +
+    E(t[b], x) over its box (lo[b], hi[b]), from x0[b], to the prox
+    residual tol[b], with step size 1/L from L = L0[b]; p's l1 part enters
+    through its proximal map. u_prev, x0, lo and hi are (B, d) arrays, t,
+    tau, tol and L0 are sequences of B floats, and max_iters >= 1 bounds
+    every row's iterations. Returns (x, phi, residual, iters, L, its,
+    trials, energy, newton): the (B, d) array x, the lists phi, residual
+    and L of each row's final objective value (its l1 part included),
+    residual and L, the summed iteration count iters, the lists its and
+    trials of each row's iterations and trial points, the list of each
+    row's E(t[b], x[b]), which is energy_value's bit for bit, and the list
+    newton of the iterations each row took at its Newton candidate.
+
+    Every row takes the trial points, candidates, iterations and L of its
+    own solve with B = 1, bit for bit: each round evaluates the trial
+    point and the candidate of every unfinished row, all 2B states in one
+    at_times call, and runs each row's tests and its Newton sweep on
+    Python floats (np.vecdot gives np.dot per row, and np.add.reduce
+    along the rows' axis the 1-D sum). A row that finishes leaves the
+    arrays.
+
+    A round's trial x+ is the prox-grad step from the iterate x at the
+    row's L. Its candidate is _newton_row's, from x+ and the tridiagonal
+    Hessian of the smooth part at x: the energy's hess_rows plus the
+    dissipation's smooth_scalar_hess(v) / tau on the diagonal (Lee, Sun
+    and Saunders, SIAM J. Optim. 2014). The prox-grad tests first give
+    the row its next point, x+ if it passes both, else x; the row then
+    moves to the candidate instead when the candidate's objective, its l1
+    part included, is no worse than that point's within the value test's
+    slack. A move is an iteration. A row whose sweep fails takes the
+    prox-grad path alone.
 
     Step size 1/L, adaptive both ways (Nesterov 2013, sec. 4): a trial
     point that fails the value or the curvature test doubles L, up to
@@ -277,49 +373,59 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
     rest of the solve; it halves only when its step also passes both
     tests at L/2, where a halving would likely buy a failed trial. That
     look-ahead is free: the value slack and the gradient pairing of the
-    step are at hand. Each trial point is evaluated once, its gradient
-    reusing the rate and the energy's grid work. The iterate is carried
-    with its displacement w = x - u_prev, which gives the prox argument
-    and the rate. The residual L ||x_new - x|| uses the accepted L."""
+    step are at hand. Each state is evaluated once, its gradient reusing
+    the rate and the energy's grid work. The iterate is carried with its
+    displacement w = x - u_prev, which gives the prox argument and the
+    rate. The solve stops at an accepted trial whose residual
+    L ||x+ - x|| (at the accepted L) is at most tol, and returns that x+."""
     lo, hi = box
     B, d = u_prev.shape
     # np.add.reduce is ndarray.sum without its Python frame: the same sum;
     # np.minimum(np.maximum(.)) is np.clip without its wrapper frames
     add, dot, lower, upper = np.add.reduce, np.vecdot, np.maximum, np.minimum
-    smooth, smooth_grad = p.smooth_scalar, p.smooth_scalar_grad
     # each row's l1 weight: tau rho ||(x - u_prev) / tau||_1 is
     # rho ||x - u_prev||_1, so the prox threshold is step * rho whatever tau
     rho = np.broadcast_to(p.one_hom, (B,)).tolist()
     # per row, by its index b: Python floats and counters
     L = list(L0)
     res, phi = [math.inf] * B, [0.0] * B
-    its, trials = [1] * B, [0] * B
+    its, trials, newton = [1] * B, [0] * B, [0] * B
     first = [True] * B
-    # the arrays of the unfinished rows, whose indices rows lists. tau and
-    # the step 1/L of each row fill its row: operands of the states' shape
-    # cost numpy less than columns
-    rows = list(range(B))
-    up, blo, bhi = u_prev, lo, hi
-    taus = tau
-    tw = np.array(tau)[:, None].repeat(d, 1)
-    energy = model.at_times(t)
-
-    def g_eval(x, w):
-        v = w / tw
-        e, e_grad = energy(x)
-        sm = add(smooth(v), 1).tolist()
-        return ([h * a + eb for h, a, eb in zip(taus, sm, e)], e,
-                lambda: smooth_grad(v) + e_grad())
-
     x = upper(lower(x0, lo), hi)
     w = x - u_prev
-    gx, ex, grad = g_eval(x, w)
-    grad = grad()
     x_out = np.empty_like(x0)
     # the prox threshold of each row; a row whose L changes is set again
     step = (1.0 / np.array(L))[:, None].repeat(d, 1)
     thresh = step * np.array(rho)[:, None]
     neg_thresh = -thresh
+    # the arrays of the unfinished rows, whose indices rows lists. tau and
+    # the step 1/L of each row fill its row: operands of the states' shape
+    # cost numpy less than columns. An evaluation stacks two states per
+    # row, so its at_times call and its potential take every row twice
+    rows = list(range(B))
+    up, blo, bhi = u_prev, lo, hi
+    tw = np.array(tau)[:, None].repeat(d, 1)
+
+    def row_set():
+        ts, taus = [t[b] for b in rows], [tau[b] for b in rows]
+        p2 = p[rows + rows]
+        return (ts, taus + taus, model.at_times(ts + ts), p2.smooth_scalar,
+                p2.smooth_scalar_grad, p[rows].smooth_scalar_hess,
+                np.concatenate((up, up)), np.concatenate((tw, tw)))
+
+    (ts, taus2, energy, smooth, smooth_grad, smooth_hess, up2,
+     tw2) = row_set()
+
+    def g_eval(X, W):
+        # the smooth part at the 2n stacked states, on Python floats
+        v = W / tw2
+        e, e_grad = energy(X)
+        if not isinstance(e, list):
+            e = e.tolist()
+        sm = add(smooth(v), 1).tolist()
+        return ([h * a + eb for h, a, eb in zip(taus2, sm, e)], e,
+                add(np.abs(W), 1).tolist(),
+                lambda: smooth_grad(v) + e_grad())
 
     def set_L(i, b, value):
         L[b] = value
@@ -327,6 +433,11 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
         thresh[i] = step[i, 0] * rho[b]
         neg_thresh[i] = -thresh[i, 0]
 
+    # the diagonal and off-diagonal of each row's Hessian at x, kept
+    # until an iterate moves
+    n, hess = B, None
+    gx, ex, l1, grad = g_eval(np.concatenate((x, x)), np.concatenate((w, w)))
+    gx, ex, l1, grad = gx[:n], ex[:n], l1[:n], grad()[:n]
     while rows:
         # _soft(z, thresh), its bounds computed with the step
         z = w - step * grad
@@ -334,19 +445,37 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
                             blo), bhi)
         dx = x_new - x
         nrm2 = dot(dx, dx).tolist()
-        moved, done = [], []
+        done = []
         if not any(nrm2):
             # every row is at a fixed point of its prox step
-            done = list(range(len(rows)))
+            done = list(range(n))
             for b in rows:
                 res[b] = 0.0
         else:
-            w_new = x_new - up
-            g_new, e_new, grad_at = g_eval(x_new, w_new)
-            gd = dot(grad, dx).tolist()
-            curv = None
+            # each row's Newton candidate from its Hessian at x, stacked
+            # under the trial points; a row without one repeats its trial.
+            # Its operands become Python floats one row at a time, so that
+            # the lists of all rows never add to the peak memory at once
+            if hess is None:
+                hd, ho = model.hess_rows(ts, x)
+                hess = hd + smooth_hess(w / tw) / tw, ho
+            X = np.concatenate((x_new, x_new))
+            cand = [False] * n
+            free = _free(x_new, up, blo, bhi)
             for i, b in enumerate(rows):
-                n2, Lb, gb = nrm2[i], L[b], g_new[i]
+                if nrm2[i]:
+                    y = _newton_row(*(a[i].tolist() for a in (
+                        free, x_new, x, grad, up, blo, bhi) + hess), rho[b])
+                    if y is not None:
+                        X[n + i] = y
+                        cand[i] = True
+            W = X - up2
+            g_all, e_all, l1_all, grad_at = g_eval(X, W)
+            gd = dot(grad, dx).tolist()
+            grad_all = curv = None
+            moved, src_of = [], []
+            for i, b in enumerate(rows):
+                n2, Lb, gb = nrm2[i], L[b], g_all[i]
                 if n2 == 0.0:
                     res[b] = 0.0
                     done.append(i)
@@ -354,60 +483,76 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
                 trials[b] += 1
                 lin = gx[b] + gd[i]
                 slack = 1e-15 * (1.0 + abs(gx[b]))
+                passed = stop = False
                 if gb <= lin + 0.5 * Lb * n2 + slack:
                     # near the optimum the decrease falls below float
                     # resolution and the value test passes on roundoff
                     # alone; the gradient difference does not (Becker,
                     # Candes and Grant 2011, sec. 5)
                     if curv is None:
-                        grad_new = grad_at()
-                        curv = dot(grad_new - grad, dx).tolist()
+                        grad_all = grad_at()
+                        curv = dot(grad_all[:n] - grad, dx).tolist()
                     c = curv[i]
-                    if c <= Lb * n2:
-                        res[b] = Lb * math.sqrt(n2)
-                        gx[b], ex[b] = gb, e_new[i]
-                        moved.append(i)
-                        if res[b] <= tol[b]:
-                            done.append(i)
-                            continue
-                        if (first[b] and c <= 0.5 * Lb * n2
-                                and gb <= lin + 0.25 * Lb * n2 + slack):
-                            set_L(i, b, max(1.0, Lb / 2.0))
-                        if its[b] >= max_iters:
-                            done.append(i)
-                            continue
+                    passed = c <= Lb * n2
+                if passed:
+                    res[b] = Lb * math.sqrt(n2)
+                    src, ref = i, gb + rho[b] * l1_all[i]
+                    stop = res[b] <= tol[b]
+                    if (not stop and first[b] and c <= 0.5 * Lb * n2
+                            and gb <= lin + 0.25 * Lb * n2 + slack):
+                        set_L(i, b, max(1.0, Lb / 2.0))
+                else:
+                    set_L(i, b, Lb * 2.0)
+                    first[b] = False
+                    src, ref = None, gx[b] + rho[b] * l1[b]
+                k = n + i
+                if (not stop and cand[i]
+                        and g_all[k] + rho[b] * l1_all[k] <= ref + slack):
+                    src = k
+                    newton[b] += 1
+                if src is not None:
+                    gx[b], ex[b], l1[b] = g_all[src], e_all[src], l1_all[src]
+                    moved.append(i)
+                    src_of.append(src)
+                if stop or L[b] > 1e18:
+                    # stopped, or backtracking gave up: no trial passed
+                    # both tests, so the row keeps its last point and the
+                    # residual of its last accepted step
+                    done.append(i)
+                elif src is not None:
+                    if its[b] >= max_iters:
+                        done.append(i)
+                    else:
                         its[b] += 1
                         first[b] = True
-                        continue
-                set_L(i, b, Lb * 2.0)
-                first[b] = False
-                if L[b] > 1e18:
-                    # backtracking gave up: no x_new passed both tests, so
-                    # keep x and the residual of its last accepted step
-                    done.append(i)
-            if len(moved) == len(rows):
-                x, w, grad = x_new, w_new, grad_new
-            elif moved:
+            if moved:
+                if grad_all is None:
+                    grad_all = grad_at()
                 x[moved], w[moved], grad[moved] = (
-                    x_new[moved], w_new[moved], grad_new[moved])
+                    X[src_of], W[src_of], grad_all[src_of])
+                hess = None
+            # the round's stacked states and their grid terms go before
+            # the next round's sweeps: they would raise the peak memory
+            X = W = grad_all = grad_at = None
         if not done:
             continue
-        # the objective with its l1 part, from the carried displacement
         ids = [rows[i] for i in done]
         x_out[ids] = x[done]
-        for b, a in zip(ids, add(np.abs(w[done]), 1).tolist()):
-            phi[b] = gx[b] + rho[b] * a
-        keep = [i for i in range(len(rows)) if i not in done]
+        for b in ids:
+            phi[b] = gx[b] + rho[b] * l1[b]
+        keep = [i for i in range(n) if i not in done]
         if not keep:
             break
         rows = [rows[i] for i in keep]
+        n = len(rows)
         x, w, grad = x[keep], w[keep], grad[keep]
-        up, blo, bhi = up[keep], blo[keep], bhi[keep]
-        taus, tw = [tau[b] for b in rows], tw[keep]
+        up, blo, bhi, tw = up[keep], blo[keep], bhi[keep], tw[keep]
         step, thresh, neg_thresh = step[keep], thresh[keep], neg_thresh[keep]
-        energy = model.at_times([t[b] for b in rows])
-        smooth, smooth_grad = p[rows].smooth_scalar, p[rows].smooth_scalar_grad
-    return x_out, phi, res, sum(its), L, its, trials, ex
+        if hess is not None:
+            hess = hess[0][keep], hess[1][keep]
+        (ts, taus2, energy, smooth, smooth_grad, smooth_hess, up2,
+         tw2) = row_set()
+    return x_out, phi, res, sum(its), L, its, trials, ex, newton
 
 
 def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
@@ -461,7 +606,7 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
             if h[i] * psi[i] + e[i] < e_prev[b]:
                 x0[b], start[b] = xp[i], "predictor"
     L = [float(v) for v in L0]
-    its, trials = [0] * B, [0] * B
+    its, trials, newton = [0] * B, [0] * B, [0] * B
     n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
     if multi:
         alt = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
@@ -480,7 +625,7 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
                       for b in multi]
         best = [None] * len(multi)
         for k in range(n_starts):
-            x, f, _, _, Lk, itk, trk, _ = _prox_grad(
+            x, f, _, _, Lk, itk, trk, _, nwk = _prox_grad(
                 model, p[multi], u_prev[multi], [t[b] for b in multi],
                 [tau[b] for b in multi], np.array([s[k] for s in starts]),
                 (lo[multi], hi[multi]), triage_tol, TRIAGE_ITERS,
@@ -489,24 +634,27 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
                 L[b] = max(1.0, Lk[i] / 2.0)
                 its[b] += itk[i]
                 trials[b] += trk[i]
+                newton[b] += nwk[i]
                 if best[i] is None or f[i] < best[i][1]:
                     best[i] = (x[i], f[i])
         for i, b in enumerate(multi):
             x0[b] = best[i][0]
-    x, _, res, _, L, itr, trr, energy = _prox_grad(
+    x, _, res, _, L, itr, trr, energy, nwr = _prox_grad(
         model, p, u_prev, t, tau, x0, (lo, hi), eps_inner, MAX_REFINE_ITERS,
         L)
     status, errors = [], []
     for b in range(B):
         its[b] += itr[b]
         trials[b] += trr[b]
+        newton[b] += nwr[b]
         errors.append(None if res[b] <= eps_inner[b] else StepFailureError(
             f"inner solver stalled at prox-residual {res[b]:.3e} "
             f"(target {eps_inner[b]:.3e}) after {its[b]} iterations"))
         status.append({"method": "proxgrad",
                        "starts": 1 if convex[b] else n_starts,
                        "start": start[b], "mu": mu[b], "iterations": its[b],
-                       "trials": trials[b], "prox_residual": res[b],
+                       "trials": trials[b], "newton": newton[b],
+                       "prox_residual": res[b],
                        "L": L[b]})
     return x, status, errors, energy
 

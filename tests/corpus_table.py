@@ -10,7 +10,12 @@ was made in. tests/test_corpus.py compares a fresh sweep with it.
 
     PYTHONPATH=src python tests/corpus_table.py    # rewrite the table
 
-A change that moves outputs on purpose rewrites the table and says which
+Before it rewrites the table it prints one line per entry that moved
+against the stored table: a new or removed config, changed exit codes or
+verdicts, the names of the changed hashes, and the largest change of any
+diagnostics.json number, relative to max(1, |old|, |new|) as
+tests/test_corpus.py scales it, with its path. A change that moves
+outputs on purpose rewrites the table and says, from those lines, which
 entries moved and why.
 """
 
@@ -18,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import platform
@@ -101,8 +107,82 @@ def sweep() -> dict:
                         for name, path in configs().items()}}
 
 
+def _numbers(value, path="diagnostics"):
+    """{path: number} of every number in a parsed JSON value, at the paths
+    tests/test_corpus.py names."""
+    if isinstance(value, dict):
+        return {k: v for key in value
+                for k, v in _numbers(value[key], f"{path}.{key}").items()}
+    if isinstance(value, list):
+        return {k: v for i, item in enumerate(value)
+                for k, v in _numbers(item, f"{path}[{i}]").items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return {path: float(value)}
+    return {}
+
+
+def largest_change(old, new):
+    """(change, path) of the number of two diagnostics.json values that
+    moved most, relative to max(1, |old|, |new|), over the paths both
+    have; (0.0, None) when none moved. A non-finite number that changes
+    moves by inf."""
+    a, b = _numbers(old), _numbers(new)
+    worst = (0.0, None)
+    for path in sorted(a.keys() & b.keys()):
+        x, y = a[path], b[path]
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if math.isfinite(x) and math.isfinite(y):
+            change = abs(x - y) / max(1.0, abs(x), abs(y))
+        else:
+            change = math.inf
+        if change > worst[0]:
+            worst = (change, path)
+    return worst
+
+
+def moved_entries(old, new):
+    """One line per config whose entry differs between two tables' configs
+    maps old and new, in name order."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"{name}: {'new' if name in new else 'removed'}")
+            continue
+        a, b = old[name], new[name]
+        if a == b:
+            continue
+        parts = []
+        if a["exit"] != b["exit"]:
+            parts.append(f"exit {a['exit']} -> {b['exit']}")
+        if a["verdicts"] != b["verdicts"]:
+            parts.append(f"verdicts {a['verdicts']} -> {b['verdicts']}")
+        hashes = sorted(k for k in a["sha256"].keys() | b["sha256"].keys()
+                        if a["sha256"].get(k) != b["sha256"].get(k))
+        if hashes:
+            parts.append("hashes " + ", ".join(hashes))
+        change, path = largest_change(a["diagnostics"], b["diagnostics"])
+        if path is not None:
+            parts.append(f"largest diagnostics change {change:.2e} at "
+                         f"{path}")
+        if _numbers(a["diagnostics"]).keys() != _numbers(
+                b["diagnostics"]).keys():
+            parts.append("diagnostics numbers added or removed")
+        lines.append(f"{name}: " + "; ".join(parts or ["changed"]))
+    return lines
+
+
 def main() -> int:
     table = sweep()
+    if TABLE.exists():
+        stored = json.loads(TABLE.read_text(encoding="utf-8"))
+        if stored["environment"] != table["environment"]:
+            print(f"environment {stored['environment']} -> "
+                  f"{table['environment']}")
+        moved = moved_entries(stored["configs"], table["configs"])
+        for line in moved:
+            print(line)
+        print(f"{len(moved)} of {len(table['configs'])} entries moved")
     with open(TABLE, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -15,7 +15,8 @@ import json
 
 import pytest
 
-from corpus_table import TABLE, configs, environment, sweep_one
+from corpus_table import (TABLE, configs, environment, largest_change,
+                          moved_entries, sweep_one)
 
 REL_TOL = 1e-6
 
@@ -82,3 +83,31 @@ def test_value_faults_sees_every_form():
     assert value_faults([1.0, 2.0], [1.0]) == ["diagnostics"]
     assert value_faults(1.0, True) == ["diagnostics"]
     assert value_faults(None, 0.0) == ["diagnostics"]
+
+
+def test_moved_entries_names_what_moved():
+    # the lines corpus_table.py prints before it rewrites the table
+    old = copy.deepcopy(STORED["configs"])
+    new = copy.deepcopy(old)
+    assert moved_entries(old, new) == []
+    entry = new["pf-certify-s0"]
+    entry["sha256"]["trajectory.csv"] = "0" * 64
+    entry["diagnostics"]["global"]["P_integral"] += 3e-9
+    entry["diagnostics"]["global"]["energy_identity_defect"] += 1e-12
+    new["ac-ladder-s0"]["exit"] = [1, 1]
+    del new["quadratic-dim1"]
+    new["extra"] = copy.deepcopy(entry)
+    lines = moved_entries(old, new)
+    assert lines[0].startswith("ac-ladder-s0: exit [0, 0] -> [1, 1]")
+    assert lines[1] == "extra: new"
+    assert lines[2] == (
+        "pf-certify-s0: hashes trajectory.csv; largest diagnostics change "
+        "3.00e-09 at diagnostics.global.P_integral")
+    assert lines[3] == "quadratic-dim1: removed"
+    assert len(lines) == 4
+    # relative to max(1, |old|, |new|), as test_corpus scales it
+    assert largest_change({"a": [2.0, 0.5]}, {"a": [3.0, 0.5]}) == (
+        1.0 / 3.0, "diagnostics.a[0]")
+    assert largest_change({"a": 1.0}, {"a": float("inf")}) == (
+        float("inf"), "diagnostics.a")
+    assert largest_change({"a": "x"}, {"a": "y"}) == (0.0, None)

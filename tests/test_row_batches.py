@@ -30,70 +30,84 @@ def sine(N, amp=0.1):
 
 def single_prox_grad(model, p, u_prev, t_n, tau, x0, box, rho_hat, tol,
                      max_iters, L0):
-    """One step problem by the proximal gradient as it was before step
-    problems became rows of one call: (x, phi, residual, iterations, L,
-    trials). The reference of scheme._prox_grad, bit for bit."""
+    """One step problem by the proximal gradient with its prox-Newton
+    candidate, one trial point at a time: (x, phi, residual, iterations,
+    L, trials, newton). The reference of scheme._prox_grad, bit for bit;
+    the candidate's sweep is scheme._newton_row, which
+    test_newton_row_solves_the_free_system checks against a dense solve."""
     lo, hi = box
     add = np.add.reduce
 
     # AllenCahn1D's energy and gradient at one state, by the grid kernels
     load = model.amp * math.sin(t_n) * model.profile
 
-    def g_eval(x, w):
+    def g_eval(x):
+        w = x - u_prev
         v = w / tau
         return (tau * float(add(p.smooth_scalar(v)))
                 + _kernels.ac_energy(x, model.dx, model.q, load, model.offset),
+                float(add(np.abs(w))),
                 lambda: p.smooth_scalar_grad(v)
                 + _kernels.ac_grad(x, model.dx, model.q, load))
 
     L = L0
     x = np.minimum(np.maximum(x0, lo), hi)
-    w = x - u_prev
-    gx, grad = g_eval(x, w)
+    gx, l1, grad = g_eval(x)
     grad = grad()
     residual = np.inf
-    it = trials = 0
-    while it < max_iters:
-        it += 1
-        accepted = False
-        first_trial = True
-        while True:
-            step = 1.0 / L
-            x_new = np.minimum(np.maximum(
-                u_prev + potentials._soft(w - step * grad, step * rho_hat),
-                lo), hi)
-            dx = x_new - x
-            nrm2 = float(np.dot(dx, dx))
-            if nrm2 == 0.0:
-                break
-            trials += 1
-            w_new = x_new - u_prev
-            g_new, grad_at = g_eval(x_new, w_new)
-            lin = gx + float(np.dot(grad, dx))
-            slack = 1e-15 * (1.0 + abs(gx))
-            if g_new <= lin + 0.5 * L * nrm2 + slack:
-                grad_new = grad_at()
-                curv = float(np.dot(grad_new - grad, dx))
-                accepted = curv <= L * nrm2
-                if accepted:
-                    break
-            L *= 2.0
-            first_trial = False
-            if L > 1e18:
-                break
+    it, trials, newton, first = 1, 0, 0, True
+    while True:
+        step = 1.0 / L
+        x_new = np.minimum(np.maximum(
+            u_prev + potentials._soft(x - u_prev - step * grad,
+                                      step * rho_hat), lo), hi)
+        dx = x_new - x
+        nrm2 = float(np.dot(dx, dx))
         if nrm2 == 0.0:
             residual = 0.0
             break
-        if not accepted:
+        trials += 1
+        hd, ho = model.hess_rows([t_n], x[None])
+        D = hd[0] + p.smooth_scalar_hess((x - u_prev) / tau) / tau
+        y = scheme._newton_row(*(a.tolist() for a in (
+            scheme._free(x_new, u_prev, lo, hi), x_new, x, grad, u_prev, lo,
+            hi, D, ho[0])), rho_hat)
+        g_new, l1_new, grad_at = g_eval(x_new)
+        lin = gx + float(np.dot(grad, dx))
+        slack = 1e-15 * (1.0 + abs(gx))
+        passed = stop = False
+        if g_new <= lin + 0.5 * L * nrm2 + slack:
+            grad_new = grad_at()
+            curv = float(np.dot(grad_new - grad, dx))
+            passed = curv <= L * nrm2
+        if passed:
+            residual = L * math.sqrt(nrm2)
+            nxt = (x_new, g_new, l1_new, grad_new)
+            ref = g_new + rho_hat * l1_new
+            stop = residual <= tol
+            if (not stop and first and curv <= 0.5 * L * nrm2
+                    and g_new <= lin + 0.25 * L * nrm2 + slack):
+                L = max(1.0, L / 2.0)
+        else:
+            L *= 2.0
+            first = False
+            nxt, ref = None, gx + rho_hat * l1
+        if not stop and y is not None:
+            y = np.array(y)
+            g_y, l1_y, grad_y = g_eval(y)
+            if g_y + rho_hat * l1_y <= ref + slack:
+                nxt = (y, g_y, l1_y, grad_y())
+                newton += 1
+        if nxt is not None:
+            x, gx, l1, grad = nxt
+        if stop or L > 1e18:
             break
-        residual = L * math.sqrt(nrm2)
-        x, w, gx, grad = x_new, w_new, g_new, grad_new
-        if residual <= tol:
-            break
-        if (first_trial and curv <= 0.5 * L * nrm2
-                and g_new <= lin + 0.25 * L * nrm2 + slack):
-            L = max(1.0, L / 2.0)
-    return x, gx + rho_hat * float(add(np.abs(w))), residual, it, L, trials
+        if nxt is not None:
+            if it >= max_iters:
+                break
+            it += 1
+            first = True
+    return x, gx + rho_hat * l1, residual, it, L, trials, newton
 
 
 def row_problems(spec):
@@ -130,10 +144,10 @@ def prox_grad_rows(spec, rows, max_iters):
 
 # OneHomPlusQuad (p = 2, rho = 1), a p = 1.5 WeightedSum (rho = 1), and
 # the grid exponent q away from 2 with Quadratic and with PNorm. With
-# q = 2.5 row 0 needs 43 iterations, so 40 stop it at the cap
+# q = 2.5 row 0 needs 6 iterations, so 3 stop it at the cap
 PROX_MODELS = [({"N": 8, "rho": 1.0}, scheme.MAX_REFINE_ITERS),
                ({"N": 8, "p": 1.5}, scheme.MAX_REFINE_ITERS),
-               ({"N": 8, "q": 2.5, "rho": 0.0}, 40),
+               ({"N": 8, "q": 2.5, "rho": 0.0}, 3),
                ({"N": 8, "q": 3.0, "p": 1.5, "rho": 0.0},
                 scheme.MAX_REFINE_ITERS)]
 
@@ -145,7 +159,7 @@ def test_prox_grad_rows_equal_each_row_alone_bitwise(params, max_iters):
     assert isinstance(p, potentials.WeightedSum) == (
         params.get("p") == 1.5 and params.get("rho", 1.0) > 0.0)
     rows = row_problems(spec)
-    x, phi, res, iters, L, its, trials, energy = prox_grad_rows(
+    x, phi, res, iters, L, its, trials, energy, newton = prox_grad_rows(
         spec, rows, max_iters)
     assert iters == sum(its) and isinstance(iters, int)
     for b, (u_prev, t, tau, x0, box, tol, L0) in enumerate(rows):
@@ -155,18 +169,24 @@ def test_prox_grad_rows_equal_each_row_alone_bitwise(params, max_iters):
         assert hexes([energy[b]]) == hexes([energy_value(spec.energy, t,
                                                          x[b])])
         one = prox_grad_rows(spec, [rows[b]], max_iters)
-        for got in ((x[b], phi[b], res[b], its[b], L[b], trials[b]),
+        for got in ((x[b], phi[b], res[b], its[b], L[b], trials[b],
+                     newton[b]),
                     (one[0][0], one[1][0], one[2][0], one[5][0], one[4][0],
-                     one[6][0])):
+                     one[6][0], one[8][0])):
             assert hexes(got[0]) == hexes(want[0])
             assert hexes(got[1:3]) == hexes(want[1:3])
-            assert got[3:] == (want[3], want[4], want[5])
-    # row 2 stops at its loose tolerance, row 4 on its fixed point
-    assert its[2] < its[0] and res[2] <= 1e-3 < res[2] * 1e9
-    assert (res[4], its[4], trials[4]) == (0.0, 1, 0)
+            assert got[3:] == want[3:]
+    # row 4 stops on its fixed point
+    assert (res[4], its[4], trials[4], newton[4]) == (0.0, 1, 0, 0)
     assert np.array_equal(x[4], rows[4][0])
-    if max_iters == 40:
-        assert its[0] == 40 and res[0] > rows[0][5]
+    if max_iters == 3:
+        assert its[0] == 3 and res[0] > rows[0][5]
+    else:
+        # row 2 stops at its loose tolerance no later than row 0 at its
+        # tight one (the candidates may take both to a fixed point first),
+        # and every other row moves to a Newton candidate
+        assert its[2] <= its[0] and res[2] <= 1e-3
+        assert min(newton[:4]) > 0
     # the rows in another order are the same rows
     rev = prox_grad_rows(spec, rows[::-1], max_iters)
     assert hexes(rev[0][::-1]) == hexes(x)
@@ -251,11 +271,11 @@ def test_lockstep_multistart_rows_equal_per_rung_solves(monkeypatch):
 
 
 def test_ladder_failure_annotates_only_its_rung(monkeypatch):
-    # with 30 refine iterations the coarse rung's first step stalls (it
-    # needs 34) and the finer rungs' steps, which need at most 25, do not
-    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 30)
-    spec = build("AllenCahn1D", {"N": 4, "rho": 0.0})
-    ladder = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
+    # with 4 refine iterations the coarse rung's first step stalls (it
+    # needs 5) and the finer rungs' steps, which need at most 4, do not
+    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 4)
+    spec = build("AllenCahn1D", {"N": 4, "p": 3.0, "rho": 0.0})
+    ladder = [2.0 ** -3, 2.0 ** -4, 2.0 ** -6]
     table = refinement_study(spec.energy, spec.dissipation, sine(4), 0.25,
                              ladder)
     with pytest.raises(SolveAbortedError) as err:
@@ -344,12 +364,12 @@ def test_nd_interpolants_are_row_blocks(monkeypatch, name, params, u0):
 def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
     # one _steps call of 11 StateWeightedToy rows: two frozen potentials
     # (A and A2 freeze to the same one), a step at tau_o, a row whose
-    # energy raises, and a row that stalls at 30 refine iterations (it
-    # needs 32; every other row at most 27). With ROW_BLOCK = 3 the ten
+    # energy raises, and four rows that stall at 2 refine iterations (they
+    # need 3; every other row 2). With ROW_BLOCK = 3 the ten
     # rows with a valid step form blocks [0, 1, 2], [3, 4, 6], [7, 8, 9]
     # and [10], each with the weight row of its states
     monkeypatch.setattr(scheme, "ROW_BLOCK", 3)
-    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 30)
+    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 2)
     spec = build("StateWeightedToy", {"dim": 2})
     model, psi = spec.energy, spec.dissipation
     real = model.at_times
@@ -397,13 +417,13 @@ def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
         assert status == want[3]
     errors = {b: row for b, row in enumerate(got)
               if isinstance(row, Exception)}
-    assert sorted(errors) == [3, 4, 5]
-    assert isinstance(errors[3], scheme.StepFailureError)
-    assert str(errors[3]).startswith("inner solver stalled")
+    assert sorted(errors) == [1, 2, 4, 5, 7, 9]
+    for b in (1, 2, 7, 9):
+        assert isinstance(errors[b], scheme.StepFailureError)
+        assert str(errors[b]).startswith("inner solver stalled")
     assert str(errors[4]) == "no energy at t=0.375"
     assert str(errors[5]) == ("step tau=0.5 outside (0, tau_o=0.5) of "
                               "StateWeightedToy")
-    # both starts occur; row 9's prediction is not lower than its u_prev
-    assert [got[b][3]["start"] for b in (0, 1, 2, 6, 7, 8, 9, 10)] == [
-        "previous", "predictor", "previous", "previous", "predictor",
-        "previous", "previous", "previous"]
+    # both starts occur
+    assert [got[b][3]["start"] for b in (0, 3, 6, 8, 10)] == [
+        "previous", "predictor", "previous", "previous", "previous"]

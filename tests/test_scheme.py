@@ -301,14 +301,17 @@ class _UphillGradient(EnergyModel):
         return lambda X: ((0.5 * np.vecdot(X, X)).tolist(),
                           lambda: -1e9 * X)
 
+    def hess_rows(self, t, U):
+        return np.ones(U.shape), np.zeros((len(U), U.shape[1] - 1))
+
 
 def prox_grad_one(model, p, u_prev, t, tau, x0, box, tol, max_iters,
                   L0=1.0):
     """One step problem as the one-row case of the row-batched
     scheme._prox_grad: (x, phi, residual, iterations, L) of that row."""
-    x, phi, res, it, L, _, _, _ = scheme._prox_grad(
+    x, phi, res, it, L = scheme._prox_grad(
         model, p, u_prev[None], [t], [tau], x0[None],
-        (box[0][None], box[1][None]), [tol], max_iters, [L0])
+        (box[0][None], box[1][None]), [tol], max_iters, [L0])[:5]
     return x[0], phi[0], res[0], it, L[0]
 
 
@@ -339,15 +342,28 @@ def _ac_step_problem(N):
             scheme.EPS_INNER_SCALE * (1.0 + abs(e_prev)))
 
 
-def test_prox_grad_step_size_grows_back():
+def no_newton(monkeypatch):
+    """Switch the prox-Newton candidate off: every row takes the plain
+    prox-grad path, as a row whose sweep fails does."""
+    monkeypatch.setattr(scheme, "_newton_row", lambda *args: None)
+
+
+def test_prox_grad_step_size_grows_back(monkeypatch):
     # from L0 = 2^20 the step was 2^-20 for the whole solve, which ran out
     # its 20000 iterations at residual 8.8e-3; halving L after every
-    # iteration accepted at its first trial brings it to 32 in 29
+    # iteration accepted at its first trial brings it to 32 in 29. The
+    # Newton candidates need no small step: they converge in 4
     model, p, u_prev, tau, box, tol = _ac_step_problem(8)
     L0 = 2.0 ** 20
-    _, _, res, it, L = prox_grad_one(
-        model, p, u_prev, tau, tau, u_prev, box, tol,
-        scheme.MAX_REFINE_ITERS, L0=L0)
+
+    def solve_from_L0():
+        return prox_grad_one(model, p, u_prev, tau, tau, u_prev, box, tol,
+                             scheme.MAX_REFINE_ITERS, L0=L0)[2:]
+
+    res, it, _ = solve_from_L0()
+    assert res <= tol and it <= 5
+    no_newton(monkeypatch)
+    res, it, L = solve_from_L0()
     assert res <= tol
     assert L < L0 / 2 ** 10
     assert it < 60
@@ -364,9 +380,11 @@ def test_prox_grad_backtracking_still_doubles_L():
 
 
 @pytest.mark.parametrize("N", [8, 32, 64])
-def test_prox_grad_accepts_only_steps_that_pass_at_their_L(N):
-    # replay the solve one iteration at a time; iteration k's L is its
-    # residual over its step length, exact since L is a power of two
+def test_prox_grad_accepts_only_steps_that_pass_at_their_L(monkeypatch, N):
+    # replay the prox-grad path one iteration at a time; iteration k's L
+    # is its residual over its step length, exact since L is a power of
+    # two. The Newton candidates are off: a move to one is no prox step
+    no_newton(monkeypatch)
     model, p, u_prev, tau, box, tol = _ac_step_problem(N)
 
     # AllenCahn1D's energy and gradient at one state, by the grid kernels
@@ -405,13 +423,18 @@ def test_prox_grad_pays_one_grid_evaluation_per_trial(monkeypatch):
     # the coarse rung of the certbench ac-ladder workload. Evaluating the
     # value and the gradient of a trial point separately, and halving L
     # after every first-trial accept, this solve made 242 trials and 438
-    # forward differences in its 8 _prox_grad calls (135 iterations); its
-    # 4 steps are strongly convex, so each is one call
+    # forward differences in its 8 _prox_grad calls (135 iterations);
+    # without the Newton candidates its 4 calls made 181 trials. Each
+    # round now evaluates its trial point and its candidate, two states,
+    # in one at_times call and one pass of grid terms; its 4 steps are
+    # strongly convex, so each is one call
     N = 64
     spec = build("AllenCahn1D", {"N": N, "rho": 1.0})
-    counts = {"calls": 0, "forward_diffs": 0}
+    counts = {"calls": 0, "forward_diffs": 0, "at_times": 0}
+    states = []
     inside = []
     prox_grad, forward_diff = scheme._prox_grad, _kernels._forward_diff
+    at_times = spec.energy.at_times
 
     def counted_prox_grad(*args, **kwargs):
         counts["calls"] += 1
@@ -425,15 +448,31 @@ def test_prox_grad_pays_one_grid_evaluation_per_trial(monkeypatch):
         if inside:
             counts["forward_diffs"] += 1
         return forward_diff(*args)
+
+    def counted_at_times(t):
+        energy = at_times(t)
+
+        def at(U):
+            if inside:
+                counts["at_times"] += 1
+                states.append(len(U))
+            return energy(U)
+        return at
     monkeypatch.setattr(scheme, "_prox_grad", counted_prox_grad)
     monkeypatch.setattr(_kernels, "_forward_diff", counted_forward_diff)
+    monkeypatch.setattr(spec.energy, "at_times", counted_at_times)
     u0 = 0.1 * np.sin(np.pi * (np.arange(N) + 0.5) / N)
     traj = solve(spec.energy, spec.dissipation, u0,
                  TimeGrid(T=0.125, tau=2.0 ** -5))
     trials = sum(s["trials"] for s in traj.inner_status[1:])
     assert counts["calls"] == 4
-    assert counts["forward_diffs"] <= trials + counts["calls"]
-    assert trials < 242
+    # one evaluation at the start of each call, then one per round with
+    # a trial; a round whose step is 0 ends the solve unevaluated
+    assert counts["at_times"] == trials + counts["calls"]
+    assert counts["forward_diffs"] == counts["at_times"]
+    assert set(states) == {2}
+    assert trials < 30
+    assert all(s["newton"] > 0 for s in traj.inner_status[1:])
 
 
 def _noisy_sine(N, seed=1):
