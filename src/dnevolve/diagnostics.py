@@ -363,8 +363,8 @@ class RefinementTable(Record):
 def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
                      opts: Optional[SolveOptions] = None) -> RefinementTable:
     """Solve on a tau ladder and tabulate convergence surrogates:
-    sup-distance of consecutive linear interpolants on a 1024-point time
-    grid, identity defects, dissipation-integral differences. A ladder
+    sup-distance over [0, T] of consecutive linear interpolants, exact,
+    identity defects, dissipation-integral differences. A ladder
     that breaks scheme.ladder_fault's step rule raises RangeError naming
     the step. The rungs are solved in lockstep (scheme._solve_grids): step
     n of every rung that has one is a row of one _steps call, and each
@@ -401,10 +401,16 @@ def refinement_study(model, psi, u0, T: float, tau_ladder: Sequence[float],
             **dissipation_integrals(traj)))
         trajs.append(traj)
 
-    times = np.linspace(0.0, T, 1024)
-    # each rung's interpolant is evaluated once: the finer rung's array is
-    # kept for the next pair, and the coarser one, dropped after this pair,
-    # takes the difference in place
+    # two interpolants differ by an affine map between consecutive times
+    # of the union of their nodes, and the norm of an affine map is
+    # convex, so its max over [0, T] sits at one of those times or at T.
+    # Each rung's interpolant is evaluated once, at the nodes of every
+    # rung: the finer rung's array is kept for the next pair, and the
+    # coarser one, dropped after this pair, takes the difference in place.
+    # A Python set, not np.unique: np.unique's first call in a process
+    # costs about 19 ms on a 2-vCPU Xeon, loading code nothing else runs
+    times = np.array(sorted({t for g in grids for t in g.nodes().tolist()
+                             if t <= T} | {T}))
     finer = None
     for i in range(len(rows) - 1):
         if trajs[i] is None or trajs[i + 1] is None:

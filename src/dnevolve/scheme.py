@@ -41,13 +41,19 @@ coordinates x+ leaves free (off the previous state and inside the box),
 with the others held at x+: one Thomas sweep on Python floats of the
 tridiagonal Hessian, the energy's hess_rows plus the dissipation's
 smooth_scalar_hess / tau, projected back onto the sign pattern of
-x+ - U_{n-1} and the box. That sweep is the package's one linear solve:
-it reads nothing of numpy.linalg or scipy. A row moves to its candidate
+x+ - U_{n-1} and the box. A free coordinate whose rate is still 0 takes
+the dissipation's curvature at the rate of x+, so a p < 2 potential,
+whose curvature is +inf at rate 0, has a candidate from round 1. That
+sweep is the package's one linear solve: it reads nothing of
+numpy.linalg or scipy. A row moves to its candidate
 when the candidate's objective is no worse than that of the point the
 prox-grad tests give it (x+ if accepted, else the iterate); a row whose
 sweep meets a pivot that is not positive and finite takes the prox-grad
-path alone. The step size 1/L adapts both ways: a failed trial doubles
-L, and an iteration accepted at its first trial halves L, floored at 1,
+path alone. The step size 1/L adapts both ways: a failed trial raises L
+to at least 2L and to the least power of two at or above the curvature
+it measured (interpolating backtracking, Nocedal and Wright, Numerical
+Optimization, sec. 3.5), while a failure at roundoff level only doubles
+L; an iteration accepted at its first trial halves L, floored at 1,
 when its step also passes both tests at L/2 (Nesterov's adaptive
 composite gradient step, Math. Program. 2013, sec. 4). The solve stops at
 an accepted trial whose prox residual L ||x+ - x|| is within the
@@ -331,6 +337,19 @@ def _newton_row(free, xp, x, g, u, lo, hi, D, O, rho):
     return y
 
 
+def _raised_L(L, curvature):
+    """The L after a failed trial at L that measured curvature: 2L, or the
+    least power of two at or above the curvature when that is more, but no
+    more than 2^59, the last power of two within the 1e18 give-up, so a
+    row gives up only after a trial there failed. A curvature that is not
+    a number, or not finite, only doubles L."""
+    if not 2.0 * L < curvature < math.inf:
+        return 2.0 * L
+    m, e = math.frexp(curvature)
+    return max(2.0 * L, min(math.ldexp(1.0, e - 1 if m == 0.5 else e),
+                            2.0 ** 59))
+
+
 def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
     """Monotone proximal gradient with a prox-Newton candidate, for B step
     problems under the frozen potential p of their rows, solved in
@@ -359,25 +378,34 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
     row's L. Its candidate is _newton_row's, from x+ and the tridiagonal
     Hessian of the smooth part at x: the energy's hess_rows plus the
     dissipation's smooth_scalar_hess(v) / tau on the diagonal (Lee, Sun
-    and Saunders, SIAM J. Optim. 2014). The prox-grad tests first give
-    the row its next point, x+ if it passes both, else x; the row then
-    moves to the candidate instead when the candidate's objective, its l1
-    part included, is no worse than that point's within the value test's
-    slack. A move is an iteration. A row whose sweep fails takes the
-    prox-grad path alone.
+    and Saunders, SIAM J. Optim. 2014), where a free coordinate whose rate
+    v at x is 0 reads the dissipation at the rate of x+ instead, which is
+    not 0 there. The prox-grad tests first give the row its next point,
+    x+ if it passes both, else x; the row then moves to the candidate
+    instead when the candidate's objective, its l1 part included, is no
+    worse than that point's within the value test's slack. A move is an
+    iteration. A row whose sweep fails takes the prox-grad path alone.
 
-    Step size 1/L, adaptive both ways (Nesterov 2013, sec. 4): a trial
-    point that fails the value or the curvature test doubles L, up to
-    1e18. An iteration accepted at its first trial halves L afterwards,
-    floored at 1, so one stiff iterate does not fix a small step for the
-    rest of the solve; it halves only when its step also passes both
-    tests at L/2, where a halving would likely buy a failed trial. That
-    look-ahead is free: the value slack and the gradient pairing of the
-    step are at hand. Each state is evaluated once, its gradient reusing
-    the rate and the energy's grid work. The iterate is carried with its
-    displacement w = x - u_prev, which gives the prox argument and the
-    rate. The solve stops at an accepted trial whose residual
-    L ||x+ - x|| (at the accepted L) is at most tol, and returns that x+."""
+    Step size 1/L, adaptive both ways (Nesterov 2013, sec. 4). A trial
+    point that fails the value or the curvature test raises L by
+    _raised_L to the curvature it measured between x and x+, at least
+    doubling it: 2 (f(x+) - l(x+)) / ||x+ - x||^2 after a failed value
+    test, with l the linear model of f at x, and <grad f(x+) - grad f(x),
+    x+ - x> / ||x+ - x||^2 after a failed curvature test (Nocedal and
+    Wright, sec. 3.5). A trial that passed the value test only within its
+    slack failed at roundoff level, where that measure is noise, and only
+    doubles L. L is a power of two whenever L0 is, so 1/L is exact, and a
+    row gives up once L passes 1e18. An iteration accepted at its first
+    trial halves L afterwards, floored at 1, so one stiff iterate does not
+    fix a small step for the rest of the solve; it halves only when its
+    step also passes both tests at L/2, where a halving would likely buy a
+    failed trial. That look-ahead is free: the value slack and the
+    gradient pairing of the step are at hand. Each state is evaluated
+    once, its gradient reusing the rate and the energy's grid work. The
+    iterate is carried with its displacement w = x - u_prev, which gives
+    the prox argument and the rate. The solve stops at an accepted trial
+    whose residual L ||x+ - x|| (at the accepted L) is at most tol, and
+    returns that x+."""
     lo, hi = box
     B, d = u_prev.shape
     # np.add.reduce is ndarray.sum without its Python frame: the same sum;
@@ -458,14 +486,21 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
             # the lists of all rows never add to the peak memory at once
             if hess is None:
                 hd, ho = model.hess_rows(ts, x)
-                hess = hd + smooth_hess(w / tw) / tw, ho
+                hess = hd, hd + smooth_hess(w / tw) / tw, ho
+            hd, D, O = hess
             X = np.concatenate((x_new, x_new))
             cand = [False] * n
             free = _free(x_new, up, blo, bhi)
+            at_rest = free & (w == 0.0)
+            if at_rest.any():
+                # Psi's curvature at the rate of x+, which is not 0 on a
+                # free coordinate: at a rate of 0 it is +inf for p < 2
+                D = np.where(at_rest, hd + smooth_hess((x_new - up) / tw)
+                             / tw, D)
             for i, b in enumerate(rows):
                 if nrm2[i]:
                     y = _newton_row(*(a[i].tolist() for a in (
-                        free, x_new, x, grad, up, blo, bhi) + hess), rho[b])
+                        free, x_new, x, grad, up, blo, bhi, D, O)), rho[b])
                     if y is not None:
                         X[n + i] = y
                         cand[i] = True
@@ -484,6 +519,11 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
                 lin = gx[b] + gd[i]
                 slack = 1e-15 * (1.0 + abs(gx[b]))
                 passed = stop = False
+                # the curvature a failed trial measured: that of its value,
+                # else of its gradient pairing, but NaN, which only doubles
+                # L, for a trial that passed the value test only within
+                # the slack, at roundoff
+                measured = 2.0 * (gb - lin) / n2
                 if gb <= lin + 0.5 * Lb * n2 + slack:
                     # near the optimum the decrease falls below float
                     # resolution and the value test passes on roundoff
@@ -494,6 +534,8 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
                         curv = dot(grad_all[:n] - grad, dx).tolist()
                     c = curv[i]
                     passed = c <= Lb * n2
+                    measured = (c / n2 if gb <= lin + 0.5 * Lb * n2
+                                else math.nan)
                 if passed:
                     res[b] = Lb * math.sqrt(n2)
                     src, ref = i, gb + rho[b] * l1_all[i]
@@ -502,7 +544,7 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
                             and gb <= lin + 0.25 * Lb * n2 + slack):
                         set_L(i, b, max(1.0, Lb / 2.0))
                 else:
-                    set_L(i, b, Lb * 2.0)
+                    set_L(i, b, _raised_L(Lb, measured))
                     first[b] = False
                     src, ref = None, gx[b] + rho[b] * l1[b]
                 k = n + i
@@ -549,7 +591,7 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
         up, blo, bhi, tw = up[keep], blo[keep], bhi[keep], tw[keep]
         step, thresh, neg_thresh = step[keep], thresh[keep], neg_thresh[keep]
         if hess is not None:
-            hess = hess[0][keep], hess[1][keep]
+            hess = tuple(a[keep] for a in hess)
         (ts, taus2, energy, smooth, smooth_grad, smooth_hess, up2,
          tw2) = row_set()
     return x_out, phi, res, sum(its), L, its, trials, ex, newton

@@ -379,6 +379,60 @@ def test_prox_grad_backtracking_still_doubles_L():
     assert L > 1.0
 
 
+def test_raised_L_is_the_measured_curvature_as_a_power_of_two():
+    raised = scheme._raised_L
+    assert [raised(1.0, c) for c in (129.0, 128.0, 3.0, 1.5)] == [
+        256.0, 128.0, 4.0, 2.0]
+    # no number, or no finite one, only doubles
+    assert [raised(8.0, c) for c in (math.nan, math.inf)] == [16.0, 16.0]
+    # 2^59 is the last power of two within the 1e18 give-up
+    assert raised(1.0, 1e30) == 2.0 ** 59 < 1e18
+    assert raised(2.0 ** 59, 1e30) == 2.0 ** 60 > 1e18
+
+
+def test_failed_trial_raises_L_to_its_measured_curvature(monkeypatch):
+    # the first N = 32 step accepts its first step at L = 2^7: doubling
+    # from L0 = 1 failed 7 trials on the way, the measured curvature
+    # gets there after one
+    no_newton(monkeypatch)
+    model, p, u_prev, tau, box, tol = _ac_step_problem(32)
+    out = scheme._prox_grad(model, p, u_prev[None], [tau], [tau],
+                            u_prev[None], (box[0][None], box[1][None]),
+                            [tol], 1, [1.0])
+    L, its, trials = out[4][0], out[5][0], out[6][0]
+    assert (L, its) == (2.0 ** 7, 1)
+    assert trials - its <= 2
+
+
+class _FlatValue(EnergyModel):
+    """E reported as 0 everywhere, with the gradient K (x - a) of a stiff
+    quadratic, a = 1e-11: a small enough trial passes the value test only
+    within its slack and then fails the curvature test, which measures K."""
+
+    K = 1000.0
+
+    def at_times(self, t):
+        return lambda X: ([0.0] * len(X), lambda: self.K * (X - 1e-11))
+
+    def hess_rows(self, t, U):
+        return np.full(U.shape, self.K), np.zeros((len(U), U.shape[1] - 1))
+
+
+def test_failure_at_roundoff_level_only_doubles_L(monkeypatch):
+    # from 0 the first trial moves by 1e-8 per coordinate: its value is
+    # 2e-16 above the linear model, more than 0.5 L ||dx||^2 but within
+    # the slack 1e-15, and its curvature test measures K = 1000. Only
+    # doubling, L climbs to 1024 in 10 failed trials, not 1
+    no_newton(monkeypatch)
+    x0 = np.zeros(2)
+    box = (np.full(2, -1.0), np.full(2, 1.0))
+    x, _, res, it, L, _, trials = scheme._prox_grad(
+        _FlatValue(), potentials.Quadratic(1e-30), x0[None], [0.0], [0.5],
+        x0[None], (box[0][None], box[1][None]), [1e-3], 1, [1.0])[:7]
+    assert (L, it, trials) == ([1024.0], 1, [11])
+    assert res[0] <= 1e-3 and np.all(x > 0.0)
+
+
 @pytest.mark.parametrize("N", [8, 32, 64])
 def test_prox_grad_accepts_only_steps_that_pass_at_their_L(monkeypatch, N):
     # replay the prox-grad path one iteration at a time; iteration k's L
@@ -424,7 +478,8 @@ def test_prox_grad_pays_one_grid_evaluation_per_trial(monkeypatch):
     # value and the gradient of a trial point separately, and halving L
     # after every first-trial accept, this solve made 242 trials and 438
     # forward differences in its 8 _prox_grad calls (135 iterations);
-    # without the Newton candidates its 4 calls made 181 trials. Each
+    # without the Newton candidates its 4 calls made 181 trials, and 13
+    # with them while a failed trial only doubled L; 10 now. Each
     # round now evaluates its trial point and its candidate, two states,
     # in one at_times call and one pass of grid terms; its 4 steps are
     # strongly convex, so each is one call
@@ -471,7 +526,7 @@ def test_prox_grad_pays_one_grid_evaluation_per_trial(monkeypatch):
     assert counts["at_times"] == trials + counts["calls"]
     assert counts["forward_diffs"] == counts["at_times"]
     assert set(states) == {2}
-    assert trials < 30
+    assert trials <= 10
     assert all(s["newton"] > 0 for s in traj.inner_status[1:])
 
 
@@ -953,6 +1008,14 @@ def _per_time_linear(traj, t):
     return (1.0 - th) * traj.U[n - 1] + th * traj.U[n]
 
 
+def _breakpoints(T, ladder):
+    """Every rung's nodes in [0, T], and T: the times at which the norm of
+    the difference of two rungs' linear interpolants can peak."""
+    times = sorted({float(t) for tau in ladder
+                    for t in TimeGrid(T=T, tau=tau).nodes() if t <= T} | {T})
+    return np.array(times)
+
+
 def test_refinement_distance_matches_the_per_time_loop():
     spec = build("AllenCahn1D", {"N": 8})
     u0 = 0.1 * np.sin(np.pi * (np.arange(8) + 0.5) / 8)
@@ -961,7 +1024,8 @@ def test_refinement_distance_matches_the_per_time_loop():
     table = refinement_study(spec.energy, spec.dissipation, u0, T, ladder)
     trajs = [solve(spec.energy, spec.dissipation, u0, TimeGrid(T=T, tau=tau))
              for tau in ladder]
-    times = np.linspace(0.0, T, 1024)
+    times = _breakpoints(T, ladder)
+    assert len(times) == 9
     for row, a, b in zip(table.rows, trajs, trajs[1:]):
         ref = max(float(np.linalg.norm(_per_time_linear(a, t)
                                        - _per_time_linear(b, t)))
@@ -998,7 +1062,7 @@ def test_refinement_evaluates_each_rung_interpolant_once(monkeypatch, failed,
     monkeypatch.setattr(diagnostics, "linear_interpolant", counted)
     table = refinement_study(spec.energy, spec.dissipation, u0, T, ladder)
     assert len(evaluated) == len(set(evaluated)) == evaluations
-    times = np.linspace(0.0, T, 1024)
+    times = _breakpoints(T, ladder)
     for row, a, b in zip(table.rows, trajs, trajs[1:]):
         if a is None or b is None:
             assert row.sup_interpolant_distance is None
@@ -1008,6 +1072,33 @@ def test_refinement_evaluates_each_rung_interpolant_once(monkeypatch, failed,
         diff -= linear_interpolant(b, times)
         ref = float(np.sqrt((diff[:, None, :] @ diff[:, :, None]).max()))
         assert row.sup_interpolant_distance == ref
+
+
+def test_refinement_distance_finds_a_peak_between_samples(monkeypatch):
+    # two planted rungs that differ only at t = 0.5, a node of both, by 1.
+    # The 1024 times k / 1023 of a uniform sample miss it: their largest
+    # difference is 1 - 0.5 / 1023 / 0.125, at k = 511 and k = 512
+    spec = build("QuadraticBenchmark", {})
+    ladder = [0.25, 0.125]
+    trajs = []
+
+    def planted(model, psi, u0, grids, opts):
+        for g in grids:
+            U, zero = np.zeros((g.N + 1, 1)), np.zeros(g.N + 1)
+            if g.tau == 0.125:
+                U[4] = 1.0
+            trajs.append(DiscreteTrajectory(
+                model=model, psi=psi, grid=g, opts=opts, U=U, xi=U * 0.0,
+                gaps=zero, energies=zero.copy(), witnesses=zero.copy()))
+        return list(trajs)
+    monkeypatch.setattr(diagnostics, "_solve_grids", planted)
+    table = refinement_study(spec.energy, spec.dissipation, [0.0], 1.0,
+                             ladder)
+    assert table.rows[0].sup_interpolant_distance == 1.0
+    times = np.linspace(0.0, 1.0, 1024)
+    sample = np.abs(linear_interpolant(trajs[0], times)
+                    - linear_interpolant(trajs[1], times)).max()
+    assert sample == pytest.approx(1.0 - 0.5 / 1023 / 0.125, abs=1e-12)
 
 
 def test_energy_monotone_when_time_frozen():
