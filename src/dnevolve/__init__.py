@@ -22,8 +22,7 @@ from .models import MODEL_NAMES, ModelSpec, build, describe
 from .potentials import (AdmissibilityReport, DissipationPotential,
                          OneHomPlusQuad, PNorm, Quadratic, Scaled,
                          StateWeighted, TwoSlope, WeightedSum,
-                         check_admissible, conjugate, fenchel_young_gap,
-                         subdiff_contains)
+                         check_admissible, conjugate, fenchel_young_gap)
 from .scheme import (DiscreteTrajectory, SolveOptions, TimeGrid,
                      de_giorgi_interpolant, incremental_step, solve)
 from .diagnostics import (DiagnosticsReport, RefinementTable, build_report,
@@ -49,5 +48,4 @@ __all__ = [
     "energy_identity_defect", "energy_value", "fenchel_young_gap",
     "fenchel_young_profile", "generalized_time_derivative",
     "incremental_step", "refinement_study", "solve", "step_inequality",
-    "subdiff_contains",
 ]

@@ -8,8 +8,8 @@ state-independent kind), and every query below takes such a frozen p:
 
     p.value(v)                       Psi(v)
     conjugate(p, xi)                 Psi*(xi) = sup_v <xi,v> - Psi(v)
-    fenchel_young_gap(p, v, xi)      Psi(v) + Psi*(xi) - <xi,v>  (>= 0)
-    subdiff_contains(p, v, xi, tol)  gap <= tol  certifies  xi in dPsi(v)
+    fenchel_young_gap(p, v, xi)      Psi(v) + Psi*(xi) - <xi,v>  (>= 0,
+                                     0 iff xi in dPsi(v))
     check_admissible(p)              axiom audit on fixed 1-D probes
                                      (nonnegativity, zero, convexity,
                                      superlinearity, equal-conjugate
@@ -554,13 +554,6 @@ def fenchel_young_gap(p: DissipationPotential, v, xi):
         xi = as_state(xi, dim=v.shape[-1])
         return p.value(v) + conjugate(p, xi) - _out(np.vecdot(xi, v))
     return rows(v, xi, p) if np.ndim(v) < 2 else row_call(rows, v, xi, p)
-
-
-def subdiff_contains(p: DissipationPotential, v, xi, tol: float) -> bool:
-    """True iff the Fenchel-Young gap is at most tol."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    return fenchel_young_gap(p, v, xi) <= tol
 
 
 # ---------------------------------------------------------------------------

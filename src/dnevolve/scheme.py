@@ -65,16 +65,13 @@ proven: when mu = Psi.modulus(R / tau) / tau + lambda_E > 0 on the
 coercivity box of radius R, with lambda_E the energy's declared (and
 audited) semiconvexity, the step problem has one minimizer and every
 stationary point is it, so one start suffices and is refined directly,
-with no triage. Within solve, from step 2 on, that start is whichever of
-U_{n-1} and the prediction 2 U_{n-1} - U_{n-2}, clipped to the box, has
-the lower step objective; the interpolant solves start at U_{n-1}, so
-they depend on the stored trajectory alone. Otherwise optimality is
-certified only by a deterministic multi-start budget around U_{n-1}:
-every start runs to a coarse tolerance (triage) and the best is refined;
-start k of every such row is one row call. The solver records mu, its
-start count, its start ("previous" or "predictor"), its iteration and
-trial counts, the iterations that moved to a Newton candidate ("newton")
-and its final L in inner_status.
+with no triage. That start is U_{n-1}, in solve and in the interpolant
+solves alike. Otherwise optimality is certified only by a deterministic
+budget of MULTISTARTS starts around U_{n-1}, whatever the dimension:
+every start runs to a coarse tolerance (triage) and the best is
+refined; start k of every such row is one row call. The solver records
+mu, its start count, its iteration and trial counts, the iterations that
+moved to a Newton candidate ("newton") and its final L in inner_status.
 
 Every step problem goes through one row entry, _steps: it rejects a step
 outside (0, tau_o), batches the other rows in blocks of ROW_BLOCK, freezes
@@ -115,8 +112,7 @@ SCAN_POINTS = 513
 # rows per block of one _steps batch: bounds the 1-D (rows, SCAN_POINTS)
 # scan and the marginal layer's (rows, 1025) safety grid
 ROW_BLOCK = 64
-MULTISTARTS = 8          # for 2 <= d <= 16
-MULTISTARTS_LARGE = 4    # above d = 16 the start budget is halved
+MULTISTARTS = 8
 TRIAGE_ITERS = 60
 TRIAGE_TOL_SCALE = 1e-3
 MAX_REFINE_ITERS = 20000
@@ -597,27 +593,24 @@ def _prox_grad(model, p, u_prev, t, tau, x0, box, tol, max_iters, L0):
     return x_out, phi, res, sum(its), L, its, trials, ex, newton
 
 
-def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
+def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0):
     """Proximal gradient to eps_inner for B step problems under the frozen
     potential p of their rows: row b from u_prev[b] at time t[b] with step
     tau[b] under p[b], given e_prev[b] = E(t[b], u_prev[b]); u_prev is
-    (B, d), and t, tau and
-    e_prev are lists of floats. The coercivity radii of all rows are one
-    _coercivity_radius call. A row proven strongly convex on its box
-    (mu > 0) has one minimizer, so one start suffices and needs no
-    triage: u_prev[b], or the predicted state x_pred[b] (x_pred is None or
-    (B, d)) clipped to the box when its step objective is lower. Any other row gets the deterministic multi-start
-    budget, built around u_prev[b]: every start runs to a coarse
-    tolerance and the best is refined. A row's first prox-grad call
-    begins at L = L0[b], each later one at half the L its predecessor
-    ended with. Start k of every multi-start row is one _prox_grad row
-    call, and the refinement of every row one more, so each row takes the
-    path of its own solve. Returns (U, status, errors, energy) with
-    errors[b] the StepFailureError of a row that missed eps_inner, else
-    None, and energy[b] = E(t[b], U[b])."""
+    (B, d), and t, tau and e_prev are lists of floats. The coercivity
+    radii of all rows are one _coercivity_radius call. A row proven
+    strongly convex on its box (mu > 0) has one minimizer, so one start,
+    u_prev[b], suffices and needs no triage. Any other row gets the
+    deterministic budget of MULTISTARTS starts, built around u_prev[b]:
+    every start runs to a coarse tolerance and the best is refined. A
+    row's first prox-grad call begins at L = L0[b], each later one at half
+    the L its predecessor ended with. Start k of every multi-start row is
+    one _prox_grad row call, and the refinement of every row one more, so
+    each row takes the path of its own solve. Returns (U, status, errors,
+    energy) with errors[b] the StepFailureError of a row that missed
+    eps_inner, else None, and energy[b] = E(t[b], U[b])."""
     B, d = u_prev.shape
     eps_inner = [EPS_INNER_SCALE * (1.0 + abs(e)) for e in e_prev]
-    ps = [p[b] for b in range(B)]   # each row's potential
     C0 = model.constants.C0
     Rc = _coercivity_radius(p, tau, [e - C0 for e in e_prev])[:, None]
     R = Rc[:, 0].tolist()
@@ -629,27 +622,13 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
     # where every rate has |v_i| <= R / tau; for mu > 0 the objective is
     # strongly convex, so its stationary point is the global minimizer
     lam = model.semiconvexity
-    mu = [None if lam is None else q.modulus(r / h) / h + lam
-          for q, r, h in zip(ps, R, tau)]
+    mu = [None if lam is None else p[b].modulus(R[b] / h) / h + lam
+          for b, h in enumerate(tau)]
     convex = [m is not None and m > 0.0 for m in mu]
     multi = [b for b in range(B) if not convex[b]]
     x0 = u_prev.copy()
-    start = ["previous"] * B
-    c = [b for b in range(B) if convex[b]]
-    if x_pred is not None and c:
-        # the start changes only the path to the one minimizer; u_prev's
-        # step objective is e_prev, since Psi(0) = 0. The convex rows'
-        # energies are one at_times call and their Psi one row call
-        xp = np.minimum(np.maximum(x_pred[c], lo[c]), hi[c])
-        h = [tau[b] for b in c]
-        psi = p[c].value((xp - u_prev[c]) / np.array(h)[:, None]).tolist()
-        e = model.at_times([t[b] for b in c])(xp)[0]
-        for i, b in enumerate(c):
-            if h[i] * psi[i] + e[i] < e_prev[b]:
-                x0[b], start[b] = xp[i], "predictor"
     L = [float(v) for v in L0]
     its, trials, newton = [0] * B, [0] * B, [0] * B
-    n_starts = MULTISTARTS if d <= 16 else MULTISTARTS_LARGE
     if multi:
         alt = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
         starts = []
@@ -660,13 +639,13 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
                    u_prev[b] + 0.25 * r * np.ones(d),
                    u_prev[b] - 0.25 * r * np.ones(d),
                    u_prev[b] + 0.25 * r * alt]
-            while len(row) < n_starts:
+            while len(row) < MULTISTARTS:
                 row.append(lo[b] + rng.random(d) * (hi[b] - lo[b]))
             starts.append(row)
         triage_tol = [TRIAGE_TOL_SCALE * (1.0 + abs(e_prev[b]))
                       for b in multi]
         best = [None] * len(multi)
-        for k in range(n_starts):
+        for k in range(MULTISTARTS):
             x, f, _, _, Lk, itk, trk, _, nwk = _prox_grad(
                 model, p[multi], u_prev[multi], [t[b] for b in multi],
                 [tau[b] for b in multi], np.array([s[k] for s in starts]),
@@ -677,10 +656,8 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
                 its[b] += itk[i]
                 trials[b] += trk[i]
                 newton[b] += nwk[i]
-                if best[i] is None or f[i] < best[i][1]:
-                    best[i] = (x[i], f[i])
-        for i, b in enumerate(multi):
-            x0[b] = best[i][0]
+                if best[i] is None or f[i] < best[i]:
+                    best[i], x0[b] = f[i], x[i]
     x, _, res, _, L, itr, trr, energy, nwr = _prox_grad(
         model, p, u_prev, t, tau, x0, (lo, hi), eps_inner, MAX_REFINE_ITERS,
         L)
@@ -693,11 +670,10 @@ def _solve_nd(model, p, u_prev, t, tau, e_prev, opts, L0, x_pred):
             f"inner solver stalled at prox-residual {res[b]:.3e} "
             f"(target {eps_inner[b]:.3e}) after {its[b]} iterations"))
         status.append({"method": "proxgrad",
-                       "starts": 1 if convex[b] else n_starts,
-                       "start": start[b], "mu": mu[b], "iterations": its[b],
+                       "starts": 1 if convex[b] else MULTISTARTS,
+                       "mu": mu[b], "iterations": its[b],
                        "trials": trials[b], "newton": newton[b],
-                       "prox_residual": res[b],
-                       "L": L[b]})
+                       "prox_residual": res[b], "L": L[b]})
     return x, status, errors, energy
 
 
@@ -785,21 +761,21 @@ def _finish_steps(model, p, u_prev, t, tau, U, e_prev, status,
     return U, xi, gap, status, energy, witness
 
 
-def _steps(model, psi, u_prev, t, tau, opts, L0, x_pred):
+def _steps(model, psi, u_prev, t, tau, opts, L0):
     """The scheme's one row entry: B step problems, row b from u_prev[b]
     (of the (B, d) array u_prev) at time t[b] with step tau[b], under the
     frozen potential psi.at_state(u_prev)[b]. A row whose step is outside
     (0, tau_o) fails alone. The other rows, in order, form blocks of at
     most ROW_BLOCK rows, and each block is one row batch: one at_state
     call freezes its potential, and _solve_1d solves it for d = 1, else
-    _solve_nd, whose rows start their prox-grad calls at L = L0[b] and may
-    start from x_pred[b] (x_pred is None or (B, d); d = 1 reads neither).
-    A block that raises is retried row by row, so only the rows whose own
-    potential or solve raises fail. Every row takes the path it takes
-    alone, bit for bit. Returns, in row order, each row's _finish_steps
-    row (U, xi, gap, status, energy, witness) or its own error: the
-    RangeError of its step, what freezing or solving it raised, or the
-    StepFailureError of an n-D row that missed eps_inner."""
+    _solve_nd, whose rows start at u_prev[b] and begin their prox-grad
+    calls at L = L0[b] (d = 1 reads no L0). A block that raises is
+    retried row by row, so only the rows whose own potential or solve
+    raises fail. Every row takes the path it takes alone, bit for bit.
+    Returns, in row order, each row's _finish_steps row (U, xi, gap,
+    status, energy, witness) or its own error: the RangeError of its
+    step, what freezing or solving it raised, or the StepFailureError of
+    an n-D row that missed eps_inner."""
     out = [None] * len(t)
     tau_o = model.constants.tau_o
     valid = []
@@ -823,8 +799,7 @@ def _steps(model, psi, u_prev, t, tau, opts, L0, x_pred):
             res, energy = [None] * len(rows), None
         else:
             U, status, res, energy = _solve_nd(
-                model, p, ub, tb, hb, e_prev, opts, [L0[b] for b in rows],
-                None if x_pred is None else x_pred[rows])
+                model, p, ub, tb, hb, e_prev, opts, [L0[b] for b in rows])
         ok = [i for i, err in enumerate(res) if err is None]
         if len(ok) < len(rows):  # only n-D rows fail here
             ub, U, p = ub[ok], U[ok], p[ok]
@@ -863,7 +838,7 @@ def incremental_step(model: EnergyModel, psi, u_prev, t_n: float, tau: float,
     its tolerance, or what freezing psi or solving the step raised.
     """
     row = _steps(model, psi, as_state(u_prev, model.dim)[None], [t_n], [tau],
-                 opts or SolveOptions(), [1.0], None)[0]
+                 opts or SolveOptions(), [1.0])[0]
     if isinstance(row, Exception):
         raise row
     U, xi, gap, status, energy, witness = row
@@ -874,13 +849,12 @@ def _solve_grids(model: EnergyModel, psi, u0, grids: List[TimeGrid],
                  opts: SolveOptions) -> List:
     """Run the scheme on every grid of the list at once, in lockstep:
     round n takes step n of every grid that has one and has not failed,
-    as one row of one _steps call, each row with its own time, step, L
-    carry and prediction. Each n-D step starts its inner solver at half
-    the L the previous step of its grid ended with, floored at 1, and from
-    step 2 on offers it the linear prediction 2 U_{n-1} - U_{n-2} as a
-    start. A row takes the path it takes alone, so each grid's trajectory
-    is the one it has solved on its own, bit for bit. Returns, per grid,
-    its DiscreteTrajectory or the exception that ended it: a
+    as one row of one _steps call, each row with its own time, step and L
+    carry. Each n-D step starts its inner solver at U_{n-1}, with L at
+    half the L the previous step of its grid ended with, floored at 1. A
+    row takes the path it takes alone, so each grid's trajectory is the
+    one it has solved on its own, bit for bit. Returns, per grid, its
+    DiscreteTrajectory or the exception that ended it: a
     SolveAbortedError, with the partial trajectory, for a step that failed
     or whose witness or gap is out of bounds, or the error of its step's
     row."""
@@ -911,11 +885,9 @@ def _solve_grids(model: EnergyModel, psi, u0, grids: List[TimeGrid],
         ks = [k for k, g in enumerate(grids) if out[k] is None and n <= g.N]
         if not ks:
             break
-        x_pred = (np.array([2.0 * U[k][n - 1] - U[k][n - 2] for k in ks])
-                  if n >= 2 and d > 1 else None)
         rows = _steps(model, psi, np.array([U[k][n - 1] for k in ks]),
                       [grids[k].t(n) for k in ks], [grids[k].tau for k in ks],
-                      opts, [L0[k] for k in ks], x_pred)
+                      opts, [L0[k] for k in ks])
         for k, row in zip(ks, rows):
             if isinstance(row, StepFailureError):
                 abort(k, n, f"step {n} (t={grids[k].t(n)}) failed: {row}",
@@ -971,9 +943,8 @@ def solve(model: EnergyModel, psi, u0, grid: TimeGrid,
     lockstep of _solve_grids, so each step is a one-row _steps call. A
     grid whose tau breaks ladder_fault's rule raises RangeError; step
     failures abort with the partial trajectory attached. Each n-D step
-    starts its inner solver at half the L the previous step ended with,
-    floored at 1, and from step 2 on offers it the linear prediction
-    2 U_{n-1} - U_{n-2} as a start."""
+    starts its inner solver at U_{n-1}, with L at half the L the previous
+    step ended with, floored at 1."""
     fault = ladder_fault(model, grid.T, [grid.tau])
     if fault is not None:
         raise RangeError(f"grid tau={grid.tau} {fault[1]}")
@@ -1038,8 +1009,7 @@ def de_giorgi_interpolant(traj: DiscreteTrajectory, t):
     U, xi, E = traj.U[n], traj.xi[n], traj.energies[n]
     b = np.flatnonzero(~node)
     for i, row in zip(b, _steps(traj.model, traj.psi, traj.U[n[b] - 1],
-                                ts[b], r[b], traj.opts, [1.0] * len(b),
-                                None)):
+                                ts[b], r[b], traj.opts, [1.0] * len(b))):
         if isinstance(row, StepFailureError):
             raise SolveAbortedError(
                 f"interpolant solve at t={float(ts[i])} failed: {row}",

@@ -15,7 +15,7 @@ from dnevolve.models import MODEL_NAMES, build
 from dnevolve.potentials import (OneHomPlusQuad, PNorm, Quadratic, Scaled,
                                  StateWeighted, TwoSlope, WeightedSum,
                                  as_state, check_admissible, conjugate,
-                                 fenchel_young_gap, subdiff_contains)
+                                 fenchel_young_gap)
 
 
 def grid_conjugate(p, xi, lo=-100.0, hi=100.0, step=1e-4):
@@ -288,17 +288,13 @@ def test_gap_nonnegative_on_random_pairs():
     assert worst >= -1e-12
 
 
-def test_subdiff_contains_frozen_cases():
-    assert subdiff_contains(Quadratic(1.0), [2.0], [2.0], 1e-10)
+def test_gap_certifies_subdifferential_membership_frozen_cases():
+    # xi in dPsi(v) iff the Fenchel-Young gap is 0; up to a tolerance
+    assert fenchel_young_gap(Quadratic(1.0), [2.0], [2.0]) <= 1e-10
     # gap = Psi*(1.2) = 0.02 exactly
-    assert not subdiff_contains(OneHomPlusQuad(1.0, 1.0), [0.0], [1.2],
-                                1e-10)
-    assert subdiff_contains(PNorm(1.0, 2.0), [0.0], [0.0], 1e-10)
-
-
-def test_subdiff_contains_requires_positive_tol():
-    with pytest.raises(ValueError):
-        subdiff_contains(Quadratic(1.0), [0.0], [0.0], 0.0)
+    assert not fenchel_young_gap(OneHomPlusQuad(1.0, 1.0), [0.0],
+                                 [1.2]) <= 1e-10
+    assert fenchel_young_gap(PNorm(1.0, 2.0), [0.0], [0.0]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,6 @@ def test_state_weighted_requires_state():
     for query in (lambda: w.value(np.array([1.0])),
                   lambda: conjugate(w, [1.0]),
                   lambda: fenchel_young_gap(w, [1.0], [1.0]),
-                  lambda: subdiff_contains(w, [1.0], [1.0], 1e-10),
                   lambda: check_admissible(w)):
         with pytest.raises(TypeError, match="at_state"):
             query()

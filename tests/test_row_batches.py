@@ -288,22 +288,22 @@ def test_lockstep_multistart_rows_equal_per_rung_solves(monkeypatch):
 
 
 def test_ladder_failure_annotates_only_its_rung(monkeypatch):
-    # with 3 refine iterations the coarse rung's first step stalls (it
-    # needs 4) and the finer rungs' steps, which need at most 3, do not
-    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 3)
-    spec = build("AllenCahn1D", {"N": 4, "rho": 0.0})
-    ladder = [2.0 ** -3, 2.0 ** -5, 2.0 ** -6]
-    table = refinement_study(spec.energy, spec.dissipation, sine(4), 0.25,
+    # with 4 refine iterations the coarse rung's first step stalls (it
+    # needs 5) and the finer rungs' steps, which need at most 4, do not
+    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 4)
+    spec = build("AllenCahn1D", {"N": 5, "rho": 0.0})
+    ladder = [2.0 ** -4, 2.0 ** -5, 2.0 ** -6]
+    table = refinement_study(spec.energy, spec.dissipation, sine(5), 0.25,
                              ladder)
     with pytest.raises(SolveAbortedError) as err:
-        solve(spec.energy, spec.dissipation, sine(4), TimeGrid(0.25, 0.125))
-    assert str(err.value).startswith("step 1 (t=0.125) failed: inner "
+        solve(spec.energy, spec.dissipation, sine(5), TimeGrid(0.25, 0.0625))
+    assert str(err.value).startswith("step 1 (t=0.0625) failed: inner "
                                      "solver stalled at prox-residual")
     assert table.rows[0].status == f"solve failed: {err.value}"
     assert table.rows[0].energy_identity_defect is None
     assert [r.status for r in table.rows[1:]] == ["ok", "ok"]
     for row, tau in zip(table.rows[1:], ladder[1:]):
-        alone = solve(spec.energy, spec.dissipation, sine(4),
+        alone = solve(spec.energy, spec.dissipation, sine(5),
                       TimeGrid(0.25, tau))
         assert row.energy_identity_defect == energy_identity_defect(alone)
     assert_same_trajectory(table.finest, alone)
@@ -379,16 +379,21 @@ def test_nd_interpolants_are_row_blocks(monkeypatch, name, params, u0):
 
 
 def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
-    # one _steps call of 11 StateWeightedToy rows: two frozen potentials
-    # (A and A2 freeze to the same one), a step at tau_o, a row whose
-    # energy raises, and two rows that stall at 2 refine iterations (from
-    # L0 = 2^27 they need 3; every other row 2). With ROW_BLOCK = 3 the ten
-    # rows with a valid step form blocks [0, 1, 2], [3, 4, 6], [7, 8, 9]
-    # and [10], each with the weight row of its states
+    # one _steps call of 11 StateWeightedToy rows under its weight family
+    # on a |v|^1.5 base, whose steps Newton does not solve in one move: two
+    # frozen potentials (A and A2 freeze to the same one), a step at
+    # tau_o, a row whose energy raises, and two rows that stall at 7
+    # refine iterations (from L0 = 2^27 they need 8; every other row 6 or
+    # 7). With ROW_BLOCK = 3 the ten rows with a valid step form blocks
+    # [0, 1, 2], [3, 4, 6], [7, 8, 9] and [10], each with the weight row
+    # of its states
     monkeypatch.setattr(scheme, "ROW_BLOCK", 3)
-    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 2)
+    monkeypatch.setattr(scheme, "MAX_REFINE_ITERS", 7)
     spec = build("StateWeightedToy", {"dim": 2})
-    model, psi = spec.energy, spec.dissipation
+    model = spec.energy
+    psi = potentials.StateWeighted(
+        base=potentials.PNorm(1.0, 1.5), omega=spec.dissipation.omega,
+        omega_bounds=spec.dissipation.omega_bounds)
     real = model.at_times
 
     def at_times(t):
@@ -407,22 +412,17 @@ def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
             (B, 0.4, 0.03125), (A, 0.1, 0.45)]
     u_prev = np.array([r[0] for r in rows])
     t, tau = [r[1] for r in rows], [r[2] for r in rows]
-    L0 = [1.0, 2.0 ** 27, 4.0, 2.0 ** 27, 8.0, 1.0, 2.0, 1.0, 16.0, 4.0,
+    L0 = [1.0, 2.0 ** 27, 4.0, 2.0 ** 27, 8.0, 1.0, 2.0, 1.0, 16.0, 1024.0,
           1.0]
-    # odd rows are offered a start toward the minimizer, even rows one
-    # farther away
-    x_pred = u_prev - 0.5
-    x_pred[1::2] = u_prev[1::2] + 0.1 * (1.0 - u_prev[1::2])
     nd_rows = count_rows(monkeypatch, "_solve_nd")
-    got = scheme._steps(model, psi, u_prev, t, tau, SolveOptions(), L0,
-                        x_pred)
+    got = scheme._steps(model, psi, u_prev, t, tau, SolveOptions(), L0)
     # the block of row 4 raises before its solve and is retried row by
     # row, where row 4 raises again
     assert nd_rows == [3, 1, 1, 3, 1]
     assert len(got) == len(rows)
     for b, row in enumerate(got):
         one = scheme._steps(model, psi, u_prev[b:b + 1], [t[b]], [tau[b]],
-                            SolveOptions(), [L0[b]], x_pred[b:b + 1])
+                            SolveOptions(), [L0[b]])
         assert len(one) == 1
         if isinstance(row, Exception):
             assert type(row) is type(one[0]) and str(row) == str(one[0])
@@ -442,7 +442,3 @@ def test_steps_rows_are_their_own_one_row_calls(monkeypatch):
     assert str(errors[4]) == "no energy at t=0.375"
     assert str(errors[5]) == ("step tau=0.5 outside (0, tau_o=0.5) of "
                               "StateWeightedToy")
-    # both starts occur
-    assert [got[b][3]["start"] for b in (0, 2, 6, 7, 8, 9, 10)] == [
-        "previous", "previous", "previous", "predictor", "previous",
-        "previous", "previous"]

@@ -52,11 +52,11 @@ def test_steps_block_rows_are_their_one_row_calls(name, params):
     model, psi, u_prev, t, tau = step_rows(name, params)
     B = len(t)
     got = scheme._steps(model, psi, u_prev, t, tau, SolveOptions(),
-                        [1.0] * B, None)
+                        [1.0] * B)
     statuses = []
     for b, row in enumerate(got):
         one = scheme._steps(model, psi, u_prev[b:b + 1], [t[b]], [tau[b]],
-                            SolveOptions(), [1.0], None)[0]
+                            SolveOptions(), [1.0])[0]
         assert not isinstance(row, Exception), row
         U, xi, gap, status, energy, witness = row
         assert bits(U) == bits(one[0]) and bits(xi) == bits(one[1])
